@@ -99,24 +99,6 @@ pub fn variable_for(i: usize) -> String {
 /// Breadcrumb context path used to detect composition cycles at read time.
 const VISITED_PATH: &str = "composite/visited";
 
-/// Immutable per-child read plan, precomputed when the composition
-/// changes (`addService`/`removeService`) so the per-read fan-out does
-/// not re-derive names, signatures or task labels for every child on
-/// every read. Shared into the read closures via `Arc`.
-#[derive(Debug)]
-struct ReadPlan {
-    /// Expression variable this child's value binds to.
-    var: Arc<str>,
-    /// The child's provider `Name` attribute.
-    service_name: Arc<str>,
-    /// Equivalence group for failover, if any.
-    group: Option<Arc<str>>,
-    /// Prebuilt `SensorDataAccessor#getValue@<name>` signature.
-    signature: Signature,
-    /// Prebuilt task label (`read <name>`).
-    task_name: String,
-}
-
 /// Registration attribute key marking interchangeable providers (§V.A's
 /// "equivalent available service provider").
 pub const EQUIVALENCE_GROUP_KEY: &str = "equivalence-group";
@@ -124,12 +106,17 @@ pub const EQUIVALENCE_GROUP_KEY: &str = "equivalence-group";
 /// The provider state.
 pub struct CompositeSensorProvider {
     name: String,
+    exerted_by: Arc<str>,
     uuid: String,
     host: HostId,
     accessor: ServiceAccessor,
     children: Vec<Child>,
-    /// Per-child read plans, rebuilt whenever `children` changes.
-    plans: Vec<Arc<ReadPlan>>,
+    /// The request sent to each child (`read <name>`, signed
+    /// `SensorDataAccessor#getValue@<name>`, empty context), rebuilt
+    /// whenever `children` changes so the per-read fan-out does not
+    /// re-derive labels or signatures. Task headers are shared, so the
+    /// clone a read takes copies no text.
+    requests: Vec<Task>,
     expression: Option<Program>,
     /// Reusable slot frame for expression evaluation (no per-read scope).
     frame: SlotFrame,
@@ -149,9 +136,9 @@ pub struct CompositeSensorProvider {
     /// breaker skips the target instead of burning the retry budget
     /// against a host that keeps timing out.
     pub breakers: Option<crate::admission::SharedBreakers>,
-    /// Last clean reading per child, for degraded-mode substitution.
-    /// Only mutated after the parallel fan-out returns.
-    last_good: std::collections::BTreeMap<String, LastGood>,
+    /// Last clean reading per child position, for degraded-mode
+    /// substitution. Only mutated after the parallel fan-out returns.
+    last_good: Vec<Option<LastGood>>,
     reads_total: u64,
     /// Cached child bindings (the Jini model: a downloaded proxy is reused
     /// until it fails). Invalidated per child on network failure, so a
@@ -161,13 +148,15 @@ pub struct CompositeSensorProvider {
 
 impl CompositeSensorProvider {
     pub fn new(name: impl Into<String>, host: HostId, accessor: ServiceAccessor) -> Self {
+        let name = name.into();
         CompositeSensorProvider {
-            name: name.into(),
+            exerted_by: exerted_by(&name),
+            name,
             uuid: String::new(),
             host,
             accessor,
             children: Vec::new(),
-            plans: Vec::new(),
+            requests: Vec::new(),
             expression: None,
             frame: SlotFrame::new(),
             calibration: Calibration::Identity,
@@ -175,7 +164,7 @@ impl CompositeSensorProvider {
             degradation: DegradationPolicy::Strict,
             retry: RetryPolicy::none(),
             breakers: None,
-            last_good: std::collections::BTreeMap::new(),
+            last_good: Vec::new(),
             reads_total: 0,
             bindings: std::cell::RefCell::new(std::collections::BTreeMap::new()),
         }
@@ -220,28 +209,24 @@ impl CompositeSensorProvider {
             service_name: service_name.to_string(),
             group,
         });
-        self.rebuild_plans();
+        self.last_good.push(None);
+        self.rebuild_requests();
         Ok(var)
     }
 
-    /// Recompute the per-child read plans from `children`. Called on every
+    /// Recompute the per-child requests from `children`. Called on every
     /// composition change so reads find everything precomputed.
-    fn rebuild_plans(&mut self) {
-        self.plans = self
+    fn rebuild_requests(&mut self) {
+        self.requests = self
             .children
             .iter()
             .map(|child| {
-                Arc::new(ReadPlan {
-                    var: child.var.as_str().into(),
-                    service_name: child.service_name.as_str().into(),
-                    group: child.group.as_deref().map(Arc::from),
-                    signature: Signature::new(
-                        interfaces::SENSOR_DATA_ACCESSOR,
-                        selectors::GET_VALUE,
-                    )
-                    .on(&child.service_name),
-                    task_name: format!("read {}", child.service_name),
-                })
+                Task::new(
+                    format!("read {}", child.service_name),
+                    Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE)
+                        .on(&child.service_name),
+                    Context::new(),
+                )
             })
             .collect();
     }
@@ -256,11 +241,12 @@ impl CompositeSensorProvider {
             .position(|c| c.service_name == service_name)
             .ok_or_else(|| format!("'{service_name}' is not composed here"))?;
         self.children.remove(pos);
+        self.last_good.remove(pos);
         self.bindings.borrow_mut().remove(service_name);
         for (i, child) in self.children.iter_mut().enumerate() {
             child.var = variable_for(i);
         }
-        self.rebuild_plans();
+        self.rebuild_requests();
         if let Some(expr) = &self.expression {
             let vars: Vec<&str> = self.children.iter().map(|c| c.var.as_str()).collect();
             if !expr.missing_inputs(&vars).is_empty() {
@@ -295,7 +281,7 @@ impl CompositeSensorProvider {
         let span = if env.tracing_enabled() {
             let label = self.name.clone();
             let s = env.span_start("csp.read", &label, self.host);
-            env.span_field(s, "children", self.plans.len());
+            env.span_field(s, "children", self.children.len());
             s
         } else {
             SpanId::INVALID
@@ -360,55 +346,53 @@ impl CompositeSensorProvider {
             return;
         }
         visited.push(Value::Str(self.name.clone()));
-        // One breadcrumb list, shared by reference across every child
-        // closure — a deep copy is made only where a task context needs an
-        // owned value.
-        let visited = Arc::new(Value::List(visited));
+        // One breadcrumb list for the whole fan-out — a deep copy is made
+        // only where a task context needs an owned value.
+        let visited = Value::List(visited);
 
         // Fan the child reads out in parallel — this is a small federation
-        // exerted for this request. Each branch captures its precomputed
-        // `Arc<ReadPlan>`; nothing per-child is cloned or formatted here.
-        // Bindings are cached (the Jini proxy model): only an unknown or
-        // failed child costs a LUS lookup.
+        // exerted for this request. Each branch clones its prebuilt
+        // request; nothing per-child is formatted here. Bindings are
+        // cached (the Jini proxy model): only an unknown or failed child
+        // costs a LUS lookup.
         let accessor = &self.accessor;
         let bindings = &self.bindings;
         let cache_enabled = self.binding_cache_enabled;
         let host = self.host;
         let retry = self.retry;
-        let breakers = self.breakers.clone();
-        let branches: Vec<Box<dyn FnOnce(&mut Env) -> (Arc<str>, Result<(f64, String, bool), String>) + '_>> =
-            self.plans
-                .iter()
-                .map(|plan| {
-                    let plan = Arc::clone(plan);
-                    let visited = Arc::clone(&visited);
-                    let breakers = breakers.clone();
-                    Box::new(move |env: &mut Env| {
+        let breakers = self.breakers.as_ref();
+        let children = &self.children;
+        let requests = &self.requests;
+        let collected = env.parallel_over(
+            0..children.len(),
+            |env: &mut Env, idx: usize| -> Result<(f64, String, bool), String> {
+                        let child = &children[idx];
                         // One `csp.child` span per fan-out branch; the
                         // dispatch spans and retry events nest under it.
-                        let span = env.span_start("csp.child", &plan.service_name, host);
+                        let span = env.span_start("csp.child", &child.service_name, host);
                         let child_start = env.now();
-                        let name: &str = &plan.service_name;
+                        let name: &str = &child.service_name;
                         let run = |env: &mut Env| -> Result<(f64, String, bool), String> {
                         let make_task = || {
-                            Task::new(
-                                plan.task_name.clone(),
-                                plan.signature.clone(),
-                                Context::new().with(VISITED_PATH, (*visited).clone()),
-                            )
+                            let mut task = requests[idx].clone();
+                            task.context.put(VISITED_PATH, visited.clone());
+                            task
                         };
-                        let parse = |done: &Exertion, who: &str| match done.status() {
+                        // Consumes the reply: the unit string is moved out
+                        // of its context, not copied.
+                        let parse = |mut done: Exertion, who: &str| match done.status() {
                             ExertionStatus::Done => {
-                                match done.context().get_f64(paths::SENSOR_VALUE) {
-                                    Some(v) => Ok((
-                                        v,
-                                        done.context()
-                                            .get_str(paths::SENSOR_UNIT)
-                                            .unwrap_or_default()
-                                            .to_string(),
-                                        done.context().get_str(paths::SENSOR_QUALITY)
-                                            != Some("suspect"),
-                                    )),
+                                let ctx = done.context_mut();
+                                match ctx.get_f64(paths::SENSOR_VALUE) {
+                                    Some(v) => {
+                                        let good =
+                                            ctx.get_str(paths::SENSOR_QUALITY) != Some("suspect");
+                                        let unit = match ctx.remove(paths::SENSOR_UNIT) {
+                                            Some(Value::Str(u)) => u,
+                                            _ => String::new(),
+                                        };
+                                        Ok((v, unit, good))
+                                    }
                                     None => Err(format!("'{who}' returned no value")),
                                 }
                             }
@@ -427,7 +411,6 @@ impl CompositeSensorProvider {
                         };
                         if let Some(svc) = cached {
                             if breakers
-                                .as_ref()
                                 .is_some_and(|b| !b.borrow_mut().allow(env, svc))
                             {
                                 // Breaker open: a fresh bind would reach the
@@ -437,11 +420,11 @@ impl CompositeSensorProvider {
                             } else {
                                 let res =
                                     exert_on_retry(env, host, svc, make_task().into(), None, &retry);
-                                if let Some(b) = breakers.as_ref() {
+                                if let Some(b) = breakers {
                                     b.borrow_mut().record(env, svc, res.as_ref().err().copied());
                                 }
                                 match res {
-                                    Ok(done) => match parse(&done, name) {
+                                    Ok(done) => match parse(done, name) {
                                         Ok(v) => return Ok(v),
                                         // Answered but failed (dead transducer,
                                         // expression error in a nested CSP, ...)
@@ -466,7 +449,7 @@ impl CompositeSensorProvider {
                             );
                             match bound {
                                 Some(item)
-                                    if breakers.as_ref().is_some_and(|b| {
+                                    if breakers.is_some_and(|b| {
                                         !b.borrow_mut().allow(env, item.service)
                                     }) =>
                                 {
@@ -486,7 +469,7 @@ impl CompositeSensorProvider {
                                         None,
                                         &retry,
                                     );
-                                    if let Some(b) = breakers.as_ref() {
+                                    if let Some(b) = breakers {
                                         b.borrow_mut().record(
                                             env,
                                             item.service,
@@ -494,7 +477,7 @@ impl CompositeSensorProvider {
                                         );
                                     }
                                     match res {
-                                        Ok(done) => match parse(&done, name) {
+                                        Ok(done) => match parse(done, name) {
                                             Ok(v) => return Ok(v),
                                             Err(e) => failure = Some(e),
                                         },
@@ -517,7 +500,7 @@ impl CompositeSensorProvider {
                         // passed on to the equivalent available service
                         // provider" — whether the named provider is gone
                         // *or* answered with a failure.
-                        if let Some(group) = plan.group.as_deref() {
+                        if let Some(group) = child.group.as_deref() {
                             env.metrics.add(keys::FAILOVER_ATTEMPTS, 1);
                             if span.is_valid() {
                                 // elapsed_ns: how much of this child's budget
@@ -549,7 +532,7 @@ impl CompositeSensorProvider {
                             );
                             match equivalent {
                                 Some(item)
-                                    if breakers.as_ref().is_some_and(|b| {
+                                    if breakers.is_some_and(|b| {
                                         !b.borrow_mut().allow(env, item.service)
                                     }) =>
                                 {
@@ -570,7 +553,7 @@ impl CompositeSensorProvider {
                                         make_task().into(),
                                         None,
                                     );
-                                    if let Some(b) = breakers.as_ref() {
+                                    if let Some(b) = breakers {
                                         b.borrow_mut().record(
                                             env,
                                             item.service,
@@ -578,7 +561,7 @@ impl CompositeSensorProvider {
                                         );
                                     }
                                     match res {
-                                        Ok(done) => match parse(&done, &eq) {
+                                        Ok(done) => match parse(done, &eq) {
                                             Ok(v) => {
                                                 env.metrics
                                                     .add(keys::FAILOVER_SUCCESS, 1);
@@ -641,15 +624,9 @@ impl CompositeSensorProvider {
                                 env.span_end(span, Outcome::Error);
                             }
                         }
-                        (plan.var.clone(), outcome)
-                    })
-                        as Box<
-                            dyn FnOnce(&mut Env) -> (Arc<str>, Result<(f64, String, bool), String>)
-                                + '_,
-                        >
-                })
-                .collect();
-        let collected = env.parallel(branches);
+                        outcome
+            },
+        );
         // The hub pays CPU per child for demarshalling and bookkeeping —
         // child reads overlap on the network, but aggregation work on this
         // provider is serial. This is what makes very wide flat composites
@@ -658,31 +635,28 @@ impl CompositeSensorProvider {
 
         let mut unit = String::new();
         let mut all_good = true;
-        let mut errors: Vec<(usize, Arc<str>, String)> = Vec::new();
-        let mut readings: Vec<(Arc<str>, f64)> = Vec::with_capacity(collected.len());
+        let mut errors: Vec<(usize, String)> = Vec::new();
+        let mut readings: Vec<(&str, f64)> = Vec::with_capacity(collected.len());
         let now = env.now();
-        for (idx, (var, outcome)) in collected.into_iter().enumerate() {
+        for (idx, outcome) in collected.into_iter().enumerate() {
             match outcome {
                 Ok((v, u, good)) => {
+                    readings.push((&children[idx].var, v));
+                    all_good &= good;
+                    if unit.is_empty() {
+                        unit.clone_from(&u);
+                    }
                     if good {
                         // Fresh clean reading — remember it for future
                         // degraded reads of this child.
-                        self.last_good.insert(
-                            self.plans[idx].service_name.to_string(),
-                            LastGood {
-                                value: v,
-                                unit: u.clone(),
-                                at: now,
-                            },
-                        );
-                    }
-                    readings.push((var, v));
-                    all_good &= good;
-                    if unit.is_empty() {
-                        unit = u;
+                        self.last_good[idx] = Some(LastGood {
+                            value: v,
+                            unit: u,
+                            at: now,
+                        });
                     }
                 }
-                Err(e) => errors.push((idx, var, e)),
+                Err(e) => errors.push((idx, e)),
             }
         }
 
@@ -690,34 +664,34 @@ impl CompositeSensorProvider {
         // next is the composite's degradation policy. Substitutions are
         // surfaced in the result context — a degraded read is never
         // silently clean.
-        let mut substituted: Vec<String> = Vec::new();
-        let mut missing: Vec<String> = Vec::new();
+        let mut substituted: Vec<&str> = Vec::new();
+        let mut missing: Vec<&str> = Vec::new();
         if !errors.is_empty() {
             match self.degradation {
                 DegradationPolicy::Strict => {
-                    let msgs: Vec<&str> = errors.iter().map(|(_, _, e)| e.as_str()).collect();
+                    let msgs: Vec<&str> = errors.iter().map(|(_, e)| e.as_str()).collect();
                     task.fail(format!("component read failures: {}", msgs.join("; ")));
                     return;
                 }
                 DegradationPolicy::Quorum(n) => {
                     if readings.len() < n {
-                        let msgs: Vec<&str> = errors.iter().map(|(_, _, e)| e.as_str()).collect();
+                        let msgs: Vec<&str> = errors.iter().map(|(_, e)| e.as_str()).collect();
                         task.fail(format!(
                             "quorum not met: {} of {} children answered (need {}); {}",
                             readings.len(),
-                            self.plans.len(),
+                            children.len(),
                             n,
                             msgs.join("; ")
                         ));
                         return;
                     }
-                    for (idx, var, _) in &errors {
-                        let child = self.plans[*idx].service_name.to_string();
-                        match self.last_good.get(&child) {
+                    for (idx, _) in &errors {
+                        let child = children[*idx].service_name.as_str();
+                        match &self.last_good[*idx] {
                             Some(lg) => {
-                                readings.push((var.clone(), lg.value));
+                                readings.push((&children[*idx].var, lg.value));
                                 if unit.is_empty() {
-                                    unit = lg.unit.clone();
+                                    unit.clone_from(&lg.unit);
                                 }
                                 let age = now - lg.at;
                                 let cur = env.current_span();
@@ -726,13 +700,13 @@ impl CompositeSensorProvider {
                                         cur,
                                         "degradation.substitute",
                                         vec![
-                                            ("child", child.as_str().into()),
+                                            ("child", child.into()),
                                             ("age_ns", age.as_nanos().into()),
                                         ],
                                     );
                                 }
                                 env.metrics
-                                    .add_labeled(keys::SUBSTITUTED_CHILDREN, &child, 1);
+                                    .add_labeled(keys::SUBSTITUTED_CHILDREN, child, 1);
                                 substituted.push(child);
                             }
                             None => {
@@ -741,23 +715,23 @@ impl CompositeSensorProvider {
                                     env.span_event(
                                         cur,
                                         "degradation.missing",
-                                        vec![("child", child.as_str().into())],
+                                        vec![("child", child.into())],
                                     );
                                 }
-                                env.metrics.add_labeled(keys::MISSING_CHILDREN, &child, 1);
+                                env.metrics.add_labeled(keys::MISSING_CHILDREN, child, 1);
                                 missing.push(child);
                             }
                         }
                     }
                 }
                 DegradationPolicy::LastKnownGood { max_age } => {
-                    for (idx, var, e) in &errors {
-                        let child = self.plans[*idx].service_name.to_string();
-                        match self.last_good.get(&child) {
+                    for (idx, e) in &errors {
+                        let child = children[*idx].service_name.as_str();
+                        match &self.last_good[*idx] {
                             Some(lg) if now - lg.at <= max_age => {
-                                readings.push((var.clone(), lg.value));
+                                readings.push((&children[*idx].var, lg.value));
                                 if unit.is_empty() {
-                                    unit = lg.unit.clone();
+                                    unit.clone_from(&lg.unit);
                                 }
                                 let age = now - lg.at;
                                 let cur = env.current_span();
@@ -766,13 +740,13 @@ impl CompositeSensorProvider {
                                         cur,
                                         "degradation.substitute",
                                         vec![
-                                            ("child", child.as_str().into()),
+                                            ("child", child.into()),
                                             ("age_ns", age.as_nanos().into()),
                                         ],
                                     );
                                 }
                                 env.metrics
-                                    .add_labeled(keys::SUBSTITUTED_CHILDREN, &child, 1);
+                                    .add_labeled(keys::SUBSTITUTED_CHILDREN, child, 1);
                                 substituted.push(child);
                             }
                             _ => {
@@ -812,7 +786,7 @@ impl CompositeSensorProvider {
             Some(program) => {
                 let pairs: Vec<(&str, Value)> = readings
                     .iter()
-                    .map(|(var, v)| (&**var, Value::Float(*v)))
+                    .map(|(var, v)| (*var, Value::Float(*v)))
                     .collect();
                 match program.bind_in(&pairs, &mut self.frame) {
                     Ok(v) => match v.as_f64() {
@@ -846,7 +820,7 @@ impl CompositeSensorProvider {
 
         task.context.put(paths::SENSOR_VALUE, value);
         task.context.put(paths::RESULT, value);
-        task.context.put(paths::SENSOR_UNIT, unit.as_str());
+        task.context.put(paths::SENSOR_UNIT, unit);
         task.context
             .put(paths::SENSOR_AT, env.now().as_nanos() as f64);
         task.context.put(
@@ -882,7 +856,7 @@ impl CompositeSensorProvider {
     }
 
     fn handle_management(&mut self, task: &mut Task) {
-        let outcome = match task.signature.selector.as_str() {
+        let outcome = match &*task.signature.selector {
             mgmt::ADD_SERVICE => match task.context.get_str("arg/service") {
                 Some(name) => {
                     let group = task.context.get_str("arg/group").map(str::to_string);
@@ -927,9 +901,9 @@ impl Servicer for CompositeSensorProvider {
             }
             return;
         };
-        task.trace.push(format!("exerted by {}", self.name));
-        match task.signature.interface.as_str() {
-            i if i == interfaces::SENSOR_DATA_ACCESSOR => match task.signature.selector.as_str() {
+        task.trace.push(Arc::clone(&self.exerted_by));
+        match &*task.signature.interface {
+            i if i == interfaces::SENSOR_DATA_ACCESSOR => match &*task.signature.selector {
                 selectors::GET_VALUE => self.handle_get_value(env, task),
                 selectors::GET_INFO => self.handle_get_info(task),
                 selectors::GET_HISTORY => task.fail(format!(

@@ -8,6 +8,8 @@
 //! exertions. On startup it "registers itself with the Jini service
 //! registry" under a lease kept alive by the lease-renewal service.
 
+use std::sync::Arc;
+
 use sensorcer_exertion::prelude::*;
 use sensorcer_registry::attributes::Entry;
 use sensorcer_registry::ids::{interfaces, SvcUuid};
@@ -34,6 +36,7 @@ pub mod gauges {
 /// The provider state.
 pub struct ElementarySensorProvider {
     name: String,
+    exerted_by: Arc<str>,
     uuid: String,
     /// Host this provider was deployed on; filled by [`deploy_esp`] so
     /// reads can stamp per-host health gauges.
@@ -47,8 +50,10 @@ pub struct ElementarySensorProvider {
 
 impl ElementarySensorProvider {
     pub fn new(name: impl Into<String>, probe: Box<dyn SensorProbe>) -> Self {
+        let name = name.into();
         ElementarySensorProvider {
-            name: name.into(),
+            exerted_by: exerted_by(&name),
+            name,
             uuid: String::new(),
             host: None,
             probe,
@@ -177,7 +182,7 @@ impl Servicer for ElementarySensorProvider {
             }
             return;
         };
-        if task.signature.interface != interfaces::SENSOR_DATA_ACCESSOR {
+        if &*task.signature.interface != interfaces::SENSOR_DATA_ACCESSOR {
             task.fail(format!(
                 "'{}' implements {}, not {}",
                 self.name,
@@ -186,8 +191,8 @@ impl Servicer for ElementarySensorProvider {
             ));
             return;
         }
-        task.trace.push(format!("exerted by {}", self.name));
-        match task.signature.selector.as_str() {
+        task.trace.push(Arc::clone(&self.exerted_by));
+        match &*task.signature.selector {
             selectors::GET_VALUE => self.handle_get_value(env, task),
             selectors::GET_HISTORY => self.handle_get_history(task),
             selectors::GET_INFO => self.handle_get_info(task),

@@ -10,6 +10,8 @@
 //! "Get Value", "Compose Service", "Add Expression", "Create Service")
 //! map one-to-one onto its selectors.
 
+use std::sync::Arc;
+
 use sensorcer_exertion::prelude::*;
 use sensorcer_expr::Value;
 use sensorcer_obs::{AlertTransition, ReadOutcome, SloEngine, SloSpec};
@@ -76,6 +78,7 @@ pub struct HostHealth {
 /// The façade provider.
 pub struct SensorcerFacade {
     name: String,
+    exerted_by: Arc<str>,
     host: HostId,
     accessor: ServiceAccessor,
     monitor: Option<MonitorHandle>,
@@ -96,8 +99,10 @@ impl SensorcerFacade {
         accessor: ServiceAccessor,
         monitor: Option<MonitorHandle>,
     ) -> Self {
+        let name = name.into();
         SensorcerFacade {
-            name: name.into(),
+            exerted_by: exerted_by(&name),
+            name,
             host,
             accessor,
             monitor,
@@ -294,7 +299,7 @@ impl SensorcerFacade {
                 // A shed read still burns the target service's error
                 // budget: overload is an availability failure the health
                 // engine (and through it the autoscaler) must see.
-                if task.signature.selector == ops::GET_VALUE {
+                if &*task.signature.selector == ops::GET_VALUE {
                     if let Some(name) = task.context.get_str("arg/service").map(str::to_string) {
                         if let Some(slos) = self.slos.as_mut() {
                             let now = env.now();
@@ -310,8 +315,8 @@ impl SensorcerFacade {
     }
 
     fn dispatch(&mut self, env: &mut Env, task: &mut Task) {
-        let selector = task.signature.selector.clone();
-        let outcome: Result<(), String> = match selector.as_str() {
+        let selector = Arc::clone(&task.signature.selector);
+        let outcome: Result<(), String> = match &*selector {
             ops::LIST_SERVICES => {
                 let rows = self.list_services(env);
                 let list: Vec<Value> = rows
@@ -579,7 +584,7 @@ impl Servicer for SensorcerFacade {
             }
             return;
         };
-        if task.signature.interface != interfaces::SENSORCER_FACADE {
+        if &*task.signature.interface != interfaces::SENSORCER_FACADE {
             task.fail(format!(
                 "facade implements {}, not {}",
                 interfaces::SENSORCER_FACADE,
@@ -587,7 +592,7 @@ impl Servicer for SensorcerFacade {
             ));
             return;
         }
-        task.trace.push(format!("exerted by {}", self.name));
+        task.trace.push(Arc::clone(&self.exerted_by));
         self.handle(env, task);
     }
 }

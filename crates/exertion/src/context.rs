@@ -7,14 +7,20 @@
 //! put results back, and the returned exertion carries the whole thing to
 //! the requestor.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use sensorcer_expr::Value;
 
+/// A context path. The conventional [`paths`] and literals are borrowed
+/// for the life of the program, so putting them allocates nothing; only a
+/// path computed at run time is owned.
+pub type Path = Cow<'static, str>;
+
 /// A hierarchical path→value data context.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Context {
-    entries: BTreeMap<String, Value>,
+    entries: BTreeMap<Path, Value>,
 }
 
 /// Conventional context paths used across the reproduction.
@@ -45,13 +51,13 @@ impl Context {
     }
 
     /// Insert/replace a value at `path`.
-    pub fn put(&mut self, path: impl Into<String>, value: impl Into<Value>) -> &mut Self {
+    pub fn put(&mut self, path: impl Into<Path>, value: impl Into<Value>) -> &mut Self {
         self.entries.insert(path.into(), value.into());
         self
     }
 
     /// Builder-style put.
-    pub fn with(mut self, path: impl Into<String>, value: impl Into<Value>) -> Self {
+    pub fn with(mut self, path: impl Into<Path>, value: impl Into<Value>) -> Self {
         self.put(path, value);
         self
     }
@@ -85,12 +91,12 @@ impl Context {
 
     /// All paths in lexical order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(String::as_str)
+        self.entries.keys().map(|k| &**k)
     }
 
     /// (path, value) pairs in lexical order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (&**k, v))
     }
 
     pub fn len(&self) -> usize {
@@ -105,7 +111,8 @@ impl Context {
     /// `prefix/` — how a job folds child-task results into its own context.
     pub fn merge_under(&mut self, prefix: &str, other: &Context) {
         for (k, v) in &other.entries {
-            self.entries.insert(format!("{prefix}/{k}"), v.clone());
+            self.entries
+                .insert(format!("{prefix}/{k}").into(), v.clone());
         }
     }
 
@@ -116,7 +123,7 @@ impl Context {
         let mut out = Context::new();
         for (k, v) in &self.entries {
             if let Some(rest) = k.strip_prefix(&lead) {
-                out.entries.insert(rest.to_string(), v.clone());
+                out.entries.insert(rest.to_string().into(), v.clone());
             }
         }
         out
@@ -150,7 +157,7 @@ pub fn value_wire_size(v: &Value) -> usize {
     }
 }
 
-impl<P: Into<String>, V: Into<Value>> FromIterator<(P, V)> for Context {
+impl<P: Into<Path>, V: Into<Value>> FromIterator<(P, V)> for Context {
     fn from_iter<I: IntoIterator<Item = (P, V)>>(iter: I) -> Self {
         let mut ctx = Context::new();
         for (p, v) in iter {

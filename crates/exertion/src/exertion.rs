@@ -6,32 +6,38 @@
 //! [`Context`]), *operations* (its [`Signature`]) and *control strategy*
 //! ([`ControlStrategy`]).
 
+use std::sync::Arc;
+
 use crate::context::Context;
 
 /// Names an operation on a remote interface, plus an optional provider
 /// name pin ("use Neem-Sensor specifically, not any SensorDataAccessor").
+///
+/// The fields never change once a signature is built and the same
+/// signature is sent on every read of a provider, so they are shared:
+/// cloning a signature copies no text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Signature {
     /// Remote interface the provider must implement.
-    pub interface: String,
+    pub interface: Arc<str>,
     /// Operation selector within that interface (e.g. `"getValue"`).
-    pub selector: String,
+    pub selector: Arc<str>,
     /// Pin to a provider with this `Name` attribute, if set.
-    pub provider_name: Option<String>,
+    pub provider_name: Option<Arc<str>>,
 }
 
 impl Signature {
-    pub fn new(interface: impl Into<String>, selector: impl Into<String>) -> Signature {
+    pub fn new(interface: impl AsRef<str>, selector: impl AsRef<str>) -> Signature {
         Signature {
-            interface: interface.into(),
-            selector: selector.into(),
+            interface: interface.as_ref().into(),
+            selector: selector.as_ref().into(),
             provider_name: None,
         }
     }
 
     /// Pin the signature to a named provider.
-    pub fn on(mut self, provider: impl Into<String>) -> Signature {
-        self.provider_name = Some(provider.into());
+    pub fn on(mut self, provider: impl AsRef<str>) -> Signature {
+        self.provider_name = Some(provider.as_ref().into());
         self
     }
 
@@ -39,7 +45,7 @@ impl Signature {
     pub fn wire_size(&self) -> usize {
         12 + self.interface.len()
             + self.selector.len()
-            + self.provider_name.as_ref().map_or(0, String::len)
+            + self.provider_name.as_ref().map_or(0, |p| p.len())
     }
 }
 
@@ -126,19 +132,21 @@ impl ControlStrategy {
 /// An elementary service request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Task {
-    pub name: String,
+    /// Shared like the signature: a composite re-sends the same label on
+    /// every read.
+    pub name: Arc<str>,
     pub signature: Signature,
     pub context: Context,
     pub status: ExertionStatus,
     /// Execution trace: which peers exerted this task (for diagnostics and
-    /// the browser).
-    pub trace: Vec<String>,
+    /// the browser). Each provider builds its line once and shares it.
+    pub trace: Vec<Arc<str>>,
 }
 
 impl Task {
-    pub fn new(name: impl Into<String>, signature: Signature, context: Context) -> Task {
+    pub fn new(name: impl AsRef<str>, signature: Signature, context: Context) -> Task {
         Task {
-            name: name.into(),
+            name: name.as_ref().into(),
             signature,
             context,
             status: ExertionStatus::Initial,

@@ -171,18 +171,9 @@ impl Coordinator<'_> {
                 }
             }
             (Flow::Parallel, Access::Push) => {
-                let children = std::mem::take(&mut job.exertions);
-                let this = self;
-                let branches: Vec<Box<dyn FnOnce(&mut Env) -> Exertion + '_>> = children
-                    .into_iter()
-                    .map(|mut ex| {
-                        Box::new(move |env: &mut Env| {
-                            this.run_exertion(env, &mut ex, txn);
-                            ex
-                        }) as Box<dyn FnOnce(&mut Env) -> Exertion + '_>
-                    })
-                    .collect();
-                job.exertions = env.parallel(branches);
+                env.parallel_over(&mut job.exertions, |env, child| {
+                    self.run_exertion(env, child, txn)
+                });
             }
             (_, Access::Pull) => self.run_job_pull(env, job, txn),
         }

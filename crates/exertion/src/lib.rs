@@ -61,7 +61,7 @@ pub mod prelude {
     };
     pub use crate::fmi::{exert, exert_with_retry, Jobber, ServiceAccessor, Spacer};
     pub use crate::retry::{exert_on_retry, RetryPolicy};
-    pub use crate::servicer::{exert_on, Servicer, ServicerBox, Tasker};
+    pub use crate::servicer::{exert_on, exerted_by, Servicer, ServicerBox, Tasker};
     pub use crate::space::{attach_worker, EntryId, ExertionSpace, SpaceHandle};
 }
 

@@ -99,25 +99,41 @@ pub fn exert_on_retry(
     if policy.is_none() {
         return exert_on(env, from, provider, exertion, txn);
     }
-    // Attribute retry traffic to the provider under pressure: its host (so
-    // availability can be broken down by mote) and its registered name (so
-    // it can be broken down by servicer). The global counters are bumped by
-    // `add_host`, so totals are unchanged.
-    let provider_host = env.service_host(provider).unwrap_or(from);
-    let provider_name: Option<String> = env.service_name(provider).map(str::to_string);
-    let label = provider_name.as_deref().unwrap_or("?");
     let start = env.now();
+    // Retry traffic is attributed to the provider under pressure: its host
+    // (so availability can be broken down by mote) and its registered name
+    // (so it can be broken down by servicer). The global counters are
+    // bumped by `add_host`, so totals are unchanged. Resolved on the first
+    // failure only: a dispatch that succeeds first time attributes nothing.
+    let mut target: Option<(HostId, String)> = None;
+    let mut exertion = Some(exertion);
     let mut attempt: u32 = 0;
     loop {
-        match exert_on(env, from, provider, exertion.clone(), txn) {
+        // The last permitted attempt takes the exertion itself; earlier
+        // ones send a copy and keep the original for the retry.
+        let sent = if attempt + 1 >= policy.attempts {
+            exertion.take()
+        } else {
+            exertion.clone()
+        }
+        // lint:allow(unwrap): taken only by the attempt the loop ends with
+        .expect("the loop returns after the attempt that took the exertion");
+        match exert_on(env, from, provider, sent, txn) {
             Ok(done) => {
-                if attempt > 0 {
-                    env.metrics.add_host(provider_host, keys::RETRY_SUCCESS, 1);
+                if let Some((provider_host, label)) = &target {
+                    env.metrics.add_host(*provider_host, keys::RETRY_SUCCESS, 1);
                     env.metrics.add_labeled(keys::RETRY_SUCCESS, label, 1);
                 }
                 return Ok(done);
             }
             Err(e) => {
+                let (provider_host, label) = target.get_or_insert_with(|| {
+                    (
+                        env.service_host(provider).unwrap_or(from),
+                        env.service_name(provider).unwrap_or("?").to_string(),
+                    )
+                });
+                let (provider_host, label) = (*provider_host, label.as_str());
                 attempt += 1;
                 let out_of_budget =
                     attempt >= policy.attempts || env.now() - start >= policy.deadline;

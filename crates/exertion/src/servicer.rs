@@ -10,6 +10,7 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sensorcer_registry::txn::TxnId;
 use sensorcer_sim::env::{Env, ServiceId};
@@ -130,6 +131,13 @@ pub fn exert_on(
     result
 }
 
+/// The line a provider adds to [`Task::trace`] when it exerts a task. A
+/// provider's name is fixed, so it builds the line once and pushes a
+/// shared copy per read.
+pub fn exerted_by(provider: &str) -> Arc<str> {
+    format!("exerted by {provider}").into()
+}
+
 /// Handler signature for one selector of a [`Tasker`].
 pub type SelectorHandler = Box<dyn FnMut(&mut Env, &mut Context) -> Result<(), String>>;
 
@@ -138,6 +146,7 @@ pub type SelectorHandler = Box<dyn FnMut(&mut Env, &mut Context) -> Result<(), S
 /// specific servicers within the federation".
 pub struct Tasker {
     name: String,
+    exerted_by: Arc<str>,
     interface: String,
     handlers: BTreeMap<String, SelectorHandler>,
     tasks_served: u64,
@@ -145,8 +154,10 @@ pub struct Tasker {
 
 impl Tasker {
     pub fn new(name: impl Into<String>, interface: impl Into<String>) -> Tasker {
+        let name = name.into();
         Tasker {
-            name: name.into(),
+            exerted_by: exerted_by(&name),
+            name,
             interface: interface.into(),
             handlers: BTreeMap::new(),
             tasks_served: 0,
@@ -172,7 +183,7 @@ impl Tasker {
     }
 
     fn run_task(&mut self, env: &mut Env, task: &mut Task, _txn: Option<TxnId>) {
-        if task.signature.interface != self.interface {
+        if *task.signature.interface != *self.interface {
             task.fail(format!(
                 "provider '{}' implements {}, not {}",
                 self.name, self.interface, task.signature.interface
@@ -180,8 +191,8 @@ impl Tasker {
             return;
         }
         task.status = ExertionStatus::Running;
-        task.trace.push(format!("exerted by {}", self.name));
-        match self.handlers.get_mut(&task.signature.selector) {
+        task.trace.push(Arc::clone(&self.exerted_by));
+        match self.handlers.get_mut(&*task.signature.selector) {
             Some(handler) => match handler(env, &mut task.context) {
                 Ok(()) => {
                     self.tasks_served += 1;
@@ -264,7 +275,7 @@ mod tests {
             Some(5.0)
         );
         match &result {
-            Exertion::Task(t) => assert_eq!(t.trace, vec!["exerted by Adder"]),
+            Exertion::Task(t) => assert_eq!(t.trace, vec![exerted_by("Adder")]),
             _ => panic!(),
         }
     }

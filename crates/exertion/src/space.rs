@@ -86,7 +86,7 @@ impl ExertionSpace {
         let pos = self
             .pending
             .iter()
-            .position(|(_, t, _)| t.signature.interface == interface)?;
+            .position(|(_, t, _)| &*t.signature.interface == interface)?;
         self.takes_total += 1;
         let (id, task, _) = self.pending.remove(pos);
         Some((id, task))
@@ -326,7 +326,7 @@ mod tests {
         assert!(space.take_matching(&mut env, h, "Other").unwrap().is_none());
         let (tid, task) = space.take_matching(&mut env, h, "Math").unwrap().unwrap();
         assert_eq!(tid, id);
-        assert_eq!(task.name, "t1");
+        assert_eq!(&*task.name, "t1");
         // Result not ready yet.
         assert!(space.take_result(&mut env, h, id).unwrap().is_none());
         space.put_result(&mut env, h, id, task).unwrap();
@@ -345,7 +345,7 @@ mod tests {
             .write(&mut env, h, double_task("second", 2.0))
             .unwrap();
         let (_, t) = space.take_matching(&mut env, h, "Math").unwrap().unwrap();
-        assert_eq!(t.name, "first");
+        assert_eq!(&*t.name, "first");
     }
 
     #[test]

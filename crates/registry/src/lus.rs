@@ -396,26 +396,19 @@ impl LookupService {
             return;
         }
 
-        // Interface constraints: intersect by scanning the smallest
-        // posting set. An interface nobody implements means no matches.
+        // Interface and exact-name constraints each have a posting set:
+        // intersect by scanning the smallest. An interface nobody
+        // implements, or a name nobody carries, means no matches.
+        let postings = template
+            .interfaces
+            .iter()
+            .map(|iface| self.by_interface.get(iface))
+            .chain(template.exact_name().map(|name| self.by_name.get(name)));
         let mut candidates: Option<&BTreeSet<SvcUuid>> = None;
-        for iface in &template.interfaces {
-            match self.by_interface.get(iface) {
-                None => return,
-                Some(set) => {
-                    if candidates.is_none_or(|c| set.len() < c.len()) {
-                        candidates = Some(set);
-                    }
-                }
-            }
-        }
-        // Otherwise an exact-name constraint selects via the name index.
-        if candidates.is_none() {
-            if let Some(name) = template.exact_name() {
-                match self.by_name.get(name) {
-                    None => return,
-                    Some(set) => candidates = Some(set),
-                }
+        for set in postings {
+            let Some(set) = set else { return };
+            if candidates.is_none_or(|c| set.len() < c.len()) {
+                candidates = Some(set);
             }
         }
 

@@ -208,6 +208,15 @@ fn indexed_lookup_matches_linear_scan() {
                 .and_attr(AttrMatch::name(NAMES[g.usize_in(0, NAMES.len())])),
             ServiceTemplate::by_name("Nobody"),
             ServiceTemplate::by_interface("UnimplementedInterface"),
+            // Interface and exact name together: the name's posting set is
+            // a candidate beside the interfaces', whichever is smaller.
+            ServiceTemplate::by_interface(IFACES[0])
+                .and_interface(IFACES[g.usize_in(1, IFACES.len())])
+                .and_attr(AttrMatch::name(NAMES[g.usize_in(0, NAMES.len())])),
+            ServiceTemplate::by_interface(IFACES[g.usize_in(0, IFACES.len())])
+                .and_attr(AttrMatch::name("Nobody")),
+            ServiceTemplate::by_interface("UnimplementedInterface")
+                .and_attr(AttrMatch::name(NAMES[g.usize_in(0, NAMES.len())])),
         ];
         if !known.is_empty() {
             tpls.push(ServiceTemplate::by_id(known[g.usize_in(0, known.len())]));

@@ -1014,7 +1014,10 @@ impl Env {
 
     /// Cancel a pending one-shot timer. No effect if already fired.
     pub fn cancel(&mut self, id: TimerId) {
-        self.cancelled.insert(id);
+        // An id that is no longer queued would never be removed again.
+        if self.timer_queue.contains(id.0) {
+            self.cancelled.insert(id);
+        }
     }
 
     /// Schedule `f` to run every `interval`, starting after `first_after`.
@@ -1058,12 +1061,9 @@ impl Env {
 
     /// Number of pending (non-cancelled) timers.
     pub fn pending_timers(&self) -> usize {
-        let dead = self
-            .cancelled
-            .iter()
-            .filter(|id| self.timer_queue.contains(id.0))
-            .count();
-        self.timer_queue.len() - dead
+        // `cancel` only records ids that are still queued, and the entry
+        // leaves with its timer, so every cancelled id counts once.
+        self.timer_queue.len() - self.cancelled.len()
     }
 
     // ------------------------------------------------------------------
@@ -1382,21 +1382,32 @@ impl Env {
     // Simulated parallelism
     // ------------------------------------------------------------------
 
-    /// Run `branches` as if they executed concurrently from the current
-    /// instant: each branch starts at the same time, and the clock ends at
-    /// the *latest* branch completion (fork/max-merge). Results are in
-    /// branch order.
-    pub fn parallel<T>(&mut self, branches: Vec<Box<dyn FnOnce(&mut Env) -> T + '_>>) -> Vec<T> {
+    /// Run one branch per item as if they executed concurrently from the
+    /// current instant: `branch(env, item)` runs a branch, each branch
+    /// starts at the same time, and the clock ends at the *latest* branch
+    /// completion (fork/max-merge). Results are in item order.
+    pub fn parallel_over<I: IntoIterator, T>(
+        &mut self,
+        items: I,
+        mut branch: impl FnMut(&mut Env, I::Item) -> T,
+    ) -> Vec<T> {
+        let items = items.into_iter();
         let t0 = self.clock;
         let mut end = t0;
-        let mut out = Vec::with_capacity(branches.len());
-        for branch in branches {
+        let mut out = Vec::with_capacity(items.size_hint().0);
+        for item in items {
             self.clock = t0;
-            out.push(branch(self));
+            out.push(branch(self, item));
             end = end.max(self.clock);
         }
         self.clock = end;
         out
+    }
+
+    /// [`Env::parallel_over`] for branches that are each a closure of
+    /// their own.
+    pub fn parallel<T>(&mut self, branches: Vec<Box<dyn FnOnce(&mut Env) -> T + '_>>) -> Vec<T> {
+        self.parallel_over(branches, |env, branch| branch(env))
     }
 }
 
@@ -1532,6 +1543,30 @@ mod tests {
         env.run_for(SimDuration::from_millis(50));
         assert!(!fired.get());
         assert_eq!(env.pending_timers(), 0);
+    }
+
+    #[test]
+    fn cancel_after_fire_leaves_nothing_behind() {
+        let mut env = Env::with_seed(1);
+        let fired = env.schedule(SimDuration::from_millis(10), |_| {});
+        let live = env.schedule(SimDuration::from_secs(5), |_| {});
+        let dropped = env.schedule(SimDuration::from_secs(5), |_| {});
+        env.run_for(SimDuration::from_millis(20));
+        // Documented as "no effect": the id must not linger in the set.
+        env.cancel(fired);
+        env.cancel(fired);
+        assert!(env.cancelled.is_empty());
+        assert_eq!(env.pending_timers(), 2);
+        // A real cancellation is counted once however often it is asked
+        // for, and its entry leaves with the timer.
+        env.cancel(dropped);
+        env.cancel(dropped);
+        assert_eq!(env.pending_timers(), 1);
+        env.run_for(SimDuration::from_secs(10));
+        assert!(env.cancelled.is_empty());
+        assert_eq!(env.pending_timers(), 0);
+        env.cancel(live);
+        assert!(env.cancelled.is_empty());
     }
 
     #[test]

@@ -10,23 +10,41 @@
 //! per-host) carry last-written values like a mote's last successful read
 //! time, and labeled counters attribute a metric by a free-form dimension
 //! (per-servicer retry counts, per-child substitutions).
+//!
+//! Keys are interned on first sight: a write whose key (and label) has
+//! been seen before allocates nothing, and no getter ever allocates. Ids
+//! are handed out in arrival order, so every iterator orders by *name*.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use sensorcer_trace::Histogram;
 
 use crate::topology::HostId;
 
+/// Index of an interned key's [`Slot`].
+type KeyId = u32;
+
+/// Everything recorded under one key, except the per-host breakdowns.
+#[derive(Debug)]
+struct Slot {
+    name: Arc<str>,
+    counter: Option<u64>,
+    gauge: Option<f64>,
+    samples: Option<Histogram>,
+    labels: BTreeMap<Box<str>, u64>,
+}
+
 /// Monotonic counters, gauges, and bounded sample histograms for one
 /// simulation run.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, u64>,
-    per_host: BTreeMap<(HostId, String), u64>,
-    labeled: BTreeMap<(String, String), u64>,
-    gauges: BTreeMap<String, f64>,
-    host_gauges: BTreeMap<(HostId, String), f64>,
-    samples: BTreeMap<String, Histogram>,
+    /// Key name → slot index, in name order. Survives [`Metrics::clear`].
+    ids: BTreeMap<Arc<str>, KeyId>,
+    slots: Vec<Slot>,
+    /// Sparse: only (host, key) pairs that were written.
+    per_host: BTreeMap<(HostId, KeyId), u64>,
+    host_gauges: BTreeMap<(HostId, KeyId), f64>,
 }
 
 impl Metrics {
@@ -34,27 +52,61 @@ impl Metrics {
         Metrics::default()
     }
 
+    fn slot(&self, key: &str) -> Option<&Slot> {
+        self.ids.get(key).map(|&id| &self.slots[id as usize])
+    }
+
+    fn intern(&mut self, key: &str) -> KeyId {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        // lint:allow(unwrap): keys are names written in the source, not data
+        let id = KeyId::try_from(self.slots.len()).expect("fewer than 2^32 metric keys");
+        let name: Arc<str> = key.into();
+        self.ids.insert(Arc::clone(&name), id);
+        self.slots.push(Slot {
+            name,
+            counter: None,
+            gauge: None,
+            samples: None,
+            labels: BTreeMap::new(),
+        });
+        id
+    }
+
+    fn slot_mut(&mut self, key: &str) -> &mut Slot {
+        let id = self.intern(key);
+        &mut self.slots[id as usize]
+    }
+
+    /// Slots in key-name order.
+    fn by_name(&self) -> impl Iterator<Item = &Slot> {
+        self.ids.values().map(|&id| &self.slots[id as usize])
+    }
+
     /// Add `n` to the counter `key`.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += n;
+        *self.slot_mut(key).counter.get_or_insert(0) += n;
     }
 
     /// Add `n` to the counter `key` attributed to `host` (and to the global
     /// counter of the same name).
     pub fn add_host(&mut self, host: HostId, key: &str, n: u64) {
-        self.add(key, n);
-        *self.per_host.entry((host, key.to_string())).or_insert(0) += n;
+        let id = self.intern(key);
+        *self.slots[id as usize].counter.get_or_insert(0) += n;
+        *self.per_host.entry((host, id)).or_insert(0) += n;
     }
 
     /// Current value of a counter (0 if never touched).
     pub fn get(&self, key: &str) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
+        self.slot(key).and_then(|s| s.counter).unwrap_or(0)
     }
 
     /// Current per-host value of a counter.
     pub fn get_host(&self, host: HostId, key: &str) -> u64 {
-        self.per_host
-            .get(&(host, key.to_string()))
+        self.ids
+            .get(key)
+            .and_then(|&id| self.per_host.get(&(host, id)))
             .copied()
             .unwrap_or(0)
     }
@@ -63,123 +115,146 @@ impl Metrics {
     /// (e.g. a servicer name). Labeled counts are a breakdown of their own;
     /// they do not feed the global counter.
     pub fn add_labeled(&mut self, key: &str, label: &str, n: u64) {
-        *self
-            .labeled
-            .entry((key.to_string(), label.to_string()))
-            .or_insert(0) += n;
+        let labels = &mut self.slot_mut(key).labels;
+        match labels.get_mut(label) {
+            Some(v) => *v += n,
+            None => {
+                labels.insert(label.into(), n);
+            }
+        }
     }
 
     /// Current value of a labeled counter.
     pub fn get_labeled(&self, key: &str, label: &str) -> u64 {
-        self.labeled
-            .get(&(key.to_string(), label.to_string()))
+        self.slot(key)
+            .and_then(|s| s.labels.get(label))
             .copied()
             .unwrap_or(0)
     }
 
     /// All labels recorded for a key with their counts, in label order.
     pub fn labels_for(&self, key: &str) -> Vec<(String, u64)> {
-        self.labeled
-            .iter()
-            .filter(|((k, _), _)| k == key)
-            .map(|((_, l), v)| (l.clone(), *v))
+        self.slot(key)
+            .into_iter()
+            .flat_map(|s| &s.labels)
+            .map(|(l, v)| (l.to_string(), *v))
             .collect()
     }
 
     /// Set a last-written-wins gauge.
     pub fn set_gauge(&mut self, key: &str, value: f64) {
-        self.gauges.insert(key.to_string(), value);
+        self.slot_mut(key).gauge = Some(value);
     }
 
     /// Read a gauge, if ever set.
     pub fn gauge(&self, key: &str) -> Option<f64> {
-        self.gauges.get(key).copied()
+        self.slot(key)?.gauge
     }
 
     /// Set a per-host gauge (e.g. `sensor.read.last_ns` on a mote).
     pub fn set_host_gauge(&mut self, host: HostId, key: &str, value: f64) {
-        self.host_gauges.insert((host, key.to_string()), value);
+        let id = self.intern(key);
+        self.host_gauges.insert((host, id), value);
     }
 
     /// Read a per-host gauge, if ever set.
     pub fn host_gauge(&self, host: HostId, key: &str) -> Option<f64> {
-        self.host_gauges.get(&(host, key.to_string())).copied()
+        let id = *self.ids.get(key)?;
+        self.host_gauges.get(&(host, id)).copied()
     }
 
     /// Record one sample into the named series (latencies, sizes, ...).
     /// Storage is a bounded bucketed histogram: a soak can record forever.
     pub fn record(&mut self, key: &str, value: f64) {
-        self.samples
-            .entry(key.to_string())
-            .or_default()
+        self.slot_mut(key)
+            .samples
+            .get_or_insert_with(Histogram::new)
             .record(value);
     }
 
     /// Summary statistics over a recorded series, if any samples exist.
     pub fn summary(&self, key: &str) -> Option<Summary> {
-        let h = self.samples.get(key)?;
-        Summary::of_histogram(h)
+        Summary::of_histogram(self.histogram(key)?)
     }
 
     /// Direct access to a recorded series' histogram.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
-        self.samples.get(key)
+        self.slot(key)?.samples.as_ref()
     }
 
     /// All counter keys with their values, in key order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        self.by_name()
+            .filter_map(|s| s.counter.map(|v| (&*s.name, v)))
     }
 
     /// All global gauges with their last-written values, in key order.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+        self.by_name()
+            .filter_map(|s| s.gauge.map(|v| (&*s.name, v)))
     }
 
     /// All per-host gauges, in (host, key) order.
     pub fn host_gauges(&self) -> impl Iterator<Item = (HostId, &str, f64)> {
-        self.host_gauges
+        let mut all: Vec<(HostId, &str, f64)> = self
+            .host_gauges
             .iter()
-            .map(|((h, k), v)| (*h, k.as_str(), *v))
+            .map(|(&(h, id), &v)| (h, &*self.slots[id as usize].name, v))
+            .collect();
+        // The map orders a host's gauges by id, which is arrival order.
+        all.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        all.into_iter()
     }
 
     /// All recorded sample series with their histograms, in key order.
     pub fn samples(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.samples.iter().map(|(k, h)| (k.as_str(), h))
+        self.by_name()
+            .filter_map(|s| s.samples.as_ref().map(|h| (&*s.name, h)))
     }
 
     /// Every metric name this run has registered, across all five stores
     /// (counters, per-host counters, labeled counters, gauges, per-host
     /// gauges, sample series) — the raw material for the runtime naming
     /// audit in `harness lint` and for observers that subscribe by key.
-    pub fn all_keys(&self) -> std::collections::BTreeSet<String> {
-        let mut keys = std::collections::BTreeSet::new();
-        keys.extend(self.counters.keys().cloned());
-        keys.extend(self.per_host.keys().map(|(_, k)| k.clone()));
-        keys.extend(self.labeled.keys().map(|(k, _)| k.clone()));
-        keys.extend(self.gauges.keys().cloned());
-        keys.extend(self.host_gauges.keys().map(|(_, k)| k.clone()));
-        keys.extend(self.samples.keys().cloned());
-        keys
+    pub fn all_keys(&self) -> BTreeSet<String> {
+        let in_slot = self.slots.iter().filter(|s| {
+            s.counter.is_some() || s.gauge.is_some() || s.samples.is_some() || !s.labels.is_empty()
+        });
+        // A per-host counter always has its global counter; a per-host
+        // gauge may be the only thing recorded under its key.
+        let host_only = self
+            .host_gauges
+            .keys()
+            .map(|&(_, id)| &self.slots[id as usize]);
+        in_slot
+            .chain(host_only)
+            .map(|s| s.name.to_string())
+            .collect()
     }
 
     /// Per-host counters for a key, in host order.
     pub fn hosts_for(&self, key: &str) -> Vec<(HostId, u64)> {
+        let Some(&id) = self.ids.get(key) else {
+            return Vec::new();
+        };
         self.per_host
             .iter()
-            .filter(|((_, k), _)| k == key)
+            .filter(|((_, k), _)| *k == id)
             .map(|((h, _), v)| (*h, *v))
             .collect()
     }
 
     /// Reset everything (used between benchmark phases sharing an Env).
+    /// Interned names are kept, so re-use after a clear stays allocation-free.
     pub fn clear(&mut self) {
-        self.counters.clear();
+        for s in &mut self.slots {
+            s.counter = None;
+            s.gauge = None;
+            s.samples = None;
+            s.labels.clear();
+        }
         self.per_host.clear();
-        self.labeled.clear();
-        self.gauges.clear();
         self.host_gauges.clear();
-        self.samples.clear();
     }
 
     /// Difference of a counter against a previous snapshot value.

@@ -87,6 +87,18 @@
 #                           degrades to a skipped-with-notice otherwise,
 #                           so the deterministic FastTrack-lite gate in
 #                           --race stays the portable race check
+#   scripts/ci.sh --yardstick  tier-1, then the federated-read yardstick
+#                           (`benchmark/`, a package of its own that the
+#                           workspace build never sees): build it, run
+#                           its scripted-sensor answer check and its own
+#                           tests, then a short full run on the
+#                           development seed 42 and the held-out seed 7.
+#                           Op counts of the count pass are frozen, so
+#                           `result_fnv64` is compared with
+#                           benchmark/expected.tsv whatever the run
+#                           length: a change that moves the modelled
+#                           protocol fails here. Timings from a 2 s pass
+#                           are not comparable with anything.
 #
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
@@ -105,6 +117,7 @@ perfetto=0
 perfetto_scale=0
 race=0
 tsan=0
+yardstick=0
 for arg in "$@"; do
     case "$arg" in
         --smoke) smoke=1 ;;
@@ -118,7 +131,8 @@ for arg in "$@"; do
         --perfetto-scale) perfetto_scale=1 ;;
         --race) race=1 ;;
         --tsan) tsan=1 ;;
-        *) echo "usage: scripts/ci.sh [--smoke] [--soak] [--trace] [--lint] [--obs] [--scale] [--storm] [--perfetto] [--perfetto-scale] [--race] [--tsan]" >&2; exit 2 ;;
+        --yardstick) yardstick=1 ;;
+        *) echo "usage: scripts/ci.sh [--smoke] [--soak] [--trace] [--lint] [--obs] [--scale] [--storm] [--perfetto] [--perfetto-scale] [--race] [--tsan] [--yardstick]" >&2; exit 2 ;;
     esac
 done
 
@@ -374,6 +388,19 @@ if [ "$tsan" -eq 1 ]; then
         echo "== tsan skipped: nightly toolchain with rust-src not installed =="
         echo "   (rustup toolchain install nightly && rustup component add rust-src --toolchain nightly)"
     fi
+fi
+
+if [ "$yardstick" -eq 1 ]; then
+    echo "== yardstick: build =="
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml
+    echo "== yardstick: scripted sensors, answers asserted =="
+    benchmark/run.sh --check
+    echo "== yardstick: its own tests =="
+    (cd benchmark && cargo test --offline -q)
+    for seed in 42 7; do
+        echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
+        benchmark/run.sh --seed "$seed" --seconds 2
+    done
 fi
 
 echo "ci: ok"
