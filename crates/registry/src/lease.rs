@@ -78,6 +78,11 @@ pub struct LeaseTable<T> {
     policy: LeasePolicy,
     next: u64,
     entries: BTreeMap<LeaseId, (SimTime, T)>,
+    /// No entry expires before this instant, so `reap` can return without
+    /// a scan while `now` is short of it. A lower bound, not the minimum:
+    /// `cancel` and a lengthening `renew` leave it where it is, and the
+    /// next scan that does run tightens it.
+    none_due_before: SimTime,
 }
 
 impl<T> LeaseTable<T> {
@@ -86,6 +91,7 @@ impl<T> LeaseTable<T> {
             policy,
             next: 1,
             entries: BTreeMap::new(),
+            none_due_before: SimTime::FAR_FUTURE,
         }
     }
 
@@ -99,6 +105,7 @@ impl<T> LeaseTable<T> {
         self.next += 1;
         let expires = now + dur;
         self.entries.insert(id, (expires, resource));
+        self.none_due_before = self.none_due_before.min(expires);
         Lease { id, expires }
     }
 
@@ -117,6 +124,8 @@ impl<T> LeaseTable<T> {
             .unwrap_or(self.policy.default_duration)
             .min(self.policy.max_duration);
         entry.0 = now + dur;
+        // A renewal may ask for less than the lease had left.
+        self.none_due_before = self.none_due_before.min(entry.0);
         Ok(Lease {
             id,
             expires: entry.0,
@@ -131,14 +140,22 @@ impl<T> LeaseTable<T> {
             .ok_or(LeaseError::Unknown)
     }
 
-    /// Remove every lease expired at `now`, returning the reaped resources.
+    /// Remove every lease expired at `now`, returning the reaped resources
+    /// in `LeaseId` order.
     pub fn reap(&mut self, now: SimTime) -> Vec<(LeaseId, T)> {
-        let dead: Vec<LeaseId> = self
-            .entries
-            .iter()
-            .filter(|(_, (exp, _))| now >= *exp)
-            .map(|(id, _)| *id)
-            .collect();
+        if now < self.none_due_before {
+            return Vec::new();
+        }
+        let mut dead: Vec<LeaseId> = Vec::new();
+        let mut earliest_left = SimTime::FAR_FUTURE;
+        for (id, (exp, _)) in &self.entries {
+            if now >= *exp {
+                dead.push(*id);
+            } else {
+                earliest_left = earliest_left.min(*exp);
+            }
+        }
+        self.none_due_before = earliest_left;
         dead.into_iter()
             .map(|id| {
                 // lint:allow(unwrap): id was collected from entries in the loop above

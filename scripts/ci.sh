@@ -97,8 +97,11 @@
 #                           `result_fnv64` is compared with
 #                           benchmark/expected.tsv whatever the run
 #                           length: a change that moves the modelled
-#                           protocol fails here. Timings from a 2 s pass
-#                           are not comparable with anything.
+#                           protocol fails here. Also fails if
+#                           `allocs_per_op` @ `mote_scale` reaches 500
+#                           on either seed (a per-firing allocation is
+#                           back in the timer engine). Timings from a
+#                           2 s pass are not comparable with anything.
 #
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
@@ -400,6 +403,15 @@ if [ "$yardstick" -eq 1 ]; then
     for seed in 42 7; do
         echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
         benchmark/run.sh --seed "$seed" --seconds 2
+        # A count, exact whatever the run length: 143 while timer callbacks
+        # sit in the slab and a repeating timer is re-queued by move, 4 488
+        # when every firing boxed a fresh closure.
+        allocs=$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.]*\).*/\1/p' \
+            benchmark/out/mote_scale.end_to_end.json)
+        awk -v a="$allocs" 'BEGIN { exit !(a != "" && a < 500) }' || {
+            echo "mote_scale allocs_per_op = ${allocs:-missing} on seed $seed, limit 500" >&2
+            exit 1
+        }
     done
 fi
 
