@@ -9,6 +9,7 @@
 //! for pull jobs.
 
 use std::cell::Cell;
+use std::sync::Arc;
 
 use sensorcer_registry::attributes::AttrMatch;
 use sensorcer_registry::ids::interfaces;
@@ -62,7 +63,7 @@ impl ServiceAccessor {
         from: HostId,
         interface: &str,
         provider_name: Option<&str>,
-    ) -> Option<ServiceItem> {
+    ) -> Option<Arc<ServiceItem>> {
         let tpl = Self::template_for(interface, provider_name);
         for lus in &self.lus {
             if let Ok(Some(item)) = lus.lookup_first_excluding(env, from, &tpl, None) {
@@ -81,7 +82,7 @@ impl ServiceAccessor {
         from: HostId,
         interface: &str,
         attr: AttrMatch,
-    ) -> Option<ServiceItem> {
+    ) -> Option<Arc<ServiceItem>> {
         self.bind_by_attr_excluding(env, from, interface, attr, None)
     }
 
@@ -94,7 +95,7 @@ impl ServiceAccessor {
         interface: &str,
         attr: AttrMatch,
         exclude: Option<&str>,
-    ) -> Option<ServiceItem> {
+    ) -> Option<Arc<ServiceItem>> {
         let tpl = ServiceTemplate::by_interface(interface).and_attr(attr);
         for lus in &self.lus {
             if let Ok(Some(item)) = lus.lookup_first_excluding(env, from, &tpl, exclude) {
@@ -113,7 +114,7 @@ impl ServiceAccessor {
             if let Ok(items) = lus.lookup(env, from, &tpl, usize::MAX) {
                 for item in items {
                     if !out.iter().any(|i| i.uuid == item.uuid) {
-                        out.push(item);
+                        out.push((*item).clone());
                     }
                 }
             }

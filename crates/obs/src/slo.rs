@@ -173,10 +173,36 @@ enum AlertState {
     Firing(usize),
 }
 
+/// `(bad, total)` over `events[start..]`: one window's share of the
+/// observation stream, kept as events arrive and age out instead of being
+/// recounted at every evaluation.
+#[derive(Clone, Copy, Default)]
+struct Tail {
+    start: usize,
+    bad: u64,
+    total: u64,
+}
+
+impl Tail {
+    fn add(&mut self, is_bad: bool) {
+        self.total += 1;
+        self.bad += u64::from(is_bad);
+    }
+
+    fn drop_one(&mut self, is_bad: bool) {
+        self.total -= 1;
+        self.bad -= u64::from(is_bad);
+    }
+}
+
 struct SloInstance {
     spec: SloSpec,
-    /// Timestamped observations, trimmed to the slow window on evaluate.
+    /// Timestamped observations in time order, trimmed to the slow window
+    /// on evaluate.
     events: VecDeque<(SimTime, bool)>,
+    /// The events inside each window as of the last evaluation.
+    fast: Tail,
+    slow: Tail,
     state: AlertState,
     /// Whole-run totals (never trimmed) for the final verdict.
     total: u64,
@@ -186,55 +212,78 @@ struct SloInstance {
     latency: Histogram,
 }
 
+fn window_start(t: SimTime, window: SimDuration) -> SimTime {
+    SimTime(t.as_nanos().saturating_sub(window.as_nanos()))
+}
+
 impl SloInstance {
     fn push(&mut self, t: SimTime, is_bad: bool) {
         self.events.push_back((t, is_bad));
+        self.fast.add(is_bad);
+        self.slow.add(is_bad);
         self.total += 1;
         if is_bad {
             self.bad += 1;
         }
     }
 
-    /// `(bad, total)` over `[t - window, t]`, assuming events are trimmed
-    /// to at most the slow window.
-    fn window_counts(&self, t: SimTime, window: SimDuration) -> (u64, u64) {
-        let from = SimTime(t.as_nanos().saturating_sub(window.as_nanos()));
-        let mut bad = 0u64;
-        let mut total = 0u64;
-        for &(at, b) in self.events.iter().rev() {
-            if at < from {
+    /// Move both windows up to instant `t`: events older than the slow
+    /// window leave the queue, events older than the fast window leave its
+    /// tail. Each event is passed once per window over its lifetime.
+    fn advance(&mut self, t: SimTime) {
+        let keep_from = window_start(t, self.spec.windows.slow);
+        while let Some(&(at, is_bad)) = self.events.front() {
+            if at >= keep_from {
                 break;
             }
-            total += 1;
-            if b {
-                bad += 1;
+            self.events.pop_front();
+            self.slow.drop_one(is_bad);
+            // Still inside a fast window longer than the slow one?
+            match self.fast.start.checked_sub(1) {
+                Some(shifted) => self.fast.start = shifted,
+                None => self.fast.drop_one(is_bad),
             }
         }
-        (bad, total)
-    }
-
-    /// Burn rate over a window: bad-fraction divided by the error budget.
-    /// Zero traffic burns nothing — an idle service is not in violation.
-    fn burn(&self, t: SimTime, window: SimDuration) -> f64 {
-        let (bad, total) = self.window_counts(t, window);
-        if total == 0 {
-            return 0.0;
-        }
-        (bad as f64 / total as f64) / self.spec.kind.budget()
-    }
-
-    fn trim(&mut self, t: SimTime) {
-        let keep_from = SimTime(
-            t.as_nanos()
-                .saturating_sub(self.spec.windows.slow.as_nanos()),
-        );
-        while let Some(&(at, _)) = self.events.front() {
-            if at < keep_from {
-                self.events.pop_front();
-            } else {
+        let fast_from = window_start(t, self.spec.windows.fast);
+        while let Some(&(at, is_bad)) = self.events.get(self.fast.start) {
+            if at >= fast_from {
                 break;
             }
+            self.fast.start += 1;
+            self.fast.drop_one(is_bad);
         }
+    }
+
+    /// `(bad, total)` over `[t - window, t]` for a window whose `tail` was
+    /// advanced to an instant no later than `t`: the kept counts less what
+    /// has aged out since, without touching the tail.
+    fn window_counts(&self, t: SimTime, window: SimDuration, tail: Tail) -> (u64, u64) {
+        let from = window_start(t, window);
+        let mut counts = tail;
+        for &(at, is_bad) in self.events.range(tail.start..) {
+            if at >= from {
+                break;
+            }
+            counts.drop_one(is_bad);
+        }
+        (counts.bad, counts.total)
+    }
+
+    /// Burn rates `(fast, slow)` at `t`: bad-fraction over each window
+    /// divided by the error budget. Zero traffic burns nothing — an idle
+    /// service is not in violation.
+    fn burns(&self, t: SimTime) -> (f64, f64) {
+        let w = self.spec.windows;
+        let burn = |(bad, total): (u64, u64)| {
+            if total == 0 {
+                return 0.0;
+            }
+            (bad as f64 / total as f64) / self.spec.kind.budget()
+        };
+        (
+            burn(self.window_counts(t, w.fast, self.fast)),
+            burn(self.window_counts(t, w.slow, self.slow)),
+        )
     }
 }
 
@@ -371,6 +420,8 @@ impl SloEngine {
                 .map(|spec| SloInstance {
                     spec,
                     events: VecDeque::new(),
+                    fast: Tail::default(),
+                    slow: Tail::default(),
                     state: AlertState::Idle,
                     total: 0,
                     bad: 0,
@@ -420,14 +471,17 @@ impl SloEngine {
 
     /// Evaluate every objective at instant `t`: trim windows, update the
     /// firing state machines, and return the transitions that happened
-    /// (so callers can mirror them into the flight recorder).
+    /// (so callers can mirror them into the flight recorder). Like the
+    /// observations, the instants given here, to
+    /// [`burn_rates`](Self::burn_rates) and to [`report`](Self::report)
+    /// never go backwards: a window that has moved on keeps no count of
+    /// what it left behind.
     pub fn evaluate(&mut self, t: SimTime) -> Vec<AlertTransition> {
         let mut transitions = Vec::new();
         for slo in &mut self.slos {
-            slo.trim(t);
+            slo.advance(t);
             let w = slo.spec.windows;
-            let burn_fast = slo.burn(t, w.fast);
-            let burn_slow = slo.burn(t, w.slow);
+            let (burn_fast, burn_slow) = slo.burns(t);
             match slo.state {
                 AlertState::Idle => {
                     if burn_fast >= w.fast_burn && burn_slow >= w.slow_burn {
@@ -496,9 +550,7 @@ impl SloEngine {
     pub fn burn_rates(&self, t: SimTime) -> Vec<(String, f64, f64)> {
         let mut out: Vec<(String, f64, f64)> = Vec::new();
         for slo in &self.slos {
-            let w = slo.spec.windows;
-            let fast = slo.burn(t, w.fast);
-            let slow = slo.burn(t, w.slow);
+            let (fast, slow) = slo.burns(t);
             match out.iter_mut().find(|(s, _, _)| s == &slo.spec.service) {
                 Some(entry) => {
                     entry.1 = entry.1.max(fast);
@@ -517,7 +569,7 @@ impl SloEngine {
             .slos
             .iter()
             .map(|slo| {
-                let w = slo.spec.windows;
+                let (burn_fast, burn_slow) = slo.burns(t);
                 let bad_ratio = if slo.total == 0 {
                     0.0
                 } else {
@@ -533,8 +585,8 @@ impl SloEngine {
                     bad_ratio,
                     budget: slo.spec.kind.budget(),
                     met: bad_ratio <= slo.spec.kind.budget(),
-                    burn_fast: slo.burn(t, w.fast),
-                    burn_slow: slo.burn(t, w.slow),
+                    burn_fast,
+                    burn_slow,
                     firing: matches!(slo.state, AlertState::Firing(_)),
                     latency_p50_ns: slo.latency.quantile(0.50),
                     latency_p99_ns: slo.latency.quantile(0.99),

@@ -63,6 +63,18 @@ impl WireEncode for Entry {
             }
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Entry::Name(s) | Entry::Comment(s) | Entry::ServiceType(s) => s.encoded_len(),
+            Entry::Location {
+                building,
+                floor,
+                room,
+            } => building.encoded_len() + floor.encoded_len() + room.encoded_len(),
+            Entry::Custom { key, value } => key.encoded_len() + value.encoded_len(),
+        }
+    }
 }
 
 impl WireDecode for Entry {

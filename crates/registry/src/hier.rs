@@ -253,14 +253,13 @@ impl HierHandle {
         iface: &InterfaceId,
     ) -> Result<Vec<(SubnetId, LusHandle)>, NetError> {
         let req = iface.encoded_len() + 8;
-        let iface = iface.clone();
         env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
             req,
-            move |_env, r: &mut RootRegistry| {
-                let subnets = r.matching_subnets(&iface);
+            |_env, r: &mut RootRegistry| {
+                let subnets = r.matching_subnets(iface);
                 let resp = (subnets.len() * 12).max(8);
                 (subnets, resp)
             },

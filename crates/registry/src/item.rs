@@ -1,5 +1,7 @@
 //! Service items and lookup templates.
 
+use std::fmt::Write as _;
+
 use sensorcer_sim::env::ServiceId;
 use sensorcer_sim::topology::HostId;
 use sensorcer_sim::wire::{Bytes, BytesMut};
@@ -56,6 +58,14 @@ impl WireEncode for ServiceItem {
         self.service.0.encode(buf);
         self.interfaces.encode(buf);
         self.attributes.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.uuid.encoded_len()
+            + self.host.0.encoded_len()
+            + self.service.0.encoded_len()
+            + self.interfaces.encoded_len()
+            + self.attributes.encoded_len()
     }
 }
 
@@ -126,15 +136,6 @@ impl ServiceTemplate {
         self
     }
 
-    /// The first exact-name constraint among the attribute matchers, if
-    /// any — the constraint a name index can serve.
-    pub fn exact_name(&self) -> Option<&str> {
-        self.attributes.iter().find_map(|a| match a {
-            AttrMatch::Name(Some(n)) => Some(n.as_str()),
-            _ => None,
-        })
-    }
-
     /// Jini matching semantics.
     pub fn matches(&self, item: &ServiceItem) -> bool {
         if !self.ids.is_empty() && !self.ids.contains(&item.uuid) {
@@ -162,6 +163,26 @@ impl WireEncode for ServiceTemplate {
         // their size matters on the wire, matching is always local.
         let rendered: Vec<String> = self.attributes.iter().map(|a| format!("{a:?}")).collect();
         rendered.encode(buf);
+    }
+
+    fn encoded_len(&self) -> usize {
+        /// Counts what `Debug` would write instead of keeping it.
+        struct Count(usize);
+        impl std::fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut rendered = Count(0);
+        for attr in &self.attributes {
+            let _ = write!(rendered, "{attr:?}");
+        }
+        self.ids.encoded_len()
+            + self.interfaces.encoded_len()
+            + 4
+            + 4 * self.attributes.len()
+            + rendered.0
     }
 }
 

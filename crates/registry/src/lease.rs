@@ -78,11 +78,20 @@ pub struct LeaseTable<T> {
     policy: LeasePolicy,
     next: u64,
     entries: BTreeMap<LeaseId, (SimTime, T)>,
-    /// No entry expires before this instant, so `reap` can return without
-    /// a scan while `now` is short of it. A lower bound, not the minimum:
-    /// `cancel` and a lengthening `renew` leave it where it is, and the
-    /// next scan that does run tightens it.
-    none_due_before: SimTime,
+    /// Per chunk of [`CHUNK`] consecutive ids: no entry of the chunk
+    /// expires before this instant, so `reap` scans only the chunks `now`
+    /// has reached. Lower bounds, not minima: `cancel` and a lengthening
+    /// `renew` leave them where they are, and the next scan of the chunk
+    /// tightens its bound. Ids are granted in order, so leases of one age
+    /// share chunks and long-lived ones sit in chunks no reap visits.
+    none_due_before: Vec<SimTime>,
+}
+
+/// Lease ids per expiry bound.
+const CHUNK: u64 = 256;
+
+fn chunk_of(id: LeaseId) -> usize {
+    (id.0 / CHUNK) as usize
 }
 
 impl<T> LeaseTable<T> {
@@ -91,7 +100,7 @@ impl<T> LeaseTable<T> {
             policy,
             next: 1,
             entries: BTreeMap::new(),
-            none_due_before: SimTime::FAR_FUTURE,
+            none_due_before: Vec::new(),
         }
     }
 
@@ -105,7 +114,11 @@ impl<T> LeaseTable<T> {
         self.next += 1;
         let expires = now + dur;
         self.entries.insert(id, (expires, resource));
-        self.none_due_before = self.none_due_before.min(expires);
+        match self.none_due_before.get_mut(chunk_of(id)) {
+            Some(bound) => *bound = (*bound).min(expires),
+            // Ids are consecutive, so a new chunk is always the next one.
+            None => self.none_due_before.push(expires),
+        }
         Lease { id, expires }
     }
 
@@ -125,7 +138,8 @@ impl<T> LeaseTable<T> {
             .min(self.policy.max_duration);
         entry.0 = now + dur;
         // A renewal may ask for less than the lease had left.
-        self.none_due_before = self.none_due_before.min(entry.0);
+        let bound = &mut self.none_due_before[chunk_of(id)];
+        *bound = (*bound).min(entry.0);
         Ok(Lease {
             id,
             expires: entry.0,
@@ -143,26 +157,26 @@ impl<T> LeaseTable<T> {
     /// Remove every lease expired at `now`, returning the reaped resources
     /// in `LeaseId` order.
     pub fn reap(&mut self, now: SimTime) -> Vec<(LeaseId, T)> {
-        if now < self.none_due_before {
-            return Vec::new();
-        }
-        let mut dead: Vec<LeaseId> = Vec::new();
-        let mut earliest_left = SimTime::FAR_FUTURE;
-        for (id, (exp, _)) in &self.entries {
-            if now >= *exp {
-                dead.push(*id);
-            } else {
-                earliest_left = earliest_left.min(*exp);
+        let mut reaped = Vec::new();
+        for (chunk, bound) in self.none_due_before.iter_mut().enumerate() {
+            if now < *bound {
+                continue;
             }
+            let first = chunk as u64 * CHUNK;
+            let mut earliest_left = SimTime::FAR_FUTURE;
+            let dead =
+                self.entries
+                    .extract_if(LeaseId(first)..LeaseId(first + CHUNK), |_, (exp, _)| {
+                        if now >= *exp {
+                            return true;
+                        }
+                        earliest_left = earliest_left.min(*exp);
+                        false
+                    });
+            reaped.extend(dead.map(|(id, (_, r))| (id, r)));
+            *bound = earliest_left;
         }
-        self.none_due_before = earliest_left;
-        dead.into_iter()
-            .map(|id| {
-                // lint:allow(unwrap): id was collected from entries in the loop above
-                let (_, r) = self.entries.remove(&id).expect("id collected above");
-                (id, r)
-            })
-            .collect()
+        reaped
     }
 
     /// Access the resource behind a live lease.

@@ -49,6 +49,7 @@ pub mod ids;
 pub mod item;
 pub mod lease;
 pub mod lus;
+mod postings;
 pub mod renewal;
 pub mod txn;
 

@@ -8,7 +8,7 @@
 //! renewed and the service is deregistered from the LUS and thus leaves
 //! the network".
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sensorcer_sim::env::{Env, ServiceId};
@@ -21,6 +21,7 @@ use crate::events::{EventSink, ServiceEvent, Transition};
 use crate::ids::{InterfaceId, SvcUuid};
 use crate::item::{ServiceItem, ServiceTemplate};
 use crate::lease::{Lease, LeaseError, LeaseId, LeasePolicy, LeaseTable};
+use crate::postings::{post, unpost, AttrPostings, Posting};
 
 /// Metric keys bumped by the registry lifecycle.
 pub mod keys {
@@ -53,20 +54,20 @@ struct EventReg {
 /// The registry state. Deploy with [`LookupService::deploy`]; interact
 /// remotely through [`LusHandle`].
 ///
-/// Items are held behind [`Arc`] and mirrored into two secondary indexes
-/// (interface → uuid set, name → uuid set), so the hot lookup path
-/// narrows to a candidate set instead of scanning every registration and
-/// hands out cheap handles instead of deep clones. The indexes iterate in
-/// uuid order, which keeps result sets byte-identical to a linear scan of
-/// the uuid-keyed item map.
+/// Items are held behind [`Arc`] and posted under each interface they
+/// implement and each indexed attribute they carry (see
+/// [`crate::postings`]), so a lookup narrows to the smallest posting among
+/// its template's constraints instead of scanning every registration, and
+/// hands out the stored handles instead of deep clones. Postings iterate
+/// in uuid order, which keeps result sets byte-identical to a linear scan
+/// of the uuid-keyed item map.
 pub struct LookupService {
     host: HostId,
     group: String,
     items: BTreeMap<SvcUuid, Arc<ServiceItem>>,
     /// Interface name → uuids of the items implementing it.
-    by_interface: BTreeMap<InterfaceId, BTreeSet<SvcUuid>>,
-    /// Exact `Name` attribute → uuids carrying it.
-    by_name: BTreeMap<String, BTreeSet<SvcUuid>>,
+    by_interface: BTreeMap<InterfaceId, Posting>,
+    by_attribute: AttrPostings,
     /// Maps registration leases to the uuid they keep alive.
     reg_leases: LeaseTable<SvcUuid>,
     event_regs: LeaseTable<EventReg>,
@@ -90,7 +91,7 @@ impl LookupService {
             group: group.into(),
             items: BTreeMap::new(),
             by_interface: BTreeMap::new(),
-            by_name: BTreeMap::new(),
+            by_attribute: AttrPostings::default(),
             reg_leases: LeaseTable::new(policy),
             event_regs: LeaseTable::new(policy),
             registrations_total: 0,
@@ -101,50 +102,29 @@ impl LookupService {
 
     fn index_item(&mut self, env: &mut Env, item: &ServiceItem) {
         for iface in &item.interfaces {
-            let inserted = self
-                .by_interface
-                .entry(iface.clone())
-                .or_default()
-                .insert(item.uuid);
-            if inserted {
-                self.iface_uuid_cache.remove(iface);
-                if let Some(mut sink) = self.summary_sink.take() {
-                    sink(env, iface, 1);
-                    self.summary_sink = Some(sink);
-                }
+            if post(&mut self.by_interface, iface, item.uuid) {
+                self.interface_changed(env, iface, 1);
             }
         }
-        if let Some(name) = item.name() {
-            self.by_name
-                .entry(name.to_string())
-                .or_default()
-                .insert(item.uuid);
-        }
+        self.by_attribute.index(item.uuid, &item.attributes);
     }
 
     fn unindex_item(&mut self, env: &mut Env, item: &ServiceItem) {
         for iface in &item.interfaces {
-            if let Some(set) = self.by_interface.get_mut(iface) {
-                let removed = set.remove(&item.uuid);
-                if set.is_empty() {
-                    self.by_interface.remove(iface);
-                }
-                if removed {
-                    self.iface_uuid_cache.remove(iface);
-                    if let Some(mut sink) = self.summary_sink.take() {
-                        sink(env, iface, -1);
-                        self.summary_sink = Some(sink);
-                    }
-                }
+            if unpost(&mut self.by_interface, iface, item.uuid) {
+                self.interface_changed(env, iface, -1);
             }
         }
-        if let Some(name) = item.name() {
-            if let Some(set) = self.by_name.get_mut(name) {
-                set.remove(&item.uuid);
-                if set.is_empty() {
-                    self.by_name.remove(name);
-                }
-            }
+        self.by_attribute.unindex(item.uuid, &item.attributes);
+    }
+
+    /// A uuid joined or left `iface`'s posting: the memoized slice is
+    /// stale and the summary sink hears the delta.
+    fn interface_changed(&mut self, env: &mut Env, iface: &InterfaceId, delta: i64) {
+        self.iface_uuid_cache.remove(iface);
+        if let Some(mut sink) = self.summary_sink.take() {
+            sink(env, iface, delta);
+            self.summary_sink = Some(sink);
         }
     }
 
@@ -162,10 +142,11 @@ impl LookupService {
         if let Some(hit) = self.iface_uuid_cache.get(iface) {
             return Arc::clone(hit);
         }
-        let uuids: Arc<[SvcUuid]> = match self.by_interface.get(iface) {
-            Some(set) => set.iter().copied().collect::<Vec<_>>().into(),
-            None => Vec::new().into(),
-        };
+        let uuids: Arc<[SvcUuid]> = self
+            .by_interface
+            .get(iface)
+            .map_or_else(Vec::new, |posting| posting.iter().copied().collect())
+            .into();
         self.iface_uuid_cache
             .insert(iface.clone(), Arc::clone(&uuids));
         uuids
@@ -311,48 +292,21 @@ impl LookupService {
         attributes: Vec<crate::attributes::Entry>,
     ) -> bool {
         let now = env.now();
-        let Some(existing) = self.items.get(&uuid) else {
+        let Some(item) = self.items.get_mut(&uuid) else {
             return false;
         };
+        self.by_attribute
+            .reindex(uuid, &item.attributes, &attributes);
         let has_listeners = self.event_regs.live(now).next().is_some();
-        if has_listeners {
-            let old = Arc::clone(existing);
-            let mut item = (*old).clone();
-            item.attributes = attributes;
-            let new = Arc::new(item);
-            self.items.insert(uuid, Arc::clone(&new));
-            self.reindex_name(uuid, old.name(), new.name());
+        let old = has_listeners.then(|| Arc::clone(item));
+        // Clones the item only if someone still shares it: the snapshot
+        // just taken for the listeners, or a lookup result.
+        Arc::make_mut(item).attributes = attributes;
+        if let Some(old) = old {
+            let new = Arc::clone(item);
             self.fire(env, now, uuid, Some(&old), Some(&new));
-        } else {
-            let old_name = existing.name().map(str::to_string);
-            // lint:allow(unwrap): uuid presence checked by the match above
-            let item = self.items.get_mut(&uuid).expect("checked above");
-            // Clones the item only if a lookup result still shares it.
-            Arc::make_mut(item).attributes = attributes;
-            let new_name = self.items[&uuid].name().map(str::to_string);
-            self.reindex_name(uuid, old_name.as_deref(), new_name.as_deref());
         }
         true
-    }
-
-    fn reindex_name(&mut self, uuid: SvcUuid, old: Option<&str>, new: Option<&str>) {
-        if old == new {
-            return;
-        }
-        if let Some(name) = old {
-            if let Some(set) = self.by_name.get_mut(name) {
-                set.remove(&uuid);
-                if set.is_empty() {
-                    self.by_name.remove(name);
-                }
-            }
-        }
-        if let Some(name) = new {
-            self.by_name
-                .entry(name.to_string())
-                .or_default()
-                .insert(uuid);
-        }
     }
 
     /// Visit every registered item matching `template` in uuid order, up
@@ -396,29 +350,35 @@ impl LookupService {
             return;
         }
 
-        // Interface and exact-name constraints each have a posting set:
-        // intersect by scanning the smallest. An interface nobody
-        // implements, or a name nobody carries, means no matches.
+        // Every interface constraint and every indexed attribute
+        // constraint has a posting: intersect by scanning the smallest. An
+        // interface nobody implements, or an attribute value nobody
+        // carries, means no matches.
         let postings = template
             .interfaces
             .iter()
             .map(|iface| self.by_interface.get(iface))
-            .chain(template.exact_name().map(|name| self.by_name.get(name)));
-        let mut candidates: Option<&BTreeSet<SvcUuid>> = None;
-        for set in postings {
-            let Some(set) = set else { return };
-            if candidates.is_none_or(|c| set.len() < c.len()) {
-                candidates = Some(set);
+            .chain(
+                template
+                    .attributes
+                    .iter()
+                    .filter_map(|attr| self.by_attribute.candidates(attr)),
+            );
+        let mut candidates: Option<&Posting> = None;
+        for posting in postings {
+            let Some(posting) = posting else { return };
+            if candidates.is_none_or(|c| posting.len() < c.len()) {
+                candidates = Some(posting);
             }
         }
 
         match candidates {
-            // A posting set only helps if it actually narrows the scan: a
+            // A posting only helps if it actually narrows the scan: a
             // per-uuid map probe costs more than walking one entry, so if
-            // the set covers most of the registry (e.g. an interface every
+            // it covers most of the registry (e.g. an interface every
             // service implements) the sequential scan wins.
-            Some(set) if set.len() * 2 < self.items.len() => {
-                for uuid in set {
+            Some(posting) if posting.len() * 2 < self.items.len() => {
+                for uuid in posting.iter() {
                     if !emit(&self.items[uuid]) {
                         return;
                     }
@@ -434,9 +394,8 @@ impl LookupService {
         }
     }
 
-    /// All currently registered items matching `template`, up to `max`.
-    /// Returns shared handles; clone the inner item only at a wire
-    /// boundary.
+    /// All currently registered items matching `template`, up to `max`, as
+    /// shared handles.
     pub fn lookup(&self, template: &ServiceTemplate, max: usize) -> Vec<Arc<ServiceItem>> {
         let mut out = Vec::new();
         self.lookup_visit(template, max, |item| {
@@ -520,7 +479,7 @@ impl LookupService {
     pub fn interface_counts(&self) -> Vec<(InterfaceId, u64)> {
         self.by_interface
             .iter()
-            .map(|(iface, set)| (iface.clone(), set.len() as u64))
+            .map(|(iface, posting)| (iface.clone(), posting.len() as u64))
             .collect()
     }
 
@@ -648,30 +607,24 @@ impl LusHandle {
         )
     }
 
-    /// Remote lookup. Matched items are cloned exactly once, here at the
-    /// simulated wire boundary.
+    /// Remote lookup. The result shares the items the registry holds; the
+    /// response is charged each item's encoded size, as if marshalled.
     pub fn lookup(
         &self,
         env: &mut Env,
         from: HostId,
         template: &ServiceTemplate,
         max: usize,
-    ) -> Result<Vec<ServiceItem>, NetError> {
+    ) -> Result<Vec<Arc<ServiceItem>>, NetError> {
         let req = template.encoded_len() + 8;
-        let template = template.clone();
         let out = env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
             req,
-            move |_env, lus: &mut LookupService| {
-                let mut found = Vec::new();
-                let mut resp = 0usize;
-                lus.lookup_visit(&template, max, |item| {
-                    resp += item.encoded_len();
-                    found.push((**item).clone());
-                    true
-                });
+            |_env, lus: &mut LookupService| {
+                let found = lus.lookup(template, max);
+                let resp: usize = found.iter().map(|item| item.encoded_len()).sum();
                 (found, resp.max(8))
             },
         );
@@ -693,14 +646,13 @@ impl LusHandle {
         iface: &InterfaceId,
     ) -> Result<Arc<[SvcUuid]>, NetError> {
         let req = iface.encoded_len() + 8;
-        let iface = iface.clone();
         let out = env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
             req,
-            move |_env, lus: &mut LookupService| {
-                let uuids = lus.interface_uuids(&iface);
+            |_env, lus: &mut LookupService| {
+                let uuids = lus.interface_uuids(iface);
                 let resp = (uuids.len() * 16).max(8);
                 (uuids, resp)
             },
@@ -717,35 +669,32 @@ impl LusHandle {
         env: &mut Env,
         from: HostId,
         template: &ServiceTemplate,
-    ) -> Result<Option<ServiceItem>, NetError> {
+    ) -> Result<Option<Arc<ServiceItem>>, NetError> {
         self.lookup_first_excluding(env, from, template, None)
     }
 
     /// Remote lookup of the first match whose name is not `exclude`. The
-    /// registry visits candidates in place and clones only the one item
-    /// that is returned.
+    /// registry visits candidates in place and hands out the one it holds.
     pub fn lookup_first_excluding(
         &self,
         env: &mut Env,
         from: HostId,
         template: &ServiceTemplate,
         exclude: Option<&str>,
-    ) -> Result<Option<ServiceItem>, NetError> {
+    ) -> Result<Option<Arc<ServiceItem>>, NetError> {
         let req = template.encoded_len() + 8;
-        let template = template.clone();
-        let exclude = exclude.map(str::to_string);
         let out = env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
             req,
-            move |_env, lus: &mut LookupService| {
-                let mut hit: Option<ServiceItem> = None;
-                lus.lookup_visit(&template, usize::MAX, |item| {
-                    if exclude.as_deref().is_some_and(|x| item.name() == Some(x)) {
+            |_env, lus: &mut LookupService| {
+                let mut hit = None;
+                lus.lookup_visit(template, usize::MAX, |item| {
+                    if exclude.is_some_and(|x| item.name() == Some(x)) {
                         return true;
                     }
-                    hit = Some((**item).clone());
+                    hit = Some(Arc::clone(item));
                     false
                 });
                 let resp = hit.as_ref().map_or(8, |i| i.encoded_len());

@@ -159,181 +159,6 @@ fn template_matching_laws() {
     });
 }
 
-/// Index-vs-scan equivalence: whatever interleaving of register,
-/// unregister, lease expiry and attribute update the registry has seen,
-/// its indexed `lookup` returns exactly the items a brute-force linear
-/// scan over a shadow model finds, in the same (uuid) order.
-#[test]
-fn indexed_lookup_matches_linear_scan() {
-    use sensorcer_registry::events::{EventSink, Transition};
-    use sensorcer_registry::lus::LookupService;
-    use sensorcer_sim::env::Env;
-    use sensorcer_sim::topology::HostKind;
-
-    const NAMES: [&str; 4] = ["Neem", "Jade", "Coral", "Diamond"];
-    const IFACES: [&str; 3] = ["SensorDataAccessor", "Servicer", "Cybernode"];
-
-    fn gen_item(g: &mut Gen) -> ServiceItem {
-        let n_ifaces = g.usize_in(0, 4);
-        let mut ifaces: Vec<&str> = Vec::new();
-        for _ in 0..n_ifaces {
-            let pick = IFACES[g.usize_in(0, IFACES.len())];
-            if !ifaces.contains(&pick) {
-                ifaces.push(pick);
-            }
-        }
-        let mut attrs = Vec::new();
-        if g.chance(0.8) {
-            attrs.push(Entry::Name(NAMES[g.usize_in(0, NAMES.len())].to_string()));
-        }
-        if g.chance(0.3) {
-            attrs.push(Entry::ServiceType("ELEMENTARY".to_string()));
-        }
-        ServiceItem::new(
-            SvcUuid::NIL,
-            HostId(0),
-            ServiceId(0),
-            ifaces.into_iter().map(Into::into).collect(),
-            attrs,
-        )
-    }
-
-    fn templates(g: &mut Gen, known: &[SvcUuid]) -> Vec<ServiceTemplate> {
-        let mut tpls = vec![
-            ServiceTemplate::any(),
-            ServiceTemplate::by_interface(IFACES[g.usize_in(0, IFACES.len())]),
-            ServiceTemplate::by_name(NAMES[g.usize_in(0, NAMES.len())]),
-            ServiceTemplate::by_interface(IFACES[0]).and_interface(IFACES[1]),
-            ServiceTemplate::by_interface(IFACES[g.usize_in(0, IFACES.len())])
-                .and_attr(AttrMatch::name(NAMES[g.usize_in(0, NAMES.len())])),
-            ServiceTemplate::by_name("Nobody"),
-            ServiceTemplate::by_interface("UnimplementedInterface"),
-            // Interface and exact name together: the name's posting set is
-            // a candidate beside the interfaces', whichever is smaller.
-            ServiceTemplate::by_interface(IFACES[0])
-                .and_interface(IFACES[g.usize_in(1, IFACES.len())])
-                .and_attr(AttrMatch::name(NAMES[g.usize_in(0, NAMES.len())])),
-            ServiceTemplate::by_interface(IFACES[g.usize_in(0, IFACES.len())])
-                .and_attr(AttrMatch::name("Nobody")),
-            ServiceTemplate::by_interface("UnimplementedInterface")
-                .and_attr(AttrMatch::name(NAMES[g.usize_in(0, NAMES.len())])),
-        ];
-        if !known.is_empty() {
-            tpls.push(ServiceTemplate::by_id(known[g.usize_in(0, known.len())]));
-        }
-        tpls.push(ServiceTemplate::by_id(SvcUuid(0xDEAD_BEEF)));
-        tpls
-    }
-
-    run_cases("indexed_lookup_matches_linear_scan", 64, |g| {
-        let mut env = Env::with_seed(g.u64());
-        let lab = env.add_host("lab", HostKind::Server);
-        let client = env.add_host("client", HostKind::Workstation);
-        let mut lus = LookupService::new(
-            lab,
-            "public",
-            LeasePolicy {
-                max_duration: SimDuration::from_secs(1_000),
-                default_duration: SimDuration::from_secs(10),
-            },
-        );
-        // Sometimes add a live listener so attribute updates exercise the
-        // snapshot-and-fire path rather than the in-place swap.
-        if g.bool() {
-            lus.notify(
-                env.now(),
-                ServiceTemplate::any(),
-                vec![
-                    Transition::NoMatchToMatch,
-                    Transition::MatchToMatch,
-                    Transition::MatchToNoMatch,
-                ],
-                EventSink {
-                    host: client,
-                    deliver: Box::new(|_e, _ev| {}),
-                },
-                None,
-            );
-        }
-
-        // Shadow model: uuid -> live item, plus outstanding lease expiries.
-        let mut model: std::collections::BTreeMap<SvcUuid, ServiceItem> = Default::default();
-        let mut leases: Vec<(sensorcer_registry::lease::Lease, SvcUuid)> = Vec::new();
-
-        let steps = g.usize_in(10, 60);
-        for _ in 0..steps {
-            match g.u64_in(0, 10) {
-                // Register a fresh item (sometimes with a short lease).
-                0..=3 => {
-                    let item = gen_item(g);
-                    let dur = if g.bool() {
-                        Some(SimDuration::from_secs(g.u64_in(1, 30)))
-                    } else {
-                        None
-                    };
-                    let reg = lus.register(&mut env, item.clone(), dur);
-                    let mut stored = item;
-                    stored.uuid = reg.uuid;
-                    model.insert(reg.uuid, stored);
-                    leases.push((reg.lease, reg.uuid));
-                }
-                // Cancel a random outstanding lease.
-                4 => {
-                    if !leases.is_empty() {
-                        let (lease, uuid) = leases.remove(g.usize_in(0, leases.len()));
-                        if lus.cancel(&mut env, lease.id).is_ok() {
-                            model.remove(&uuid);
-                        }
-                    }
-                }
-                // Replace the attributes of a random live registration.
-                5..=6 => {
-                    if !model.is_empty() {
-                        let uuids: Vec<SvcUuid> = model.keys().copied().collect();
-                        let uuid = uuids[g.usize_in(0, uuids.len())];
-                        let attrs = gen_item(g).attributes;
-                        assert!(lus.modify_attributes(&mut env, uuid, attrs.clone()));
-                        model.get_mut(&uuid).unwrap().attributes = attrs;
-                    }
-                }
-                // Let time pass and reap expired leases.
-                _ => {
-                    env.run_for(SimDuration::from_secs(g.u64_in(1, 15)));
-                    lus.reap(&mut env);
-                    let now = env.now();
-                    leases.retain(|(lease, uuid)| {
-                        if now >= lease.expires {
-                            model.remove(uuid);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-            }
-
-            // After every step, indexed lookup == linear scan of the model.
-            let known: Vec<SvcUuid> = model.keys().copied().collect();
-            for tpl in templates(g, &known) {
-                let indexed: Vec<SvcUuid> = lus
-                    .lookup(&tpl, usize::MAX)
-                    .iter()
-                    .map(|i| i.uuid)
-                    .collect();
-                let scanned: Vec<SvcUuid> = model
-                    .values()
-                    .filter(|i| tpl.matches(i))
-                    .map(|i| i.uuid)
-                    .collect();
-                assert_eq!(indexed, scanned, "template {tpl:?} diverged");
-                // Truncated lookups agree with the scan prefix.
-                let capped: Vec<SvcUuid> = lus.lookup(&tpl, 2).iter().map(|i| i.uuid).collect();
-                assert_eq!(capped, scanned.into_iter().take(2).collect::<Vec<_>>());
-            }
-        }
-    });
-}
-
 /// Wire round trip for arbitrary service items.
 #[test]
 fn service_item_codec() {
@@ -352,5 +177,102 @@ fn service_item_codec() {
         );
         let mut wire = item.to_wire();
         assert_eq!(ServiceItem::decode(&mut wire).unwrap(), item);
+    });
+}
+
+/// The wire is charged `encoded_len()` without encoding anything: for
+/// items, entries, templates (whose matchers go out as `Debug` text, quotes
+/// and escapes included) and events it must be the size of the encoding.
+#[test]
+fn encoded_len_is_the_length_of_the_encoding() {
+    use sensorcer_registry::events::{event_wire_size, ServiceEvent, Transition};
+    use sensorcer_sim::wire::WireEncode;
+
+    fn text(g: &mut Gen) -> String {
+        match g.u64_in(0, 4) {
+            0 => String::new(),
+            // What `Debug` escapes: quotes, backslashes, control and
+            // non-ASCII characters.
+            1 => g
+                .vec_of(1, 8, |g| {
+                    *g.pick(&['"', '\\', '\n', '\t', '\u{7f}', 'é', '温', '\''])
+                })
+                .into_iter()
+                .collect(),
+            _ => g.ascii_string(24),
+        }
+    }
+    fn opt(g: &mut Gen) -> Option<String> {
+        g.bool().then(|| text(g))
+    }
+    fn gen_entry(g: &mut Gen) -> Entry {
+        match g.u64_in(0, 5) {
+            0 => Entry::Name(text(g)),
+            1 => Entry::Comment(text(g)),
+            2 => Entry::Location {
+                building: text(g),
+                floor: text(g),
+                room: text(g),
+            },
+            3 => Entry::ServiceType(text(g)),
+            _ => Entry::Custom {
+                key: text(g),
+                value: text(g),
+            },
+        }
+    }
+    fn gen_match(g: &mut Gen) -> AttrMatch {
+        match g.u64_in(0, 6) {
+            0 => AttrMatch::Any,
+            1 => AttrMatch::Name(opt(g)),
+            2 => AttrMatch::Comment(opt(g)),
+            3 => AttrMatch::Location {
+                building: opt(g),
+                floor: opt(g),
+                room: opt(g),
+            },
+            4 => AttrMatch::ServiceType(opt(g)),
+            _ => AttrMatch::Custom {
+                key: opt(g),
+                value: opt(g),
+            },
+        }
+    }
+
+    run_cases("encoded_len_is_the_length_of_the_encoding", 256, |g| {
+        let entry = gen_entry(g);
+        assert_eq!(entry.encoded_len(), entry.to_wire().len(), "{entry:?}");
+
+        let item = ServiceItem::new(
+            SvcUuid(g.u128()),
+            HostId(g.u64() as u32),
+            ServiceId(g.u64()),
+            g.vec_of(0, 4, |g| text(g).as_str().into()),
+            g.vec_of(0, 6, gen_entry),
+        );
+        assert_eq!(item.encoded_len(), item.to_wire().len(), "{item:?}");
+
+        let template = ServiceTemplate {
+            ids: g.vec_of(0, 3, |g| SvcUuid(g.u128())),
+            interfaces: g.vec_of(0, 3, |g| text(g).as_str().into()),
+            attributes: g.vec_of(0, 4, gen_match),
+        };
+        assert_eq!(
+            template.encoded_len(),
+            template.to_wire().len(),
+            "{template:?}"
+        );
+
+        // An event goes out as seq, instant, uuid, transition and the item
+        // if there is one.
+        let event = ServiceEvent {
+            seq: g.u64(),
+            at: SimTime(g.u64()),
+            uuid: item.uuid,
+            transition: Transition::MatchToMatch,
+            item: g.bool().then(|| item.clone()),
+        };
+        let payload = event.item.as_ref().map_or(0, |i| i.to_wire().len());
+        assert_eq!(event_wire_size(&event), 8 + 8 + 16 + 1 + payload);
     });
 }

@@ -100,7 +100,10 @@
 #                           protocol fails here. Also fails if
 #                           `allocs_per_op` @ `mote_scale` reaches 500
 #                           on either seed (a per-firing allocation is
-#                           back in the timer engine). Timings from a
+#                           back in the timer engine) or @
+#                           `registry_churn` reaches 1 500 (a lookup is
+#                           copying its results, or serialising an item
+#                           to learn its size, again). Timings from a
 #                           2 s pass are not comparable with anything.
 #
 # Everything runs offline against the vendored workspace; no network,
@@ -403,15 +406,22 @@ if [ "$yardstick" -eq 1 ]; then
     for seed in 42 7; do
         echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
         benchmark/run.sh --seed "$seed" --seconds 2
-        # A count, exact whatever the run length: 143 while timer callbacks
-        # sit in the slab and a repeating timer is re-queued by move, 4 488
-        # when every firing boxed a fresh closure.
-        allocs=$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.]*\).*/\1/p' \
-            benchmark/out/mote_scale.end_to_end.json)
-        awk -v a="$allocs" 'BEGIN { exit !(a != "" && a < 500) }' || {
-            echo "mote_scale allocs_per_op = ${allocs:-missing} on seed $seed, limit 500" >&2
-            exit 1
-        }
+        # Counts, exact whatever the run length. mote_scale: 120 while
+        # timer callbacks sit in the slab and a repeating timer is
+        # re-queued by move, 4 488 when every firing boxed a fresh closure.
+        # registry_churn: 341 while lookups share the stored items and
+        # sizes are added up, 5 013 when every matched item was deep-cloned
+        # and encoded into a scratch buffer to be measured.
+        for gate in mote_scale:500 registry_churn:1500; do
+            workload=${gate%:*}
+            limit=${gate#*:}
+            allocs=$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.]*\).*/\1/p' \
+                "benchmark/out/$workload.end_to_end.json")
+            awk -v a="$allocs" -v l="$limit" 'BEGIN { exit !(a != "" && a < l) }' || {
+                echo "$workload allocs_per_op = ${allocs:-missing} on seed $seed, limit $limit" >&2
+                exit 1
+            }
+        done
     done
 fi
 

@@ -1,7 +1,8 @@
-//! `LeaseTable::reap` returns without looking while `now` is short of a
-//! lower bound it keeps on the earliest expiry. Over generated
-//! grant / renew / cancel / advance sequences it must reap exactly what a
-//! scan of every lease would, in `LeaseId` order, at every tick.
+//! `LeaseTable::reap` keeps a lower bound on the earliest expiry in each
+//! chunk of 256 consecutive lease ids and scans only the chunks `now` has
+//! reached. Over generated grant / renew / cancel / advance sequences it
+//! must reap exactly what a scan of every lease would, in `LeaseId` order,
+//! at every tick.
 
 use std::collections::BTreeMap;
 
@@ -40,7 +41,7 @@ fn reap_with_the_bound_is_the_full_scan() {
         max_duration: SimDuration::from_secs(30),
         default_duration: SimDuration::from_secs(10),
     };
-    let (mut reaped, mut idle) = (0usize, 0usize);
+    let (mut reaped, mut idle, mut wide) = (0usize, 0usize, 0usize);
     run_cases("lease-reap", 300, |g| {
         let mut table: LeaseTable<u32> = LeaseTable::new(policy);
         let mut model = FullScan {
@@ -50,16 +51,19 @@ fn reap_with_the_bound_is_the_full_scan() {
         let mut now = SimTime::ZERO;
         for step in 0..g.u64_in(20, 200) as u32 {
             let known = model.next;
-            match g.u64_in(0, 10) {
-                0..=2 => {
-                    let requested = g.bool().then(|| secs(g));
-                    let lease = table.grant(now, requested, step);
-                    assert_eq!(lease.id, LeaseId(model.next));
-                    model.next += 1;
-                    model.entries.insert(lease.id, (lease.expires, step));
-                }
+            let mut grant = |g: &mut Gen, model: &mut FullScan| {
+                let requested = g.bool().then(|| secs(g));
+                let lease = table.grant(now, requested, step);
+                assert_eq!(lease.id, LeaseId(model.next));
+                model.next += 1;
+                model.entries.insert(lease.id, (lease.expires, step));
+            };
+            match g.u64_in(0, 40) {
+                // A burst of registrations: the ids run on into new chunks.
+                0 => (0..g.u64_in(100, 500)).for_each(|_| grant(g, &mut model)),
+                1..=10 => grant(g, &mut model),
                 // Renewals both lengthen and shorten what a lease had left.
-                3..=4 => {
+                11..=18 => {
                     let id = LeaseId(g.u64_in(1, known + 1));
                     let requested = g.bool().then(|| secs(g));
                     let expected = match model.entries.get(&id) {
@@ -73,12 +77,26 @@ fn reap_with_the_bound_is_the_full_scan() {
                         entry.0 = lease.expires;
                     }
                 }
-                5 => {
+                19..=21 => {
                     let id = LeaseId(g.u64_in(1, known + 1));
                     let expected = model.entries.remove(&id).map(|(_, r)| r);
                     assert_eq!(table.cancel(id).ok(), expected);
                 }
-                6..=7 => now += SimDuration::from_secs(g.u64_in(0, 8)),
+                // Cancel the lease a chunk's bound rests on: the bound stays
+                // low, and the scan it lets through must find nothing due.
+                22..=23 => {
+                    let chunk = g.u64_in(0, known / 256 + 1);
+                    let earliest = model
+                        .entries
+                        .range(LeaseId(chunk * 256)..LeaseId((chunk + 1) * 256))
+                        .min_by_key(|(_, (exp, _))| *exp)
+                        .map(|(id, _)| *id);
+                    if let Some(id) = earliest {
+                        let expected = model.entries.remove(&id).map(|(_, r)| r);
+                        assert_eq!(table.cancel(id).ok(), expected);
+                    }
+                }
+                24..=31 => now += SimDuration::from_secs(g.u64_in(0, 8)),
                 _ => {
                     let got = table.reap(now);
                     assert_eq!(got, model.reap(now), "at {now}");
@@ -92,13 +110,14 @@ fn reap_with_the_bound_is_the_full_scan() {
                 model.entries.values().map(|(exp, _)| *exp).min()
             );
         }
+        wide += usize::from(model.next > 3 * 256);
         // A reap far enough out takes everything that is left.
         let end = now + SimDuration::from_secs(60);
         assert_eq!(table.reap(end), model.reap(end));
         assert!(table.is_empty());
     });
     assert!(
-        reaped > 1_000 && idle > 1_000,
-        "{reaped} reaped, {idle} idle reaps"
+        reaped > 1_000 && idle > 1_000 && wide > 50,
+        "{reaped} reaped, {idle} idle reaps, {wide} cases over three chunks"
     );
 }
