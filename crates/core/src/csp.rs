@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
-use sensorcer_expr::{Program, SlotFrame, Value};
+use sensorcer_expr::{Program, SlotFrame, Text, Value};
 use sensorcer_registry::attributes::Entry;
 use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::ServiceItem;
@@ -69,7 +69,7 @@ pub enum DegradationPolicy {
 #[derive(Clone, Debug)]
 struct LastGood {
     value: f64,
-    unit: String,
+    unit: Text,
     at: SimTime,
 }
 
@@ -106,6 +106,8 @@ pub const EQUIVALENCE_GROUP_KEY: &str = "equivalence-group";
 /// The provider state.
 pub struct CompositeSensorProvider {
     name: String,
+    /// `name` as this provider's entry in the visited breadcrumb.
+    breadcrumb: Value,
     exerted_by: Arc<str>,
     uuid: String,
     host: HostId,
@@ -140,10 +142,10 @@ pub struct CompositeSensorProvider {
     /// substitution. Only mutated after the parallel fan-out returns.
     last_good: Vec<Option<LastGood>>,
     reads_total: u64,
-    /// Cached child bindings (the Jini model: a downloaded proxy is reused
-    /// until it fails). Invalidated per child on network failure, so a
-    /// re-provisioned child is re-bound on the next read.
-    bindings: std::cell::RefCell<std::collections::BTreeMap<String, sensorcer_sim::env::ServiceId>>,
+    /// Cached proxy per child position (the Jini model: a downloaded proxy
+    /// is reused until it fails). Invalidated per child on network
+    /// failure, so a re-provisioned child is re-bound on the next read.
+    bindings: Vec<Option<ServiceId>>,
 }
 
 impl CompositeSensorProvider {
@@ -151,6 +153,7 @@ impl CompositeSensorProvider {
         let name = name.into();
         CompositeSensorProvider {
             exerted_by: exerted_by(&name),
+            breadcrumb: name.as_str().into(),
             name,
             uuid: String::new(),
             host,
@@ -166,7 +169,7 @@ impl CompositeSensorProvider {
             breakers: None,
             last_good: Vec::new(),
             reads_total: 0,
-            bindings: std::cell::RefCell::new(std::collections::BTreeMap::new()),
+            bindings: Vec::new(),
         }
     }
 
@@ -210,6 +213,7 @@ impl CompositeSensorProvider {
             group,
         });
         self.last_good.push(None);
+        self.bindings.push(None);
         self.rebuild_requests();
         Ok(var)
     }
@@ -242,7 +246,7 @@ impl CompositeSensorProvider {
             .ok_or_else(|| format!("'{service_name}' is not composed here"))?;
         self.children.remove(pos);
         self.last_good.remove(pos);
-        self.bindings.borrow_mut().remove(service_name);
+        self.bindings.remove(pos);
         for (i, child) in self.children.iter_mut().enumerate() {
             child.var = variable_for(i);
         }
@@ -334,21 +338,26 @@ impl CompositeSensorProvider {
 
         // Cycle guard: refuse to read if this provider already appears in
         // the visited breadcrumb of the incoming request.
-        let mut visited: Vec<Value> = match task.context.get(VISITED_PATH) {
-            Some(Value::List(xs)) => xs.clone(),
-            _ => Vec::new(),
+        let above: &[Value] = match task.context.get(VISITED_PATH) {
+            Some(Value::List(xs)) => xs,
+            _ => &[],
         };
-        if visited
+        if above
             .iter()
-            .any(|v| matches!(v, Value::Str(s) if s == &self.name))
+            .any(|v| matches!(v, Value::Str(s) if **s == *self.name))
         {
             task.fail(format!("composition cycle detected at '{}'", self.name));
             return;
         }
-        visited.push(Value::Str(self.name.clone()));
-        // One breadcrumb list for the whole fan-out — a deep copy is made
-        // only where a task context needs an owned value.
-        let visited = Value::List(visited);
+        // One breadcrumb list for the whole fan-out, built once per read:
+        // every child request shares it.
+        let visited = Value::List(
+            above
+                .iter()
+                .cloned()
+                .chain([self.breadcrumb.clone()])
+                .collect(),
+        );
 
         // Fan the child reads out in parallel — this is a small federation
         // exerted for this request. Each branch clones its prebuilt
@@ -356,7 +365,7 @@ impl CompositeSensorProvider {
         // cached (the Jini proxy model): only an unknown or failed child
         // costs a LUS lookup.
         let accessor = &self.accessor;
-        let bindings = &self.bindings;
+        let bindings = &mut self.bindings;
         let cache_enabled = self.binding_cache_enabled;
         let host = self.host;
         let retry = self.retry;
@@ -365,21 +374,22 @@ impl CompositeSensorProvider {
         let requests = &self.requests;
         let collected = env.parallel_over(
             0..children.len(),
-            |env: &mut Env, idx: usize| -> Result<(f64, String, bool), String> {
+            |env: &mut Env, idx: usize| -> Result<(f64, Text, bool), String> {
                         let child = &children[idx];
                         // One `csp.child` span per fan-out branch; the
                         // dispatch spans and retry events nest under it.
                         let span = env.span_start("csp.child", &child.service_name, host);
                         let child_start = env.now();
                         let name: &str = &child.service_name;
-                        let run = |env: &mut Env| -> Result<(f64, String, bool), String> {
+                        let binding = &mut bindings[idx];
+                        let mut run = |env: &mut Env| -> Result<(f64, Text, bool), String> {
                         let make_task = || {
                             let mut task = requests[idx].clone();
                             task.context.put(VISITED_PATH, visited.clone());
                             task
                         };
-                        // Consumes the reply: the unit string is moved out
-                        // of its context, not copied.
+                        // Consumes the reply: the unit is moved out of its
+                        // context, not copied.
                         let parse = |mut done: Exertion, who: &str| match done.status() {
                             ExertionStatus::Done => {
                                 let ctx = done.context_mut();
@@ -389,7 +399,7 @@ impl CompositeSensorProvider {
                                             ctx.get_str(paths::SENSOR_QUALITY) != Some("suspect");
                                         let unit = match ctx.remove(paths::SENSOR_UNIT) {
                                             Some(Value::Str(u)) => u,
-                                            _ => String::new(),
+                                            _ => Text::Static(""),
                                         };
                                         Ok((v, unit, good))
                                     }
@@ -404,11 +414,7 @@ impl CompositeSensorProvider {
                         // a stale proxy is dropped and the name re-bound
                         // within this same read.
                         let mut failure: Option<String> = None;
-                        let cached = if cache_enabled {
-                            bindings.borrow().get(name).copied()
-                        } else {
-                            None
-                        };
+                        let cached = if cache_enabled { *binding } else { None };
                         if let Some(svc) = cached {
                             if breakers
                                 .is_some_and(|b| !b.borrow_mut().allow(env, svc))
@@ -435,7 +441,7 @@ impl CompositeSensorProvider {
                                     },
                                     Err(_) => {
                                         // Stale proxy: drop and re-bind below.
-                                        bindings.borrow_mut().remove(name);
+                                        *binding = None;
                                     }
                                 }
                             }
@@ -457,9 +463,7 @@ impl CompositeSensorProvider {
                                 }
                                 Some(item) => {
                                     if cache_enabled {
-                                        bindings
-                                            .borrow_mut()
-                                            .insert(name.to_string(), item.service);
+                                        *binding = Some(item.service);
                                     }
                                     let res = exert_on_retry(
                                         env,
@@ -482,7 +486,7 @@ impl CompositeSensorProvider {
                                             Err(e) => failure = Some(e),
                                         },
                                         Err(e) => {
-                                            bindings.borrow_mut().remove(name);
+                                            *binding = None;
                                             failure = Some(format!(
                                                 "'{name}': provider unreachable: {e}"
                                             ));
@@ -633,7 +637,7 @@ impl CompositeSensorProvider {
         // lose to hierarchies (B2).
         env.consume(sensorcer_sim::time::SimDuration::from_micros(120) * collected.len() as u64);
 
-        let mut unit = String::new();
+        let mut unit = Text::Static("");
         let mut all_good = true;
         let mut errors: Vec<(usize, String)> = Vec::new();
         let mut readings: Vec<(&str, f64)> = Vec::with_capacity(collected.len());
@@ -825,7 +829,7 @@ impl CompositeSensorProvider {
             .put(paths::SENSOR_AT, env.now().as_nanos() as f64);
         task.context.put(
             paths::SENSOR_QUALITY,
-            if all_good { "good" } else { "suspect" },
+            Value::literal(if all_good { "good" } else { "suspect" }),
         );
         if !substituted.is_empty() {
             task.context

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
+use sensorcer_expr::Value;
 use sensorcer_registry::attributes::Entry;
 use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::ServiceItem;
@@ -19,6 +20,7 @@ use sensorcer_registry::renewal::RenewalHandle;
 use sensorcer_registry::txn::TxnId;
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::env::{Env, ServiceId};
+use sensorcer_sim::metrics::Key;
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::HostId;
 
@@ -33,14 +35,21 @@ pub mod gauges {
     pub const BATTERY: &str = "sensor.battery.level";
 }
 
+/// Where a served read stamps the per-host [`gauges`].
+struct HealthGauges {
+    host: HostId,
+    last_read: Key,
+    battery: Key,
+}
+
 /// The provider state.
 pub struct ElementarySensorProvider {
     name: String,
     exerted_by: Arc<str>,
     uuid: String,
-    /// Host this provider was deployed on; filled by [`deploy_esp`] so
-    /// reads can stamp per-host health gauges.
-    host: Option<HostId>,
+    /// The host this provider was deployed on and its gauge keys, resolved
+    /// once by [`deploy_esp`]; a provider never deployed stamps nothing.
+    health: Option<HealthGauges>,
     /// Crate-visible so tests and fault-injection benches can swap the
     /// probe behind a live provider ("replace the sensor in the field").
     pub(crate) probe: Box<dyn SensorProbe>,
@@ -55,7 +64,7 @@ impl ElementarySensorProvider {
             exerted_by: exerted_by(&name),
             name,
             uuid: String::new(),
-            host: None,
+            health: None,
             probe,
             store: RingStore::new(256),
             reads_total: 0,
@@ -113,30 +122,24 @@ impl ElementarySensorProvider {
             }
             Err(ProbeError::BatteryDead) => task.fail("sensor battery exhausted"),
         }
-        if let (Some(host), true) = (self.host, matches!(task.status, ExertionStatus::Done)) {
+        if let (Some(h), true) = (&self.health, matches!(task.status, ExertionStatus::Done)) {
             let now_ns = env.now().as_nanos() as f64;
+            env.metrics.set_host_gauge_key(h.host, h.last_read, now_ns);
             env.metrics
-                .set_host_gauge(host, gauges::LAST_READ_NS, now_ns);
-            env.metrics
-                .set_host_gauge(host, gauges::BATTERY, self.probe.battery_level());
+                .set_host_gauge_key(h.host, h.battery, self.probe.battery_level());
         }
     }
 
     fn handle_get_history(&mut self, task: &mut Task) {
         let count = task.context.get_f64("arg/count").unwrap_or(16.0).max(0.0) as usize;
         let recent = self.store.recent(count);
-        let values: Vec<sensorcer_expr::Value> = recent
+        let values = recent.iter().map(|m| Value::Float(m.value)).collect();
+        let times = recent
             .iter()
-            .map(|m| sensorcer_expr::Value::Float(m.value))
+            .map(|m| Value::Int(m.at.as_nanos() as i64))
             .collect();
-        let times: Vec<sensorcer_expr::Value> = recent
-            .iter()
-            .map(|m| sensorcer_expr::Value::Int(m.at.as_nanos() as i64))
-            .collect();
-        task.context
-            .put("history/values", sensorcer_expr::Value::List(values));
-        task.context
-            .put("history/times", sensorcer_expr::Value::List(times));
+        task.context.put("history/values", Value::List(values));
+        task.context.put("history/times", Value::List(times));
         task.status = ExertionStatus::Done;
     }
 
@@ -159,11 +162,11 @@ impl ElementarySensorProvider {
 pub fn write_measurement(ctx: &mut Context, m: &Measurement) {
     ctx.put(paths::SENSOR_VALUE, m.value);
     ctx.put(paths::RESULT, m.value);
-    ctx.put(paths::SENSOR_UNIT, m.unit.symbol());
+    ctx.put(paths::SENSOR_UNIT, Value::literal(m.unit.symbol()));
     ctx.put(paths::SENSOR_AT, m.at.as_nanos() as f64);
     ctx.put(
         paths::SENSOR_QUALITY,
-        if m.is_good() { "good" } else { "suspect" },
+        Value::literal(if m.is_good() { "good" } else { "suspect" }),
     );
 }
 
@@ -266,7 +269,11 @@ pub struct EspHandle {
 /// arrange lease renewal, and start background sampling if configured.
 pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
     let mut esp = ElementarySensorProvider::new(config.name.clone(), config.probe);
-    esp.host = Some(config.host);
+    esp.health = Some(HealthGauges {
+        host: config.host,
+        last_read: env.metrics.key(gauges::LAST_READ_NS),
+        battery: env.metrics.key(gauges::BATTERY),
+    });
     let service = env.deploy(config.host, config.name.clone(), ServicerBox::new(esp));
 
     let mut attributes = vec![

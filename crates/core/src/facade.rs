@@ -319,12 +319,12 @@ impl SensorcerFacade {
         let outcome: Result<(), String> = match &*selector {
             ops::LIST_SERVICES => {
                 let rows = self.list_services(env);
-                let list: Vec<Value> = rows
+                let list: Arc<[Value]> = rows
                     .iter()
                     .map(|r| {
                         let mut m = std::collections::BTreeMap::new();
-                        m.insert("name".to_string(), Value::Str(r.name.clone()));
-                        m.insert("type".to_string(), Value::Str(r.service_type.clone()));
+                        m.insert("name".to_string(), r.name.as_str().into());
+                        m.insert("type".to_string(), r.service_type.as_str().into());
                         Value::Map(m)
                     })
                     .collect();
@@ -333,17 +333,17 @@ impl SensorcerFacade {
             }
             ops::NETWORK_HEALTH => {
                 let rows = self.network_health(env);
-                let list: Vec<Value> = rows
+                let list: Arc<[Value]> = rows
                     .iter()
                     .map(|r| {
                         let mut m = std::collections::BTreeMap::new();
                         m.insert("host".to_string(), Value::Int(r.host.0 as i64));
-                        m.insert("name".to_string(), Value::Str(r.name.clone()));
-                        m.insert("kind".to_string(), Value::Str(r.kind.clone()));
+                        m.insert("name".to_string(), r.name.as_str().into());
+                        m.insert("kind".to_string(), r.kind.as_str().into());
                         m.insert("alive".to_string(), Value::Bool(r.alive));
                         m.insert(
                             "services".to_string(),
-                            Value::List(r.services.iter().cloned().map(Value::Str).collect()),
+                            Value::List(r.services.iter().map(|s| s.as_str().into()).collect()),
                         );
                         if let Some(age) = r.last_read_age_ns {
                             m.insert("last_read_age_ns".to_string(), Value::Int(age as i64));
@@ -464,16 +464,16 @@ impl SensorcerFacade {
                                 mgmt::ADD_SERVICE,
                                 Context::new().with("arg/service", child.as_str()),
                             ) {
-                                Ok(ctx) => vars.push(Value::Str(
-                                    ctx.get_str("mgmt/variable").unwrap_or("?").to_string(),
-                                )),
+                                Ok(ctx) => {
+                                    vars.push(ctx.get_str("mgmt/variable").unwrap_or("?").into())
+                                }
                                 Err(e) => {
                                     result = Err(e);
                                     break;
                                 }
                             }
                         }
-                        task.context.put("mgmt/variables", Value::List(vars));
+                        task.context.put("mgmt/variables", Value::List(vars.into()));
                         result
                     }
                     Some(_) => Err("composeService needs a non-empty arg/children list".into()),
@@ -676,7 +676,7 @@ impl FacadeHandle {
                     _ => None,
                 };
                 let s = |key: &str| match m.get(key) {
-                    Some(Value::Str(s)) => s.clone(),
+                    Some(Value::Str(s)) => s.to_string(),
                     _ => String::new(),
                 };
                 Some(HostHealth {
@@ -688,7 +688,7 @@ impl FacadeHandle {
                         Some(Value::List(svcs)) => svcs
                             .iter()
                             .filter_map(|v| match v {
-                                Value::Str(s) => Some(s.clone()),
+                                Value::Str(s) => Some(s.to_string()),
                                 _ => None,
                             })
                             .collect(),
@@ -816,7 +816,7 @@ impl FacadeHandle {
         composite: &str,
         children: &[&str],
     ) -> Result<Vec<String>, String> {
-        let list = Value::List(children.iter().map(|c| Value::Str(c.to_string())).collect());
+        let list = Value::List(children.iter().map(|&c| c.into()).collect());
         let ctx = self.run(
             env,
             from,
@@ -863,7 +863,7 @@ impl FacadeHandle {
         if !children.is_empty() {
             args.put(
                 "arg/children",
-                Value::List(children.iter().map(|c| Value::Str(c.to_string())).collect()),
+                Value::List(children.iter().map(|&c| c.into()).collect()),
             );
         }
         if let Some(e) = expression {

@@ -8,7 +8,7 @@
 //! the requestor.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use sensorcer_expr::Value;
 
@@ -18,10 +18,22 @@ use sensorcer_expr::Value;
 pub type Path = Cow<'static, str>;
 
 /// A hierarchical path→value data context.
+///
+/// One flat vector kept sorted by *(path length, path bytes)*: a lookup is
+/// a binary search that compares lengths first, and paths that share long
+/// prefixes (`sensor/value`, `sensor/unit`, `sensor/quality`, …) mostly
+/// differ in length, so a hit costs about one `memcmp` and a miss usually
+/// none. Two contexts with the same entries hold the same vector whatever
+/// order they were built in. Lexical order is not stored; [`Context::paths`]
+/// and [`Context::iter`] produce it.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Context {
-    entries: BTreeMap<Path, Value>,
+    entries: Vec<(Path, Value)>,
 }
+
+/// Room reserved by the first insert: a sensor reply carries five entries,
+/// a composite's up to seven.
+const TYPICAL_ENTRIES: usize = 8;
 
 /// Conventional context paths used across the reproduction.
 pub mod paths {
@@ -50,9 +62,27 @@ impl Context {
         Context::default()
     }
 
+    /// Where `path` is (`Ok`) or would be inserted (`Err`).
+    fn search(&self, path: &str) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|(k, _)| match k.len().cmp(&path.len()) {
+                Ordering::Equal => k.as_bytes().cmp(path.as_bytes()),
+                unequal => unequal,
+            })
+    }
+
     /// Insert/replace a value at `path`.
     pub fn put(&mut self, path: impl Into<Path>, value: impl Into<Value>) -> &mut Self {
-        self.entries.insert(path.into(), value.into());
+        let path = path.into();
+        match self.search(&path) {
+            Ok(i) => self.entries[i].1 = value.into(),
+            Err(i) => {
+                if self.entries.capacity() == 0 {
+                    self.entries.reserve_exact(TYPICAL_ENTRIES);
+                }
+                self.entries.insert(i, (path, value.into()));
+            }
+        }
         self
     }
 
@@ -64,17 +94,17 @@ impl Context {
 
     /// Value at `path`, if present.
     pub fn get(&self, path: &str) -> Option<&Value> {
-        self.entries.get(path)
+        self.search(path).ok().map(|i| &self.entries[i].1)
     }
 
     /// Numeric view of the value at `path`.
     pub fn get_f64(&self, path: &str) -> Option<f64> {
-        self.entries.get(path).and_then(Value::as_f64)
+        self.get(path).and_then(Value::as_f64)
     }
 
     /// String view of the value at `path`.
     pub fn get_str(&self, path: &str) -> Option<&str> {
-        match self.entries.get(path) {
+        match self.get(path) {
             Some(Value::Str(s)) => Some(s.as_str()),
             _ => None,
         }
@@ -82,21 +112,23 @@ impl Context {
 
     /// Remove a path, returning its value.
     pub fn remove(&mut self, path: &str) -> Option<Value> {
-        self.entries.remove(path)
+        self.search(path).ok().map(|i| self.entries.remove(i).1)
     }
 
     pub fn contains(&self, path: &str) -> bool {
-        self.entries.contains_key(path)
+        self.search(path).is_ok()
     }
 
     /// All paths in lexical order.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(|k| &**k)
+        self.iter().map(|(k, _)| k)
     }
 
-    /// (path, value) pairs in lexical order.
+    /// (path, value) pairs in lexical order, sorted on demand.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.entries.iter().map(|(k, v)| (&**k, v))
+        let mut pairs: Vec<(&str, &Value)> = self.entries.iter().map(|(k, v)| (&**k, v)).collect();
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        pairs.into_iter()
     }
 
     pub fn len(&self) -> usize {
@@ -110,9 +142,9 @@ impl Context {
     /// Copy every entry of `other` into this context under the prefix
     /// `prefix/` — how a job folds child-task results into its own context.
     pub fn merge_under(&mut self, prefix: &str, other: &Context) {
+        self.entries.reserve(other.entries.len());
         for (k, v) in &other.entries {
-            self.entries
-                .insert(format!("{prefix}/{k}").into(), v.clone());
+            self.put(format!("{prefix}/{k}"), v.clone());
         }
     }
 
@@ -120,13 +152,13 @@ impl Context {
     /// stripped.
     pub fn subcontext(&self, prefix: &str) -> Context {
         let lead = format!("{prefix}/");
-        let mut out = Context::new();
-        for (k, v) in &self.entries {
-            if let Some(rest) = k.strip_prefix(&lead) {
-                out.entries.insert(rest.to_string().into(), v.clone());
-            }
-        }
-        out
+        // Stripping one prefix from each keeps (length, bytes) order.
+        let entries = self
+            .entries
+            .iter()
+            .filter_map(|(k, v)| Some((k.strip_prefix(&lead)?.to_string().into(), v.clone())))
+            .collect();
+        Context { entries }
     }
 
     /// Approximate wire size of the context (path bytes + value payloads),

@@ -15,7 +15,7 @@ fn gen_value(g: &mut Gen) -> Value {
         1 => Value::Bool(g.bool()),
         2 => Value::Int(g.i64()),
         3 => Value::Float(g.f64_in(-1e9, 1e9)),
-        _ => Value::Str(g.ascii_string(24)),
+        _ => Value::Str(g.ascii_string(24).into()),
     }
 }
 

@@ -12,7 +12,7 @@ fn get_value_request() -> Task {
         Signature::new("SensorDataAccessor", "getValue").on("Neem-Sensor"),
         Context::new().with(
             "composite/visited",
-            Value::List(vec![Value::Str("Subnet-Composite".into())]),
+            Value::List(vec![Value::Str("Subnet-Composite".into())].into()),
         ),
     )
 }

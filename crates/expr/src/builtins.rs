@@ -133,7 +133,7 @@ pub fn call_builtin(name: &str, args: &[Value]) -> Option<Result<Value, ExprErro
             if args.len() != 1 {
                 Err(arity(name, "1", args.len()))
             } else {
-                Ok(Value::Str(args[0].to_string()))
+                Ok(args[0].to_string().into())
             }
         }
         "int" => {
@@ -279,7 +279,7 @@ mod tests {
             call("avg", &nums(&[1.0, 2.0, 3.0])).unwrap(),
             Value::Float(2.0)
         );
-        let list = Value::List(nums(&[1.0, 2.0, 3.0]));
+        let list = Value::List(nums(&[1.0, 2.0, 3.0]).into());
         assert_eq!(call("avg", &[list]).unwrap(), Value::Float(2.0));
         assert_eq!(call("sum", &nums(&[1.5, 2.5])).unwrap(), Value::Float(4.0));
         assert_eq!(
@@ -365,7 +365,7 @@ mod tests {
             Value::Int(1)
         );
         assert_eq!(call("last", &[l]).unwrap(), Value::Int(3));
-        assert!(call("first", &[Value::List(vec![])]).is_err());
+        assert!(call("first", &[Value::List(vec![].into())]).is_err());
     }
 
     #[test]

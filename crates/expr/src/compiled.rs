@@ -197,7 +197,7 @@ fn lower_expr(e: &Expr, slots: &mut BTreeMap<String, u32>, names: &mut Vec<Strin
         Expr::ListLit(items) => {
             let lowered: Vec<CExpr> = items.iter().map(|e| lower_expr(e, slots, names)).collect();
             if let Some(vals) = all_lits(&lowered) {
-                CExpr::Lit(Value::List(vals))
+                CExpr::Lit(Value::List(vals.into()))
             } else {
                 CExpr::ListLit(lowered)
             }
@@ -375,7 +375,7 @@ impl SlotEval<'_> {
                 for e in items {
                     out.push(self.eval(e)?);
                 }
-                Ok(Value::List(out))
+                Ok(Value::List(out.into()))
             }
             CExpr::MapLit(pairs) => {
                 let mut out = BTreeMap::new();

@@ -142,7 +142,7 @@ impl<'s> Evaluator<'s> {
                 for e in items {
                     out.push(self.eval(e)?);
                 }
-                Ok(Value::List(out))
+                Ok(Value::List(out.into()))
             }
             Expr::MapLit(pairs) => {
                 let mut out = BTreeMap::new();

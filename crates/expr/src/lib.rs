@@ -43,4 +43,4 @@ pub use error::{ExprError, Pos};
 pub use interp::{eval_expr, eval_script, eval_script_with_budget, Scope};
 pub use parser::{parse, parse_expr};
 pub use program::{eval_str, Program};
-pub use value::Value;
+pub use value::{Text, Value};

@@ -302,7 +302,7 @@ impl<'s> Parser<'s> {
         match self.next() {
             Some(Tok::Int(i)) => Ok(Expr::Lit(Value::Int(i))),
             Some(Tok::Float(f)) => Ok(Expr::Lit(Value::Float(f))),
-            Some(Tok::Str(s)) => Ok(Expr::Lit(Value::Str(s))),
+            Some(Tok::Str(s)) => Ok(Expr::Lit(Value::Str(s.into()))),
             Some(Tok::True) => Ok(Expr::Lit(Value::Bool(true))),
             Some(Tok::False) => Ok(Expr::Lit(Value::Bool(false))),
             Some(Tok::Null) => Ok(Expr::Lit(Value::Null)),

@@ -11,23 +11,86 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::ExprError;
 
-/// A dynamically typed value.
+/// Immutable text: a literal borrowed for the life of the program, or one
+/// allocation shared by every clone. Cloning never copies characters, so a
+/// unit symbol or a provider name rides through a federation of contexts
+/// for the price of a pointer. Compares and prints as its `str`.
+#[derive(Clone)]
+pub enum Text {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl Text {
+    pub fn as_str(&self) -> &str {
+        match self {
+            Text::Static(s) => s,
+            Text::Shared(s) => s,
+        }
+    }
+}
+
+impl std::ops::Deref for Text {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Text {
+    fn eq(&self, other: &Text) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+impl Eq for Text {}
+
+impl fmt::Debug for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl From<&str> for Text {
+    fn from(s: &str) -> Text {
+        Text::Shared(s.into())
+    }
+}
+impl From<String> for Text {
+    fn from(s: String) -> Text {
+        Text::Shared(s.into())
+    }
+}
+
+/// A dynamically typed value. Cloning one never copies characters or list
+/// elements: text and lists are immutable and shared.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
-    List(Vec<Value>),
+    Str(Text),
+    List(Arc<[Value]>),
     /// Map with string keys (deterministic iteration order).
     Map(BTreeMap<String, Value>),
 }
 
 impl Value {
+    /// A string value that borrows a literal instead of allocating.
+    pub fn literal(s: &'static str) -> Value {
+        Value::Str(Text::Static(s))
+    }
+
     /// Groovy truthiness: null/false/0/0.0/`""`/`[]`/`[:]` are falsy.
     pub fn truthy(&self) -> bool {
         match self {
@@ -97,12 +160,10 @@ impl Value {
             (a, b) if a.is_number() && b.is_number() => {
                 Ok(Value::Float(a.num("+", b)? + b.num("+", a)?))
             }
-            (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-            (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+            (Value::Str(a), b) => Ok(format!("{a}{b}").into()),
+            (a, Value::Str(b)) => Ok(format!("{a}{b}").into()),
             (Value::List(a), Value::List(b)) => {
-                let mut out = a.clone();
-                out.extend(b.iter().cloned());
-                Ok(Value::List(out))
+                Ok(Value::List(a.iter().chain(b.iter()).cloned().collect()))
             }
             (a, b) => Err(Self::type_err("+", a, b)),
         }
@@ -132,7 +193,7 @@ impl Value {
                         detail: "cannot repeat a string a negative number of times".into(),
                     })
                 } else {
-                    Ok(Value::Str(s.repeat(*n as usize)))
+                    Ok(s.repeat(*n as usize).into())
                 }
             }
             (a, b) => Err(Self::type_err("*", a, b)),
@@ -258,7 +319,7 @@ impl Value {
                     Ok(xs[j as usize].clone())
                 }
             }
-            (Value::Map(m), Value::Str(k)) => Ok(m.get(k).cloned().unwrap_or(Value::Null)),
+            (Value::Map(m), Value::Str(k)) => Ok(m.get(k.as_str()).cloned().unwrap_or(Value::Null)),
             (Value::Str(s), Value::Int(i)) => {
                 let chars: Vec<char> = s.chars().collect();
                 let n = chars.len() as i64;
@@ -268,7 +329,7 @@ impl Value {
                         detail: format!("index {i} out of bounds for string of length {n}"),
                     })
                 } else {
-                    Ok(Value::Str(chars[j as usize].to_string()))
+                    Ok(chars[j as usize].to_string().into())
                 }
             }
             (v, i) => Err(ExprError::BadIndex {
@@ -341,11 +402,16 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
+        Value::Str(s.into())
+    }
+}
+impl From<Text> for Value {
+    fn from(s: Text) -> Self {
         Value::Str(s)
     }
 }
@@ -365,8 +431,8 @@ mod tests {
         assert!(!Value::Bool(false).truthy());
         assert!(!Value::Int(0).truthy());
         assert!(!Value::Float(0.0).truthy());
-        assert!(!Value::Str(String::new()).truthy());
-        assert!(!Value::List(vec![]).truthy());
+        assert!(!Value::Str("".into()).truthy());
+        assert!(!Value::List(vec![].into()).truthy());
         assert!(Value::Int(-3).truthy());
         assert!(Value::Str("x".into()).truthy());
     }

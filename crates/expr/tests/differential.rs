@@ -29,7 +29,7 @@ fn same_value(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => x == y || (x.is_nan() && y.is_nan()),
         (Value::List(xs), Value::List(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_value(x, y))
+            xs.len() == ys.len() && xs.iter().zip(ys.iter()).all(|(x, y)| same_value(x, y))
         }
         (Value::Map(xs), Value::Map(ys)) => {
             xs.len() == ys.len()

@@ -29,7 +29,7 @@ use sensorcer_runtime::ThreadPool;
 use sensorcer_trace::{FieldValue, FlightRecorder, Outcome, SpanId};
 
 use crate::hb::{HbTracker, HbViolation};
-use crate::metrics::{keys, Metrics};
+use crate::metrics::{keys, Key, Metrics};
 use crate::race::{RaceReport, ShadowState};
 use crate::rng::SimRng;
 use crate::shard::{ShardStats, ShardedQueue, TimerCallback, TimerKey};
@@ -127,11 +127,42 @@ pub struct LifecycleEvent {
     pub info: u64,
 }
 
+/// The kernel's own counters ([`keys`]), resolved when the registry is
+/// built: every call writes several of them.
+struct NetKeys {
+    bytes_payload: Key,
+    bytes_wire: Key,
+    packets: Key,
+    calls_ok: Key,
+    calls_failed: Key,
+    packets_lost: Key,
+    retransmits: Key,
+    multicasts: Key,
+}
+
+impl NetKeys {
+    fn resolve(metrics: &mut Metrics) -> NetKeys {
+        NetKeys {
+            bytes_payload: metrics.key(keys::BYTES_PAYLOAD),
+            bytes_wire: metrics.key(keys::BYTES_WIRE),
+            packets: metrics.key(keys::PACKETS),
+            calls_ok: metrics.key(keys::CALLS_OK),
+            calls_failed: metrics.key(keys::CALLS_FAILED),
+            packets_lost: metrics.key(keys::PACKETS_LOST),
+            retransmits: metrics.key(keys::RETRANSMITS),
+            multicasts: metrics.key(keys::MULTICASTS),
+        }
+    }
+}
+
 /// The simulation world. See the module docs for the interaction model.
 pub struct Env {
     pub config: EnvConfig,
     pub topo: Topology,
+    /// The telemetry registry. Its `net.*` keys are resolved into `net`, so
+    /// reset it with [`Metrics::clear`], never by assigning a new registry.
     pub metrics: Metrics,
+    net: NetKeys,
     clock: SimTime,
     rng: SimRng,
     /// The timer store: one heap when sequential, per-subnet shards once
@@ -204,11 +235,13 @@ pub struct WindowObservation {
 
 impl Env {
     pub fn new(config: EnvConfig) -> Self {
+        let mut metrics = Metrics::new();
         Env {
             rng: SimRng::new(config.seed),
             config,
             topo: Topology::new(),
-            metrics: Metrics::new(),
+            net: NetKeys::resolve(&mut metrics),
+            metrics,
             clock: SimTime::ZERO,
             timer_queue: ShardedQueue::new(),
             next_timer_seq: 0,
@@ -799,15 +832,17 @@ impl Env {
         let wire = stack.bytes_on_wire(payload);
 
         self.metrics
-            .add_host(from, keys::BYTES_PAYLOAD, payload as u64);
-        self.metrics.add_host(from, keys::BYTES_WIRE, wire as u64);
-        self.metrics.add_host(from, keys::PACKETS, packets as u64);
+            .add_host_key(from, self.net.bytes_payload, payload as u64);
+        self.metrics
+            .add_host_key(from, self.net.bytes_wire, wire as u64);
+        self.metrics
+            .add_host_key(from, self.net.packets, packets as u64);
 
         let mut extra = SimDuration::ZERO;
         for _ in 0..packets {
             let mut attempts = 0u32;
             while self.rng.chance(link.loss) {
-                self.metrics.add(keys::PACKETS_LOST, 1);
+                self.metrics.add_key(self.net.packets_lost, 1);
                 if !stack.is_reliable() {
                     // Fire-and-forget: the requestor only notices at its
                     // timeout.
@@ -821,9 +856,12 @@ impl Env {
                 }
                 // Retransmission: another copy of the packet on the wire
                 // after an RTO-ish back-off.
-                self.metrics.add(keys::RETRANSMITS, 1);
-                self.metrics
-                    .add_host(from, keys::BYTES_WIRE, stack.header_bytes() as u64 + 64);
+                self.metrics.add_key(self.net.retransmits, 1);
+                self.metrics.add_host_key(
+                    from,
+                    self.net.bytes_wire,
+                    stack.header_bytes() as u64 + 64,
+                );
                 extra += link.base_latency * 2u64.pow(attempts.min(6));
             }
         }
@@ -857,7 +895,7 @@ impl Env {
             None => {
                 // Host may well be up: a connection is refused quickly.
                 self.clock += SimDuration::from_micros(500);
-                self.metrics.add(keys::CALLS_FAILED, 1);
+                self.metrics.add_key(self.net.calls_failed, 1);
                 return Err(NetError::NoSuchService);
             }
         };
@@ -866,18 +904,19 @@ impl Env {
 
         if let Err(e) = self.topo.check_path(from, dest) {
             self.clock += self.config.call_timeout;
-            self.metrics.add(keys::CALLS_FAILED, 1);
+            self.metrics.add_key(self.net.calls_failed, 1);
             return Err(e);
         }
 
         // Connection management overhead (charged once per exchange).
         let setup = stack.setup_bytes();
         if setup > 0 {
-            self.metrics.add_host(from, keys::BYTES_WIRE, setup as u64);
+            self.metrics
+                .add_host_key(from, self.net.bytes_wire, setup as u64);
         }
 
         if let Err(e) = self.transfer(from, dest, stack, req_bytes) {
-            self.metrics.add(keys::CALLS_FAILED, 1);
+            self.metrics.add_key(self.net.calls_failed, 1);
             return Err(e);
         }
         self.hb_deliver(from, dest);
@@ -891,7 +930,7 @@ impl Env {
                     // Re-entrant call: this service is already executing a
                     // request somewhere up the current call chain — a call
                     // cycle. Surface it as an error instead of panicking.
-                    self.metrics.add(keys::CALLS_FAILED, 1);
+                    self.metrics.add_key(self.net.calls_failed, 1);
                     return Err(NetError::Busy);
                 }
             };
@@ -902,12 +941,12 @@ impl Env {
         };
 
         if let Err(e) = self.transfer(dest, from, stack, resp_bytes) {
-            self.metrics.add(keys::CALLS_FAILED, 1);
+            self.metrics.add_key(self.net.calls_failed, 1);
             return Err(e);
         }
         self.hb_deliver(dest, from);
 
-        self.metrics.add(keys::CALLS_OK, 1);
+        self.metrics.add_key(self.net.calls_ok, 1);
         Ok(value)
     }
 
@@ -938,13 +977,14 @@ impl Env {
         stack: ProtocolStack,
         payload: usize,
     ) -> Vec<HostId> {
-        self.metrics.add(keys::MULTICASTS, 1);
+        self.metrics.add_key(self.net.multicasts, 1);
         let wire = stack.bytes_on_wire(payload);
         self.metrics
-            .add_host(from, keys::BYTES_PAYLOAD, payload as u64);
-        self.metrics.add_host(from, keys::BYTES_WIRE, wire as u64);
+            .add_host_key(from, self.net.bytes_payload, payload as u64);
         self.metrics
-            .add_host(from, keys::PACKETS, stack.packets_for(payload) as u64);
+            .add_host_key(from, self.net.bytes_wire, wire as u64);
+        self.metrics
+            .add_host_key(from, self.net.packets, stack.packets_for(payload) as u64);
 
         let members = self.topo.group_members(group);
         let mut delivered = Vec::new();
@@ -955,7 +995,7 @@ impl Env {
             }
             let link = self.topo.link(from, m);
             if self.rng.chance(link.loss) {
-                self.metrics.add(keys::PACKETS_LOST, 1);
+                self.metrics.add_key(self.net.packets_lost, 1);
                 continue;
             }
             max_delay = max_delay.max(link.delay(wire, &mut self.rng));

@@ -14,6 +14,9 @@
 //! Keys are interned on first sight: a write whose key (and label) has
 //! been seen before allocates nothing, and no getter ever allocates. Ids
 //! are handed out in arrival order, so every iterator orders by *name*.
+//! A caller that writes the same name on a hot path resolves it once with
+//! [`Metrics::key`] and writes through the [`Key`]; the string-keyed
+//! methods are "resolve, then the same write".
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -22,10 +25,12 @@ use sensorcer_trace::Histogram;
 
 use crate::topology::HostId;
 
-/// Index of an interned key's [`Slot`].
-type KeyId = u32;
+/// A metric name resolved by [`Metrics::key`]: the index of its [`Slot`].
+/// Belongs to the registry that issued it and outlives [`Metrics::clear`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Key(u32);
 
-/// Everything recorded under one key, except the per-host breakdowns.
+/// Everything recorded under one key.
 #[derive(Debug)]
 struct Slot {
     name: Arc<str>,
@@ -33,6 +38,31 @@ struct Slot {
     gauge: Option<f64>,
     samples: Option<Histogram>,
     labels: BTreeMap<Box<str>, u64>,
+    /// Per-host breakdown of `counter`, indexed by host id and as long as
+    /// the highest host that wrote; `None` where a host never did.
+    per_host: Vec<Option<u64>>,
+    /// Per-host gauges, laid out like `per_host`.
+    host_gauges: Vec<Option<f64>>,
+}
+
+/// The cell of `host` in a per-host vector, grown to reach it. Growth is
+/// exact: the vectors of a 20 000-host world are most of the registry, and
+/// doubling would leave up to half of each unused.
+fn host_cell<T: Copy>(cells: &mut Vec<Option<T>>, host: HostId) -> &mut Option<T> {
+    let i = host.0 as usize;
+    if i >= cells.len() {
+        cells.reserve_exact(i + 1 - cells.len());
+        cells.resize(i + 1, None);
+    }
+    &mut cells[i]
+}
+
+/// The written cells of a per-host vector, in host order.
+fn written<T: Copy>(cells: &[Option<T>]) -> impl Iterator<Item = (HostId, T)> + '_ {
+    cells
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| Some((HostId(i as u32), (*v)?)))
 }
 
 /// Monotonic counters, gauges, and bounded sample histograms for one
@@ -40,11 +70,8 @@ struct Slot {
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Key name → slot index, in name order. Survives [`Metrics::clear`].
-    ids: BTreeMap<Arc<str>, KeyId>,
+    ids: BTreeMap<Arc<str>, Key>,
     slots: Vec<Slot>,
-    /// Sparse: only (host, key) pairs that were written.
-    per_host: BTreeMap<(HostId, KeyId), u64>,
-    host_gauges: BTreeMap<(HostId, KeyId), f64>,
 }
 
 impl Metrics {
@@ -53,16 +80,18 @@ impl Metrics {
     }
 
     fn slot(&self, key: &str) -> Option<&Slot> {
-        self.ids.get(key).map(|&id| &self.slots[id as usize])
+        self.ids.get(key).map(|&id| &self.slots[id.0 as usize])
     }
 
-    fn intern(&mut self, key: &str) -> KeyId {
-        if let Some(&id) = self.ids.get(key) {
+    /// Resolve `name` to the key that writes it, interning it on first
+    /// sight. Resolving registers nothing a getter or iterator can see.
+    pub fn key(&mut self, name: &str) -> Key {
+        if let Some(&id) = self.ids.get(name) {
             return id;
         }
         // lint:allow(unwrap): keys are names written in the source, not data
-        let id = KeyId::try_from(self.slots.len()).expect("fewer than 2^32 metric keys");
-        let name: Arc<str> = key.into();
+        let id = Key(u32::try_from(self.slots.len()).expect("fewer than 2^32 metric keys"));
+        let name: Arc<str> = name.into();
         self.ids.insert(Arc::clone(&name), id);
         self.slots.push(Slot {
             name,
@@ -70,31 +99,47 @@ impl Metrics {
             gauge: None,
             samples: None,
             labels: BTreeMap::new(),
+            per_host: Vec::new(),
+            host_gauges: Vec::new(),
         });
         id
     }
 
     fn slot_mut(&mut self, key: &str) -> &mut Slot {
-        let id = self.intern(key);
-        &mut self.slots[id as usize]
+        let id = self.key(key);
+        &mut self.slots[id.0 as usize]
     }
 
     /// Slots in key-name order.
     fn by_name(&self) -> impl Iterator<Item = &Slot> {
-        self.ids.values().map(|&id| &self.slots[id as usize])
+        self.ids.values().map(|&id| &self.slots[id.0 as usize])
     }
 
     /// Add `n` to the counter `key`.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.slot_mut(key).counter.get_or_insert(0) += n;
+        let key = self.key(key);
+        self.add_key(key, n);
+    }
+
+    /// [`Metrics::add`] through a resolved key.
+    #[inline]
+    pub fn add_key(&mut self, key: Key, n: u64) {
+        *self.slots[key.0 as usize].counter.get_or_insert(0) += n;
     }
 
     /// Add `n` to the counter `key` attributed to `host` (and to the global
     /// counter of the same name).
     pub fn add_host(&mut self, host: HostId, key: &str, n: u64) {
-        let id = self.intern(key);
-        *self.slots[id as usize].counter.get_or_insert(0) += n;
-        *self.per_host.entry((host, id)).or_insert(0) += n;
+        let key = self.key(key);
+        self.add_host_key(host, key, n);
+    }
+
+    /// [`Metrics::add_host`] through a resolved key.
+    #[inline]
+    pub fn add_host_key(&mut self, host: HostId, key: Key, n: u64) {
+        let slot = &mut self.slots[key.0 as usize];
+        *slot.counter.get_or_insert(0) += n;
+        *host_cell(&mut slot.per_host, host).get_or_insert(0) += n;
     }
 
     /// Current value of a counter (0 if never touched).
@@ -104,10 +149,8 @@ impl Metrics {
 
     /// Current per-host value of a counter.
     pub fn get_host(&self, host: HostId, key: &str) -> u64 {
-        self.ids
-            .get(key)
-            .and_then(|&id| self.per_host.get(&(host, id)))
-            .copied()
+        self.slot(key)
+            .and_then(|s| *s.per_host.get(host.0 as usize)?)
             .unwrap_or(0)
     }
 
@@ -153,14 +196,19 @@ impl Metrics {
 
     /// Set a per-host gauge (e.g. `sensor.read.last_ns` on a mote).
     pub fn set_host_gauge(&mut self, host: HostId, key: &str, value: f64) {
-        let id = self.intern(key);
-        self.host_gauges.insert((host, id), value);
+        let key = self.key(key);
+        self.set_host_gauge_key(host, key, value);
+    }
+
+    /// [`Metrics::set_host_gauge`] through a resolved key.
+    #[inline]
+    pub fn set_host_gauge_key(&mut self, host: HostId, key: Key, value: f64) {
+        *host_cell(&mut self.slots[key.0 as usize].host_gauges, host) = Some(value);
     }
 
     /// Read a per-host gauge, if ever set.
     pub fn host_gauge(&self, host: HostId, key: &str) -> Option<f64> {
-        let id = *self.ids.get(key)?;
-        self.host_gauges.get(&(host, id)).copied()
+        *self.slot(key)?.host_gauges.get(host.0 as usize)?
     }
 
     /// Record one sample into the named series (latencies, sizes, ...).
@@ -197,12 +245,11 @@ impl Metrics {
     /// All per-host gauges, in (host, key) order.
     pub fn host_gauges(&self) -> impl Iterator<Item = (HostId, &str, f64)> {
         let mut all: Vec<(HostId, &str, f64)> = self
-            .host_gauges
-            .iter()
-            .map(|(&(h, id), &v)| (h, &*self.slots[id as usize].name, v))
+            .by_name()
+            .flat_map(|s| written(&s.host_gauges).map(|(h, v)| (h, &*s.name, v)))
             .collect();
-        // The map orders a host's gauges by id, which is arrival order.
-        all.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+        // Stable: a host's gauges stay in the name order they arrived in.
+        all.sort_by_key(|&(h, _, _)| h);
         all.into_iter()
     }
 
@@ -217,31 +264,26 @@ impl Metrics {
     /// gauges, sample series) — the raw material for the runtime naming
     /// audit in `harness lint` and for observers that subscribe by key.
     pub fn all_keys(&self) -> BTreeSet<String> {
-        let in_slot = self.slots.iter().filter(|s| {
-            s.counter.is_some() || s.gauge.is_some() || s.samples.is_some() || !s.labels.is_empty()
-        });
         // A per-host counter always has its global counter; a per-host
         // gauge may be the only thing recorded under its key.
-        let host_only = self
-            .host_gauges
-            .keys()
-            .map(|&(_, id)| &self.slots[id as usize]);
-        in_slot
-            .chain(host_only)
+        self.slots
+            .iter()
+            .filter(|s| {
+                s.counter.is_some()
+                    || s.gauge.is_some()
+                    || s.samples.is_some()
+                    || !s.labels.is_empty()
+                    || written(&s.host_gauges).next().is_some()
+            })
             .map(|s| s.name.to_string())
             .collect()
     }
 
     /// Per-host counters for a key, in host order.
     pub fn hosts_for(&self, key: &str) -> Vec<(HostId, u64)> {
-        let Some(&id) = self.ids.get(key) else {
-            return Vec::new();
-        };
-        self.per_host
-            .iter()
-            .filter(|((_, k), _)| *k == id)
-            .map(|((h, _), v)| (*h, *v))
-            .collect()
+        self.slot(key)
+            .map(|s| written(&s.per_host).collect())
+            .unwrap_or_default()
     }
 
     /// Reset everything (used between benchmark phases sharing an Env).
@@ -252,9 +294,9 @@ impl Metrics {
             s.gauge = None;
             s.samples = None;
             s.labels.clear();
+            s.per_host.clear();
+            s.host_gauges.clear();
         }
-        self.per_host.clear();
-        self.host_gauges.clear();
     }
 
     /// Difference of a counter against a previous snapshot value.

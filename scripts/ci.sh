@@ -103,8 +103,12 @@
 #                           back in the timer engine) or @
 #                           `registry_churn` reaches 1 500 (a lookup is
 #                           copying its results, or serialising an item
-#                           to learn its size, again). Timings from a
-#                           2 s pass are not comparable with anything.
+#                           to learn its size, again), @ `flat_read`
+#                           reaches 250 or @ `tree_read` 2 600 (a child
+#                           request deep-copies the breadcrumb, or a
+#                           reply allocates its unit and quality text,
+#                           again). Timings from a 2 s pass are not
+#                           comparable with anything.
 #
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
@@ -411,8 +415,12 @@ if [ "$yardstick" -eq 1 ]; then
         # re-queued by move, 4 488 when every firing boxed a fresh closure.
         # registry_churn: 341 while lookups share the stored items and
         # sizes are added up, 5 013 when every matched item was deep-cloned
-        # and encoded into a scratch buffer to be measured.
-        for gate in mote_scale:500 registry_churn:1500; do
+        # and encoded into a scratch buffer to be measured. flat_read /
+        # tree_read: 147 / 1 476 while a child request shares its parent's
+        # breadcrumb and a reply carries literals, 406 / 5 183 when every
+        # request deep-copied the list and every reply allocated "°C" and
+        # "good" (and a B-tree node to hold them).
+        for gate in mote_scale:500 registry_churn:1500 flat_read:250 tree_read:2600; do
             workload=${gate%:*}
             limit=${gate#*:}
             allocs=$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.]*\).*/\1/p' \

@@ -1,14 +1,16 @@
 //! Differential oracle for the telemetry registry: `Metrics` interns its
-//! keys and stores values by id, so everything a caller can observe —
-//! every getter and every iterator, *including order* — is checked here
-//! against a plain string-keyed `BTreeMap` model over generated operation
-//! sequences. `TelemetrySampler`, the Perfetto counter tracks and the
-//! committed artifact fingerprints all read those iterators.
+//! keys, stores values by id and per-host values in vectors indexed by
+//! host, and can be written by name or through a resolved `Key` — so
+//! everything a caller can observe — every getter and every iterator,
+//! *including order* — is checked here against a plain string-keyed
+//! `BTreeMap` model over generated operation sequences that mix both write
+//! paths. `TelemetrySampler`, the Perfetto counter tracks and the committed
+//! artifact fingerprints all read those iterators.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use sensorcer_suite::sim::check::{run_cases, Gen};
-use sensorcer_suite::sim::metrics::Metrics;
+use sensorcer_suite::sim::metrics::{Key, Metrics};
 use sensorcer_suite::sim::topology::HostId;
 
 // Small alphabets, listed out of name order so that arrival order (the
@@ -42,22 +44,34 @@ impl Model {
     }
 }
 
-/// One generated operation, applied to both sides.
-fn step(g: &mut Gen, m: &mut Metrics, model: &mut Model) {
+/// One generated operation, applied to both sides. The three writes that
+/// have a key-based twin take it half the time, through a key resolved at
+/// its first such use and `held` from then on — across every later
+/// `clear()` of the case.
+fn step(g: &mut Gen, m: &mut Metrics, model: &mut Model, held: &mut BTreeMap<&'static str, Key>) {
     let key = *g.pick(&KEYS);
     let host = *g.pick(&HOSTS);
     let label = *g.pick(&LABELS);
+    let resolved = g
+        .chance(0.5)
+        .then(|| *held.entry(key).or_insert_with(|| m.key(key)));
     match g.u64_in(0, 20) {
         0..=3 => {
             // Zero is a legal increment and still registers the counter.
             let n = g.u64_in(0, 4);
-            m.add(key, n);
+            match resolved {
+                Some(k) => m.add_key(k, n),
+                None => m.add(key, n),
+            }
             *model.counters.entry(key.to_string()).or_insert(0) += n;
         }
         4..=8 => {
             // Often the first sight of a key.
             let n = g.u64_in(0, 1000);
-            m.add_host(host, key, n);
+            match resolved {
+                Some(k) => m.add_host_key(host, k, n),
+                None => m.add_host(host, key, n),
+            }
             *model.counters.entry(key.to_string()).or_insert(0) += n;
             *model.per_host.entry((host, key.to_string())).or_insert(0) += n;
         }
@@ -76,7 +90,10 @@ fn step(g: &mut Gen, m: &mut Metrics, model: &mut Model) {
         }
         14..=16 => {
             let v = g.f64_in(0.0, 1.0);
-            m.set_host_gauge(host, key, v);
+            match resolved {
+                Some(k) => m.set_host_gauge_key(host, k, v),
+                None => m.set_host_gauge(host, key, v),
+            }
             model.host_gauges.insert((host, key.to_string()), v);
         }
         17..=18 => {
@@ -196,12 +213,91 @@ fn interned_metrics_match_the_string_keyed_model() {
     run_cases("interned_metrics_match_the_string_keyed_model", 128, |g| {
         let mut m = Metrics::new();
         let mut model = Model::default();
+        let mut held = BTreeMap::new();
+        // Resolving a name registers nothing: the model never hears of it.
+        m.key("resolved.never.written");
         assert_same(&m, &model);
         for _ in 0..g.usize_in(20, 120) {
-            step(g, &mut m, &mut model);
+            step(g, &mut m, &mut model, &mut held);
             assert_same(&m, &model);
         }
     });
+}
+
+/// The key API's corners, pinned: what a resolved key is and is not.
+#[test]
+fn a_resolved_key_is_the_name_it_was_resolved_from() {
+    let mut m = Metrics::new();
+    let wire = m.key("net.bytes.wire");
+    assert_eq!(m.key("net.bytes.wire"), wire, "resolving twice is one key");
+    assert!(
+        m.all_keys().is_empty(),
+        "a resolved key is not a metric yet"
+    );
+    assert_eq!(m.counters().count(), 0);
+
+    // Both paths land in the same counter and the same per-host cell.
+    m.add_host_key(HostId(3), wire, 10);
+    m.add_host(HostId(3), "net.bytes.wire", 5);
+    m.add_key(wire, 1);
+    m.add("net.bytes.wire", 1);
+    assert_eq!(m.get("net.bytes.wire"), 17);
+    assert_eq!(m.get_host(HostId(3), "net.bytes.wire"), 15);
+
+    // A host that wrote zero is a host that wrote: it stays listed, and
+    // the hosts between it and its neighbours, which never wrote, do not
+    // appear.
+    m.add_host_key(HostId(9), wire, 0);
+    m.add_host(HostId(6), "net.bytes.wire", 0);
+    assert_eq!(
+        m.hosts_for("net.bytes.wire"),
+        vec![(HostId(3), 15), (HostId(6), 0), (HostId(9), 0)]
+    );
+    assert_eq!(m.get_host(HostId(4), "net.bytes.wire"), 0);
+    assert_eq!(m.get_host(HostId(10), "net.bytes.wire"), 0);
+
+    // A key taken before `clear()` writes after it, to a clean slate.
+    let battery = m.key("sensor.battery.level");
+    m.set_host_gauge_key(HostId(2), battery, 0.5);
+    m.clear();
+    assert!(m.hosts_for("net.bytes.wire").is_empty());
+    assert_eq!(m.host_gauge(HostId(2), "sensor.battery.level"), None);
+    m.add_host_key(HostId(1), wire, 4);
+    m.set_host_gauge_key(HostId(0), battery, 0.25);
+    assert_eq!(m.hosts_for("net.bytes.wire"), vec![(HostId(1), 4)]);
+    assert_eq!(
+        m.host_gauges().collect::<Vec<_>>(),
+        vec![(HostId(0), "sensor.battery.level", 0.25)]
+    );
+    assert_eq!(m.key("net.bytes.wire"), wire, "names outlive a clear");
+}
+
+/// `mote_scale` has 20 032 hosts and the last of them writes: per-host
+/// storage reaches it without the hosts below it becoming visible.
+#[test]
+fn the_highest_host_of_a_20_000_host_world_writes() {
+    let mut m = Metrics::new();
+    let top = HostId(19_999);
+    let packets = m.key("net.packets.sent");
+    m.add_host_key(top, packets, 2);
+    m.set_host_gauge(top, "sensor.read.last_ns", 1e9);
+    m.add_host(HostId(0), "net.packets.sent", 1);
+    assert_eq!(m.get("net.packets.sent"), 3);
+    assert_eq!(m.get_host(top, "net.packets.sent"), 2);
+    assert_eq!(m.get_host(HostId(19_998), "net.packets.sent"), 0);
+    assert_eq!(m.get_host(HostId(20_000), "net.packets.sent"), 0);
+    assert_eq!(
+        m.hosts_for("net.packets.sent"),
+        vec![(HostId(0), 1), (top, 2)]
+    );
+    assert_eq!(m.host_gauge(top, "sensor.read.last_ns"), Some(1e9));
+    assert_eq!(m.host_gauge(HostId(0), "sensor.read.last_ns"), None);
+    assert_eq!(
+        m.host_gauges().collect::<Vec<_>>(),
+        vec![(top, "sensor.read.last_ns", 1e9)]
+    );
+    let keys: Vec<String> = m.all_keys().into_iter().collect();
+    assert_eq!(keys, ["net.packets.sent", "sensor.read.last_ns"]);
 }
 
 /// The cases the generator reaches only by luck, pinned.
