@@ -1,26 +1,19 @@
-//! B9 — scaling curve: lookup latency and event-engine throughput vs
-//! mote count (10³ / 10⁴ / 10⁵), the bench behind the ROADMAP's
-//! "sharded event engine + hierarchical registries" item.
+//! B9 — scaling curve: lookup latency vs mote count (10³ / 10⁴ / 10⁵),
+//! the bench behind the ROADMAP's "hierarchical registries" item.
 //!
-//! Two families of rows, written in the versioned `BENCH_<n>.json`
-//! format so `harness bench-compare` gates regressions on the curve:
+//! A flat single-LUS federation against a 16-subnet hierarchical one
+//! ([`sensorcer_registry::hier`]), same total mote count.
+//! `flat_uuid_arc` answers an interface query from the memoized
+//! `Arc` slice; `hier_universal_query` fans out to all subnets;
+//! `hier_rare_query` targets an interface held by a constant 32 motes in
+//! one subnet, so the root's Bloom/count summaries prune the fan-out to a
+//! single LUS — the sub-linear curve the acceptance criteria pin.
 //!
-//! * **Registry** — a flat single-LUS federation vs a 16-subnet
-//!   hierarchical one ([`sensorcer_registry::hier`]), same total mote
-//!   count. `flat_clone_scan` is the pre-PR path (template lookup
-//!   cloning every matching item); `hier_universal_query` fans out to
-//!   all subnets but returns memoized `Arc` slices; `hier_rare_query`
-//!   targets an interface held by a constant 32 motes in one subnet, so
-//!   the root's Bloom/count summaries prune the fan-out to a single
-//!   LUS — the sub-linear curve the acceptance criteria pin.
-//! * **Event engine** — `engine_timer_churn[_sharded]`: n timers spread
-//!   across 16 subnets, each firing once; the sharded variant runs the
-//!   conservative window protocol (16 shards + worker pool), which pays
-//!   the shard-sync overhead this row makes honest.
+//! The event-engine side of the curve is the yardstick's `mote_scale`
+//! workload and its `sim.shard.overhead_ratio` row.
 //!
 //! The sweep is `1000,10000,100000` motes by default; CI sets
-//! `SENSORCER_SCALE_MOTES=1000` for a bounded pass (`bench-compare`
-//! treats the missing larger rows as only-old, never a failure).
+//! `SENSORCER_SCALE_MOTES=1000` for a bounded pass.
 
 use std::time::Duration;
 
@@ -59,7 +52,7 @@ fn item_interfaces(i: usize, n: usize) -> Vec<InterfaceId> {
     ifaces
 }
 
-/// One LUS, `n` motes registered into it — the pre-PR shape.
+/// One LUS, `n` motes registered into it.
 struct FlatWorld {
     env: Env,
     client: HostId,
@@ -135,32 +128,6 @@ fn hier_world(n: usize, seed: u64) -> HierWorld {
     HierWorld { env, client, root }
 }
 
-/// Event-engine churn world: 16 mote hosts (one per subnet) carrying `n`
-/// timers per iteration.
-fn churn_env(seed: u64, sharded: bool) -> (Env, Vec<HostId>) {
-    let mut env = Env::with_seed(seed);
-    let mut hosts = Vec::new();
-    for s in 0..SUBNETS {
-        let h = env.add_host(format!("m{s}"), HostKind::SensorMote);
-        env.topo.set_subnet(h, SubnetId(s));
-        hosts.push(h);
-    }
-    if sharded {
-        env.enable_sharding(SUBNETS as usize);
-        env.set_worker_pool(sensorcer_runtime::ThreadPool::with_default_parallelism());
-    }
-    (env, hosts)
-}
-
-fn churn_once(env: &mut Env, hosts: &[HostId], n: usize) {
-    let spread = SimDuration::from_millis(100);
-    for i in 0..n {
-        let at = env.now() + SimDuration::from_nanos(1 + (i as u64 * spread.as_nanos()) / n as u64);
-        env.schedule_at_on(hosts[i % hosts.len()], at, |_env| {});
-    }
-    env.run_for(spread + SimDuration::from_millis(1));
-}
-
 /// The mote-count sweep: `SENSORCER_SCALE_MOTES` (comma-separated)
 /// overrides the default 10³/10⁴/10⁵ — CI uses a reduced sweep.
 fn sweep() -> Vec<usize> {
@@ -190,19 +157,7 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
         g.measurement_time(Duration::from_millis(250));
 
         for &n in &motes {
-            // Pre-PR shape: one flat registry, full clone-per-call scan.
-            g.bench_with_input(BenchmarkId::new("flat_clone_scan", n), &n, |b, &n| {
-                let mut w = flat_world(n, seed);
-                let tpl = ServiceTemplate::by_interface(UNIVERSAL);
-                b.iter(|| {
-                    let all = w
-                        .lus
-                        .lookup(&mut w.env, w.client, &tpl, usize::MAX)
-                        .expect("flat scan");
-                    assert_eq!(all.len(), n);
-                });
-            });
-            // Same registry, the Arc'd uuid path (satellite fix).
+            // One flat registry, the shared uuid slice.
             g.bench_with_input(BenchmarkId::new("flat_uuid_arc", n), &n, |b, &n| {
                 let mut w = flat_world(n, seed);
                 let iface: InterfaceId = UNIVERSAL.into();
@@ -247,20 +202,6 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
                     assert_eq!(total, expected);
                 });
             });
-            // Event engine: n timers across 16 subnets, sequential heap
-            // vs sharded windows (the honest shard-sync overhead row).
-            g.bench_with_input(BenchmarkId::new("engine_timer_churn", n), &n, |b, &n| {
-                let (mut env, hosts) = churn_env(seed, false);
-                b.iter(|| churn_once(&mut env, &hosts, n));
-            });
-            g.bench_with_input(
-                BenchmarkId::new("engine_timer_churn_sharded", n),
-                &n,
-                |b, &n| {
-                    let (mut env, hosts) = churn_env(seed, true);
-                    b.iter(|| churn_once(&mut env, &hosts, n));
-                },
-            );
         }
         g.finish();
     }
@@ -309,18 +250,6 @@ mod tests {
         assert_eq!(hier_rare.len(), 1, "summaries prune to subnet 0");
         assert_eq!(hier_rare[0].0, SubnetId(0));
         assert_eq!(hier_rare[0].1.len(), RARE_MOTES);
-    }
-
-    #[test]
-    fn churn_runs_identically_sequential_and_sharded() {
-        let (mut seq, seq_hosts) = churn_env(5, false);
-        let (mut sh, sh_hosts) = churn_env(5, true);
-        churn_once(&mut seq, &seq_hosts, 500);
-        churn_once(&mut sh, &sh_hosts, 500);
-        assert_eq!(seq.now(), sh.now());
-        assert_eq!(seq.pending_timers(), 0);
-        assert_eq!(sh.pending_timers(), 0);
-        assert!(sh.shard_stats().windows > 0);
     }
 
     #[test]

@@ -39,16 +39,10 @@ const SEEDED: &[(&str, SeededRunner, &str)] = &[
 /// the usage listing is generated from this table.
 fn subcommands() -> Vec<(String, &'static str)> {
     let row = |head: &str, desc: &'static str| (head.to_string(), desc);
-    let mut rows = vec![
-        row(
-            "<experiment> [seed]",
-            "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b8 a1 a2, or `all`)",
-        ),
-        row(
-            "smoke [out.json]",
-            "fast bounded pass over the read hot paths; writes the next free BENCH_<n>.json",
-        ),
-    ];
+    let mut rows = vec![row(
+        "<experiment> [seed]",
+        "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b8 a1 a2, or `all`)",
+    )];
     let seeded_desc: &[(&str, &'static str)] = &[
         (
             "chaos",
@@ -68,7 +62,7 @@ fn subcommands() -> Vec<(String, &'static str)> {
         ),
         (
             "scale",
-            "B9 scaling curve: lookups and event engine at 10^3..10^5 motes",
+            "B9 scaling curve: flat vs hierarchical lookups at 10^3..10^5 motes",
         ),
         (
             "storm",
@@ -95,10 +89,6 @@ fn subcommands() -> Vec<(String, &'static str)> {
             .unwrap_or("?");
         rows.push((format!("{name} [seed] [out={default_out}]"), desc));
     }
-    rows.push(row(
-        "bench-compare <old.json> <new.json> [threshold]",
-        "diff two smoke-bench JSONs; nonzero exit on regressions past the threshold",
-    ));
     rows.push(row(
         "lint",
         "in-repo source lints plus the runtime metric-name audit",
@@ -160,67 +150,6 @@ fn run_one(which: &str, seed: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or_else(|| usage());
-
-    // `smoke` takes an output path, not a seed — handle it before the
-    // integer parse below.
-    if which == "smoke" {
-        let out = match args.get(1) {
-            Some(path) => path.clone(),
-            None => {
-                let cwd = std::env::current_dir().unwrap_or_else(|e| {
-                    eprintln!("cannot resolve working directory: {e}");
-                    std::process::exit(1);
-                });
-                smoke::next_out_path(&cwd)
-            }
-        };
-        match smoke::run(&out) {
-            Ok(transcript) => print!("{transcript}"),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    // `bench-compare` takes two smoke-bench JSON paths and an optional
-    // relative noise threshold (default 0.35 — right for same-machine
-    // runs; pass something much wider, e.g. 4.0, when the baseline was
-    // measured on different hardware).
-    if which == "bench-compare" {
-        let (old_path, new_path) = match (args.get(1), args.get(2)) {
-            (Some(o), Some(n)) => (o, n),
-            _ => usage(),
-        };
-        let mut config = sensorcer_obs::CompareConfig::default();
-        if let Some(t) = args.get(3) {
-            config.threshold = t.parse().unwrap_or_else(|_| {
-                eprintln!("threshold must be a number, got '{t}'");
-                usage();
-            });
-        }
-        let read = |path: &str| {
-            std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("bench-compare: cannot read {path}: {e}");
-                std::process::exit(1);
-            })
-        };
-        let parse = |path: &str, text: &str| {
-            sensorcer_obs::parse_bench_json(text).unwrap_or_else(|e| {
-                eprintln!("bench-compare: {path}: {e}");
-                std::process::exit(1);
-            })
-        };
-        let old = parse(old_path, &read(old_path));
-        let new = parse(new_path, &read(new_path));
-        let report = sensorcer_obs::compare(&old, &new, config);
-        print!("{}", report.render());
-        if !report.passed() {
-            std::process::exit(1);
-        }
-        return;
-    }
 
     // `lint` takes no arguments: scan crates/*/src from the repo root.
     if which == "lint" {

@@ -42,7 +42,6 @@ pub mod obs;
 pub mod perfetto;
 pub mod perfetto_scale;
 pub mod race;
-pub mod smoke;
 pub mod storm;
 pub mod table;
 pub mod trace;

@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use sensorcer_expr::{Program, Scope};
+use sensorcer_expr::Program;
 use sensorcer_runtime::sync::Mutex;
 use sensorcer_runtime::ThreadPool;
 use sensorcer_sensors::probe::{ProbeError, SensorProbe};
@@ -185,11 +185,11 @@ fn combine(
 ) -> Result<f64, LocalReadError> {
     match expression {
         Some(p) => {
-            let mut scope = Scope::new();
-            for (i, v) in values.iter().enumerate() {
-                scope.set(variable_for(i), *v);
-            }
-            match p.eval(&mut scope) {
+            let bindings = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (variable_for(i), *v));
+            match p.eval_with(bindings) {
                 Ok(v) => v.as_f64().ok_or_else(|| LocalReadError::Expression {
                     composite: name.to_string(),
                     error: format!("non-numeric result {v}"),

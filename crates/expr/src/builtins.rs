@@ -9,7 +9,7 @@ use crate::error::ExprError;
 use crate::value::Value;
 
 /// Call a builtin by name. Returns `None` when no builtin with that name
-/// exists (the interpreter then consults user-registered functions).
+/// exists (the evaluator reports `UndefinedFunction`).
 pub fn call_builtin(name: &str, args: &[Value]) -> Option<Result<Value, ExprError>> {
     let r = match name {
         "avg" | "mean" => reduce_numeric(name, args, |xs| {

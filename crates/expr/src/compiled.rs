@@ -1,10 +1,7 @@
-//! Slot-compiled programs: the fast evaluation path.
+//! Slot-compiled programs: the evaluator.
 //!
-//! The tree-walking interpreter in [`crate::interp`] resolves every
-//! variable by name through a `BTreeMap` scope — fine for one-shot
-//! evaluation, wasteful for a composite sensor provider that evaluates
-//! the same expression on every federated read. This module lowers a
-//! parsed [`Script`] once into a form where
+//! A composite sensor provider evaluates the same expression on every
+//! federated read, so a parsed [`Script`] is lowered once into a form where
 //!
 //! * every variable reference is an integer **slot** into a flat buffer
 //!   (inputs first, in first-use order, then locals),
@@ -13,12 +10,13 @@
 //! * evaluation runs against a reusable `Vec<Option<Value>>` frame with
 //!   no per-variable allocation.
 //!
-//! Semantics match the interpreter exactly for scopes without
-//! user-registered functions (the only difference a caller can observe is
-//! that folded subtrees no longer consume step budget). Subtrees whose
-//! constant evaluation would *error* (`1/0`) are deliberately left
+//! Semantics are those of walking the tree statement by statement — the
+//! root-level `tests/expr_differential.rs` holds a tree-walking reference
+//! interpreter and checks values and errors against it; the only
+//! difference is that folded subtrees consume no step budget. Subtrees
+//! whose constant evaluation would *error* (`1/0`) are deliberately left
 //! unfolded so errors still surface — or stay unreached behind a
-//! short-circuit — at run time, exactly as interpreted.
+//! short-circuit — at run time.
 
 use std::collections::BTreeMap;
 
@@ -26,6 +24,11 @@ use crate::ast::{BinOp, Expr, Script, Stmt, UnOp};
 use crate::builtins::call_builtin;
 use crate::error::ExprError;
 use crate::value::Value;
+
+/// Evaluation budget: a hard cap on evaluator steps so a pathological
+/// expression (deep recursion via `**`, enormous string repetition chains)
+/// cannot hang a provider that accepted it from a remote requestor.
+pub const DEFAULT_STEP_BUDGET: u64 = 1_000_000;
 
 /// A lowered expression: identical shape to [`Expr`] except variables are
 /// slot indices and foldable subtrees have collapsed into `Lit`.
@@ -60,9 +63,6 @@ pub struct CompiledScript {
     /// Slots `0..n_inputs` are the script's inputs, in first-use order;
     /// the rest are locals introduced by assignment.
     n_inputs: usize,
-    /// Slots ever written by a `Store`, in first-store order (the
-    /// assignments [`Program::eval`] mirrors back into its scope).
-    stored_slots: Vec<u32>,
 }
 
 impl CompiledScript {
@@ -78,16 +78,12 @@ impl CompiledScript {
 
         // Pre-intern assignment targets so forward structure is stable,
         // then lower statement by statement.
-        let mut stored_slots = Vec::new();
         let mut stmts = Vec::with_capacity(script.stmts.len());
         for stmt in &script.stmts {
             match stmt {
                 Stmt::Assign(name, e) => {
                     let ce = lower_expr(e, &mut slots, &mut slot_names);
                     let slot = intern(&mut slots, &mut slot_names, name);
-                    if !stored_slots.contains(&slot) {
-                        stored_slots.push(slot);
-                    }
                     stmts.push(CStmt::Store(slot, ce));
                 }
                 Stmt::Expr(e) => {
@@ -99,7 +95,6 @@ impl CompiledScript {
             stmts,
             slot_names,
             n_inputs,
-            stored_slots,
         }
     }
 
@@ -123,14 +118,9 @@ impl CompiledScript {
         self.slot_names.iter().position(|n| n == name)
     }
 
-    /// Slots ever assigned by the script, in first-store order.
-    pub fn stored_slots(&self) -> &[u32] {
-        &self.stored_slots
-    }
-
     /// Evaluate against a slot frame. `frame` must hold exactly
     /// [`CompiledScript::n_slots`] entries; unbound inputs are `None` and
-    /// error only if actually read (matching the interpreter).
+    /// error only if actually read.
     pub fn eval_slots(&self, frame: &mut [Option<Value>], budget: u64) -> Result<Value, ExprError> {
         debug_assert_eq!(frame.len(), self.n_slots());
         let mut ev = SlotEval {
@@ -483,7 +473,7 @@ mod tests {
                 slots[i] = Some(v.clone());
             }
         }
-        c.eval_slots(slots, crate::interp::DEFAULT_STEP_BUDGET)
+        c.eval_slots(slots, DEFAULT_STEP_BUDGET)
     }
 
     #[test]
@@ -574,5 +564,7 @@ mod tests {
             c.eval_slots(slots, 2),
             Err(ExprError::BudgetExhausted { steps: 2 })
         ));
+        // Same script passes with a sane budget.
+        assert_eq!(c.eval_slots(slots, 100).unwrap(), Value::Int(3));
     }
 }

@@ -31,16 +31,14 @@ pub mod ast;
 pub mod builtins;
 pub mod compiled;
 pub mod error;
-pub mod interp;
 pub mod lexer;
 pub mod parser;
 pub mod program;
 pub mod value;
 
 pub use ast::{BinOp, Expr, Script, Stmt, UnOp};
-pub use compiled::{CompiledScript, SlotFrame};
+pub use compiled::{CompiledScript, SlotFrame, DEFAULT_STEP_BUDGET};
 pub use error::{ExprError, Pos};
-pub use interp::{eval_expr, eval_script, eval_script_with_budget, Scope};
 pub use parser::{parse, parse_expr};
 pub use program::{eval_str, Program};
 pub use value::{Text, Value};

@@ -1,14 +1,12 @@
 //! Compiled, reusable compute-expressions.
 //!
 //! A composite sensor provider stores its expression once and evaluates it
-//! on every read with fresh variable bindings. [`Program`] caches the
-//! parsed AST so the per-read cost is evaluation only (B6 measures the
-//! difference).
+//! on every read with fresh variable bindings. [`Program`] keeps the
+//! slot-compiled form so the per-read cost is evaluation only (B6 measures
+//! the difference).
 
-use crate::ast::Script;
-use crate::compiled::{CompiledScript, SlotFrame};
+use crate::compiled::{CompiledScript, SlotFrame, DEFAULT_STEP_BUDGET};
 use crate::error::ExprError;
-use crate::interp::{eval_script_with_budget, Scope, DEFAULT_STEP_BUDGET};
 use crate::parser::parse;
 use crate::value::Value;
 
@@ -16,18 +14,15 @@ use crate::value::Value;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     source: String,
-    script: Script,
     compiled: CompiledScript,
 }
 
 impl Program {
     /// Parse `source` into a reusable program.
     pub fn compile(source: &str) -> Result<Program, ExprError> {
-        let script = parse(source)?;
-        let compiled = CompiledScript::lower(&script);
+        let compiled = CompiledScript::lower(&parse(source)?);
         Ok(Program {
             source: source.to_string(),
-            script,
             compiled,
         })
     }
@@ -37,34 +32,13 @@ impl Program {
         &self.source
     }
 
-    /// The parsed form.
-    pub fn script(&self) -> &Script {
-        &self.script
-    }
-
-    /// The slot-compiled form (what [`Program::bind`] evaluates).
-    pub fn compiled(&self) -> &CompiledScript {
-        &self.compiled
-    }
-
     /// Input variables the program needs (free variables not assigned by
     /// an earlier statement), in first-use order.
     pub fn inputs(&self) -> Vec<String> {
-        self.script.free_vars()
+        self.compiled.slot_names()[..self.compiled.n_inputs()].to_vec()
     }
 
-    /// Evaluate against a scope, on the tree-walking interpreter.
-    ///
-    /// This is the general path: it honors user functions (which may
-    /// shadow builtins) and leaves assignments visible in the scope. A
-    /// caller that rebinds plain values on every read should prefer
-    /// [`Program::bind`] / [`Program::bind_in`], which skip the scope
-    /// entirely and run the slot-compiled form.
-    pub fn eval(&self, scope: &mut Scope) -> Result<Value, ExprError> {
-        eval_script_with_budget(&self.script, scope, DEFAULT_STEP_BUDGET)
-    }
-
-    /// Evaluate with named values only (builds a scope internally).
+    /// Evaluate with named values convertible into [`Value`]s.
     pub fn eval_with<I, K, V>(&self, bindings: I) -> Result<Value, ExprError>
     where
         I: IntoIterator<Item = (K, V)>,
@@ -82,7 +56,7 @@ impl Program {
         self.compiled.eval_slots(slots, DEFAULT_STEP_BUDGET)
     }
 
-    /// Evaluate with the given input bindings on the compiled fast path.
+    /// Evaluate with the given input bindings.
     ///
     /// This is the composite sensor provider's per-read entry point: the
     /// program is compiled once, and every read binds fresh child values
@@ -96,14 +70,6 @@ impl Program {
     /// Like [`Program::bind`], reusing a caller-held [`SlotFrame`] so
     /// repeated reads allocate nothing.
     pub fn bind_in(
-        &self,
-        bindings: &[(&str, Value)],
-        frame: &mut SlotFrame,
-    ) -> Result<Value, ExprError> {
-        self.bind_pairs(bindings, frame)
-    }
-
-    fn bind_pairs(
         &self,
         bindings: &[(&str, Value)],
         frame: &mut SlotFrame,
@@ -139,7 +105,7 @@ impl Program {
 
 /// One-shot convenience: parse and evaluate in a single call.
 pub fn eval_str(source: &str) -> Result<Value, ExprError> {
-    Program::compile(source)?.eval(&mut Scope::new())
+    Program::compile(source)?.bind(&[])
 }
 
 #[cfg(test)]
@@ -180,6 +146,107 @@ mod tests {
         assert_eq!(eval_str("6 * 7").unwrap(), Value::Int(42));
         assert!(eval_str("6 *").is_err());
         assert!(eval_str("x + 1").is_err(), "unbound variable");
+    }
+
+    // The language's expected values: the root-level differential suite
+    // checks that the evaluator and the reference interpreter agree, these
+    // pin what they agree on.
+
+    fn eval(src: &str) -> Value {
+        eval_str(src).unwrap()
+    }
+
+    #[test]
+    fn paper_nested_average() {
+        // §VI step 5: average of a composite and an elementary value.
+        let p = Program::compile("(a + b)/2").unwrap();
+        let v = p.bind(&[("a", Value::Float(23.0)), ("b", Value::Float(25.0))]);
+        assert_eq!(v.unwrap(), Value::Float(24.0));
+    }
+
+    #[test]
+    fn arithmetic_precedence() {
+        assert_eq!(eval("1 + 2 * 3"), Value::Int(7));
+        assert_eq!(eval("(1 + 2) * 3"), Value::Int(9));
+        assert_eq!(eval("2 ** 3 ** 2"), Value::Int(512));
+        assert_eq!(eval("10 % 3"), Value::Int(1));
+        assert_eq!(
+            eval("-2 ** 2"),
+            Value::Int(4),
+            "unary binds tighter: (-2)**2"
+        );
+    }
+
+    #[test]
+    fn comparison_and_logic() {
+        assert_eq!(eval("1 < 2 && 2 < 3"), Value::Bool(true));
+        assert_eq!(eval("1 > 2 || 3 > 2"), Value::Bool(true));
+        assert_eq!(eval("!0"), Value::Bool(true));
+        assert_eq!(eval("1 == 1.0"), Value::Bool(true));
+        assert_eq!(eval("'a' != 'b'"), Value::Bool(true));
+    }
+
+    #[test]
+    fn short_circuit_avoids_errors() {
+        // The right side would be a division by zero; && must not reach it.
+        assert_eq!(eval("false && 1/0"), Value::Bool(false));
+        assert_eq!(eval("true || 1/0"), Value::Bool(true));
+        assert!(matches!(
+            eval_str("true && 1/0"),
+            Err(ExprError::DivisionByZero)
+        ));
+    }
+
+    #[test]
+    fn ternary_and_elvis() {
+        assert_eq!(eval("5 > 3 ? 'yes' : 'no'"), Value::from("yes"));
+        assert_eq!(eval("0 ?: 42"), Value::Int(42));
+        assert_eq!(eval("7 ?: 42"), Value::Int(7));
+        assert_eq!(eval("null ?: 'fallback'"), Value::from("fallback"));
+    }
+
+    #[test]
+    fn statements_and_locals() {
+        assert_eq!(eval("t = 4; t * t"), Value::Int(16));
+        assert_eq!(eval("def x = 1; def y = 2; x + y"), Value::Int(3));
+        assert_eq!(eval("x = 1; x = x + 1; x"), Value::Int(2));
+        assert_eq!(eval("result = 6 * 7"), Value::Int(42));
+    }
+
+    #[test]
+    fn collections() {
+        assert_eq!(eval("[1, 2, 3][1]"), Value::Int(2));
+        assert_eq!(eval("[x: 5]['x']"), Value::Int(5));
+        assert_eq!(eval("avg([1, 2, 3])"), Value::Float(2.0));
+        assert_eq!(eval("len([1, 2] + [3])"), Value::Int(3));
+        assert_eq!(eval("[t: 20.5]['missing']"), Value::Null);
+    }
+
+    #[test]
+    fn builtin_calls() {
+        assert_eq!(eval("max(1, 2.5, 2)"), Value::Float(2.5));
+        assert_eq!(eval("round(sqrt(2) * 100) / 100"), Value::Float(1.41));
+        assert_eq!(eval("clamp(150, 0, 100)"), Value::Float(100.0));
+    }
+
+    #[test]
+    fn undefined_names_error() {
+        assert!(matches!(
+            eval_str("nope"),
+            Err(ExprError::UndefinedVariable { .. })
+        ));
+        assert!(matches!(
+            eval_str("nope()"),
+            Err(ExprError::UndefinedFunction { .. })
+        ));
+    }
+
+    #[test]
+    fn string_work() {
+        assert_eq!(eval("'T=' + 21.5"), Value::from("T=21.5"));
+        assert_eq!(eval("'ab' * 3"), Value::from("ababab"));
+        assert_eq!(eval("'hello'[1]"), Value::from("e"));
+        assert_eq!(eval("str(1 + 2) + '!'"), Value::from("3!"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use sensorcer_sim::check::run_cases;
 
-use sensorcer_expr::{eval_script_with_budget, parse, Program, Scope, Value};
+use sensorcer_expr::{eval_str, parse, CompiledScript, Program, Value};
 
 /// The front end is total: arbitrary input never panics, it parses or
 /// errors.
@@ -98,37 +98,38 @@ fn avg_matches_mean() {
             .collect::<Vec<_>>()
             .join(", ");
         let src = format!("avg([{list}])");
-        let v = Program::compile(&src)
-            .unwrap()
-            .eval(&mut Scope::new())
-            .unwrap();
+        let v = eval_str(&src).unwrap();
         let want = xs.iter().sum::<f64>() / xs.len() as f64;
         assert!((v.as_f64().unwrap() - want).abs() < 1e-6, "{v} vs {want}");
     });
 }
 
 /// Budget monotonicity: succeeding under budget B implies succeeding
-/// under any larger budget with the same value.
+/// under any larger budget with the same value. A sum over variables, so
+/// nothing folds and every node costs a step.
 #[test]
 fn budget_is_monotone() {
     run_cases("budget_is_monotone", 32, |g| {
         let n = g.usize_in(1, 20);
         let src = (0..n)
-            .map(|i| i.to_string())
+            .map(|i| format!("x{i}"))
             .collect::<Vec<_>>()
             .join(" + ");
-        let script = parse(&src).unwrap();
+        let script = CompiledScript::lower(&parse(&src).unwrap());
+        let eval = |budget: u64| {
+            let mut frame: Vec<Option<Value>> =
+                (0..n).map(|i| Some(Value::Int(i as i64))).collect();
+            script.eval_slots(&mut frame, budget)
+        };
         // Find the minimal budget by scanning.
         let need = (1..200)
-            .find(|&b| eval_script_with_budget(&script, &mut Scope::new(), b).is_ok())
+            .find(|&b| eval(b).is_ok())
             .expect("some budget suffices");
-        let small = eval_script_with_budget(&script, &mut Scope::new(), need).unwrap();
-        let large = eval_script_with_budget(&script, &mut Scope::new(), need * 10).unwrap();
+        assert_eq!(need, 2 * n as u64 - 1, "one step per node");
+        let small = eval(need).unwrap();
+        let large = eval(need * 10).unwrap();
         assert_eq!(small, large);
-        assert!(
-            eval_script_with_budget(&script, &mut Scope::new(), need - 1).is_err(),
-            "need was minimal"
-        );
+        assert!(eval(need - 1).is_err(), "need was minimal");
     });
 }
 

@@ -3,9 +3,8 @@
 //! The layer that turns recorded telemetry into *answers*. PR 3 gave the
 //! federation raw signals — spans in a flight recorder, a typed metrics
 //! registry — but nothing interpreted them: no notion of an objective
-//! being violated, no way to ask "why was this read slow", no gate that
-//! notices a benchmark quietly doubling. This crate closes the loop,
-//! in four pillars:
+//! being violated, no way to ask "why was this read slow". This crate
+//! closes the loop, in four pillars:
 //!
 //! * [`slo`] — declarative per-service objectives (availability, read
 //!   latency p99, data freshness, degraded-read ratio) evaluated over
@@ -19,9 +18,6 @@
 //!   duration histograms, critical-path extraction, and exemplar
 //!   selection so every alert carries the trace ids of its slowest
 //!   offending spans.
-//! * [`compare`] — the perf-regression gate: parse two `BENCH_*.json`
-//!   runs and diff them under a noise threshold, so CI fails on a real
-//!   slowdown and shrugs at jitter.
 //! * [`profile`] — hotspot ranking and flamegraph excerpts over the
 //!   sim-time profiler's collapsed-stack output, so scale runs report
 //!   *where* the virtual time went, not just how much there was.
@@ -40,7 +36,6 @@
 
 pub mod analytics;
 pub mod anomaly;
-pub mod compare;
 pub mod naming;
 pub mod profile;
 pub mod slo;
@@ -50,9 +45,6 @@ pub use analytics::{
     critical_path, group_by_op, slowest_offenders, CriticalPath, OpStats, PathStep, SpanQuery,
 };
 pub use anomaly::{Anomaly, AnomalyMonitor, EwmaDetector, MadDetector};
-pub use compare::{
-    compare, parse_bench_json, BenchRow, CompareConfig, CompareReport, RowDelta, Verdict,
-};
 pub use naming::{check_name, check_names};
 pub use profile::{flame_excerpt, frame_totals, hotspots, Hotspot};
 pub use slo::{

@@ -305,31 +305,11 @@ impl Env {
         self.debug_sink = Some(Box::new(sink));
     }
 
-    /// Remove the debug sink (tracing becomes free again).
-    pub fn clear_debug_sink(&mut self) {
-        self.debug_sink = None;
-    }
-
-    /// Whether a debug sink is installed. Gate expensive message
-    /// construction behind this.
-    #[inline]
-    pub fn debug_enabled(&self) -> bool {
-        self.debug_sink.is_some()
-    }
-
-    /// Emit a debug line to the sink, if one is installed.
-    pub fn debug(&mut self, msg: &str) {
-        if let Some(sink) = self.debug_sink.as_mut() {
-            sink(self.clock, msg);
-        }
-    }
-
     /// Emit a lazily-built debug line; `f` only runs when a sink is
     /// installed.
     pub fn debug_with(&mut self, f: impl FnOnce() -> String) {
-        if self.debug_sink.is_some() {
-            let msg = f();
-            self.debug(&msg);
+        if let Some(sink) = self.debug_sink.as_mut() {
+            sink(self.clock, &f());
         }
     }
 
@@ -530,17 +510,6 @@ impl Env {
         self.race.take()
     }
 
-    /// Whether shard-race detection is on.
-    #[inline]
-    pub fn race_enabled(&self) -> bool {
-        self.race.is_some()
-    }
-
-    /// Read-only access to the installed detector.
-    pub fn race_detector(&self) -> Option<&ShadowState> {
-        self.race.as_deref()
-    }
-
     /// The executor lane the currently-running callback is attributed to.
     fn race_lane(&self) -> usize {
         self.timer_queue.shard_index(self.active_hint)
@@ -638,17 +607,6 @@ impl Env {
     /// instrumented middleware. Replaces any previous sink.
     pub fn set_lifecycle_sink(&mut self, sink: impl FnMut(SimTime, LifecycleEvent) + 'static) {
         self.lifecycle_sink = Some(Box::new(sink));
-    }
-
-    /// Remove the lifecycle sink.
-    pub fn clear_lifecycle_sink(&mut self) {
-        self.lifecycle_sink = None;
-    }
-
-    /// Whether a lifecycle sink is installed.
-    #[inline]
-    pub fn lifecycle_enabled(&self) -> bool {
-        self.lifecycle_sink.is_some()
     }
 
     /// Report a lifecycle transition. Goes to the sink when one is
@@ -1154,11 +1112,6 @@ impl Env {
         self.tie_chooser = Some(Box::new(f));
     }
 
-    /// Remove the schedule oracle, restoring FIFO tie-breaking.
-    pub fn clear_tie_chooser(&mut self) {
-        self.tie_chooser = None;
-    }
-
     /// Fire the next pending timer, if any, advancing the clock to its
     /// deadline. Returns whether a timer fired.
     pub fn step(&mut self) -> bool {
@@ -1254,11 +1207,6 @@ impl Env {
     /// executor would have.
     pub fn set_window_chooser(&mut self, f: impl FnMut(usize) -> usize + 'static) {
         self.window_chooser = Some(Box::new(f));
-    }
-
-    /// Remove the window oracle, restoring canonical global order.
-    pub fn clear_window_chooser(&mut self) {
-        self.window_chooser = None;
     }
 
     /// Install the window observer: called once per conservative sync
@@ -1806,19 +1754,15 @@ mod tests {
     }
 
     #[test]
-    fn debug_sink_receives_timestamped_lines_only_while_installed() {
+    fn debug_sink_receives_timestamped_lines_once_installed() {
         let mut env = Env::with_seed(11);
         let lines: Rc<RefCell<Vec<(SimTime, String)>>> = Rc::new(RefCell::new(vec![]));
-        assert!(!env.debug_enabled());
-        env.debug("dropped: no sink");
+        env.debug_with(|| unreachable!("no sink: the line is never built"));
         let l2 = Rc::clone(&lines);
         env.set_debug_sink(move |at, msg| l2.borrow_mut().push((at, msg.to_string())));
-        assert!(env.debug_enabled());
         env.consume(SimDuration::from_millis(5));
-        env.debug("first");
+        env.debug_with(|| "first".to_string());
         env.debug_with(|| format!("second at {}", 5));
-        env.clear_debug_sink();
-        env.debug("dropped: cleared");
         let got = lines.borrow();
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].0, SimTime::ZERO + SimDuration::from_millis(5));
@@ -1907,22 +1851,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_tie_chooser_restores_fifo() {
-        let mut env = Env::with_seed(2);
-        env.set_tie_chooser(|k| k - 1);
-        env.clear_tie_chooser();
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
-        for tag in 0..3u32 {
-            let log = Rc::clone(&log);
-            env.schedule(SimDuration::from_millis(1), move |_env| {
-                log.borrow_mut().push(tag);
-            });
-        }
-        env.run_for(SimDuration::from_millis(1));
-        assert_eq!(*log.borrow(), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn hb_tracks_call_edges_and_flags_unordered_reads() {
         let (mut env, a, b) = two_host_env();
         let svc = env.deploy(b, "echo", Echo { hits: 0 });
@@ -1954,13 +1882,10 @@ mod tests {
         let seen: Rc<RefCell<Vec<(SimTime, LifecycleEvent)>>> = Rc::new(RefCell::new(vec![]));
         let s2 = Rc::clone(&seen);
         env.set_lifecycle_sink(move |at, ev| s2.borrow_mut().push((at, ev)));
-        assert!(env.lifecycle_enabled());
         env.enable_tracing(16);
         let span = env.span_start("op", "x", h);
         env.lifecycle("lease", 7, "grant", 123);
         env.span_end(span, Outcome::Ok);
-        env.clear_lifecycle_sink();
-        env.lifecycle("lease", 7, "renew", 0); // dropped by the sink, still mirrored
         let rec = env.disable_tracing().expect("recorder");
         let got = seen.borrow();
         assert_eq!(got.len(), 1);

@@ -34,8 +34,8 @@ pub mod profile;
 /// Version stamped into every JSON export this workspace produces (TRACE,
 /// OBS, STORM). Version 1 was the unversioned shape; 2 adds the
 /// `schema_version` field itself plus the flight recorder's eviction
-/// markers. Bump on any breaking shape change so bench-compare and
-/// downstream tooling can detect drift.
+/// markers. Bump on any breaking shape change so downstream tooling can
+/// detect drift.
 pub const EXPORT_SCHEMA_VERSION: u32 = 2;
 
 /// Identifies one logical end-to-end operation (e.g. a federated read).

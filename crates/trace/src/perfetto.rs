@@ -151,7 +151,7 @@ pub mod wire {
     /// body right for a multi-byte varint. No per-submessage scratch
     /// allocation; nested calls compose because inner messages finish
     /// before the outer length is computed. Produces minimal varints —
-    /// byte-identical to [`put_msg_alloc`].
+    /// byte-identical to length-prefixing a separately built body.
     pub fn put_msg(out: &mut Vec<u8>, field: u32, f: impl FnOnce(&mut Vec<u8>)) {
         put_tag(out, field, WT_LEN);
         out.push(0); // one-byte length guess, backpatched below
@@ -178,15 +178,6 @@ pub mod wire {
             out.copy_within(start..start + len, start + extra);
             out[start - 1..start - 1 + n].copy_from_slice(&var[..n]);
         }
-    }
-
-    /// The allocating reference implementation of [`put_msg`] (build the
-    /// body in a scratch `Vec`, then length-prefix it). Kept for the
-    /// equivalence test and the `smoke_wire` before/after microbench.
-    pub fn put_msg_alloc(out: &mut Vec<u8>, field: u32, f: impl FnOnce(&mut Vec<u8>)) {
-        let mut tmp = Vec::with_capacity(32);
-        f(&mut tmp);
-        put_bytes(out, field, &tmp);
     }
 
     /// Read one varint, advancing `pos`.
@@ -1787,6 +1778,14 @@ mod tests {
         assert!(dec.tracks.values().any(|t| t.name == "flight-recorder"));
     }
 
+    /// Reference for [`wire::put_msg`]: build the body in a scratch `Vec`,
+    /// then length-prefix it.
+    fn put_msg_alloc(out: &mut Vec<u8>, field: u32, f: impl FnOnce(&mut Vec<u8>)) {
+        let mut tmp = Vec::with_capacity(32);
+        f(&mut tmp);
+        wire::put_bytes(out, field, &tmp);
+    }
+
     #[test]
     fn put_msg_backpatch_matches_alloc_at_length_boundaries() {
         // Length-prefix sizes flip at 128 and 16384 — exercise both
@@ -1795,7 +1794,7 @@ mod tests {
             let mut fast = vec![0xfe]; // non-empty prefix must survive
             let mut slow = vec![0xfe];
             wire::put_msg(&mut fast, 7, |b| b.extend(std::iter::repeat_n(0xabu8, n)));
-            wire::put_msg_alloc(&mut slow, 7, |b| b.extend(std::iter::repeat_n(0xabu8, n)));
+            put_msg_alloc(&mut slow, 7, |b| b.extend(std::iter::repeat_n(0xabu8, n)));
             assert_eq!(fast, slow, "body len {n}");
         }
         // Nested: outer crosses 128 only because of the inner message.
@@ -1808,8 +1807,8 @@ mod tests {
             wire::put_msg(b, 2, |inner| inner.extend(std::iter::repeat_n(0x55u8, 200)));
             wire::put_uint(b, 3, 300);
         });
-        wire::put_msg_alloc(&mut slow, 1, |b| {
-            wire::put_msg_alloc(b, 2, |inner| {
+        put_msg_alloc(&mut slow, 1, |b| {
+            put_msg_alloc(b, 2, |inner| {
                 inner.extend(std::iter::repeat_n(0x55u8, 200));
             });
             wire::put_uint(b, 3, 300);

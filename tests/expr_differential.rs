@@ -1,20 +1,26 @@
-//! Differential test: the slot-compiled path must agree with the
-//! tree-walking interpreter on every expression — same values, same
-//! errors, including short-circuit behaviour that hides erroring
-//! subtrees. The corpus mirrors the interpreter's own unit tests and adds
-//! randomized expression trees from the deterministic check harness.
+//! Differential test: the slot-compiled evaluator — the only one the
+//! `sensorcer-expr` build carries — must agree with a tree-walking
+//! reference interpreter on every expression: same values, same errors,
+//! including short-circuit behaviour that hides erroring subtrees. The
+//! corpus is the interpreter's former unit-test corpus plus randomized
+//! expression trees from the deterministic check harness.
 
-use sensorcer_expr::interp::{eval_script_with_budget, Scope, DEFAULT_STEP_BUDGET};
-use sensorcer_expr::{parse, BinOp, Expr, ExprError, Program, Script, Stmt, UnOp, Value};
-use sensorcer_sim::check::{run_cases, Gen};
+#[path = "support/expr_interp.rs"]
+mod interp;
+
+use interp::{eval_script_with_budget, Scope};
+use sensorcer_suite::expr::{
+    parse, BinOp, Expr, ExprError, Program, Script, Stmt, UnOp, Value, DEFAULT_STEP_BUDGET,
+};
+use sensorcer_suite::sim::check::{run_cases, Gen};
 
 /// Evaluate through the tree-walking interpreter only.
 fn interp(src: &str, bindings: &[(&str, Value)]) -> Result<Value, ExprError> {
     let script = parse(src)?;
-    let mut scope = Scope::new();
-    for (k, v) in bindings {
-        scope.set(*k, v.clone());
-    }
+    let mut scope: Scope = bindings
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect();
     eval_script_with_budget(&script, &mut scope, DEFAULT_STEP_BUDGET)
 }
 
@@ -58,7 +64,8 @@ fn assert_agree(src: &str, bindings: &[(&str, Value)]) {
 fn interp_test_corpus_agrees() {
     let f = |x: f64| Value::Float(x);
     let i = |x: i64| Value::Int(x);
-    // Every evaluation from interp.rs's unit tests, verbatim.
+    // Every evaluation the interpreter's unit tests made while it was a
+    // production path, verbatim.
     let cases: &[(&str, &[(&str, Value)])] = &[
         (
             "(a + b + c)/3",

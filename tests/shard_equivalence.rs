@@ -220,3 +220,43 @@ fn strictly_past_horizon_opens_a_new_window() {
         }
     }
 }
+
+/// Timer churn: 500 one-shot timers spread over the eight subnets and
+/// 100 ms — many windows, every lane busy, shard migration on the worker
+/// pool — must fire in the sequential engine's order and leave nothing
+/// queued.
+#[test]
+fn timer_churn_across_subnets_matches_sequential() {
+    const TIMERS: u64 = 500;
+    let spread = SimDuration::from_millis(100);
+    let churn = |shards: Option<usize>| {
+        let (mut env, hosts) = mote_world(5);
+        if let Some(n) = shards {
+            env.enable_sharding(n);
+            env.set_worker_pool(sensorcer_runtime::ThreadPool::new(2));
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..TIMERS {
+            let at = env.now() + SimDuration::from_nanos(1 + i * spread.as_nanos() / TIMERS);
+            let log = Rc::clone(&log); // test-only shared log  lint:allow(shard)
+            env.schedule_at_on(hosts[i as usize % hosts.len()], at, move |env| {
+                log.borrow_mut().push((i, env.now()));
+            });
+        }
+        env.run_for(spread + SimDuration::from_millis(1));
+        assert_eq!(env.pending_timers(), 0);
+        let fired = log.borrow().clone();
+        (fired, env.now(), env.shard_stats().windows)
+    };
+    let (baseline, end, _) = churn(None);
+    assert_eq!(baseline.len(), TIMERS as usize);
+    for shards in SHARD_COUNTS {
+        let (fired, now, windows) = churn(Some(shards));
+        assert_eq!(fired, baseline, "{shards} shards: firing order diverged");
+        assert_eq!(now, end);
+        assert!(
+            windows > 1,
+            "{shards} shards: churn ran in {windows} window(s)"
+        );
+    }
+}
