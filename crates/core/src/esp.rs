@@ -35,6 +35,10 @@ pub mod gauges {
     pub const BATTERY: &str = "sensor.battery.level";
 }
 
+/// Measurements an ESP keeps — the most `getHistory` can serve, and, as the
+/// ring is held in full from construction, 17 B each of what a mote costs.
+const HISTORY_CAPACITY: usize = 256;
+
 /// Where a served read stamps the per-host [`gauges`].
 struct HealthGauges {
     host: HostId,
@@ -66,7 +70,7 @@ impl ElementarySensorProvider {
             uuid: String::new(),
             health: None,
             probe,
-            store: RingStore::new(256),
+            store: RingStore::new(HISTORY_CAPACITY),
             reads_total: 0,
         }
     }
@@ -108,7 +112,7 @@ impl ElementarySensorProvider {
             Err(ProbeError::Dropout) | Err(ProbeError::TooFast) => {
                 // Serve the freshest stored measurement, flagged suspect —
                 // this is exactly why §III.B wants a local store.
-                match self.store.latest().copied() {
+                match self.store.latest() {
                     Some(m) => {
                         let stale = Measurement {
                             quality: Quality::Suspect,
@@ -132,14 +136,12 @@ impl ElementarySensorProvider {
 
     fn handle_get_history(&mut self, task: &mut Task) {
         let count = task.context.get_f64("arg/count").unwrap_or(16.0).max(0.0) as usize;
-        let recent = self.store.recent(count);
-        let values = recent.iter().map(|m| Value::Float(m.value)).collect();
-        let times = recent
-            .iter()
-            .map(|m| Value::Int(m.at.as_nanos() as i64))
-            .collect();
-        task.context.put("history/values", Value::List(values));
-        task.context.put("history/times", Value::List(times));
+        let recent = || self.store.iter_recent(count);
+        let values = recent().map(|m| Value::Float(m.value));
+        let times = recent().map(|m| Value::Int(m.at.as_nanos() as i64));
+        task.context
+            .put("history/values", Value::List(values.collect()))
+            .put("history/times", Value::List(times.collect()));
         task.status = ExertionStatus::Done;
     }
 
@@ -435,6 +437,48 @@ mod tests {
     }
 
     #[test]
+    fn history_is_the_last_256_oldest_first_once_the_ring_has_wrapped() {
+        let mut w = setup();
+        let script: Vec<f64> = (0..300).map(f64::from).collect();
+        deploy_esp(
+            &mut w.env,
+            EspConfig {
+                sample_every: Some(SimDuration::from_millis(10)),
+                ..EspConfig::new(w.mote, "Neem-Sensor", scripted(script.clone()), w.lus)
+            },
+        );
+        w.env.run_for(SimDuration::from_secs(3)); // inside the 30 s lease
+        for asked in [16, 256, 1_000] {
+            let hist = client::get_history(&mut w.env, w.client, &w.accessor, "Neem-Sensor", asked)
+                .unwrap();
+            assert_eq!(hist, script[300 - asked.min(256)..], "asked for {asked}");
+        }
+    }
+
+    #[test]
+    fn stored_measurements_keep_their_unit_across_a_probe_swap() {
+        let mut w = setup();
+        let h = deploy_esp(
+            &mut w.env,
+            EspConfig::new(w.mote, "Swapped", scripted(vec![21.0]), w.lus),
+        );
+        w.env
+            .with_service(h.service, |env, sb: &mut ServicerBox| {
+                let esp = sb.downcast_mut::<ElementarySensorProvider>().unwrap();
+                esp.sample_now(env).unwrap();
+                esp.swap_probe(Box::new(ScriptedProbe::new(vec![40.0], Unit::Lux)));
+                esp.sample_now(env).unwrap();
+                let held: Vec<(f64, Unit)> = esp
+                    .store()
+                    .iter_recent(2)
+                    .map(|m| (m.value, m.unit))
+                    .collect();
+                assert_eq!(held, [(21.0, Unit::Celsius), (40.0, Unit::Lux)]);
+            })
+            .unwrap();
+    }
+
+    #[test]
     fn unknown_selector_fails() {
         let mut w = setup();
         deploy_esp(
@@ -489,7 +533,7 @@ mod tests {
             .unwrap();
         let r2 = client::get_value(&mut w.env, w.client, &w.accessor, "D").unwrap();
         assert!(!r2.good, "stale store reading must be flagged suspect");
-        assert_eq!(r2.value, r1.value);
+        assert_eq!((r2.value, r2.at_ns), (r1.value, r1.at_ns));
     }
 
     #[test]

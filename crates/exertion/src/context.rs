@@ -29,6 +29,9 @@ pub type Path = Cow<'static, str>;
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct Context {
     entries: Vec<(Path, Value)>,
+    /// Sum of [`entry_wire_size`] over `entries`, kept by every edit: each
+    /// hop of an exertion charges the wire for its context twice.
+    entries_wire: usize,
 }
 
 /// Room reserved by the first insert: a sensor reply carries five entries,
@@ -73,14 +76,18 @@ impl Context {
 
     /// Insert/replace a value at `path`.
     pub fn put(&mut self, path: impl Into<Path>, value: impl Into<Value>) -> &mut Self {
-        let path = path.into();
+        let (path, value) = (path.into(), value.into());
+        self.entries_wire += entry_wire_size(&path, &value);
         match self.search(&path) {
-            Ok(i) => self.entries[i].1 = value.into(),
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.entries[i].1, value);
+                self.entries_wire -= entry_wire_size(&path, &old);
+            }
             Err(i) => {
                 if self.entries.capacity() == 0 {
                     self.entries.reserve_exact(TYPICAL_ENTRIES);
                 }
-                self.entries.insert(i, (path, value.into()));
+                self.entries.insert(i, (path, value));
             }
         }
         self
@@ -112,7 +119,9 @@ impl Context {
 
     /// Remove a path, returning its value.
     pub fn remove(&mut self, path: &str) -> Option<Value> {
-        self.search(path).ok().map(|i| self.entries.remove(i).1)
+        let (path, value) = self.entries.remove(self.search(path).ok()?);
+        self.entries_wire -= entry_wire_size(&path, &value);
+        Some(value)
     }
 
     pub fn contains(&self, path: &str) -> bool {
@@ -153,23 +162,27 @@ impl Context {
     pub fn subcontext(&self, prefix: &str) -> Context {
         let lead = format!("{prefix}/");
         // Stripping one prefix from each keeps (length, bytes) order.
-        let entries = self
+        let entries: Vec<(Path, Value)> = self
             .entries
             .iter()
             .filter_map(|(k, v)| Some((k.strip_prefix(&lead)?.to_string().into(), v.clone())))
             .collect();
-        Context { entries }
+        let entries_wire = entries.iter().map(|(k, v)| entry_wire_size(k, v)).sum();
+        Context {
+            entries,
+            entries_wire,
+        }
     }
 
     /// Approximate wire size of the context (path bytes + value payloads),
     /// used for honest message accounting.
     pub fn wire_size(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(k, v)| 4 + k.len() + value_wire_size(v))
-            .sum::<usize>()
-            + 4
+        self.entries_wire + 4
     }
+}
+
+fn entry_wire_size(path: &str, value: &Value) -> usize {
+    4 + path.len() + value_wire_size(value)
 }
 
 /// Approximate encoded size of a dynamic value.
@@ -180,12 +193,7 @@ pub fn value_wire_size(v: &Value) -> usize {
         Value::Int(_) | Value::Float(_) => 9,
         Value::Str(s) => 5 + s.len(),
         Value::List(xs) => 5 + xs.iter().map(value_wire_size).sum::<usize>(),
-        Value::Map(m) => {
-            5 + m
-                .iter()
-                .map(|(k, v)| 4 + k.len() + value_wire_size(v))
-                .sum::<usize>()
-        }
+        Value::Map(m) => 5 + m.iter().map(|(k, v)| entry_wire_size(k, v)).sum::<usize>(),
     }
 }
 

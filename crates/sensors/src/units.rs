@@ -20,6 +20,18 @@ pub enum Unit {
 }
 
 impl Unit {
+    /// Every unit, in declaration order: `Unit::ALL[u as usize] == u`, which
+    /// is how the local store keeps a unit in one byte.
+    pub const ALL: [Unit; 7] = [
+        Unit::Celsius,
+        Unit::RelativeHumidityPct,
+        Unit::Hectopascal,
+        Unit::Lux,
+        Unit::SoilMoisturePct,
+        Unit::MetresPerSecondSquared,
+        Unit::Dimensionless,
+    ];
+
     /// Display symbol.
     pub fn symbol(self) -> &'static str {
         match self {
@@ -94,6 +106,23 @@ mod tests {
         assert_eq!(Unit::Celsius.symbol(), "°C");
         assert_eq!(Unit::Dimensionless.symbol(), "");
         assert_eq!(Unit::Lux.to_string(), "lx");
+    }
+
+    #[test]
+    fn all_lists_every_unit_at_its_own_index() {
+        for (i, u) in Unit::ALL.into_iter().enumerate() {
+            assert_eq!(u as usize, i);
+            // A new variant fails to compile here: add it to `ALL` as well.
+            match u {
+                Unit::Celsius
+                | Unit::RelativeHumidityPct
+                | Unit::Hectopascal
+                | Unit::Lux
+                | Unit::SoilMoisturePct
+                | Unit::MetresPerSecondSquared
+                | Unit::Dimensionless => {}
+            }
+        }
     }
 
     #[test]

@@ -90,8 +90,10 @@
 #                           reaches 250 or @ `tree_read` 2 600 (a child
 #                           request deep-copies the breadcrumb, or a
 #                           reply allocates its unit and quality text,
-#                           again). Timings from a 2 s pass are not
-#                           comparable with anything.
+#                           again), or if `heap_peak_mb` @ `mote_scale`
+#                           reaches 135 (a stored measurement costs more
+#                           than 17 bytes again). Timings from a 2 s
+#                           pass are not comparable with anything.
 #
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
@@ -341,6 +343,11 @@ if [ "$tsan" -eq 1 ]; then
     fi
 fi
 
+# One end-to-end metric of the last `benchmark/run.sh` pass of a workload.
+yardstick_metric() {
+    sed -n "s/.*\"$2\": {\"value\": \([0-9.]*\).*/\1/p" "benchmark/out/$1.end_to_end.json"
+}
+
 if [ "$yardstick" -eq 1 ]; then
     echo "== yardstick: build =="
     cargo build --release --offline --manifest-path benchmark/Cargo.toml
@@ -364,13 +371,20 @@ if [ "$yardstick" -eq 1 ]; then
         for gate in mote_scale:500 registry_churn:1500 flat_read:250 tree_read:2600; do
             workload=${gate%:*}
             limit=${gate#*:}
-            allocs=$(sed -n 's/.*"allocs_per_op": {"value": \([0-9.]*\).*/\1/p' \
-                "benchmark/out/$workload.end_to_end.json")
+            allocs=$(yardstick_metric "$workload" allocs_per_op)
             awk -v a="$allocs" -v l="$limit" 'BEGIN { exit !(a != "" && a < l) }' || {
                 echo "$workload allocs_per_op = ${allocs:-missing} on seed $seed, limit $limit" >&2
                 exit 1
             }
         done
+        # A byte count, as exact: 130.0 while each of the 20 000 rings keeps
+        # 256 slots of 16 bytes and a one-byte tag, 165.7 when it kept whole
+        # `Measurement`s (18 bytes of information padded to 24).
+        peak=$(yardstick_metric mote_scale heap_peak_mb)
+        awk -v p="$peak" 'BEGIN { exit !(p != "" && p < 135) }' || {
+            echo "mote_scale heap_peak_mb = ${peak:-missing} on seed $seed, limit 135" >&2
+            exit 1
+        }
     done
 fi
 

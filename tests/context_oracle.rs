@@ -193,6 +193,44 @@ fn the_flat_context_matches_the_ordered_map_model() {
     });
 }
 
+/// `wire_size` is a sum the context keeps, not a walk: every way an entry
+/// can change size or leave has to move it — replaced in place by a larger
+/// and by a smaller value, overwritten through `merge_under`, removed, and
+/// removed when it was never there.
+#[test]
+fn the_kept_wire_size_follows_replacement_in_place_and_removal() {
+    let mut ctx = Context::new().with(paths::SENSOR_UNIT, Value::literal("°C"));
+    let mut model = Model::from([(paths::SENSOR_UNIT.to_string(), Value::literal("°C"))]);
+    // The same path four times over: 9, 5 + 18, 1 and 5 + 3 × 9 bytes.
+    let sizes: [(Value, usize); 4] = [
+        (Value::Int(1), 9),
+        ("a much longer text".into(), 23),
+        (Value::Null, 1),
+        (vec![1i64, 2, 3].into(), 32),
+    ];
+    let without = ctx.wire_size() + 4 + "a/b".len();
+    for (v, bytes) in sizes {
+        ctx.put("a/b", v.clone());
+        model.insert("a/b".into(), v);
+        assert_same(&ctx, &model);
+        assert_eq!(ctx.wire_size(), without + bytes);
+    }
+
+    let other = Context::new().with("b", true).with("c", 2.5);
+    ctx.merge_under("a", &other);
+    model.insert("a/b".into(), Value::Bool(true));
+    model.insert("a/c".into(), Value::Float(2.5));
+    assert_same(&ctx, &model);
+
+    assert_eq!(ctx.remove("never/put"), None);
+    assert_same(&ctx, &model);
+    for k in ["a/b", paths::SENSOR_UNIT, "a/c"] {
+        assert_eq!(ctx.remove(k), model.remove(k));
+        assert_same(&ctx, &model);
+    }
+    assert_eq!(ctx.wire_size(), Context::new().wire_size());
+}
+
 /// A job context folding in a hundred replies: the size no federated read
 /// builds, checked at every step of getting there and back.
 #[test]
