@@ -18,21 +18,56 @@ const EXPERIMENTS: &[&str] = &[
 ];
 
 /// Seeded report-writing verbs: `harness <verb> [seed] [out]`.
-/// One row per verb: name, runner, default output path.
-const SEEDED: &[(&str, SeededRunner, &str)] = &[
-    ("chaos", chaos::run, chaos::DEFAULT_OUT),
-    ("trace", trace::run, trace::DEFAULT_OUT),
-    ("verify", verify::run, verify::DEFAULT_OUT),
-    ("obs", obs::run, obs::DEFAULT_OUT),
-    ("scale", b9_scale::run, b9_scale::DEFAULT_OUT),
-    ("storm", storm::run, storm::DEFAULT_OUT),
-    ("perfetto", perfetto::run, perfetto::DEFAULT_OUT),
+/// One row per verb: name, runner, default output path, description.
+const SEEDED: &[(&str, SeededRunner, &str, &str)] = &[
+    (
+        "chaos",
+        chaos::run,
+        chaos::DEFAULT_OUT,
+        "seeded fault-injection soak over degraded-mode federated reads",
+    ),
+    (
+        "trace",
+        trace::run,
+        trace::DEFAULT_OUT,
+        "the chaos soak with the flight recorder on, trace validated",
+    ),
+    (
+        "verify",
+        verify::run,
+        verify::DEFAULT_OUT,
+        "DPOR-lite schedule exploration + buggy-reaper mutation check",
+    ),
+    (
+        "obs",
+        obs::run,
+        obs::DEFAULT_OUT,
+        "SLO burn-rate alerting and anomaly detection over the chaos soak",
+    ),
+    (
+        "scale",
+        b9_scale::run,
+        b9_scale::DEFAULT_OUT,
+        "B9 scaling curve: flat vs hierarchical lookups at 10^3..10^5 motes",
+    ),
+    (
+        "storm",
+        storm::run,
+        storm::DEFAULT_OUT,
+        "tenant storm: admission control, breaker lifecycle, autoscaler",
+    ),
+    (
+        "perfetto",
+        perfetto::run,
+        perfetto::DEFAULT_OUT,
+        "the tenant storm exported as a Perfetto trace (buffered, validated)",
+    ),
     (
         "perfetto-scale",
         perfetto_scale::run,
         perfetto_scale::DEFAULT_OUT,
+        "sharded 10^5-mote world streamed to disk under the encoder-memory ceiling",
     ),
-    ("race", race::run, race::DEFAULT_OUT),
 ];
 
 /// Every subcommand with its argument shape and a one-line description —
@@ -43,51 +78,8 @@ fn subcommands() -> Vec<(String, &'static str)> {
         "<experiment> [seed]",
         "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b8 a1 a2, or `all`)",
     )];
-    let seeded_desc: &[(&str, &'static str)] = &[
-        (
-            "chaos",
-            "seeded fault-injection soak over degraded-mode federated reads",
-        ),
-        (
-            "trace",
-            "the chaos soak with the flight recorder on, trace validated",
-        ),
-        (
-            "verify",
-            "DPOR-lite schedule exploration + buggy-reaper mutation check",
-        ),
-        (
-            "obs",
-            "SLO burn-rate alerting and anomaly detection over the chaos soak",
-        ),
-        (
-            "scale",
-            "B9 scaling curve: flat vs hierarchical lookups at 10^3..10^5 motes",
-        ),
-        (
-            "storm",
-            "tenant storm: admission control, breaker lifecycle, autoscaler",
-        ),
-        (
-            "perfetto",
-            "the tenant storm exported as a Perfetto trace (buffered, validated)",
-        ),
-        (
-            "perfetto-scale",
-            "sharded 10^5-mote world streamed to disk under the encoder-memory ceiling",
-        ),
-        (
-            "race",
-            "FastTrack-lite shard-race detection under DPOR window permutation",
-        ),
-    ];
-    for (name, desc) in seeded_desc {
-        let default_out = SEEDED
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, _, out)| *out)
-            .unwrap_or("?");
-        rows.push((format!("{name} [seed] [out={default_out}]"), desc));
+    for (name, _, default_out, desc) in SEEDED {
+        rows.push((format!("{name} [seed] [out={default_out}]"), *desc));
     }
     rows.push(row(
         "lint",
@@ -107,7 +99,8 @@ fn usage() -> ! {
         out,
         "\nnotes:\n  seeds default to {DEFAULT_SEED}; SENSORCER_SCALE_MOTES / \
          SENSORCER_PERFETTO_MOTES bound the scale sweeps\n  `harness perfetto` also writes {}, \
-         `harness perfetto-scale` also writes {}\n",
+         `harness perfetto-scale` also writes {}, `harness trace` also writes its span \
+         export beside [out] as *.spans.json\n",
         perfetto::DEFAULT_SUMMARY,
         perfetto_scale::DEFAULT_SUMMARY
     );
@@ -194,7 +187,7 @@ fn main() {
 
     // The seeded report-writers take an optional seed then an output
     // path; defaults come from the SEEDED table.
-    if let Some((_, runner, default_out)) = SEEDED.iter().find(|(n, _, _)| *n == which) {
+    if let Some((_, runner, default_out, _)) = SEEDED.iter().find(|(n, ..)| *n == which) {
         let seed = match args.get(1) {
             Some(s) => s.parse().unwrap_or_else(|_| {
                 eprintln!("seed must be an integer, got '{s}'");

@@ -41,7 +41,6 @@ pub mod microbench;
 pub mod obs;
 pub mod perfetto;
 pub mod perfetto_scale;
-pub mod race;
 pub mod storm;
 pub mod table;
 pub mod trace;

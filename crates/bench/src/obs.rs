@@ -170,13 +170,6 @@ pub fn runtime_metric_names() -> Vec<String> {
             .iter()
             .map(|k| (*k).to_string()),
     );
-    // The shard-race detector only registers its race.* family when
-    // installed (the soak runs undetected); audit it statically too.
-    kc.0.extend(
-        sensorcer_sim::race::keys::ALL
-            .iter()
-            .map(|k| (*k).to_string()),
-    );
     // The sim-time profiler's family (including the per-lane counter
     // tracks `harness perfetto-scale` emits) lives outside any Env as
     // well; `stream.*` rides in via `perfetto::keys::ALL` above.
@@ -580,10 +573,6 @@ mod tests {
             assert!(names.iter().any(|n| n == key), "audit missing {key}");
         }
         for key in sampler_keys::ALL {
-            assert!(names.iter().any(|n| n == key), "audit missing {key}");
-        }
-        // The shard-race detector's family is under the audit as well.
-        for key in sensorcer_sim::race::keys::ALL {
             assert!(names.iter().any(|n| n == key), "audit missing {key}");
         }
     }

@@ -3,7 +3,9 @@
 //!
 //! `harness trace [seed] [out.json]` re-runs the [`crate::chaos`] soak
 //! with the flight recorder on, then holds the trace to three standards
-//! before writing it out (default `TRACE_1.json`):
+//! before writing its summary and fingerprint (default `TRACE_1.json`)
+//! and the full span export beside it (`TRACE_1.spans.json`, not
+//! committed):
 //!
 //! * **structure** — every span id unique, every parent present, every
 //!   span closed, nothing dropped from the ring ([`FlightRecorder::validate`]);
@@ -22,7 +24,7 @@ use sensorcer_sim::prelude::*;
 
 use crate::chaos::{run_soak_traced, SoakConfig, SoakReport};
 
-/// Where `harness trace` writes by default.
+/// Where `harness trace` writes its summary by default.
 pub const DEFAULT_OUT: &str = "TRACE_1.json";
 
 /// Ring capacity for the harness run: a default 600 s soak records a few
@@ -140,15 +142,63 @@ pub fn run_traced_soak(seed: u64) -> (SoakReport, FlightRecorder) {
     )
 }
 
-/// `harness trace` entry point: traced soak, health checks, JSON export.
-/// `Err` (nonzero exit) on any check failure, soak violation, or an
-/// unwritable output file.
+/// The committed artifact: the checks' verdict plus the length and
+/// FNV-1a fingerprint of the span export, which is too large to commit.
+fn summary_json(
+    seed: u64,
+    reads: u64,
+    verdict: &TraceCheck,
+    export: &str,
+    failures: &[String],
+) -> String {
+    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+    let mut j = String::new();
+    let _ = write!(
+        j,
+        "{{\n  \"schema_version\": {},\n  \"seed\": {},\n  \"reads\": {},\n  \"spans\": {},\n  \"events\": {},\n  \"roots\": {{\"total\": {}, \"degraded\": {}, \"error\": {}}},\n  \"bytes\": {},\n  \"fnv64\": \"{:016x}\",\n  \"problems\": [",
+        sensorcer_trace::EXPORT_SCHEMA_VERSION,
+        seed,
+        reads,
+        verdict.spans,
+        verdict.events,
+        verdict.roots,
+        verdict.degraded_roots,
+        verdict.error_roots,
+        export.len(),
+        crate::perfetto::fnv64(export.as_bytes()),
+    );
+    for (i, p) in failures.iter().enumerate() {
+        let _ = write!(j, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(p));
+    }
+    let _ = write!(j, "],\n  \"passed\": {}\n}}\n", failures.is_empty());
+    j
+}
+
+/// `harness trace` entry point: traced soak, health checks, the summary
+/// to `out_path` and the span export to `out_path` with its extension
+/// replaced by `spans.json`. `Err` (nonzero exit) on any check failure,
+/// soak violation, or an unwritable output file.
 pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     let (report, recorder) = run_traced_soak(seed);
     let verdict = check(&recorder);
+    let failures: Vec<String> = verdict
+        .problems
+        .iter()
+        .map(|p| format!("trace problem: {p}"))
+        .chain(
+            report
+                .violations
+                .iter()
+                .map(|v| format!("soak violation: {v}")),
+        )
+        .collect();
 
-    std::fs::write(out_path, recorder.to_json())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    let export = recorder.to_json();
+    let export_path = std::path::Path::new(out_path).with_extension("spans.json");
+    std::fs::write(&export_path, &export)
+        .map_err(|e| format!("cannot write {}: {e}", export_path.display()))?;
+    let summary = summary_json(seed, report.reads_total, &verdict, &export, &failures);
+    std::fs::write(out_path, summary).map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
     let mut transcript = format!(
         "trace harness seed={}: {} spans / {} events over {} reads; {} roots \
@@ -160,25 +210,16 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
         verdict.roots,
         verdict.degraded_roots,
         verdict.error_roots,
-        if verdict.passed() { "PASS" } else { "FAIL" }
+        if failures.is_empty() { "PASS" } else { "FAIL" }
     );
-    let _ = writeln!(transcript, "wrote {out_path}");
-
-    let mut failed = false;
-    for p in &verdict.problems {
-        failed = true;
-        let _ = writeln!(transcript, "trace problem: {p}");
+    let _ = writeln!(transcript, "wrote {out_path} and {}", export_path.display());
+    for f in &failures {
+        let _ = writeln!(transcript, "{f}");
     }
-    if !report.passed() {
-        failed = true;
-        for v in &report.violations {
-            let _ = writeln!(transcript, "soak violation: {v}");
-        }
-    }
-    if failed {
-        Err(transcript)
-    } else {
+    if failures.is_empty() {
         Ok(transcript)
+    } else {
+        Err(transcript)
     }
 }
 

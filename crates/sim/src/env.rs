@@ -30,7 +30,6 @@ use sensorcer_trace::{FieldValue, FlightRecorder, Outcome, SpanId};
 
 use crate::hb::{HbTracker, HbViolation};
 use crate::metrics::{keys, Key, Metrics};
-use crate::race::{RaceReport, ShadowState};
 use crate::rng::SimRng;
 use crate::shard::{ShardStats, ShardedQueue, TimerCallback, TimerKey};
 use crate::time::{SimDuration, SimTime};
@@ -191,9 +190,6 @@ pub struct Env {
     /// Optional happens-before tracker (vector clocks + write log); see
     /// [`crate::hb`]. Absent by default.
     hb: Option<Box<HbTracker>>,
-    /// Optional FastTrack-lite shard-race detector (per-lane clocks +
-    /// per-cell access history); see [`crate::race`]. Absent by default.
-    race: Option<Box<ShadowState>>,
     /// Optional lifecycle sink: receives every [`LifecycleEvent`] emitted
     /// by instrumented middleware. Absent by default.
     lifecycle_sink: Option<Box<dyn FnMut(SimTime, LifecycleEvent)>>,
@@ -203,13 +199,6 @@ pub struct Env {
     /// schedule explorer in `sensorcer-verify` installs this to permute
     /// delivery order systematically.
     tie_chooser: Option<Box<dyn FnMut(usize) -> usize>>,
-    /// Optional cross-shard schedule oracle for the windowed engine: when
-    /// ≥2 shard lanes have due work inside an open window, picks which
-    /// lane's earliest timer fires next (per-lane program order is never
-    /// permuted). `None` means global `(deadline, seq)` order — the
-    /// canonical engine. The race explorer in `sensorcer-verify`
-    /// installs this to permute window interleavings systematically.
-    window_chooser: Option<Box<dyn FnMut(usize) -> usize>>,
     /// Optional observer called at each conservative sync-window close
     /// with the window's extent and fired-timer count — the feed for
     /// window-occupancy profiling. Deliberately given no `Env` access,
@@ -251,10 +240,8 @@ impl Env {
             debug_sink: None,
             recorder: None,
             hb: None,
-            race: None,
             lifecycle_sink: None,
             tie_chooser: None,
-            window_chooser: None,
             window_observer: None,
             windows_seen: 0,
         }
@@ -452,15 +439,12 @@ impl Env {
         }
     }
 
-    /// Annotate a write of shared federation state `key` by `host`. With
-    /// the shard-race detector on, the same annotation records a
-    /// shadow-state write attributed to the executing shard lane.
+    /// Annotate a write of shared federation state `key` by `host`.
     #[inline]
     pub fn hb_write(&mut self, host: HostId, key: &str) {
         if let Some(hb) = self.hb.as_mut() {
             hb.write(host, key);
         }
-        self.race_write(key);
     }
 
     /// Annotate a read of shared federation state `key` by `host`. A read
@@ -468,7 +452,6 @@ impl Env {
     /// with tracing on, surfaced as an `hb.violation` event on the
     /// current span.
     pub fn hb_read(&mut self, host: HostId, key: &str) {
-        self.race_read(key);
         let violation: Option<HbViolation> = match self.hb.as_mut() {
             Some(hb) => hb.read(host, key),
             None => None,
@@ -488,115 +471,6 @@ impl Env {
             }
             self.debug_with(|| format!("hb.violation: {v}"));
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Shard-race detection (FastTrack-lite shadow state)
-    // ------------------------------------------------------------------
-
-    /// Install a fresh [`ShadowState`]: every fired callback is
-    /// attributed to its shard lane, window edges become barriers, and
-    /// `race_read`/`race_write` annotations (including everything flowing
-    /// through `hb_read`/`hb_write`) are checked for shard-parallel data
-    /// races. Meaningful under [`Env::enable_sharding`]; with one shard
-    /// every access shares a lane and the program order proves zero
-    /// races by construction.
-    pub fn enable_race_detector(&mut self) {
-        self.race = Some(Box::default());
-    }
-
-    /// Remove and return the detector (race checking becomes free again).
-    pub fn disable_race_detector(&mut self) -> Option<Box<ShadowState>> {
-        self.race.take()
-    }
-
-    /// The executor lane the currently-running callback is attributed to.
-    fn race_lane(&self) -> usize {
-        self.timer_queue.shard_index(self.active_hint)
-    }
-
-    /// Annotate a write of shard-shared state `key`, attributed to the
-    /// executing shard lane at the current window/instant. No-op without
-    /// the detector.
-    pub fn race_write(&mut self, key: &str) {
-        if self.race.is_none() {
-            return;
-        }
-        let lane = self.race_lane();
-        let at = self.clock;
-        let fresh = match self.race.as_mut() {
-            Some(rd) => rd.write(lane, key, at),
-            None => return,
-        };
-        self.metrics.add(crate::race::keys::CELLS_WRITTEN, 1);
-        for r in fresh {
-            self.report_race(r);
-        }
-    }
-
-    /// Annotate a read of shard-shared state `key`; see
-    /// [`Env::race_write`].
-    pub fn race_read(&mut self, key: &str) {
-        if self.race.is_none() {
-            return;
-        }
-        let lane = self.race_lane();
-        let at = self.clock;
-        let fresh = match self.race.as_mut() {
-            Some(rd) => rd.read(lane, key, at),
-            None => return,
-        };
-        self.metrics.add(crate::race::keys::CELLS_READ, 1);
-        if let Some(r) = fresh {
-            self.report_race(r);
-        }
-    }
-
-    /// Surface a freshly stored race: a `race.detected` flight-recorder
-    /// span carrying both access sites and the missing happens-before
-    /// edge, ended with an error outcome, plus the `race.races.detected`
-    /// counter and a debug line.
-    fn report_race(&mut self, r: RaceReport) {
-        self.metrics.add(crate::race::keys::RACES_DETECTED, 1);
-        let span = self.span_start("race.detected", &r.key, HostId(r.current.lane));
-        if span.is_valid() {
-            self.span_field(span, "kind", r.kind.as_str());
-            self.span_field(span, "first_shard", r.prior.lane as u64);
-            self.span_field(span, "first_window", r.prior.window);
-            self.span_field(span, "first_at_ns", r.prior.at.as_nanos());
-            self.span_field(span, "second_shard", r.current.lane as u64);
-            self.span_field(span, "second_window", r.current.window);
-            self.span_field(span, "second_at_ns", r.current.at.as_nanos());
-            self.span_field(span, "missing_edge", r.missing_edge());
-            self.span_end(span, Outcome::Error);
-        }
-        self.debug_with(|| format!("race.detected: {r}"));
-    }
-
-    /// Attribute a callback about to fire to its shard lane (ticks the
-    /// lane clock). No-op without the detector.
-    #[inline]
-    fn race_begin_callback(&mut self, hint: SubnetId) {
-        if self.race.is_none() {
-            return;
-        }
-        let lane = self.timer_queue.shard_index(hint);
-        if let Some(rd) = self.race.as_mut() {
-            rd.begin_callback(lane);
-        }
-        self.metrics.add(crate::race::keys::CALLBACKS_ATTRIBUTED, 1);
-    }
-
-    /// Record a window barrier (all lane clocks join). No-op without the
-    /// detector.
-    #[inline]
-    fn race_window_barrier(&mut self) {
-        if let Some(rd) = self.race.as_mut() {
-            rd.window_barrier();
-        } else {
-            return;
-        }
-        self.metrics.add(crate::race::keys::BARRIERS_JOINED, 1);
     }
 
     // ------------------------------------------------------------------
@@ -1141,7 +1015,6 @@ impl Env {
         // clock — never earlier than their scheduled time.
         self.clock = self.clock.max(key.at);
         self.active_hint = key.hint;
-        self.race_begin_callback(key.hint);
         match callback {
             TimerCallback::Once(f) => f(self),
             TimerCallback::Every {
@@ -1160,16 +1033,6 @@ impl Env {
                 }
             }
         }
-    }
-
-    /// Fire `due[pick]` and put the other keys back.
-    fn fire_chosen(&mut self, mut due: Vec<TimerKey>, pick: usize) {
-        let key = due.remove(pick);
-        for rest in due {
-            self.timer_queue.push_key(rest);
-        }
-        let callback = self.timer_queue.take(key);
-        self.fire(key, callback);
     }
 
     /// `step_due` with a schedule oracle installed: gather every timer due
@@ -1194,19 +1057,13 @@ impl Env {
                 None => 0,
             }
         };
-        self.fire_chosen(due, pick);
+        let key = due.remove(pick);
+        for rest in due {
+            self.timer_queue.push_key(rest);
+        }
+        let callback = self.timer_queue.take(key);
+        self.fire(key, callback);
         true
-    }
-
-    /// Install the cross-shard window oracle: whenever an open window has
-    /// due timers on ≥2 shard lanes, `f(k)` picks which lane's earliest
-    /// timer (lanes presented in global `(deadline, seq)` order of their
-    /// heads) fires next. Out-of-range picks are clamped; pick 0 at every
-    /// point reproduces the canonical global order. Per-lane program
-    /// order is never permuted — exactly the freedom a shard-parallel
-    /// executor would have.
-    pub fn set_window_chooser(&mut self, f: impl FnMut(usize) -> usize + 'static) {
-        self.window_chooser = Some(Box::new(f));
     }
 
     /// Install the window observer: called once per conservative sync
@@ -1220,44 +1077,6 @@ impl Env {
     /// Remove the window observer.
     pub fn clear_window_observer(&mut self) {
         self.window_observer = None;
-    }
-
-    /// `step` inside an open window with the window oracle installed:
-    /// gather every timer due by `horizon`, group by shard lane, offer
-    /// the earliest timer of each lane as the candidate set, fire the
-    /// chosen one and put the rest back. Only one timer fires per step,
-    /// so timers the fired handler co-schedules into the window join the
-    /// next choice point.
-    fn step_window_chosen(&mut self, horizon: SimTime) -> bool {
-        let mut due: Vec<TimerKey> = Vec::new();
-        while let Some(k) = self.timer_queue.pop_key_due(horizon) {
-            due.push(k);
-        }
-        if due.is_empty() {
-            return false;
-        }
-        // `due` is popped in global (deadline, seq) order, so the first
-        // occurrence of each lane is that lane's program-order head.
-        let mut lane_heads: Vec<usize> = Vec::new();
-        let mut seen_lanes: Vec<usize> = Vec::new();
-        for (i, k) in due.iter().enumerate() {
-            let lane = self.timer_queue.shard_index(k.hint);
-            if !seen_lanes.contains(&lane) {
-                seen_lanes.push(lane);
-                lane_heads.push(i);
-            }
-        }
-        let k = lane_heads.len();
-        let pick = if k <= 1 {
-            0
-        } else {
-            match self.window_chooser.as_mut() {
-                Some(f) => f(k).min(k - 1),
-                None => 0,
-            }
-        };
-        self.fire_chosen(due, lane_heads[pick]);
-        true
     }
 
     /// Process every timer due up to `t`, then set the clock to at least
@@ -1296,24 +1115,13 @@ impl Env {
                 break;
             }
             let horizon = (next.at + lookahead).min(t);
-            // The window edge is the shard barrier: all lane clocks join
-            // before any callback of the new window runs.
-            self.race_window_barrier();
             // The pool leaves `self` for the call so the queue can borrow
             // it while `self` is mutably borrowed.
             let pool = self.pool.take();
             self.timer_queue.open_window(horizon, pool.as_ref());
             self.pool = pool;
             let mut fired = 0u64;
-            loop {
-                let did = if self.window_chooser.is_some() {
-                    self.step_window_chosen(horizon)
-                } else {
-                    self.step_due(horizon)
-                };
-                if !did {
-                    break;
-                }
+            while self.step_due(horizon) {
                 fired += 1;
             }
             self.timer_queue.close_window();
@@ -2090,110 +1898,5 @@ mod tests {
             (inner, 8)
         });
         assert_eq!(result.unwrap().unwrap_err(), NetError::Busy);
-    }
-
-    /// Two mote hosts on two subnets, sharded two ways; lookahead falls
-    /// back to 1 ms (no cross-subnet links).
-    fn two_shard_world() -> (Env, HostId, HostId) {
-        let mut env = Env::with_seed(7);
-        let a = env.add_host("a", HostKind::SensorMote);
-        let b = env.add_host("b", HostKind::SensorMote);
-        env.topo.set_subnet(a, SubnetId(0));
-        env.topo.set_subnet(b, SubnetId(1));
-        env.enable_sharding(2);
-        env.enable_race_detector();
-        (env, a, b)
-    }
-
-    #[test]
-    fn same_window_cross_shard_writes_race() {
-        let (mut env, a, b) = two_shard_world();
-        let at = SimTime::ZERO + SimDuration::from_millis(5);
-        env.schedule_at_on(a, at, |env| env.race_write("fed.routes.map"));
-        env.schedule_at_on(b, at, |env| env.race_write("fed.routes.map"));
-        env.run_until(SimTime::ZERO + SimDuration::from_millis(20));
-        let rd = env.disable_race_detector().expect("detector on");
-        assert_eq!(rd.races().len(), 1, "{:?}", rd.races());
-        assert_eq!(rd.races()[0].kind, crate::race::RaceKind::WriteWrite);
-        assert_eq!(env.metrics.get(crate::race::keys::RACES_DETECTED), 1);
-        assert!(env.metrics.get(crate::race::keys::CALLBACKS_ATTRIBUTED) >= 2);
-    }
-
-    #[test]
-    fn window_barrier_separates_cross_shard_writes() {
-        let (mut env, a, b) = two_shard_world();
-        // The two-mote world's lookahead is the 5 ms mote-radio latency
-        // and the window edge is *inclusive*, so the handoff must land
-        // strictly past t₀ + lookahead = 10 ms to reach the next window.
-        env.schedule_at_on(a, SimTime::ZERO + SimDuration::from_millis(5), |env| {
-            env.race_write("fed.routes.map")
-        });
-        env.schedule_at_on(b, SimTime::ZERO + SimDuration::from_millis(11), |env| {
-            env.race_write("fed.routes.map")
-        });
-        env.run_until(SimTime::ZERO + SimDuration::from_millis(20));
-        let rd = env.disable_race_detector().expect("detector on");
-        assert!(rd.races().is_empty(), "{:?}", rd.races());
-        let act = rd.activity();
-        assert!(act.barriers >= 2 && act.writes == 2, "{act:?}");
-    }
-
-    #[test]
-    fn sequential_engine_attributes_every_access_to_one_lane() {
-        let mut env = Env::with_seed(7);
-        let a = env.add_host("a", HostKind::SensorMote);
-        let b = env.add_host("b", HostKind::SensorMote);
-        env.topo.set_subnet(a, SubnetId(0));
-        env.topo.set_subnet(b, SubnetId(1));
-        env.enable_race_detector();
-        let at = SimTime::ZERO + SimDuration::from_millis(5);
-        env.schedule_at_on(a, at, |env| env.race_write("fed.routes.map"));
-        env.schedule_at_on(b, at, |env| env.race_write("fed.routes.map"));
-        env.run_until(SimTime::ZERO + SimDuration::from_millis(20));
-        let rd = env.disable_race_detector().expect("detector on");
-        assert!(
-            rd.races().is_empty(),
-            "one shard = one lane = program order: {:?}",
-            rd.races()
-        );
-        assert_eq!(rd.lanes(), 1);
-    }
-
-    #[test]
-    fn window_chooser_permutes_cross_shard_order_within_a_window() {
-        let run = |chooser: bool| {
-            let (mut env, a, b) = two_shard_world();
-            let log: Rc<RefCell<Vec<&'static str>>> = Rc::new(RefCell::new(vec![]));
-            let at = SimTime::ZERO + SimDuration::from_millis(5);
-            let l = Rc::clone(&log);
-            env.schedule_at_on(a, at, move |_env| l.borrow_mut().push("a"));
-            let l = Rc::clone(&log);
-            env.schedule_at_on(b, at, move |_env| l.borrow_mut().push("b"));
-            if chooser {
-                // Always pick the last lane head: reverse cross-shard order.
-                env.set_window_chooser(|k| k - 1);
-            }
-            env.run_until(SimTime::ZERO + SimDuration::from_millis(20));
-            let order = log.borrow().clone();
-            order
-        };
-        assert_eq!(run(false), vec!["a", "b"], "canonical global order");
-        assert_eq!(run(true), vec!["b", "a"], "reversed by the oracle");
-    }
-
-    #[test]
-    fn window_chooser_pick_zero_is_canonical_and_preserves_lane_order() {
-        let (mut env, a, b) = two_shard_world();
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
-        let t0 = SimTime::ZERO + SimDuration::from_millis(5);
-        // Two timers per lane at the same instant: lane order must hold
-        // even under the oracle (only cross-shard order is free).
-        for (i, &h) in [a, b, a, b].iter().enumerate() {
-            let l = Rc::clone(&log);
-            env.schedule_at_on(h, t0, move |_env| l.borrow_mut().push(i as u32));
-        }
-        env.set_window_chooser(|_| 0);
-        env.run_until(SimTime::ZERO + SimDuration::from_millis(20));
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3], "pick 0 = global order");
     }
 }

@@ -45,7 +45,6 @@ pub mod check;
 pub mod env;
 pub mod hb;
 pub mod metrics;
-pub mod race;
 pub mod rng;
 pub mod shard;
 pub mod time;
@@ -69,9 +68,6 @@ pub mod prelude {
     pub use crate::hb::{HbTracker, HbViolation, VectorClock};
     pub use crate::metrics::{
         keys as metric_keys, sampler_keys, Metrics, SamplerConfig, Summary, TelemetrySampler,
-    };
-    pub use crate::race::{
-        keys as race_keys, AccessOp, AccessSite, RaceActivity, RaceKind, RaceReport, ShadowState,
     };
     pub use crate::rng::SimRng;
     pub use crate::shard::ShardStats;

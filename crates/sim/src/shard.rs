@@ -197,15 +197,13 @@ impl ShardedQueue {
         }
     }
 
-    /// The shard lane a subnet hint maps to — also the executor-lane id
-    /// the race detector attributes callbacks to.
-    pub(crate) fn shard_index(&self, hint: SubnetId) -> usize {
+    fn shard_index(&self, hint: SubnetId) -> usize {
         hint.0 as usize % self.shards.len()
     }
 
     /// File a key under its shard, or into the open window. Also the way
     /// back for a key popped with [`ShardedQueue::pop_key_due`] but not
-    /// executed (the chooser paths gather a due set and return the
+    /// executed (the tie-chooser path gathers a due set and returns the
     /// losers): its callback never left the slab.
     pub fn push_key(&mut self, k: TimerKey) {
         if self.horizon.is_some_and(|h| k.at <= h) {

@@ -13,18 +13,10 @@
 //! * [`ChoicePolicy::Random`] draws every choice from a seeded
 //!   [`SimRng`] — sampling for scenarios whose trees are too big.
 //!
-//! Scenarios that declare [`Scenario::shards`] > 0 run on the sharded
-//! engine instead: the same choice-prefix protocol drives
-//! `Env::set_window_chooser`, so the choice points are *cross-shard* —
-//! at each `open_window` boundary the chooser permutes which runnable
-//! lane fires first — and the FastTrack-lite race detector
-//! ([`sensorcer_sim::race`]) observes every reachable interleaving.
-//!
 //! Every run executes one [`Scenario`] in a fresh [`Env`] with
 //! happens-before tracking on and a lifecycle sink installed; after the
-//! run the scenario's own invariants, the happens-before log, the race
-//! detector (sharded runs), and the lifecycle state machines are all
-//! checked. A schedule is *distinct*
+//! run the scenario's own invariants, the happens-before log, and the
+//! lifecycle state machines are all checked. A schedule is *distinct*
 //! when its full choice vector differs; [`ExploreReport`] counts both
 //! runs and distinct schedules so a vacuous explorer (no choice points)
 //! is visible.
@@ -34,7 +26,6 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use sensorcer_sim::env::{Env, LifecycleEvent};
-use sensorcer_sim::race::RaceActivity;
 use sensorcer_sim::rng::SimRng;
 use sensorcer_sim::time::{SimDuration, SimTime};
 
@@ -57,17 +48,6 @@ pub trait Scenario {
     /// with a reaper tick should return at least one tick.
     fn reap_grace(&self) -> SimDuration {
         SimDuration::from_secs(2)
-    }
-
-    /// Shard-lane count for this scenario's world. `0` (the default)
-    /// runs the sequential engine with same-instant tie choice points.
-    /// `> 0` runs the sharded engine with the FastTrack-lite race
-    /// detector installed, and the choice points become cross-shard:
-    /// at every `open_window` boundary with ≥ 2 runnable lanes, the
-    /// chooser permutes which lane's head fires first, so the detector
-    /// sees every window interleaving DPOR-lite can reach.
-    fn shards(&self) -> usize {
-        0
     }
 
     /// Build, run, and self-check one world under the installed schedule.
@@ -106,9 +86,6 @@ pub struct ScheduleOutcome {
     pub hb_activity: (u64, u64, u64),
     /// Lifecycle transitions checked.
     pub lifecycle_events: u64,
-    /// Shadow-state counters when [`Scenario::shards`] > 0 (all zero on
-    /// sequential runs) — proves a zero-race schedule was not vacuous.
-    pub race_activity: RaceActivity,
 }
 
 /// FNV-1a over the choice vector: the identity of a schedule.
@@ -131,22 +108,14 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
 
     let mut env = Env::with_seed(scenario.seed());
     env.enable_hb();
-    let shards = scenario.shards();
-    if shards > 0 {
-        env.enable_sharding(shards);
-        env.enable_race_detector();
-    }
     if traced {
         env.enable_tracing(4096);
     }
     let log = Rc::clone(&lifecycle_log);
     env.set_lifecycle_sink(move |t, ev| log.borrow_mut().push((t, ev)));
     let rec = Rc::clone(&choices);
-    // Sharded worlds take their choice points at window boundaries
-    // (cross-shard delivery order); sequential worlds at same-instant
-    // ties. Same recorded-prefix protocol either way.
-    let chooser: Box<dyn FnMut(usize) -> usize> = match policy {
-        ChoicePolicy::Prefix(prefix) => Box::new(move |k| {
+    match policy {
+        ChoicePolicy::Prefix(prefix) => env.set_tie_chooser(move |k| {
             let mut cs = rec.borrow_mut();
             let pick = prefix.get(cs.len()).copied().unwrap_or(0).min(k - 1);
             cs.push((k, pick));
@@ -154,17 +123,12 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
         }),
         ChoicePolicy::Random(seed) => {
             let mut rng = SimRng::new(seed);
-            Box::new(move |k| {
+            env.set_tie_chooser(move |k| {
                 let pick = rng.index(k);
                 rec.borrow_mut().push((k, pick));
                 pick
             })
         }
-    };
-    if shards > 0 {
-        env.set_window_chooser(chooser);
-    } else {
-        env.set_tie_chooser(chooser);
     }
 
     let result = scenario.run(&mut env);
@@ -193,19 +157,6 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
             .iter()
             .map(|v| format!("happens-before: {v}")),
     );
-    let mut race_activity = RaceActivity::default();
-    if shards > 0 {
-        // lint:allow(unwrap): enable_race_detector is called at run start
-        let rd = env.disable_race_detector().expect("detector enabled above");
-        race_activity = rd.activity();
-        violations.extend(rd.races().iter().map(|r| format!("race: {r}")));
-        if rd.suppressed() > 0 {
-            violations.push(format!(
-                "race: {} further occurrences deduplicated/suppressed",
-                rd.suppressed()
-            ));
-        }
-    }
     if traced {
         if let Some(rec) = env.disable_tracing() {
             violations.extend(
@@ -223,7 +174,6 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
         violations,
         hb_activity: hb.activity(),
         lifecycle_events: checker.events(),
-        race_activity,
     }
 }
 
@@ -294,13 +244,6 @@ pub struct ExploreReport {
     pub hb_reads: u64,
     pub hb_writes: u64,
     pub lifecycle_events: u64,
-    /// Shadow-state cell accesses checked, summed over runs (zero for
-    /// sequential scenarios).
-    pub race_cells_checked: u64,
-    /// Window barriers the detector joined, summed over runs.
-    pub race_barriers: u64,
-    /// Races detected (incl. deduplicated repeats), summed over runs.
-    pub races_detected: u64,
     /// Deduplicated violations with the choice vector that produced the
     /// first occurrence of each.
     pub violations: Vec<String>,
@@ -343,9 +286,6 @@ pub fn explore(scenario: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
         report.hb_writes += w;
         report.hb_reads += r;
         report.lifecycle_events += out.lifecycle_events;
-        report.race_cells_checked += out.race_activity.reads + out.race_activity.writes;
-        report.race_barriers += out.race_activity.barriers;
-        report.races_detected += out.race_activity.races;
         for v in &out.violations {
             if seen_violations.insert(v.clone()) {
                 report.violations.push(format!(
@@ -514,67 +454,5 @@ mod tests {
     #[test]
     fn trace_transparency_holds_for_simple_scenarios() {
         assert_eq!(trace_transparency(&Permutable), None);
-    }
-
-    use sensorcer_sim::time::SimTime;
-    use sensorcer_sim::topology::{HostKind, SubnetId};
-
-    /// Two mote shards writing one cell at the same instant: a race
-    /// under every window interleaving, and exactly one k=2 cross-shard
-    /// choice point per run.
-    struct ShardRacy;
-
-    impl Scenario for ShardRacy {
-        fn name(&self) -> &'static str {
-            "shard-racy"
-        }
-
-        fn shards(&self) -> usize {
-            2
-        }
-
-        fn run(&self, env: &mut Env) -> ScenarioResult {
-            let a = env.add_host("a", HostKind::SensorMote);
-            let b = env.add_host("b", HostKind::SensorMote);
-            env.topo.set_subnet(a, SubnetId(0));
-            env.topo.set_subnet(b, SubnetId(1));
-            let at = SimTime::ZERO + SimDuration::from_millis(5);
-            env.schedule_at_on(a, at, |env| env.race_write("fed.routes.map"));
-            env.schedule_at_on(b, at, |env| env.race_write("fed.routes.map"));
-            env.run_for(SimDuration::from_millis(20));
-            ScenarioResult {
-                digest: 1,
-                violations: Vec::new(),
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_exploration_permutes_windows_and_reports_races() {
-        let report = explore(
-            &ShardRacy,
-            &ExploreConfig {
-                check_tracing: false,
-                ..ExploreConfig::exhaustive(10)
-            },
-        );
-        // One k=2 cross-shard choice point → both window orders visited.
-        assert_eq!(report.schedules_run, 2, "{report:?}");
-        assert_eq!(report.distinct_schedules, 2);
-        assert_eq!(report.max_width, 2);
-        // The race is unconditional: every schedule reports it.
-        assert_eq!(report.races_detected, 2);
-        assert!(report.violations.iter().any(|v| v.contains("race: ")));
-        // Non-vacuous: cells were checked and window barriers joined.
-        assert!(report.race_cells_checked >= 4, "{report:?}");
-        assert!(report.race_barriers > 0);
-    }
-
-    #[test]
-    fn sequential_scenarios_report_zero_race_activity() {
-        let report = explore(&Permutable, &ExploreConfig::exhaustive(100));
-        assert_eq!(report.races_detected, 0);
-        assert_eq!(report.race_cells_checked, 0);
-        assert_eq!(report.race_barriers, 0);
     }
 }

@@ -11,34 +11,22 @@
 //!   ≥2 co-scheduled timers it permutes delivery order (bounded
 //!   exhaustive for small scenarios, seeded random sampling for large
 //!   ones) and asserts federation invariants after every schedule.
-//!   Scenarios declaring a shard count run on the *sharded* engine with
-//!   the choice points moved to `open_window` boundaries, so cross-shard
-//!   delivery order is what gets permuted.
 //! * happens-before checking — vector clocks on wire deliveries
 //!   (`sensorcer_sim::hb`, enabled per run by the explorer) flag any
 //!   read of shared federation state not ordered after its write.
-//! * shard-race detection — sharded scenarios additionally run under the
-//!   FastTrack-lite shadow state (`sensorcer_sim::race`): every
-//!   callback's shared-cell accesses are attributed to its shard lane,
-//!   and conflicting same-window cross-lane pairs with no separating
-//!   window barrier are reported as `race:` violations.
 //! * [`lifecycle`] — the lease / provisioning / span state machines
 //!   declared as transition tables, with a checker that replays every
 //!   runtime transition (delivered through `Env::lifecycle` and mirrored
 //!   onto flight-recorder spans) against them.
 //! * [`lint`] — an in-repo source lint pass (`harness lint`) banning
 //!   `unwrap()`/`expect()` outside tests and benches, wall-clock time in
-//!   deterministic code, `pub` fields on state-machine types,
-//!   interior-mutability captures in shard callbacks (the Send-audit for
-//!   compute-spreading), and external crate dependencies in manifests.
+//!   deterministic code, `pub` fields on state-machine types, direct
+//!   timer-queue access outside the engine, and external crate
+//!   dependencies in manifests.
 //! * [`scenarios`] — small federated worlds the explorer drives,
 //!   including an intentionally buggy one ([`scenarios::BuggyReaper`])
 //!   that the mutation test uses to prove the explorer detects a real
-//!   ordering bug, plus the shard-race suite: clean shard-local and
-//!   barrier-separated worlds, the deliberately racy
-//!   [`scenarios::CrossSubnetRacyMap`] mutation, and the
-//!   schedule-dependent [`scenarios::HiddenRace`] only window
-//!   permutation surfaces.
+//!   ordering bug.
 
 #![forbid(unsafe_code)]
 
@@ -56,10 +44,7 @@ pub mod prelude {
         LifecycleChecker, StateMachine, LEASE_MACHINE, PROVISION_MACHINE, SPAN_MACHINE,
     };
     pub use crate::lint::{lint_manifest, lint_tree, LintFinding};
-    pub use crate::scenarios::{
-        BarrierHandoff, BuggyReaper, CrossSubnetRacyMap, DegradedRead, HiddenRace, LeaseChurn,
-        ProvisionFailover, ShardLocalChurn,
-    };
+    pub use crate::scenarios::{BuggyReaper, DegradedRead, LeaseChurn, ProvisionFailover};
 }
 
 pub use prelude::*;

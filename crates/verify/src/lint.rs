@@ -1,7 +1,7 @@
 //! In-repo source lints for the workspace (`harness lint`).
 //!
-//! Seven rules — six over `crates/*/src`, one over the `Cargo.toml`
-//! manifests:
+//! Seven rules — five over `crates/*/src`, one over the `Cargo.toml`
+//! manifests, one over both:
 //!
 //! * `unwrap-outside-tests` — `.unwrap()` / `.expect(` in production
 //!   code. Panicking on a fallible path contradicts the federation's
@@ -27,25 +27,20 @@
 //!   exertion from façade code skips the token buckets, QoS classing and
 //!   shedding entirely. The one legitimate site — the client-side call
 //!   *into* the gate itself — is allowlisted: `lint:allow(admission)`.
-//! * `interior-mut-in-shard-callback` — a Send-audit for the
-//!   compute-spreading path: `Rc`/`RefCell`/`Cell`/`thread_local!`
-//!   captured by (or constructed inside) a closure passed to
-//!   `schedule_on`/`schedule_at_on`. Those closures are the shard-lane
-//!   surface; unsynchronized interior mutability shared across lanes is
-//!   exactly what the FastTrack-lite detector flags at runtime, and this
-//!   rule catches the idiom statically. A justified capture (explorer
-//!   bookkeeping, a deliberately racy fixture) is allowlisted with
-//!   `lint:allow(shard)`.
 //! * `no-external-deps` — every entry in a `[dependencies]`,
 //!   `[dev-dependencies]`, `[build-dependencies]` or
 //!   `[workspace.dependencies]` section of the root or a crate manifest
 //!   must be workspace-internal (`path = "…"` or `workspace = true`).
 //!   The reproduction's dependency-free invariant is what keeps it
 //!   buildable offline; this pins it. Escape: `lint:allow(deps)`.
+//! * `unknown-lint-allow` — an escape comment naming a rule the scanner
+//!   does not implement, tests and benches included. An escape whose
+//!   rule was deleted or misspelt suppresses nothing and would otherwise
+//!   linger as a justification for a check nobody runs.
 //!
 //! The scanner is deliberately line-based and dependency-free: it
-//! understands `//` comments, brace/paren depth and `#[cfg(test)]`
-//! blocks, which is exactly enough for this repo's own style.
+//! understands `//` comments, brace depth and `#[cfg(test)]` blocks,
+//! which is exactly enough for this repo's own style.
 
 use std::path::{Path, PathBuf};
 
@@ -102,16 +97,42 @@ fn code_of(line: &str) -> &str {
     }
 }
 
-fn allows(raw: &str, prev: Option<&str>, marker: &str) -> bool {
-    let tag = format!("lint:allow({marker})");
-    raw.contains(&tag) || prev.is_some_and(|p| p.contains(&tag))
+/// How an escape comment opens; the rule's escape name and `)` follow.
+const ALLOW_OPEN: &str = "lint:allow(";
+
+/// The escape names the rules above honour.
+const ALLOW_NAMES: &[&str] = &["unwrap", "wallclock", "queue", "admission", "deps"];
+
+/// The name inside every escape comment on a line.
+fn allow_names(raw: &str) -> impl Iterator<Item = &str> {
+    raw.split(ALLOW_OPEN)
+        .skip(1)
+        .filter_map(|rest| rest.split_once(')').map(|(name, _)| name))
 }
 
-/// Whether `code` contains any of `pats` at an identifier boundary —
-/// the boundary check keeps wrapper names like `admitted_exert(` (and
-/// `ShadowCell<` for the `Cell<` pattern) from matching.
-fn calls_any(code: &str, pats: &[&str]) -> bool {
-    for pat in pats {
+fn allows(raw: &str, prev: Option<&str>, marker: &str) -> bool {
+    allow_names(raw)
+        .chain(prev.into_iter().flat_map(allow_names))
+        .any(|name| name == marker)
+}
+
+/// Flag `raw` if it carries an escape whose name no rule honours.
+fn unknown_allows(rel_path: &str, line_no: usize, raw: &str, findings: &mut Vec<LintFinding>) {
+    if allow_names(raw).any(|name| !ALLOW_NAMES.contains(&name)) {
+        findings.push(LintFinding {
+            file: rel_path.to_string(),
+            line: line_no,
+            rule: "unknown-lint-allow",
+            excerpt: raw.trim().to_string(),
+        });
+    }
+}
+
+/// Whether `code` contains a call to `exert(` or `exert_on(` — an
+/// identifier boundary check keeps wrappers like `admitted_exert(` (and
+/// any other `*exert` name) from matching.
+fn calls_exert(code: &str) -> bool {
+    for pat in ["exert(", "exert_on("] {
         let mut from = 0;
         while let Some(i) = code[from..].find(pat) {
             let at = from + i;
@@ -128,46 +149,12 @@ fn calls_any(code: &str, pats: &[&str]) -> bool {
     false
 }
 
-/// Whether `code` contains a call to `exert(` or `exert_on(`.
-fn calls_exert(code: &str) -> bool {
-    calls_any(code, &["exert(", "exert_on("])
-}
-
-/// The shard-lane scheduling entry points the Send-audit guards.
-const SHARD_SCHEDULE_CALLS: &[&str] = &["schedule_on(", "schedule_at_on("];
-
-/// How many preceding lines a `let x = Rc::clone(&y);`-style binding
-/// taints a `schedule_on`/`schedule_at_on` call — captures are cloned
-/// immediately before the call in this repo's idiom.
-const SHARD_CAPTURE_WINDOW: usize = 3;
-
-/// Interior-mutability tokens banned from shard callbacks.
-fn has_interior_mut(code: &str) -> bool {
-    calls_any(
-        code,
-        // lint:allow(shard): detection patterns, not captures
-        &["Rc::", "Rc<", "RefCell", "Cell::", "Cell<", "thread_local!"],
-    )
-}
-
 fn brace_delta(code: &str) -> i32 {
     let mut d = 0;
     for c in code.chars() {
         match c {
             '{' => d += 1,
             '}' => d -= 1,
-            _ => {}
-        }
-    }
-    d
-}
-
-fn paren_delta(code: &str) -> i32 {
-    let mut d = 0;
-    for c in code.chars() {
-        match c {
-            '(' => d += 1,
-            ')' => d -= 1,
             _ => {}
         }
     }
@@ -195,18 +182,13 @@ fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<LintFindin
     // Depth at which a guarded struct's body opened.
     let mut struct_block: Option<i32> = None;
     let mut prev_raw: Option<&str> = None;
-    // Paren depth, and the depth at which a multi-line
-    // `schedule_on(`/`schedule_at_on(` call opened (its closure body).
-    let mut paren: i32 = 0;
-    let mut shard_call: Option<i32> = None;
-    // Recent interior-mutability bindings: (line, carried an allow tag).
-    let mut recent_interior: Vec<(usize, bool)> = Vec::new();
 
     for (idx, raw) in source.lines().enumerate() {
         let line_no = idx + 1;
         let code = code_of(raw);
         let trimmed = code.trim_start();
         let in_test = test_block.is_some();
+        unknown_allows(rel_path, line_no, raw, &mut findings);
 
         if !in_test {
             if raw.trim_start().starts_with("#[cfg(test)]") {
@@ -266,38 +248,6 @@ fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<LintFindin
                 });
             }
 
-            // Send-audit: interior mutability reaching a shard callback —
-            // either captured via a binding just before the call, on the
-            // call line itself, or constructed inside the closure body.
-            let interior = has_interior_mut(code);
-            let shard_allowed = allows(raw, prev_raw, "shard");
-            if shard_call.is_some() {
-                if interior && !shard_allowed {
-                    findings.push(LintFinding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: "interior-mut-in-shard-callback",
-                        excerpt: raw.trim().to_string(),
-                    });
-                }
-            } else if calls_any(code, SHARD_SCHEDULE_CALLS) {
-                let tainted = interior
-                    || recent_interior
-                        .iter()
-                        .any(|&(l, a)| !a && line_no - l <= SHARD_CAPTURE_WINDOW);
-                if tainted && !shard_allowed {
-                    findings.push(LintFinding {
-                        file: rel_path.to_string(),
-                        line: line_no,
-                        rule: "interior-mut-in-shard-callback",
-                        excerpt: raw.trim().to_string(),
-                    });
-                }
-            } else if interior {
-                recent_interior.push((line_no, shard_allowed));
-            }
-            recent_interior.retain(|&(l, _)| line_no.saturating_sub(l) <= SHARD_CAPTURE_WINDOW);
-
             if struct_block.is_none()
                 && trimmed.contains("struct ")
                 && code.contains('{')
@@ -334,15 +284,6 @@ fn lint_source(crate_name: &str, rel_path: &str, source: &str) -> Vec<LintFindin
         }
 
         depth += brace_delta(code);
-        let paren_before = paren;
-        paren += paren_delta(code);
-        match shard_call {
-            Some(open) if paren <= open => shard_call = None,
-            None if paren > paren_before && calls_any(code, SHARD_SCHEDULE_CALLS) => {
-                shard_call = Some(paren_before)
-            }
-            _ => {}
-        }
         if let Some(open) = test_block {
             if depth <= open {
                 test_block = None;
@@ -421,6 +362,7 @@ pub fn lint_manifest(rel_path: &str, source: &str) -> Vec<LintFinding> {
             None => raw,
         };
         let trimmed = code.trim();
+        unknown_allows(rel_path, line_no, raw, &mut findings);
         if trimmed.starts_with('[') {
             flush(rel_path, &mut findings, &mut dotted);
             let name = trimmed.trim_start_matches('[').trim_end_matches(']').trim();
@@ -635,44 +577,22 @@ mod tests {
     }
 
     #[test]
-    fn interior_mut_captures_in_shard_callbacks_are_flagged() {
-        // The clone-just-before-the-call capture idiom.
-        let src = "fn f(env: &mut Env) {\n    \
-                   let l = Rc::clone(&log);\n    \
-                   env.schedule_at_on(h, at, move |env| { l.borrow_mut().push(1); });\n}\n";
-        let f = lint_source("core", "x.rs", src);
+    fn an_escape_naming_no_implemented_rule_is_flagged() {
+        // Built from ALLOW_OPEN so this file's own scan sees no escape.
+        let stale = format!("fn f() {{}} // {ALLOW_OPEN}retired): the rule is gone\n");
+        let f = lint_source("core", "x.rs", &stale);
         assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "interior-mut-in-shard-callback");
-        // Interior mutability constructed inside the closure body.
-        let src = "fn f(env: &mut Env) {\n    \
-                   env.schedule_on(h, d, move |env| {\n        \
-                   let c = RefCell::new(0);\n    });\n}\n";
-        assert_eq!(lint_source("core", "x.rs", src).len(), 1);
-        // `Cell` on the call line itself.
-        let src =
-            "fn f(env: &mut Env) { env.schedule_on(h, d, { let s = Rc::new(Cell::new(0)); move |_| s.get() }); }\n";
-        assert_eq!(lint_source("core", "x.rs", src).len(), 1);
-        // A clean closure is fine, as are wrapper-ish type names.
-        let src = "fn f(env: &mut Env) {\n    \
-                   let cell = ShadowCell::default();\n    \
-                   env.schedule_at_on(h, at, move |_env| {});\n}\n";
-        assert!(lint_source("core", "x.rs", src).is_empty());
-        // The sequential-only `schedule_at` surface is not covered.
-        let src = "fn f(env: &mut Env) {\n    \
-                   let l = Rc::clone(&log);\n    \
-                   env.schedule_at(at, move |env| { l.borrow_mut().push(1); });\n}\n";
-        assert!(lint_source("core", "x.rs", src).is_empty());
-        // `lint:allow(shard)` on the binding or the call escapes.
-        let src = "fn f(env: &mut Env) {\n    \
-                   // lint:allow(shard): bookkeeping\n    \
-                   let l = Rc::clone(&log);\n    \
-                   env.schedule_at_on(h, at, move |env| { l.borrow_mut().push(1); });\n}\n";
-        assert!(lint_source("core", "x.rs", src).is_empty());
-        // Tests are exempt like every other rule.
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(env: &mut Env) {\n        \
-                   let l = Rc::clone(&log);\n        \
-                   env.schedule_at_on(h, at, move |env| { l.borrow_mut().push(1); });\n    }\n}\n";
-        assert!(lint_source("core", "x.rs", src).is_empty());
+        assert_eq!(f[0].rule, "unknown-lint-allow");
+        // Tests and the bench crate are no shelter, nor are manifests.
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n    // {ALLOW_OPEN}retired)\n}}\n");
+        assert_eq!(lint_source("bench", "x.rs", &in_test).len(), 1);
+        let manifest = format!("[package]\n# {ALLOW_OPEN}retired)\nname = \"x\"\n");
+        assert_eq!(lint_manifest("Cargo.toml", &manifest).len(), 1);
+        // Every honoured name passes, used or not.
+        for name in ALLOW_NAMES {
+            let live = format!("fn f() {{}} // {ALLOW_OPEN}{name}): why\n");
+            assert!(lint_source("core", "x.rs", &live).is_empty(), "{name}");
+        }
     }
 
     #[test]

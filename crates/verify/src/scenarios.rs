@@ -18,24 +18,8 @@
 //!   registered first) but wrong when the explorer delivers the reap
 //!   before the same-instant renewal. The mutation test uses it to prove
 //!   the explorer detects a real ordering bug.
-//!
-//! The shard-race scenarios (`shards() > 0`) run on the sharded engine
-//! with the FastTrack-lite detector installed and take their choice
-//! points at window boundaries instead:
-//!
-//! * [`ShardLocalChurn`] — every shard churns only its own per-subnet
-//!   service map: zero races under every window interleaving.
-//! * [`BarrierHandoff`] — cross-shard handoffs spaced strictly past the
-//!   lookahead, so the window barrier supplies the happens-before edge.
-//! * [`CrossSubnetRacyMap`] — the deliberate mutation: two shards mutate
-//!   one cross-subnet route map inside the same window, no barrier
-//!   between them. Caught under *every* schedule, FIFO included.
-//! * [`HiddenRace`] — a flag-guarded second writer that only touches the
-//!   shared map when the publisher fired first: clean under the
-//!   canonical window order, racy under the permuted one — the bug only
-//!   DPOR-style window exploration surfaces.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use sensorcer_core::csp::DegradationPolicy;
@@ -631,234 +615,6 @@ impl Scenario for BuggyReaper {
     }
 }
 
-// --------------------------------------------------------------------
-// Shard-race scenarios: sharded worlds for the FastTrack-lite detector.
-// --------------------------------------------------------------------
-
-/// One mote per subnet `0..n`, so `shards() == n` gives every mote its
-/// own shard lane.
-fn mote_grid(env: &mut Env, n: u32) -> Vec<HostId> {
-    (0..n)
-        .map(|s| {
-            let h = env.add_host(format!("mote{s}"), HostKind::SensorMote);
-            env.topo.set_subnet(h, SubnetId(s));
-            h
-        })
-        .collect()
-}
-
-/// Shard-local churn: every shard repeatedly reads and rewrites only its
-/// *own* per-subnet service map. All three lanes are co-due at each grid
-/// instant, so every window is a k=3 cross-shard choice point — and no
-/// interleaving can race, because no cell is shared across lanes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ShardLocalChurn;
-
-impl Scenario for ShardLocalChurn {
-    fn name(&self) -> &'static str {
-        "shard-local-churn"
-    }
-
-    fn shards(&self) -> usize {
-        3
-    }
-
-    fn run(&self, env: &mut Env) -> ScenarioResult {
-        let motes = mote_grid(env, 3);
-        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::default();
-        for round in 0..2u64 {
-            // Mote-only subnets give a 5 ms lookahead; rounds 20 ms apart
-            // land in separate windows with a barrier between them.
-            let at = SimTime::ZERO + SimDuration::from_millis(5 + 20 * round);
-            for (s, &m) in motes.iter().enumerate() {
-                // The log is explorer bookkeeping, not simulated shared
-                // state — shared cells go through race_write/race_read.
-                // lint:allow(shard)
-                let log = Rc::clone(&log);
-                let key = format!("fed.subnet{s}.services");
-                env.schedule_at_on(m, at, move |env| {
-                    env.race_read(&key);
-                    env.race_write(&key);
-                    log.borrow_mut().push((env.now().as_nanos(), s as u32));
-                });
-            }
-        }
-        env.run_for(SimDuration::from_millis(60));
-
-        let mut digest = FNV_SEED;
-        for &(at, s) in log.borrow().iter() {
-            fnv(&mut digest, at);
-            fnv(&mut digest, s as u64);
-        }
-        ScenarioResult {
-            digest,
-            violations: Vec::new(),
-        }
-    }
-}
-
-/// Barrier-separated cross-shard handoff: each shard publishes a cell
-/// the *other* shard consumes, with the read scheduled strictly past
-/// `t_write + lookahead` (5 ms on a mote-only world) so a window barrier
-/// always separates the pair. The two publishers tie in one window and
-/// the two consumers in the next — k=2 choice points throughout — yet
-/// every interleaving is clean: the barrier is the happens-before edge.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BarrierHandoff;
-
-impl Scenario for BarrierHandoff {
-    fn name(&self) -> &'static str {
-        "barrier-handoff"
-    }
-
-    fn shards(&self) -> usize {
-        2
-    }
-
-    fn run(&self, env: &mut Env) -> ScenarioResult {
-        let motes = mote_grid(env, 2);
-        let log: Rc<RefCell<Vec<(u64, u32, u8)>>> = Rc::default();
-        for round in 0..2u64 {
-            let base = 5 + 20 * round;
-            for (w, r, cell) in [
-                (0usize, 1usize, "fed.handoff.east"),
-                (1, 0, "fed.handoff.west"),
-            ] {
-                // Explorer bookkeeping log; the handed-off cell itself
-                // goes through race_write/race_read.
-                // lint:allow(shard)
-                let l = Rc::clone(&log);
-                env.schedule_at_on(
-                    motes[w],
-                    SimTime::ZERO + SimDuration::from_millis(base),
-                    move |env| {
-                        env.race_write(cell);
-                        l.borrow_mut().push((env.now().as_nanos(), w as u32, 0));
-                    },
-                );
-                // lint:allow(shard)
-                let l = Rc::clone(&log);
-                env.schedule_at_on(
-                    motes[r],
-                    // +6 ms: strictly past the inclusive 5 ms horizon, so
-                    // the read is in the next window, behind the barrier.
-                    SimTime::ZERO + SimDuration::from_millis(base + 6),
-                    move |env| {
-                        env.race_read(cell);
-                        l.borrow_mut().push((env.now().as_nanos(), r as u32, 1));
-                    },
-                );
-            }
-        }
-        env.run_for(SimDuration::from_millis(60));
-
-        let mut digest = FNV_SEED;
-        for &(at, lane, op) in log.borrow().iter() {
-            fnv(&mut digest, at);
-            fnv(&mut digest, lane as u64);
-            fnv(&mut digest, op as u64);
-        }
-        ScenarioResult {
-            digest,
-            violations: Vec::new(),
-        }
-    }
-}
-
-/// The deliberate racy mutation: callbacks on two shards mutate one
-/// cross-subnet route map at the same instant — same window, no barrier
-/// between them. A write-write race under *every* window interleaving;
-/// the detector must report it even on the canonical FIFO schedule.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CrossSubnetRacyMap;
-
-impl Scenario for CrossSubnetRacyMap {
-    fn name(&self) -> &'static str {
-        "cross-subnet-racy-map"
-    }
-
-    fn shards(&self) -> usize {
-        2
-    }
-
-    fn run(&self, env: &mut Env) -> ScenarioResult {
-        let motes = mote_grid(env, 2);
-        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
-        let at = SimTime::ZERO + SimDuration::from_millis(5);
-        for (s, &m) in motes.iter().enumerate() {
-            // Explorer bookkeeping log. lint:allow(shard)
-            let l = Rc::clone(&log);
-            env.schedule_at_on(m, at, move |env| {
-                env.race_write("fed.routes.map");
-                l.borrow_mut().push(s as u32);
-            });
-        }
-        env.run_for(SimDuration::from_millis(20));
-
-        let mut digest = FNV_SEED;
-        for &s in log.borrow().iter() {
-            fnv(&mut digest, s as u64);
-        }
-        ScenarioResult {
-            digest,
-            violations: Vec::new(),
-        }
-    }
-}
-
-/// A schedule-dependent race only window permutation surfaces.
-///
-/// A probe on shard 1 registers first; a publisher on shard 0 registers
-/// second, co-due in the same window. The publisher sets a flag and
-/// writes the shared route map; the probe writes the map *only when the
-/// flag is already set*. Canonical window order runs the probe first
-/// (flag clear → it stays off the map) so only one lane ever touches the
-/// cell: clean. The permuted order runs the publisher first, the probe
-/// then joins in, and the same-window cross-shard write-write race
-/// appears — exactly the kind of bug DPOR window exploration exists to
-/// catch and the FIFO-only detector misses.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct HiddenRace;
-
-impl Scenario for HiddenRace {
-    fn name(&self) -> &'static str {
-        "hidden-race"
-    }
-
-    fn shards(&self) -> usize {
-        2
-    }
-
-    fn run(&self, env: &mut Env) -> ScenarioResult {
-        let motes = mote_grid(env, 2);
-        let flag: Rc<Cell<bool>> = Rc::default();
-        let at = SimTime::ZERO + SimDuration::from_millis(5);
-        // The flag IS the bug under test — unsynchronized cross-shard
-        // state the detector flags when both lanes reach the map.
-        // lint:allow(shard)
-        let f = Rc::clone(&flag);
-        env.schedule_at_on(motes[1], at, move |env| {
-            if f.get() {
-                env.race_write("fed.routes.map");
-            }
-        });
-        // lint:allow(shard): same flag, publisher side
-        let f = Rc::clone(&flag);
-        env.schedule_at_on(motes[0], at, move |env| {
-            f.set(true);
-            env.race_write("fed.routes.map");
-        });
-        env.run_for(SimDuration::from_millis(20));
-
-        let mut digest = FNV_SEED;
-        fnv(&mut digest, flag.get() as u64);
-        ScenarioResult {
-            digest,
-            violations: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -926,64 +682,5 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.contains("lost its registration")));
-    }
-
-    #[test]
-    fn shard_local_churn_is_clean_under_every_window_order() {
-        let report = explore(&ShardLocalChurn, &ExploreConfig::exhaustive(100));
-        assert!(report.passed(), "{:#?}", report.violations);
-        assert!(!report.truncated);
-        assert_eq!(report.races_detected, 0);
-        // Non-vacuous: k=3 window choice points and real cell traffic.
-        assert!(report.distinct_schedules >= 6, "{report:?}");
-        assert_eq!(report.max_width, 3);
-        assert!(report.race_cells_checked > 0);
-        assert!(report.race_barriers > 0);
-    }
-
-    #[test]
-    fn barrier_handoff_is_clean_under_every_window_order() {
-        let report = explore(&BarrierHandoff, &ExploreConfig::exhaustive(100));
-        assert!(report.passed(), "{:#?}", report.violations);
-        assert!(!report.truncated);
-        assert_eq!(report.races_detected, 0);
-        assert!(report.distinct_schedules >= 4, "{report:?}");
-        assert!(report.race_barriers > 0, "no barriers — windows collapsed");
-    }
-
-    #[test]
-    fn cross_subnet_racy_map_is_caught_even_under_fifo() {
-        let fifo = run_one(&CrossSubnetRacyMap, ChoicePolicy::Prefix(Vec::new()), false);
-        assert!(
-            fifo.violations.iter().any(|v| v.starts_with("race: ")),
-            "the canonical schedule must already report the race: {:#?}",
-            fifo.violations
-        );
-        assert!(fifo
-            .violations
-            .iter()
-            .any(|v| v.contains("fed.routes.map") && v.contains("write-write")));
-        let report = explore(&CrossSubnetRacyMap, &ExploreConfig::exhaustive(16));
-        assert_eq!(
-            report.races_detected as usize, report.schedules_run,
-            "one race per schedule, every schedule: {report:?}"
-        );
-    }
-
-    #[test]
-    fn hidden_race_passes_fifo_but_fails_under_window_permutation() {
-        let fifo = run_one(&HiddenRace, ChoicePolicy::Prefix(Vec::new()), false);
-        assert!(
-            fifo.violations.is_empty(),
-            "the canonical window order must hide the race: {:#?}",
-            fifo.violations
-        );
-        let report = explore(&HiddenRace, &ExploreConfig::exhaustive(16));
-        assert!(
-            !report.passed(),
-            "window permutation must surface the hidden race: {report:?}"
-        );
-        assert!(report.violations.iter().any(|v| v.starts_with("race: ")));
-        assert!(report.races_detected > 0);
     }
 }

@@ -139,7 +139,7 @@ fn schedule_boundary_probe(
 ) -> Rc<RefCell<Vec<(u32, SimTime)>>> {
     let log = Rc::new(RefCell::new(Vec::new()));
     let record = |env: &mut Env, host: usize, at: SimTime, label: u32| {
-        let log = Rc::clone(&log); // test-only shared log  lint:allow(shard)
+        let log = Rc::clone(&log);
         env.schedule_at_on(hosts[host], at, move |env| {
             log.borrow_mut().push((label, env.now()));
         });
@@ -204,7 +204,7 @@ fn strictly_past_horizon_opens_a_new_window() {
                 env.enable_sharding(shards);
                 let fired = Rc::new(RefCell::new(0u32));
                 for (host, at) in [(0usize, t0), (4usize, t0 + offset)] {
-                    let fired = Rc::clone(&fired); // test-only counter  lint:allow(shard)
+                    let fired = Rc::clone(&fired);
                     env.schedule_at_on(hosts[host], at, move |_env| {
                         *fired.borrow_mut() += 1;
                     });
@@ -238,7 +238,7 @@ fn timer_churn_across_subnets_matches_sequential() {
         let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..TIMERS {
             let at = env.now() + SimDuration::from_nanos(1 + i * spread.as_nanos() / TIMERS);
-            let log = Rc::clone(&log); // test-only shared log  lint:allow(shard)
+            let log = Rc::clone(&log);
             env.schedule_at_on(hosts[i as usize % hosts.len()], at, move |env| {
                 log.borrow_mut().push((i, env.now()));
             });
