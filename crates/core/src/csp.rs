@@ -26,7 +26,7 @@ use sensorcer_registry::txn::TxnId;
 use sensorcer_sensors::calib::Calibration;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::{SimDuration, SimTime};
-use sensorcer_sim::topology::HostId;
+use sensorcer_sim::topology::{HostId, NetError};
 use sensorcer_sim::trace::{Outcome, SpanId};
 
 use crate::accessor::{mgmt, selectors, SensorInfo};
@@ -99,6 +99,29 @@ pub fn variable_for(i: usize) -> String {
 /// Breadcrumb context path used to detect composition cycles at read time.
 const VISITED_PATH: &str = "composite/visited";
 
+/// The header of the request to one child.
+struct ChildRequest {
+    /// Task name, `read <child>`.
+    label: Arc<str>,
+    /// Provider pin of the signature, `<child>`.
+    pin: Arc<str>,
+}
+
+/// Make the composite's in-flight request the one `to` gets, exactly as a
+/// freshly built task would read: whatever the last hop left behind (a
+/// reply, a failure, another child's pin) is gone, and the buffers stay.
+fn arm(request: &mut Exertion, to: &ChildRequest, visited: &Value) {
+    let Exertion::Task(task) = request else {
+        unreachable!("providers exert a lent task in place; none replaces it")
+    };
+    task.name.clone_from(&to.label);
+    task.signature.provider_name = Some(Arc::clone(&to.pin));
+    task.status = ExertionStatus::Initial;
+    task.trace.clear();
+    task.context.clear();
+    task.context.put(VISITED_PATH, visited.clone());
+}
+
 /// Registration attribute key marking interchangeable providers (§V.A's
 /// "equivalent available service provider").
 pub const EQUIVALENCE_GROUP_KEY: &str = "equivalence-group";
@@ -113,12 +136,17 @@ pub struct CompositeSensorProvider {
     host: HostId,
     accessor: ServiceAccessor,
     children: Vec<Child>,
-    /// The request sent to each child (`read <name>`, signed
-    /// `SensorDataAccessor#getValue@<name>`, empty context), rebuilt
-    /// whenever `children` changes so the per-read fan-out does not
-    /// re-derive labels or signatures. Task headers are shared, so the
-    /// clone a read takes copies no text.
-    requests: Vec<Task>,
+    /// What differs between the requests to two children: the label
+    /// (`read <name>`) and the provider pin (`<name>`), rebuilt whenever
+    /// `children` changes so the per-read fan-out formats nothing.
+    requests: Vec<ChildRequest>,
+    /// The one request this composite has in flight, signed
+    /// `SensorDataAccessor#getValue`. The fan-out is sequential on the
+    /// host, so every primary, re-bind and failover hop [`arm`]s this same
+    /// task for its child, lends it down and reads the reply out of it:
+    /// the context and trace buffers are allocated once per composite,
+    /// not once per hop.
+    in_flight: Exertion,
     expression: Option<Program>,
     /// Reusable slot frame for expression evaluation (no per-read scope).
     frame: SlotFrame,
@@ -160,6 +188,12 @@ impl CompositeSensorProvider {
             accessor,
             children: Vec::new(),
             requests: Vec::new(),
+            in_flight: Task::new(
+                "",
+                Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE),
+                Context::new(),
+            )
+            .into(),
             expression: None,
             frame: SlotFrame::new(),
             calibration: Calibration::Identity,
@@ -218,19 +252,15 @@ impl CompositeSensorProvider {
         Ok(var)
     }
 
-    /// Recompute the per-child requests from `children`. Called on every
-    /// composition change so reads find everything precomputed.
+    /// Recompute the per-child request headers from `children`. Called on
+    /// every composition change so reads find everything precomputed.
     fn rebuild_requests(&mut self) {
         self.requests = self
             .children
             .iter()
-            .map(|child| {
-                Task::new(
-                    format!("read {}", child.service_name),
-                    Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE)
-                        .on(&child.service_name),
-                    Context::new(),
-                )
+            .map(|child| ChildRequest {
+                label: format!("read {}", child.service_name).into(),
+                pin: child.service_name.as_str().into(),
             })
             .collect();
     }
@@ -360,10 +390,10 @@ impl CompositeSensorProvider {
         );
 
         // Fan the child reads out in parallel — this is a small federation
-        // exerted for this request. Each branch clones its prebuilt
-        // request; nothing per-child is formatted here. Bindings are
-        // cached (the Jini proxy model): only an unknown or failed child
-        // costs a LUS lookup.
+        // exerted for this request. Every hop re-arms and lends the one
+        // in-flight request; nothing per-child is formatted or allocated
+        // here. Bindings are cached (the Jini proxy model): only an unknown
+        // or failed child costs a LUS lookup.
         let accessor = &self.accessor;
         let bindings = &mut self.bindings;
         let cache_enabled = self.binding_cache_enabled;
@@ -372,27 +402,41 @@ impl CompositeSensorProvider {
         let breakers = self.breakers.as_ref();
         let children = &self.children;
         let requests = &self.requests;
+        let request = &mut self.in_flight;
         let collected = env.parallel_over(
             0..children.len(),
             |env: &mut Env, idx: usize| -> Result<(f64, Text, bool), String> {
-                        let child = &children[idx];
-                        // One `csp.child` span per fan-out branch; the
-                        // dispatch spans and retry events nest under it.
-                        let span = env.span_start("csp.child", &child.service_name, host);
-                        let child_start = env.now();
-                        let name: &str = &child.service_name;
-                        let binding = &mut bindings[idx];
-                        let mut run = |env: &mut Env| -> Result<(f64, Text, bool), String> {
-                        let make_task = || {
-                            let mut task = requests[idx].clone();
-                            task.context.put(VISITED_PATH, visited.clone());
-                            task
-                        };
-                        // Consumes the reply: the unit is moved out of its
-                        // context, not copied.
-                        let parse = |mut done: Exertion, who: &str| match done.status() {
+                let child = &children[idx];
+                // One `csp.child` span per fan-out branch; the dispatch
+                // spans and retry events nest under it.
+                let span = env.span_start("csp.child", &child.service_name, host);
+                let child_start = env.now();
+                let name: &str = &child.service_name;
+                let binding = &mut bindings[idx];
+                let to = &requests[idx];
+                let mut run = |env: &mut Env| -> Result<(f64, Text, bool), String> {
+                    // One hop: arm the request for this child, lend it to
+                    // `svc` under `budget`, tell the breaker how the wire
+                    // behaved, and read the reply where it lies (the unit
+                    // is moved out of its context, not copied). The outer
+                    // error means no reply came back at all.
+                    let mut hop = |env: &mut Env,
+                                   svc: ServiceId,
+                                   budget: &RetryPolicy,
+                                   who: &str|
+                     -> Result<Result<(f64, Text, bool), String>, NetError> {
+                        arm(request, to, &visited);
+                        let sent =
+                            exert_in_place_rearmed(env, host, svc, request, None, budget, |r| {
+                                arm(r, to, &visited)
+                            });
+                        if let Some(b) = breakers {
+                            b.borrow_mut().record(env, svc, sent.err());
+                        }
+                        sent?;
+                        Ok(match request.status() {
                             ExertionStatus::Done => {
-                                let ctx = done.context_mut();
+                                let ctx = request.context_mut();
                                 match ctx.get_f64(paths::SENSOR_VALUE) {
                                     Some(v) => {
                                         let good =
@@ -408,227 +452,160 @@ impl CompositeSensorProvider {
                             }
                             ExertionStatus::Failed(e) => Err(format!("'{who}': {e}")),
                             other => Err(format!("'{who}': unexpected status {other:?}")),
-                        };
+                        })
+                    };
 
-                        // Resolve the named provider: cached proxy first;
-                        // a stale proxy is dropped and the name re-bound
-                        // within this same read.
-                        let mut failure: Option<String> = None;
-                        let cached = if cache_enabled { *binding } else { None };
-                        if let Some(svc) = cached {
-                            if breakers
-                                .is_some_and(|b| !b.borrow_mut().allow(env, svc))
+                    // Resolve the named provider: cached proxy first; a
+                    // stale proxy is dropped and the name re-bound within
+                    // this same read.
+                    let mut failure: Option<String> = None;
+                    let cached = if cache_enabled { *binding } else { None };
+                    if let Some(svc) = cached {
+                        if breakers.is_some_and(|b| !b.borrow_mut().allow(env, svc)) {
+                            // Breaker open: a fresh bind would reach the
+                            // same tripped provider, so skip straight to
+                            // the group fallback without retrying.
+                            failure = Some(format!("'{name}': breaker open"));
+                        } else {
+                            match hop(env, svc, &retry, name) {
+                                Ok(Ok(v)) => return Ok(v),
+                                // Answered but failed (dead transducer,
+                                // expression error in a nested CSP, ...) —
+                                // a fresh bind would reach the same
+                                // provider, so skip straight to the group
+                                // fallback.
+                                Ok(Err(e)) => failure = Some(e),
+                                // Stale proxy: drop and re-bind below.
+                                Err(_) => *binding = None,
+                            }
+                        }
+                    }
+                    if failure.is_none() {
+                        let bound =
+                            accessor.bind(env, host, interfaces::SENSOR_DATA_ACCESSOR, Some(name));
+                        match bound {
+                            Some(item)
+                                if breakers
+                                    .is_some_and(|b| !b.borrow_mut().allow(env, item.service)) =>
                             {
-                                // Breaker open: a fresh bind would reach the
-                                // same tripped provider, so skip straight to
-                                // the group fallback without retrying.
                                 failure = Some(format!("'{name}': breaker open"));
-                            } else {
-                                let res =
-                                    exert_on_retry(env, host, svc, make_task().into(), None, &retry);
-                                if let Some(b) = breakers {
-                                    b.borrow_mut().record(env, svc, res.as_ref().err().copied());
+                            }
+                            Some(item) => {
+                                if cache_enabled {
+                                    *binding = Some(item.service);
                                 }
-                                match res {
-                                    Ok(done) => match parse(done, name) {
-                                        Ok(v) => return Ok(v),
-                                        // Answered but failed (dead transducer,
-                                        // expression error in a nested CSP, ...)
-                                        // — a fresh bind would reach the same
-                                        // provider, so skip straight to the
-                                        // group fallback.
-                                        Err(e) => failure = Some(e),
-                                    },
-                                    Err(_) => {
-                                        // Stale proxy: drop and re-bind below.
+                                match hop(env, item.service, &retry, name) {
+                                    Ok(Ok(v)) => return Ok(v),
+                                    Ok(Err(e)) => failure = Some(e),
+                                    Err(e) => {
                                         *binding = None;
+                                        failure =
+                                            Some(format!("'{name}': provider unreachable: {e}"));
                                     }
                                 }
                             }
+                            None => failure = Some(format!("'{name}': no provider found")),
                         }
-                        if failure.is_none() {
-                            let bound = accessor.bind(
-                                env,
-                                host,
-                                interfaces::SENSOR_DATA_ACCESSOR,
-                                Some(name),
-                            );
-                            match bound {
-                                Some(item)
-                                    if breakers.is_some_and(|b| {
-                                        !b.borrow_mut().allow(env, item.service)
-                                    }) =>
-                                {
-                                    failure = Some(format!("'{name}': breaker open"));
-                                }
-                                Some(item) => {
-                                    if cache_enabled {
-                                        *binding = Some(item.service);
-                                    }
-                                    let res = exert_on_retry(
-                                        env,
-                                        host,
-                                        item.service,
-                                        make_task().into(),
-                                        None,
-                                        &retry,
-                                    );
-                                    if let Some(b) = breakers {
-                                        b.borrow_mut().record(
-                                            env,
-                                            item.service,
-                                            res.as_ref().err().copied(),
-                                        );
-                                    }
-                                    match res {
-                                        Ok(done) => match parse(done, name) {
-                                            Ok(v) => return Ok(v),
-                                            Err(e) => failure = Some(e),
-                                        },
-                                        Err(e) => {
-                                            *binding = None;
-                                            failure = Some(format!(
-                                                "'{name}': provider unreachable: {e}"
-                                            ));
-                                        }
-                                    }
-                                }
-                                None => {
-                                    failure = Some(format!("'{name}': no provider found"))
-                                }
-                            }
-                        }
+                    }
 
-                        // §V.A: "If for any reason, a particular sensor
-                        // service is not available, the request can be
-                        // passed on to the equivalent available service
-                        // provider" — whether the named provider is gone
-                        // *or* answered with a failure.
-                        if let Some(group) = child.group.as_deref() {
-                            env.metrics.add(keys::FAILOVER_ATTEMPTS, 1);
-                            if span.is_valid() {
-                                // elapsed_ns: how much of this child's budget
-                                // the primary burned before we gave up on it.
-                                env.span_event(
-                                    span,
-                                    "failover.attempt",
-                                    vec![
-                                        ("group", group.into()),
-                                        (
-                                            "elapsed_ns",
-                                            (env.now() - child_start).as_nanos().into(),
-                                        ),
-                                    ],
-                                );
-                            }
-                            let primary = failure
-                                .take()
-                                .unwrap_or_else(|| format!("'{name}': read failed"));
-                            let equivalent = accessor.bind_by_attr_excluding(
-                                env,
-                                host,
-                                interfaces::SENSOR_DATA_ACCESSOR,
-                                sensorcer_registry::attributes::AttrMatch::Custom {
-                                    key: Some(EQUIVALENCE_GROUP_KEY.into()),
-                                    value: Some(group.into()),
-                                },
-                                Some(name),
+                    // §V.A: "If for any reason, a particular sensor service
+                    // is not available, the request can be passed on to the
+                    // equivalent available service provider" — whether the
+                    // named provider is gone *or* answered with a failure.
+                    if let Some(group) = child.group.as_deref() {
+                        env.metrics.add(keys::FAILOVER_ATTEMPTS, 1);
+                        if span.is_valid() {
+                            // elapsed_ns: how much of this child's budget
+                            // the primary burned before we gave up on it.
+                            env.span_event(
+                                span,
+                                "failover.attempt",
+                                vec![
+                                    ("group", group.into()),
+                                    ("elapsed_ns", (env.now() - child_start).as_nanos().into()),
+                                ],
                             );
-                            match equivalent {
-                                Some(item)
-                                    if breakers.is_some_and(|b| {
-                                        !b.borrow_mut().allow(env, item.service)
-                                    }) =>
-                                {
-                                    failure = Some(format!(
-                                        "{primary}; equivalent breaker open"
-                                    ));
-                                }
-                                Some(item) => {
-                                    let eq =
-                                        item.name().unwrap_or("equivalent").to_string();
-                                    // The failover hop stays single-shot: the
-                                    // retry budget was already spent on the
-                                    // primary.
-                                    let res = exert_on(
-                                        env,
-                                        host,
-                                        item.service,
-                                        make_task().into(),
-                                        None,
-                                    );
-                                    if let Some(b) = breakers {
-                                        b.borrow_mut().record(
-                                            env,
-                                            item.service,
-                                            res.as_ref().err().copied(),
-                                        );
-                                    }
-                                    match res {
-                                        Ok(done) => match parse(done, &eq) {
-                                            Ok(v) => {
-                                                env.metrics
-                                                    .add(keys::FAILOVER_SUCCESS, 1);
-                                                if span.is_valid() {
-                                                    env.span_event(
-                                                        span,
-                                                        "failover.success",
-                                                        vec![
-                                                            (
-                                                                "equivalent",
-                                                                eq.as_str().into(),
-                                                            ),
-                                                            (
-                                                                "elapsed_ns",
-                                                                (env.now() - child_start)
-                                                                    .as_nanos()
-                                                                    .into(),
-                                                            ),
-                                                        ],
-                                                    );
-                                                }
-                                                // Deliberately not cached: the
-                                                // primary is retried next read.
-                                                return Ok(v);
-                                            }
-                                            Err(e) => {
-                                                failure = Some(format!(
-                                                    "{primary}; equivalent {e}"
-                                                ));
-                                            }
-                                        },
-                                        Err(e) => {
-                                            failure = Some(format!(
-                                                "{primary}; equivalent '{eq}' unreachable: {e}"
-                                            ));
+                        }
+                        let primary = failure
+                            .take()
+                            .unwrap_or_else(|| format!("'{name}': read failed"));
+                        let equivalent = accessor.bind_by_attr_excluding(
+                            env,
+                            host,
+                            interfaces::SENSOR_DATA_ACCESSOR,
+                            sensorcer_registry::attributes::AttrMatch::Custom {
+                                key: Some(EQUIVALENCE_GROUP_KEY.into()),
+                                value: Some(group.into()),
+                            },
+                            Some(name),
+                        );
+                        match equivalent {
+                            Some(item)
+                                if breakers
+                                    .is_some_and(|b| !b.borrow_mut().allow(env, item.service)) =>
+                            {
+                                failure = Some(format!("{primary}; equivalent breaker open"));
+                            }
+                            Some(item) => {
+                                let eq = item.name().unwrap_or("equivalent").to_string();
+                                // The failover hop stays single-shot: the
+                                // retry budget was already spent on the
+                                // primary.
+                                match hop(env, item.service, &RetryPolicy::none(), &eq) {
+                                    Ok(Ok(v)) => {
+                                        env.metrics.add(keys::FAILOVER_SUCCESS, 1);
+                                        if span.is_valid() {
+                                            env.span_event(
+                                                span,
+                                                "failover.success",
+                                                vec![
+                                                    ("equivalent", eq.as_str().into()),
+                                                    (
+                                                        "elapsed_ns",
+                                                        (env.now() - child_start).as_nanos().into(),
+                                                    ),
+                                                ],
+                                            );
                                         }
+                                        // Deliberately not cached: the
+                                        // primary is retried next read.
+                                        return Ok(v);
+                                    }
+                                    Ok(Err(e)) => {
+                                        failure = Some(format!("{primary}; equivalent {e}"));
+                                    }
+                                    Err(e) => {
+                                        failure = Some(format!(
+                                            "{primary}; equivalent '{eq}' unreachable: {e}"
+                                        ));
                                     }
                                 }
-                                None => {
-                                    failure = Some(format!(
-                                        "{primary}; no equivalent provider in group '{group}' available"
-                                    ));
-                                }
+                            }
+                            None => {
+                                failure = Some(format!(
+                                    "{primary}; no equivalent provider in group '{group}' available"
+                                ));
                             }
                         }
-                        Err(failure.unwrap_or_else(|| format!("'{name}': read failed")))
-                        };
-                        let outcome = run(env);
-                        match &outcome {
-                            Ok((_, _, good)) => {
-                                if span.is_valid() && !*good {
-                                    env.span_field(span, "quality", "suspect");
-                                }
-                                env.span_end(span, Outcome::Ok);
-                            }
-                            Err(e) => {
-                                if span.is_valid() {
-                                    env.span_field(span, "error", e.as_str());
-                                }
-                                env.span_end(span, Outcome::Error);
-                            }
+                    }
+                    Err(failure.unwrap_or_else(|| format!("'{name}': read failed")))
+                };
+                let outcome = run(env);
+                match &outcome {
+                    Ok((_, _, good)) => {
+                        if span.is_valid() && !*good {
+                            env.span_field(span, "quality", "suspect");
                         }
-                        outcome
+                        env.span_end(span, Outcome::Ok);
+                    }
+                    Err(e) => {
+                        if span.is_valid() {
+                            env.span_field(span, "error", e.as_str());
+                        }
+                        env.span_end(span, Outcome::Error);
+                    }
+                }
+                outcome
             },
         );
         // The hub pays CPU per child for demarshalling and bookkeeping —
@@ -640,12 +617,14 @@ impl CompositeSensorProvider {
         let mut unit = Text::Static("");
         let mut all_good = true;
         let mut errors: Vec<(usize, String)> = Vec::new();
-        let mut readings: Vec<(&str, f64)> = Vec::with_capacity(collected.len());
+        // Already in the shape the expression binds; the default average
+        // reads the same list back through `as_f64`.
+        let mut readings: Vec<(&str, Value)> = Vec::with_capacity(collected.len());
         let now = env.now();
         for (idx, outcome) in collected.into_iter().enumerate() {
             match outcome {
                 Ok((v, u, good)) => {
-                    readings.push((&children[idx].var, v));
+                    readings.push((&children[idx].var, Value::Float(v)));
                     all_good &= good;
                     if unit.is_empty() {
                         unit.clone_from(&u);
@@ -693,7 +672,7 @@ impl CompositeSensorProvider {
                         let child = children[*idx].service_name.as_str();
                         match &self.last_good[*idx] {
                             Some(lg) => {
-                                readings.push((&children[*idx].var, lg.value));
+                                readings.push((&children[*idx].var, Value::Float(lg.value)));
                                 if unit.is_empty() {
                                     unit.clone_from(&lg.unit);
                                 }
@@ -733,7 +712,7 @@ impl CompositeSensorProvider {
                         let child = children[*idx].service_name.as_str();
                         match &self.last_good[*idx] {
                             Some(lg) if now - lg.at <= max_age => {
-                                readings.push((&children[*idx].var, lg.value));
+                                readings.push((&children[*idx].var, Value::Float(lg.value)));
                                 if unit.is_empty() {
                                     unit.clone_from(&lg.unit);
                                 }
@@ -787,26 +766,11 @@ impl CompositeSensorProvider {
             _ => SpanId::INVALID,
         };
         let computed = match &self.expression {
-            Some(program) => {
-                let pairs: Vec<(&str, Value)> = readings
-                    .iter()
-                    .map(|(var, v)| (*var, Value::Float(*v)))
-                    .collect();
-                match program.bind_in(&pairs, &mut self.frame) {
-                    Ok(v) => match v.as_f64() {
-                        Some(x) => x,
-                        None => {
-                            let msg = format!("expression produced non-numeric value: {v}");
-                            if eval_span.is_valid() {
-                                env.span_field(eval_span, "error", msg.as_str());
-                            }
-                            env.span_end(eval_span, Outcome::Error);
-                            task.fail(msg);
-                            return;
-                        }
-                    },
-                    Err(e) => {
-                        let msg = format!("expression error: {e}");
+            Some(program) => match program.bind_in(&readings, &mut self.frame) {
+                Ok(v) => match v.as_f64() {
+                    Some(x) => x,
+                    None => {
+                        let msg = format!("expression produced non-numeric value: {v}");
                         if eval_span.is_valid() {
                             env.span_field(eval_span, "error", msg.as_str());
                         }
@@ -814,10 +778,21 @@ impl CompositeSensorProvider {
                         task.fail(msg);
                         return;
                     }
+                },
+                Err(e) => {
+                    let msg = format!("expression error: {e}");
+                    if eval_span.is_valid() {
+                        env.span_field(eval_span, "error", msg.as_str());
+                    }
+                    env.span_end(eval_span, Outcome::Error);
+                    task.fail(msg);
+                    return;
                 }
-            }
+            },
             // Default aggregation when no expression is installed.
-            None => readings.iter().map(|(_, v)| v).sum::<f64>() / readings.len() as f64,
+            None => {
+                readings.iter().filter_map(|(_, v)| v.as_f64()).sum::<f64>() / readings.len() as f64
+            }
         };
         env.span_end(eval_span, Outcome::Ok);
         let value = self.calibration.apply(computed);

@@ -124,6 +124,13 @@ impl Context {
         Some(value)
     }
 
+    /// Drop every entry but keep the room they took, so a request that is
+    /// re-armed and sent again allocates nothing.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.entries_wire = 0;
+    }
+
     pub fn contains(&self, path: &str) -> bool {
         self.search(path).is_ok()
     }

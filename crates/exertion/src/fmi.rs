@@ -21,7 +21,7 @@ use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::HostId;
 
 use crate::exertion::{Access, Exertion, ExertionStatus, Flow, Job, Task};
-use crate::retry::{exert_on_retry, RetryPolicy};
+use crate::retry::{exert_in_place_retry, exert_on_retry, RetryPolicy};
 use crate::servicer::{Servicer, ServicerBox};
 use crate::space::SpaceHandle;
 
@@ -135,10 +135,31 @@ struct Coordinator<'a> {
 }
 
 impl Coordinator<'_> {
+    /// Coordinate a job, or bind a bare task and lend it to its provider:
+    /// the requestor's own exertion goes down and comes back exerted.
     fn run_exertion(&self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>) {
-        match exertion {
-            Exertion::Task(task) => self.run_push_task(env, task, txn),
-            Exertion::Job(job) => self.run_job(env, job, txn),
+        let task = match exertion {
+            Exertion::Job(job) => return self.run_job(env, job, txn),
+            Exertion::Task(task) => task,
+        };
+        let bound = self.accessor.bind(
+            env,
+            self.host,
+            &task.signature.interface,
+            task.signature.provider_name.as_deref(),
+        );
+        let Some(item) = bound else {
+            task.fail(format!("no provider found for {}", task.signature));
+            return;
+        };
+        self.tasks_dispatched.set(self.tasks_dispatched.get() + 1);
+        let sent = exert_in_place_retry(env, self.host, item.service, exertion, txn, &self.retry);
+        if let (Err(e), Exertion::Task(task)) = (sent, exertion) {
+            // No reply arrived: whatever the provider wrote before its
+            // response was lost is not the requestor's to see.
+            task.context.clear();
+            task.trace.clear();
+            task.fail(format!("provider unreachable: {e}"));
         }
     }
 
@@ -147,26 +168,17 @@ impl Coordinator<'_> {
         match (job.strategy.flow, job.strategy.access) {
             (Flow::Sequence, Access::Push) => {
                 let mut prev_result: Option<sensorcer_expr::Value> = None;
-                for i in 0..job.exertions.len() {
+                for child in &mut job.exertions {
                     // Dataflow pipe: a sequence stage may consume the
                     // previous stage's result as `pipe/in`.
-                    if let (Some(v), Exertion::Task(t)) = (&prev_result, &mut job.exertions[i]) {
+                    if let (Some(v), Exertion::Task(t)) = (&prev_result, &mut *child) {
                         if !t.context.contains("pipe/in") {
                             t.context.put("pipe/in", v.clone());
                         }
                     }
-                    let mut child = std::mem::replace(
-                        &mut job.exertions[i],
-                        Exertion::Task(Task::new(
-                            "placeholder",
-                            crate::exertion::Signature::new("", ""),
-                            Default::default(),
-                        )),
-                    );
-                    self.run_exertion(env, &mut child, txn);
+                    self.run_exertion(env, child, txn);
                     prev_result = child.context().get(crate::context::paths::RESULT).cloned();
-                    job.exertions[i] = child;
-                    if job.exertions[i].status().is_failed() {
+                    if child.status().is_failed() {
                         break;
                     }
                 }
@@ -295,33 +307,6 @@ impl Coordinator<'_> {
             }
         }
         None
-    }
-
-    fn run_push_task(&self, env: &mut Env, task: &mut Task, txn: Option<TxnId>) {
-        let bound = self.accessor.bind(
-            env,
-            self.host,
-            &task.signature.interface,
-            task.signature.provider_name.as_deref(),
-        );
-        let Some(item) = bound else {
-            task.fail(format!("no provider found for {}", task.signature));
-            return;
-        };
-        self.tasks_dispatched.set(self.tasks_dispatched.get() + 1);
-        let sent = std::mem::replace(
-            task,
-            Task::new(
-                "placeholder",
-                crate::exertion::Signature::new("", ""),
-                Default::default(),
-            ),
-        );
-        match exert_on_retry(env, self.host, item.service, sent.into(), txn, &self.retry) {
-            Ok(Exertion::Task(done)) => *task = done,
-            Ok(Exertion::Job(_)) => unreachable!("sent a task, received a job"),
-            Err(e) => task.fail(format!("provider unreachable: {e}")),
-        }
     }
 }
 

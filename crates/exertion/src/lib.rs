@@ -60,8 +60,12 @@ pub mod prelude {
         Access, ControlStrategy, Exertion, ExertionStatus, Flow, Job, Signature, Task,
     };
     pub use crate::fmi::{exert, exert_with_retry, Jobber, ServiceAccessor, Spacer};
-    pub use crate::retry::{exert_on_retry, RetryPolicy};
-    pub use crate::servicer::{exert_on, exerted_by, Servicer, ServicerBox, Tasker};
+    pub use crate::retry::{
+        exert_in_place_rearmed, exert_in_place_retry, exert_on_retry, RetryPolicy,
+    };
+    pub use crate::servicer::{
+        exert_in_place, exert_on, exerted_by, Servicer, ServicerBox, Tasker,
+    };
     pub use crate::space::{attach_worker, EntryId, ExertionSpace, SpaceHandle};
 }
 

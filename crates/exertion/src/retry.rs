@@ -7,10 +7,10 @@
 //! (waited against *sim* time, so lease renewals, monitors and scheduled
 //! heals run during the wait), all within a `deadline` of virtual time.
 //!
-//! [`exert_on_retry`] wraps [`exert_on`](crate::servicer::exert_on)
-//! without changing it: raw `exert_on` stays a single network hop, so
-//! callers that want fail-fast semantics (and every existing test) keep
-//! them bit-for-bit.
+//! [`exert_in_place_rearmed`] wraps
+//! [`exert_in_place`](crate::servicer::exert_in_place) without changing
+//! it: the raw hop stays a single network hop, so callers that want
+//! fail-fast semantics (and every existing test) keep them bit-for-bit.
 
 use sensorcer_registry::txn::TxnId;
 use sensorcer_sim::env::{Env, ServiceId};
@@ -18,9 +18,9 @@ use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::{HostId, NetError};
 
 use crate::exertion::Exertion;
-use crate::servicer::exert_on;
+use crate::servicer::exert_in_place;
 
-/// Metric keys bumped by [`exert_on_retry`].
+/// Metric keys bumped by [`exert_in_place_rearmed`].
 pub mod keys {
     /// Re-dispatches performed after a transient failure.
     pub const RETRY_ATTEMPTS: &str = "exertion.retry.attempts";
@@ -84,20 +84,28 @@ impl Default for RetryPolicy {
     }
 }
 
-/// [`exert_on`] under a retry budget. Transient errors are retried with
-/// exponential backoff waited against sim time (timers fire during the
-/// wait, so a scheduled heal or restart can land mid-read); permanent
-/// errors and exhausted budgets return the *last* error seen.
-pub fn exert_on_retry(
+/// [`exert_in_place`] under a retry budget — the one retry loop. Transient
+/// errors are retried with exponential backoff waited against sim time
+/// (timers fire during the wait, so a scheduled heal or restart can land
+/// mid-read); permanent errors and exhausted budgets return the *last*
+/// error seen.
+///
+/// A failed attempt may have reached the provider (a lost response comes
+/// after it ran), so before every repeated attempt `rearm` must put the
+/// lent exertion back to the request the first attempt sent. A caller that
+/// can rebuild its request in place passes that; one that cannot uses
+/// [`exert_in_place_retry`].
+pub fn exert_in_place_rearmed(
     env: &mut Env,
     from: HostId,
     provider: ServiceId,
-    exertion: Exertion,
+    exertion: &mut Exertion,
     txn: Option<TxnId>,
     policy: &RetryPolicy,
-) -> Result<Exertion, NetError> {
+    mut rearm: impl FnMut(&mut Exertion),
+) -> Result<(), NetError> {
     if policy.is_none() {
-        return exert_on(env, from, provider, exertion, txn);
+        return exert_in_place(env, from, provider, exertion, txn);
     }
     let start = env.now();
     // Retry traffic is attributed to the provider under pressure: its host
@@ -106,25 +114,15 @@ pub fn exert_on_retry(
     // bumped by `add_host`, so totals are unchanged. Resolved on the first
     // failure only: a dispatch that succeeds first time attributes nothing.
     let mut target: Option<(HostId, String)> = None;
-    let mut exertion = Some(exertion);
     let mut attempt: u32 = 0;
     loop {
-        // The last permitted attempt takes the exertion itself; earlier
-        // ones send a copy and keep the original for the retry.
-        let sent = if attempt + 1 >= policy.attempts {
-            exertion.take()
-        } else {
-            exertion.clone()
-        }
-        // lint:allow(unwrap): taken only by the attempt the loop ends with
-        .expect("the loop returns after the attempt that took the exertion");
-        match exert_on(env, from, provider, sent, txn) {
-            Ok(done) => {
+        match exert_in_place(env, from, provider, exertion, txn) {
+            Ok(()) => {
                 if let Some((provider_host, label)) = &target {
                     env.metrics.add_host(*provider_host, keys::RETRY_SUCCESS, 1);
                     env.metrics.add_labeled(keys::RETRY_SUCCESS, label, 1);
                 }
-                return Ok(done);
+                return Ok(());
             }
             Err(e) => {
                 let (provider_host, label) = target.get_or_insert_with(|| {
@@ -203,9 +201,43 @@ pub fn exert_on_retry(
                 // Exponential backoff against sim time; scheduled events
                 // (heals, restarts, renewals) fire during the wait.
                 env.run_for(backoff);
+                rearm(exertion);
             }
         }
     }
+}
+
+/// [`exert_in_place_rearmed`] for a request the caller cannot rebuild: a
+/// copy made before the first attempt (none under a single-try budget) is
+/// what a repeated attempt sends again.
+pub fn exert_in_place_retry(
+    env: &mut Env,
+    from: HostId,
+    provider: ServiceId,
+    exertion: &mut Exertion,
+    txn: Option<TxnId>,
+    policy: &RetryPolicy,
+) -> Result<(), NetError> {
+    let pristine = (!policy.is_none()).then(|| exertion.clone());
+    exert_in_place_rearmed(env, from, provider, exertion, txn, policy, |sent| {
+        if let Some(request) = &pristine {
+            sent.clone_from(request);
+        }
+    })
+}
+
+/// [`exert_in_place_retry`] for a caller that owns the request and wants
+/// the reply by value.
+pub fn exert_on_retry(
+    env: &mut Env,
+    from: HostId,
+    provider: ServiceId,
+    mut exertion: Exertion,
+    txn: Option<TxnId>,
+    policy: &RetryPolicy,
+) -> Result<Exertion, NetError> {
+    exert_in_place_retry(env, from, provider, &mut exertion, txn, policy)?;
+    Ok(exertion)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! requestor never calls `getValue` itself, it passes an exertion whose
 //! signature names the operation. [`ServicerBox`] is the uniform deployed
 //! form every exertion-capable provider takes in the simulation;
-//! [`exert_on`] is the single network dispatch point.
+//! [`exert_in_place`] is the single network dispatch point.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -80,19 +80,23 @@ impl std::fmt::Debug for ServicerBox {
     }
 }
 
-/// Send an exertion to a deployed [`ServicerBox`] across the simulated
-/// network and return the exerted result — the FMI hop.
+/// Lend an exertion to a deployed [`ServicerBox`] across the simulated
+/// network — the FMI hop. The provider exerts it in place, so on `Ok` the
+/// caller's exertion *is* the reply: the same one goes down and comes back
+/// (§IV.D), nothing is copied. On `Err` the provider may or may not have
+/// run (a lost response comes after it did); re-arm the request before
+/// sending it again.
 ///
 /// When the flight recorder is on, each hop is an `fmi.dispatch` span
 /// labelled with the provider's registered name and carrying the request
 /// and response wire sizes.
-pub fn exert_on(
+pub fn exert_in_place(
     env: &mut Env,
     from: HostId,
     provider: ServiceId,
-    mut exertion: Exertion,
+    exertion: &mut Exertion,
     txn: Option<TxnId>,
-) -> Result<Exertion, NetError> {
+) -> Result<(), NetError> {
     let req = exertion.wire_size();
     let span = env.span_start_for("fmi.dispatch", provider, from);
     if span.is_valid() {
@@ -104,17 +108,16 @@ pub fn exert_on(
         provider,
         ProtocolStack::Tcp,
         req,
-        move |env, sb: &mut ServicerBox| {
-            sb.service(env, &mut exertion, txn);
-            let resp = exertion.wire_size();
-            (exertion, resp)
+        |env, sb: &mut ServicerBox| {
+            sb.service(env, exertion, txn);
+            ((), exertion.wire_size())
         },
     );
     if span.is_valid() {
         match &result {
-            Ok(exerted) => {
-                env.span_field(span, "bytes.resp", exerted.wire_size() as u64);
-                let outcome = if exerted.status().is_failed() {
+            Ok(()) => {
+                env.span_field(span, "bytes.resp", exertion.wire_size() as u64);
+                let outcome = if exertion.status().is_failed() {
                     env.span_field(span, "status", "failed");
                     sensorcer_sim::trace::Outcome::Error
                 } else {
@@ -129,6 +132,20 @@ pub fn exert_on(
         }
     }
     result
+}
+
+/// [`exert_in_place`] for a caller that owns the request and wants the
+/// reply by value.
+#[inline]
+pub fn exert_on(
+    env: &mut Env,
+    from: HostId,
+    provider: ServiceId,
+    mut exertion: Exertion,
+    txn: Option<TxnId>,
+) -> Result<Exertion, NetError> {
+    exert_in_place(env, from, provider, &mut exertion, txn)?;
+    Ok(exertion)
 }
 
 /// The line a provider adds to [`Task::trace`] when it exerts a task. A

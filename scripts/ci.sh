@@ -77,11 +77,13 @@
 #                           `registry_churn` reaches 1 500 (a lookup is
 #                           copying its results, or serialising an item
 #                           to learn its size, again), @ `flat_read`
-#                           reaches 250 or @ `tree_read` 2 600 (a child
-#                           request deep-copies the breadcrumb, or a
-#                           reply allocates its unit and quality text,
-#                           again), or if `heap_peak_mb` @ `mote_scale`
-#                           reaches 135 (a stored measurement costs more
+#                           reaches 40, @ `tree_read` 620 or @
+#                           `tenant_storm` 60 (a child hop of a
+#                           composite read is shipped a copy of its
+#                           request again instead of being lent the one
+#                           the composite keeps in flight), or if
+#                           `heap_peak_mb` @ `mote_scale` reaches 135
+#                           (a stored measurement costs more
 #                           than 17 bytes again). Timings from a 2 s
 #                           pass are not comparable with anything.
 #
@@ -317,17 +319,17 @@ if [ "$yardstick" -eq 1 ]; then
     for seed in 42 7; do
         echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
         benchmark/run.sh --seed "$seed" --seconds 2
-        # Counts, exact whatever the run length. mote_scale: 120 while
+        # Counts, exact whatever the run length. mote_scale: 17 while
         # timer callbacks sit in the slab and a repeating timer is
         # re-queued by move, 4 488 when every firing boxed a fresh closure.
         # registry_churn: 341 while lookups share the stored items and
         # sizes are added up, 5 013 when every matched item was deep-cloned
         # and encoded into a scratch buffer to be measured. flat_read /
-        # tree_read: 147 / 1 476 while a child request shares its parent's
-        # breadcrumb and a reply carries literals, 406 / 5 183 when every
-        # request deep-copied the list and every reply allocated "°C" and
-        # "good" (and a B-tree node to hold them).
-        for gate in mote_scale:500 registry_churn:1500 flat_read:250 tree_read:2600; do
+        # tree_read / tenant_storm: 15 / 232 / 33.4 while a composite arms
+        # and lends its one in-flight request to every child hop; a hop
+        # that clones its request again costs two allocations (the copy's
+        # context buffer, its trace line): +128 / +1 168 / about +37.
+        for gate in mote_scale:500 registry_churn:1500 flat_read:40 tree_read:620 tenant_storm:60; do
             workload=${gate%:*}
             limit=${gate#*:}
             allocs=$(yardstick_metric "$workload" allocs_per_op)

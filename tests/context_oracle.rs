@@ -193,6 +193,35 @@ fn the_flat_context_matches_the_ordered_map_model() {
     });
 }
 
+/// A composite re-arms its one in-flight request with `clear` before every
+/// child hop: whatever the context held, what is left is a fresh context in
+/// everything but the room it keeps — empty, four bytes on the wire, equal
+/// to `Context::new()`, and as good a start for any edit sequence.
+#[test]
+fn a_cleared_context_is_a_fresh_one() {
+    run_cases("a_cleared_context_is_a_fresh_one", 128, |g| {
+        let (mut ctx, mut model) = gen_context(g, 12);
+        for _ in 0..g.usize_in(0, 20) {
+            step(g, &mut ctx, &mut model);
+        }
+        ctx.clear();
+        assert_eq!(ctx.len(), 0);
+        assert_eq!(ctx.wire_size(), 4);
+        for path in PATHS.iter().copied().chain(model.keys().map(|k| &**k)) {
+            assert!(!ctx.contains(path), "{path:?} survived clear()");
+            assert_eq!(ctx.get(path), None);
+        }
+        assert_eq!(ctx, Context::new());
+        model.clear();
+        assert_same(&ctx, &model);
+        for _ in 0..g.usize_in(10, 60) {
+            step(g, &mut ctx, &mut model);
+            assert_same(&ctx, &model);
+        }
+        assert_order_blind(g, &ctx, &model);
+    });
+}
+
 /// `wire_size` is a sum the context keeps, not a walk: every way an entry
 /// can change size or leave has to move it — replaced in place by a larger
 /// and by a smaller value, overwritten through `merge_under`, removed, and
