@@ -164,6 +164,49 @@ impl AttrMatch {
             _ => false,
         }
     }
+
+    /// The length of `format!("{self:?}")`, counted without formatting:
+    /// what a template's matcher costs on the wire.
+    pub(crate) fn debug_len(&self) -> usize {
+        // `Debug` for `str` quotes the text and escapes `"`, `\`, control
+        // characters and grapheme extenders as `char::escape_debug` does,
+        // but leaves `'` alone; a character it keeps is written as its
+        // UTF-8 bytes.
+        fn text(s: &str) -> usize {
+            let escaped = |c: char| match c {
+                '\'' => 1,
+                c => match c.escape_debug().len() {
+                    1 => c.len_utf8(),
+                    n => n,
+                },
+            };
+            2 + s.chars().map(escaped).sum::<usize>()
+        }
+        fn opt(field: &Option<String>) -> usize {
+            field
+                .as_deref()
+                .map_or("None".len(), |s| "Some()".len() + text(s))
+        }
+        match self {
+            AttrMatch::Any => "Any".len(),
+            AttrMatch::Name(n) => "Name()".len() + opt(n),
+            AttrMatch::Comment(c) => "Comment()".len() + opt(c),
+            AttrMatch::ServiceType(t) => "ServiceType()".len() + opt(t),
+            AttrMatch::Location {
+                building,
+                floor,
+                room,
+            } => {
+                "Location { building: , floor: , room:  }".len()
+                    + opt(building)
+                    + opt(floor)
+                    + opt(room)
+            }
+            AttrMatch::Custom { key, value } => {
+                "Custom { key: , value:  }".len() + opt(key) + opt(value)
+            }
+        }
+    }
 }
 
 /// Extract the `Name` attribute from an entry list, if present.

@@ -30,6 +30,7 @@ use sensorcer_sim::wire::{ProtocolStack, WireEncode};
 
 use crate::ids::{InterfaceId, SvcUuid};
 use crate::lus::{LookupService, LusHandle};
+use crate::postings::{fnv1a, FNV_OFFSET};
 
 /// Counters in the per-subnet Bloom summary. Small and fixed: the root
 /// holds one per subnet, and the filter only needs to screen interface
@@ -38,16 +39,7 @@ const BLOOM_SLOTS: usize = 256;
 
 /// Seeds for the two FNV-1a hash functions. Deterministic — the summary
 /// state is part of the simulation and must replay bit-identically.
-const BLOOM_SEEDS: [u64; 2] = [0xcbf2_9ce4_8422_2325, 0x9747_b28c_8f2a_3b11];
-
-fn fnv1a(seed: u64, s: &str) -> u64 {
-    let mut h = seed;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+const BLOOM_SEEDS: [u64; 2] = [FNV_OFFSET, 0x9747_b28c_8f2a_3b11];
 
 /// A counting Bloom filter over interface names: O(1) membership screen
 /// with deletions. May report a name it no longer holds (false positive)
@@ -68,10 +60,11 @@ impl Default for CountingBloom {
 
 impl CountingBloom {
     fn slots(name: &str) -> [usize; 2] {
-        [
-            (fnv1a(BLOOM_SEEDS[0], name) % BLOOM_SLOTS as u64) as usize,
-            (fnv1a(BLOOM_SEEDS[1], name) % BLOOM_SLOTS as u64) as usize,
-        ]
+        BLOOM_SEEDS.map(|seed| (fnv1a(seed, name.as_bytes()) % BLOOM_SLOTS as u64) as usize)
+    }
+
+    fn holds(&self, slots: [usize; 2]) -> bool {
+        slots.iter().all(|&i| self.counters[i] > 0)
     }
 
     pub fn add(&mut self, name: &str) {
@@ -87,7 +80,7 @@ impl CountingBloom {
     }
 
     pub fn may_contain(&self, name: &str) -> bool {
-        Self::slots(name).iter().all(|&i| self.counters[i] > 0)
+        self.holds(Self::slots(name))
     }
 }
 
@@ -153,15 +146,19 @@ impl RootRegistry {
     }
 
     /// Subnets that can match `iface`: the Bloom summary screens first
-    /// (O(1) per subnet), the exact count confirms. Sorted by subnet id
-    /// for deterministic fan-out order.
+    /// (the name hashed once per query, two counter reads per subnet), the
+    /// exact count confirms. Sorted by subnet id for deterministic fan-out
+    /// order.
     pub fn matching_subnets(&self, iface: &InterfaceId) -> Vec<(SubnetId, LusHandle)> {
-        self.subnets
-            .iter()
-            .filter(|(_, e)| e.bloom.may_contain(iface.as_str()))
-            .filter(|(_, e)| e.counts.get(iface).copied().unwrap_or(0) > 0)
-            .map(|(&s, e)| (s, e.lus))
-            .collect()
+        let slots = CountingBloom::slots(iface.as_str());
+        let matching = || {
+            self.subnets.iter().filter(move |(_, e)| {
+                e.bloom.holds(slots) && e.counts.get(iface).is_some_and(|&n| n > 0)
+            })
+        };
+        let mut out = Vec::with_capacity(matching().count());
+        out.extend(matching().map(|(&s, e)| (s, e.lus)));
+        out
     }
 
     /// The root's current belief about a subnet's posting count for

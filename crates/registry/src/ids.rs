@@ -1,5 +1,7 @@
 //! Identifiers used across the registry.
 
+use std::sync::Arc;
+
 use sensorcer_sim::rng::SimRng;
 use sensorcer_sim::wire::{Bytes, BytesMut};
 use sensorcer_sim::wire::{WireDecode, WireEncode, WireError};
@@ -65,11 +67,15 @@ impl WireDecode for SvcUuid {
 /// The name of a remote interface a service implements — the unit of
 /// type-based lookup (Jini looks services up "by object types
 /// (interfaces)", §IV.B).
+///
+/// The name is shared, not owned: a clone is a reference-count bump, and
+/// a lookup service keeps one copy of each name for every item that
+/// implements it.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct InterfaceId(pub String);
+pub struct InterfaceId(pub Arc<str>);
 
 impl InterfaceId {
-    pub fn new(name: impl Into<String>) -> InterfaceId {
+    pub fn new(name: impl Into<Arc<str>>) -> InterfaceId {
         InterfaceId(name.into())
     }
 
@@ -86,22 +92,22 @@ impl std::fmt::Display for InterfaceId {
 
 impl From<&str> for InterfaceId {
     fn from(s: &str) -> Self {
-        InterfaceId(s.to_string())
+        InterfaceId(s.into())
     }
 }
 
 impl WireEncode for InterfaceId {
     fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
+        self.as_str().encode(buf);
     }
     fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
+        self.as_str().encoded_len()
     }
 }
 
 impl WireDecode for InterfaceId {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(InterfaceId(String::decode(buf)?))
+        Ok(InterfaceId::new(String::decode(buf)?))
     }
 }
 

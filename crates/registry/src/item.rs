@@ -1,7 +1,5 @@
 //! Service items and lookup templates.
 
-use std::fmt::Write as _;
-
 use sensorcer_sim::env::ServiceId;
 use sensorcer_sim::topology::HostId;
 use sensorcer_sim::wire::{Bytes, BytesMut};
@@ -166,23 +164,14 @@ impl WireEncode for ServiceTemplate {
     }
 
     fn encoded_len(&self) -> usize {
-        /// Counts what `Debug` would write instead of keeping it.
-        struct Count(usize);
-        impl std::fmt::Write for Count {
-            fn write_str(&mut self, s: &str) -> std::fmt::Result {
-                self.0 += s.len();
-                Ok(())
-            }
-        }
-        let mut rendered = Count(0);
-        for attr in &self.attributes {
-            let _ = write!(rendered, "{attr:?}");
-        }
         self.ids.encoded_len()
             + self.interfaces.encoded_len()
             + 4
-            + 4 * self.attributes.len()
-            + rendered.0
+            + self
+                .attributes
+                .iter()
+                .map(|a| 4 + a.debug_len())
+                .sum::<usize>()
     }
 }
 

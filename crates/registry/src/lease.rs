@@ -6,8 +6,6 @@
 //! registration evaporates. [`LeaseTable`] is the bookkeeping shared by
 //! the lookup service, the event registrations and the tuple space.
 
-use std::collections::BTreeMap;
-
 use sensorcer_sim::time::{SimDuration, SimTime};
 
 /// Identifier of one granted lease.
@@ -73,25 +71,51 @@ impl Default for LeasePolicy {
 
 /// Bookkeeping for granted leases of resources of type `T` (typically a
 /// key identifying the leased thing).
+///
+/// Ids are granted in order, so the table is a run of chunks, each holding
+/// the leases of [`CHUNK`] consecutive ids densely and in id order: a
+/// lease costs its id's offset in the chunk, its expiry and its resource.
+/// A chunk goes once it holds no lease, so what a table keeps, and what a
+/// reap walks, is bounded by the leases alive, not by every id ever
+/// granted.
 #[derive(Debug)]
 pub struct LeaseTable<T> {
     policy: LeasePolicy,
     next: u64,
-    entries: BTreeMap<LeaseId, (SimTime, T)>,
-    /// Per chunk of [`CHUNK`] consecutive ids: no entry of the chunk
-    /// expires before this instant, so `reap` scans only the chunks `now`
-    /// has reached. Lower bounds, not minima: `cancel` and a lengthening
-    /// `renew` leave them where they are, and the next scan of the chunk
-    /// tightens its bound. Ids are granted in order, so leases of one age
-    /// share chunks and long-lived ones sit in chunks no reap visits.
-    none_due_before: Vec<SimTime>,
+    /// In id order; none of them empty.
+    chunks: Vec<Chunk<T>>,
 }
 
-/// Lease ids per expiry bound.
+/// The live and pending-reap leases among ids `index * CHUNK ..
+/// (index + 1) * CHUNK`.
+#[derive(Debug)]
+struct Chunk<T> {
+    index: u64,
+    /// No entry of the chunk expires before this instant, so `reap` scans
+    /// only the chunks `now` has reached. A lower bound, not the minimum:
+    /// `cancel` and a lengthening `renew` leave it where it is, and the
+    /// next scan of the chunk tightens it. Leases of one age share chunks,
+    /// so long-lived ones sit in chunks no reap visits.
+    none_due_before: SimTime,
+    /// `(offset of the id in the chunk, expiry, resource)`, by offset.
+    entries: Vec<(u8, SimTime, T)>,
+}
+
+/// Lease ids per chunk. An offset within a chunk fits in a `u8`.
 const CHUNK: u64 = 256;
 
-fn chunk_of(id: LeaseId) -> usize {
-    (id.0 / CHUNK) as usize
+fn split(id: LeaseId) -> (u64, u8) {
+    (id.0 / CHUNK, (id.0 % CHUNK) as u8)
+}
+
+impl<T> Chunk<T> {
+    fn id(&self, offset: u8) -> LeaseId {
+        LeaseId(self.index * CHUNK + u64::from(offset))
+    }
+
+    fn find(&self, offset: u8) -> Option<usize> {
+        self.entries.binary_search_by_key(&offset, |e| e.0).ok()
+    }
 }
 
 impl<T> LeaseTable<T> {
@@ -99,9 +123,27 @@ impl<T> LeaseTable<T> {
         LeaseTable {
             policy,
             next: 1,
-            entries: BTreeMap::new(),
-            none_due_before: Vec::new(),
+            chunks: Vec::new(),
         }
+    }
+
+    fn chunk_pos(&self, index: u64) -> Option<usize> {
+        self.chunks.binary_search_by_key(&index, |c| c.index).ok()
+    }
+
+    /// The entry of `id`, if the table holds it.
+    fn entry(&self, id: LeaseId) -> Option<&(u8, SimTime, T)> {
+        let (index, offset) = split(id);
+        let chunk = &self.chunks[self.chunk_pos(index)?];
+        Some(&chunk.entries[chunk.find(offset)?])
+    }
+
+    fn entry_mut(&mut self, id: LeaseId) -> Option<(&mut SimTime, &mut (u8, SimTime, T))> {
+        let (index, offset) = split(id);
+        let pos = self.chunk_pos(index)?;
+        let chunk = &mut self.chunks[pos];
+        let i = chunk.find(offset)?;
+        Some((&mut chunk.none_due_before, &mut chunk.entries[i]))
     }
 
     /// Grant a lease over `resource`. `requested` is clamped to the policy
@@ -113,11 +155,19 @@ impl<T> LeaseTable<T> {
         let id = LeaseId(self.next);
         self.next += 1;
         let expires = now + dur;
-        self.entries.insert(id, (expires, resource));
-        match self.none_due_before.get_mut(chunk_of(id)) {
-            Some(bound) => *bound = (*bound).min(expires),
-            // Ids are consecutive, so a new chunk is always the next one.
-            None => self.none_due_before.push(expires),
+        let (index, offset) = split(id);
+        // Ids are consecutive, so the lease belongs to the last chunk or
+        // to a new one after it.
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.index == index => {
+                chunk.none_due_before = chunk.none_due_before.min(expires);
+                chunk.entries.push((offset, expires, resource));
+            }
+            _ => self.chunks.push(Chunk {
+                index,
+                none_due_before: expires,
+                entries: vec![(offset, expires, resource)],
+            }),
         }
         Lease { id, expires }
     }
@@ -129,59 +179,68 @@ impl<T> LeaseTable<T> {
         id: LeaseId,
         requested: Option<SimDuration>,
     ) -> Result<Lease, LeaseError> {
-        let entry = self.entries.get_mut(&id).ok_or(LeaseError::Unknown)?;
-        if now >= entry.0 {
-            return Err(LeaseError::Expired);
-        }
         let dur = requested
             .unwrap_or(self.policy.default_duration)
             .min(self.policy.max_duration);
-        entry.0 = now + dur;
+        let (bound, entry) = self.entry_mut(id).ok_or(LeaseError::Unknown)?;
+        if now >= entry.1 {
+            return Err(LeaseError::Expired);
+        }
+        entry.1 = now + dur;
         // A renewal may ask for less than the lease had left.
-        let bound = &mut self.none_due_before[chunk_of(id)];
-        *bound = (*bound).min(entry.0);
+        *bound = (*bound).min(entry.1);
         Ok(Lease {
             id,
-            expires: entry.0,
+            expires: entry.1,
         })
     }
 
     /// Cancel a lease, returning its resource.
     pub fn cancel(&mut self, id: LeaseId) -> Result<T, LeaseError> {
-        self.entries
-            .remove(&id)
-            .map(|(_, r)| r)
-            .ok_or(LeaseError::Unknown)
+        let (index, offset) = split(id);
+        let pos = self.chunk_pos(index).ok_or(LeaseError::Unknown)?;
+        let chunk = &mut self.chunks[pos];
+        let i = chunk.find(offset).ok_or(LeaseError::Unknown)?;
+        let (_, _, resource) = chunk.entries.remove(i);
+        if chunk.entries.is_empty() {
+            self.chunks.remove(pos);
+        }
+        Ok(resource)
     }
 
     /// Remove every lease expired at `now`, returning the reaped resources
-    /// in `LeaseId` order.
+    /// in `LeaseId` order. Chunks are filtered in place; one left empty
+    /// goes with its last lease.
     pub fn reap(&mut self, now: SimTime) -> Vec<(LeaseId, T)> {
         let mut reaped = Vec::new();
-        for (chunk, bound) in self.none_due_before.iter_mut().enumerate() {
-            if now < *bound {
+        let mut emptied = false;
+        for chunk in &mut self.chunks {
+            if now < chunk.none_due_before {
                 continue;
             }
-            let first = chunk as u64 * CHUNK;
             let mut earliest_left = SimTime::FAR_FUTURE;
-            let dead =
-                self.entries
-                    .extract_if(LeaseId(first)..LeaseId(first + CHUNK), |_, (exp, _)| {
-                        if now >= *exp {
-                            return true;
-                        }
-                        earliest_left = earliest_left.min(*exp);
-                        false
-                    });
-            reaped.extend(dead.map(|(id, (_, r))| (id, r)));
-            *bound = earliest_left;
+            let index = chunk.index;
+            let dead = chunk.entries.extract_if(.., |(_, exp, _)| {
+                if now >= *exp {
+                    return true;
+                }
+                earliest_left = earliest_left.min(*exp);
+                false
+            });
+            reaped
+                .extend(dead.map(|(offset, _, r)| (LeaseId(index * CHUNK + u64::from(offset)), r)));
+            chunk.none_due_before = earliest_left;
+            emptied |= chunk.entries.is_empty();
+        }
+        if emptied {
+            self.chunks.retain(|chunk| !chunk.entries.is_empty());
         }
         reaped
     }
 
     /// Access the resource behind a live lease.
     pub fn get(&self, now: SimTime, id: LeaseId) -> Result<&T, LeaseError> {
-        let (exp, r) = self.entries.get(&id).ok_or(LeaseError::Unknown)?;
+        let (_, exp, r) = self.entry(id).ok_or(LeaseError::Unknown)?;
         if now >= *exp {
             Err(LeaseError::Expired)
         } else {
@@ -191,7 +250,7 @@ impl<T> LeaseTable<T> {
 
     /// Mutable access to the resource behind a live lease.
     pub fn get_mut(&mut self, now: SimTime, id: LeaseId) -> Result<&mut T, LeaseError> {
-        let (exp, r) = self.entries.get_mut(&id).ok_or(LeaseError::Unknown)?;
+        let (_, (_, exp, r)) = self.entry_mut(id).ok_or(LeaseError::Unknown)?;
         if now >= *exp {
             Err(LeaseError::Expired)
         } else {
@@ -201,24 +260,36 @@ impl<T> LeaseTable<T> {
 
     /// All live resources at `now`, in grant order.
     pub fn live(&self, now: SimTime) -> impl Iterator<Item = (LeaseId, &T)> {
-        self.entries
-            .iter()
-            .filter(move |(_, (exp, _))| now < *exp)
-            .map(|(id, (_, r))| (*id, r))
+        self.chunks.iter().flat_map(move |chunk| {
+            chunk
+                .entries
+                .iter()
+                .filter(move |(_, exp, _)| now < *exp)
+                .map(|(offset, _, r)| (chunk.id(*offset), r))
+        })
     }
 
     /// Count of entries, live or pending reap.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.chunks.iter().map(|chunk| chunk.entries.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.chunks.is_empty()
+    }
+
+    /// Chunks of [`CHUNK`] consecutive ids the table keeps: never more
+    /// than the chunks that hold a lease.
+    pub fn chunks_held(&self) -> usize {
+        self.chunks.len()
     }
 
     /// The earliest expiry among current entries (drives reaper timers).
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.entries.values().map(|(exp, _)| *exp).min()
+        self.chunks
+            .iter()
+            .flat_map(|chunk| chunk.entries.iter().map(|(_, exp, _)| *exp))
+            .min()
     }
 
     pub fn policy(&self) -> LeasePolicy {

@@ -51,6 +51,16 @@ struct EventReg {
     seq: u64,
 }
 
+/// Where a template's matches can be, each kind in uuid order.
+enum Candidates<'a> {
+    /// The template's explicit ids, sorted and deduplicated.
+    Ids(Vec<SvcUuid>),
+    /// The smallest posting among the template's constraints.
+    Posting(&'a Posting),
+    /// Every item: no constraint narrows enough to pay.
+    All,
+}
+
 /// The registry state. Deploy with [`LookupService::deploy`]; interact
 /// remotely through [`LusHandle`].
 ///
@@ -60,7 +70,9 @@ struct EventReg {
 /// its template's constraints instead of scanning every registration, and
 /// hands out the stored handles instead of deep clones. Postings iterate
 /// in uuid order, which keeps result sets byte-identical to a linear scan
-/// of the uuid-keyed item map.
+/// of the uuid-keyed item map. A registered item's interface ids share
+/// the name the interface's posting key holds, so each name is stored
+/// once however many items implement it.
 pub struct LookupService {
     host: HostId,
     group: String,
@@ -97,6 +109,22 @@ impl LookupService {
             registrations_total: 0,
             iface_uuid_cache: BTreeMap::new(),
             summary_sink: None,
+        }
+    }
+
+    /// A lookup service whose attribute postings all share one key: the
+    /// worst a hash collision can do. Its answers must be those of
+    /// [`LookupService::new`]; only its candidate sets are wider. A test
+    /// seam, not a configuration.
+    #[doc(hidden)]
+    pub fn with_colliding_attribute_keys(
+        host: HostId,
+        group: impl Into<String>,
+        policy: LeasePolicy,
+    ) -> LookupService {
+        LookupService {
+            by_attribute: AttrPostings::one_bucket(),
+            ..LookupService::new(host, group, policy)
         }
     }
 
@@ -142,13 +170,13 @@ impl LookupService {
         if let Some(hit) = self.iface_uuid_cache.get(iface) {
             return Arc::clone(hit);
         }
-        let uuids: Arc<[SvcUuid]> = self
-            .by_interface
-            .get(iface)
-            .map_or_else(Vec::new, |posting| posting.iter().copied().collect())
+        let posting = self.by_interface.get_key_value(iface);
+        let uuids: Arc<[SvcUuid]> = posting
+            .map_or_else(Vec::new, |(_, posting)| posting.iter().copied().collect())
             .into();
-        self.iface_uuid_cache
-            .insert(iface.clone(), Arc::clone(&uuids));
+        // Keyed by the posting's copy of the name when there is one.
+        let key = posting.map_or(iface, |(held, _)| held).clone();
+        self.iface_uuid_cache.insert(key, Arc::clone(&uuids));
         uuids
     }
 
@@ -228,6 +256,13 @@ impl LookupService {
             item.uuid = SvcUuid::generate(env.rng());
         }
         let uuid = item.uuid;
+        // Share the names the interface postings hold; a name new to the
+        // registry becomes its posting's key as it is.
+        for iface in &mut item.interfaces {
+            if let Some((held, _)) = self.by_interface.get_key_value(iface) {
+                *iface = held.clone();
+            }
+        }
         let item = Arc::new(item);
         let old = self.items.insert(uuid, Arc::clone(&item));
         if let Some(old) = &old {
@@ -309,45 +344,14 @@ impl LookupService {
         true
     }
 
-    /// Visit every registered item matching `template` in uuid order, up
-    /// to `max`, without cloning anything. The visitor returns `true` to
-    /// keep scanning, `false` to stop early.
-    ///
-    /// The indexes only narrow the candidate set — every candidate still
-    /// passes through [`ServiceTemplate::matches`], and candidate sets
-    /// iterate in uuid order, so the visited sequence is exactly what a
-    /// linear scan of the item map would produce.
-    pub fn lookup_visit(
-        &self,
-        template: &ServiceTemplate,
-        max: usize,
-        mut visit: impl FnMut(&Arc<ServiceItem>) -> bool,
-    ) {
-        if max == 0 {
-            return;
-        }
-        let mut seen = 0usize;
-        let mut emit = |item: &Arc<ServiceItem>| -> bool {
-            if !template.matches(item) {
-                return true;
-            }
-            seen += 1;
-            visit(item) && seen < max
-        };
-
+    /// Where `template`'s matches can be: `None` if nowhere.
+    fn candidates(&self, template: &ServiceTemplate) -> Option<Candidates<'_>> {
         // Explicit ids: direct map hits, in uuid order for scan parity.
         if !template.ids.is_empty() {
             let mut ids = template.ids.clone();
             ids.sort_unstable();
             ids.dedup();
-            for id in ids {
-                if let Some(item) = self.items.get(&id) {
-                    if !emit(item) {
-                        return;
-                    }
-                }
-            }
-            return;
+            return Some(Candidates::Ids(ids));
         }
 
         // Every interface constraint and every indexed attribute
@@ -364,27 +368,61 @@ impl LookupService {
                     .iter()
                     .filter_map(|attr| self.by_attribute.candidates(attr)),
             );
-        let mut candidates: Option<&Posting> = None;
+        let mut smallest: Option<&Posting> = None;
         for posting in postings {
-            let Some(posting) = posting else { return };
-            if candidates.is_none_or(|c| posting.len() < c.len()) {
-                candidates = Some(posting);
+            let posting = posting?;
+            if smallest.is_none_or(|c| posting.len() < c.len()) {
+                smallest = Some(posting);
             }
         }
-
-        match candidates {
+        Some(match smallest {
             // A posting only helps if it actually narrows the scan: a
             // per-uuid map probe costs more than walking one entry, so if
             // it covers most of the registry (e.g. an interface every
             // service implements) the sequential scan wins.
-            Some(posting) if posting.len() * 2 < self.items.len() => {
+            Some(posting) if posting.len() * 2 < self.items.len() => Candidates::Posting(posting),
+            _ => Candidates::All,
+        })
+    }
+
+    /// Run `matches` over `candidates` in uuid order and visit what
+    /// passes, up to `max`, until the visitor returns `false`.
+    fn visit_candidates(
+        &self,
+        candidates: &Candidates<'_>,
+        template: &ServiceTemplate,
+        max: usize,
+        mut visit: impl FnMut(&Arc<ServiceItem>) -> bool,
+    ) {
+        if max == 0 {
+            return;
+        }
+        let mut seen = 0usize;
+        let mut emit = |item: &Arc<ServiceItem>| -> bool {
+            if !template.matches(item) {
+                return true;
+            }
+            seen += 1;
+            visit(item) && seen < max
+        };
+        match candidates {
+            Candidates::Ids(ids) => {
+                for id in ids {
+                    if let Some(item) = self.items.get(id) {
+                        if !emit(item) {
+                            return;
+                        }
+                    }
+                }
+            }
+            Candidates::Posting(posting) => {
                 for uuid in posting.iter() {
                     if !emit(&self.items[uuid]) {
                         return;
                     }
                 }
             }
-            _ => {
+            Candidates::All => {
                 for item in self.items.values() {
                     if !emit(item) {
                         return;
@@ -394,11 +432,39 @@ impl LookupService {
         }
     }
 
+    /// Visit every registered item matching `template` in uuid order, up
+    /// to `max`, without cloning anything. The visitor returns `true` to
+    /// keep scanning, `false` to stop early.
+    ///
+    /// The indexes only narrow the candidate set — every candidate still
+    /// passes through [`ServiceTemplate::matches`], and candidate sets
+    /// iterate in uuid order, so the visited sequence is exactly what a
+    /// linear scan of the item map would produce.
+    pub fn lookup_visit(
+        &self,
+        template: &ServiceTemplate,
+        max: usize,
+        visit: impl FnMut(&Arc<ServiceItem>) -> bool,
+    ) {
+        if let Some(candidates) = self.candidates(template) {
+            self.visit_candidates(&candidates, template, max, visit);
+        }
+    }
+
     /// All currently registered items matching `template`, up to `max`, as
-    /// shared handles.
+    /// shared handles. The result is sized once, for `max` or the
+    /// candidates, whichever is fewer.
     pub fn lookup(&self, template: &ServiceTemplate, max: usize) -> Vec<Arc<ServiceItem>> {
-        let mut out = Vec::new();
-        self.lookup_visit(template, max, |item| {
+        let Some(candidates) = self.candidates(template) else {
+            return Vec::new();
+        };
+        let bound = match &candidates {
+            Candidates::Ids(ids) => ids.len(),
+            Candidates::Posting(posting) => posting.len(),
+            Candidates::All => self.items.len(),
+        };
+        let mut out = Vec::with_capacity(max.min(bound));
+        self.visit_candidates(&candidates, template, max, |item| {
             out.push(Arc::clone(item));
             true
         });

@@ -83,6 +83,17 @@ where
     removed
 }
 
+/// The FNV-1a offset basis: where a hash starts.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes`, continuing from `h`: hashing two slices one
+/// after the other hashes their concatenation.
+pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, b| (h ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// What an attribute is posted under. `Comment` is free text that changes
 /// often and is never looked up exactly, so it has no postings.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,54 +132,62 @@ impl<'a> AttrKey<'a> {
             _ => None,
         }
     }
+
+    /// FNV-1a of the kind, then the text. A custom key and its value are
+    /// split by 0xFF, a byte UTF-8 never contains, so no two keys feed the
+    /// hash the same bytes.
+    fn hash(self) -> u64 {
+        let (kind, text, value) = match self {
+            AttrKey::Name(n) => (0, n, None),
+            AttrKey::ServiceType(t) => (1, t, None),
+            AttrKey::Building(b) => (2, b, None),
+            AttrKey::Custom(k, v) => (3, k, Some(v)),
+        };
+        let h = fnv1a(fnv1a(FNV_OFFSET, &[kind]), text.as_bytes());
+        match value {
+            Some(v) => fnv1a(fnv1a(h, &[0xFF]), v.as_bytes()),
+            None => h,
+        }
+    }
 }
 
 /// The attribute postings of one lookup service: exact `Name`,
-/// `ServiceType`, `Location.building` and `Custom` key + value.
-#[derive(Debug, Default)]
+/// `ServiceType`, `Location.building` and `Custom` key + value, each kept
+/// under a 64-bit hash of the key rather than a copy of its text.
+///
+/// A posting is a candidate set that `matches` filters, so two keys that
+/// hash alike only widen it: both keys' items sit in one posting, and a
+/// lookup on either skips the other's. Diffs and removals go by hash too,
+/// so an item is posted under each of its hashes exactly once, however many
+/// of its keys share one.
+#[derive(Debug)]
 pub(crate) struct AttrPostings {
-    name: BTreeMap<String, Posting>,
-    service_type: BTreeMap<String, Posting>,
-    building: BTreeMap<String, Posting>,
-    /// Key, then value.
-    custom: BTreeMap<String, BTreeMap<String, Posting>>,
+    map: BTreeMap<u64, Posting>,
+    key_hash: fn(AttrKey<'_>) -> u64,
+}
+
+impl Default for AttrPostings {
+    fn default() -> Self {
+        AttrPostings {
+            map: BTreeMap::new(),
+            key_hash: |key| key.hash(),
+        }
+    }
 }
 
 impl AttrPostings {
-    fn insert(&mut self, key: AttrKey<'_>, uuid: SvcUuid) {
-        let (map, key) = match key {
-            AttrKey::Name(n) => (&mut self.name, n),
-            AttrKey::ServiceType(t) => (&mut self.service_type, t),
-            AttrKey::Building(b) => (&mut self.building, b),
-            AttrKey::Custom(k, v) => match self.custom.get_mut(k) {
-                Some(values) => (values, v),
-                None => {
-                    let values = BTreeMap::from([(v.to_string(), Posting::One(uuid))]);
-                    self.custom.insert(k.to_string(), values);
-                    return;
-                }
-            },
-        };
-        post(map, key, uuid);
+    /// Postings whose keys all collide: every indexed item in one posting.
+    /// A test seam for the worst a hash can do.
+    pub(crate) fn one_bucket() -> AttrPostings {
+        AttrPostings {
+            map: BTreeMap::new(),
+            key_hash: |_| 0,
+        }
     }
 
-    fn remove(&mut self, key: AttrKey<'_>, uuid: SvcUuid) {
-        let (map, key) = match key {
-            AttrKey::Name(n) => (&mut self.name, n),
-            AttrKey::ServiceType(t) => (&mut self.service_type, t),
-            AttrKey::Building(b) => (&mut self.building, b),
-            AttrKey::Custom(k, v) => {
-                let Some(values) = self.custom.get_mut(k) else {
-                    return;
-                };
-                unpost(values, v, uuid);
-                if values.is_empty() {
-                    self.custom.remove(k);
-                }
-                return;
-            }
-        };
-        unpost(map, key, uuid);
+    fn hashes<'e>(&self, entries: &'e [Entry]) -> impl Iterator<Item = u64> + 'e {
+        let key_hash = self.key_hash;
+        entries.iter().filter_map(AttrKey::of_entry).map(key_hash)
     }
 
     /// Post `uuid` under every indexed attribute in `entries`.
@@ -182,33 +201,26 @@ impl AttrPostings {
     }
 
     /// Move `uuid` from the postings of `old` to those of `new`, touching
-    /// only the keys one list has and the other lacks.
+    /// only the hashes one list has and the other lacks.
     pub(crate) fn reindex(&mut self, uuid: SvcUuid, old: &[Entry], new: &[Entry]) {
-        fn keys(entries: &[Entry]) -> impl Iterator<Item = AttrKey<'_>> {
-            entries.iter().filter_map(AttrKey::of_entry)
-        }
-        for key in keys(old) {
-            if !keys(new).any(|k| k == key) {
-                self.remove(key, uuid);
+        for h in self.hashes(old) {
+            if !self.hashes(new).any(|n| n == h) {
+                unpost(&mut self.map, &h, uuid);
             }
         }
-        for key in keys(new) {
-            if !keys(old).any(|k| k == key) {
-                self.insert(key, uuid);
+        for h in self.hashes(new) {
+            if !self.hashes(old).any(|o| o == h) {
+                post(&mut self.map, &h, uuid);
             }
         }
     }
 
     /// The posting that holds every item able to satisfy `m`: `None` if
     /// `m` is not served by one posting, `Some(None)` if it is and nobody
-    /// carries the value.
+    /// carries a key with its hash.
     pub(crate) fn candidates(&self, m: &AttrMatch) -> Option<Option<&Posting>> {
-        Some(match AttrKey::of_match(m)? {
-            AttrKey::Name(n) => self.name.get(n),
-            AttrKey::ServiceType(t) => self.service_type.get(t),
-            AttrKey::Building(b) => self.building.get(b),
-            AttrKey::Custom(k, v) => self.custom.get(k).and_then(|values| values.get(v)),
-        })
+        let key = AttrKey::of_match(m)?;
+        Some(self.map.get(&(self.key_hash)(key)))
     }
 }
 
@@ -238,6 +250,35 @@ mod tests {
             assert!(unpost(&mut map, "k", SvcUuid(u)));
         }
         assert!(map.is_empty(), "the key leaves with its last uuid");
+    }
+
+    #[test]
+    fn the_shared_fnv_is_the_reference_fnv1a() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
+    }
+
+    #[test]
+    fn kinds_and_custom_splits_hash_apart() {
+        let keys = [
+            AttrKey::Name("CP TTU"),
+            AttrKey::ServiceType("CP TTU"),
+            AttrKey::Building("CP TTU"),
+            AttrKey::Custom("CP TTU", ""),
+            AttrKey::Custom("CP", " TTU"),
+            AttrKey::Custom("", "CP TTU"),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a.hash(), b.hash(), "{a:?} and {b:?}");
+            }
+        }
     }
 
     #[test]
@@ -297,6 +338,30 @@ mod tests {
             .is_none());
 
         idx.unindex(id, &new);
-        assert!(idx.name.is_empty() && idx.building.is_empty() && idx.custom.is_empty());
+        assert!(idx.map.is_empty());
+    }
+
+    #[test]
+    fn in_one_bucket_an_item_is_posted_while_any_key_remains() {
+        let mut idx = AttrPostings::one_bucket();
+        let (a, b) = (SvcUuid(1), SvcUuid(2));
+        let old = vec![Entry::Name("a".into()), Entry::ServiceType("T".into())];
+        idx.index(a, &old);
+        idx.index(b, &[Entry::Name("b".into())]);
+        // Every key shares the one posting: a lookup sees both items and
+        // leaves the choice to `matches`.
+        assert_eq!(
+            uuids(idx.candidates(&AttrMatch::name("zzz")).unwrap()),
+            vec![1, 2]
+        );
+        // Dropping one of `a`'s two keys leaves it posted.
+        idx.reindex(a, &old, &old[..1]);
+        assert_eq!(
+            uuids(idx.candidates(&AttrMatch::name("a")).unwrap()),
+            vec![1, 2]
+        );
+        idx.unindex(a, &old[..1]);
+        idx.unindex(b, &[Entry::Name("b".into())]);
+        assert!(idx.map.is_empty());
     }
 }

@@ -3,6 +3,8 @@
 //! hands out the items it stores. Whatever it has been through, a lookup
 //! must visit exactly what a linear scan of a shadow model visits, in uuid
 //! order, and a result already handed out must not change under its holder.
+//! Attribute postings are keyed by a hash, so the same must hold when every
+//! key collides; and each interface name is stored once.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -44,8 +46,9 @@ fn gen_entry(g: &mut Gen) -> Entry {
 }
 
 /// Up to five entries of any kind: two of one kind, or the same entry
-/// twice, are legal and land under one posting.
-fn gen_item(g: &mut Gen, uuid: SvcUuid) -> ServiceItem {
+/// twice, are legal and land under one posting. A `sparse` item carries,
+/// seven times in ten, comments only, which nothing is posted under.
+fn gen_item(g: &mut Gen, uuid: SvcUuid, sparse: bool) -> ServiceItem {
     let mut ifaces: Vec<InterfaceId> = Vec::new();
     for _ in 0..g.usize_in(0, 4) {
         let pick: InterfaceId = (*g.pick(&IFACES)).into();
@@ -53,7 +56,11 @@ fn gen_item(g: &mut Gen, uuid: SvcUuid) -> ServiceItem {
             ifaces.push(pick);
         }
     }
-    let attrs = g.vec_of(0, 5, gen_entry);
+    let attrs = if sparse && g.chance(0.7) {
+        g.vec_of(0, 2, |g| Entry::Comment(s(g, &VALUES)))
+    } else {
+        g.vec_of(0, 5, gen_entry)
+    };
     ServiceItem::new(uuid, HostId(0), ServiceId(0), ifaces, attrs)
 }
 
@@ -133,128 +140,367 @@ fn templates(g: &mut Gen, known: &[SvcUuid]) -> Vec<ServiceTemplate> {
     tpls
 }
 
-#[test]
-fn indexed_lookup_visits_what_a_linear_scan_visits() {
-    let policy = LeasePolicy {
+/// Every template of the step must visit, through the postings, what a
+/// scan of the model visits, in uuid order; capped lookups take its
+/// prefix. Returns how many templates narrowed and how many matched.
+fn assert_scan_parity(
+    g: &mut Gen,
+    lus: &LookupService,
+    model: &BTreeMap<SvcUuid, ServiceItem>,
+) -> (usize, usize) {
+    assert_eq!(lus.item_count(), model.len());
+    let (mut narrowed, mut nonempty) = (0, 0);
+    let known: Vec<SvcUuid> = model.keys().copied().collect();
+    for tpl in templates(g, &known) {
+        let scanned: Vec<&ServiceItem> = model.values().filter(|i| tpl.matches(i)).collect();
+        let mut visited: Vec<Arc<ServiceItem>> = Vec::new();
+        lus.lookup_visit(&tpl, usize::MAX, |item| {
+            visited.push(Arc::clone(item));
+            true
+        });
+        // Same items (attributes included), same order.
+        assert!(
+            visited.iter().map(|i| &**i).eq(scanned.iter().copied()),
+            "template {tpl:?} diverged"
+        );
+        narrowed += usize::from(scanned.len() < model.len());
+        nonempty += usize::from(!scanned.is_empty());
+        // A capped lookup is the scan's prefix.
+        for max in [0, 1, 2, 5] {
+            let capped = lus.lookup(&tpl, max);
+            assert!(capped
+                .iter()
+                .map(|i| i.uuid)
+                .eq(scanned.iter().take(max).map(|i| i.uuid)));
+        }
+        assert_eq!(
+            lus.lookup_one(&tpl).map(|i| i.uuid),
+            scanned.first().map(|i| i.uuid)
+        );
+    }
+    (narrowed, nonempty)
+}
+
+#[derive(Default)]
+struct Seen {
+    narrowed: usize,
+    nonempty: usize,
+    modified_heard: usize,
+}
+
+/// Register, re-register, cancel, edit attributes (a fresh list, or the
+/// current one with an entry dropped) and reap at random, checking every
+/// lookup against the model after each step.
+fn churn(g: &mut Gen, make: fn(HostId) -> LookupService, sparse: bool, seen: &mut Seen) {
+    let mut env = Env::with_seed(g.u64());
+    let lab = env.add_host("lab", HostKind::Server);
+    let client = env.add_host("client", HostKind::Workstation);
+    let mut lus = make(lab);
+    // A listener for the first ten seconds or so: attribute updates
+    // take the snapshot-and-fire path while it lives and the in-place
+    // swap once it has lapsed.
+    let heard = std::rc::Rc::new(std::cell::Cell::new(0usize));
+    if g.bool() {
+        let heard = std::rc::Rc::clone(&heard);
+        lus.notify(
+            env.now(),
+            ServiceTemplate::any(),
+            vec![Transition::MatchToMatch],
+            EventSink {
+                host: client,
+                deliver: Box::new(move |_e, _ev| heard.set(heard.get() + 1)),
+            },
+            None,
+        );
+    }
+
+    let mut model: BTreeMap<SvcUuid, ServiceItem> = BTreeMap::new();
+    let mut leases: Vec<(Lease, SvcUuid)> = Vec::new();
+    for _ in 0..g.usize_in(10, 50) {
+        let live: Vec<SvcUuid> = model.keys().copied().collect();
+        match g.u64_in(0, 10) {
+            // Register: a fresh uuid, or over a live registration (the
+            // old postings go, the old lease still points at the uuid).
+            0..=3 => {
+                let uuid = if !live.is_empty() && g.chance(0.25) {
+                    *g.pick(&live)
+                } else {
+                    SvcUuid::NIL
+                };
+                let item = gen_item(g, uuid, sparse);
+                let dur = g.bool().then(|| SimDuration::from_secs(g.u64_in(1, 30)));
+                let reg = lus.register(&mut env, item.clone(), dur);
+                model.insert(
+                    reg.uuid,
+                    ServiceItem {
+                        uuid: reg.uuid,
+                        ..item
+                    },
+                );
+                leases.push((reg.lease, reg.uuid));
+            }
+            4 => {
+                if !leases.is_empty() {
+                    let (lease, uuid) = leases.remove(g.usize_in(0, leases.len()));
+                    if lus.cancel(&mut env, lease.id).is_ok() {
+                        model.remove(&uuid);
+                    }
+                }
+            }
+            5..=7 => {
+                if !live.is_empty() {
+                    let uuid = *g.pick(&live);
+                    let mut attrs = model[&uuid].attributes.clone();
+                    if attrs.is_empty() || g.bool() {
+                        attrs = gen_item(g, uuid, sparse).attributes;
+                    } else {
+                        attrs.remove(g.usize_in(0, attrs.len()));
+                    }
+                    assert!(lus.modify_attributes(&mut env, uuid, attrs.clone()));
+                    model.get_mut(&uuid).expect("live").attributes = attrs;
+                }
+            }
+            _ => {
+                env.run_for(SimDuration::from_secs(g.u64_in(1, 12)));
+                lus.reap(&mut env);
+                let now = env.now();
+                leases.retain(|(lease, uuid)| {
+                    let live = now < lease.expires;
+                    if !live {
+                        model.remove(uuid);
+                    }
+                    live
+                });
+            }
+        }
+        let (narrowed, nonempty) = assert_scan_parity(g, &lus, &model);
+        seen.narrowed += narrowed;
+        seen.nonempty += nonempty;
+    }
+    seen.modified_heard += heard.get();
+}
+
+fn policy() -> LeasePolicy {
+    LeasePolicy {
         max_duration: SimDuration::from_secs(1_000),
         default_duration: SimDuration::from_secs(10),
-    };
-    let (mut narrowed, mut nonempty, mut modified_heard) = (0usize, 0usize, 0usize);
+    }
+}
+
+#[test]
+fn indexed_lookup_visits_what_a_linear_scan_visits() {
+    let mut seen = Seen::default();
     run_cases("registry-oracle", 48, |g| {
-        let mut env = Env::with_seed(g.u64());
-        let lab = env.add_host("lab", HostKind::Server);
-        let client = env.add_host("client", HostKind::Workstation);
-        let mut lus = LookupService::new(lab, "public", policy);
-        // A listener for the first ten seconds or so: attribute updates
-        // take the snapshot-and-fire path while it lives and the in-place
-        // swap once it has lapsed.
-        let heard = std::rc::Rc::new(std::cell::Cell::new(0usize));
-        if g.bool() {
-            let heard = std::rc::Rc::clone(&heard);
-            lus.notify(
-                env.now(),
-                ServiceTemplate::any(),
-                vec![Transition::MatchToMatch],
-                EventSink {
-                    host: client,
-                    deliver: Box::new(move |_e, _ev| heard.set(heard.get() + 1)),
-                },
-                None,
-            );
-        }
-
-        let mut model: BTreeMap<SvcUuid, ServiceItem> = BTreeMap::new();
-        let mut leases: Vec<(Lease, SvcUuid)> = Vec::new();
-        for _ in 0..g.usize_in(10, 50) {
-            let live: Vec<SvcUuid> = model.keys().copied().collect();
-            match g.u64_in(0, 10) {
-                // Register: a fresh uuid, or over a live registration (the
-                // old postings go, the old lease still points at the uuid).
-                0..=3 => {
-                    let uuid = if !live.is_empty() && g.chance(0.25) {
-                        *g.pick(&live)
-                    } else {
-                        SvcUuid::NIL
-                    };
-                    let item = gen_item(g, uuid);
-                    let dur = g.bool().then(|| SimDuration::from_secs(g.u64_in(1, 30)));
-                    let reg = lus.register(&mut env, item.clone(), dur);
-                    model.insert(
-                        reg.uuid,
-                        ServiceItem {
-                            uuid: reg.uuid,
-                            ..item
-                        },
-                    );
-                    leases.push((reg.lease, reg.uuid));
-                }
-                4 => {
-                    if !leases.is_empty() {
-                        let (lease, uuid) = leases.remove(g.usize_in(0, leases.len()));
-                        if lus.cancel(&mut env, lease.id).is_ok() {
-                            model.remove(&uuid);
-                        }
-                    }
-                }
-                5..=7 => {
-                    if !live.is_empty() {
-                        let uuid = *g.pick(&live);
-                        let attrs = gen_item(g, uuid).attributes;
-                        assert!(lus.modify_attributes(&mut env, uuid, attrs.clone()));
-                        model.get_mut(&uuid).expect("live").attributes = attrs;
-                    }
-                }
-                _ => {
-                    env.run_for(SimDuration::from_secs(g.u64_in(1, 12)));
-                    lus.reap(&mut env);
-                    let now = env.now();
-                    leases.retain(|(lease, uuid)| {
-                        let live = now < lease.expires;
-                        if !live {
-                            model.remove(uuid);
-                        }
-                        live
-                    });
-                }
-            }
-
-            assert_eq!(lus.item_count(), model.len());
-            let known: Vec<SvcUuid> = model.keys().copied().collect();
-            for tpl in templates(g, &known) {
-                let scanned: Vec<&ServiceItem> =
-                    model.values().filter(|i| tpl.matches(i)).collect();
-                let mut visited: Vec<Arc<ServiceItem>> = Vec::new();
-                lus.lookup_visit(&tpl, usize::MAX, |item| {
-                    visited.push(Arc::clone(item));
-                    true
-                });
-                // Same items (attributes included), same order.
-                assert!(
-                    visited.iter().map(|i| &**i).eq(scanned.iter().copied()),
-                    "template {tpl:?} diverged"
-                );
-                narrowed += usize::from(scanned.len() < model.len());
-                nonempty += usize::from(!scanned.is_empty());
-                // A capped lookup is the scan's prefix.
-                for max in [0, 1, 2, 5] {
-                    let capped = lus.lookup(&tpl, max);
-                    assert!(capped
-                        .iter()
-                        .map(|i| i.uuid)
-                        .eq(scanned.iter().take(max).map(|i| i.uuid)));
-                }
-                assert_eq!(
-                    lus.lookup_one(&tpl).map(|i| i.uuid),
-                    scanned.first().map(|i| i.uuid)
-                );
-            }
-        }
-        modified_heard += heard.get();
+        churn(
+            g,
+            |host| LookupService::new(host, "public", policy()),
+            false,
+            &mut seen,
+        );
     });
     assert!(
-        narrowed > 10_000 && nonempty > 10_000 && modified_heard > 20,
-        "{narrowed} narrowed, {nonempty} non-empty, {modified_heard} updates heard"
+        seen.narrowed > 10_000 && seen.nonempty > 10_000 && seen.modified_heard > 20,
+        "{} narrowed, {} non-empty, {} updates heard",
+        seen.narrowed,
+        seen.nonempty,
+        seen.modified_heard
     );
+}
+
+/// Attribute postings are keyed by a hash of the key. Sending every key
+/// to one posting, the worst a collision can do, must change no answer:
+/// lookups still visit what the scan visits, in uuid order, through
+/// registrations, edits that drop one of several keys, cancels and reaps.
+/// Most items here carry no posted attribute, so the one posting stays
+/// narrower than the registry and lookups are served from it.
+#[test]
+fn colliding_attribute_keys_change_no_answer() {
+    let mut seen = Seen::default();
+    run_cases("registry-oracle-collisions", 48, |g| {
+        churn(
+            g,
+            |host| LookupService::with_colliding_attribute_keys(host, "public", policy()),
+            true,
+            &mut seen,
+        );
+    });
+    assert!(
+        seen.narrowed > 10_000 && seen.nonempty > 10_000,
+        "{} narrowed, {} non-empty",
+        seen.narrowed,
+        seen.nonempty
+    );
+}
+
+/// Keys one item repeats, or shares across kinds, are posted once and
+/// unposted once: two `Location`s in one building, one `Custom` key with
+/// two values, a name equal to a building. Under both the real hash and
+/// the all-colliding one.
+#[test]
+fn repeated_keys_of_one_item_are_posted_once_and_unposted_once() {
+    let repeated = vec![
+        Entry::Name("CP TTU".into()),
+        Entry::Location {
+            building: "CP TTU".into(),
+            floor: "3".into(),
+            room: "310".into(),
+        },
+        Entry::Location {
+            building: "CP TTU".into(),
+            floor: "4".into(),
+            room: "311".into(),
+        },
+        Entry::Custom {
+            key: "zone".into(),
+            value: "north".into(),
+        },
+        Entry::Custom {
+            key: "zone".into(),
+            value: "south".into(),
+        },
+    ];
+    let makers: [fn(HostId) -> LookupService; 2] = [
+        |host| LookupService::new(host, "public", policy()),
+        |host| LookupService::with_colliding_attribute_keys(host, "public", policy()),
+    ];
+    for make in makers {
+        run_cases("registry-oracle-repeated", 16, |g| {
+            let mut env = Env::with_seed(g.u64());
+            let lab = env.add_host("lab", HostKind::Server);
+            let mut lus = make(lab);
+            let mut model: BTreeMap<SvcUuid, ServiceItem> = BTreeMap::new();
+            let register = |env: &mut Env,
+                            lus: &mut LookupService,
+                            model: &mut BTreeMap<SvcUuid, ServiceItem>,
+                            uuid: SvcUuid,
+                            attrs: Vec<Entry>,
+                            secs: u64| {
+                let item = ServiceItem::new(uuid, lab, ServiceId(0), vec![IFACES[0].into()], attrs);
+                let reg = lus.register(env, item.clone(), Some(SimDuration::from_secs(secs)));
+                model.insert(
+                    reg.uuid,
+                    ServiceItem {
+                        uuid: reg.uuid,
+                        ..item
+                    },
+                );
+                reg
+            };
+            // Bystanders with no posted attribute keep the one posting of
+            // the colliding table narrower than the registry.
+            for _ in 0..g.usize_in(6, 12) {
+                let attrs = vec![Entry::Comment(s(g, &VALUES))];
+                register(&mut env, &mut lus, &mut model, SvcUuid::NIL, attrs, 1_000);
+            }
+            let a = register(
+                &mut env,
+                &mut lus,
+                &mut model,
+                SvcUuid::NIL,
+                repeated.clone(),
+                1_000,
+            );
+            let b = register(
+                &mut env,
+                &mut lus,
+                &mut model,
+                SvcUuid::NIL,
+                repeated.clone(),
+                5,
+            );
+            assert_scan_parity(g, &lus, &model);
+
+            // Re-register `a` with its keys shuffled and one repeat gone.
+            let mut shuffled = repeated.clone();
+            g.rng().shuffle(&mut shuffled);
+            shuffled.remove(g.usize_in(0, shuffled.len()));
+            register(&mut env, &mut lus, &mut model, a.uuid, shuffled, 1_000);
+            assert_scan_parity(g, &lus, &model);
+
+            // Drop the entries one at a time: the item stays posted under a
+            // key while any entry carrying it remains.
+            let mut attrs = model[&a.uuid].attributes.clone();
+            while !attrs.is_empty() {
+                attrs.remove(g.usize_in(0, attrs.len()));
+                assert!(lus.modify_attributes(&mut env, a.uuid, attrs.clone()));
+                model.get_mut(&a.uuid).expect("live").attributes = attrs.clone();
+                assert_scan_parity(g, &lus, &model);
+            }
+            assert!(lus.modify_attributes(&mut env, a.uuid, repeated.clone()));
+            model.get_mut(&a.uuid).expect("live").attributes = repeated.clone();
+            assert_scan_parity(g, &lus, &model);
+
+            // Cancel one, let the other lapse.
+            lus.cancel(&mut env, a.lease.id).expect("live lease");
+            model.remove(&a.uuid);
+            assert_scan_parity(g, &lus, &model);
+            env.run_for(SimDuration::from_secs(10));
+            lus.reap(&mut env);
+            model.remove(&b.uuid);
+            assert_scan_parity(g, &lus, &model);
+        });
+    }
+}
+
+/// Every item registered under an interface points at the one copy of its
+/// name the lookup service keeps, and a result a requestor holds keeps its
+/// names after the last registration of the interface is gone.
+#[test]
+fn items_share_one_copy_of_each_interface_name() {
+    let mut env = Env::with_seed(5);
+    let (lab, lus) = deploy(&mut env);
+    let client = env.add_host("client", HostKind::Workstation);
+    let item = |name: &str, iface: String| {
+        ServiceItem::new(
+            SvcUuid::NIL,
+            lab,
+            ServiceId(1),
+            vec![InterfaceId::new(iface), interfaces::SERVICER.into()],
+            vec![Entry::Name(name.into())],
+        )
+    };
+    // Two names built apart, equal in text.
+    let first = lus
+        .register(&mut env, lab, item("a", "ProbeV2".to_string()), None)
+        .expect("LAN");
+    let second = lus
+        .register(&mut env, lab, item("b", format!("Probe{}", "V2")), None)
+        .expect("LAN");
+    let found = lus
+        .lookup(
+            &mut env,
+            client,
+            &ServiceTemplate::by_interface("ProbeV2"),
+            10,
+        )
+        .expect("LAN");
+    assert_eq!(found.len(), 2);
+    for i in 0..2 {
+        assert!(
+            Arc::ptr_eq(&found[0].interfaces[i].0, &found[1].interfaces[i].0),
+            "interface {i} is stored twice"
+        );
+    }
+
+    for reg in [first, second] {
+        lus.cancel(&mut env, client, reg.lease.id)
+            .expect("LAN")
+            .expect("live lease");
+    }
+    assert!(lus
+        .lookup(
+            &mut env,
+            client,
+            &ServiceTemplate::by_interface("ProbeV2"),
+            10
+        )
+        .expect("LAN")
+        .is_empty());
+    for held in &found {
+        assert_eq!(held.interfaces[0].as_str(), "ProbeV2");
+        assert_eq!(held.interfaces[1].as_str(), interfaces::SERVICER);
+        assert!(held.implements("ProbeV2"));
+    }
 }
 
 fn deploy(env: &mut Env) -> (HostId, LusHandle) {
