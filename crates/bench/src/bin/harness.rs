@@ -14,7 +14,7 @@ type SeededRunner = fn(u64, &str) -> Result<String, String>;
 
 /// Paper figures/claim tables dispatched through [`run_one`].
 const EXPERIMENTS: &[&str] = &[
-    "fig1", "fig2", "fig3", "b1", "b2", "b3", "b4", "b5", "b6", "b7", "b8", "a1", "a2",
+    "fig1", "fig2", "fig3", "b1", "b2", "b3", "b4", "b5", "b7", "b8", "a1", "a2",
 ];
 
 /// Seeded report-writing verbs: `harness <verb> [seed] [out]`.
@@ -45,12 +45,6 @@ const SEEDED: &[(&str, SeededRunner, &str, &str)] = &[
         "SLO burn-rate alerting and anomaly detection over the chaos soak",
     ),
     (
-        "scale",
-        b9_scale::run,
-        b9_scale::DEFAULT_OUT,
-        "B9 scaling curve: flat vs hierarchical lookups at 10^3..10^5 motes",
-    ),
-    (
         "storm",
         storm::run,
         storm::DEFAULT_OUT,
@@ -76,7 +70,7 @@ fn subcommands() -> Vec<(String, &'static str)> {
     let row = |head: &str, desc: &'static str| (head.to_string(), desc);
     let mut rows = vec![row(
         "<experiment> [seed]",
-        "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b8 a1 a2, or `all`)",
+        "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b5 b7 b8 a1 a2, or `all`)",
     )];
     for (name, _, default_out, desc) in SEEDED {
         rows.push((format!("{name} [seed] [out={default_out}]"), *desc));
@@ -97,8 +91,8 @@ fn usage() -> ! {
     }
     let _ = write!(
         out,
-        "\nnotes:\n  seeds default to {DEFAULT_SEED}; SENSORCER_SCALE_MOTES / \
-         SENSORCER_PERFETTO_MOTES bound the scale sweeps\n  `harness perfetto` also writes {}, \
+        "\nnotes:\n  seeds default to {DEFAULT_SEED}; SENSORCER_PERFETTO_MOTES bounds the \
+         perfetto-scale world\n  `harness perfetto` also writes {}, \
          `harness perfetto-scale` also writes {}, `harness trace` also writes its span \
          export beside [out] as *.spans.json\n",
         perfetto::DEFAULT_SUMMARY,
@@ -128,7 +122,6 @@ fn run_one(which: &str, seed: u64) {
         "b3" => print!("{}", b3_provisioning::run(seed)),
         "b4" => print!("{}", b4_failover::run(seed)),
         "b5" => print!("{}", b5_discovery::run(seed)),
-        "b6" => print!("{}", b6_expressions::run(seed)),
         "b7" => print!("{}", b7_baselines::run(seed)),
         "b8" => print!("{}", b8_parallel::run()),
         "a1" => print!("{}", a1_ablation::run(seed)),

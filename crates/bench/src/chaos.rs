@@ -34,9 +34,12 @@ use sensorcer_registry::lus::LookupService;
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::chaos::{keys as chaos_keys, ChaosConfig, ChaosCounts, ChaosSchedule};
 use sensorcer_sim::prelude::*;
+use sensorcer_trace::json::Json;
 
 /// Where `harness chaos` writes by default.
 pub const DEFAULT_OUT: &str = "CHAOS_1.json";
+/// Keys `tests/committed_artifacts.rs` requires of `CHAOS_1.json`.
+pub const REQUIRED_KEYS: &[&str] = &["reads", "injected", "violations", "reconverged"];
 /// The `Quorum(4)`-of-six composite under test.
 pub const QUORUM_COMPOSITE: &str = "Chaos-Quorum";
 /// The `LastKnownGood` composite under test.
@@ -105,38 +108,44 @@ impl SoakReport {
         self.violations.is_empty() && self.reconverged
     }
 
-    /// JSON summary for CI tracking: injected faults vs. read outcomes.
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n  \"seed\": {},\n  \"rounds\": {},\n  \"reads\": {{\"total\": {}, \"ok\": {}, \"failed\": {}, \"degraded\": {}}},\n  \"injected\": {{\"partitions\": {}, \"isolates\": {}, \"crashes\": {}, \"slow_links\": {}, \"total\": {}}},\n  \"metrics\": {{\"retry_attempts\": {}, \"failover_attempts\": {}, \"events_applied\": {}}},\n  \"violations\": [",
-            self.seed,
-            self.rounds,
-            self.reads_total,
-            self.reads_ok,
-            self.reads_failed,
-            self.reads_degraded,
-            self.injected.partitions,
-            self.injected.isolates,
-            self.injected.crashes,
-            self.injected.slow_links,
-            self.injected.total(),
-            self.retry_attempts,
-            self.failover_attempts,
-            self.events_applied,
-        );
-        for (i, v) in self.violations.iter().enumerate() {
-            let _ = write!(j, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(v));
-        }
-        let _ = write!(
-            j,
-            "],\n  \"reconverged\": {},\n  \"passed\": {}\n}}\n",
-            self.reconverged,
-            self.passed()
-        );
-        j
+    /// The `CHAOS_1.json` report: injected faults vs. read outcomes.
+    pub fn json(&self) -> Json {
+        Json::report(
+            [
+                ("seed", self.seed.into()),
+                ("rounds", self.rounds.into()),
+                (
+                    "reads",
+                    Json::obj([
+                        ("total", self.reads_total.into()),
+                        ("ok", self.reads_ok.into()),
+                        ("failed", self.reads_failed.into()),
+                        ("degraded", self.reads_degraded.into()),
+                    ]),
+                ),
+                (
+                    "injected",
+                    Json::obj([
+                        ("partitions", self.injected.partitions.into()),
+                        ("isolates", self.injected.isolates.into()),
+                        ("crashes", self.injected.crashes.into()),
+                        ("slow_links", self.injected.slow_links.into()),
+                        ("total", self.injected.total().into()),
+                    ]),
+                ),
+                (
+                    "metrics",
+                    Json::obj([
+                        ("retry_attempts", self.retry_attempts.into()),
+                        ("failover_attempts", self.failover_attempts.into()),
+                        ("events_applied", self.events_applied.into()),
+                    ]),
+                ),
+                ("violations", Json::arr(&self.violations)),
+                ("reconverged", self.reconverged.into()),
+            ],
+            self.passed(),
+        )
     }
 
     /// One-paragraph human transcript.
@@ -528,7 +537,7 @@ pub fn run_soak_observed(
 /// unwritable output file so the harness exits nonzero).
 pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     let report = run_soak(&SoakConfig::new(seed));
-    std::fs::write(out_path, report.to_json())
+    std::fs::write(out_path, report.json().render())
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     let mut transcript = report.summary();
     let _ = writeln!(transcript, "wrote {out_path}");
@@ -583,23 +592,5 @@ mod tests {
         );
         assert!(r.reads_total > 50);
         assert_eq!(r.reads_total, r.reads_ok + r.reads_failed);
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let cfg = SoakConfig {
-            chaos: ChaosConfig {
-                horizon: SimDuration::from_secs(120),
-                ..Default::default()
-            },
-            tail_reads: 2,
-            ..SoakConfig::new(3)
-        };
-        let r = run_soak(&cfg);
-        let j = r.to_json();
-        assert!(j.contains("\"seed\": 3"));
-        assert!(j.contains("\"injected\""));
-        assert!(j.contains("\"reconverged\""));
-        assert!(j.ends_with("}\n"));
     }
 }

@@ -11,10 +11,8 @@
 //! | [`b3_provisioning`]| B3 | §V.B/§VII dynamic provisioning             |
 //! | [`b4_failover`]   | B4  | §VII outage tolerance                      |
 //! | [`b5_discovery`]  | B5  | §IV.B/§VII plug-and-play                   |
-//! | [`b6_expressions`]| B6  | §V.A sensor computation                    |
 //! | [`b7_baselines`]  | B7  | §III related-work comparison               |
 //! | [`b8_parallel`]   | B8  | local-mode parallel collection             |
-//! | [`b9_scale`]      | B9  | scaling curve: 10³–10⁵ motes, flat vs hier |
 //! | [`a1_ablation`]   | A1  | design-choice ablations (binding cache)    |
 //! | [`a2_energy`]     | A2  | mote energy per delivered reading          |
 //!
@@ -30,10 +28,8 @@ pub mod b2_scalability;
 pub mod b3_provisioning;
 pub mod b4_failover;
 pub mod b5_discovery;
-pub mod b6_expressions;
 pub mod b7_baselines;
 pub mod b8_parallel;
-pub mod b9_scale;
 pub mod chaos;
 pub mod figs;
 pub mod helpers;
@@ -45,12 +41,6 @@ pub mod storm;
 pub mod table;
 pub mod trace;
 pub mod verify;
-
-/// Expression-variable name for index `i` (`a`…`z`, then `v26`…), shared
-/// with the CSP's convention.
-pub fn var(i: usize) -> String {
-    sensorcer_core::csp::variable_for(i)
-}
 
 /// The default seed every harness run uses, for reproducible tables.
 pub const DEFAULT_SEED: u64 = 0x5E2509;

@@ -11,9 +11,6 @@
 //! from the warm-up estimate so one sample lasts roughly
 //! `measurement_time / sample_size`. The reported figure is the median
 //! ns/iteration across samples (robust to scheduler noise).
-//!
-//! Set `MICROBENCH_JSON=/path/out.json` to also write the results as a
-//! JSON array.
 
 use std::hint::black_box as std_black_box;
 use std::time::{Duration, Instant};
@@ -94,18 +91,8 @@ impl Criterion {
         g.finish();
     }
 
-    /// Print the closing summary and honor `MICROBENCH_JSON`.
+    /// Print the closing summary.
     pub fn final_summary(&self) {
-        if let Ok(path) = std::env::var("MICROBENCH_JSON") {
-            if !path.is_empty() {
-                match std::fs::write(&path, results_to_json(&self.results)) {
-                    Ok(()) => {
-                        eprintln!("microbench: wrote {} results to {path}", self.results.len())
-                    }
-                    Err(e) => eprintln!("microbench: failed to write {path}: {e}"),
-                }
-            }
-        }
         println!("{} benchmarks completed", self.results.len());
     }
 
@@ -267,47 +254,6 @@ pub fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Hand-rolled JSON encoding (the workspace carries no serde).
-pub fn results_to_json(results: &[BenchResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(&format!(
-            "  {{\"group\": {}, \"id\": {}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}",
-            json_str(&r.group),
-            json_str(&r.id),
-            r.median_ns,
-            r.mean_ns,
-            r.min_ns,
-            r.samples,
-            r.iters_per_sample
-        ));
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-/// Minimal JSON string escaping.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Compatibility macro: `criterion_group!(benches, bench_fn, ...)` defines
 /// a function running each bench fn against one [`Criterion`] driver.
 #[macro_export]
@@ -354,22 +300,6 @@ mod tests {
         assert!(r.median_ns > 0.0);
         assert!(r.min_ns <= r.median_ns);
         assert_eq!(r.samples, 3);
-    }
-
-    #[test]
-    fn json_escapes_and_renders() {
-        let results = vec![BenchResult {
-            group: "g\"x".into(),
-            id: "a/b".into(),
-            median_ns: 1.5,
-            mean_ns: 2.0,
-            min_ns: 1.0,
-            samples: 3,
-            iters_per_sample: 7,
-        }];
-        let j = results_to_json(&results);
-        assert!(j.contains("\"g\\\"x\""));
-        assert!(j.contains("\"median_ns\": 1.5"));
     }
 
     #[test]

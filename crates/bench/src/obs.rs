@@ -32,6 +32,7 @@ use sensorcer_obs::{
 };
 use sensorcer_sim::chaos::ChaosConfig;
 use sensorcer_sim::prelude::*;
+use sensorcer_trace::json::Json;
 
 use crate::chaos::{
     run_soak_observed, SoakConfig, SoakObserver, SoakReport, LKG_COMPOSITE, QUORUM_COMPOSITE,
@@ -40,6 +41,14 @@ use crate::trace::TRACE_CAPACITY;
 
 /// Where `harness obs` writes by default.
 pub const DEFAULT_OUT: &str = "OBS_1.json";
+/// Keys `tests/committed_artifacts.rs` requires of `OBS_1.json`; the dotted
+/// path holds every storm alert to carrying its exemplars.
+pub const REQUIRED_KEYS: &[&str] = &[
+    "storm_slos.alerts.exemplars",
+    "clean_slos",
+    "anomalies",
+    "ops",
+];
 
 /// The storm fault mix (same shape the trace tests use): dense faults,
 /// whole equivalence pairs dark at once, so degradation and failures
@@ -268,62 +277,53 @@ impl ObsReport {
         self.problems.is_empty()
     }
 
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n  \"schema_version\": {},\n  \"seed\": {},\n  \"storm\": {{\"reads\": {}, \"ok\": {}, \"failed\": {}, \"degraded\": {}, \"faults\": {}}},\n",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION,
-            self.seed,
-            self.storm_soak.reads_total,
-            self.storm_soak.reads_ok,
-            self.storm_soak.reads_failed,
-            self.storm_soak.reads_degraded,
-            self.storm_soak.injected.total(),
-        );
-        let _ = writeln!(j, "  \"storm_slos\": {},", self.storm_slos.to_json());
-        let _ = writeln!(j, "  \"clean_slos\": {},", self.clean_slos.to_json());
-        j.push_str("  \"anomalies\": [");
-        for (i, a) in self.anomalies.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(
-                j,
-                "{{\"at_ns\": {}, \"metric\": \"{}\", \"value\": {:.1}, \"ewma_score\": {:.1}, \"mad_score\": {:.1}}}",
-                a.at.as_nanos(),
-                esc(&a.metric),
-                a.value,
-                a.ewma_score,
-                a.mad_score
-            );
-        }
-        j.push_str("],\n  \"ops\": [");
-        for (i, (op, count, degraded, errors, p50, p99)) in self.op_stats.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(
-                j,
-                "{{\"op\": \"{}\", \"count\": {}, \"degraded\": {}, \"errors\": {}, \"p50_ns\": {:.0}, \"p99_ns\": {:.0}}}",
-                esc(op),
-                count,
-                degraded,
-                errors,
-                p50,
-                p99
-            );
-        }
-        j.push_str("],\n  \"problems\": [");
-        for (i, p) in self.problems.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(j, "\"{}\"", esc(p));
-        }
-        let _ = write!(j, "],\n  \"passed\": {}\n}}\n", self.passed());
-        j
+    /// The `OBS_1.json` report: anomaly scores to one decimal, operation
+    /// quantiles in whole nanoseconds.
+    pub fn json(&self) -> Json {
+        let anomalies = self.anomalies.iter().map(|a| {
+            Json::obj([
+                ("at_ns", a.at.as_nanos().into()),
+                ("metric", a.metric.as_str().into()),
+                ("value", Json::rounded(a.value, 1)),
+                ("ewma_score", Json::rounded(a.ewma_score, 1)),
+                ("mad_score", Json::rounded(a.mad_score, 1)),
+            ])
+        });
+        let ops = self
+            .op_stats
+            .iter()
+            .map(|(op, count, degraded, errors, p50, p99)| {
+                Json::obj([
+                    ("op", op.as_str().into()),
+                    ("count", (*count).into()),
+                    ("degraded", (*degraded).into()),
+                    ("errors", (*errors).into()),
+                    ("p50_ns", Json::rounded(*p50, 0)),
+                    ("p99_ns", Json::rounded(*p99, 0)),
+                ])
+            });
+        let storm = &self.storm_soak;
+        Json::report(
+            [
+                ("seed", self.seed.into()),
+                (
+                    "storm",
+                    Json::obj([
+                        ("reads", storm.reads_total.into()),
+                        ("ok", storm.reads_ok.into()),
+                        ("failed", storm.reads_failed.into()),
+                        ("degraded", storm.reads_degraded.into()),
+                        ("faults", storm.injected.total().into()),
+                    ]),
+                ),
+                ("storm_slos", self.storm_slos.json()),
+                ("clean_slos", self.clean_slos.json()),
+                ("anomalies", Json::arr(anomalies)),
+                ("ops", Json::arr(ops)),
+                ("problems", Json::arr(&self.problems)),
+            ],
+            self.passed(),
+        )
     }
 
     /// One-paragraph human transcript.
@@ -494,7 +494,7 @@ pub fn run_obs(seed: u64) -> ObsReport {
 /// write the JSON report; `Err` (nonzero exit) on any problem.
 pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     let report = run_obs(seed);
-    std::fs::write(out_path, report.to_json())
+    std::fs::write(out_path, report.json().render())
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     let mut transcript = report.summary();
     let _ = writeln!(transcript, "wrote {out_path}");
@@ -516,11 +516,7 @@ mod tests {
     fn obs_report_is_deterministic_per_seed() {
         let a = run_obs(7);
         let b = run_obs(7);
-        assert_eq!(
-            a.to_json(),
-            b.to_json(),
-            "seed 7 must reproduce bit-identically"
-        );
+        assert_eq!(a.json(), b.json(), "seed 7 must reproduce bit-identically");
     }
 
     #[test]
@@ -578,17 +574,8 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_and_ops_populated() {
+    fn ops_cover_the_root_reads() {
         let r = run_obs(3);
-        let j = r.to_json();
-        assert!(j.contains(&format!(
-            "\"schema_version\": {}",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION
-        )));
-        assert!(j.contains("\"storm_slos\""));
-        assert!(j.contains("\"clean_slos\""));
-        assert!(j.contains("\"quorum-availability\""));
-        assert!(j.contains("\"ops\""));
         assert!(
             r.op_stats.iter().any(|(op, ..)| op == "soak.read"),
             "op stats must cover the root reads: {:?}",

@@ -25,6 +25,7 @@ use std::fmt::Write as _;
 
 use sensorcer_obs::alert_timeline;
 use sensorcer_sim::prelude::*;
+use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::{self, ExportConfig, InstantTrack};
 
 use crate::storm::{run_storm_full, StormConfig, StormRun};
@@ -33,6 +34,8 @@ use crate::storm::{run_storm_full, StormConfig, StormRun};
 pub const DEFAULT_OUT: &str = "federation.perfetto-trace";
 /// The committed summary artifact for the default output path.
 pub const DEFAULT_SUMMARY: &str = "PERFETTO_1.json";
+/// Keys `tests/committed_artifacts.rs` requires of `PERFETTO_1.json`.
+pub const REQUIRED_KEYS: &[&str] = &["fnv64", "tracks", "flows", "sampler_ticks"];
 
 /// The sampler the leg attaches to the storm: 1 s cadence (one snapshot
 /// per nominal round), watching the overload-protection counter families
@@ -57,14 +60,7 @@ pub struct PerfettoReport {
     pub bytes: usize,
     /// FNV-1a 64-bit hash of the trace bytes (the determinism fingerprint).
     pub hash: u64,
-    pub packets: usize,
-    pub process_tracks: usize,
-    pub thread_tracks: usize,
-    pub counter_tracks: usize,
-    pub slices: usize,
-    pub instants: usize,
-    pub counter_points: usize,
-    pub flows: usize,
+    pub shape: StreamShape,
     pub eviction_markers: usize,
     pub sampler_ticks: u64,
     pub alerts: usize,
@@ -77,51 +73,34 @@ impl PerfettoReport {
         self.problems.is_empty()
     }
 
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n  \"schema_version\": {},\n  \"seed\": {},\n  \"bytes\": {},\n  \"fnv64\": \"{:016x}\",\n  \"packets\": {},\n  \"tracks\": {{\"process\": {}, \"thread\": {}, \"counter\": {}}},\n  \"events\": {{\"slices\": {}, \"instants\": {}, \"counter_points\": {}}},\n  \"flows\": {},\n  \"eviction_markers\": {},\n  \"sampler_ticks\": {},\n  \"alerts\": {},\n  \"problems\": [",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION,
-            self.seed,
-            self.bytes,
-            self.hash,
-            self.packets,
-            self.process_tracks,
-            self.thread_tracks,
-            self.counter_tracks,
-            self.slices,
-            self.instants,
-            self.counter_points,
-            self.flows,
-            self.eviction_markers,
-            self.sampler_ticks,
-            self.alerts,
-        );
-        for (i, p) in self.problems.iter().enumerate() {
-            let _ = write!(j, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(p));
-        }
-        let _ = write!(j, "],\n  \"passed\": {}\n}}\n", self.passed());
-        j
+    /// The `PERFETTO_1.json` summary.
+    pub fn json(&self) -> Json {
+        Json::report(
+            [
+                ("seed", self.seed.into()),
+                ("bytes", self.bytes.into()),
+                ("fnv64", format!("{:016x}", self.hash).into()),
+            ]
+            .into_iter()
+            .chain(self.shape.json())
+            .chain([
+                ("eviction_markers", self.eviction_markers.into()),
+                ("sampler_ticks", self.sampler_ticks.into()),
+                ("alerts", self.alerts.into()),
+                ("problems", Json::arr(&self.problems)),
+            ]),
+            self.passed(),
+        )
     }
 
     pub fn summary(&self) -> String {
         format!(
-            "perfetto export seed={}: {} bytes (fnv64 {:016x}), {} packets, \
-             {} slices / {} instants / {} counter points on {}p+{}t+{}c tracks, \
-             {} flows, {} eviction markers, {} sampler ticks, {} alerts — {}\n",
+            "perfetto export seed={}: {} bytes (fnv64 {:016x}), {}, {} eviction markers, \
+             {} sampler ticks, {} alerts — {}\n",
             self.seed,
             self.bytes,
             self.hash,
-            self.packets,
-            self.slices,
-            self.instants,
-            self.counter_points,
-            self.process_tracks,
-            self.thread_tracks,
-            self.counter_tracks,
-            self.flows,
+            self.shape,
             self.eviction_markers,
             self.sampler_ticks,
             self.alerts,
@@ -134,14 +113,77 @@ impl PerfettoReport {
     }
 }
 
-/// FNV-1a 64-bit — dependency-free fingerprint for byte-identity checks.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// What the in-repo decoder counted in an exported stream: the part of
+/// the summary `PERFETTO_1.json` and `PERFETTO_2.json` share.
+pub struct StreamShape {
+    pub packets: usize,
+    pub process_tracks: usize,
+    pub thread_tracks: usize,
+    pub counter_tracks: usize,
+    pub slices: usize,
+    pub instants: usize,
+    pub counter_points: usize,
+    pub flows: usize,
+}
+
+impl StreamShape {
+    pub fn of(d: &perfetto::DecodedTrace) -> StreamShape {
+        let tracks = |kind: fn(&perfetto::DecodedTrack) -> bool| {
+            d.tracks.values().filter(|t| kind(t)).count()
+        };
+        StreamShape {
+            packets: d.packets,
+            process_tracks: tracks(|t| t.is_process),
+            thread_tracks: tracks(|t| t.is_thread),
+            counter_tracks: tracks(|t| t.is_counter),
+            slices: d.slices(),
+            instants: d.instants(),
+            counter_points: d.counter_points(),
+            flows: d.flow_ids().len(),
+        }
     }
-    h
+
+    /// `packets`, `tracks`, `events` and `flows`, in summary order.
+    pub fn json(&self) -> [(&'static str, Json); 4] {
+        [
+            ("packets", self.packets.into()),
+            (
+                "tracks",
+                Json::obj([
+                    ("process", self.process_tracks.into()),
+                    ("thread", self.thread_tracks.into()),
+                    ("counter", self.counter_tracks.into()),
+                ]),
+            ),
+            (
+                "events",
+                Json::obj([
+                    ("slices", self.slices.into()),
+                    ("instants", self.instants.into()),
+                    ("counter_points", self.counter_points.into()),
+                ]),
+            ),
+            ("flows", self.flows.into()),
+        ]
+    }
+}
+
+impl std::fmt::Display for StreamShape {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} packets, {} slices / {} instants / {} counter points on {}p+{}t+{}c tracks, \
+             {} flows",
+            self.packets,
+            self.slices,
+            self.instants,
+            self.counter_points,
+            self.process_tracks,
+            self.thread_tracks,
+            self.counter_tracks,
+            self.flows
+        )
+    }
 }
 
 /// Run one sampled storm and export it. Pure function of the config —
@@ -176,15 +218,8 @@ pub fn export_storm(cfg: &StormConfig) -> (Vec<u8>, PerfettoReport, StormRun) {
     let report = PerfettoReport {
         seed: cfg.seed,
         bytes: bytes.len(),
-        hash: fnv64(&bytes),
-        packets: decoded.packets,
-        process_tracks: decoded.tracks.values().filter(|t| t.is_process).count(),
-        thread_tracks: decoded.tracks.values().filter(|t| t.is_thread).count(),
-        counter_tracks: decoded.tracks.values().filter(|t| t.is_counter).count(),
-        slices: decoded.slices(),
-        instants: decoded.instants(),
-        counter_points: decoded.counter_points(),
-        flows: decoded.flow_ids().len(),
+        hash: perfetto::fnv64(&bytes),
+        shape: StreamShape::of(&decoded),
         eviction_markers: rec.evictions().len(),
         sampler_ticks: ticks,
         alerts: run.alerts.len(),
@@ -204,7 +239,7 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     } else {
         format!("{out_path}.summary.json")
     };
-    std::fs::write(&summary_path, report.to_json())
+    std::fs::write(&summary_path, report.json().render())
         .map_err(|e| format!("cannot write {summary_path}: {e}"))?;
     let mut transcript = report.summary();
     let _ = writeln!(transcript, "wrote {out_path} and {summary_path}");
@@ -260,7 +295,7 @@ mod tests {
         let (b, rb, _) = export_storm(&cfg);
         assert_eq!(a, b, "same seed must produce identical bytes");
         assert_eq!(ra.hash, rb.hash);
-        assert_eq!(fnv64(&a), ra.hash);
+        assert_eq!(perfetto::fnv64(&a), ra.hash);
     }
 
     #[test]
@@ -279,19 +314,5 @@ mod tests {
             "missing the alert timeline track"
         );
         assert!(decoded.instants() > 0);
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let (_, report, _) = export_storm(&mini_cfg(2));
-        let j = report.to_json();
-        assert!(j.contains(&format!(
-            "\"schema_version\": {}",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION
-        )));
-        assert!(j.contains("\"fnv64\""));
-        assert!(j.contains("\"tracks\""));
-        assert!(j.contains("\"flows\""));
-        assert!(j.ends_with("}\n"));
     }
 }

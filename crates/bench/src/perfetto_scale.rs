@@ -40,16 +40,21 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use sensorcer_sim::prelude::*;
+use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::{self, ExportConfig, FileSink, StreamingExporter};
 use sensorcer_trace::profile::{Profiler, WindowRecord};
 use sensorcer_trace::DrainItem;
 
-use crate::perfetto::fnv64;
+use crate::perfetto::StreamShape;
 
 /// Where `harness perfetto-scale` writes the binary trace by default.
 pub const DEFAULT_OUT: &str = "federation-scale.perfetto-trace";
 /// The committed summary artifact for the default output path.
 pub const DEFAULT_SUMMARY: &str = "PERFETTO_2.json";
+/// Keys `tests/committed_artifacts.rs` requires of `PERFETTO_2.json`.
+pub const REQUIRED_KEYS: &[&str] = &["motes", "self_window_ratio_ppm", "stream", "top_ops"];
+/// Motes in the default run, and so in the committed `PERFETTO_2.json`.
+pub const DEFAULT_MOTES: usize = 100_000;
 /// The documented hard ceiling on encoder working memory (scratch
 /// buffer high-water mark). The streaming design keeps the real peak
 /// near [`FLUSH_THRESHOLD`] + one packet; the ceiling is the contract
@@ -65,14 +70,14 @@ const SUBNETS: u32 = 16;
 /// Motes per 100 ms window-run chunk (drain cadence).
 const CHUNK_TIMERS: usize = 4_000;
 
-/// Mote count: `SENSORCER_PERFETTO_MOTES` overrides the 10⁵ default
+/// Mote count: `SENSORCER_PERFETTO_MOTES` overrides [`DEFAULT_MOTES`]
 /// (CI uses a reduced 10⁴ pass).
 fn motes_from_env() -> usize {
     std::env::var("SENSORCER_PERFETTO_MOTES")
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(100_000)
+        .unwrap_or(DEFAULT_MOTES)
 }
 
 /// Metric names this leg registers at runtime, for the `harness lint`
@@ -110,14 +115,7 @@ pub struct ScaleReport {
     pub self_window_ratio_ppm: u64,
     pub bytes: u64,
     pub hash: u64,
-    pub packets: usize,
-    pub process_tracks: usize,
-    pub thread_tracks: usize,
-    pub counter_tracks: usize,
-    pub slices: usize,
-    pub instants: usize,
-    pub counter_points: usize,
-    pub flows: usize,
+    pub shape: StreamShape,
     pub flushes: u64,
     pub peak_buffered_bytes: usize,
     pub lane_state_peak: usize,
@@ -134,72 +132,57 @@ impl ScaleReport {
         self.problems.is_empty()
     }
 
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n  \"schema_version\": {},\n  \"seed\": {},\n  \"motes\": {},\n  \"chunks\": {},\n  \"windows\": {},\n  \"window_run_ns\": {},\n  \"self_total_ns\": {},\n  \"self_window_ratio_ppm\": {},\n  \"bytes\": {},\n  \"fnv64\": \"{:016x}\",\n  \"packets\": {},\n  \"tracks\": {{\"process\": {}, \"thread\": {}, \"counter\": {}}},\n  \"events\": {{\"slices\": {}, \"instants\": {}, \"counter_points\": {}}},\n  \"flows\": {},\n  \"spans\": {},\n  \"stream\": {{\"flushes\": {}, \"peak_buffered_bytes\": {}, \"lane_state_peak\": {}, \"encoder_ceiling_bytes\": {}}},\n  \"top_ops\": [",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION,
-            self.seed,
-            self.motes,
-            self.chunks,
-            self.windows,
-            self.window_run_ns,
-            self.self_total_ns,
-            self.self_window_ratio_ppm,
-            self.bytes,
-            self.hash,
-            self.packets,
-            self.process_tracks,
-            self.thread_tracks,
-            self.counter_tracks,
-            self.slices,
-            self.instants,
-            self.counter_points,
-            self.flows,
-            self.spans,
-            self.flushes,
-            self.peak_buffered_bytes,
-            self.lane_state_peak,
-            ENCODER_CEILING_BYTES,
-        );
-        for (i, op) in self.top_ops.iter().enumerate() {
-            let _ = write!(
-                j,
-                "{}{{\"op\": \"{}\", \"count\": {}, \"self_ns\": {}}}",
-                if i == 0 { "" } else { ", " },
-                esc(&op.name),
-                op.count,
-                op.self_ns
-            );
-        }
-        let _ = write!(j, "],\n  \"problems\": [");
-        for (i, p) in self.problems.iter().enumerate() {
-            let _ = write!(j, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(p));
-        }
-        let _ = write!(j, "],\n  \"passed\": {}\n}}\n", self.passed());
-        j
+    /// The `PERFETTO_2.json` summary.
+    pub fn json(&self) -> Json {
+        let top_ops = self.top_ops.iter().map(|op| {
+            Json::obj([
+                ("op", op.name.as_str().into()),
+                ("count", op.count.into()),
+                ("self_ns", op.self_ns.into()),
+            ])
+        });
+        Json::report(
+            [
+                ("seed", self.seed.into()),
+                ("motes", self.motes.into()),
+                ("chunks", self.chunks.into()),
+                ("windows", self.windows.into()),
+                ("window_run_ns", self.window_run_ns.into()),
+                ("self_total_ns", self.self_total_ns.into()),
+                ("self_window_ratio_ppm", self.self_window_ratio_ppm.into()),
+                ("bytes", self.bytes.into()),
+                ("fnv64", format!("{:016x}", self.hash).into()),
+            ]
+            .into_iter()
+            .chain(self.shape.json())
+            .chain([
+                ("spans", self.spans.into()),
+                (
+                    "stream",
+                    Json::obj([
+                        ("flushes", self.flushes.into()),
+                        ("peak_buffered_bytes", self.peak_buffered_bytes.into()),
+                        ("lane_state_peak", self.lane_state_peak.into()),
+                        ("encoder_ceiling_bytes", ENCODER_CEILING_BYTES.into()),
+                    ]),
+                ),
+                ("top_ops", Json::arr(top_ops)),
+                ("problems", Json::arr(&self.problems)),
+            ]),
+            self.passed(),
+        )
     }
 
     pub fn summary(&self) -> String {
         format!(
-            "perfetto-scale seed={} motes={}: {} bytes (fnv64 {:016x}), {} packets, \
-             {} slices / {} instants / {} counter points on {}p+{}t+{}c tracks, {} flows; \
+            "perfetto-scale seed={} motes={}: {} bytes (fnv64 {:016x}), {}; \
              {} windows over {} chunks, self/window = {} ppm; \
              peak buffered {} B (ceiling {} B), {} flushes — {}\n",
             self.seed,
             self.motes,
             self.bytes,
             self.hash,
-            self.packets,
-            self.slices,
-            self.instants,
-            self.counter_points,
-            self.process_tracks,
-            self.thread_tracks,
-            self.counter_tracks,
-            self.flows,
+            self.shape,
             self.windows,
             self.chunks,
             self.self_window_ratio_ppm,
@@ -346,7 +329,7 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
             disk.len()
         ));
     }
-    if fnv64(&disk) != hash {
+    if perfetto::fnv64(&disk) != hash {
         problems.push("sink fingerprint does not match the file bytes".into());
     }
     let decoded = match perfetto::decode(&disk) {
@@ -399,14 +382,7 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
         self_window_ratio_ppm: ratio_ppm,
         bytes: bytes_written,
         hash,
-        packets: decoded.packets,
-        process_tracks: decoded.tracks.values().filter(|t| t.is_process).count(),
-        thread_tracks: decoded.tracks.values().filter(|t| t.is_thread).count(),
-        counter_tracks: decoded.tracks.values().filter(|t| t.is_counter).count(),
-        slices: decoded.slices(),
-        instants: decoded.instants(),
-        counter_points: decoded.counter_points(),
-        flows: decoded.flow_ids().len(),
+        shape: StreamShape::of(&decoded),
         flushes: stats.flushes,
         peak_buffered_bytes: stats.peak_buffered_bytes,
         lane_state_peak: stats.lane_state_peak,
@@ -439,7 +415,7 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     } else {
         format!("{out_path}.summary.json")
     };
-    std::fs::write(&summary_path, report.to_json())
+    std::fs::write(&summary_path, report.json().render())
         .map_err(|e| format!("cannot write {summary_path}: {e}"))?;
 
     let mut transcript = report.summary();
@@ -484,13 +460,13 @@ mod tests {
         assert!(report.passed(), "{:?}", report.problems);
         // Every span accounted for: motes + nested reads + chunk roots.
         assert_eq!(report.spans, 1_200 + 75 + 1);
-        assert_eq!(report.slices as u64, report.spans);
+        assert_eq!(report.shape.slices as u64, report.spans);
         // Self time partitions the window run exactly.
         assert_eq!(report.self_window_ratio_ppm, 1_000_000);
         assert_eq!(report.self_total_ns, report.window_run_ns);
         assert!(report.windows > 0, "window observer never fired");
-        assert!(report.flows > 0, "retry chain events must flow");
-        assert!(report.counter_points > 0);
+        assert!(report.shape.flows > 0, "retry chain events must flow");
+        assert!(report.shape.counter_points > 0);
         assert!((report.peak_buffered_bytes as u64) < ENCODER_CEILING_BYTES);
         // The flame output carries full root-to-leaf paths.
         assert!(
@@ -509,28 +485,12 @@ mod tests {
         let b = export_scale(7, 900, &out_b).expect("export b");
         assert_eq!(a.hash, b.hash, "same seed must produce identical bytes");
         assert_eq!(a.bytes, b.bytes);
-        assert_eq!(a.to_json(), b.to_json(), "summary must be deterministic");
+        assert_eq!(a.json(), b.json(), "summary must be deterministic");
         let fa = std::fs::read(&out_a).expect("read a");
         let fb = std::fs::read(&out_b).expect("read b");
         assert_eq!(fa, fb);
         let _ = std::fs::remove_file(&out_a);
         let _ = std::fs::remove_file(&out_b);
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let out = tmp_out("shape");
-        let report = export_scale(3, 500, &out).expect("export");
-        let j = report.to_json();
-        assert!(j.contains("\"self_window_ratio_ppm\": 1000000"));
-        assert!(j.contains(&format!(
-            "\"encoder_ceiling_bytes\": {ENCODER_CEILING_BYTES}"
-        )));
-        assert!(j.contains("\"fnv64\""));
-        assert!(j.contains("\"top_ops\""));
-        assert!(j.contains("\"passed\": true"));
-        assert!(j.ends_with("}\n"));
-        let _ = std::fs::remove_file(&out);
     }
 
     #[test]

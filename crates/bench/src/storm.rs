@@ -42,11 +42,14 @@ use sensorcer_registry::lus::LookupService;
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::chaos::{burst_gauge_key, BurstConfig, ChaosEvent, ChaosSchedule};
 use sensorcer_sim::prelude::*;
+use sensorcer_trace::json::Json;
 
 use crate::trace::TRACE_CAPACITY;
 
 /// Where `harness storm` writes by default.
 pub const DEFAULT_OUT: &str = "STORM_1.json";
+/// Keys `tests/committed_artifacts.rs` requires of `STORM_1.json`.
+pub const REQUIRED_KEYS: &[&str] = &["critical", "bulk", "admission", "breaker", "scaling"];
 /// The critical tenant's composite (two grouped children; one is crashed
 /// mid-storm to exercise the breaker + failover path).
 pub const CRITICAL_SERVICE: &str = "Critical-Feed";
@@ -171,43 +174,65 @@ impl StormReport {
         self.violations.is_empty()
     }
 
-    /// JSON summary for CI tracking.
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n  \"schema_version\": {},\n  \"seed\": {},\n  \"rounds\": {},\n  \"critical\": {{\"reads\": {}, \"ok\": {}, \"failed\": {}}},\n  \"bulk\": {{\"reads\": {}, \"ok\": {}, \"shed\": {}, \"failed_other\": {}}},\n  \"admission\": {{\"admitted\": {}, \"shed\": {}, \"queue_delays\": {}, \"shed_trace_events\": {}}},\n  \"breaker\": {{\"opened\": {}, \"skipped\": {}, \"half_open\": {}, \"closed\": {}}},\n  \"scaling\": {{\"up\": {}, \"down\": {}, \"max_planned\": {}, \"final_planned\": {}}},\n  \"max_critical_burn\": {:.3},\n  \"bursts_injected\": {},\n  \"violations\": [",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION,
-            self.seed,
-            self.rounds,
-            self.critical_reads,
-            self.critical_ok,
-            self.critical_failed,
-            self.bulk_reads,
-            self.bulk_ok,
-            self.bulk_shed,
-            self.bulk_failed_other,
-            self.admitted_metric,
-            self.shed_metric,
-            self.queue_delays,
-            self.shed_trace_events,
-            self.breaker_opened,
-            self.breaker_skipped,
-            self.breaker_half_open,
-            self.breaker_closed,
-            self.up_actions,
-            self.down_actions,
-            self.max_planned,
-            self.final_planned,
-            self.max_critical_burn,
-            self.bursts_injected,
-        );
-        for (i, v) in self.violations.iter().enumerate() {
-            let _ = write!(j, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(v));
-        }
-        let _ = write!(j, "],\n  \"passed\": {}\n}}\n", self.passed());
-        j
+    /// The `STORM_1.json` report; the burn rate keeps three decimals.
+    pub fn json(&self) -> Json {
+        Json::report(
+            [
+                ("seed", self.seed.into()),
+                ("rounds", self.rounds.into()),
+                (
+                    "critical",
+                    Json::obj([
+                        ("reads", self.critical_reads.into()),
+                        ("ok", self.critical_ok.into()),
+                        ("failed", self.critical_failed.into()),
+                    ]),
+                ),
+                (
+                    "bulk",
+                    Json::obj([
+                        ("reads", self.bulk_reads.into()),
+                        ("ok", self.bulk_ok.into()),
+                        ("shed", self.bulk_shed.into()),
+                        ("failed_other", self.bulk_failed_other.into()),
+                    ]),
+                ),
+                (
+                    "admission",
+                    Json::obj([
+                        ("admitted", self.admitted_metric.into()),
+                        ("shed", self.shed_metric.into()),
+                        ("queue_delays", self.queue_delays.into()),
+                        ("shed_trace_events", self.shed_trace_events.into()),
+                    ]),
+                ),
+                (
+                    "breaker",
+                    Json::obj([
+                        ("opened", self.breaker_opened.into()),
+                        ("skipped", self.breaker_skipped.into()),
+                        ("half_open", self.breaker_half_open.into()),
+                        ("closed", self.breaker_closed.into()),
+                    ]),
+                ),
+                (
+                    "scaling",
+                    Json::obj([
+                        ("up", self.up_actions.into()),
+                        ("down", self.down_actions.into()),
+                        ("max_planned", self.max_planned.into()),
+                        ("final_planned", self.final_planned.into()),
+                    ]),
+                ),
+                (
+                    "max_critical_burn",
+                    Json::rounded(self.max_critical_burn, 3),
+                ),
+                ("bursts_injected", self.bursts_injected.into()),
+                ("violations", Json::arr(&self.violations)),
+            ],
+            self.passed(),
+        )
     }
 
     /// One-paragraph human transcript.
@@ -716,7 +741,7 @@ pub fn runtime_metric_names() -> Vec<String> {
 /// exits nonzero).
 pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     let report = run_storm(&StormConfig::new(seed));
-    std::fs::write(out_path, report.to_json())
+    std::fs::write(out_path, report.json().render())
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
     let mut transcript = report.summary();
     let _ = writeln!(transcript, "wrote {out_path}");
@@ -763,21 +788,6 @@ mod tests {
             assert!(r.breaker_opened >= 1 && r.breaker_closed >= 1);
             assert!(r.breaker_skipped >= 1);
         }
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let r = run_storm(&StormConfig::new(3));
-        let j = r.to_json();
-        assert!(j.contains(&format!(
-            "\"schema_version\": {}",
-            sensorcer_trace::EXPORT_SCHEMA_VERSION
-        )));
-        assert!(j.contains("\"seed\": 3"));
-        assert!(j.contains("\"admission\""));
-        assert!(j.contains("\"scaling\""));
-        assert!(j.contains("\"breaker\""));
-        assert!(j.ends_with("}\n"));
     }
 
     #[test]

@@ -21,6 +21,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use sensorcer_sim::prelude::*;
+use sensorcer_trace::json::Json;
+use sensorcer_trace::perfetto::fnv64;
 
 use crate::chaos::{run_soak_traced, SoakConfig, SoakReport};
 
@@ -142,6 +144,9 @@ pub fn run_traced_soak(seed: u64) -> (SoakReport, FlightRecorder) {
     )
 }
 
+/// Keys `tests/committed_artifacts.rs` requires of `TRACE_1.json`.
+pub const REQUIRED_KEYS: &[&str] = &["reads", "roots", "fnv64", "problems"];
+
 /// The committed artifact: the checks' verdict plus the length and
 /// FNV-1a fingerprint of the span export, which is too large to commit.
 fn summary_json(
@@ -150,28 +155,27 @@ fn summary_json(
     verdict: &TraceCheck,
     export: &str,
     failures: &[String],
-) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut j = String::new();
-    let _ = write!(
-        j,
-        "{{\n  \"schema_version\": {},\n  \"seed\": {},\n  \"reads\": {},\n  \"spans\": {},\n  \"events\": {},\n  \"roots\": {{\"total\": {}, \"degraded\": {}, \"error\": {}}},\n  \"bytes\": {},\n  \"fnv64\": \"{:016x}\",\n  \"problems\": [",
-        sensorcer_trace::EXPORT_SCHEMA_VERSION,
-        seed,
-        reads,
-        verdict.spans,
-        verdict.events,
-        verdict.roots,
-        verdict.degraded_roots,
-        verdict.error_roots,
-        export.len(),
-        crate::perfetto::fnv64(export.as_bytes()),
-    );
-    for (i, p) in failures.iter().enumerate() {
-        let _ = write!(j, "{}\"{}\"", if i == 0 { "" } else { ", " }, esc(p));
-    }
-    let _ = write!(j, "],\n  \"passed\": {}\n}}\n", failures.is_empty());
-    j
+) -> Json {
+    Json::report(
+        [
+            ("seed", seed.into()),
+            ("reads", reads.into()),
+            ("spans", verdict.spans.into()),
+            ("events", verdict.events.into()),
+            (
+                "roots",
+                Json::obj([
+                    ("total", verdict.roots.into()),
+                    ("degraded", verdict.degraded_roots.into()),
+                    ("error", verdict.error_roots.into()),
+                ]),
+            ),
+            ("bytes", export.len().into()),
+            ("fnv64", format!("{:016x}", fnv64(export.as_bytes())).into()),
+            ("problems", Json::arr(failures)),
+        ],
+        failures.is_empty(),
+    )
 }
 
 /// `harness trace` entry point: traced soak, health checks, the summary
@@ -198,7 +202,8 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
     std::fs::write(&export_path, &export)
         .map_err(|e| format!("cannot write {}: {e}", export_path.display()))?;
     let summary = summary_json(seed, report.reads_total, &verdict, &export, &failures);
-    std::fs::write(out_path, summary).map_err(|e| format!("cannot write {out_path}: {e}"))?;
+    std::fs::write(out_path, summary.render())
+        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
     let mut transcript = format!(
         "trace harness seed={}: {} spans / {} events over {} reads; {} roots \

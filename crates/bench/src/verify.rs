@@ -25,6 +25,7 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
+use sensorcer_trace::json::Json;
 use sensorcer_verify::explore::{
     explore, run_one, ChoicePolicy, ExploreConfig, ExploreReport, Scenario,
 };
@@ -32,6 +33,8 @@ use sensorcer_verify::scenarios::{BuggyReaper, DegradedRead, LeaseChurn, Provisi
 
 /// Where `harness verify` writes by default.
 pub const DEFAULT_OUT: &str = "VERIFY_1.json";
+/// Keys `tests/committed_artifacts.rs` requires of `VERIFY_1.json`.
+pub const REQUIRED_KEYS: &[&str] = &["scenarios", "distinct_schedules", "mutation"];
 
 /// Distinct schedules the clean scenarios must reach in total.
 pub const DISTINCT_FLOOR: usize = 1000;
@@ -121,57 +124,51 @@ impl VerifyReport {
             && self.mutation.passed()
     }
 
-    /// JSON summary for CI tracking.
-    pub fn to_json(&self) -> String {
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        let mut j = String::new();
-        let _ = write!(
-            j,
-            "{{\n  \"seed\": {},\n  \"distinct_floor\": {},\n  \"schedules_run\": {},\n  \"distinct_schedules\": {},\n  \"scenarios\": [",
-            self.seed,
-            DISTINCT_FLOOR,
-            self.schedules_run_total(),
-            self.distinct_total(),
-        );
-        for (i, s) in self.scenarios.iter().enumerate() {
-            let _ = write!(
-                j,
-                "{}\n    {{\"name\": \"{}\", \"schedules_run\": {}, \"distinct_schedules\": {}, \"choice_points\": {}, \"max_width\": {}, \"hb\": {{\"deliveries\": {}, \"writes\": {}, \"reads\": {}}}, \"lifecycle_events\": {}, \"violations\": [",
-                if i == 0 { "" } else { "," },
-                esc(&s.name),
-                s.schedules_run,
-                s.distinct_schedules,
-                s.choice_points,
-                s.max_width,
-                s.hb_deliveries,
-                s.hb_writes,
-                s.hb_reads,
-                s.lifecycle_events,
-            );
-            for (k, v) in s.violations.iter().enumerate() {
-                let _ = write!(j, "{}\"{}\"", if k == 0 { "" } else { ", " }, esc(v));
-            }
-            let _ = write!(j, "]}}");
-        }
-        let _ = write!(
-            j,
-            "\n  ],\n  \"mutation\": {{\"scenario\": \"buggy-reaper\", \"fifo_clean\": {}, \"detected_exhaustive\": {}, \"detected_by_seed\": [",
-            self.mutation.fifo_clean, self.mutation.detected_exhaustive,
-        );
-        for (i, (seed, det)) in self.mutation.detected_by_seed.iter().enumerate() {
-            let _ = write!(
-                j,
-                "{}{{\"seed\": {seed}, \"detected\": {det}}}",
-                if i == 0 { "" } else { ", " }
-            );
-        }
-        let _ = write!(
-            j,
-            "], \"example\": \"{}\"}},\n  \"passed\": {}\n}}\n",
-            esc(&self.mutation.example),
-            self.passed()
-        );
-        j
+    /// The `VERIFY_1.json` report.
+    pub fn json(&self) -> Json {
+        let scenarios = self.scenarios.iter().map(|s| {
+            Json::obj([
+                ("name", s.name.as_str().into()),
+                ("schedules_run", s.schedules_run.into()),
+                ("distinct_schedules", s.distinct_schedules.into()),
+                ("choice_points", s.choice_points.into()),
+                ("max_width", s.max_width.into()),
+                (
+                    "hb",
+                    Json::obj([
+                        ("deliveries", s.hb_deliveries.into()),
+                        ("writes", s.hb_writes.into()),
+                        ("reads", s.hb_reads.into()),
+                    ]),
+                ),
+                ("lifecycle_events", s.lifecycle_events.into()),
+                ("violations", Json::arr(&s.violations)),
+            ])
+        });
+        let m = &self.mutation;
+        let by_seed = m.detected_by_seed.iter().map(|&(seed, detected)| {
+            Json::obj([("seed", seed.into()), ("detected", detected.into())])
+        });
+        Json::report(
+            [
+                ("seed", self.seed.into()),
+                ("distinct_floor", DISTINCT_FLOOR.into()),
+                ("schedules_run", self.schedules_run_total().into()),
+                ("distinct_schedules", self.distinct_total().into()),
+                ("scenarios", Json::arr(scenarios)),
+                (
+                    "mutation",
+                    Json::obj([
+                        ("scenario", "buggy-reaper".into()),
+                        ("fifo_clean", m.fifo_clean.into()),
+                        ("detected_exhaustive", m.detected_exhaustive.into()),
+                        ("detected_by_seed", Json::arr(by_seed)),
+                        ("example", m.example.as_str().into()),
+                    ]),
+                ),
+            ],
+            self.passed(),
+        )
     }
 
     /// Human transcript, one line per scenario plus the mutation verdict.
@@ -308,7 +305,7 @@ pub fn run_verify(seed: u64) -> VerifyReport {
 /// CLI entry: run, write `out`, return the transcript (`Err` = exit 1).
 pub fn run(seed: u64, out: &str) -> Result<String, String> {
     let report = run_verify(seed);
-    std::fs::write(out, report.to_json())
+    std::fs::write(out, report.json().render())
         .map_err(|e| format!("cannot write {out}: {e}\n{}", report.summary()))?;
     let mut transcript = report.summary();
     let _ = writeln!(transcript, "wrote {out}");
@@ -346,31 +343,6 @@ mod tests {
             assert!(s.max_width >= 2, "{} never saw a real tie", s.name);
             assert!(s.lifecycle_events > 0, "{} fed no lifecycle events", s.name);
             assert!(s.hb_reads > 0, "{} fed no hb reads", s.name);
-        }
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let report = VerifyReport {
-            seed: 1,
-            scenarios: vec![ScenarioStats {
-                name: "x".into(),
-                ..Default::default()
-            }],
-            mutation: MutationStats {
-                detected_by_seed: vec![(11, true)],
-                ..Default::default()
-            },
-        };
-        let json = report.to_json();
-        for needle in [
-            "\"scenarios\"",
-            "\"mutation\"",
-            "\"distinct_schedules\"",
-            "\"detected_by_seed\"",
-            "\"passed\"",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in {json}");
         }
     }
 

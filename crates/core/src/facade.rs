@@ -421,7 +421,7 @@ impl SensorcerFacade {
                         .put("slo/healthy", Value::Bool(report.healthy()));
                     task.context
                         .put("slo/alerts", Value::Int(report.alerts.len() as i64));
-                    task.context.put("slo/report", report.to_json());
+                    task.context.put("slo/report", report.json().render());
                     Ok(())
                 }
                 None => Err("no SLOs installed on this facade".into()),

@@ -16,9 +16,9 @@
 //! seeded run produces a bit-identical alert history.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 use sensorcer_sim::time::{SimDuration, SimTime};
+use sensorcer_trace::json::Json;
 use sensorcer_trace::Histogram;
 
 /// What a service promises. Each kind maps an observation to good/bad and
@@ -328,81 +328,58 @@ impl SloReport {
         self.verdicts.iter().all(|v| v.met && !v.firing)
     }
 
-    pub fn to_json(&self) -> String {
-        let mut j = String::new();
-        let _ = write!(j, "{{\"at_ns\": {}, \"verdicts\": [", self.at.as_nanos());
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(
-                j,
-                "{{\"name\": \"{}\", \"service\": \"{}\", \"kind\": \"{}\", \"objective\": \"{}\", \
-                 \"total\": {}, \"bad\": {}, \"bad_ratio\": {:.6}, \"budget\": {:.6}, \
-                 \"met\": {}, \"burn_fast\": {:.3}, \"burn_slow\": {:.3}, \"firing\": {}",
-                esc(&v.name),
-                esc(&v.service),
-                v.kind_key,
-                esc(&v.objective),
-                v.total,
-                v.bad,
-                v.bad_ratio,
-                v.budget,
-                v.met,
-                v.burn_fast,
-                v.burn_slow,
-                v.firing
-            );
+    /// The report as one [`Json`] value, embedded whole in `OBS_1.json`:
+    /// ratios to six decimals, burn rates to three, latencies in whole
+    /// nanoseconds (absent when the objective saw none).
+    pub fn json(&self) -> Json {
+        let verdicts = self.verdicts.iter().map(|v| {
+            let mut kv = vec![
+                ("name", v.name.as_str().into()),
+                ("service", v.service.as_str().into()),
+                ("kind", v.kind_key.into()),
+                ("objective", v.objective.as_str().into()),
+                ("total", v.total.into()),
+                ("bad", v.bad.into()),
+                ("bad_ratio", Json::rounded(v.bad_ratio, 6)),
+                ("budget", Json::rounded(v.budget, 6)),
+                ("met", v.met.into()),
+                ("burn_fast", Json::rounded(v.burn_fast, 3)),
+                ("burn_slow", Json::rounded(v.burn_slow, 3)),
+                ("firing", v.firing.into()),
+            ];
             if v.latency_p99_ns.is_finite() {
-                let _ = write!(
-                    j,
-                    ", \"latency_p50_ns\": {:.0}, \"latency_p99_ns\": {:.0}",
-                    v.latency_p50_ns, v.latency_p99_ns
-                );
+                kv.push(("latency_p50_ns", Json::rounded(v.latency_p50_ns, 0)));
+                kv.push(("latency_p99_ns", Json::rounded(v.latency_p99_ns, 0)));
             }
-            j.push('}');
-        }
-        j.push_str("], \"alerts\": [");
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                j.push_str(", ");
-            }
-            let _ = write!(
-                j,
-                "{{\"slo\": \"{}\", \"service\": \"{}\", \"fired_at_ns\": {}, ",
-                esc(&a.slo),
-                esc(&a.service),
-                a.fired_at.as_nanos()
-            );
-            match a.resolved_at {
-                Some(t) => {
-                    let _ = write!(j, "\"resolved_at_ns\": {}, ", t.as_nanos());
-                }
-                None => j.push_str("\"resolved_at_ns\": null, "),
-            }
-            let _ = write!(
-                j,
-                "\"burn_fast\": {:.3}, \"burn_slow\": {:.3}, \"exemplars\": [",
-                a.burn_fast, a.burn_slow
-            );
-            for (k, (trace, span, dur)) in a.exemplars.iter().enumerate() {
-                if k > 0 {
-                    j.push_str(", ");
-                }
-                let _ = write!(
-                    j,
-                    "{{\"trace\": {trace}, \"span\": {span}, \"duration_ns\": {dur}}}"
-                );
-            }
-            j.push_str("]}");
-        }
-        j.push_str("]}");
-        j
+            Json::obj(kv)
+        });
+        let alerts = self.alerts.iter().map(|a| {
+            let exemplars = a.exemplars.iter().map(|&(trace, span, dur)| {
+                Json::obj([
+                    ("trace", trace.into()),
+                    ("span", span.into()),
+                    ("duration_ns", dur.into()),
+                ])
+            });
+            Json::obj([
+                ("slo", a.slo.as_str().into()),
+                ("service", a.service.as_str().into()),
+                ("fired_at_ns", a.fired_at.as_nanos().into()),
+                (
+                    "resolved_at_ns",
+                    a.resolved_at.map(SimTime::as_nanos).into(),
+                ),
+                ("burn_fast", Json::rounded(a.burn_fast, 3)),
+                ("burn_slow", Json::rounded(a.burn_slow, 3)),
+                ("exemplars", Json::arr(exemplars)),
+            ])
+        });
+        Json::obj([
+            ("at_ns", self.at.as_nanos().into()),
+            ("verdicts", Json::arr(verdicts)),
+            ("alerts", Json::arr(alerts)),
+        ])
     }
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// The engine: feed observations, evaluate at sim-time instants, read the
@@ -770,7 +747,7 @@ mod tests {
     fn report_json_is_shaped() {
         let mut e = SloEngine::new(vec![avail_spec()]);
         e.record_read(secs(1), "Svc", ReadOutcome::Ok, 2_000_000);
-        let j = e.report(secs(2)).to_json();
+        let j = e.report(secs(2)).json().render();
         assert!(j.contains("\"verdicts\""));
         assert!(j.contains("\"t-avail\""));
         assert!(j.contains("\"alerts\": []"));

@@ -178,10 +178,6 @@ fn seeded_sweeps_hold_the_alert_invariants() {
         }
         // Determinism: the same seed reproduces the same report.
         let (e2, _) = run_seeded(seed);
-        assert_eq!(
-            r.to_json(),
-            e2.report(secs(horizon)).to_json(),
-            "seed {seed}"
-        );
+        assert_eq!(r.json(), e2.report(secs(horizon)).json(), "seed {seed}");
     }
 }

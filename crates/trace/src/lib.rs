@@ -25,17 +25,19 @@
 
 #![forbid(unsafe_code)]
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt::Write as _;
 use std::sync::Arc;
 
+pub mod json;
 pub mod perfetto;
 pub mod profile;
 
-/// Version stamped into every JSON export this workspace produces (TRACE,
-/// OBS, STORM). Version 1 was the unversioned shape; 2 adds the
-/// `schema_version` field itself plus the flight recorder's eviction
-/// markers. Bump on any breaking shape change so downstream tooling can
-/// detect drift.
+use json::Json;
+
+/// Version stamped into every JSON export this workspace produces (the
+/// flight recorder's export and every [`json::Json::report`]). Version 1
+/// was the unversioned shape; 2 adds the `schema_version` field itself plus
+/// the flight recorder's eviction markers. Bump on any breaking shape
+/// change so downstream tooling can detect drift.
 pub const EXPORT_SCHEMA_VERSION: u32 = 2;
 
 /// Identifies one logical end-to-end operation (e.g. a federated read).
@@ -135,29 +137,16 @@ impl FieldValue {
             _ => None,
         }
     }
+}
 
-    fn write_json(&self, out: &mut String) {
-        match self {
-            FieldValue::U64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::F64(v) if v.is_finite() => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::F64(v) => {
-                let _ = write!(out, "\"{v}\"");
-            }
-            FieldValue::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
-            FieldValue::Str(v) => {
-                out.push('"');
-                escape_into(v, out);
-                out.push('"');
-            }
+impl From<&FieldValue> for Json {
+    fn from(v: &FieldValue) -> Json {
+        match v {
+            FieldValue::U64(v) => (*v).into(),
+            FieldValue::I64(v) => (*v).into(),
+            FieldValue::F64(v) => (*v).into(),
+            FieldValue::Bool(v) => (*v).into(),
+            FieldValue::Str(v) => (**v).into(),
         }
     }
 }
@@ -225,77 +214,37 @@ impl Span {
         self.events.iter().any(|e| e.name == name)
     }
 
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"id\": {}, \"trace\": {}, \"parent\": ",
-            self.id.0, self.trace.0
-        );
-        match self.parent {
-            Some(p) => {
-                let _ = write!(out, "{}", p.0);
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ", \"name\": \"{}\", \"label\": \"", self.name);
-        escape_into(&self.label, out);
-        let _ = write!(
-            out,
-            "\", \"host\": {}, \"start_ns\": {}, \"end_ns\": {}, \"outcome\": \"{}\"",
-            self.host,
-            self.start_ns,
-            self.end_ns,
-            self.outcome.as_str()
-        );
+    fn json(&self) -> Json {
+        let mut kv = vec![
+            ("id", self.id.0.into()),
+            ("trace", self.trace.0.into()),
+            ("parent", self.parent.map(|p| p.0).into()),
+            ("name", self.name.into()),
+            ("label", (*self.label).into()),
+            ("host", self.host.into()),
+            ("start_ns", self.start_ns.into()),
+            ("end_ns", self.end_ns.into()),
+            ("outcome", self.outcome.as_str().into()),
+        ];
         if !self.fields.is_empty() {
-            out.push_str(", \"fields\": {");
-            write_fields(&self.fields, out);
-            out.push('}');
+            kv.push(("fields", fields_json(&self.fields)));
         }
         if !self.events.is_empty() {
-            out.push_str(", \"events\": [");
-            for (i, e) in self.events.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{{\"at_ns\": {}, \"name\": \"{}\"", e.at_ns, e.name);
+            let events = self.events.iter().map(|e| {
+                let mut ev = vec![("at_ns", e.at_ns.into()), ("name", e.name.into())];
                 if !e.fields.is_empty() {
-                    out.push_str(", \"fields\": {");
-                    write_fields(&e.fields, out);
-                    out.push('}');
+                    ev.push(("fields", fields_json(&e.fields)));
                 }
-                out.push('}');
-            }
-            out.push(']');
+                Json::obj(ev)
+            });
+            kv.push(("events", Json::arr(events)));
         }
-        out.push('}');
+        Json::obj(kv)
     }
 }
 
-fn write_fields(fields: &[(&'static str, FieldValue)], out: &mut String) {
-    for (i, (k, v)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{k}\": ");
-        v.write_json(out);
-    }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+fn fields_json(fields: &[(&'static str, FieldValue)]) -> Json {
+    Json::obj(fields.iter().map(|(k, v)| (*k, v.into())))
 }
 
 /// One ring-buffer eviction that happened while spans were still open —
@@ -662,37 +611,23 @@ impl FlightRecorder {
 
     /// The whole recorder as one JSON document (closed spans only).
     pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(128 + self.closed.len() * 160);
-        let _ = write!(
-            j,
-            "{{\n  \"schema_version\": {},\n  \"spans_closed\": {},\n  \"spans_open\": {},\n  \"spans_dropped\": {},\n  \"spans_dropped_while_open\": {},\n  \"evictions\": [",
-            EXPORT_SCHEMA_VERSION,
-            self.closed.len(),
-            self.open.len(),
-            self.dropped,
-            self.dropped_while_open
-        );
-        for (i, m) in self.evictions.iter().enumerate() {
-            let _ = write!(
-                j,
-                "{}{{\"at_ns\": {}, \"evicted\": {}, \"open\": {}}}",
-                if i == 0 { "" } else { ", " },
-                m.at_ns,
-                m.evicted.0,
-                m.open_at_eviction
-            );
-        }
-        j.push_str("],\n  \"spans\": [\n");
-        for (i, s) in self.closed.iter().enumerate() {
-            j.push_str("    ");
-            s.write_json(&mut j);
-            if i + 1 < self.closed.len() {
-                j.push(',');
-            }
-            j.push('\n');
-        }
-        j.push_str("  ]\n}\n");
-        j
+        let evictions = self.evictions.iter().map(|m| {
+            Json::obj([
+                ("at_ns", m.at_ns.into()),
+                ("evicted", m.evicted.0.into()),
+                ("open", m.open_at_eviction.into()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", EXPORT_SCHEMA_VERSION.into()),
+            ("spans_closed", self.closed.len().into()),
+            ("spans_open", self.open.len().into()),
+            ("spans_dropped", self.dropped.into()),
+            ("spans_dropped_while_open", self.dropped_while_open.into()),
+            ("evictions", Json::arr(evictions)),
+            ("spans", Json::arr(self.closed.iter().map(Span::json))),
+        ])
+        .render()
     }
 }
 

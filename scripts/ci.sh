@@ -2,6 +2,8 @@
 # CI entry point.
 #
 #   scripts/ci.sh           tier-1: release build + full test suite
+#                           (tests/committed_artifacts.rs reads back
+#                           every committed report)
 #   scripts/ci.sh --soak    tier-1, then the seeded chaos soak writing
 #                           CHAOS_1.json at the repo root (bounded,
 #                           deterministic; exits nonzero on any
@@ -23,23 +25,22 @@
 #                           `harness obs` (SLO burn-rate alerting over
 #                           the chaos soak; the storm must page with
 #                           trace exemplars, the clean run must not)
-#                           writing OBS_1.json plus a shape check
+#                           writing OBS_1.json
 #   scripts/ci.sh --storm   tier-1, then the tenant storm writing
 #                           STORM_1.json at the repo root: a bulk-tenant
 #                           burst against the admission-controlled façade
 #                           (typed sheds only, critical SLO intact, full
 #                           circuit-breaker lifecycle, autoscaler up and
-#                           back down without flapping), plus a shape
-#                           check on the exported file
+#                           back down without flapping)
 #   scripts/ci.sh --perfetto  tier-1, then the Perfetto export leg:
 #                           `harness perfetto` runs the tenant storm with
 #                           the telemetry sampler attached and writes the
 #                           binary trace (federation.perfetto-trace, not
-#                           committed) plus the PERFETTO_1.json summary;
-#                           checks the protobuf magic byte, asserts the
-#                           in-repo decoder validated the stream, re-runs
-#                           the export on the same seed and requires
-#                           bit-identical bytes
+#                           committed) plus the PERFETTO_1.json summary
+#                           (the run fails unless the in-repo decoder
+#                           validates the stream); checks the protobuf
+#                           magic byte, re-runs the export on the same
+#                           seed and requires bit-identical bytes
 #   scripts/ci.sh --perfetto-scale  tier-1, then the streaming export
 #                           leg on a reduced world (10⁴ motes — the full
 #                           10⁵ federation is `harness perfetto-scale`
@@ -49,12 +50,6 @@
 #                           decoder, held under the documented encoder
 #                           memory ceiling, and checked bit-identical
 #                           across two runs on the same seed
-#   scripts/ci.sh --scale   tier-1, then the B9 scaling curve on a
-#                           reduced mote sweep (10³ only — the full
-#                           10³/10⁴/10⁵ curve is `harness scale` with no
-#                           SENSORCER_SCALE_MOTES override) and a shape
-#                           check that every lookup family wrote a row;
-#                           host-time regressions are --yardstick's job
 #   scripts/ci.sh --tsan    tier-1, then ThreadSanitizer over the
 #                           sensorcer-runtime pool tests when a nightly
 #                           toolchain with rust-src is installed
@@ -90,6 +85,10 @@
 #                           from a 2 s pass are not comparable with
 #                           anything.
 #
+# Every harness leg exits nonzero when its own run fails, so the legs
+# check only what a run cannot see itself: that the same seed writes the
+# same bytes twice, and a Perfetto stream's first byte.
+#
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
 set -eu
@@ -100,7 +99,6 @@ soak=0
 trace=0
 lint=0
 obs=0
-scale=0
 storm=0
 perfetto=0
 perfetto_scale=0
@@ -115,13 +113,12 @@ for arg in "$@"; do
         --trace) trace=1 ;;
         --lint) lint=1 ;;
         --obs) obs=1 ;;
-        --scale) scale=1 ;;
         --storm) storm=1 ;;
         --perfetto) perfetto=1 ;;
         --perfetto-scale) perfetto_scale=1 ;;
         --tsan) tsan=1 ;;
         --yardstick) yardstick=1 ;;
-        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--scale] [--storm] [--perfetto] [--perfetto-scale] [--tsan] [--yardstick]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--storm] [--perfetto] [--perfetto-scale] [--tsan] [--yardstick]" >&2; exit 2 ;;
     esac
 done
 
@@ -139,10 +136,6 @@ fi
 if [ "$trace" -eq 1 ]; then
     echo "== trace harness (writes TRACE_1.json + TRACE_1.spans.json) =="
     cargo run --release -p sensorcer-bench --bin harness -- trace
-    grep -q '"passed": true' TRACE_1.json || {
-        echo "TRACE_1.json does not report a passing trace" >&2
-        exit 1
-    }
 
     echo "== trace determinism: same seed, same summary and fingerprint =="
     cargo run --release -p sensorcer-bench --bin harness -- \
@@ -164,13 +157,6 @@ if [ "$lint" -eq 1 ]; then
 
     echo "== schedule exploration (writes VERIFY_1.json) =="
     cargo run --release -p sensorcer-bench --bin harness -- verify
-    # Shape check: the gate must have recorded real coverage.
-    for needle in '"distinct_schedules"' '"mutation"' '"passed": true'; do
-        grep -q "$needle" VERIFY_1.json || {
-            echo "VERIFY_1.json missing $needle" >&2
-            exit 1
-        }
-    done
 
     if command -v rustfmt >/dev/null 2>&1; then
         echo "== rustfmt --check =="
@@ -183,27 +169,11 @@ fi
 if [ "$obs" -eq 1 ]; then
     echo "== health engine (writes OBS_1.json) =="
     cargo run --release -p sensorcer-bench --bin harness -- obs
-    # Shape check: the export must carry the SLO verdicts, the alert
-    # history with exemplars, and a passing self-assessment.
-    for needle in '"schema_version"' '"storm_slos"' '"clean_slos"' '"alerts"' '"exemplars"' '"anomalies"' '"passed": true'; do
-        grep -q "$needle" OBS_1.json || {
-            echo "OBS_1.json missing $needle" >&2
-            exit 1
-        }
-    done
 fi
 
 if [ "$storm" -eq 1 ]; then
     echo "== tenant storm (writes STORM_1.json) =="
     cargo run --release -p sensorcer-bench --bin harness -- storm
-    # Shape check: the export must carry the per-class admission ledger,
-    # the breaker lifecycle, the scaling timeline and a passing verdict.
-    for needle in '"schema_version"' '"admission"' '"breaker"' '"scaling"' '"bulk"' '"critical"' '"passed": true'; do
-        grep -q "$needle" STORM_1.json || {
-            echo "STORM_1.json missing $needle" >&2
-            exit 1
-        }
-    done
 fi
 
 if [ "$perfetto" -eq 1 ]; then
@@ -215,14 +185,6 @@ if [ "$perfetto" -eq 1 ]; then
         echo "federation.perfetto-trace: bad protobuf magic byte" >&2
         exit 1
     }
-    # Shape check: the summary must carry the decoder's verdict and the
-    # determinism fingerprint.
-    for needle in '"schema_version"' '"fnv64"' '"tracks"' '"flows"' '"sampler_ticks"' '"passed": true'; do
-        grep -q "$needle" PERFETTO_1.json || {
-            echo "PERFETTO_1.json missing $needle" >&2
-            exit 1
-        }
-    done
 
     echo "== perfetto determinism: same seed, bit-identical bytes =="
     cargo run --release -p sensorcer-bench --bin harness -- \
@@ -246,14 +208,6 @@ if [ "$perfetto_scale" -eq 1 ]; then
         echo "PERFETTO_scale_ci.perfetto-trace: bad protobuf magic byte" >&2
         exit 1
     }
-    for needle in '"schema_version"' '"self_window_ratio_ppm"' '"fnv64"' \
-        '"peak_buffered_bytes"' '"lane_state_peak"' \
-        '"encoder_ceiling_bytes": 67108864' '"top_ops"' '"passed": true'; do
-        grep -q "$needle" PERFETTO_scale_ci.perfetto-trace.summary.json || {
-            echo "PERFETTO_scale_ci summary missing $needle" >&2
-            exit 1
-        }
-    done
 
     echo "== streaming determinism: same seed, bit-identical bytes =="
     SENSORCER_PERFETTO_MOTES=10000 \
@@ -265,32 +219,6 @@ if [ "$perfetto_scale" -eq 1 ]; then
     }
     rm -f PERFETTO_scale_ci.perfetto-trace PERFETTO_scale_ci.perfetto-trace.summary.json \
         PERFETTO_scale_ci2.perfetto-trace PERFETTO_scale_ci2.perfetto-trace.summary.json
-
-    # The committed full-scale summary must keep its shape (field names
-    # only, so regenerating the artifact on other hardware stays green).
-    for needle in '"schema_version"' '"motes": 100000' '"self_window_ratio_ppm"' \
-        '"stream"' '"top_ops"' '"passed": true'; do
-        grep -q "$needle" PERFETTO_2.json || {
-            echo "PERFETTO_2.json missing $needle" >&2
-            exit 1
-        }
-    done
-fi
-
-if [ "$scale" -eq 1 ]; then
-    echo "== B9 scaling curve (reduced sweep, 10^3 motes) =="
-    SENSORCER_SCALE_MOTES=1000 \
-        cargo run --release -p sensorcer-bench --bin harness -- \
-        scale "$default_seed" BENCH_scale_ci.json
-    # Shape check: every lookup family must have produced a row.
-    for needle in '"scale_b9"' 'flat_uuid_arc/1000' \
-        'hier_universal_query/1000' 'hier_rare_query/1000' '"median_ns"'; do
-        grep -q "$needle" BENCH_scale_ci.json || {
-            echo "BENCH_scale_ci.json missing $needle" >&2
-            exit 1
-        }
-    done
-    rm -f BENCH_scale_ci.json
 fi
 
 if [ "$tsan" -eq 1 ]; then
