@@ -15,7 +15,7 @@
 //! state proportional to the open-span set.
 //!
 //! The [`Profiler`] rides the same drain: per-op/host/lane self time,
-//! conservative-window occupancy (fed by the engine's window observer),
+//! conservative-window occupancy (fed by a window-collecting observer),
 //! a collapsed-stack flamegraph, and cumulative per-lane busy counter
 //! tracks that are streamed into the trace itself. Because every span
 //! nests under a per-chunk `scale.window` root, Σ self time equals the
@@ -198,6 +198,16 @@ impl ScaleReport {
     }
 }
 
+/// Collects each closed sync window; the streaming loop drains it into
+/// the profiler after every chunk.
+struct WindowLog(Rc<RefCell<Vec<WindowObservation>>>);
+
+impl Observer for WindowLog {
+    fn window(&mut self, w: &WindowObservation) {
+        self.0.borrow_mut().push(*w);
+    }
+}
+
 /// Build and run the world, streaming the trace to `out_path`. Pure
 /// function of `(seed, motes)` — identical arguments produce identical
 /// bytes and an identical report.
@@ -230,11 +240,8 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
     for (s, h) in hosts.iter().enumerate() {
         profiler.set_lane(h.0 as u64, s as u32);
     }
-    let observed: Rc<RefCell<Vec<WindowObservation>>> = Rc::new(RefCell::new(Vec::new()));
-    {
-        let observed = Rc::clone(&observed);
-        env.set_window_observer(move |w| observed.borrow_mut().push(*w));
-    }
+    let observed: Rc<RefCell<Vec<WindowObservation>>> = Rc::default();
+    env.set_observer(WindowLog(Rc::clone(&observed)));
     let mut sampler = TelemetrySampler::new(SamplerConfig {
         period: SimDuration::from_millis(100),
         counters: vec!["scale.timers.*".into()],
@@ -308,7 +315,6 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
         ex.advance_watermark(wm);
         ex.pump(&mut sink)?;
     }
-    env.clear_window_observer();
 
     // -- The profiler's per-lane utilization rides into the trace as
     // native cumulative counter tracks.

@@ -197,7 +197,6 @@ pub fn exert_in_place_rearmed(
                         ],
                     );
                 }
-                env.debug_with(|| format!("retry: attempt {attempt} against {provider} after {e}"));
                 // Exponential backoff against sim time; scheduled events
                 // (heals, restarts, renewals) fire during the wait.
                 env.run_for(backoff);

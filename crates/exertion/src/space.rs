@@ -275,14 +275,11 @@ pub fn attach_worker(
                 true
             }
             Ok(None) => true,
-            Err(e) => {
-                // Space unreachable this round; retry later — but leave a
-                // trail so a soak run can see a stalled worker instead of
-                // a silently idle one.
+            Err(_) => {
+                // Space unreachable this round; retry later — but count it
+                // per host so a soak run can see a stalled worker instead
+                // of a silently idle one.
                 env.metrics.add_host(host, keys::SPACE_UNREACHABLE, 1);
-                env.debug_with(|| {
-                    format!("space-worker on {host} ({interface}): space unreachable: {e}")
-                });
                 true
             }
         }
@@ -458,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_space_counts_and_traces_instead_of_silence() {
+    fn unreachable_space_is_counted_instead_of_silent() {
         let mut env = Env::with_seed(9);
         let space_host = env.add_host("space", HostKind::Server);
         let worker_host = env.add_host("worker", HostKind::Server);
@@ -466,12 +463,8 @@ mod tests {
         let provider = env.deploy(worker_host, "Doubler", doubler("Doubler"));
         attach_worker(&mut env, provider, space, SimDuration::from_millis(50));
 
-        let lines: std::rc::Rc<std::cell::RefCell<Vec<String>>> = Default::default();
-        let l2 = std::rc::Rc::clone(&lines);
-        env.set_debug_sink(move |_, msg| l2.borrow_mut().push(msg.to_string()));
-
         // Worker host is fine, but the space's host is unreachable: every
-        // poll fails and must leave a metric + trace trail.
+        // poll fails and must leave a per-host metric trail.
         env.topo.partition(worker_host, space_host);
         env.run_for(SimDuration::from_secs(1));
         let stalls = env.metrics.get_host(worker_host, keys::SPACE_UNREACHABLE);
@@ -480,14 +473,6 @@ mod tests {
             env.metrics.get(keys::SPACE_UNREACHABLE),
             stalls,
             "global mirror"
-        );
-        assert!(
-            lines
-                .borrow()
-                .iter()
-                .any(|l| l.contains("space unreachable")),
-            "stalled polls must be traceable: {:?}",
-            lines.borrow()
         );
 
         // Healed: the worker resumes and the counter stops climbing.

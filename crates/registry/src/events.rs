@@ -176,8 +176,8 @@ impl MailboxHandle {
             host,
             deliver: Box::new(move |env, ev| {
                 shared.borrow_mut().push(ev.clone());
-                if env.hb_enabled() {
-                    env.hb_write(host, &hb_mailbox_key(host));
+                if env.observing() {
+                    env.cell_write(host, &hb_mailbox_key(host));
                 }
             }),
         }
@@ -201,8 +201,8 @@ impl MailboxHandle {
                 (evs, bytes.max(8))
             },
         );
-        if out.is_ok() && env.hb_enabled() {
-            env.hb_read(from, &hb_mailbox_key(self.host));
+        if out.is_ok() && env.observing() {
+            env.cell_read(from, &hb_mailbox_key(self.host));
         }
         out
     }

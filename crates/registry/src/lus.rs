@@ -272,8 +272,8 @@ impl LookupService {
         let lease = self.reg_leases.grant(now, duration, uuid);
         self.registrations_total += 1;
         env.lifecycle("lease", lease.id.0, "grant", lease.expires.as_nanos());
-        if env.hb_enabled() {
-            env.hb_write(self.host, &hb_items_key(self.host));
+        if env.observing() {
+            env.cell_write(self.host, &hb_items_key(self.host));
         }
         self.fire(env, now, uuid, old.as_deref(), Some(&item));
         if span.is_valid() {
@@ -304,8 +304,8 @@ impl LookupService {
         let uuid = self.reg_leases.cancel(lease)?;
         let now = env.now();
         env.lifecycle("lease", lease.0, "cancel", 0);
-        if env.hb_enabled() {
-            env.hb_write(self.host, &hb_items_key(self.host));
+        if env.observing() {
+            env.cell_write(self.host, &hb_items_key(self.host));
         }
         if let Some(old) = self.items.remove(&uuid) {
             self.unindex_item(env, &old);
@@ -525,8 +525,8 @@ impl LookupService {
         if !reaped.is_empty() {
             env.metrics
                 .add_host(self.host, keys::LEASES_REAPED, reaped.len() as u64);
-            if env.hb_enabled() {
-                env.hb_write(self.host, &hb_items_key(self.host));
+            if env.observing() {
+                env.cell_write(self.host, &hb_items_key(self.host));
             }
         }
         for (id, uuid) in reaped {
@@ -694,10 +694,10 @@ impl LusHandle {
                 (found, resp.max(8))
             },
         );
-        if out.is_ok() && env.hb_enabled() {
+        if out.is_ok() && env.observing() {
             // The response edge has merged the LUS clock into `from`, so a
             // clean tree reads as ordered here.
-            env.hb_read(from, &hb_items_key(self.host));
+            env.cell_read(from, &hb_items_key(self.host));
         }
         out
     }
@@ -723,8 +723,8 @@ impl LusHandle {
                 (uuids, resp)
             },
         );
-        if out.is_ok() && env.hb_enabled() {
-            env.hb_read(from, &hb_items_key(self.host));
+        if out.is_ok() && env.observing() {
+            env.cell_read(from, &hb_items_key(self.host));
         }
         out
     }
@@ -767,8 +767,8 @@ impl LusHandle {
                 (hit, resp)
             },
         );
-        if out.is_ok() && env.hb_enabled() {
-            env.hb_read(from, &hb_items_key(self.host));
+        if out.is_ok() && env.observing() {
+            env.cell_read(from, &hb_items_key(self.host));
         }
         out
     }

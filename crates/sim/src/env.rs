@@ -28,7 +28,7 @@ use std::rc::Rc;
 use sensorcer_runtime::ThreadPool;
 use sensorcer_trace::{FieldValue, FlightRecorder, Outcome, SpanId};
 
-use crate::hb::{HbTracker, HbViolation};
+use crate::hb::HbViolation;
 use crate::metrics::{keys, Key, Metrics};
 use crate::rng::SimRng;
 use crate::shard::{ShardStats, ShardedQueue, TimerCallback, TimerKey};
@@ -180,36 +180,25 @@ pub struct Env {
     /// Indexed by `ServiceId`: ids count up from zero and are never
     /// reused, so an undeployed service leaves a hole.
     services: Vec<Option<ServiceSlot>>,
-    /// Optional debug-trace sink: receives timestamped one-line messages
-    /// from instrumented middleware (retry loops, chaos events, stalled
-    /// workers). Absent by default so the hot paths pay only a null check.
-    debug_sink: Option<Box<dyn FnMut(SimTime, &str)>>,
-    /// Optional flight recorder for structured spans. Like the debug sink,
-    /// absent by default so uninstrumented runs pay only a null check.
+    /// Optional flight recorder for structured spans. Absent by default
+    /// so uninstrumented runs pay only a null check.
     recorder: Option<FlightRecorder>,
-    /// Optional happens-before tracker (vector clocks + write log); see
-    /// [`crate::hb`]. Absent by default.
-    hb: Option<Box<HbTracker>>,
-    /// Optional lifecycle sink: receives every [`LifecycleEvent`] emitted
-    /// by instrumented middleware. Absent by default.
-    lifecycle_sink: Option<Box<dyn FnMut(SimTime, LifecycleEvent)>>,
+    /// Optional [`Observer`] of deliveries, shared-state accesses,
+    /// lifecycle transitions and sync windows. Absent by default, and
+    /// then every hook site is one null check.
+    observer: Option<Box<dyn Observer>>,
     /// Optional schedule oracle: when ≥2 timers are co-scheduled at the
     /// same deadline, picks which fires next (index into the seq-ordered
     /// due set). `None` means FIFO by seq — the historical order. The
     /// schedule explorer in `sensorcer-verify` installs this to permute
     /// delivery order systematically.
     tie_chooser: Option<Box<dyn FnMut(usize) -> usize>>,
-    /// Optional observer called at each conservative sync-window close
-    /// with the window's extent and fired-timer count — the feed for
-    /// window-occupancy profiling. Deliberately given no `Env` access,
-    /// so it cannot perturb the schedule.
-    window_observer: Option<Box<dyn FnMut(&WindowObservation)>>,
     /// Conservative windows closed so far (sharded engine only).
     windows_seen: u64,
 }
 
 /// One closed conservative sync window of the sharded engine, as
-/// reported to the observer installed with [`Env::set_window_observer`].
+/// reported to [`Observer::window`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WindowObservation {
     /// 0-based window ordinal since the environment was created.
@@ -220,6 +209,33 @@ pub struct WindowObservation {
     pub horizon: SimTime,
     /// Timers fired inside the window.
     pub fired: u64,
+}
+
+/// A passive watcher of one [`Env`], installed with [`Env::set_observer`]:
+/// the happens-before tracker ([`crate::hb::HbTracker`]), the schedule
+/// explorer's checks and the window log behind occupancy profiling are
+/// impls. Every method defaults to a no-op and none is given the `Env`,
+/// so an observer can neither re-enter the world nor change its schedule.
+pub trait Observer: Any {
+    /// `host` wrote the shared federation state named `key` (a registry's
+    /// items, a mailbox queue).
+    fn cell_write(&mut self, _host: HostId, _key: &str) {}
+
+    /// `host` read the shared federation state named `key`; returns the
+    /// violation when the latest write is not ordered before the read.
+    fn cell_read(&mut self, _host: HostId, _key: &str) -> Option<HbViolation> {
+        None
+    }
+
+    /// A message went `from → to`: each leg of a call, a one-way send,
+    /// each receiver of a multicast.
+    fn deliver(&mut self, _from: HostId, _to: HostId) {}
+
+    /// A lifecycle transition reported through [`Env::lifecycle`] at `at`.
+    fn lifecycle(&mut self, _at: SimTime, _ev: LifecycleEvent) {}
+
+    /// A conservative sync window of the sharded engine closed.
+    fn window(&mut self, _w: &WindowObservation) {}
 }
 
 impl Env {
@@ -237,12 +253,9 @@ impl Env {
             active_hint: SubnetId(0),
             pool: None,
             services: Vec::new(),
-            debug_sink: None,
             recorder: None,
-            hb: None,
-            lifecycle_sink: None,
+            observer: None,
             tie_chooser: None,
-            window_observer: None,
             windows_seen: 0,
         }
     }
@@ -280,24 +293,6 @@ impl Env {
     /// Fork an independent RNG stream (e.g. for a sensor probe).
     pub fn fork_rng(&mut self) -> SimRng {
         self.rng.fork()
-    }
-
-    // ------------------------------------------------------------------
-    // Debug tracing
-    // ------------------------------------------------------------------
-
-    /// Install a sink that receives timestamped debug lines from
-    /// instrumented middleware. Replaces any previous sink.
-    pub fn set_debug_sink(&mut self, sink: impl FnMut(SimTime, &str) + 'static) {
-        self.debug_sink = Some(Box::new(sink));
-    }
-
-    /// Emit a lazily-built debug line; `f` only runs when a sink is
-    /// installed.
-    pub fn debug_with(&mut self, f: impl FnOnce() -> String) {
-        if let Some(sink) = self.debug_sink.as_mut() {
-            sink(self.clock, &f());
-        }
     }
 
     // ------------------------------------------------------------------
@@ -405,85 +400,69 @@ impl Env {
     }
 
     // ------------------------------------------------------------------
-    // Happens-before tracking
+    // The observer
     // ------------------------------------------------------------------
 
-    /// Install a fresh [`HbTracker`]; message deliveries start carrying
-    /// vector clocks and `hb_read`/`hb_write` annotations are checked.
-    pub fn enable_hb(&mut self) {
-        self.hb = Some(Box::default());
+    /// Install `observer`, replacing any previous one.
+    pub fn set_observer(&mut self, observer: impl Observer) {
+        self.observer = Some(Box::new(observer));
     }
 
-    /// Remove and return the tracker (hb tracking becomes free again).
-    pub fn disable_hb(&mut self) -> Option<Box<HbTracker>> {
-        self.hb.take()
+    /// Remove and return the installed observer when it is a `T`; an
+    /// observer of another type stays installed.
+    pub fn take_observer<T: Observer>(&mut self) -> Option<Box<T>> {
+        if !(self.observer.as_deref()? as &dyn Any).is::<T>() {
+            return None;
+        }
+        let observer: Box<dyn Any> = self.observer.take()?;
+        observer.downcast().ok()
     }
 
-    /// Whether happens-before tracking is on.
+    /// Whether an observer is installed. Gate building an annotation's
+    /// key behind this; the hooks are already no-ops without one.
     #[inline]
-    pub fn hb_enabled(&self) -> bool {
-        self.hb.is_some()
+    pub fn observing(&self) -> bool {
+        self.observer.is_some()
     }
 
-    /// Read-only access to the installed tracker.
-    pub fn hb(&self) -> Option<&HbTracker> {
-        self.hb.as_deref()
-    }
-
-    /// Record a message edge `from → to` (called by the delivery paths;
-    /// middleware normally never needs this directly).
+    /// Record a message edge `from → to` (called by the delivery paths).
     #[inline]
-    fn hb_deliver(&mut self, from: HostId, to: HostId) {
-        if let Some(hb) = self.hb.as_mut() {
-            hb.deliver(from, to);
+    fn observe_delivery(&mut self, from: HostId, to: HostId) {
+        if let Some(o) = self.observer.as_mut() {
+            o.deliver(from, to);
         }
     }
 
     /// Annotate a write of shared federation state `key` by `host`.
     #[inline]
-    pub fn hb_write(&mut self, host: HostId, key: &str) {
-        if let Some(hb) = self.hb.as_mut() {
-            hb.write(host, key);
+    pub fn cell_write(&mut self, host: HostId, key: &str) {
+        if let Some(o) = self.observer.as_mut() {
+            o.cell_write(host, key);
         }
     }
 
-    /// Annotate a read of shared federation state `key` by `host`. A read
-    /// not ordered after the latest write is recorded on the tracker and,
-    /// with tracing on, surfaced as an `hb.violation` event on the
-    /// current span.
-    pub fn hb_read(&mut self, host: HostId, key: &str) {
-        let violation: Option<HbViolation> = match self.hb.as_mut() {
-            Some(hb) => hb.read(host, key),
-            None => None,
+    /// Annotate a read of shared federation state `key` by `host`. A
+    /// violation the observer reports is, with tracing on, surfaced as an
+    /// `hb.violation` event on the current span.
+    pub fn cell_read(&mut self, host: HostId, key: &str) {
+        let Some(v) = self.observer.as_mut().and_then(|o| o.cell_read(host, key)) else {
+            return;
         };
-        if let Some(v) = violation {
-            let span = self.current_span();
-            if span.is_valid() {
-                self.span_event(
-                    span,
-                    "hb.violation",
-                    vec![
-                        ("key", v.key.clone().into()),
-                        ("reader", (v.reader.0 as u64).into()),
-                        ("writer", (v.writer.0 as u64).into()),
-                    ],
-                );
-            }
-            self.debug_with(|| format!("hb.violation: {v}"));
+        let span = self.current_span();
+        if span.is_valid() {
+            self.span_event(
+                span,
+                "hb.violation",
+                vec![
+                    ("key", v.key.into()),
+                    ("reader", (v.reader.0 as u64).into()),
+                    ("writer", (v.writer.0 as u64).into()),
+                ],
+            );
         }
     }
 
-    // ------------------------------------------------------------------
-    // Lifecycle events
-    // ------------------------------------------------------------------
-
-    /// Install a sink receiving every lifecycle transition emitted by
-    /// instrumented middleware. Replaces any previous sink.
-    pub fn set_lifecycle_sink(&mut self, sink: impl FnMut(SimTime, LifecycleEvent) + 'static) {
-        self.lifecycle_sink = Some(Box::new(sink));
-    }
-
-    /// Report a lifecycle transition. Goes to the sink when one is
+    /// Report a lifecycle transition. Goes to the observer when one is
     /// installed and, with tracing on, mirrors onto the current span as a
     /// `lifecycle` event — which is how the state-machine checkers in
     /// `sensorcer-verify` see runtime transitions through the flight
@@ -495,7 +474,7 @@ impl Env {
         transition: &'static str,
         info: u64,
     ) {
-        if self.lifecycle_sink.is_none() && self.recorder.is_none() {
+        if self.observer.is_none() && self.recorder.is_none() {
             return;
         }
         let ev = LifecycleEvent {
@@ -504,8 +483,8 @@ impl Env {
             transition,
             info,
         };
-        if let Some(sink) = self.lifecycle_sink.as_mut() {
-            sink(self.clock, ev);
+        if let Some(o) = self.observer.as_mut() {
+            o.lifecycle(self.clock, ev);
         }
         let span = self.current_span();
         if span.is_valid() {
@@ -751,7 +730,7 @@ impl Env {
             self.metrics.add_key(self.net.calls_failed, 1);
             return Err(e);
         }
-        self.hb_deliver(from, dest);
+        self.observe_delivery(from, dest);
 
         self.clock += self.config.dispatch_cost;
 
@@ -776,7 +755,7 @@ impl Env {
             self.metrics.add_key(self.net.calls_failed, 1);
             return Err(e);
         }
-        self.hb_deliver(dest, from);
+        self.observe_delivery(dest, from);
 
         self.metrics.add_key(self.net.calls_ok, 1);
         Ok(value)
@@ -794,7 +773,7 @@ impl Env {
     ) -> Result<SimDuration, NetError> {
         self.topo.check_path(from, to)?;
         let dt = self.transfer(from, to, stack, payload)?;
-        self.hb_deliver(from, to);
+        self.observe_delivery(from, to);
         Ok(dt)
     }
 
@@ -834,7 +813,7 @@ impl Env {
             delivered.push(m);
         }
         for &m in &delivered {
-            self.hb_deliver(from, m);
+            self.observe_delivery(from, m);
         }
         self.clock += max_delay;
         delivered
@@ -1066,19 +1045,6 @@ impl Env {
         true
     }
 
-    /// Install the window observer: called once per conservative sync
-    /// window as it closes, with the window's extent and fired count.
-    /// Purely passive — installing or removing it never changes the
-    /// schedule. Replaces any previous observer.
-    pub fn set_window_observer(&mut self, f: impl FnMut(&WindowObservation) + 'static) {
-        self.window_observer = Some(Box::new(f));
-    }
-
-    /// Remove the window observer.
-    pub fn clear_window_observer(&mut self) {
-        self.window_observer = None;
-    }
-
     /// Process every timer due up to `t`, then set the clock to at least
     /// `t`. With sharding enabled this runs the conservative time-window
     /// protocol (see [`Env::run_until_windowed`]); the set and order of
@@ -1127,17 +1093,13 @@ impl Env {
             self.timer_queue.close_window();
             let index = self.windows_seen;
             self.windows_seen += 1;
-            // Take/call/put-back so the observer cannot re-enter `self`.
-            if let Some(mut obs) = self.window_observer.take() {
-                obs(&WindowObservation {
+            if let Some(o) = self.observer.as_mut() {
+                o.window(&WindowObservation {
                     index,
                     start: next.at,
                     horizon,
                     fired,
                 });
-                if self.window_observer.is_none() {
-                    self.window_observer = Some(obs);
-                }
             }
         }
         self.clock = self.clock.max(t);
@@ -1562,23 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn debug_sink_receives_timestamped_lines_once_installed() {
-        let mut env = Env::with_seed(11);
-        let lines: Rc<RefCell<Vec<(SimTime, String)>>> = Rc::new(RefCell::new(vec![]));
-        env.debug_with(|| unreachable!("no sink: the line is never built"));
-        let l2 = Rc::clone(&lines);
-        env.set_debug_sink(move |at, msg| l2.borrow_mut().push((at, msg.to_string())));
-        env.consume(SimDuration::from_millis(5));
-        env.debug_with(|| "first".to_string());
-        env.debug_with(|| format!("second at {}", 5));
-        let got = lines.borrow();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, SimTime::ZERO + SimDuration::from_millis(5));
-        assert_eq!(got[0].1, "first");
-        assert_eq!(got[1].1, "second at 5");
-    }
-
-    #[test]
     fn spans_are_noops_until_tracing_enabled() {
         let mut env = Env::with_seed(5);
         let h = env.add_host("h", HostKind::Server);
@@ -1662,40 +1607,51 @@ mod tests {
     fn hb_tracks_call_edges_and_flags_unordered_reads() {
         let (mut env, a, b) = two_host_env();
         let svc = env.deploy(b, "echo", Echo { hits: 0 });
-        env.enable_hb();
-        assert!(env.hb_enabled());
+        env.set_observer(crate::hb::HbTracker::new());
+        assert!(env.observing());
         // A write at b that a learns about through a call's response edge.
-        env.hb_write(b, "state");
+        env.cell_write(b, "state");
         env.call(a, svc, ProtocolStack::Tcp, 8, |_e, x: &mut Echo| {
             x.hits += 1;
             ((), 8)
         })
         .unwrap();
-        env.hb_read(a, "state");
+        env.cell_read(a, "state");
         // A write at a third host nobody heard from races every reader.
         let c = env.add_host("c", HostKind::Server);
-        env.hb_write(c, "state");
-        env.hb_read(a, "state");
-        let hb = env.disable_hb().expect("tracker installed");
-        assert!(!env.hb_enabled());
+        env.cell_write(c, "state");
+        env.cell_read(a, "state");
+        assert!(env.take_observer::<Lifecycles>().is_none(), "wrong type");
+        let hb = env
+            .take_observer::<crate::hb::HbTracker>()
+            .expect("tracker installed");
+        assert!(!env.observing());
         assert_eq!(hb.violations().len(), 1);
         assert_eq!(hb.violations()[0].writer, c);
         assert_eq!(hb.violations()[0].reader, a);
+    }
+
+    /// Keeps every lifecycle transition it is shown.
+    #[derive(Default)]
+    struct Lifecycles(Vec<(SimTime, LifecycleEvent)>);
+
+    impl Observer for Lifecycles {
+        fn lifecycle(&mut self, at: SimTime, ev: LifecycleEvent) {
+            self.0.push((at, ev));
+        }
     }
 
     #[test]
     fn lifecycle_events_reach_sink_and_open_span() {
         let mut env = Env::with_seed(3);
         let h = env.add_host("h", HostKind::Server);
-        let seen: Rc<RefCell<Vec<(SimTime, LifecycleEvent)>>> = Rc::new(RefCell::new(vec![]));
-        let s2 = Rc::clone(&seen);
-        env.set_lifecycle_sink(move |at, ev| s2.borrow_mut().push((at, ev)));
+        env.set_observer(Lifecycles::default());
         env.enable_tracing(16);
         let span = env.span_start("op", "x", h);
         env.lifecycle("lease", 7, "grant", 123);
         env.span_end(span, Outcome::Ok);
         let rec = env.disable_tracing().expect("recorder");
-        let got = seen.borrow();
+        let got = env.take_observer::<Lifecycles>().expect("installed").0;
         assert_eq!(got.len(), 1);
         assert_eq!(
             got[0].1,
@@ -1791,11 +1747,14 @@ mod tests {
         env.topo.set_subnet(s0, SubnetId(0));
         env.topo.set_subnet(s1, SubnetId(1));
         env.enable_sharding(3);
-        let obs: Rc<RefCell<Vec<WindowObservation>>> = Rc::new(RefCell::new(vec![]));
-        {
-            let obs = Rc::clone(&obs);
-            env.set_window_observer(move |w| obs.borrow_mut().push(*w));
+        #[derive(Default)]
+        struct Windows(Vec<WindowObservation>);
+        impl Observer for Windows {
+            fn window(&mut self, w: &WindowObservation) {
+                self.0.push(*w);
+            }
         }
+        env.set_observer(Windows::default());
         let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(vec![]));
         for (i, &h) in hosts.iter().enumerate() {
             let log = Rc::clone(&log);
@@ -1822,7 +1781,7 @@ mod tests {
         }
         env.run_for(SimDuration::from_millis(50));
         assert_eq!(*log.borrow(), base_log, "observer perturbed the schedule");
-        let obs = obs.borrow();
+        let obs = env.take_observer::<Windows>().expect("installed").0;
         assert!(!obs.is_empty());
         let fired: u64 = obs.iter().map(|w| w.fired).sum();
         assert_eq!(fired, base_log.len() as u64, "every firing attributed");
@@ -1831,7 +1790,6 @@ mod tests {
             assert!(w.start <= w.horizon);
         }
         assert_eq!(obs.len() as u64, env.shard_stats().windows);
-        env.clear_window_observer();
     }
 
     #[test]

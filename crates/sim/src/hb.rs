@@ -4,12 +4,14 @@
 //! send and merges on each delivery ([`crate::env::Env::call`],
 //! [`crate::env::Env::send_oneway`], [`crate::env::Env::multicast`]).
 //! Middleware annotates accesses to shared federation state (registry
-//! items, mailbox queues) with [`HbTracker::write`] / [`HbTracker::read`]
-//! on named keys; a read whose host has *not* observed the latest write —
-//! no chain of message deliveries orders the write before the read — is a
-//! race in the federation's ordering discipline and is recorded as a
-//! violation (and, with tracing on, surfaced as an `hb.violation` event on
-//! the open span).
+//! items, mailbox queues) on named keys with
+//! [`Env::cell_write`](crate::env::Env::cell_write) /
+//! [`Env::cell_read`](crate::env::Env::cell_read), which the tracker sees
+//! through its [`Observer`] impl. A read whose host has *not* observed the
+//! latest write — no chain of message deliveries orders the write before
+//! the read — is a race in the federation's ordering discipline and is
+//! recorded as a violation (and, with tracing on, surfaced as an
+//! `hb.violation` event on the open span).
 //!
 //! The simulation itself is single-threaded, so these are not data races;
 //! they are *protocol* races: state observed through a channel (e.g. a
@@ -19,6 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::env::Observer;
 use crate::topology::HostId;
 
 /// Stored-violation cap: like the eviction markers, keep the first 1024
@@ -87,9 +90,10 @@ impl std::fmt::Display for HbViolation {
 }
 
 /// The per-run happens-before state: host clocks, a last-write log per
-/// key, and the violations found. Installed on an
-/// [`Env`](crate::env::Env) via `enable_hb`; absent by default so
-/// uninstrumented runs pay only a null check.
+/// key, and the violations found. An [`Observer`]: install it with
+/// [`Env::set_observer`](crate::env::Env::set_observer), alone or inside
+/// an observer that forwards to it, and take it back with
+/// `take_observer` after the run.
 #[derive(Default, Debug)]
 pub struct HbTracker {
     clocks: BTreeMap<u32, VectorClock>,
@@ -114,55 +118,6 @@ impl HbTracker {
         self.clocks.entry(host.0).or_default()
     }
 
-    /// A message edge `from → to`: the sender ticks, the receiver merges
-    /// the sender's clock and ticks its own component.
-    pub fn deliver(&mut self, from: HostId, to: HostId) {
-        self.deliveries += 1;
-        self.clock_mut(from).tick(from);
-        let snapshot = self.clock_mut(from).clone();
-        let rx = self.clock_mut(to);
-        rx.merge(&snapshot);
-        rx.tick(to);
-    }
-
-    /// Record a write of shared state `key` by `host`.
-    pub fn write(&mut self, host: HostId, key: &str) {
-        self.writes_seen += 1;
-        self.clock_mut(host).tick(host);
-        let snapshot = self.clock_mut(host).clone();
-        self.writes.insert(key.to_string(), (host, snapshot));
-    }
-
-    /// Record a read of shared state `key` by `host`; returns the
-    /// violation when the latest write is not ordered before this read.
-    pub fn read(&mut self, host: HostId, key: &str) -> Option<HbViolation> {
-        self.reads += 1;
-        let Some((writer, wclock)) = self.writes.get(key).cloned() else {
-            return None; // never written: trivially ordered
-        };
-        let ordered = self.clock_mut(host).dominates(&wclock);
-        if ordered {
-            return None;
-        }
-        let v = HbViolation {
-            key: key.to_string(),
-            reader: host,
-            writer,
-        };
-        // Dedupe on (key, writer, reader) and cap storage at the first
-        // 1024: every occurrence is still counted and returned to the
-        // caller (spans/debug fire per occurrence), but a hot racy key
-        // stores one entry, not millions.
-        self.violations_total += 1;
-        let sig = (v.key.clone(), v.writer.0, v.reader.0);
-        if self.seen.insert(sig) && self.violations.len() < MAX_VIOLATIONS {
-            self.violations.push(v.clone());
-        } else {
-            self.suppressed += 1;
-        }
-        Some(v)
-    }
-
     pub fn violations(&self) -> &[HbViolation] {
         &self.violations
     }
@@ -181,6 +136,57 @@ impl HbTracker {
     /// checker was not vacuous.
     pub fn activity(&self) -> (u64, u64, u64) {
         (self.deliveries, self.writes_seen, self.reads)
+    }
+}
+
+impl Observer for HbTracker {
+    /// A message edge `from → to`: the sender ticks, the receiver merges
+    /// the sender's clock and ticks its own component.
+    fn deliver(&mut self, from: HostId, to: HostId) {
+        self.deliveries += 1;
+        self.clock_mut(from).tick(from);
+        let snapshot = self.clock_mut(from).clone();
+        let rx = self.clock_mut(to);
+        rx.merge(&snapshot);
+        rx.tick(to);
+    }
+
+    /// Record a write of shared state `key` by `host`.
+    fn cell_write(&mut self, host: HostId, key: &str) {
+        self.writes_seen += 1;
+        self.clock_mut(host).tick(host);
+        let snapshot = self.clock_mut(host).clone();
+        self.writes.insert(key.to_string(), (host, snapshot));
+    }
+
+    /// Record a read of shared state `key` by `host`; returns the
+    /// violation when the latest write is not ordered before this read.
+    fn cell_read(&mut self, host: HostId, key: &str) -> Option<HbViolation> {
+        self.reads += 1;
+        let Some((writer, wclock)) = self.writes.get(key).cloned() else {
+            return None; // never written: trivially ordered
+        };
+        let ordered = self.clock_mut(host).dominates(&wclock);
+        if ordered {
+            return None;
+        }
+        let v = HbViolation {
+            key: key.to_string(),
+            reader: host,
+            writer,
+        };
+        // Dedupe on (key, writer, reader) and cap storage at the first
+        // 1024: every occurrence is still counted and returned to the
+        // caller (a span event fires per occurrence), but a hot racy key
+        // stores one entry, not millions.
+        self.violations_total += 1;
+        let sig = (v.key.clone(), v.writer.0, v.reader.0);
+        if self.seen.insert(sig) && self.violations.len() < MAX_VIOLATIONS {
+            self.violations.push(v.clone());
+        } else {
+            self.suppressed += 1;
+        }
+        Some(v)
     }
 }
 
@@ -209,19 +215,19 @@ mod tests {
     #[test]
     fn ordered_read_after_message_edge_is_clean() {
         let mut hb = HbTracker::new();
-        hb.write(A, "reg.items");
+        hb.cell_write(A, "reg.items");
         // A tells B about it (any delivery chain works).
         hb.deliver(A, B);
-        assert_eq!(hb.read(B, "reg.items"), None);
+        assert_eq!(hb.cell_read(B, "reg.items"), None);
         assert!(hb.violations().is_empty());
     }
 
     #[test]
     fn unordered_read_is_flagged() {
         let mut hb = HbTracker::new();
-        hb.write(A, "reg.items");
+        hb.cell_write(A, "reg.items");
         // B reads with no delivery from A: a protocol race.
-        let v = hb.read(B, "reg.items").expect("violation");
+        let v = hb.cell_read(B, "reg.items").expect("violation");
         assert_eq!(v.writer, A);
         assert_eq!(v.reader, B);
         assert_eq!(hb.violations().len(), 1);
@@ -230,27 +236,27 @@ mod tests {
     #[test]
     fn transitive_delivery_orders_reads() {
         let mut hb = HbTracker::new();
-        hb.write(A, "k");
+        hb.cell_write(A, "k");
         hb.deliver(A, B);
         hb.deliver(B, C);
-        assert_eq!(hb.read(C, "k"), None, "A→B→C carries the write");
+        assert_eq!(hb.cell_read(C, "k"), None, "A→B→C carries the write");
     }
 
     #[test]
     fn same_host_read_is_always_ordered() {
         let mut hb = HbTracker::new();
-        hb.write(A, "k");
-        assert_eq!(hb.read(A, "k"), None);
+        hb.cell_write(A, "k");
+        assert_eq!(hb.cell_read(A, "k"), None);
     }
 
     #[test]
     fn later_unrelated_write_re_races_the_reader() {
         let mut hb = HbTracker::new();
-        hb.write(A, "k");
+        hb.cell_write(A, "k");
         hb.deliver(A, B);
-        assert_eq!(hb.read(B, "k"), None);
-        hb.write(C, "k"); // C overwrites without telling B
-        assert!(hb.read(B, "k").is_some());
+        assert_eq!(hb.cell_read(B, "k"), None);
+        hb.cell_write(C, "k"); // C overwrites without telling B
+        assert!(hb.cell_read(B, "k").is_some());
         let (d, w, r) = hb.activity();
         assert_eq!((d, w, r), (1, 2, 2));
     }
@@ -258,15 +264,18 @@ mod tests {
     #[test]
     fn repeated_violations_dedupe_on_key_writer_reader() {
         let mut hb = HbTracker::new();
-        hb.write(A, "k");
+        hb.cell_write(A, "k");
         for _ in 0..100 {
-            assert!(hb.read(B, "k").is_some(), "every occurrence is returned");
+            assert!(
+                hb.cell_read(B, "k").is_some(),
+                "every occurrence is returned"
+            );
         }
         assert_eq!(hb.violations().len(), 1, "but only one is stored");
         assert_eq!(hb.violations_total(), 100);
         assert_eq!(hb.suppressed(), 99);
         // A different triple (same key, different reader) stores anew.
-        assert!(hb.read(C, "k").is_some());
+        assert!(hb.cell_read(C, "k").is_some());
         assert_eq!(hb.violations().len(), 2);
     }
 
@@ -275,8 +284,8 @@ mod tests {
         let mut hb = HbTracker::new();
         for i in 0..1500u64 {
             let key = format!("cell.{i}");
-            hb.write(A, &key);
-            assert!(hb.read(B, &key).is_some());
+            hb.cell_write(A, &key);
+            assert!(hb.cell_read(B, &key).is_some());
         }
         assert_eq!(hb.violations().len(), 1024);
         assert_eq!(hb.violations_total(), 1500);
@@ -377,13 +386,13 @@ mod tests {
                     }
                     1 => {
                         let key = keys[rng.index(keys.len())];
-                        hb.write(HostId(a), key);
+                        hb.cell_write(HostId(a), key);
                         clocks.entry(a).or_default().tick(HostId(a));
                         writes.insert(key, clocks.entry(a).or_default().clone());
                     }
                     _ => {
                         let key = keys[rng.index(keys.len())];
-                        let verdict = hb.read(HostId(a), key);
+                        let verdict = hb.cell_read(HostId(a), key);
                         let expect_clean = match writes.get(key) {
                             None => true,
                             Some(w) => clocks.entry(a).or_default().dominates(w),

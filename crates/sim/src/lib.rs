@@ -63,7 +63,8 @@ pub mod prelude {
 
     pub use crate::chaos::{ChaosConfig, ChaosCounts, ChaosEvent, ChaosSchedule};
     pub use crate::env::{
-        Env, EnvConfig, LifecycleEvent, RepeatHandle, ServiceId, TimerId, WindowObservation,
+        Env, EnvConfig, LifecycleEvent, Observer, RepeatHandle, ServiceId, TimerId,
+        WindowObservation,
     };
     pub use crate::hb::{HbTracker, HbViolation, VectorClock};
     pub use crate::metrics::{

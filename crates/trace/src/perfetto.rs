@@ -251,13 +251,14 @@ pub mod wire {
                     WireValue::Fixed64(u64::from_le_bytes(b))
                 }
                 WT_LEN => {
-                    let len = get_varint(self.buf, &mut self.pos)? as usize;
-                    let end = self.pos + len;
-                    let bytes = self
-                        .buf
-                        .get(self.pos..end)
+                    // A length past the end of any buffer (up to 2⁶⁴ − 1)
+                    // is a truncated field, not an overflowing offset.
+                    let len = get_varint(self.buf, &mut self.pos)?;
+                    let bytes = usize::try_from(len)
+                        .ok()
+                        .and_then(|len| self.buf.get(self.pos..)?.get(..len))
                         .ok_or_else(|| "truncated length-delimited field".to_string())?;
-                    self.pos = end;
+                    self.pos += bytes.len();
                     WireValue::Len(bytes)
                 }
                 WT_FIXED32 => {

@@ -13,10 +13,11 @@
 //! * [`ChoicePolicy::Random`] draws every choice from a seeded
 //!   [`SimRng`] — sampling for scenarios whose trees are too big.
 //!
-//! Every run executes one [`Scenario`] in a fresh [`Env`] with
-//! happens-before tracking on and a lifecycle sink installed; after the
-//! run the scenario's own invariants, the happens-before log, and the
-//! lifecycle state machines are all checked. A schedule is *distinct*
+//! Every run executes one [`Scenario`] in a fresh [`Env`] whose one
+//! [`Observer`] is [`Checks`]: a happens-before tracker fed every delivery
+//! and shared-state access, and a [`LifecycleChecker`] fed every
+//! lifecycle transition as it happens. After the run the scenario's own
+//! invariants and both checkers' verdicts are collected. A schedule is *distinct*
 //! when its full choice vector differs; [`ExploreReport`] counts both
 //! runs and distinct schedules so a vacuous explorer (no choice points)
 //! is visible.
@@ -25,14 +26,16 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use sensorcer_sim::env::{Env, LifecycleEvent};
+use sensorcer_sim::env::{Env, LifecycleEvent, Observer};
+use sensorcer_sim::hb::{HbTracker, HbViolation};
 use sensorcer_sim::rng::SimRng;
 use sensorcer_sim::time::{SimDuration, SimTime};
+use sensorcer_sim::topology::HostId;
 
 use crate::lifecycle::LifecycleChecker;
 
 /// One schedule-exploration subject: builds a fresh world inside the
-/// prepared `env` (hb tracking, lifecycle sink and tie chooser already
+/// prepared `env` (the [`Checks`] observer and the tie chooser already
 /// installed), runs it to its horizon, and reports its own invariants.
 pub trait Scenario {
     fn name(&self) -> &'static str;
@@ -88,6 +91,32 @@ pub struct ScheduleOutcome {
     pub lifecycle_events: u64,
 }
 
+/// The explorer's observer: the happens-before tracker and the lifecycle
+/// state machines, both fed live during a run.
+#[derive(Default)]
+pub struct Checks {
+    pub hb: HbTracker,
+    pub lifecycle: LifecycleChecker,
+}
+
+impl Observer for Checks {
+    fn cell_write(&mut self, host: HostId, key: &str) {
+        self.hb.cell_write(host, key);
+    }
+
+    fn cell_read(&mut self, host: HostId, key: &str) -> Option<HbViolation> {
+        self.hb.cell_read(host, key)
+    }
+
+    fn deliver(&mut self, from: HostId, to: HostId) {
+        self.hb.deliver(from, to);
+    }
+
+    fn lifecycle(&mut self, at: SimTime, ev: LifecycleEvent) {
+        self.lifecycle.feed(at, ev);
+    }
+}
+
 /// FNV-1a over the choice vector: the identity of a schedule.
 pub fn schedule_hash(choices: &[(usize, usize)]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -104,15 +133,12 @@ pub fn schedule_hash(choices: &[(usize, usize)]) -> u64 {
 /// turns the flight recorder on (used by [`trace_transparency`]).
 pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> ScheduleOutcome {
     let choices: Rc<RefCell<Vec<(usize, usize)>>> = Rc::default();
-    let lifecycle_log: Rc<RefCell<Vec<(SimTime, LifecycleEvent)>>> = Rc::default();
 
     let mut env = Env::with_seed(scenario.seed());
-    env.enable_hb();
+    env.set_observer(Checks::default());
     if traced {
         env.enable_tracing(4096);
     }
-    let log = Rc::clone(&lifecycle_log);
-    env.set_lifecycle_sink(move |t, ev| log.borrow_mut().push((t, ev)));
     let rec = Rc::clone(&choices);
     match policy {
         ChoicePolicy::Prefix(prefix) => env.set_tie_chooser(move |k| {
@@ -138,22 +164,23 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
         .map(|v| format!("scenario: {v}"))
         .collect();
 
-    let mut checker = LifecycleChecker::new();
-    for &(t, ev) in lifecycle_log.borrow().iter() {
-        checker.feed(t, ev);
-    }
-    checker.finish(env.now(), scenario.reap_grace());
+    // A scenario that replaced the observer leaves nothing to check.
+    let mut checks = env.take_observer::<Checks>().unwrap_or_else(|| {
+        violations.push("observer: the run replaced the explorer's checks".to_string());
+        Box::default()
+    });
+    checks.lifecycle.finish(env.now(), scenario.reap_grace());
     violations.extend(
-        checker
+        checks
+            .lifecycle
             .violations()
             .iter()
             .map(|v| format!("lifecycle: {v}")),
     );
-
-    // lint:allow(unwrap): enable_hb is called at run start
-    let hb = env.disable_hb().expect("hb enabled above");
     violations.extend(
-        hb.violations()
+        checks
+            .hb
+            .violations()
             .iter()
             .map(|v| format!("happens-before: {v}")),
     );
@@ -172,8 +199,8 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
         choices,
         digest: result.digest,
         violations,
-        hb_activity: hb.activity(),
-        lifecycle_events: checker.events(),
+        hb_activity: checks.hb.activity(),
+        lifecycle_events: checks.lifecycle.events(),
     }
 }
 

@@ -12,10 +12,10 @@
 //!   exhaustive for small scenarios, seeded random sampling for large
 //!   ones) and asserts federation invariants after every schedule.
 //! * happens-before checking — vector clocks on wire deliveries
-//!   (`sensorcer_sim::hb`, enabled per run by the explorer) flag any
+//!   (`sensorcer_sim::hb`, inside the observer the explorer installs) flag any
 //!   read of shared federation state not ordered after its write.
 //! * [`lifecycle`] — the lease / provisioning / span state machines
-//!   declared as transition tables, with a checker that replays every
+//!   declared as transition tables, with a checker that holds every
 //!   runtime transition (delivered through `Env::lifecycle` and mirrored
 //!   onto flight-recorder spans) against them.
 //! * [`lint`] — an in-repo source lint pass (`harness lint`) banning
@@ -37,8 +37,8 @@ pub mod scenarios;
 
 pub mod prelude {
     pub use crate::explore::{
-        explore, run_one, trace_transparency, ChoicePolicy, ExploreConfig, ExploreReport, Scenario,
-        ScenarioResult, ScheduleOutcome,
+        explore, run_one, trace_transparency, Checks, ChoicePolicy, ExploreConfig, ExploreReport,
+        Scenario, ScenarioResult, ScheduleOutcome,
     };
     pub use crate::lifecycle::{
         LifecycleChecker, StateMachine, LEASE_MACHINE, PROVISION_MACHINE, SPAN_MACHINE,

@@ -3,8 +3,9 @@
 //!
 //! The middleware crates report every lifecycle transition through
 //! [`Env::lifecycle`](sensorcer_sim::env::Env::lifecycle) — which feeds
-//! the sink the explorer installs and mirrors each transition onto the
-//! open flight-recorder span. This module declares what the legal
+//! the installed observer (the explorer's
+//! [`Checks`](crate::explore::Checks)) and mirrors each transition onto
+//! the open flight-recorder span. This module declares what the legal
 //! machines *are* (transition tables, one row per `(from, transition,
 //! to)`) and checks the observed stream against them, plus the temporal
 //! invariants a table alone cannot express: a lease is never renewed at

@@ -4,43 +4,41 @@
 #   scripts/ci.sh           tier-1: release build + full test suite
 #                           (tests/committed_artifacts.rs reads back
 #                           every committed report)
-#   scripts/ci.sh --soak    tier-1, then the seeded chaos soak writing
-#                           CHAOS_1.json at the repo root (bounded,
-#                           deterministic; exits nonzero on any
-#                           degraded-read invariant violation)
-#   scripts/ci.sh --trace   tier-1, then the traced soak writing the
-#                           TRACE_1.json summary and, uncommitted, the
-#                           span export TRACE_1.spans.json (exits nonzero
+#   scripts/ci.sh --soak    tier-1, then the seeded chaos soak
+#                           (bounded, deterministic; exits nonzero on any
+#                           degraded-read invariant violation), whose
+#                           report must equal CHAOS_1.json
+#   scripts/ci.sh --trace   tier-1, then the traced soak (exits nonzero
 #                           on orphan/unclosed/duplicate spans or any
-#                           unexplained degraded read); re-runs the seed
-#                           and requires the same export fingerprint
+#                           unexplained degraded read), whose summary must
+#                           equal TRACE_1.json, span-export fingerprint
+#                           included
 #   scripts/ci.sh --lint    tier-1, then the static-analysis gate:
 #                           cargo clippy -D warnings across the whole
 #                           workspace, the in-repo `harness lint` banned
 #                           pattern scan, `harness verify` (schedule
-#                           exploration + mutation check, writes
-#                           VERIFY_1.json), and cargo fmt --check when
-#                           rustfmt is installed
+#                           exploration + mutation check; its report must
+#                           equal VERIFY_1.json), and cargo fmt --check
+#                           when rustfmt is installed
 #   scripts/ci.sh --obs     tier-1, then the federation health engine:
 #                           `harness obs` (SLO burn-rate alerting over
 #                           the chaos soak; the storm must page with
-#                           trace exemplars, the clean run must not)
-#                           writing OBS_1.json
-#   scripts/ci.sh --storm   tier-1, then the tenant storm writing
-#                           STORM_1.json at the repo root: a bulk-tenant
+#                           trace exemplars, the clean run must not),
+#                           whose report must equal OBS_1.json
+#   scripts/ci.sh --storm   tier-1, then the tenant storm: a bulk-tenant
 #                           burst against the admission-controlled façade
 #                           (typed sheds only, critical SLO intact, full
 #                           circuit-breaker lifecycle, autoscaler up and
-#                           back down without flapping)
+#                           back down without flapping), whose report
+#                           must equal STORM_1.json
 #   scripts/ci.sh --perfetto  tier-1, then the Perfetto export leg:
 #                           `harness perfetto` runs the tenant storm with
 #                           the telemetry sampler attached and writes the
-#                           binary trace (federation.perfetto-trace, not
-#                           committed) plus the PERFETTO_1.json summary
-#                           (the run fails unless the in-repo decoder
-#                           validates the stream); checks the protobuf
-#                           magic byte, re-runs the export on the same
-#                           seed and requires bit-identical bytes
+#                           binary trace (the run fails unless the in-repo
+#                           decoder validates the stream); checks the
+#                           protobuf magic byte, and the summary, stream
+#                           fingerprint included, must equal
+#                           PERFETTO_1.json
 #   scripts/ci.sh --perfetto-scale  tier-1, then the streaming export
 #                           leg on a reduced world (10⁴ motes — the full
 #                           10⁵ federation is `harness perfetto-scale`
@@ -86,8 +84,11 @@
 #                           anything.
 #
 # Every harness leg exits nonzero when its own run fails, so the legs
-# check only what a run cannot see itself: that the same seed writes the
-# same bytes twice, and a Perfetto stream's first byte.
+# check only what a run cannot see itself: that the committed report is
+# what the same seed writes today, and a Perfetto stream's first byte. A
+# leg writes its report to a *_ci path and compares it with the committed
+# file, so a stale artefact fails CI and CI never rewrites a tracked file
+# (regenerate one with `harness <verb>` and commit it).
 #
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
@@ -122,6 +123,21 @@ for arg in "$@"; do
     esac
 done
 
+# `regen <verb> <committed> <out> [report]`: run `harness <verb>` on the
+# default seed into <out>; the report it wrote (<out>, or the [report]
+# beside a Perfetto stream) must equal <committed> byte for byte. On a
+# mismatch the new report is kept for a diff.
+regen() {
+    echo "== harness $1 (against $2) =="
+    cargo run --release -p sensorcer-bench --bin harness -- "$1" "$default_seed" "$3"
+    report=${4:-$3}
+    cmp "$2" "$report" || {
+        echo "$2 is stale: seed $default_seed now writes $report" >&2
+        exit 1
+    }
+    rm -f "$report"
+}
+
 echo "== tier-1: release build =="
 cargo build --release
 
@@ -129,22 +145,12 @@ echo "== tier-1: tests =="
 cargo test -q --workspace
 
 if [ "$soak" -eq 1 ]; then
-    echo "== chaos soak (writes CHAOS_1.json) =="
-    cargo run --release -p sensorcer-bench --bin harness -- chaos
+    regen chaos CHAOS_1.json CHAOS_ci.json
 fi
 
 if [ "$trace" -eq 1 ]; then
-    echo "== trace harness (writes TRACE_1.json + TRACE_1.spans.json) =="
-    cargo run --release -p sensorcer-bench --bin harness -- trace
-
-    echo "== trace determinism: same seed, same summary and fingerprint =="
-    cargo run --release -p sensorcer-bench --bin harness -- \
-        trace "$default_seed" TRACE_ci.json
-    cmp TRACE_1.json TRACE_ci.json || {
-        echo "trace export fingerprint differs across runs on the same seed" >&2
-        exit 1
-    }
-    rm -f TRACE_ci.json TRACE_ci.spans.json
+    regen trace TRACE_1.json TRACE_ci.json
+    rm -f TRACE_ci.spans.json
 fi
 
 if [ "$lint" -eq 1 ]; then
@@ -155,8 +161,7 @@ if [ "$lint" -eq 1 ]; then
     echo "== source lints (harness lint) =="
     cargo run --release -p sensorcer-bench --bin harness -- lint
 
-    echo "== schedule exploration (writes VERIFY_1.json) =="
-    cargo run --release -p sensorcer-bench --bin harness -- verify
+    regen verify VERIFY_1.json VERIFY_ci.json
 
     if command -v rustfmt >/dev/null 2>&1; then
         echo "== rustfmt --check =="
@@ -167,33 +172,23 @@ if [ "$lint" -eq 1 ]; then
 fi
 
 if [ "$obs" -eq 1 ]; then
-    echo "== health engine (writes OBS_1.json) =="
-    cargo run --release -p sensorcer-bench --bin harness -- obs
+    regen obs OBS_1.json OBS_ci.json
 fi
 
 if [ "$storm" -eq 1 ]; then
-    echo "== tenant storm (writes STORM_1.json) =="
-    cargo run --release -p sensorcer-bench --bin harness -- storm
+    regen storm STORM_1.json STORM_ci.json
 fi
 
 if [ "$perfetto" -eq 1 ]; then
-    echo "== perfetto export (writes federation.perfetto-trace + PERFETTO_1.json) =="
-    cargo run --release -p sensorcer-bench --bin harness -- perfetto
+    regen perfetto PERFETTO_1.json PERFETTO_ci.perfetto-trace \
+        PERFETTO_ci.perfetto-trace.summary.json
     # The stream must open with the Trace.packet tag (field 1,
     # length-delimited = 0x0a) or ui.perfetto.dev will reject it.
-    [ "$(head -c 1 federation.perfetto-trace | od -An -tx1 | tr -d ' \n')" = "0a" ] || {
-        echo "federation.perfetto-trace: bad protobuf magic byte" >&2
+    [ "$(head -c 1 PERFETTO_ci.perfetto-trace | od -An -tx1 | tr -d ' \n')" = "0a" ] || {
+        echo "PERFETTO_ci.perfetto-trace: bad protobuf magic byte" >&2
         exit 1
     }
-
-    echo "== perfetto determinism: same seed, bit-identical bytes =="
-    cargo run --release -p sensorcer-bench --bin harness -- \
-        perfetto "$default_seed" PERFETTO_ci.perfetto-trace
-    cmp federation.perfetto-trace PERFETTO_ci.perfetto-trace || {
-        echo "perfetto export is not bit-identical across runs on the same seed" >&2
-        exit 1
-    }
-    rm -f PERFETTO_ci.perfetto-trace PERFETTO_ci.perfetto-trace.summary.json
+    rm -f PERFETTO_ci.perfetto-trace
 fi
 
 if [ "$perfetto_scale" -eq 1 ]; then
