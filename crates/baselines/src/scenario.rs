@@ -180,7 +180,10 @@ pub fn sensorcer_scenario(n: usize, seed: u64) -> Scenario {
     let mut cfg = CspConfig::new(lab, "Network-Average", lus);
     cfg.lease = SimDuration::from_secs(3_600);
     cfg.children = (0..n).map(|i| format!("Sensor-{i:03}")).collect();
-    // lint:allow(unwrap): static scenario composite is known-valid
+    #[expect(
+        clippy::expect_used,
+        reason = "a static composite over the ESPs deployed above always validates"
+    )]
     deploy_csp(&mut env, cfg).expect("valid composite");
     let accessor = sensorcer_exertion::ServiceAccessor::new(vec![lus]);
     Scenario {

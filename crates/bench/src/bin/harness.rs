@@ -67,18 +67,13 @@ const SEEDED: &[(&str, SeededRunner, &str, &str)] = &[
 /// Every subcommand with its argument shape and a one-line description —
 /// the usage listing is generated from this table.
 fn subcommands() -> Vec<(String, &'static str)> {
-    let row = |head: &str, desc: &'static str| (head.to_string(), desc);
-    let mut rows = vec![row(
-        "<experiment> [seed]",
+    let mut rows = vec![(
+        "<experiment> [seed]".to_string(),
         "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b5 b7 b8 a1 a2, or `all`)",
     )];
     for (name, _, default_out, desc) in SEEDED {
         rows.push((format!("{name} [seed] [out={default_out}]"), *desc));
     }
-    rows.push(row(
-        "lint",
-        "in-repo source lints plus the runtime metric-name audit",
-    ));
     rows
 }
 
@@ -136,47 +131,6 @@ fn run_one(which: &str, seed: u64) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or_else(|| usage());
-
-    // `lint` takes no arguments: scan crates/*/src from the repo root.
-    if which == "lint" {
-        let root = std::env::current_dir().unwrap_or_else(|e| {
-            eprintln!("cannot resolve working directory: {e}");
-            std::process::exit(1);
-        });
-        let mut failed = false;
-        match sensorcer_verify::lint::lint_tree(&root) {
-            Ok(findings) if findings.is_empty() => {}
-            Ok(findings) => {
-                for f in &findings {
-                    eprintln!("{f}");
-                }
-                eprintln!("lint: {} banned pattern(s)", findings.len());
-                failed = true;
-            }
-            Err(e) => {
-                eprintln!("lint: {e} (run from the repo root)");
-                std::process::exit(1);
-            }
-        }
-        // Runtime metric-name audit: every name a soak registers must
-        // follow subsystem.object.action.
-        let name_violations = obs::lint_metric_names();
-        if !name_violations.is_empty() {
-            for v in &name_violations {
-                eprintln!("lint: metric name {v}");
-            }
-            eprintln!(
-                "lint: {} nonconforming metric name(s)",
-                name_violations.len()
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("lint: clean");
-        return;
-    }
 
     // The seeded report-writers take an optional seed then an output
     // path; defaults come from the SEEDED table.

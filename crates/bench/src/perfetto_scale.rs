@@ -80,8 +80,8 @@ fn motes_from_env() -> usize {
         .unwrap_or(DEFAULT_MOTES)
 }
 
-/// Metric names this leg registers at runtime, for the `harness lint`
-/// naming audit: the world's own counter plus the profiler's dynamic
+/// Metric names this leg registers at runtime, for the metric-name
+/// audit: the world's own counter plus the profiler's dynamic
 /// per-lane counter-track names.
 pub fn runtime_metric_names() -> Vec<String> {
     let mut names = vec!["scale.timers.fired".to_string()];
@@ -500,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn lint_names_cover_the_dynamic_lane_tracks() {
+    fn metric_names_cover_the_dynamic_lane_tracks() {
         let names = runtime_metric_names();
         assert!(names.iter().any(|n| n == "profile.lane15.busy_ns"));
         assert!(sensorcer_obs::check_names(names.iter().map(|s| s.as_str())).is_empty());

@@ -724,7 +724,7 @@ pub fn run_storm_full(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampl
 }
 
 /// Every metric key a representative storm registers at runtime — merged
-/// into the `harness lint` naming audit so the admission, breaker,
+/// into the metric-name audit (`tests/metric_names.rs`) so the admission, breaker,
 /// autoscale, burst and sampler keys are all held to
 /// `subsystem.object.action`. Runs with a default sampler attached so the
 /// `sampler.*` bookkeeping keys register the way `harness perfetto` sees

@@ -182,10 +182,10 @@ pub fn standard_deployment(env: &mut Env, config: &DeploymentConfig) -> Deployme
             QosCapabilities::lab_server(),
             Some(lus),
         );
+        #[expect(clippy::expect_used, reason = "the monitor is deployed a few lines up")]
         env.with_service(monitor.service, |_e, m: &mut ProvisionMonitor| {
             m.register_cybernode(node)
         })
-        // lint:allow(unwrap): the monitor is deployed a few lines up
         .expect("monitor deployed above");
         cybernodes.push(node);
         cybernode_hosts.push(host);

@@ -626,8 +626,8 @@ impl FacadeHandle {
             Signature::new(interfaces::SENSORCER_FACADE, selector),
             args,
         );
-        // Admission is applied by the façade servicer on arrival:
-        // lint:allow(admission): this exertion targets the gate itself
+        // Admission is applied by the façade servicer on arrival: this
+        // exertion targets the gate itself (tests/facade_admission.rs).
         match exert_on(env, from, self.service, task.into(), None) {
             Ok(done) => match done.status() {
                 ExertionStatus::Done => Ok(done.context().clone()),

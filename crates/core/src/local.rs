@@ -309,6 +309,10 @@ pub fn synthetic_tree_with_work(
     leaf_value: f64,
     work_iters: u32,
 ) -> Arc<LocalNode> {
+    #[expect(
+        clippy::expect_used,
+        reason = "a composite without an expression never fails validation"
+    )]
     fn build(
         level: usize,
         fanout: usize,
@@ -335,7 +339,6 @@ pub fn synthetic_tree_with_work(
                 c
             })
             .collect();
-        // lint:allow(unwrap): composite without an expression never fails validation
         LocalNode::composite(format!("node{path}"), children, None).expect("no expression")
     }
     let mut path = String::new();

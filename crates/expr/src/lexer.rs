@@ -181,42 +181,34 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, ExprError> {
                 i = j;
             }
             '\'' | '"' => {
-                let quote = bytes[i];
+                let quote = bytes[i] as char;
                 let mut j = i + 1;
                 let mut s = String::new();
+                let mut escaped = false;
                 loop {
-                    if j >= bytes.len() {
+                    // Whole chars, not bytes: the escaped character and the
+                    // text itself may be multi-byte.
+                    let Some(ch) = src[j..].chars().next() else {
                         return Err(ExprError::UnterminatedString {
                             pos: Pos::at(src, i),
                         });
-                    }
-                    if bytes[j] == quote {
-                        j += 1;
-                        break;
-                    }
-                    if bytes[j] == b'\\' && j + 1 < bytes.len() {
-                        // The escaped character may be multi-byte: decode a
-                        // whole char, not a byte.
-                        // lint:allow(unwrap): escape branch checked j + 1 is in bounds
-                        let esc = src[j + 1..].chars().next().expect("in-bounds char");
-                        s.push(match esc {
+                    };
+                    j += ch.len_utf8();
+                    if escaped {
+                        s.push(match ch {
                             'n' => '\n',
                             't' => '\t',
                             'r' => '\r',
-                            '\\' => '\\',
-                            '\'' => '\'',
-                            '"' => '"',
                             other => other,
                         });
-                        j += 1 + esc.len_utf8();
-                        continue;
+                        escaped = false;
+                    } else if ch == quote {
+                        break;
+                    } else if ch == '\\' {
+                        escaped = true;
+                    } else {
+                        s.push(ch);
                     }
-                    // Multi-byte chars: copy the full char.
-                    let ch_start = j;
-                    // lint:allow(unwrap): ch_start is an in-bounds char boundary
-                    let ch = src[ch_start..].chars().next().expect("in-bounds char");
-                    s.push(ch);
-                    j += ch.len_utf8();
                 }
                 push(&mut out, Tok::Str(s));
                 i = j;

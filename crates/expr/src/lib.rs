@@ -27,6 +27,7 @@
 //! expression cannot hang a provider.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod ast;
 pub mod builtins;
 pub mod compiled;

@@ -1,20 +1,11 @@
-//! Property tests for the expression language: total parsing (no panics),
-//! deterministic evaluation, algebraic identities, and budget behaviour.
-//! Driven by the deterministic harness in `sensorcer_sim::check`.
+//! Property tests for the expression language: deterministic evaluation,
+//! algebraic identities, and budget behaviour (total parsing is pinned in
+//! the root package's `tests/expr_parser.rs`). Driven by the
+//! deterministic harness in `sensorcer_sim::check`.
 
 use sensorcer_sim::check::run_cases;
 
 use sensorcer_expr::{eval_str, parse, CompiledScript, Program, Value};
-
-/// The front end is total: arbitrary input never panics, it parses or
-/// errors.
-#[test]
-fn parser_never_panics() {
-    run_cases("parser_never_panics", 512, |g| {
-        let src = g.ascii_string(200);
-        let _ = parse(&src);
-    });
-}
 
 /// Same source + same bindings = same value (the CSP relies on this).
 #[test]

@@ -33,6 +33,7 @@
 //! [`FlightRecorder`]: sensorcer_trace::FlightRecorder
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analytics;
 pub mod anomaly;

@@ -4,9 +4,9 @@
 //!
 //! Sources register counters and gauges by free-form string key, so a
 //! typo'd or legacy name (`packets_sent`, `csp.reads`) silently forks a
-//! new series instead of failing to compile. `harness lint` feeds every
-//! key the registry has ever seen through [`check_names`] and fails on
-//! the first nonconforming one.
+//! new series instead of failing to compile. The tier-1 test
+//! `tests/metric_names.rs` feeds every key a representative run
+//! registers through [`check_names`] and fails on any nonconforming one.
 
 /// Why a name failed the audit. `None` means the name conforms.
 pub fn check_name(name: &str) -> Option<String> {

@@ -41,6 +41,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod autoscale;
 pub mod cybernode;
 pub mod factory;

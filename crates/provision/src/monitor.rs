@@ -329,12 +329,15 @@ impl ProvisionMonitor {
         Ok(results)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "placement picks hosts from the registered cybernodes, so one matches"
+    )]
     fn node_service_for(&self, host: HostId) -> ServiceId {
         self.cybernodes
             .iter()
             .find(|c| c.host == host)
             .map(|c| c.service)
-            // lint:allow(unwrap): cybernodes register before any placement
             .expect("placement only happens on registered cybernodes")
     }
 

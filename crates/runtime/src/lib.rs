@@ -19,6 +19,7 @@
 // (lifetime erasure for scoped parallel jobs, see its SAFETY note);
 // every other crate is `#![forbid(unsafe_code)]`.
 #![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod deque;
 pub mod pool;
 pub mod sync;

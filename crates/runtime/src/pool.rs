@@ -92,6 +92,10 @@ impl ThreadPool {
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "a pool that cannot start its workers at startup is unrecoverable"
+        )]
         let handles = workers
             .into_iter()
             .enumerate()
@@ -100,7 +104,6 @@ impl ThreadPool {
                 std::thread::Builder::new()
                     .name(format!("sensorcer-worker-{index}"))
                     .spawn(move || worker_loop(shared, local, index))
-                    // lint:allow(unwrap): worker spawn failure at startup is unrecoverable
                     .expect("spawn worker thread")
             })
             .collect();
@@ -152,7 +155,7 @@ impl ThreadPool {
         if n == 1 {
             // Cheaper than the whole latch machinery.
             let mut items = items;
-            // lint:allow(unwrap): len() == 1 checked on the line above
+            #[expect(clippy::expect_used, reason = "len() == 1 checked above")]
             return vec![f(items.pop().expect("len checked"))];
         }
 
@@ -177,11 +180,14 @@ impl ThreadPool {
                     if i >= self.items.len() {
                         break;
                     }
-                    // The counter hands each index to exactly one worker.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the counter hands each index to exactly one worker"
+                    )]
                     let item = self.items[i]
                         .lock()
                         .take()
-                        .expect("each index claimed once"); // lint:allow(unwrap)
+                        .expect("each index claimed once");
                     match std::panic::catch_unwind(AssertUnwindSafe(|| (self.f)(item))) {
                         Ok(r) => *self.results[i].lock() = Some(r),
                         Err(payload) => {
@@ -282,16 +288,24 @@ impl ThreadPool {
         if let Some(payload) = op.panicked.lock().take() {
             std::panic::resume_unwind(payload);
         }
-        // lint:allow(unwrap): workers joined, Arc refcount is 1
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop above waited until this is the last Arc"
+        )]
         let op = Arc::into_inner(op).expect("exclusive ownership established above");
-        op.results
+        #[expect(
+            clippy::expect_used,
+            reason = "the done signal orders every result write before this read"
+        )]
+        let results: Vec<R> = op
+            .results
             .into_iter()
-            // The done signal orders all result writes before this read.
             .map(|m| {
                 m.into_inner()
-                    .expect("all results written before done signal") // lint:allow(unwrap)
+                    .expect("all results written before done signal")
             })
-            .collect()
+            .collect();
+        results
     }
 
     /// Number of jobs submitted but not yet finished.

@@ -47,15 +47,21 @@ impl<T> Mutex<T> {
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
+    #[expect(
+        clippy::expect_used,
+        reason = "guard invariant: inner is present outside wait_for()"
+    )]
     fn deref(&self) -> &T {
-        // lint:allow(unwrap): guard invariant: inner is present outside wait()
         self.inner.as_ref().expect("guard present outside wait")
     }
 }
 
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
+    #[expect(
+        clippy::expect_used,
+        reason = "guard invariant: inner is present outside wait_for()"
+    )]
     fn deref_mut(&mut self) -> &mut T {
-        // lint:allow(unwrap): guard invariant: inner is present outside wait()
         self.inner.as_mut().expect("guard present outside wait")
     }
 }
@@ -84,7 +90,10 @@ impl Condvar {
     /// Wait until notified or `timeout` elapses. Returns `true` if the
     /// wait timed out.
     pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        // lint:allow(unwrap): guard invariant: inner is present outside wait()
+        #[expect(
+            clippy::expect_used,
+            reason = "guard invariant: inner is present outside wait_for()"
+        )]
         let inner = guard.inner.take().expect("guard present outside wait");
         let (inner, result) = self
             .inner

@@ -35,21 +35,6 @@ pub enum FaultOutcome {
     Dropout,
 }
 
-impl FaultOutcome {
-    /// The delivered value, if any.
-    pub fn value(self) -> Option<f64> {
-        match self {
-            FaultOutcome::Clean(v) | FaultOutcome::Stuck(v) | FaultOutcome::Spiked(v) => Some(v),
-            FaultOutcome::Dropout => None,
-        }
-    }
-
-    /// Whether the delivered value is trustworthy.
-    pub fn is_clean(self) -> bool {
-        matches!(self, FaultOutcome::Clean(_))
-    }
-}
-
 /// Stateful injector owning the "last delivered" memory for stuck faults.
 #[derive(Clone, Debug, Default)]
 pub struct FaultInjector {
@@ -120,7 +105,6 @@ mod tests {
         });
         let mut rng = SimRng::new(2);
         assert_eq!(inj.inject(5.0, &mut rng), FaultOutcome::Dropout);
-        assert_eq!(FaultOutcome::Dropout.value(), None);
     }
 
     #[test]
@@ -167,12 +151,5 @@ mod tests {
             .count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.02, "dropout rate {rate}");
-    }
-
-    #[test]
-    fn outcome_helpers() {
-        assert!(FaultOutcome::Clean(1.0).is_clean());
-        assert!(!FaultOutcome::Stuck(1.0).is_clean());
-        assert_eq!(FaultOutcome::Spiked(2.0).value(), Some(2.0));
     }
 }

@@ -22,6 +22,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod battery;
 pub mod calib;
 pub mod faults;

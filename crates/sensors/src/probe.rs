@@ -110,9 +110,12 @@ impl SimulatedProbe {
     /// Builder: calibration curve. Panics on an invalid curve — a probe
     /// must never be constructed mis-calibrated.
     pub fn with_calibration(mut self, calibration: Calibration) -> Self {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: a probe is never built mis-calibrated"
+        )]
         calibration
             .validate()
-            // lint:allow(unwrap): calibration curve validated at construction
             .expect("calibration curve must be valid");
         self.calibration = calibration;
         self
@@ -158,17 +161,16 @@ impl SensorProbe for SimulatedProbe {
         let drift = self.drift_per_s * now.as_secs_f64();
         let noisy = truth + drift + self.rng.normal(0.0, self.noise_sd);
 
-        let raw = match self.faults.inject(noisy, &mut self.rng) {
+        let (raw_value, clean) = match self.faults.inject(noisy, &mut self.rng) {
             FaultOutcome::Dropout => return Err(ProbeError::Dropout),
-            outcome => outcome,
+            FaultOutcome::Clean(v) => (v, true),
+            FaultOutcome::Stuck(v) | FaultOutcome::Spiked(v) => (v, false),
         };
-        let quality = if raw.is_clean() && self.battery.level() > 0.05 {
+        let quality = if clean && self.battery.level() > 0.05 {
             Quality::Good
         } else {
             Quality::Suspect
         };
-        // lint:allow(unwrap): non-dropout outcomes always carry a value
-        let raw_value = raw.value().expect("non-dropout outcome has a value");
 
         // ADC quantization and range railing happen in raw space; the
         // calibration curve then produces engineering units.

@@ -89,7 +89,10 @@ impl Metrics {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
-        // lint:allow(unwrap): keys are names written in the source, not data
+        #[expect(
+            clippy::expect_used,
+            reason = "keys are names written in the source, not data: far fewer than 2^32"
+        )]
         let id = Key(u32::try_from(self.slots.len()).expect("fewer than 2^32 metric keys"));
         let name: Arc<str> = name.into();
         self.ids.insert(Arc::clone(&name), id);
@@ -262,7 +265,7 @@ impl Metrics {
     /// Every metric name this run has registered, across all five stores
     /// (counters, per-host counters, labeled counters, gauges, per-host
     /// gauges, sample series) — the raw material for the runtime naming
-    /// audit in `harness lint` and for observers that subscribe by key.
+    /// audit (`tests/metric_names.rs`) and for observers that subscribe by key.
     pub fn all_keys(&self) -> BTreeSet<String> {
         // A per-host counter always has its global counter; a per-host
         // gauge may be the only thing recorded under its key.
@@ -324,8 +327,7 @@ impl Summary {
             return None;
         }
         let mut sorted: Vec<f64> = xs.to_vec();
-        // lint:allow(unwrap): recorders never admit NaN samples
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("metrics must not record NaN"));
+        sorted.sort_by(f64::total_cmp);
         let q = |p: f64| -> f64 {
             // Nearest-rank percentile.
             let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());

@@ -227,7 +227,7 @@ impl ShardedQueue {
                 slot
             }
             None => {
-                // lint:allow(unwrap): 2³² pending timers is 160 GiB of slab
+                #[expect(clippy::expect_used, reason = "2³² pending timers is 160 GiB of slab")]
                 let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending timers");
                 self.slots.push(entry);
                 slot
@@ -307,8 +307,8 @@ impl ShardedQueue {
     }
 
     /// The callback of a key popped live and not run since.
+    #[expect(clippy::expect_used, reason = "a live key's slot holds its callback")]
     pub fn take(&mut self, k: TimerKey) -> TimerCallback {
-        // lint:allow(unwrap): a live key's slot holds its callback
         self.remove(k.seq, k.slot).expect("live key has a callback")
     }
 
@@ -336,7 +336,10 @@ impl ShardedQueue {
                 let done = pool.par_map(heaps, |mut heap| {
                     let mut due = Vec::new();
                     while heap.peek().is_some_and(|Reverse(k)| k.at <= horizon) {
-                        // lint:allow(unwrap): peeked non-empty on the line above
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "peeked non-empty on the line above"
+                        )]
                         due.push(heap.pop().expect("head peeked").0);
                     }
                     (heap, due)
@@ -353,7 +356,10 @@ impl ShardedQueue {
                 let mut total = 0usize;
                 for heap in &mut self.shards {
                     while heap.peek().is_some_and(|Reverse(k)| k.at <= horizon) {
-                        // lint:allow(unwrap): peeked non-empty on the line above
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "peeked non-empty on the line above"
+                        )]
                         self.hot.push(Reverse(heap.pop().expect("head peeked").0));
                         total += 1;
                     }

@@ -24,6 +24,7 @@
 //! simulator layers its typed ids on top.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -301,7 +302,7 @@ pub struct FlightRecorder {
     next_span: u64,
     /// Open spans, innermost last — stack discipline makes the open set
     /// *be* the parenting stack, so no id→span map is needed and the
-    /// common close (innermost first) is a `pop`.
+    /// common close (innermost first) finds its span at the back.
     open: Vec<Span>,
     /// Labels repeat heavily (service names, composite names); interning
     /// makes the steady-state cost of a span label one lookup + one
@@ -423,14 +424,10 @@ impl FlightRecorder {
     /// defensive guard against mismatched start/end nesting) and retires
     /// it into the bounded ring.
     pub fn span_end(&mut self, id: SpanId, now_ns: u64, outcome: Outcome) {
-        let mut s = match self.open.last() {
-            // lint:allow(unwrap): pop follows the Some(last) match on the same deque
-            Some(last) if last.id == id => self.open.pop().unwrap(),
-            _ => match self.open.iter().position(|s| s.id == id) {
-                Some(i) => self.open.remove(i),
-                None => return,
-            },
+        let Some(i) = self.open.iter().rposition(|s| s.id == id) else {
+            return;
         };
+        let mut s = self.open.remove(i);
         s.end_ns = now_ns;
         s.outcome = outcome;
         if self.closed.len() >= self.capacity {
@@ -776,6 +773,10 @@ mod tests {
     fn recorder_micro_cost() {
         let mut r = FlightRecorder::new(262_144);
         let n = 65_000u64; // stays inside the ring: no eviction in the loop
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures host time; the result is printed, never simulated"
+        )]
         let t0 = std::time::Instant::now();
         for i in 0..n {
             let a = r.span_start("csp.read", "Chaos-Quorum", 0, i);

@@ -18,21 +18,16 @@
 //!   declared as transition tables, with a checker that holds every
 //!   runtime transition (delivered through `Env::lifecycle` and mirrored
 //!   onto flight-recorder spans) against them.
-//! * [`lint`] — an in-repo source lint pass (`harness lint`) banning
-//!   `unwrap()`/`expect()` outside tests and benches, wall-clock time in
-//!   deterministic code, `pub` fields on state-machine types, direct
-//!   timer-queue access outside the engine, and external crate
-//!   dependencies in manifests.
 //! * [`scenarios`] — small federated worlds the explorer drives,
 //!   including an intentionally buggy one ([`scenarios::BuggyReaper`])
 //!   that the mutation test uses to prove the explorer detects a real
 //!   ordering bug.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod explore;
 pub mod lifecycle;
-pub mod lint;
 pub mod scenarios;
 
 pub mod prelude {
@@ -43,7 +38,6 @@ pub mod prelude {
     pub use crate::lifecycle::{
         LifecycleChecker, StateMachine, LEASE_MACHINE, PROVISION_MACHINE, SPAN_MACHINE,
     };
-    pub use crate::lint::{lint_manifest, lint_tree, LintFinding};
     pub use crate::scenarios::{BuggyReaper, DegradedRead, LeaseChurn, ProvisionFailover};
 }
 

@@ -13,13 +13,17 @@
 #                           unexplained degraded read), whose summary must
 #                           equal TRACE_1.json, span-export fingerprint
 #                           included
-#   scripts/ci.sh --lint    tier-1, then the static-analysis gate:
-#                           cargo clippy -D warnings across the whole
-#                           workspace, the in-repo `harness lint` banned
-#                           pattern scan, `harness verify` (schedule
-#                           exploration + mutation check; its report must
-#                           equal VERIFY_1.json), and cargo fmt --check
-#                           when rustfmt is installed
+#   scripts/ci.sh --lint    tier-1, then the static-analysis gate. The
+#                           source gate is cargo clippy -D warnings over
+#                           every target with the repo's clippy.toml; it
+#                           fails on an unwrap()/expect() in non-test code
+#                           of any crate but bench, a wall-clock read
+#                           (Instant::now, SystemTime::now) outside bench,
+#                           and an #[expect] escape that is stale or names
+#                           an unknown lint. Then `harness verify`
+#                           (schedule exploration + mutation check; its
+#                           report must equal VERIFY_1.json), and cargo
+#                           fmt --check when rustfmt is installed
 #   scripts/ci.sh --obs     tier-1, then the federation health engine:
 #                           `harness obs` (SLO burn-rate alerting over
 #                           the chaos soak; the storm must page with
@@ -157,9 +161,6 @@ if [ "$lint" -eq 1 ]; then
     echo "== clippy (deny warnings) =="
     cargo clippy --workspace --all-targets -q -- \
         -D warnings -D clippy::dbg_macro -D clippy::todo -D clippy::unimplemented
-
-    echo "== source lints (harness lint) =="
-    cargo run --release -p sensorcer-bench --bin harness -- lint
 
     regen verify VERIFY_1.json VERIFY_ci.json
 
