@@ -7,6 +7,8 @@
 //! paths each reads and writes; [`client`] offers typed wrappers that
 //! build and submit the corresponding exertions.
 
+use std::borrow::Borrow;
+
 use sensorcer_exertion::prelude::*;
 use sensorcer_registry::ids::interfaces;
 use sensorcer_sim::env::Env;
@@ -144,11 +146,26 @@ impl DegradedInfo {
 
     /// Write the non-empty lists into a result context (provider side).
     pub fn write_to(&self, ctx: &mut Context) {
-        if !self.substituted.is_empty() {
-            ctx.put(paths::SENSOR_SUBSTITUTED, self.substituted.join(","));
-        }
-        if !self.missing.is_empty() {
-            ctx.put(paths::SENSOR_MISSING, self.missing.join(","));
+        write_degraded(ctx, &self.substituted, &self.missing);
+    }
+}
+
+/// A degraded-children list as it travels: the names joined by commas,
+/// which [`DegradedInfo::from_context`] splits back.
+pub fn join_children<S: Borrow<str>>(names: &[S]) -> String {
+    names.join(",")
+}
+
+/// Write which children degraded into a `getValue` result context, each
+/// non-empty list under its path. Composites pass the `&str` names they
+/// hold: no name is copied except into the joined lists.
+pub fn write_degraded<S: Borrow<str>>(ctx: &mut Context, substituted: &[S], missing: &[S]) {
+    for (path, names) in [
+        (paths::SENSOR_SUBSTITUTED, substituted),
+        (paths::SENSOR_MISSING, missing),
+    ] {
+        if !names.is_empty() {
+            ctx.put(path, join_children(names));
         }
     }
 }

@@ -29,7 +29,7 @@ use sensorcer_sim::time::{SimDuration, SimTime};
 use sensorcer_sim::topology::{HostId, NetError};
 use sensorcer_sim::trace::{Outcome, SpanId};
 
-use crate::accessor::{mgmt, selectors, SensorInfo};
+use crate::accessor::{join_children, mgmt, selectors, write_degraded, SensorInfo};
 
 /// Metric keys bumped by composite reads.
 pub mod keys {
@@ -66,11 +66,150 @@ pub enum DegradationPolicy {
 }
 
 /// One cached child reading for degraded-mode substitution.
-#[derive(Clone, Debug)]
-struct LastGood {
-    value: f64,
-    unit: Text,
-    at: SimTime,
+#[derive(Clone, Debug, PartialEq)]
+pub struct LastGood {
+    pub value: f64,
+    pub unit: Text,
+    /// The parent's clock when the reading settled.
+    pub at: SimTime,
+}
+
+/// What one child read came back with after retry and failover: its
+/// value, its unit and whether it was clean — or why it failed.
+pub type ChildOutcome = Result<(f64, Text, bool), String>;
+
+/// What becomes of a child whose read failed.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Fate {
+    /// Its last-known-good `value`, `age` old, stands in for it.
+    Substituted { value: f64, age: SimDuration },
+    /// Nothing stands in; the default aggregate skips it.
+    Missing,
+}
+
+/// Everything a degradation policy decides about one read.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Settled {
+    /// Each failed child's fate by position, in the order the parent
+    /// reports them — fates decided before a failing verdict included.
+    pub fates: Vec<(usize, Fate)>,
+    /// The first non-empty unit: fresh readings first, then substitutes.
+    pub unit: Text,
+    /// `Ok(all_good)`, or the message the read fails with.
+    pub verdict: Result<bool, String>,
+}
+
+impl Settled {
+    /// The readings to bind as `(child position, value)`: fresh readings
+    /// in child order, then substitutes in fate order. The default average
+    /// sums them in this order.
+    pub fn readings<'a>(
+        &'a self,
+        outcomes: &'a [ChildOutcome],
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let fresh =
+            (outcomes.iter().enumerate()).filter_map(|(i, o)| Some((i, o.as_ref().ok()?.0)));
+        let substitutes = self.fates.iter().filter_map(|&(i, fate)| match fate {
+            Fate::Substituted { value, .. } => Some((i, value)),
+            Fate::Missing => None,
+        });
+        fresh.chain(substitutes)
+    }
+}
+
+/// The names of the children whose fate is `Missing` (`missing`) or
+/// `Substituted` (`!missing`), in fate order.
+fn fate_names<'c>(children: &'c [Child], fates: &[(usize, Fate)], missing: bool) -> Vec<&'c str> {
+    fates
+        .iter()
+        .filter(|(_, fate)| (*fate == Fate::Missing) == missing)
+        .map(|&(i, _)| children[i].service_name.as_str())
+        .collect()
+}
+
+/// Every failure among `outcomes`, in child order, as one message.
+fn failures(outcomes: &[ChildOutcome]) -> String {
+    let errors: Vec<&str> = outcomes
+        .iter()
+        .filter_map(|o| o.as_ref().err().map(String::as_str))
+        .collect();
+    errors.join("; ")
+}
+
+/// Decide a read from its children's outcomes alone: the readings to
+/// bind, each failed child's fate, the unit and the verdict. The caller
+/// applies metrics, span events, `last_good` and the result.
+///
+/// `Quorum(n)` counts fresh readings only; a last-good value stands in
+/// while its age is `<= max_age`; a missing child fails a composite with
+/// an expression; a read left with no reading at all fails.
+pub fn settle(
+    policy: DegradationPolicy,
+    expression: bool,
+    children: &[Child],
+    outcomes: &[ChildOutcome],
+    last_good: &[Option<LastGood>],
+    now: SimTime,
+) -> Settled {
+    let (mut fresh, mut all_good, mut unit) = (0, true, None);
+    for (_, u, good) in outcomes.iter().flatten() {
+        fresh += 1;
+        all_good &= good;
+        unit = unit.or((!u.is_empty()).then_some(u));
+    }
+    let mut fates = Vec::new();
+    let mut verdict = match policy {
+        _ if fresh == outcomes.len() => Ok(all_good),
+        DegradationPolicy::Strict => {
+            Err(format!("component read failures: {}", failures(outcomes)))
+        }
+        DegradationPolicy::Quorum(n) if fresh < n => Err(format!(
+            "quorum not met: {fresh} of {} children answered (need {n}); {}",
+            outcomes.len(),
+            failures(outcomes)
+        )),
+        _ => Ok(false),
+    };
+    let max_age = match policy {
+        DegradationPolicy::LastKnownGood { max_age } => Some(max_age),
+        _ => None,
+    };
+    if verdict.is_ok() {
+        for (idx, outcome) in outcomes.iter().enumerate() {
+            let Err(e) = outcome else { continue };
+            match &last_good[idx] {
+                Some(lg) if max_age.is_none_or(|max| now - lg.at <= max) => {
+                    unit = unit.or((!lg.unit.is_empty()).then_some(&lg.unit));
+                    let (value, age) = (lg.value, now - lg.at);
+                    fates.push((idx, Fate::Substituted { value, age }));
+                }
+                _ if max_age.is_none() => fates.push((idx, Fate::Missing)),
+                _ => {
+                    verdict = Err(format!(
+                        "failed child has no recent last-known-good value: {e}"
+                    ));
+                    break;
+                }
+            }
+        }
+    }
+    let lent = fates.iter().filter(|(_, f)| *f != Fate::Missing).count();
+    if verdict.is_ok() && expression && lent < fates.len() {
+        let missing = fate_names(children, &fates, true).join(", ");
+        verdict = Err(format!(
+            "degraded read cannot bind expression variables for missing children: {missing}"
+        ));
+    } else if verdict.is_ok() && fresh + lent == 0 {
+        verdict = Err(format!(
+            "no child left a reading to aggregate: {}",
+            failures(outcomes)
+        ));
+    }
+    Settled {
+        fates,
+        unit: unit.map_or(Text::Static(""), Text::clone),
+        verdict,
+    }
 }
 
 /// One composed child service.
@@ -120,6 +259,198 @@ fn arm(request: &mut Exertion, to: &ChildRequest, visited: &Value) {
     task.trace.clear();
     task.context.clear();
     task.context.put(VISITED_PATH, visited.clone());
+}
+
+/// One read's fan-out: what every child hop shares, and the one request
+/// they all lend.
+struct FanOut<'r> {
+    accessor: &'r ServiceAccessor,
+    host: HostId,
+    retry: RetryPolicy,
+    breakers: Option<&'r crate::admission::SharedBreakers>,
+    cache_enabled: bool,
+    children: &'r [Child],
+    requests: &'r [ChildRequest],
+    bindings: &'r mut [Option<ServiceId>],
+    request: &'r mut Exertion,
+    /// The breadcrumb every child request carries.
+    visited: &'r Value,
+}
+
+impl FanOut<'_> {
+    /// Read child `idx` under its own `csp.child` span (the dispatch spans
+    /// and retry events nest under it): the named provider first, then
+    /// §V.A's "equivalent available service provider" — whether the named
+    /// provider is gone *or* answered with a failure.
+    fn read_child(&mut self, env: &mut Env, idx: usize) -> ChildOutcome {
+        let child = &self.children[idx];
+        let span = env.span_start("csp.child", &child.service_name, self.host);
+        let started = env.now();
+        let outcome = match (self.read_named(env, idx), &child.group) {
+            (Err(primary), Some(group)) => self.fail_over(env, idx, group, primary, span, started),
+            (outcome, _) => outcome,
+        };
+        match &outcome {
+            Ok((_, _, good)) => {
+                if span.is_valid() && !*good {
+                    env.span_field(span, "quality", "suspect");
+                }
+                env.span_end(span, Outcome::Ok);
+            }
+            Err(e) => {
+                if span.is_valid() {
+                    env.span_field(span, "error", e.as_str());
+                }
+                env.span_end(span, Outcome::Error);
+            }
+        }
+        outcome
+    }
+
+    /// Resolve the named provider: cached proxy first; a stale proxy is
+    /// dropped and the name re-bound within this same read.
+    fn read_named(&mut self, env: &mut Env, idx: usize) -> ChildOutcome {
+        let name = self.children[idx].service_name.as_str();
+        if let Some(svc) = self.bindings[idx].filter(|_| self.cache_enabled) {
+            if self.breaker_open(env, svc) {
+                // Breaker open: a fresh bind would reach the same tripped
+                // provider, so skip straight to the group fallback without
+                // retrying.
+                return Err(format!("'{name}': breaker open"));
+            }
+            match self.hop(env, idx, svc, self.retry, name) {
+                // Answered, well or with a failure (dead transducer,
+                // expression error in a nested CSP, ...) — a fresh bind
+                // would reach the same provider, so a failure goes
+                // straight to the group fallback.
+                Ok(outcome) => return outcome,
+                // Stale proxy: drop and re-bind below.
+                Err(_) => self.bindings[idx] = None,
+            }
+        }
+        let iface = interfaces::SENSOR_DATA_ACCESSOR;
+        match self.accessor.bind(env, self.host, iface, Some(name)) {
+            Some(item) if self.breaker_open(env, item.service) => {
+                Err(format!("'{name}': breaker open"))
+            }
+            Some(item) => {
+                if self.cache_enabled {
+                    self.bindings[idx] = Some(item.service);
+                }
+                self.hop(env, idx, item.service, self.retry, name)
+                    .unwrap_or_else(|e| {
+                        self.bindings[idx] = None;
+                        Err(format!("'{name}': provider unreachable: {e}"))
+                    })
+            }
+            None => Err(format!("'{name}': no provider found")),
+        }
+    }
+
+    /// Pass child `idx`'s request on to a provider of its equivalence
+    /// `group` after the named one failed with `primary`.
+    fn fail_over(
+        &mut self,
+        env: &mut Env,
+        idx: usize,
+        group: &str,
+        primary: String,
+        span: SpanId,
+        started: SimTime,
+    ) -> ChildOutcome {
+        env.metrics.add(keys::FAILOVER_ATTEMPTS, 1);
+        if span.is_valid() {
+            // elapsed_ns: how much of this child's budget the primary
+            // burned before we gave up on it.
+            let elapsed = (env.now() - started).as_nanos();
+            let fields = vec![("group", group.into()), ("elapsed_ns", elapsed.into())];
+            env.span_event(span, "failover.attempt", fields);
+        }
+        let Some(item) = self.accessor.bind_by_attr_excluding(
+            env,
+            self.host,
+            interfaces::SENSOR_DATA_ACCESSOR,
+            sensorcer_registry::attributes::AttrMatch::Custom {
+                key: Some(EQUIVALENCE_GROUP_KEY.into()),
+                value: Some(group.into()),
+            },
+            Some(self.children[idx].service_name.as_str()),
+        ) else {
+            return Err(format!(
+                "{primary}; no equivalent provider in group '{group}' available"
+            ));
+        };
+        if self.breaker_open(env, item.service) {
+            return Err(format!("{primary}; equivalent breaker open"));
+        }
+        let eq = item.name().unwrap_or("equivalent").to_string();
+        // The failover hop stays single-shot: the retry budget was already
+        // spent on the primary.
+        match self.hop(env, idx, item.service, RetryPolicy::none(), &eq) {
+            Ok(Ok(v)) => {
+                env.metrics.add(keys::FAILOVER_SUCCESS, 1);
+                if span.is_valid() {
+                    let elapsed = (env.now() - started).as_nanos();
+                    let fields = vec![
+                        ("equivalent", eq.as_str().into()),
+                        ("elapsed_ns", elapsed.into()),
+                    ];
+                    env.span_event(span, "failover.success", fields);
+                }
+                // Deliberately not cached: the primary is retried next read.
+                Ok(v)
+            }
+            Ok(Err(e)) => Err(format!("{primary}; equivalent {e}")),
+            Err(e) => Err(format!("{primary}; equivalent '{eq}' unreachable: {e}")),
+        }
+    }
+
+    /// Whether a breaker is open on `svc`, so the hop must be skipped.
+    fn breaker_open(&self, env: &mut Env, svc: ServiceId) -> bool {
+        self.breakers
+            .is_some_and(|b| !b.borrow_mut().allow(env, svc))
+    }
+
+    /// One hop: arm the request for child `idx`, lend it to `svc` under
+    /// `budget`, tell the breaker how the wire behaved, and read the reply
+    /// where it lies (the unit is moved out of its context, not copied).
+    /// The outer error means no reply came back at all.
+    fn hop(
+        &mut self,
+        env: &mut Env,
+        idx: usize,
+        svc: ServiceId,
+        budget: RetryPolicy,
+        who: &str,
+    ) -> Result<ChildOutcome, NetError> {
+        let (to, visited) = (&self.requests[idx], self.visited);
+        arm(self.request, to, visited);
+        let sent = exert_in_place_rearmed(env, self.host, svc, self.request, None, &budget, |r| {
+            arm(r, to, visited)
+        });
+        if let Some(b) = self.breakers {
+            b.borrow_mut().record(env, svc, sent.err());
+        }
+        sent?;
+        Ok(match self.request.status() {
+            ExertionStatus::Done => {
+                let ctx = self.request.context_mut();
+                match ctx.get_f64(paths::SENSOR_VALUE) {
+                    Some(v) => {
+                        let good = ctx.get_str(paths::SENSOR_QUALITY) != Some("suspect");
+                        let unit = match ctx.remove(paths::SENSOR_UNIT) {
+                            Some(Value::Str(u)) => u,
+                            _ => Text::Static(""),
+                        };
+                        Ok((v, unit, good))
+                    }
+                    None => Err(format!("'{who}' returned no value")),
+                }
+            }
+            ExertionStatus::Failed(e) => Err(format!("'{who}': {e}")),
+            other => Err(format!("'{who}': unexpected status {other:?}")),
+        })
+    }
 }
 
 /// Registration attribute key marking interchangeable providers (§V.A's
@@ -308,62 +639,49 @@ impl CompositeSensorProvider {
     }
 
     /// Collect all child values (in parallel across the federation) and
-    /// compute the composite value.
-    /// Traced wrapper: a `csp.read` span covers the whole fan-out, with
-    /// the degradation verdict attached after the inner read settles.
+    /// compute the composite value, under a `csp.read` span that carries
+    /// the degradation verdict.
     fn handle_get_value(&mut self, env: &mut Env, task: &mut Task) {
-        let span = if env.tracing_enabled() {
-            let label = self.name.clone();
-            let s = env.span_start("csp.read", &label, self.host);
-            env.span_field(s, "children", self.children.len());
-            s
-        } else {
-            SpanId::INVALID
-        };
-        self.get_value_inner(env, task);
+        let span = env.span_start("csp.read", &self.name, self.host);
+        env.span_field(span, "children", self.children.len());
+        let read = self.get_value_inner(env, task);
         if span.is_valid() {
-            match task.status.clone() {
-                ExertionStatus::Failed(e) => {
-                    env.span_field(span, "error", e);
-                    env.span_end(span, Outcome::Error);
+            let outcome = match &read {
+                Err(e) => {
+                    env.span_field(span, "error", e.as_str());
+                    Outcome::Error
                 }
-                _ => {
-                    let substituted = task
-                        .context
-                        .get_str(paths::SENSOR_SUBSTITUTED)
-                        .map(str::to_string);
-                    let missing = task
-                        .context
-                        .get_str(paths::SENSOR_MISSING)
-                        .map(str::to_string);
-                    let degraded = substituted.is_some() || missing.is_some();
-                    if let Some(s) = substituted {
-                        env.span_field(span, "substituted", s);
+                Ok(names) if names.iter().all(Vec::is_empty) => Outcome::Ok,
+                Ok(names) => {
+                    for (key, names) in ["substituted", "missing"].into_iter().zip(names) {
+                        if !names.is_empty() {
+                            env.span_field(span, key, join_children(names));
+                        }
                     }
-                    if let Some(m) = missing {
-                        env.span_field(span, "missing", m);
-                    }
-                    env.span_end(
-                        span,
-                        if degraded {
-                            Outcome::Degraded
-                        } else {
-                            Outcome::Ok
-                        },
-                    );
+                    Outcome::Degraded
                 }
-            }
+            };
+            env.span_end(span, outcome);
+        }
+        match read {
+            Ok(_) => task.status = ExertionStatus::Done,
+            Err(e) => task.fail(e),
         }
     }
 
-    fn get_value_inner(&mut self, env: &mut Env, task: &mut Task) {
+    /// Fan the read out to every child, [`settle`] it, and apply what was
+    /// settled: `last_good`, the degradation events and metrics, the
+    /// expression and the result context. Returns the substituted and
+    /// missing children, or why the read failed.
+    fn get_value_inner(
+        &mut self,
+        env: &mut Env,
+        task: &mut Task,
+    ) -> Result<[Vec<&str>; 2], String> {
         self.reads_total += 1;
+        let name = &self.name;
         if self.children.is_empty() {
-            task.fail(format!(
-                "composite '{}' has no composed services",
-                self.name
-            ));
-            return;
+            return Err(format!("composite '{name}' has no composed services"));
         }
 
         // Cycle guard: refuse to read if this provider already appears in
@@ -372,448 +690,128 @@ impl CompositeSensorProvider {
             Some(Value::List(xs)) => xs,
             _ => &[],
         };
-        if above
-            .iter()
-            .any(|v| matches!(v, Value::Str(s) if **s == *self.name))
-        {
-            task.fail(format!("composition cycle detected at '{}'", self.name));
-            return;
+        let is_me = |v: &Value| matches!(v, Value::Str(s) if **s == **name);
+        if above.iter().any(is_me) {
+            return Err(format!("composition cycle detected at '{name}'"));
         }
         // One breadcrumb list for the whole fan-out, built once per read:
         // every child request shares it.
-        let visited = Value::List(
-            above
-                .iter()
-                .cloned()
-                .chain([self.breadcrumb.clone()])
-                .collect(),
-        );
+        let visited = Value::List(above.iter().chain([&self.breadcrumb]).cloned().collect());
 
         // Fan the child reads out in parallel — this is a small federation
         // exerted for this request. Every hop re-arms and lends the one
         // in-flight request; nothing per-child is formatted or allocated
         // here. Bindings are cached (the Jini proxy model): only an unknown
         // or failed child costs a LUS lookup.
-        let accessor = &self.accessor;
-        let bindings = &mut self.bindings;
-        let cache_enabled = self.binding_cache_enabled;
-        let host = self.host;
-        let retry = self.retry;
-        let breakers = self.breakers.as_ref();
         let children = &self.children;
-        let requests = &self.requests;
-        let request = &mut self.in_flight;
-        let collected = env.parallel_over(
-            0..children.len(),
-            |env: &mut Env, idx: usize| -> Result<(f64, Text, bool), String> {
-                let child = &children[idx];
-                // One `csp.child` span per fan-out branch; the dispatch
-                // spans and retry events nest under it.
-                let span = env.span_start("csp.child", &child.service_name, host);
-                let child_start = env.now();
-                let name: &str = &child.service_name;
-                let binding = &mut bindings[idx];
-                let to = &requests[idx];
-                let mut run = |env: &mut Env| -> Result<(f64, Text, bool), String> {
-                    // One hop: arm the request for this child, lend it to
-                    // `svc` under `budget`, tell the breaker how the wire
-                    // behaved, and read the reply where it lies (the unit
-                    // is moved out of its context, not copied). The outer
-                    // error means no reply came back at all.
-                    let mut hop = |env: &mut Env,
-                                   svc: ServiceId,
-                                   budget: &RetryPolicy,
-                                   who: &str|
-                     -> Result<Result<(f64, Text, bool), String>, NetError> {
-                        arm(request, to, &visited);
-                        let sent =
-                            exert_in_place_rearmed(env, host, svc, request, None, budget, |r| {
-                                arm(r, to, &visited)
-                            });
-                        if let Some(b) = breakers {
-                            b.borrow_mut().record(env, svc, sent.err());
-                        }
-                        sent?;
-                        Ok(match request.status() {
-                            ExertionStatus::Done => {
-                                let ctx = request.context_mut();
-                                match ctx.get_f64(paths::SENSOR_VALUE) {
-                                    Some(v) => {
-                                        let good =
-                                            ctx.get_str(paths::SENSOR_QUALITY) != Some("suspect");
-                                        let unit = match ctx.remove(paths::SENSOR_UNIT) {
-                                            Some(Value::Str(u)) => u,
-                                            _ => Text::Static(""),
-                                        };
-                                        Ok((v, unit, good))
-                                    }
-                                    None => Err(format!("'{who}' returned no value")),
-                                }
-                            }
-                            ExertionStatus::Failed(e) => Err(format!("'{who}': {e}")),
-                            other => Err(format!("'{who}': unexpected status {other:?}")),
-                        })
-                    };
-
-                    // Resolve the named provider: cached proxy first; a
-                    // stale proxy is dropped and the name re-bound within
-                    // this same read.
-                    let mut failure: Option<String> = None;
-                    let cached = if cache_enabled { *binding } else { None };
-                    if let Some(svc) = cached {
-                        if breakers.is_some_and(|b| !b.borrow_mut().allow(env, svc)) {
-                            // Breaker open: a fresh bind would reach the
-                            // same tripped provider, so skip straight to
-                            // the group fallback without retrying.
-                            failure = Some(format!("'{name}': breaker open"));
-                        } else {
-                            match hop(env, svc, &retry, name) {
-                                Ok(Ok(v)) => return Ok(v),
-                                // Answered but failed (dead transducer,
-                                // expression error in a nested CSP, ...) —
-                                // a fresh bind would reach the same
-                                // provider, so skip straight to the group
-                                // fallback.
-                                Ok(Err(e)) => failure = Some(e),
-                                // Stale proxy: drop and re-bind below.
-                                Err(_) => *binding = None,
-                            }
-                        }
-                    }
-                    if failure.is_none() {
-                        let bound =
-                            accessor.bind(env, host, interfaces::SENSOR_DATA_ACCESSOR, Some(name));
-                        match bound {
-                            Some(item)
-                                if breakers
-                                    .is_some_and(|b| !b.borrow_mut().allow(env, item.service)) =>
-                            {
-                                failure = Some(format!("'{name}': breaker open"));
-                            }
-                            Some(item) => {
-                                if cache_enabled {
-                                    *binding = Some(item.service);
-                                }
-                                match hop(env, item.service, &retry, name) {
-                                    Ok(Ok(v)) => return Ok(v),
-                                    Ok(Err(e)) => failure = Some(e),
-                                    Err(e) => {
-                                        *binding = None;
-                                        failure =
-                                            Some(format!("'{name}': provider unreachable: {e}"));
-                                    }
-                                }
-                            }
-                            None => failure = Some(format!("'{name}': no provider found")),
-                        }
-                    }
-
-                    // §V.A: "If for any reason, a particular sensor service
-                    // is not available, the request can be passed on to the
-                    // equivalent available service provider" — whether the
-                    // named provider is gone *or* answered with a failure.
-                    if let Some(group) = child.group.as_deref() {
-                        env.metrics.add(keys::FAILOVER_ATTEMPTS, 1);
-                        if span.is_valid() {
-                            // elapsed_ns: how much of this child's budget
-                            // the primary burned before we gave up on it.
-                            env.span_event(
-                                span,
-                                "failover.attempt",
-                                vec![
-                                    ("group", group.into()),
-                                    ("elapsed_ns", (env.now() - child_start).as_nanos().into()),
-                                ],
-                            );
-                        }
-                        let primary = failure
-                            .take()
-                            .unwrap_or_else(|| format!("'{name}': read failed"));
-                        let equivalent = accessor.bind_by_attr_excluding(
-                            env,
-                            host,
-                            interfaces::SENSOR_DATA_ACCESSOR,
-                            sensorcer_registry::attributes::AttrMatch::Custom {
-                                key: Some(EQUIVALENCE_GROUP_KEY.into()),
-                                value: Some(group.into()),
-                            },
-                            Some(name),
-                        );
-                        match equivalent {
-                            Some(item)
-                                if breakers
-                                    .is_some_and(|b| !b.borrow_mut().allow(env, item.service)) =>
-                            {
-                                failure = Some(format!("{primary}; equivalent breaker open"));
-                            }
-                            Some(item) => {
-                                let eq = item.name().unwrap_or("equivalent").to_string();
-                                // The failover hop stays single-shot: the
-                                // retry budget was already spent on the
-                                // primary.
-                                match hop(env, item.service, &RetryPolicy::none(), &eq) {
-                                    Ok(Ok(v)) => {
-                                        env.metrics.add(keys::FAILOVER_SUCCESS, 1);
-                                        if span.is_valid() {
-                                            env.span_event(
-                                                span,
-                                                "failover.success",
-                                                vec![
-                                                    ("equivalent", eq.as_str().into()),
-                                                    (
-                                                        "elapsed_ns",
-                                                        (env.now() - child_start).as_nanos().into(),
-                                                    ),
-                                                ],
-                                            );
-                                        }
-                                        // Deliberately not cached: the
-                                        // primary is retried next read.
-                                        return Ok(v);
-                                    }
-                                    Ok(Err(e)) => {
-                                        failure = Some(format!("{primary}; equivalent {e}"));
-                                    }
-                                    Err(e) => {
-                                        failure = Some(format!(
-                                            "{primary}; equivalent '{eq}' unreachable: {e}"
-                                        ));
-                                    }
-                                }
-                            }
-                            None => {
-                                failure = Some(format!(
-                                    "{primary}; no equivalent provider in group '{group}' available"
-                                ));
-                            }
-                        }
-                    }
-                    Err(failure.unwrap_or_else(|| format!("'{name}': read failed")))
-                };
-                let outcome = run(env);
-                match &outcome {
-                    Ok((_, _, good)) => {
-                        if span.is_valid() && !*good {
-                            env.span_field(span, "quality", "suspect");
-                        }
-                        env.span_end(span, Outcome::Ok);
-                    }
-                    Err(e) => {
-                        if span.is_valid() {
-                            env.span_field(span, "error", e.as_str());
-                        }
-                        env.span_end(span, Outcome::Error);
-                    }
-                }
-                outcome
-            },
-        );
+        let mut fan = FanOut {
+            accessor: &self.accessor,
+            host: self.host,
+            retry: self.retry,
+            breakers: self.breakers.as_ref(),
+            cache_enabled: self.binding_cache_enabled,
+            children,
+            requests: &self.requests,
+            bindings: &mut self.bindings,
+            request: &mut self.in_flight,
+            visited: &visited,
+        };
+        let collected = env.parallel_over(0..children.len(), |env: &mut Env, idx: usize| {
+            fan.read_child(env, idx)
+        });
         // The hub pays CPU per child for demarshalling and bookkeeping —
         // child reads overlap on the network, but aggregation work on this
         // provider is serial. This is what makes very wide flat composites
         // lose to hierarchies (B2).
         env.consume(sensorcer_sim::time::SimDuration::from_micros(120) * collected.len() as u64);
 
-        let mut unit = Text::Static("");
-        let mut all_good = true;
-        let mut errors: Vec<(usize, String)> = Vec::new();
+        // Ages are measured to this instant; it stamps this read's clean readings.
+        let at = env.now();
+        let settled = settle(
+            self.degradation,
+            self.expression.is_some(),
+            children,
+            &collected,
+            &self.last_good,
+            at,
+        );
         // Already in the shape the expression binds; the default average
         // reads the same list back through `as_f64`.
         let mut readings: Vec<(&str, Value)> = Vec::with_capacity(collected.len());
-        let now = env.now();
+        for (idx, v) in settled.readings(&collected) {
+            readings.push((children[idx].var.as_str(), Value::Float(v)));
+        }
         for (idx, outcome) in collected.into_iter().enumerate() {
-            match outcome {
-                Ok((v, u, good)) => {
-                    readings.push((&children[idx].var, Value::Float(v)));
-                    all_good &= good;
-                    if unit.is_empty() {
-                        unit.clone_from(&u);
-                    }
-                    if good {
-                        // Fresh clean reading — remember it for future
-                        // degraded reads of this child.
-                        self.last_good[idx] = Some(LastGood {
-                            value: v,
-                            unit: u,
-                            at: now,
-                        });
-                    }
-                }
-                Err(e) => errors.push((idx, e)),
+            if let Ok((value, unit, true)) = outcome {
+                // Fresh clean reading — remember it for future degraded
+                // reads of this child, whatever the verdict.
+                self.last_good[idx] = Some(LastGood { value, unit, at });
             }
         }
-
-        // Children that still failed after retry and failover: what happens
-        // next is the composite's degradation policy. Substitutions are
-        // surfaced in the result context — a degraded read is never
-        // silently clean.
-        let mut substituted: Vec<&str> = Vec::new();
-        let mut missing: Vec<&str> = Vec::new();
-        if !errors.is_empty() {
-            match self.degradation {
-                DegradationPolicy::Strict => {
-                    let msgs: Vec<&str> = errors.iter().map(|(_, e)| e.as_str()).collect();
-                    task.fail(format!("component read failures: {}", msgs.join("; ")));
-                    return;
+        // Failed children are surfaced in events, metrics and the result
+        // context — a degraded read is never silently clean.
+        for &(idx, fate) in &settled.fates {
+            let child = children[idx].service_name.as_str();
+            let (event, key) = match fate {
+                Fate::Substituted { .. } => ("degradation.substitute", keys::SUBSTITUTED_CHILDREN),
+                Fate::Missing => ("degradation.missing", keys::MISSING_CHILDREN),
+            };
+            let cur = env.current_span();
+            if cur.is_valid() {
+                let mut fields = vec![("child", child.into())];
+                if let Fate::Substituted { age, .. } = fate {
+                    fields.push(("age_ns", age.as_nanos().into()));
                 }
-                DegradationPolicy::Quorum(n) => {
-                    if readings.len() < n {
-                        let msgs: Vec<&str> = errors.iter().map(|(_, e)| e.as_str()).collect();
-                        task.fail(format!(
-                            "quorum not met: {} of {} children answered (need {}); {}",
-                            readings.len(),
-                            children.len(),
-                            n,
-                            msgs.join("; ")
-                        ));
-                        return;
-                    }
-                    for (idx, _) in &errors {
-                        let child = children[*idx].service_name.as_str();
-                        match &self.last_good[*idx] {
-                            Some(lg) => {
-                                readings.push((&children[*idx].var, Value::Float(lg.value)));
-                                if unit.is_empty() {
-                                    unit.clone_from(&lg.unit);
-                                }
-                                let age = now - lg.at;
-                                let cur = env.current_span();
-                                if cur.is_valid() {
-                                    env.span_event(
-                                        cur,
-                                        "degradation.substitute",
-                                        vec![
-                                            ("child", child.into()),
-                                            ("age_ns", age.as_nanos().into()),
-                                        ],
-                                    );
-                                }
-                                env.metrics
-                                    .add_labeled(keys::SUBSTITUTED_CHILDREN, child, 1);
-                                substituted.push(child);
-                            }
-                            None => {
-                                let cur = env.current_span();
-                                if cur.is_valid() {
-                                    env.span_event(
-                                        cur,
-                                        "degradation.missing",
-                                        vec![("child", child.into())],
-                                    );
-                                }
-                                env.metrics.add_labeled(keys::MISSING_CHILDREN, child, 1);
-                                missing.push(child);
-                            }
-                        }
-                    }
-                }
-                DegradationPolicy::LastKnownGood { max_age } => {
-                    for (idx, e) in &errors {
-                        let child = children[*idx].service_name.as_str();
-                        match &self.last_good[*idx] {
-                            Some(lg) if now - lg.at <= max_age => {
-                                readings.push((&children[*idx].var, Value::Float(lg.value)));
-                                if unit.is_empty() {
-                                    unit.clone_from(&lg.unit);
-                                }
-                                let age = now - lg.at;
-                                let cur = env.current_span();
-                                if cur.is_valid() {
-                                    env.span_event(
-                                        cur,
-                                        "degradation.substitute",
-                                        vec![
-                                            ("child", child.into()),
-                                            ("age_ns", age.as_nanos().into()),
-                                        ],
-                                    );
-                                }
-                                env.metrics
-                                    .add_labeled(keys::SUBSTITUTED_CHILDREN, child, 1);
-                                substituted.push(child);
-                            }
-                            _ => {
-                                task.fail(format!(
-                                    "failed child has no recent last-known-good value: {e}"
-                                ));
-                                return;
-                            }
-                        }
-                    }
-                }
+                env.span_event(cur, event, fields);
             }
-            if !missing.is_empty() && self.expression.is_some() {
-                task.fail(format!(
-                    "degraded read cannot bind expression variables for missing children: {}",
-                    missing.join(", ")
-                ));
-                return;
-            }
-            all_good = false;
+            env.metrics.add_labeled(key, child, 1);
+        }
+        let all_good = settled.verdict?;
+        let substituted = fate_names(children, &settled.fates, false);
+        let missing = fate_names(children, &settled.fates, true);
+        if !settled.fates.is_empty() {
             env.metrics.add(keys::DEGRADED_READS, 1);
             env.metrics
                 .add(keys::SUBSTITUTED_CHILDREN, substituted.len() as u64);
         }
 
-        // The expression evaluation gets its own span: a read that fails
-        // *here* failed on the hub, after every child already answered.
-        let eval_span = match (&self.expression, env.tracing_enabled()) {
-            (Some(program), true) => {
-                let s = env.span_start("csp.eval", program.source(), self.host);
-                env.span_field(s, "inputs", readings.len());
-                s
-            }
-            _ => SpanId::INVALID,
-        };
         let computed = match &self.expression {
-            Some(program) => match program.bind_in(&readings, &mut self.frame) {
-                Ok(v) => match v.as_f64() {
-                    Some(x) => x,
-                    None => {
-                        let msg = format!("expression produced non-numeric value: {v}");
-                        if eval_span.is_valid() {
-                            env.span_field(eval_span, "error", msg.as_str());
-                        }
-                        env.span_end(eval_span, Outcome::Error);
-                        task.fail(msg);
-                        return;
+            // The expression evaluation gets its own span: a read that
+            // fails *here* failed on the hub, after every child answered.
+            Some(program) => {
+                let span = env.span_start("csp.eval", program.source(), self.host);
+                env.span_field(span, "inputs", readings.len());
+                let value = match program.bind_in(&readings, &mut self.frame) {
+                    Ok(v) => v
+                        .as_f64()
+                        .ok_or_else(|| format!("expression produced non-numeric value: {v}")),
+                    Err(e) => Err(format!("expression error: {e}")),
+                };
+                match &value {
+                    Ok(_) => env.span_end(span, Outcome::Ok),
+                    Err(msg) => {
+                        env.span_field(span, "error", msg.as_str());
+                        env.span_end(span, Outcome::Error);
                     }
-                },
-                Err(e) => {
-                    let msg = format!("expression error: {e}");
-                    if eval_span.is_valid() {
-                        env.span_field(eval_span, "error", msg.as_str());
-                    }
-                    env.span_end(eval_span, Outcome::Error);
-                    task.fail(msg);
-                    return;
                 }
-            },
+                value?
+            }
             // Default aggregation when no expression is installed.
             None => {
                 readings.iter().filter_map(|(_, v)| v.as_f64()).sum::<f64>() / readings.len() as f64
             }
         };
-        env.span_end(eval_span, Outcome::Ok);
         let value = self.calibration.apply(computed);
 
-        task.context.put(paths::SENSOR_VALUE, value);
-        task.context.put(paths::RESULT, value);
-        task.context.put(paths::SENSOR_UNIT, unit);
-        task.context
-            .put(paths::SENSOR_AT, env.now().as_nanos() as f64);
-        task.context.put(
-            paths::SENSOR_QUALITY,
-            Value::literal(if all_good { "good" } else { "suspect" }),
-        );
-        if !substituted.is_empty() {
-            task.context
-                .put(paths::SENSOR_SUBSTITUTED, substituted.join(","));
-        }
-        if !missing.is_empty() {
-            task.context.put(paths::SENSOR_MISSING, missing.join(","));
-        }
-        task.status = ExertionStatus::Done;
+        let ctx = &mut task.context;
+        ctx.put(paths::SENSOR_VALUE, value);
+        ctx.put(paths::RESULT, value);
+        ctx.put(paths::SENSOR_UNIT, settled.unit);
+        ctx.put(paths::SENSOR_AT, env.now().as_nanos() as f64);
+        let quality = if all_good { "good" } else { "suspect" };
+        ctx.put(paths::SENSOR_QUALITY, Value::literal(quality));
+        write_degraded(ctx, &substituted, &missing);
+        Ok([substituted, missing])
     }
 
     fn handle_get_info(&mut self, task: &mut Task) {
@@ -1825,6 +1823,42 @@ mod tests {
             assert!(!r.good, "seed {seed}");
             assert_eq!(d.substituted, vec!["S1".to_string()], "seed {seed}");
         }
+    }
+
+    #[test]
+    fn breaker_open_equivalent_is_not_dispatched() {
+        // The failover hop asks the breaker too: a tripped equivalent is
+        // skipped, and the read says why it failed.
+        let mut w = setup();
+        let mut hosts = Vec::new();
+        for (name, value) in [("GH-Primary", 20.0), ("GH-Backup", 24.0)] {
+            let mote = w.env.add_host(format!("{name}-mote"), HostKind::SensorMote);
+            let probe = Box::new(ScriptedProbe::new(vec![value], Unit::Celsius));
+            let esp = EspConfig {
+                equivalence_group: Some("greenhouse".into()),
+                ..EspConfig::new(mote, name, probe, w.lus)
+            };
+            hosts.push((mote, deploy_esp(&mut w.env, esp).service));
+        }
+        let breakers = crate::admission::shared_breakers(Default::default());
+        let mut cfg = CspConfig::new(w.server, "GH", w.lus);
+        cfg.breakers = Some(breakers.clone());
+        let handle = deploy_csp(&mut w.env, cfg).unwrap();
+        w.env
+            .with_service(handle.service, |_e, sb: &mut ServicerBox| {
+                sb.downcast_mut::<CompositeSensorProvider>()
+                    .unwrap()
+                    .add_service_grouped("GH-Primary", Some("greenhouse".into()))
+                    .unwrap();
+            })
+            .unwrap();
+
+        w.env.crash_host(hosts[0].0);
+        let now = w.env.now();
+        breakers.borrow_mut().trip(hosts[1].1, now);
+        let err = client::get_value(&mut w.env, w.client, &w.accessor, "GH").unwrap_err();
+        assert!(err.contains("equivalent breaker open"), "{err}");
+        assert!(w.env.metrics.get(crate::admission::keys::BREAKER_SKIPPED) >= 1);
     }
 
     #[test]

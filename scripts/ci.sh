@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh           tier-1: release build + full test suite
 #                           (tests/committed_artifacts.rs reads back
-#                           every committed report)
+#                           every committed report; tests/federation_oracle.rs
+#                           holds every composite read to a reference model)
 #   scripts/ci.sh --soak    tier-1, then the seeded chaos soak
 #                           (bounded, deterministic; exits nonzero on any
 #                           degraded-read invariant violation), whose

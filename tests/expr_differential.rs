@@ -10,7 +10,8 @@ mod interp;
 
 use interp::{eval_script_with_budget, Scope};
 use sensorcer_suite::expr::{
-    parse, BinOp, Expr, ExprError, Program, Script, Stmt, UnOp, Value, DEFAULT_STEP_BUDGET,
+    parse, BinOp, CompiledScript, Expr, ExprError, Program, Script, Stmt, UnOp, Value,
+    DEFAULT_STEP_BUDGET,
 };
 use sensorcer_suite::sim::check::{run_cases, Gen};
 
@@ -162,6 +163,54 @@ fn random_scripts_agree() {
         .filter(|_| g.u64_in(0, 10) > 0)
         .collect();
         assert_agree(&src, &bindings);
+    });
+}
+
+/// The step budget is exact and monotone. Under any budget a generated
+/// program returns what it returns unbudgeted — value or error — or
+/// exactly `BudgetExhausted { steps: budget }`; once a budget suffices,
+/// every larger one does; nothing panics.
+#[test]
+fn step_budget_is_exact_and_monotone() {
+    run_cases("step_budget_is_exact_and_monotone", 192, |g| {
+        let compiled = CompiledScript::lower(&gen_script(g));
+        let bindings = [
+            ("a", Value::Float(g.f64_in(-100.0, 100.0))),
+            ("b", Value::Int(g.i64() % 1000)),
+            ("c", Value::Bool(g.bool())),
+        ];
+        let eval = |budget: u64| {
+            let mut frame = vec![None; compiled.n_slots()];
+            for (name, v) in &bindings {
+                if let Some(slot) = compiled.slot_of(name) {
+                    frame[slot] = Some(v.clone());
+                }
+            }
+            compiled.eval_slots(&mut frame, budget)
+        };
+        let unbudgeted = eval(u64::MAX);
+        let agrees = |got: &Result<Value, ExprError>| match (got, &unbudgeted) {
+            (Ok(x), Ok(y)) => same_value(x, y),
+            (got, want) => got == want,
+        };
+        let mut enough = None;
+        for budget in 0..=1_000u64 {
+            match eval(budget) {
+                Err(ExprError::BudgetExhausted { steps }) if enough.is_none() => {
+                    assert_eq!(steps, budget);
+                }
+                got => {
+                    assert!(agrees(&got), "budget {budget}: {got:?} vs {unbudgeted:?}");
+                    enough.get_or_insert(budget);
+                }
+            }
+            if enough.is_some_and(|least| budget >= least + 8) {
+                break;
+            }
+        }
+        let least = enough.expect("a generated program runs in 1 000 steps");
+        let larger = least + g.u64_in(0, 1 << 20);
+        assert!(agrees(&eval(larger)), "budget {larger}");
     });
 }
 
