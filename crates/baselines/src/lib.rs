@@ -13,7 +13,6 @@
 //!   runs the same aggregation question against all of the above *and*
 //!   SenSORCER itself, for the B7 comparison benches.
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Boxed-closure callback signatures (event sinks, 2PC participants,
 // simulated parallel branches) trip this lint; the types are the API.

@@ -2,14 +2,13 @@
 //!
 //! The simulated experiments measure virtual time; this one measures real
 //! CPU time: evaluating a composite tree over live probes sequentially vs.
-//! fanned out on the work-stealing pool, across thread counts. This is the
+//! sampled on scoped threads, across thread counts. This is the
 //! HPC face of the paper's "various services take part in both
 //! communication and computation processes".
 
 use std::time::Instant;
 
 use sensorcer_core::local::{synthetic_tree_with_work, LocalFederation};
-use sensorcer_runtime::ThreadPool;
 
 use crate::table::Table;
 
@@ -29,11 +28,10 @@ pub fn read_costs(
     }
     let seq = t0.elapsed().as_nanos() as f64 / reads as f64;
 
-    let pool = ThreadPool::new(threads);
     let fed = LocalFederation::new(synthetic_tree_with_work(depth, fanout, 21.0, work_iters));
     let t0 = Instant::now();
     for _ in 0..reads {
-        fed.read_parallel(&pool).expect("parallel read");
+        fed.read_parallel(threads).expect("parallel read");
     }
     let par = t0.elapsed().as_nanos() as f64 / reads as f64;
     (seq, par)
@@ -41,7 +39,7 @@ pub fn read_costs(
 
 pub fn run_table() -> Table {
     let mut t = Table::new(
-        "B8: local-mode composite read, sequential vs. work-stealing parallel (host time)",
+        "B8: local-mode composite read, sequential vs. scoped-thread parallel (host time)",
         &[
             "tree",
             "leaf acquisition",
@@ -53,16 +51,17 @@ pub fn run_table() -> Table {
     );
     // Free leaves (scheduling-bound: parallelism cannot help) vs. leaves
     // with realistic acquisition work (compute-bound: parallelism pays).
-    for (label, work_iters) in [
-        ("free", 0u32),
-        ("~20us/leaf", 4_000),
-        ("~100us/leaf", 20_000),
-    ] {
+    // Work rows are labelled with their measured sequential cost per leaf.
+    for work_iters in [0u32, 4_000, 20_000] {
         for threads in [2usize, 4, 8] {
             let (seq, par) = read_costs(1, 64, threads, work_iters, 50);
+            let label = match work_iters {
+                0 => "free".to_string(),
+                n => format!("{n} iters = {:.0}us/leaf", seq / 64e3),
+            };
             t.row(&[
                 "wide 1x64".to_string(),
-                label.to_string(),
+                label,
                 threads.to_string(),
                 format!("{:.1}us", seq / 1e3),
                 format!("{:.1}us", par / 1e3),
@@ -74,7 +73,7 @@ pub fn run_table() -> Table {
         .map(|n| n.get())
         .unwrap_or(1);
     t.note("free leaves are scheduling-bound: fan-out overhead dominates, sequential wins");
-    t.note("with real acquisition work the pool wins, bounded by available cores");
+    t.note("with real acquisition work the scoped threads win, bounded by available cores");
     t.note(format!(
         "this machine exposes {cpus} core(s); speedup is capped at that"
     ));
@@ -92,10 +91,9 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_agree_on_value() {
-        let pool = ThreadPool::new(4);
         let fed = LocalFederation::new(synthetic_tree_with_work(2, 8, 21.0, 0));
         let seq = fed.read_sequential().unwrap();
-        let par = fed.read_parallel(&pool).unwrap();
+        let par = fed.read_parallel(4).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -107,7 +105,7 @@ mod tests {
 
     #[test]
     fn parallel_wins_with_heavy_leaves_given_cores() {
-        // With substantial per-leaf work the pool must beat sequential —
+        // With substantial per-leaf work parallel must beat sequential —
         // but only when the machine actually has more than one core to
         // run on (CI containers often expose just one).
         let cpus = std::thread::available_parallelism()

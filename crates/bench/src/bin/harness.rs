@@ -60,7 +60,7 @@ const SEEDED: &[(&str, SeededRunner, &str, &str)] = &[
         "perfetto-scale",
         perfetto_scale::run,
         perfetto_scale::DEFAULT_OUT,
-        "sharded 10^5-mote world streamed to disk under the encoder-memory ceiling",
+        "10^5-mote world streamed to disk under the encoder-memory ceiling",
     ),
 ];
 

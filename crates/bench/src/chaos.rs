@@ -57,11 +57,6 @@ pub struct SoakConfig {
     /// Flight-recorder capacity; `None` (the default) runs untraced, so
     /// the instrumented read path stays a null check.
     pub trace_capacity: Option<usize>,
-    /// Event-engine shard count; `None` (the default) runs the sequential
-    /// queue. `Some(n)` spreads the motes across `n` subnets and enables
-    /// sharded execution — the report and trace must be bit-identical
-    /// either way (pinned by `tests/shard_equivalence.rs`).
-    pub shards: Option<usize>,
 }
 
 impl SoakConfig {
@@ -72,7 +67,6 @@ impl SoakConfig {
             tail_reads: 20,
             chaos: ChaosConfig::default(),
             trace_capacity: None,
-            shards: None,
         }
     }
 }
@@ -336,18 +330,6 @@ pub fn run_soak_observed(
             },
         );
         motes.push(mote);
-    }
-
-    // Sharded engine under test: spread the motes across per-subnet
-    // shards. Subnet labels never affect link latency or timer order, so
-    // a sharded soak must stay bit-identical to the sequential run on
-    // the same seed — exactly what `tests/shard_equivalence.rs` pins.
-    if let Some(shards) = cfg.shards {
-        let shards = shards.max(1);
-        for (i, &m) in motes.iter().enumerate() {
-            env.topo.set_subnet(m, SubnetId(i as u32 % shards as u32));
-        }
-        env.enable_sharding(shards);
     }
 
     let retry_policy = RetryPolicy::transient();

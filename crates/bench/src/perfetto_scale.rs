@@ -1,11 +1,11 @@
-//! `harness perfetto-scale`: the sharded 10⁵-mote B9 world streamed to
+//! `harness perfetto-scale`: the 10⁵-mote B9 world streamed to
 //! disk as a Perfetto trace under a hard encoder-memory ceiling, with
 //! the sim-time profiler attached.
 //!
 //! Where `harness perfetto` snapshots a finished storm and buffers the
 //! whole byte stream, this leg exercises the *streaming* pipeline the
-//! federation scale demands: a 16-subnet sharded world fires one
-//! `mote.sample` span per mote, and after every 100 ms window-run chunk
+//! federation scale demands: a 16-subnet world fires one
+//! `mote.sample` span per mote, and after every 100 ms chunk
 //! the flight recorder is drained ([`FlightRecorder::drain_closed`])
 //! into a [`StreamingExporter`] pumping a [`FileSink`] — so encoder
 //! memory is bounded by the flush threshold plus one packet, never by
@@ -15,9 +15,9 @@
 //! state proportional to the open-span set.
 //!
 //! The [`Profiler`] rides the same drain: per-op/host/lane self time,
-//! conservative-window occupancy (fed by a window-collecting observer),
 //! a collapsed-stack flamegraph, and cumulative per-lane busy counter
-//! tracks that are streamed into the trace itself. Because every span
+//! tracks, sampled at each chunk edge, that are streamed into the trace
+//! itself. Because every span
 //! nests under a per-chunk `scale.window` root, Σ self time equals the
 //! window-run time *exactly* — the summary records the ratio in ppm and
 //! fails the run if it drifts past 1%.
@@ -35,14 +35,12 @@
 //! [`Profiler`]: sensorcer_trace::profile::Profiler
 //! [`validate`]: sensorcer_trace::perfetto::validate
 
-use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use sensorcer_sim::prelude::*;
 use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::{self, ExportConfig, FileSink, StreamingExporter};
-use sensorcer_trace::profile::{Profiler, WindowRecord};
+use sensorcer_trace::profile::Profiler;
 use sensorcer_trace::DrainItem;
 
 use crate::perfetto::StreamShape;
@@ -65,7 +63,7 @@ const FLUSH_THRESHOLD: usize = perfetto::DEFAULT_FLUSH_THRESHOLD;
 /// Closed-span ring capacity — far above one chunk's span count, so the
 /// streaming drain (not eviction) is what bounds memory.
 const RECORDER_CAPACITY: usize = 16 * 1024;
-/// Subnets / shard lanes, matching the B9 scaling world.
+/// Subnets (one profiler lane each), matching the B9 scaling world.
 const SUBNETS: u32 = 16;
 /// Motes per 100 ms window-run chunk (drain cadence).
 const CHUNK_TIMERS: usize = 4_000;
@@ -104,8 +102,6 @@ pub struct ScaleReport {
     pub seed: u64,
     pub motes: usize,
     pub chunks: usize,
-    /// Conservative sync windows the sharded engine closed.
-    pub windows: u64,
     /// Σ duration of the per-chunk `scale.window` roots (virtual ns).
     pub window_run_ns: u64,
     /// Σ profiler self time over every span (virtual ns).
@@ -146,7 +142,6 @@ impl ScaleReport {
                 ("seed", self.seed.into()),
                 ("motes", self.motes.into()),
                 ("chunks", self.chunks.into()),
-                ("windows", self.windows.into()),
                 ("window_run_ns", self.window_run_ns.into()),
                 ("self_total_ns", self.self_total_ns.into()),
                 ("self_window_ratio_ppm", self.self_window_ratio_ppm.into()),
@@ -176,14 +171,13 @@ impl ScaleReport {
     pub fn summary(&self) -> String {
         format!(
             "perfetto-scale seed={} motes={}: {} bytes (fnv64 {:016x}), {}; \
-             {} windows over {} chunks, self/window = {} ppm; \
+             {} chunks, self/window = {} ppm; \
              peak buffered {} B (ceiling {} B), {} flushes — {}\n",
             self.seed,
             self.motes,
             self.bytes,
             self.hash,
             self.shape,
-            self.windows,
             self.chunks,
             self.self_window_ratio_ppm,
             self.peak_buffered_bytes,
@@ -198,16 +192,6 @@ impl ScaleReport {
     }
 }
 
-/// Collects each closed sync window; the streaming loop drains it into
-/// the profiler after every chunk.
-struct WindowLog(Rc<RefCell<Vec<WindowObservation>>>);
-
-impl Observer for WindowLog {
-    fn window(&mut self, w: &WindowObservation) {
-        self.0.borrow_mut().push(*w);
-    }
-}
-
 /// Build and run the world, streaming the trace to `out_path`. Pure
 /// function of `(seed, motes)` — identical arguments produce identical
 /// bytes and an identical report.
@@ -219,7 +203,7 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
     let chunk_ns: u64 = 100_000_000; // 100 ms of virtual time per chunk
     let total_spread_ns = chunk_ns * chunks as u64;
 
-    // -- World: 16 mote hosts (one per subnet) + a coordinator, sharded.
+    // -- World: 16 mote hosts (one per subnet) + a coordinator.
     let mut env = Env::with_seed(seed);
     let mut hosts = Vec::new();
     let mut export_cfg = ExportConfig::default();
@@ -231,17 +215,13 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
     }
     let coord = env.add_host("coord", HostKind::Server);
     export_cfg.host_names.insert(coord.0 as u64, "coord".into());
-    env.enable_sharding(SUBNETS as usize);
-    env.set_worker_pool(sensorcer_runtime::ThreadPool::with_default_parallelism());
     env.enable_tracing(RECORDER_CAPACITY);
 
-    // -- Observability rig: profiler + window observer + sampler + sink.
+    // -- Observability rig: profiler + sampler + sink.
     let mut profiler = Profiler::new();
     for (s, h) in hosts.iter().enumerate() {
         profiler.set_lane(h.0 as u64, s as u32);
     }
-    let observed: Rc<RefCell<Vec<WindowObservation>>> = Rc::default();
-    env.set_observer(WindowLog(Rc::clone(&observed)));
     let mut sampler = TelemetrySampler::new(SamplerConfig {
         period: SimDuration::from_millis(100),
         counters: vec!["scale.timers.*".into()],
@@ -257,7 +237,7 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
     for i in 0..motes {
         let host = hosts[i % hosts.len()];
         let at = SimTime(1 + (i as u64 * total_spread_ns) / motes as u64);
-        env.schedule_at_on(host, at, move |env: &mut Env| {
+        env.schedule_at(at, move |env: &mut Env| {
             let span = env.span_start("mote.sample", "mote", host);
             env.consume(SimDuration::from_micros(2 + (i % 5) as u64));
             if i % 16 == 0 {
@@ -274,24 +254,19 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
     }
 
     // -- The streaming loop: run one chunk under a `scale.window` root,
-    // then drain recorder → profiler + exporter, windows → profiler,
-    // sampler delta → exporter, prune lane state, pump the sink.
+    // then drain recorder → profiler + exporter, sample the profiler's
+    // lanes at the chunk edge, sampler delta → exporter, prune lane
+    // state, pump the sink.
     let mut window_run_ns = 0u64;
     for k in 0..chunks {
         let t_start = env.now();
+        let edge = SimTime(chunk_ns * (k as u64 + 1));
         let root = env.span_start("scale.window", "window-run", coord);
-        env.run_until(SimTime(chunk_ns * (k as u64 + 1)));
+        env.run_until(edge);
         env.span_end(root, Outcome::Ok);
         window_run_ns += env.now().as_nanos() - t_start.as_nanos();
         sampler.sample(&mut env);
 
-        for w in observed.borrow_mut().drain(..) {
-            profiler.feed_window(WindowRecord {
-                start_ns: w.start.as_nanos(),
-                horizon_ns: w.horizon.as_nanos(),
-                fired: w.fired,
-            });
-        }
         let items = match env.recorder_mut() {
             Some(r) => r.drain_closed(),
             None => Vec::new(),
@@ -305,6 +280,7 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
                 DrainItem::Eviction(m) => ex.feed_eviction(m),
             }
         }
+        profiler.sample_lanes(edge.as_nanos());
         for series in sampler.take_series_delta() {
             ex.feed_counter_series(&series);
         }
@@ -382,7 +358,6 @@ pub fn export_scale(seed: u64, motes: usize, out_path: &str) -> Result<ScaleRepo
         seed,
         motes,
         chunks,
-        windows: prof.windows,
         window_run_ns,
         self_total_ns: prof.total_self_ns,
         self_window_ratio_ppm: ratio_ppm,
@@ -470,7 +445,6 @@ mod tests {
         // Self time partitions the window run exactly.
         assert_eq!(report.self_window_ratio_ppm, 1_000_000);
         assert_eq!(report.self_total_ns, report.window_run_ns);
-        assert!(report.windows > 0, "window observer never fired");
         assert!(report.shape.flows > 0, "retry chain events must flow");
         assert!(report.shape.counter_points > 0);
         assert!((report.peak_buffered_bytes as u64) < ENCODER_CEILING_BYTES);

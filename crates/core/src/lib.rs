@@ -36,7 +36,6 @@
 //! assert!((10.0..35.0).contains(&r.value));
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Boxed-closure callback signatures (event sinks, 2PC participants,
 // simulated parallel branches) trip this lint; the types are the API.

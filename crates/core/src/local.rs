@@ -3,27 +3,26 @@
 //! The simulated mode answers the paper's *distributed-systems* questions;
 //! this mode answers the *throughput* question a downstream user has when
 //! they embed SenSORCER composites in a single process: how fast can a
-//! composite tree be evaluated over live probes? Child reads fan out over
-//! the work-stealing [`ThreadPool`] (B8 measures sequential vs. parallel).
+//! composite tree be evaluated over live probes? A parallel read samples
+//! the leaves on scoped threads and folds them like a sequential one (B8
+//! measures the two).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 use sensorcer_expr::Program;
-use sensorcer_runtime::sync::Mutex;
-use sensorcer_runtime::ThreadPool;
 use sensorcer_sensors::probe::{ProbeError, SensorProbe};
 use sensorcer_sim::time::SimTime;
 
 use crate::csp::variable_for;
 
+/// A leaf's live probe behind its lock.
+type Probe = Mutex<Box<dyn SensorProbe + Send>>;
+
 /// A node in a local composite tree.
 pub enum LocalNode {
     /// A leaf sensor: a live probe behind a lock (probes are stateful).
-    Sensor {
-        name: String,
-        probe: Mutex<Box<dyn SensorProbe + Send>>,
-    },
+    Sensor { name: String, probe: Probe },
     /// An inner composite: children plus an optional compute expression
     /// over variables `a`, `b`, … (position order, like the CSP).
     Composite {
@@ -113,8 +112,53 @@ impl LocalNode {
 
     /// Sequential read at logical time `at`.
     pub fn read_sequential(&self, at: SimTime) -> Result<f64, LocalReadError> {
+        self.fold(&mut |name, probe| sample(name, probe, at))
+    }
+
+    /// Parallel read: the leaves, gathered in depth-first order, are
+    /// sampled by `threads` scoped workers that each take the next
+    /// unread leaf, then fold as [`LocalNode::read_sequential`] does.
+    /// Every leaf is sampled even when an earlier one fails; the error
+    /// returned is still the first in depth-first order.
+    pub fn read_parallel(&self, threads: usize, at: SimTime) -> Result<f64, LocalReadError> {
+        let mut leaves = Vec::new();
+        self.gather(&mut leaves);
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut read = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some((name, probe)) = leaves.get(i) else {
+                    return read;
+                };
+                read.push((i, sample(name, probe, at)));
+            }
+        };
+        let mut read = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads.min(leaves.len()))
+                .map(|_| s.spawn(work))
+                .collect();
+            let mut read = work();
+            for h in helpers {
+                read.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+            }
+            read
+        });
+        read.sort_unstable_by_key(|&(i, _)| i);
+        let mut read = read.into_iter().map(|(_, r)| r);
+        // Every leaf was read above, in this order; sampling here is only
+        // the fallback that spares an `expect`.
+        self.fold(&mut |name, probe| read.next().unwrap_or_else(|| sample(name, probe, at)))
+    }
+
+    /// The sequential read with `leaf` in place of sampling: children
+    /// left to right, stopping at the first error.
+    fn fold(
+        &self,
+        leaf: &mut impl FnMut(&str, &Probe) -> Result<f64, LocalReadError>,
+    ) -> Result<f64, LocalReadError> {
         match self {
-            LocalNode::Sensor { name, probe } => sample(name, probe, at),
+            LocalNode::Sensor { name, probe } => leaf(name, probe),
             LocalNode::Composite {
                 name,
                 children,
@@ -127,55 +171,39 @@ impl LocalNode {
                 }
                 let mut values = Vec::with_capacity(children.len());
                 for child in children {
-                    values.push(child.read_sequential(at)?);
+                    values.push(child.fold(leaf)?);
                 }
                 combine(name, expression.as_ref(), &values)
             }
         }
     }
 
-    /// Parallel read: child subtrees are evaluated as independent pool
-    /// tasks at every level.
-    pub fn read_parallel(&self, pool: &ThreadPool, at: SimTime) -> Result<f64, LocalReadError> {
+    /// Every leaf below this node, in depth-first order.
+    fn gather<'a>(&'a self, out: &mut Vec<(&'a str, &'a Probe)>) {
         match self {
-            LocalNode::Sensor { name, probe } => sample(name, probe, at),
-            LocalNode::Composite {
-                name,
-                children,
-                expression,
-            } => {
-                if children.is_empty() {
-                    return Err(LocalReadError::EmptyComposite {
-                        composite: name.clone(),
-                    });
+            LocalNode::Sensor { name, probe } => out.push((name, probe)),
+            LocalNode::Composite { children, .. } => {
+                for child in children {
+                    child.gather(out);
                 }
-                let results = pool.par_map(children.iter().collect::<Vec<_>>(), |child| {
-                    child.read_parallel(pool, at)
-                });
-                let mut values = Vec::with_capacity(results.len());
-                for r in results {
-                    values.push(r?);
-                }
-                combine(name, expression.as_ref(), &values)
             }
         }
     }
 }
 
-fn sample(
-    name: &str,
-    probe: &Mutex<Box<dyn SensorProbe + Send>>,
-    at: SimTime,
-) -> Result<f64, LocalReadError> {
-    match probe.lock().sample(at) {
-        Ok(m) => Ok(m.value),
-        Err(e @ ProbeError::Dropout)
-        | Err(e @ ProbeError::BatteryDead)
-        | Err(e @ ProbeError::TooFast) => Err(LocalReadError::Probe {
-            sensor: name.to_string(),
-            error: e.to_string(),
-        }),
-    }
+fn sample(name: &str, probe: &Probe, at: SimTime) -> Result<f64, LocalReadError> {
+    let error = match probe.lock().map(|mut p| p.sample(at)) {
+        Ok(Ok(m)) => return Ok(m.value),
+        Ok(Err(e @ ProbeError::Dropout))
+        | Ok(Err(e @ ProbeError::BatteryDead))
+        | Ok(Err(e @ ProbeError::TooFast)) => e.to_string(),
+        // A probe that panicked mid-sample may be left half-updated.
+        Err(_) => "poisoned by a panic in an earlier sample".to_string(),
+    };
+    Err(LocalReadError::Probe {
+        sensor: name.to_string(),
+        error,
+    })
 }
 
 fn combine(
@@ -236,9 +264,9 @@ impl LocalFederation {
         self.root.read_sequential(self.next_time())
     }
 
-    /// One parallel read of the whole tree.
-    pub fn read_parallel(&self, pool: &ThreadPool) -> Result<f64, LocalReadError> {
-        self.root.read_parallel(pool, self.next_time())
+    /// One parallel read of the whole tree on `threads` threads.
+    pub fn read_parallel(&self, threads: usize) -> Result<f64, LocalReadError> {
+        self.root.read_parallel(threads, self.next_time())
     }
 }
 
@@ -369,12 +397,11 @@ mod tests {
 
     #[test]
     fn parallel_equals_sequential() {
-        let pool = ThreadPool::new(4);
         let tree = synthetic_tree(3, 3, 21.0);
         assert_eq!(tree.leaf_count(), 27);
         let fed = LocalFederation::new(tree);
         let seq = fed.read_sequential().unwrap();
-        let par = fed.read_parallel(&pool).unwrap();
+        let par = fed.read_parallel(4).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq, 21.0, "average of constant leaves");
     }
@@ -435,6 +462,36 @@ mod tests {
     }
 
     #[test]
+    fn a_probe_panic_reaches_the_reader_and_poisons_the_probe() {
+        struct Panics(Teds);
+        impl SensorProbe for Panics {
+            fn sample(&mut self, _: SimTime) -> Result<Measurement, ProbeError> {
+                panic!("probe fault")
+            }
+            fn teds(&self) -> &Teds {
+                &self.0
+            }
+        }
+        let bad = Box::new(Panics(Teds::sunspot_temperature("x")));
+        let tree = LocalNode::composite(
+            "c",
+            vec![leaf("ok", 1.0), LocalNode::sensor("bad", bad)],
+            None,
+        )
+        .unwrap();
+        let fed = LocalFederation::new(tree);
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fed.read_parallel(2)));
+        assert!(read.is_err(), "a worker's panic is re-raised");
+        match fed.read_sequential().unwrap_err() {
+            LocalReadError::Probe { sensor, error } => {
+                assert_eq!(sensor, "bad");
+                assert!(error.contains("poisoned"), "{error}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn clock_advances_past_min_sample_interval() {
         let probe = SimulatedProbe::new(
             Teds::sunspot_temperature("x"),
@@ -453,11 +510,10 @@ mod tests {
 
     #[test]
     fn wide_tree_parallel_read() {
-        let pool = ThreadPool::new(4);
         let children: Vec<Arc<LocalNode>> =
             (0..64).map(|i| leaf(&format!("s{i}"), i as f64)).collect();
         let tree = LocalNode::composite("wide", children, None).unwrap();
         let fed = LocalFederation::new(tree);
-        assert_eq!(fed.read_parallel(&pool).unwrap(), 31.5);
+        assert_eq!(fed.read_parallel(4).unwrap(), 31.5);
     }
 }

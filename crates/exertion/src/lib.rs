@@ -41,7 +41,6 @@
 //! assert_eq!(done.context().get_f64("result/value"), Some(42.0));
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Boxed-closure callback signatures (event sinks, 2PC participants,
 // simulated parallel branches) trip this lint; the types are the API.

@@ -26,7 +26,6 @@
 //! ([`builtins::BUILTIN_NAMES`]). Evaluation is budgeted so a hostile
 //! expression cannot hang a provider.
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod ast;
 pub mod builtins;

@@ -40,7 +40,6 @@
 //! assert_eq!(placed.len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod autoscale;
 pub mod cybernode;

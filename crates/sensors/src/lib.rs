@@ -21,7 +21,6 @@
 //! assert!((10.0..35.0).contains(&m.value));
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 pub mod battery;
 pub mod calib;

@@ -25,15 +25,14 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use sensorcer_runtime::ThreadPool;
 use sensorcer_trace::{FieldValue, FlightRecorder, Outcome, SpanId};
 
 use crate::hb::HbViolation;
 use crate::metrics::{keys, Key, Metrics};
 use crate::rng::SimRng;
-use crate::shard::{ShardStats, ShardedQueue, TimerCallback, TimerKey};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{HostId, HostKind, NetError, SubnetId, Topology};
+use crate::timers::{TimerCallback, TimerKey, Timers};
+use crate::topology::{HostId, HostKind, NetError, Topology};
 use crate::wire::ProtocolStack;
 
 /// Identifier of a deployed service object.
@@ -51,6 +50,13 @@ impl std::fmt::Display for ServiceId {
 /// next — and, for [`Env::cancel`], where its callback is stored.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerId(pub u64, u32);
+
+/// Kept for `benchmark/`; the `[benchmark]` queue deletes it.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct ShardStats {
+    pub windows: u64,
+}
 
 /// Tunables of the simulation kernel.
 #[derive(Clone, Copy, Debug)]
@@ -164,28 +170,18 @@ pub struct Env {
     net: NetKeys,
     clock: SimTime,
     rng: SimRng,
-    /// The timer store: one heap when sequential, per-subnet shards once
-    /// [`Env::enable_sharding`] splits it. All access goes through the
-    /// shard API — `peek`/`pop_due` are global-minimum over every shard,
-    /// so firing order is identical either way.
-    timer_queue: ShardedQueue,
+    /// Pending timers, fired in `(deadline, seq)` order.
+    timers: Timers,
     next_timer_seq: u64,
-    /// Subnet affinity of the currently-executing timer; timers scheduled
-    /// from inside a callback inherit it, so per-mote activity (renewal
-    /// chains, sampling loops) stays pinned to the mote's shard.
-    active_hint: SubnetId,
-    /// Worker pool for window-edge key migration in sharded mode; absent
-    /// means migration is serial (still correct, just unbatched).
-    pool: Option<ThreadPool>,
     /// Indexed by `ServiceId`: ids count up from zero and are never
     /// reused, so an undeployed service leaves a hole.
     services: Vec<Option<ServiceSlot>>,
     /// Optional flight recorder for structured spans. Absent by default
     /// so uninstrumented runs pay only a null check.
     recorder: Option<FlightRecorder>,
-    /// Optional [`Observer`] of deliveries, shared-state accesses,
-    /// lifecycle transitions and sync windows. Absent by default, and
-    /// then every hook site is one null check.
+    /// Optional [`Observer`] of deliveries, shared-state accesses and
+    /// lifecycle transitions. Absent by default, and then every hook site
+    /// is one null check.
     observer: Option<Box<dyn Observer>>,
     /// Optional schedule oracle: when ≥2 timers are co-scheduled at the
     /// same deadline, picks which fires next (index into the seq-ordered
@@ -193,29 +189,13 @@ pub struct Env {
     /// schedule explorer in `sensorcer-verify` installs this to permute
     /// delivery order systematically.
     tie_chooser: Option<Box<dyn FnMut(usize) -> usize>>,
-    /// Conservative windows closed so far (sharded engine only).
-    windows_seen: u64,
-}
-
-/// One closed conservative sync window of the sharded engine, as
-/// reported to [`Observer::window`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WindowObservation {
-    /// 0-based window ordinal since the environment was created.
-    pub index: u64,
-    /// The window's opening instant (earliest due deadline).
-    pub start: SimTime,
-    /// The window edge — the shard resynchronization barrier.
-    pub horizon: SimTime,
-    /// Timers fired inside the window.
-    pub fired: u64,
 }
 
 /// A passive watcher of one [`Env`], installed with [`Env::set_observer`]:
-/// the happens-before tracker ([`crate::hb::HbTracker`]), the schedule
-/// explorer's checks and the window log behind occupancy profiling are
-/// impls. Every method defaults to a no-op and none is given the `Env`,
-/// so an observer can neither re-enter the world nor change its schedule.
+/// the happens-before tracker ([`crate::hb::HbTracker`]) and the schedule
+/// explorer's checks are impls. Every method defaults to a no-op and none
+/// is given the `Env`, so an observer can neither re-enter the world nor
+/// change its schedule.
 pub trait Observer: Any {
     /// `host` wrote the shared federation state named `key` (a registry's
     /// items, a mailbox queue).
@@ -233,9 +213,6 @@ pub trait Observer: Any {
 
     /// A lifecycle transition reported through [`Env::lifecycle`] at `at`.
     fn lifecycle(&mut self, _at: SimTime, _ev: LifecycleEvent) {}
-
-    /// A conservative sync window of the sharded engine closed.
-    fn window(&mut self, _w: &WindowObservation) {}
 }
 
 impl Env {
@@ -248,15 +225,12 @@ impl Env {
             net: NetKeys::resolve(&mut metrics),
             metrics,
             clock: SimTime::ZERO,
-            timer_queue: ShardedQueue::new(),
+            timers: Timers::default(),
             next_timer_seq: 0,
-            active_hint: SubnetId(0),
-            pool: None,
             services: Vec::new(),
             recorder: None,
             observer: None,
             tie_chooser: None,
-            windows_seen: 0,
         }
     }
 
@@ -823,55 +797,17 @@ impl Env {
     // Timers
     // ------------------------------------------------------------------
 
-    /// Schedule `f` to run at absolute time `at` (clamped to now). The
-    /// timer inherits the subnet affinity of whatever timer is currently
-    /// executing (the root context is subnet 0); use
-    /// [`Env::schedule_at_on`] to pin it to a host's subnet explicitly.
+    /// Schedule `f` to run at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Env) + 'static) -> TimerId {
-        let hint = self.active_hint;
-        self.schedule_at_hinted(at, hint, f)
-    }
-
-    /// Schedule `f` at absolute time `at` with the subnet affinity of
-    /// `host` — the entry point used when deploying per-subnet activity,
-    /// so the timer (and everything it transitively schedules) lands on
-    /// that subnet's shard.
-    pub fn schedule_at_on(
-        &mut self,
-        host: HostId,
-        at: SimTime,
-        f: impl FnOnce(&mut Env) + 'static,
-    ) -> TimerId {
-        let hint = self.topo.subnet_of(host);
-        self.schedule_at_hinted(at, hint, f)
-    }
-
-    /// Schedule `f` to run `after` from now on `host`'s subnet shard.
-    pub fn schedule_on(
-        &mut self,
-        host: HostId,
-        after: SimDuration,
-        f: impl FnOnce(&mut Env) + 'static,
-    ) -> TimerId {
-        let at = self.clock + after;
-        self.schedule_at_on(host, at, f)
-    }
-
-    fn schedule_at_hinted(
-        &mut self,
-        at: SimTime,
-        hint: SubnetId,
-        f: impl FnOnce(&mut Env) + 'static,
-    ) -> TimerId {
-        self.push_timer(at, hint, TimerCallback::Once(Box::new(f)))
+        self.push_timer(at, TimerCallback::Once(Box::new(f)))
     }
 
     /// Queue `callback` under the next sequence number.
-    fn push_timer(&mut self, at: SimTime, hint: SubnetId, callback: TimerCallback) -> TimerId {
+    fn push_timer(&mut self, at: SimTime, callback: TimerCallback) -> TimerId {
         let seq = self.next_timer_seq;
         self.next_timer_seq += 1;
         let at = at.max(self.clock);
-        let slot = self.timer_queue.push(at, seq, hint, callback);
+        let slot = self.timers.push(at, seq, callback);
         TimerId(seq, slot)
     }
 
@@ -884,7 +820,7 @@ impl Env {
     /// Cancel a pending one-shot timer, dropping what it captured. No
     /// effect if already fired.
     pub fn cancel(&mut self, id: TimerId) {
-        self.timer_queue.remove(id.0, id.1);
+        self.timers.remove(id.0, id.1);
     }
 
     /// Schedule `f` to run every `interval`, starting after `first_after`.
@@ -908,51 +844,33 @@ impl Env {
             alive,
             f: Box::new(f),
         };
-        self.push_timer(at, self.active_hint, every);
+        self.push_timer(at, every);
         handle
     }
 
     /// Number of pending (non-cancelled) timers. A repeating timer counts
     /// until the first deadline after its handle was cancelled.
     pub fn pending_timers(&self) -> usize {
-        self.timer_queue.len()
+        self.timers.len()
     }
 
-    // ------------------------------------------------------------------
-    // Sharded execution
-    // ------------------------------------------------------------------
+    /// No-op: kept for `benchmark/`; the `[benchmark]` queue deletes it.
+    #[doc(hidden)]
+    pub fn enable_sharding(&mut self, _shards: usize) {}
 
-    /// Split the timer queue into `shards` per-subnet shards (see
-    /// [`crate::shard`]). `run_until` switches to the conservative
-    /// time-window protocol: shards synchronize at window edges bounded
-    /// by the minimum cross-subnet link latency, and execution stays
-    /// bit-identical to the sequential engine for a given seed. Safe to
-    /// call mid-run; pending timers are redistributed by subnet.
-    pub fn enable_sharding(&mut self, shards: usize) {
-        self.timer_queue.set_shard_count(shards.max(1));
-    }
+    /// No-op: kept for `benchmark/`; the `[benchmark]` queue deletes it.
+    #[doc(hidden)]
+    pub fn disable_sharding(&mut self) {}
 
-    /// Collapse back to the single sequential heap.
-    pub fn disable_sharding(&mut self) {
-        self.timer_queue.set_shard_count(1);
-    }
+    /// No-op: kept for `benchmark/`; the `[benchmark]` queue deletes it.
+    #[doc(hidden)]
+    pub fn set_worker_pool(&mut self, _pool: sensorcer_runtime::ThreadPool) {}
 
-    /// Whether the timer queue is currently sharded.
-    pub fn is_sharded(&self) -> bool {
-        self.timer_queue.is_sharded()
-    }
-
-    /// Install a worker pool used to parallelize window-edge key
-    /// migration across shards. Optional: without it, sharded runs
-    /// migrate serially (identical results, no thread fan-out).
-    pub fn set_worker_pool(&mut self, pool: ThreadPool) {
-        self.pool = Some(pool);
-    }
-
-    /// Cumulative shard-sync counters (windows opened, keys migrated,
-    /// parallel migrations) for overhead reporting.
+    /// Always zero windows: kept for `benchmark/`; the `[benchmark]` queue
+    /// deletes it.
+    #[doc(hidden)]
     pub fn shard_stats(&self) -> ShardStats {
-        self.timer_queue.stats()
+        ShardStats { windows: 0 }
     }
 
     /// Install a schedule oracle: whenever ≥2 timers are co-scheduled at
@@ -976,7 +894,7 @@ impl Env {
         if self.tie_chooser.is_some() {
             return self.step_chosen(t);
         }
-        match self.timer_queue.pop_due(t) {
+        match self.timers.pop_due(t) {
             Some((key, callback)) => {
                 self.fire(key, callback);
                 true
@@ -986,14 +904,13 @@ impl Env {
     }
 
     /// Run one popped timer. A repeating one goes back in the queue once
-    /// its closure has returned, so it takes the next sequence number, the
-    /// clock and the subnet affinity as the closure left them.
+    /// its closure has returned, so it takes the next sequence number and
+    /// the clock as the closure left them.
     fn fire(&mut self, key: TimerKey, callback: TimerCallback) {
         // Synchronous-call DES: handlers can push the clock past later
         // deadlines, in which case those fire "late" at the current
         // clock — never earlier than their scheduled time.
         self.clock = self.clock.max(key.at);
-        self.active_hint = key.hint;
         match callback {
             TimerCallback::Once(f) => f(self),
             TimerCallback::Every {
@@ -1006,7 +923,7 @@ impl Env {
                 }
                 if f(self) && alive.get() {
                     let every = TimerCallback::Every { interval, alive, f };
-                    self.push_timer(self.clock + interval, self.active_hint, every);
+                    self.push_timer(self.clock + interval, every);
                 } else {
                     alive.set(false);
                 }
@@ -1020,11 +937,11 @@ impl Env {
     /// Only one timer fires per step, so timers the fired handler
     /// co-schedules at the same instant join the next choice point.
     fn step_chosen(&mut self, t: SimTime) -> bool {
-        let Some(first) = self.timer_queue.pop_key_due(t) else {
+        let Some(first) = self.timers.pop_key_due(t) else {
             return false;
         };
         let mut due = vec![first];
-        while let Some(tied) = self.timer_queue.pop_key_due(first.at) {
+        while let Some(tied) = self.timers.pop_key_due(first.at) {
             due.push(tied);
         }
         let k = due.len();
@@ -1038,70 +955,18 @@ impl Env {
         };
         let key = due.remove(pick);
         for rest in due {
-            self.timer_queue.push_key(rest);
+            self.timers.push_key(rest);
         }
-        let callback = self.timer_queue.take(key);
-        self.fire(key, callback);
+        if let Some(callback) = self.timers.remove(key.seq, key.slot) {
+            self.fire(key, callback);
+        }
         true
     }
 
     /// Process every timer due up to `t`, then set the clock to at least
-    /// `t`. With sharding enabled this runs the conservative time-window
-    /// protocol (see [`Env::run_until_windowed`]); the set and order of
-    /// timers fired is identical either way.
+    /// `t`.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.timer_queue.is_sharded() {
-            self.run_until_windowed(t);
-            return;
-        }
         while self.step_due(t) {}
-        self.clock = self.clock.max(t);
-    }
-
-    /// The conservative time-window protocol: find the earliest pending
-    /// deadline `t₀`, open a window `[t₀, min(t₀ + lookahead, t)]` where
-    /// the lookahead is the minimum cross-subnet link latency from the
-    /// topology (no cross-subnet influence can arrive sooner), migrate
-    /// every due key from the shard heaps into the merged hot heap — in
-    /// parallel on the worker pool when the backlog is large — then drain
-    /// the window in global (deadline, seq) order. The window edge is the
-    /// barrier at which all shards resynchronize.
-    ///
-    /// Because `pop_due` is always the global minimum and every timer keeps
-    /// the sequence number the sequential engine would have assigned,
-    /// the firing order is bit-identical to the sequential engine; the
-    /// window only controls how often shard heaps synchronize.
-    fn run_until_windowed(&mut self, t: SimTime) {
-        let lookahead = self
-            .topo
-            .min_cross_subnet_latency()
-            .unwrap_or(SimDuration::from_millis(1));
-        while let Some(next) = self.timer_queue.peek() {
-            if next.at > t {
-                break;
-            }
-            let horizon = (next.at + lookahead).min(t);
-            // The pool leaves `self` for the call so the queue can borrow
-            // it while `self` is mutably borrowed.
-            let pool = self.pool.take();
-            self.timer_queue.open_window(horizon, pool.as_ref());
-            self.pool = pool;
-            let mut fired = 0u64;
-            while self.step_due(horizon) {
-                fired += 1;
-            }
-            self.timer_queue.close_window();
-            let index = self.windows_seen;
-            self.windows_seen += 1;
-            if let Some(o) = self.observer.as_mut() {
-                o.window(&WindowObservation {
-                    index,
-                    start: next.at,
-                    horizon,
-                    fired,
-                });
-            }
-        }
         self.clock = self.clock.max(t);
     }
 
@@ -1155,8 +1020,7 @@ impl std::fmt::Debug for Env {
             .field("now", &self.clock)
             .field("hosts", &self.topo.host_count())
             .field("services", &self.deployed().count())
-            .field("pending_timers", &self.timer_queue.len())
-            .field("shards", &self.timer_queue.shard_count())
+            .field("pending_timers", &self.timers.len())
             .finish()
     }
 }
@@ -1306,9 +1170,8 @@ mod tests {
         assert_eq!(env.pending_timers(), 0);
         env.cancel(live);
         assert_eq!(env.pending_timers(), 0);
-        assert_eq!(
-            env.timer_queue.peek(),
-            None,
+        assert!(
+            env.timers.pop_key_due(SimTime::FAR_FUTURE).is_none(),
             "no stale key outlives its deadline"
         );
     }
@@ -1664,179 +1527,6 @@ mod tests {
         );
         let spans: Vec<_> = rec.spans().collect();
         assert!(spans[0].has_event("lifecycle"));
-    }
-
-    /// Build a 3-subnet world with cross-scheduling timer chains and log
-    /// every firing as (time, tag); used to pin sharded ≡ sequential.
-    fn run_firing_log(shards: Option<usize>, pool: bool) -> (Vec<(u64, u32)>, Env) {
-        let mut env = Env::with_seed(42);
-        let mut hosts = Vec::new();
-        for i in 0..6u32 {
-            let h = env.add_host(format!("m{i}"), HostKind::SensorMote);
-            env.topo.set_subnet(h, SubnetId(i % 3));
-            hosts.push(h);
-        }
-        // A non-mote pair in different subnets drops the cross-subnet
-        // lookahead to the LAN latency — the tighter window case.
-        let s0 = env.add_host("gw0", HostKind::Server);
-        let s1 = env.add_host("gw1", HostKind::Server);
-        env.topo.set_subnet(s0, SubnetId(0));
-        env.topo.set_subnet(s1, SubnetId(1));
-        if let Some(n) = shards {
-            env.enable_sharding(n);
-            if pool {
-                env.set_worker_pool(ThreadPool::new(2));
-            }
-        }
-        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(vec![]));
-        for (i, &h) in hosts.iter().enumerate() {
-            let log = Rc::clone(&log);
-            let peer = hosts[(i + 1) % hosts.len()];
-            env.schedule_on(
-                h,
-                SimDuration::from_millis(1 + i as u64),
-                move |env: &mut Env| {
-                    log.borrow_mut().push((env.now().as_nanos(), i as u32));
-                    // Cross-subnet reschedule: lands on the peer's shard
-                    // and must still fire in global order.
-                    let log2 = Rc::clone(&log);
-                    env.schedule_on(peer, SimDuration::from_millis(2), move |env: &mut Env| {
-                        log2.borrow_mut()
-                            .push((env.now().as_nanos(), 100 + i as u32));
-                    });
-                },
-            );
-        }
-        // Equal-deadline cluster across subnets exercises FIFO ties.
-        for (i, &h) in hosts.iter().enumerate() {
-            let log = Rc::clone(&log);
-            env.schedule_on(h, SimDuration::from_millis(10), move |env: &mut Env| {
-                log.borrow_mut()
-                    .push((env.now().as_nanos(), 200 + i as u32));
-            });
-        }
-        env.run_for(SimDuration::from_millis(50));
-        let out = log.borrow().clone();
-        (out, env)
-    }
-
-    #[test]
-    fn sharded_run_is_bit_identical_to_sequential() {
-        let (seq_log, _) = run_firing_log(None, false);
-        for shards in [2usize, 3, 8] {
-            let (shard_log, env) = run_firing_log(Some(shards), false);
-            assert_eq!(shard_log, seq_log, "{shards}-shard run diverged");
-            assert!(env.shard_stats().windows > 0, "windows actually opened");
-        }
-        let (pooled_log, _) = run_firing_log(Some(3), true);
-        assert_eq!(pooled_log, seq_log, "pooled migration diverged");
-    }
-
-    #[test]
-    fn window_observer_is_passive_and_accounts_every_firing() {
-        let (base_log, _) = run_firing_log(Some(3), false);
-        let mut env = Env::with_seed(42);
-        let mut hosts = Vec::new();
-        for i in 0..6u32 {
-            let h = env.add_host(format!("m{i}"), HostKind::SensorMote);
-            env.topo.set_subnet(h, SubnetId(i % 3));
-            hosts.push(h);
-        }
-        let s0 = env.add_host("gw0", HostKind::Server);
-        let s1 = env.add_host("gw1", HostKind::Server);
-        env.topo.set_subnet(s0, SubnetId(0));
-        env.topo.set_subnet(s1, SubnetId(1));
-        env.enable_sharding(3);
-        #[derive(Default)]
-        struct Windows(Vec<WindowObservation>);
-        impl Observer for Windows {
-            fn window(&mut self, w: &WindowObservation) {
-                self.0.push(*w);
-            }
-        }
-        env.set_observer(Windows::default());
-        let log: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(vec![]));
-        for (i, &h) in hosts.iter().enumerate() {
-            let log = Rc::clone(&log);
-            let peer = hosts[(i + 1) % hosts.len()];
-            env.schedule_on(
-                h,
-                SimDuration::from_millis(1 + i as u64),
-                move |env: &mut Env| {
-                    log.borrow_mut().push((env.now().as_nanos(), i as u32));
-                    let log2 = Rc::clone(&log);
-                    env.schedule_on(peer, SimDuration::from_millis(2), move |env: &mut Env| {
-                        log2.borrow_mut()
-                            .push((env.now().as_nanos(), 100 + i as u32));
-                    });
-                },
-            );
-        }
-        for (i, &h) in hosts.iter().enumerate() {
-            let log = Rc::clone(&log);
-            env.schedule_on(h, SimDuration::from_millis(10), move |env: &mut Env| {
-                log.borrow_mut()
-                    .push((env.now().as_nanos(), 200 + i as u32));
-            });
-        }
-        env.run_for(SimDuration::from_millis(50));
-        assert_eq!(*log.borrow(), base_log, "observer perturbed the schedule");
-        let obs = env.take_observer::<Windows>().expect("installed").0;
-        assert!(!obs.is_empty());
-        let fired: u64 = obs.iter().map(|w| w.fired).sum();
-        assert_eq!(fired, base_log.len() as u64, "every firing attributed");
-        for (i, w) in obs.iter().enumerate() {
-            assert_eq!(w.index, i as u64, "window ordinals are contiguous");
-            assert!(w.start <= w.horizon);
-        }
-        assert_eq!(obs.len() as u64, env.shard_stats().windows);
-    }
-
-    #[test]
-    fn sharding_mid_run_redistributes_and_preserves_order() {
-        let mut env = Env::with_seed(7);
-        let a = env.add_host("a", HostKind::SensorMote);
-        let b = env.add_host("b", HostKind::SensorMote);
-        env.topo.set_subnet(b, SubnetId(1));
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
-        for (i, &h) in [a, b, a, b].iter().enumerate() {
-            let log = Rc::clone(&log);
-            env.schedule_on(h, SimDuration::from_millis(i as u64 + 1), move |_env| {
-                log.borrow_mut().push(i as u32);
-            });
-        }
-        env.run_for(SimDuration::from_millis(1));
-        env.enable_sharding(2);
-        assert!(env.is_sharded());
-        assert_eq!(env.pending_timers(), 3);
-        env.run_for(SimDuration::from_millis(10));
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
-        env.disable_sharding();
-        assert!(!env.is_sharded());
-    }
-
-    #[test]
-    fn tie_chooser_sees_cross_shard_due_sets() {
-        let mut env = Env::with_seed(2);
-        let mut hosts = Vec::new();
-        for i in 0..3u32 {
-            let h = env.add_host(format!("m{i}"), HostKind::SensorMote);
-            env.topo.set_subnet(h, SubnetId(i));
-            hosts.push(h);
-        }
-        env.enable_sharding(3);
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(vec![]));
-        for (tag, &h) in hosts.iter().enumerate() {
-            let log = Rc::clone(&log);
-            env.schedule_on(h, SimDuration::from_millis(10), move |_env| {
-                log.borrow_mut().push(tag as u32);
-            });
-        }
-        // Reverse-FIFO oracle must see all 3 equal-deadline timers even
-        // though they live on 3 different shards.
-        env.set_tie_chooser(|k| k - 1);
-        env.run_for(SimDuration::from_millis(10));
-        assert_eq!(*log.borrow(), vec![2, 1, 0]);
     }
 
     #[test]

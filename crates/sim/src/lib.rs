@@ -34,7 +34,6 @@
 //! assert!(env.now().as_nanos() > 0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 // Boxed-closure callback signatures (event sinks, 2PC participants,
 // simulated parallel branches) trip this lint; the types are the API.
@@ -47,8 +46,8 @@ pub mod env;
 pub mod hb;
 pub mod metrics;
 pub mod rng;
-pub mod shard;
 pub mod time;
+mod timers;
 pub mod topology;
 pub mod wire;
 
@@ -65,14 +64,12 @@ pub mod prelude {
     pub use crate::chaos::{ChaosConfig, ChaosCounts, ChaosEvent, ChaosSchedule};
     pub use crate::env::{
         Env, EnvConfig, LifecycleEvent, Observer, RepeatHandle, ServiceId, TimerId,
-        WindowObservation,
     };
     pub use crate::hb::{HbTracker, HbViolation, VectorClock};
     pub use crate::metrics::{
         keys as metric_keys, sampler_keys, Metrics, SamplerConfig, Summary, TelemetrySampler,
     };
     pub use crate::rng::SimRng;
-    pub use crate::shard::ShardStats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Host, HostId, HostKind, LinkModel, NetError, SubnetId, Topology};
     pub use crate::wire::{ProtocolStack, WireDecode, WireEncode, WireError};

@@ -42,10 +42,9 @@ pub struct Host {
     pub alive: bool,
     /// Multicast groups this host participates in (e.g. discovery groups).
     pub groups: BTreeSet<String>,
-    /// Federation subnet this host belongs to. Subnets are the sharding
-    /// unit of both the event engine and the hierarchical registry: hosts
-    /// in the same subnet share an event shard and a per-subnet LUS.
-    /// Defaults to 0 (one flat subnet) until assigned.
+    /// Federation subnet this host belongs to: the sharding unit of the
+    /// hierarchical registry, where hosts in the same subnet share a
+    /// per-subnet LUS. Defaults to 0 (one flat subnet) until assigned.
     pub subnet: SubnetId,
 }
 
@@ -190,7 +189,7 @@ impl Topology {
         id
     }
 
-    /// Assign a host to a federation subnet (the sharding unit).
+    /// Assign a host to a federation subnet.
     pub fn set_subnet(&mut self, id: HostId, subnet: SubnetId) {
         if let Some(h) = self.host_mut(id) {
             h.subnet = subnet;
@@ -210,41 +209,6 @@ impl Topology {
             .map(|h| h.subnet)
             .collect::<BTreeSet<_>>()
             .len()
-    }
-
-    /// The minimum one-way base latency of any link that crosses subnet
-    /// boundaries — the conservative lookahead bound of the sharded event
-    /// engine: no cross-subnet influence can arrive sooner than this.
-    ///
-    /// Computed in O(hosts + overrides): the kind-based default for a
-    /// cross-subnet pair is LAN unless an endpoint is a mote, so two
-    /// subnets that both hold a non-mote host can talk at LAN latency;
-    /// otherwise every cross-subnet hop is a mote radio hop. Explicit
-    /// per-pair overrides that cross subnets are folded in on top.
-    /// `None` when fewer than two subnets exist (nothing ever crosses).
-    pub fn min_cross_subnet_latency(&self) -> Option<SimDuration> {
-        let mut populated: BTreeSet<SubnetId> = BTreeSet::new();
-        let mut with_non_mote: BTreeSet<SubnetId> = BTreeSet::new();
-        for h in &self.hosts {
-            populated.insert(h.subnet);
-            if h.kind != HostKind::SensorMote {
-                with_non_mote.insert(h.subnet);
-            }
-        }
-        if populated.len() < 2 {
-            return None;
-        }
-        let mut min = if with_non_mote.len() >= 2 {
-            LinkModel::lan().base_latency
-        } else {
-            LinkModel::mote_radio().base_latency
-        };
-        for (&(a, b), link) in &self.link_overrides {
-            if self.subnet_of(a) != self.subnet_of(b) {
-                min = min.min(link.base_latency);
-            }
-        }
-        Some(min)
     }
 
     pub fn host(&self, id: HostId) -> Option<&Host> {
@@ -569,36 +533,6 @@ mod tests {
         assert_eq!(t.subnet_count(), 3);
         // Unknown hosts fall back to subnet 0 instead of panicking.
         assert_eq!(t.subnet_of(HostId(99)), SubnetId(0));
-    }
-
-    #[test]
-    fn min_cross_subnet_latency_tracks_kinds_and_overrides() {
-        let (mut t, a, b, c) = topo3();
-        // One subnet: nothing crosses.
-        assert_eq!(t.min_cross_subnet_latency(), None);
-        // Server and workstation in different subnets: LAN is reachable.
-        t.set_subnet(b, SubnetId(1));
-        assert_eq!(
-            t.min_cross_subnet_latency(),
-            Some(LinkModel::lan().base_latency)
-        );
-        // Only the mote in a foreign subnet: every crossing is a radio hop.
-        t.set_subnet(b, SubnetId(0));
-        t.set_subnet(c, SubnetId(1));
-        assert_eq!(
-            t.min_cross_subnet_latency(),
-            Some(LinkModel::mote_radio().base_latency)
-        );
-        // A faster explicit override crossing the boundary lowers the bound.
-        let fast = LinkModel {
-            base_latency: SimDuration::from_micros(50),
-            ..LinkModel::lan()
-        };
-        t.set_link(a, c, fast);
-        assert_eq!(
-            t.min_cross_subnet_latency(),
-            Some(SimDuration::from_micros(50))
-        );
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! workspace graph; hosts are therefore carried as raw integers and the
 //! simulator layers its typed ids on top.
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;

@@ -3,23 +3,22 @@
 //! The simulator's virtual clock makes profiling exact instead of
 //! statistical: every closed [`Span`] carries its precise virtual-time
 //! extent, so *self time* (duration minus time covered by children) can
-//! be attributed deterministically — per operation name, per host, per
-//! shard lane, and per conservative sync window. The profiler consumes
+//! be attributed deterministically — per operation name, per host and
+//! per lane (a caller-chosen group of hosts). The profiler consumes
 //! the same retirement stream the streaming Perfetto exporter does
 //! (spans in close order), holding state proportional to the *open*
 //! span set plus the distinct-stack table, never the trace length.
 //!
 //! Outputs:
 //!
-//! * [`ProfileReport`] — self/total time tables by op, host and lane,
-//!   plus window occupancy totals. When the run is wrapped in root
-//!   spans covering the windows, Σ self time equals the window-run
-//!   time exactly (self time partitions the root extents).
+//! * [`ProfileReport`] — self/total time tables by op, host and lane.
+//!   When the run is wrapped in root spans, Σ self time equals the
+//!   run time exactly (self time partitions the root extents).
 //! * [`Profiler::collapsed_stacks`] — `a;b;c <ns>` lines, the standard
 //!   collapsed-stack format flamegraph tooling consumes directly.
 //! * [`Profiler::lane_utilization_series`] — cumulative per-lane busy
-//!   nanoseconds sampled at window horizons, ready to feed the
-//!   exporter as native Perfetto counter tracks.
+//!   nanoseconds at each [`Profiler::sample_lanes`] instant, ready to
+//!   feed the exporter as native Perfetto counter tracks.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -32,17 +31,10 @@ use crate::Span;
 pub mod keys {
     pub const SPANS_FED: &str = "profile.spans.fed";
     pub const SELF_TOTAL_NS: &str = "profile.self_time.total_ns";
-    pub const WINDOWS_OBSERVED: &str = "profile.windows.observed";
     pub const STACKS_DISTINCT: &str = "profile.stacks.distinct";
     pub const LANE_BUSY_NS: &str = "profile.lane_busy.total_ns";
 
-    pub const ALL: &[&str] = &[
-        SPANS_FED,
-        SELF_TOTAL_NS,
-        WINDOWS_OBSERVED,
-        STACKS_DISTINCT,
-        LANE_BUSY_NS,
-    ];
+    pub const ALL: &[&str] = &[SPANS_FED, SELF_TOTAL_NS, STACKS_DISTINCT, LANE_BUSY_NS];
 }
 
 /// Aggregate timing for one operation name.
@@ -55,25 +47,11 @@ pub struct OpStat {
     pub self_ns: u64,
 }
 
-/// One observed conservative sync window of the sharded engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowRecord {
-    pub start_ns: u64,
-    pub horizon_ns: u64,
-    /// Timers executed inside the window.
-    pub fired: u64,
-}
-
 /// The profiler's summary tables, sorted hottest-first.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileReport {
     pub spans: u64,
     pub total_self_ns: u64,
-    pub windows: u64,
-    /// Σ (horizon − start) over observed windows.
-    pub window_span_ns: u64,
-    /// Self time attributed inside some observed window.
-    pub window_busy_ns: u64,
     /// `(op name, stat)`, descending self time.
     pub by_op: Vec<(String, OpStat)>,
     /// `(host, self ns)`, descending.
@@ -87,9 +65,7 @@ pub struct ProfileReport {
 ///
 /// Feed closed spans in retirement order ([`FlightRecorder::drain_closed`]
 /// order); parenting is resolved through span ids, so interleaved
-/// subtrees from different hosts attribute correctly. Window records
-/// ([`Profiler::feed_window`]) must arrive before the spans that closed
-/// inside them — the natural order when draining after each `run_until`.
+/// subtrees from different hosts attribute correctly.
 ///
 /// [`FlightRecorder::drain_closed`]: crate::FlightRecorder::drain_closed
 #[derive(Debug, Default)]
@@ -105,10 +81,8 @@ pub struct Profiler {
     pending_stacks: BTreeMap<u64, BTreeMap<String, u64>>,
     /// Finished `root;..;leaf → self ns` stacks.
     collapsed: BTreeMap<String, u64>,
-    windows: Vec<WindowRecord>,
-    /// Busy self-ns per (lane, window index).
-    lane_window_busy: BTreeMap<(u32, usize), u64>,
-    window_busy_ns: u64,
+    /// `(instant, by_lane)` at each [`Profiler::sample_lanes`] call.
+    lane_samples: Vec<(u64, BTreeMap<u32, u64>)>,
     total_self_ns: u64,
     spans: u64,
 }
@@ -118,16 +92,17 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Map a host onto a shard lane (subnet index) for per-lane
+    /// Map a host onto a lane (e.g. its subnet index) for per-lane
     /// attribution and utilization tracks. Unmapped hosts still count
     /// toward op/host tables.
     pub fn set_lane(&mut self, host: u64, lane: u32) {
         self.lane_of_host.insert(host, lane);
     }
 
-    /// Record one conservative sync window (non-decreasing starts).
-    pub fn feed_window(&mut self, w: WindowRecord) {
-        self.windows.push(w);
+    /// Sample every lane's cumulative busy time at `at_ns`; call it after
+    /// feeding the spans that closed by then, at non-decreasing instants.
+    pub fn sample_lanes(&mut self, at_ns: u64) {
+        self.lane_samples.push((at_ns, self.by_lane.clone()));
     }
 
     /// Attribute one closed span. Call in retirement order.
@@ -142,23 +117,11 @@ impl Profiler {
         stat.total_ns += dur;
         stat.self_ns += self_ns;
         *self.by_host.entry(s.host).or_insert(0) += self_ns;
-        let lane = self.lane_of_host.get(&s.host).copied();
-        if let Some(lane) = lane {
+        if let Some(&lane) = self.lane_of_host.get(&s.host) {
             *self.by_lane.entry(lane).or_insert(0) += self_ns;
         }
         if let Some(p) = s.parent {
             *self.child_ns.entry(p.0).or_insert(0) += dur;
-        }
-        // Window occupancy: attribute self time to the window the span
-        // closed in (spans never straddle a window horizon — the engine
-        // only runs callbacks inside windows).
-        if self_ns > 0 {
-            if let Some(wi) = self.window_of(s.end_ns) {
-                self.window_busy_ns += self_ns;
-                if let Some(lane) = lane {
-                    *self.lane_window_busy.entry((lane, wi)).or_insert(0) += self_ns;
-                }
-            }
         }
         // Collapsed stacks: children left their suffixes under this id;
         // prefix them with our frame and pass upward (or finish at root).
@@ -177,16 +140,6 @@ impl Profiler {
         if self_ns > 0 {
             *sink.entry(s.name.to_string()).or_insert(0) += self_ns;
         }
-    }
-
-    /// Index of the latest window starting at or before `ts` that still
-    /// covers it.
-    fn window_of(&self, ts: u64) -> Option<usize> {
-        let p = self.windows.partition_point(|w| w.start_ns <= ts);
-        if p == 0 {
-            return None;
-        }
-        (ts <= self.windows[p - 1].horizon_ns).then_some(p - 1)
     }
 
     /// Spans fed so far.
@@ -214,13 +167,6 @@ impl Profiler {
         ProfileReport {
             spans: self.spans,
             total_self_ns: self.total_self_ns,
-            windows: self.windows.len() as u64,
-            window_span_ns: self
-                .windows
-                .iter()
-                .map(|w| w.horizon_ns.saturating_sub(w.start_ns))
-                .sum(),
-            window_busy_ns: self.window_busy_ns,
             by_op,
             by_host,
             by_lane,
@@ -253,10 +199,10 @@ impl Profiler {
         self.collapsed.len()
     }
 
-    /// Cumulative per-lane busy time sampled at each window horizon —
-    /// one `count`-unit series per mapped lane, ready for
+    /// Cumulative per-lane busy time at each [`Profiler::sample_lanes`]
+    /// instant — one `count`-unit series per mapped lane, ready for
     /// [`StreamingExporter::feed_counter_series`]. Deterministic: lanes
-    /// ascending, one point per observed window.
+    /// ascending, one point per sample.
     ///
     /// [`StreamingExporter::feed_counter_series`]: crate::perfetto::StreamingExporter::feed_counter_series
     pub fn lane_utilization_series(&self) -> Vec<CounterSeries> {
@@ -266,15 +212,10 @@ impl Profiler {
         lanes
             .into_iter()
             .map(|lane| {
-                let mut cum = 0u64;
                 let points = self
-                    .windows
+                    .lane_samples
                     .iter()
-                    .enumerate()
-                    .map(|(wi, w)| {
-                        cum += self.lane_window_busy.get(&(lane, wi)).copied().unwrap_or(0);
-                        (w.horizon_ns, cum as f64)
-                    })
+                    .map(|(at, busy)| (*at, busy.get(&lane).copied().unwrap_or(0) as f64))
                     .collect();
                 CounterSeries {
                     name: format!("profile.lane{lane}.busy_ns"),
@@ -353,30 +294,21 @@ mod tests {
     }
 
     #[test]
-    fn window_and_lane_attribution() {
+    fn lane_attribution_and_busy_series() {
         let mut p = Profiler::new();
         p.set_lane(1, 0);
         p.set_lane(2, 1);
-        p.feed_window(WindowRecord {
-            start_ns: 0,
-            horizon_ns: 1_000,
-            fired: 2,
-        });
-        p.feed_window(WindowRecord {
-            start_ns: 1_000,
-            horizon_ns: 2_000,
-            fired: 1,
-        });
         let mut r = FlightRecorder::new(64);
         let a = r.span_start("mote.sample", "a", 1, 100);
-        r.span_end(a, 400, Outcome::Ok); // window 0, lane 0
-        let b = r.span_start("mote.sample", "b", 2, 500);
-        r.span_end(b, 1_500, Outcome::Ok); // window 1, lane 1
+        r.span_end(a, 400, Outcome::Ok); // lane 0
         feed_all(&mut p, &r);
+        p.sample_lanes(1_000);
+        let mut r = FlightRecorder::new(64);
+        let b = r.span_start("mote.sample", "b", 2, 500);
+        r.span_end(b, 1_500, Outcome::Ok); // lane 1
+        feed_all(&mut p, &r);
+        p.sample_lanes(2_000);
         let rep = p.report();
-        assert_eq!(rep.windows, 2);
-        assert_eq!(rep.window_span_ns, 2_000);
-        assert_eq!(rep.window_busy_ns, 300 + 1_000);
         assert_eq!(rep.by_lane, vec![(1, 1_000), (0, 300)]);
         let series = p.lane_utilization_series();
         assert_eq!(series.len(), 2);

@@ -23,7 +23,6 @@
 //!   that the mutation test uses to prove the explorer detects a real
 //!   ordering bug.
 
-#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod explore;

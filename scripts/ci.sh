@@ -48,16 +48,11 @@
 #                           leg on a reduced world (10⁴ motes — the full
 #                           10⁵ federation is `harness perfetto-scale`
 #                           with no SENSORCER_PERFETTO_MOTES override):
-#                           the sharded world is streamed to disk
+#                           the 16-subnet mote world is streamed to disk
 #                           incrementally, self-validated by the in-repo
 #                           decoder, held under the documented encoder
 #                           memory ceiling, and checked bit-identical
 #                           across two runs on the same seed
-#   scripts/ci.sh --tsan    tier-1, then ThreadSanitizer over the
-#                           sensorcer-runtime pool tests when a nightly
-#                           toolchain with rust-src is installed
-#                           (-Zsanitizer=thread needs -Zbuild-std);
-#                           degrades to a skipped-with-notice otherwise
 #   scripts/ci.sh --yardstick  tier-1, then the federated-read yardstick
 #                           (`benchmark/`, a package of its own that the
 #                           workspace build never sees): build it, run
@@ -108,7 +103,6 @@ obs=0
 storm=0
 perfetto=0
 perfetto_scale=0
-tsan=0
 yardstick=0
 # 0x5E2509, the harness default seed: a leg that names its output path
 # must spell the seed out, because the seed positional comes first.
@@ -122,9 +116,8 @@ for arg in "$@"; do
         --storm) storm=1 ;;
         --perfetto) perfetto=1 ;;
         --perfetto-scale) perfetto_scale=1 ;;
-        --tsan) tsan=1 ;;
         --yardstick) yardstick=1 ;;
-        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--storm] [--perfetto] [--perfetto-scale] [--tsan] [--yardstick]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--storm] [--perfetto] [--perfetto-scale] [--yardstick]" >&2; exit 2 ;;
     esac
 done
 
@@ -196,7 +189,7 @@ fi
 if [ "$perfetto_scale" -eq 1 ]; then
     echo "== streaming perfetto export (reduced world, 10^4 motes) =="
     # The run self-validates: decoder verdict, encoder-memory ceiling and the
-    # profiler's self-time/window-time identity are all folded into the
+    # profiler's self-time/run-time identity are all folded into the
     # summary's "passed" field.
     SENSORCER_PERFETTO_MOTES=10000 \
         cargo run --release -p sensorcer-bench --bin harness -- \
@@ -216,20 +209,6 @@ if [ "$perfetto_scale" -eq 1 ]; then
     }
     rm -f PERFETTO_scale_ci.perfetto-trace PERFETTO_scale_ci.perfetto-trace.summary.json \
         PERFETTO_scale_ci2.perfetto-trace PERFETTO_scale_ci2.perfetto-trace.summary.json
-fi
-
-if [ "$tsan" -eq 1 ]; then
-    if cargo +nightly --version >/dev/null 2>&1 \
-        && rustup component list --installed --toolchain nightly 2>/dev/null | grep -q '^rust-src'; then
-        echo "== thread sanitizer: sensorcer-runtime pool tests =="
-        host="$(rustc -vV | sed -n 's/^host: //p')"
-        RUSTFLAGS="-Zsanitizer=thread" \
-            cargo +nightly test -Zbuild-std -q \
-            -p sensorcer-runtime --target "$host"
-    else
-        echo "== tsan skipped: nightly toolchain with rust-src not installed =="
-        echo "   (rustup toolchain install nightly && rustup component add rust-src --toolchain nightly)"
-    fi
 fi
 
 # One end-to-end metric of the last `benchmark/run.sh` pass of a workload.

@@ -11,7 +11,6 @@
 //! * [`registry`] — discovery, lookup, leases, events, transactions (Jini),
 //! * [`provision`] — cybernodes, opstrings, QoS, failover (Rio),
 //! * [`exertion`] — contexts, tasks/jobs, FMI, jobber/spacer (SORCER),
-//! * [`runtime`] — the real-thread work-stealing pool,
 //! * [`core`] — ESP, CSP, façade, browser: the paper's contribution,
 //! * [`baselines`] — the related-work comparators.
 //!
@@ -36,6 +35,5 @@ pub use sensorcer_exertion as exertion;
 pub use sensorcer_expr as expr;
 pub use sensorcer_provision as provision;
 pub use sensorcer_registry as registry;
-pub use sensorcer_runtime as runtime;
 pub use sensorcer_sensors as sensors;
 pub use sensorcer_sim as sim;

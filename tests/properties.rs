@@ -3,12 +3,16 @@
 //! wire codec and the simulated/local execution modes. Driven by the
 //! deterministic harness in `sensorcer_sim::check`.
 
-use sensorcer_suite::sim::check::run_cases;
+use std::sync::Arc;
 
-use sensorcer_suite::core::local::{LocalFederation, LocalNode};
+use sensorcer_suite::sim::check::{run_cases, Gen};
+
+use sensorcer_suite::core::local::{LocalFederation, LocalNode, LocalReadError};
 use sensorcer_suite::expr::{Program, Value};
-use sensorcer_suite::sensors::probe::ScriptedProbe;
-use sensorcer_suite::sensors::units::Unit;
+use sensorcer_suite::sensors::prelude::{
+    Battery, ScriptedProbe, Signal, SimulatedProbe, Teds, Unit,
+};
+use sensorcer_suite::sim::rng::SimRng;
 use sensorcer_suite::sim::wire::{WireDecode, WireEncode};
 
 /// The paper's average expression equals arithmetic for any readings.
@@ -53,31 +57,98 @@ fn division_total() {
     });
 }
 
-/// A composite with the default (average) aggregation over constant
-/// leaves reads the true mean — sequentially and in parallel.
+/// A generated local tree: composites average their children; a leaf
+/// reads a constant, or fails with a dead battery when `fails`.
+enum Shape {
+    Leaf { value: f64, fails: bool },
+    Node(Vec<Shape>),
+}
+
+/// A composite `depth` (1–3) levels deep with fan-out 1–8, each leaf
+/// failing with probability `fail_p`.
+fn shape(g: &mut Gen, depth: usize, fail_p: f64) -> Shape {
+    Shape::Node(g.vec_of(1, 8, |g| {
+        if depth > 1 && g.bool() {
+            shape(g, depth - 1, fail_p)
+        } else {
+            Shape::Leaf {
+                value: g.f64_in(-50.0, 100.0),
+                fails: g.chance(fail_p),
+            }
+        }
+    }))
+}
+
+fn build(s: &Shape, name: String) -> Arc<LocalNode> {
+    match s {
+        Shape::Leaf {
+            value,
+            fails: false,
+        } => LocalNode::sensor(
+            name,
+            Box::new(ScriptedProbe::new(vec![*value], Unit::Celsius)),
+        ),
+        Shape::Leaf { fails: true, .. } => {
+            let dead = SimulatedProbe::new(
+                Teds::sunspot_temperature("dead"),
+                Signal::Constant(0.0),
+                SimRng::new(1),
+            )
+            .with_battery(Battery::new(1.0, 100.0, 0.0));
+            LocalNode::sensor(name, Box::new(dead))
+        }
+        Shape::Node(children) => {
+            let children = children
+                .iter()
+                .enumerate()
+                .map(|(i, c)| build(c, format!("{name}.{i}")))
+                .collect();
+            LocalNode::composite(name, children, None).unwrap()
+        }
+    }
+}
+
+/// The expected read: the nested average, or the name of the first
+/// failing leaf in depth-first order.
+fn reference(s: &Shape, name: String) -> Result<f64, String> {
+    match s {
+        Shape::Leaf { value, fails } => {
+            if *fails {
+                Err(name)
+            } else {
+                Ok(*value)
+            }
+        }
+        Shape::Node(children) => {
+            let mut sum = 0.0;
+            for (i, c) in children.iter().enumerate() {
+                sum += reference(c, format!("{name}.{i}"))?;
+            }
+            Ok(sum / children.len() as f64)
+        }
+    }
+}
+
+/// A generated composite tree reads the nested mean, or fails naming its
+/// first failing leaf in depth-first order — sequentially, and in
+/// parallel on any thread count with exactly the sequential result.
 #[test]
 fn local_composite_average() {
     run_cases("local_composite_average", 48, |g| {
-        let values = g.vec_of(1, 24, |g| g.f64_in(-50.0, 100.0));
-        let children: Vec<_> = values
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                LocalNode::sensor(
-                    format!("s{i}"),
-                    Box::new(ScriptedProbe::new(vec![v], Unit::Celsius)),
-                )
-            })
-            .collect();
-        let want = values.iter().sum::<f64>() / values.len() as f64;
-        let tree = LocalNode::composite("avg", children, None).unwrap();
-        let fed = LocalFederation::new(tree);
-        let seq = fed.read_sequential().unwrap();
-        assert!((seq - want).abs() < 1e-9, "{} vs {}", seq, want);
-
-        let pool = sensorcer_suite::runtime::ThreadPool::new(4);
-        let par = fed.read_parallel(&pool).unwrap();
-        assert!((par - want).abs() < 1e-9, "{} vs {}", par, want);
+        let fail_p = *g.pick(&[0.0, 0.03, 0.3]);
+        let depth = g.usize_in(1, 4);
+        let tree = shape(g, depth, fail_p);
+        let want = reference(&tree, "root".into());
+        let seq = LocalFederation::new(build(&tree, "root".into())).read_sequential();
+        match (&seq, &want) {
+            (Ok(v), Ok(w)) => assert!((v - w).abs() < 1e-9, "{v} vs {w}"),
+            (Err(LocalReadError::Probe { sensor, .. }), Err(w)) => assert_eq!(sensor, w),
+            _ => panic!("sequential {seq:?}, reference {want:?}"),
+        }
+        for threads in [1, 2, 3, 8] {
+            let par = LocalFederation::new(build(&tree, "root".into())).read_parallel(threads);
+            assert_eq!(par, seq, "{threads} threads");
+        }
     });
 }
 

@@ -5,9 +5,9 @@
 //! observe — which timer fires when, in what order, and which sequence
 //! number everything takes — must be what it was when `schedule_every`
 //! was a chain of one-shot `schedule` calls. [`reference_every`] is that
-//! chain; generated programmes run against both, on the sequential
-//! engine, under `enable_sharding(4)` and under a pick-0 tie chooser, and
-//! the `(now, tag, seq)` firing logs must agree.
+//! chain; generated programmes run against both, on the plain engine and
+//! under a pick-0 tie chooser, and the `(now, tag, seq)` firing logs must
+//! agree.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -19,9 +19,8 @@ use sensorcer_suite::sim::prelude::*;
 /// scheduled callback.
 #[derive(Clone, Debug)]
 enum Instr {
-    /// `schedule`, or `schedule_on` host `host`.
+    /// `schedule`.
     Once {
-        host: Option<usize>,
         after: SimDuration,
         body: Vec<Instr>,
     },
@@ -38,8 +37,7 @@ enum Instr {
     CancelOnce(usize),
     Consume(SimDuration),
     /// `run_for`, mostly from inside a callback: other timers fire, and
-    /// move the clock, the sequence counter and the subnet affinity,
-    /// before the caller returns.
+    /// move the clock and the sequence counter before the caller returns.
     RunNested(SimDuration),
 }
 
@@ -54,7 +52,6 @@ fn programme(g: &mut Gen, depth: u32) -> Vec<Instr> {
         let leaf = depth >= 2;
         match g.u64_in(if leaf { 6 } else { 0 }, 13) {
             0..=2 => Instr::Once {
-                host: g.bool().then(|| g.usize_in(0, HOSTS)),
                 after: delay(g),
                 body: programme(g, depth + 1),
             },
@@ -118,11 +115,8 @@ fn reference_every(
     alive
 }
 
-const HOSTS: usize = 4;
-
 struct World {
     repetition: Repetition,
-    hosts: Vec<HostId>,
     /// `(now, tag, seq)` per firing: tags number the timers in the order
     /// they were scheduled, seq is the next sequence number at the firing.
     log: Vec<(u64, u32, u64)>,
@@ -149,20 +143,13 @@ fn fired(env: &mut Env, w: &Shared, tag: u32) {
 fn exec(env: &mut Env, w: &Shared, instrs: &[Instr]) {
     for instr in instrs {
         match instr {
-            Instr::Once { host, after, body } => {
+            Instr::Once { after, body } => {
                 let tag = take_tag(w);
                 let (w2, body) = (Rc::clone(w), body.clone());
-                let callback = move |env: &mut Env| {
+                let id = env.schedule(*after, move |env: &mut Env| {
                     fired(env, &w2, tag);
                     exec(env, &w2, &body);
-                };
-                let id = match host {
-                    Some(h) => {
-                        let host = w.borrow().hosts[*h];
-                        env.schedule_on(host, *after, callback)
-                    }
-                    None => env.schedule(*after, callback),
-                };
+                });
                 w.borrow_mut().onces.push(id);
             }
             Instr::Every {
@@ -231,17 +218,9 @@ struct Outcome {
 
 fn run(instrs: &[Instr], repetition: Repetition, configure: impl FnOnce(&mut Env)) -> Outcome {
     let mut env = Env::with_seed(11);
-    let hosts: Vec<HostId> = (0..HOSTS)
-        .map(|i| {
-            let h = env.add_host(format!("h{i}"), HostKind::Server);
-            env.topo.set_subnet(h, SubnetId(i as u32));
-            h
-        })
-        .collect();
     configure(&mut env);
     let w: Shared = Rc::new(RefCell::new(World {
         repetition,
-        hosts,
         log: Vec::new(),
         next_tag: 0,
         onces: Vec::new(),
@@ -271,12 +250,7 @@ fn repeating_timers_match_the_one_shot_chain_on_every_engine() {
         let expected = run(&instrs, Repetition::Reference, |_| {});
         firings += expected.log.len();
         let engine = |configure: fn(&mut Env)| run(&instrs, Repetition::Engine, configure);
-        assert_eq!(engine(|_| {}), expected, "sequential\n{instrs:#?}");
-        assert_eq!(
-            engine(|env| env.enable_sharding(4)),
-            expected,
-            "sharded\n{instrs:#?}"
-        );
+        assert_eq!(engine(|_| {}), expected, "plain\n{instrs:#?}");
         assert_eq!(
             engine(|env| env.set_tie_chooser(|_| 0)),
             expected,
