@@ -444,7 +444,10 @@ impl BreakerRegistry {
         let allowed = match b.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
-                if now - b.opened_at >= config.open_for {
+                // A sibling branch of a parallel fan-out can stand at an
+                // instant before another branch opened this breaker: it had
+                // not opened yet there, so the call may go.
+                if now < b.opened_at || now - b.opened_at >= config.open_for {
                     b.state = BreakerState::HalfOpen;
                     b.probes_left = config.half_open_probes;
                     env.metrics.add(keys::BREAKER_HALF_OPEN, 1);

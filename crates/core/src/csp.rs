@@ -13,6 +13,7 @@
 //! possible" — and reading the root of a composite tree federates reads
 //! across the whole logical network, in parallel.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
@@ -177,10 +178,13 @@ pub fn settle(
     if verdict.is_ok() {
         for (idx, outcome) in outcomes.iter().enumerate() {
             let Err(e) = outcome else { continue };
+            // `since` saturates: a composite shared by two parents is read
+            // in sibling branches of one fan-out, and the later-run branch
+            // may stand at an instant before the reading it kept.
             match &last_good[idx] {
-                Some(lg) if max_age.is_none_or(|max| now - lg.at <= max) => {
+                Some(lg) if max_age.is_none_or(|max| now.since(lg.at) <= max) => {
                     unit = unit.or((!lg.unit.is_empty()).then_some(&lg.unit));
-                    let (value, age) = (lg.value, now - lg.at);
+                    let (value, age) = (lg.value, now.since(lg.at));
                     fates.push((idx, Fate::Substituted { value, age }));
                 }
                 _ if max_age.is_none() => fates.push((idx, Fate::Missing)),
@@ -249,7 +253,7 @@ struct ChildRequest {
 /// Make the composite's in-flight request the one `to` gets, exactly as a
 /// freshly built task would read: whatever the last hop left behind (a
 /// reply, a failure, another child's pin) is gone, and the buffers stay.
-fn arm(request: &mut Exertion, to: &ChildRequest, visited: &Value) {
+fn arm(request: &mut Exertion, to: &ChildRequest, visited: &Arc<[Value]>) {
     let Exertion::Task(task) = request else {
         unreachable!("providers exert a lent task in place; none replaces it")
     };
@@ -258,7 +262,38 @@ fn arm(request: &mut Exertion, to: &ChildRequest, visited: &Value) {
     task.status = ExertionStatus::Initial;
     task.trace.clear();
     task.context.clear();
-    task.context.put(VISITED_PATH, visited.clone());
+    task.context
+        .put(VISITED_PATH, Value::List(Arc::clone(visited)));
+}
+
+/// The buffers one composite read works in.
+#[derive(Default)]
+struct ReadScratch {
+    /// Every child's outcome, in child order.
+    outcomes: Vec<ChildOutcome>,
+    /// The expression's slot frame.
+    frame: SlotFrame,
+}
+
+thread_local! {
+    /// This thread's idle [`ReadScratch`]es. A composite read pops one and
+    /// pushes it back when done, so a child composite served inside its
+    /// parent's fan-out pops another: nested reads never share buffers,
+    /// and the thread holds as many as its deepest nesting, however many
+    /// composites it serves, reusing them read after read.
+    static SCRATCH: RefCell<Vec<ReadScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+impl ReadScratch {
+    fn take() -> ReadScratch {
+        SCRATCH.with_borrow_mut(Vec::pop).unwrap_or_default()
+    }
+
+    /// Drop this read's outcomes and hand the buffers to the next read.
+    fn put_back(mut self) {
+        self.outcomes.clear();
+        SCRATCH.with_borrow_mut(|stack| stack.push(self));
+    }
 }
 
 /// One read's fan-out: what every child hop shares, and the one request
@@ -274,7 +309,7 @@ struct FanOut<'r> {
     bindings: &'r mut [Option<ServiceId>],
     request: &'r mut Exertion,
     /// The breadcrumb every child request carries.
-    visited: &'r Value,
+    visited: &'r Arc<[Value]>,
 }
 
 impl FanOut<'_> {
@@ -462,6 +497,10 @@ pub struct CompositeSensorProvider {
     name: String,
     /// `name` as this provider's entry in the visited breadcrumb.
     breadcrumb: Value,
+    /// The breadcrumb the last read's child requests carried: its incoming
+    /// list plus `breadcrumb`. Rebuilt only when a read arrives with a
+    /// different list, as it does through another parent.
+    visited: Arc<[Value]>,
     exerted_by: Arc<str>,
     uuid: String,
     host: HostId,
@@ -479,8 +518,6 @@ pub struct CompositeSensorProvider {
     /// not once per hop.
     in_flight: Exertion,
     expression: Option<Program>,
-    /// Reusable slot frame for expression evaluation (no per-read scope).
-    frame: SlotFrame,
     /// Output calibration applied to the computed composite value.
     pub calibration: Calibration,
     /// Binding-cache switch (on by default). Exists for the A1 ablation
@@ -513,6 +550,7 @@ impl CompositeSensorProvider {
         CompositeSensorProvider {
             exerted_by: exerted_by(&name),
             breadcrumb: name.as_str().into(),
+            visited: Arc::new([]),
             name,
             uuid: String::new(),
             host,
@@ -526,7 +564,6 @@ impl CompositeSensorProvider {
             )
             .into(),
             expression: None,
-            frame: SlotFrame::new(),
             calibration: Calibration::Identity,
             binding_cache_enabled: true,
             degradation: DegradationPolicy::Strict,
@@ -644,7 +681,9 @@ impl CompositeSensorProvider {
     fn handle_get_value(&mut self, env: &mut Env, task: &mut Task) {
         let span = env.span_start("csp.read", &self.name, self.host);
         env.span_field(span, "children", self.children.len());
-        let read = self.get_value_inner(env, task);
+        let mut scratch = ReadScratch::take();
+        let read = self.get_value_inner(env, task, &mut scratch);
+        scratch.put_back();
         if span.is_valid() {
             let outcome = match &read {
                 Err(e) => {
@@ -672,11 +711,13 @@ impl CompositeSensorProvider {
     /// Fan the read out to every child, [`settle`] it, and apply what was
     /// settled: `last_good`, the degradation events and metrics, the
     /// expression and the result context. Returns the substituted and
-    /// missing children, or why the read failed.
+    /// missing children, or why the read failed. The outcomes and the
+    /// expression's slots live in `scratch`, so a read allocates no list.
     fn get_value_inner(
         &mut self,
         env: &mut Env,
         task: &mut Task,
+        scratch: &mut ReadScratch,
     ) -> Result<[Vec<&str>; 2], String> {
         self.reads_total += 1;
         let name = &self.name;
@@ -694,15 +735,19 @@ impl CompositeSensorProvider {
         if above.iter().any(is_me) {
             return Err(format!("composition cycle detected at '{name}'"));
         }
-        // One breadcrumb list for the whole fan-out, built once per read:
-        // every child request shares it.
-        let visited = Value::List(above.iter().chain([&self.breadcrumb]).cloned().collect());
+        // One breadcrumb list for the whole fan-out, shared by every child
+        // request and kept across reads that arrive with the same list.
+        if self.visited.split_last().map(|(_, crumbs)| crumbs) != Some(above) {
+            self.visited = above.iter().chain([&self.breadcrumb]).cloned().collect();
+        }
 
         // Fan the child reads out in parallel — this is a small federation
         // exerted for this request. Every hop re-arms and lends the one
-        // in-flight request; nothing per-child is formatted or allocated
-        // here. Bindings are cached (the Jini proxy model): only an unknown
-        // or failed child costs a LUS lookup.
+        // in-flight request and pushes its outcome into the scratch list;
+        // on a clean read nothing is formatted or allocated here. Bindings
+        // are cached (the Jini proxy model): only an unknown or failed
+        // child costs a LUS lookup.
+        let ReadScratch { outcomes, frame } = scratch;
         let children = &self.children;
         let mut fan = FanOut {
             accessor: &self.accessor,
@@ -714,37 +759,32 @@ impl CompositeSensorProvider {
             requests: &self.requests,
             bindings: &mut self.bindings,
             request: &mut self.in_flight,
-            visited: &visited,
+            visited: &self.visited,
         };
-        let collected = env.parallel_over(0..children.len(), |env: &mut Env, idx: usize| {
-            fan.read_child(env, idx)
+        env.parallel_over(0..children.len(), |env: &mut Env, idx: usize| {
+            outcomes.push(fan.read_child(env, idx));
         });
         // The hub pays CPU per child for demarshalling and bookkeeping —
         // child reads overlap on the network, but aggregation work on this
         // provider is serial. This is what makes very wide flat composites
         // lose to hierarchies (B2).
-        env.consume(sensorcer_sim::time::SimDuration::from_micros(120) * collected.len() as u64);
+        env.consume(sensorcer_sim::time::SimDuration::from_micros(120) * outcomes.len() as u64);
 
         // Ages are measured to this instant; it stamps this read's clean readings.
         let at = env.now();
-        let settled = settle(
+        let mut settled = settle(
             self.degradation,
             self.expression.is_some(),
             children,
-            &collected,
+            outcomes,
             &self.last_good,
             at,
         );
-        // Already in the shape the expression binds; the default average
-        // reads the same list back through `as_f64`.
-        let mut readings: Vec<(&str, Value)> = Vec::with_capacity(collected.len());
-        for (idx, v) in settled.readings(&collected) {
-            readings.push((children[idx].var.as_str(), Value::Float(v)));
-        }
-        for (idx, outcome) in collected.into_iter().enumerate() {
+        for (idx, outcome) in outcomes.iter().enumerate() {
             if let Ok((value, unit, true)) = outcome {
                 // Fresh clean reading — remember it for future degraded
                 // reads of this child, whatever the verdict.
+                let (value, unit) = (*value, unit.clone());
                 self.last_good[idx] = Some(LastGood { value, unit, at });
             }
         }
@@ -766,7 +806,9 @@ impl CompositeSensorProvider {
             }
             env.metrics.add_labeled(key, child, 1);
         }
-        let all_good = settled.verdict?;
+        // Moved out, not cloned: the fates left in `settled` still give the
+        // readings below.
+        let all_good = std::mem::replace(&mut settled.verdict, Ok(false))?;
         let substituted = fate_names(children, &settled.fates, false);
         let missing = fate_names(children, &settled.fates, true);
         if !settled.fates.is_empty() {
@@ -780,8 +822,11 @@ impl CompositeSensorProvider {
             // fails *here* failed on the hub, after every child answered.
             Some(program) => {
                 let span = env.span_start("csp.eval", program.source(), self.host);
-                env.span_field(span, "inputs", readings.len());
-                let value = match program.bind_in(&readings, &mut self.frame) {
+                env.span_field(span, "inputs", settled.readings(outcomes).count());
+                let readings = settled
+                    .readings(outcomes)
+                    .map(|(idx, v)| (children[idx].var.as_str(), Value::Float(v)));
+                let value = match program.bind_iter_in(readings, frame) {
                     Ok(v) => v
                         .as_f64()
                         .ok_or_else(|| format!("expression produced non-numeric value: {v}")),
@@ -798,7 +843,8 @@ impl CompositeSensorProvider {
             }
             // Default aggregation when no expression is installed.
             None => {
-                readings.iter().filter_map(|(_, v)| v.as_f64()).sum::<f64>() / readings.len() as f64
+                let sum: f64 = settled.readings(outcomes).map(|(_, v)| v).sum();
+                sum / settled.readings(outcomes).count() as f64
             }
         };
         let value = self.calibration.apply(computed);
@@ -1208,6 +1254,115 @@ mod tests {
         // Either guard may fire: the visited breadcrumb ("cycle") or the
         // call-layer re-entrancy detector ("busy").
         assert!(err.contains("cycle") || err.contains("busy"), "{err}");
+    }
+
+    /// Every `composite/visited` list a [`Recorder`] was asked with.
+    type Crumbs = std::rc::Rc<std::cell::RefCell<Vec<Vec<String>>>>;
+
+    /// A sensor that answers 1.0 and records the breadcrumb it was read with.
+    struct Recorder {
+        name: String,
+        seen: Crumbs,
+    }
+
+    impl Servicer for Recorder {
+        fn provider_name(&self) -> &str {
+            &self.name
+        }
+
+        fn service(&mut self, _env: &mut Env, exertion: &mut Exertion, _txn: Option<TxnId>) {
+            let Exertion::Task(task) = exertion else {
+                return;
+            };
+            let crumbs = match task.context.get(VISITED_PATH) {
+                Some(Value::List(xs)) => xs.iter().map(|v| v.to_string()).collect(),
+                _ => Vec::new(),
+            };
+            self.seen.borrow_mut().push(crumbs);
+            task.context.put(paths::SENSOR_VALUE, 1.0);
+            task.status = ExertionStatus::Done;
+        }
+    }
+
+    fn add_recorder(w: &mut World, name: &str) -> Crumbs {
+        let seen = Crumbs::default();
+        let recorder = Recorder {
+            name: name.into(),
+            seen: seen.clone(),
+        };
+        let service = w.env.deploy(w.server, name, ServicerBox::new(recorder));
+        let item = ServiceItem::new(
+            SvcUuid::NIL,
+            w.server,
+            service,
+            vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
+            vec![Entry::Name(name.into())],
+        );
+        w.lus.register(&mut w.env, w.server, item, None).unwrap();
+        seen
+    }
+
+    /// X under P: X read directly, through P, then directly again.
+    fn x_under_p() -> (World, Crumbs) {
+        let mut w = setup();
+        let seen = add_recorder(&mut w, "R");
+        let mut x = CspConfig::new(w.server, "X", w.lus);
+        x.children = vec!["R".into()];
+        deploy_csp(&mut w.env, x).unwrap();
+        let mut p = CspConfig::new(w.server, "P", w.lus);
+        p.children = vec!["X".into()];
+        deploy_csp(&mut w.env, p).unwrap();
+        for via in ["X", "P", "X"] {
+            client::get_value(&mut w.env, w.client, &w.accessor, via).unwrap();
+        }
+        (w, seen)
+    }
+
+    #[test]
+    fn cached_breadcrumb_follows_the_path_a_read_arrives_by() {
+        let (mut w, seen) = x_under_p();
+        let path = |p: &[&str]| p.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let expected = vec![path(&["X"]), path(&["P", "X"]), path(&["X"])];
+        assert_eq!(*seen.borrow(), expected);
+        // The same path twice in a row reuses the list and still carries it.
+        client::get_value(&mut w.env, w.client, &w.accessor, "X").unwrap();
+        assert_eq!(seen.borrow().last(), Some(&path(&["X"])));
+    }
+
+    #[test]
+    fn cycle_added_after_the_breadcrumb_is_cached_is_still_refused() {
+        let (mut w, _) = x_under_p();
+        // X now contains P, which contains X.
+        let ctx = Context::new().with("arg/service", "P");
+        client::manage(
+            &mut w.env,
+            w.client,
+            &w.accessor,
+            "X",
+            mgmt::ADD_SERVICE,
+            ctx,
+        )
+        .unwrap();
+        for via in ["X", "P"] {
+            let err = client::get_value(&mut w.env, w.client, &w.accessor, via).unwrap_err();
+            assert!(err.contains("cycle") || err.contains("busy"), "{err}");
+        }
+        // A request whose breadcrumb already names X is refused by X's own
+        // guard, warm cache or not.
+        let mut x = CompositeSensorProvider::new("X", w.server, w.accessor.clone());
+        x.add_service("R").unwrap();
+        let read = |crumbs: Vec<Value>| -> Exertion {
+            let sig = Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE);
+            let ctx = Context::new().with(VISITED_PATH, Value::List(crumbs.into()));
+            Task::new("read X", sig, ctx).into()
+        };
+        let mut warm = read(Vec::new());
+        x.service(&mut w.env, &mut warm, None);
+        assert_eq!(*warm.status(), ExertionStatus::Done);
+        let mut looped = read(vec!["P".into(), "X".into()]);
+        x.service(&mut w.env, &mut looped, None);
+        let expected = ExertionStatus::Failed("composition cycle detected at 'X'".into());
+        assert_eq!(*looped.status(), expected);
     }
 
     #[test]

@@ -74,19 +74,29 @@ impl Program {
         bindings: &[(&str, Value)],
         frame: &mut SlotFrame,
     ) -> Result<Value, ExprError> {
+        self.bind_iter_in(bindings.iter().map(|(name, v)| (*name, v.clone())), frame)
+    }
+
+    /// Like [`Program::bind_in`], taking the bindings from an iterator, so
+    /// a caller that computes them (the CSP binds its children's readings)
+    /// needs no list of its own.
+    pub fn bind_iter_in<'n>(
+        &self,
+        bindings: impl IntoIterator<Item = (&'n str, Value)>,
+        frame: &mut SlotFrame,
+    ) -> Result<Value, ExprError> {
         let slots = frame.reset(self.compiled.n_slots());
         let names = self.compiled.slot_names();
-        for (i, (name, v)) in bindings.iter().enumerate() {
-            // Callers that bind inputs in declaration order (the CSP does)
-            // hit the aligned slot directly; anything else falls back to a
-            // name scan.
-            let slot = if i < names.len() && names[i] == *name {
+        for (i, (name, v)) in bindings.into_iter().enumerate() {
+            // Callers that bind inputs in declaration order hit the aligned
+            // slot directly; anything else falls back to a name scan.
+            let slot = if i < names.len() && names[i] == name {
                 Some(i)
             } else {
                 self.compiled.slot_of(name)
             };
             if let Some(s) = slot {
-                slots[s] = Some(v.clone());
+                slots[s] = Some(v);
             }
         }
         self.compiled.eval_slots(slots, DEFAULT_STEP_BUDGET)

@@ -70,11 +70,12 @@
 #                           `registry_churn` reaches 400 (a lookup is
 #                           copying its results, or serialising an item
 #                           to learn its size, again), @ `flat_read`
-#                           reaches 40, @ `tree_read` 620 or @
-#                           `tenant_storm` 60 (a child hop of a
-#                           composite read is shipped a copy of its
-#                           request again instead of being lent the one
-#                           the composite keeps in flight), or if
+#                           reaches 16, @ `tree_read` 24 or @
+#                           `tenant_storm` 36 (a composite read
+#                           allocates its outcome list, its readings or
+#                           its breadcrumb again, or a child hop is
+#                           shipped a copy of its request instead of
+#                           being lent the one in flight), or if
 #                           `heap_peak_mb` @ `mote_scale` reaches 135
 #                           (a stored measurement costs more than 17
 #                           bytes again) or @ `registry_churn` 15.5 (a
@@ -234,11 +235,14 @@ if [ "$yardstick" -eq 1 ]; then
         # by doubling and every hierarchical query by subnet, 5 013 when
         # every matched item was deep-cloned and encoded into a scratch
         # buffer to be measured. flat_read / tree_read / tenant_storm:
-        # 15 / 232 / 33.4 while a composite arms and lends its one
-        # in-flight request to every child hop; a hop that clones its
-        # request again costs two allocations (the copy's context buffer,
-        # its trace line): +128 / +1 168 / about +37.
-        for gate in mote_scale:500 registry_churn:400 flat_read:40 tree_read:620 tenant_storm:60; do
+        # 12 / 13 / about 30.5 while a composite read keeps its outcome
+        # list and slot frame in per-thread scratch, binds its readings
+        # straight into the frame and reuses its breadcrumb; rebuilding
+        # the three costs +3 per composite read, +219 on tree_read's 73
+        # composites. A child hop that clones its request instead of
+        # being lent the one in flight costs two more (the copy's context
+        # buffer, its trace line): +128 / +1 168 / about +37.
+        for gate in mote_scale:500 registry_churn:400 flat_read:16 tree_read:24 tenant_storm:36; do
             workload=${gate%:*}
             limit=${gate#*:}
             allocs=$(yardstick_metric "$workload" allocs_per_op)

@@ -10,7 +10,7 @@ mod interp;
 
 use interp::{eval_script_with_budget, Scope};
 use sensorcer_suite::expr::{
-    parse, BinOp, CompiledScript, Expr, ExprError, Program, Script, Stmt, UnOp, Value,
+    parse, BinOp, CompiledScript, Expr, ExprError, Program, Script, SlotFrame, Stmt, UnOp, Value,
     DEFAULT_STEP_BUDGET,
 };
 use sensorcer_suite::sim::check::{run_cases, Gen};
@@ -58,6 +58,29 @@ fn assert_agree(src: &str, bindings: &[(&str, Value)]) {
         _ => panic!(
             "paths diverge on {src:?} with {bindings:?}:\n  interp:   {a:?}\n  compiled: {b:?}"
         ),
+    }
+}
+
+/// The composite binds its readings through `Program::bind_iter_in` into
+/// a frame shared by every composite read at one nesting depth. With
+/// `frame` reused across programs of any slot count, and the bindings in
+/// either order, it must give what `bind_in` gives on a fresh frame.
+fn assert_iter_bind_agrees(src: &str, bindings: &[(&str, Value)], frame: &mut SlotFrame) {
+    let Ok(program) = Program::compile(src) else {
+        return;
+    };
+    let want = program.bind_in(bindings, &mut SlotFrame::new());
+    let forward = bindings.iter().map(|(k, v)| (*k, v.clone()));
+    let reversed = bindings.iter().rev().map(|(k, v)| (*k, v.clone()));
+    for got in [
+        program.bind_iter_in(forward, frame),
+        program.bind_iter_in(reversed, frame),
+    ] {
+        match (&want, &got) {
+            (Ok(x), Ok(y)) if same_value(x, y) => {}
+            (Err(x), Err(y)) if x == y => {}
+            _ => panic!("binds diverge on {src:?} with {bindings:?}:\n  bind_in:      {want:?}\n  bind_iter_in: {got:?}"),
+        }
     }
 }
 
@@ -136,8 +159,10 @@ fn interp_test_corpus_agrees() {
         ("int('nope')", &[]),
         ("first([])", &[]),
     ];
+    let mut frame = SlotFrame::new();
     for (src, bindings) in cases {
         assert_agree(src, bindings);
+        assert_iter_bind_agrees(src, bindings, &mut frame);
     }
 }
 
@@ -145,6 +170,7 @@ fn interp_test_corpus_agrees() {
 /// value or error for every generated script.
 #[test]
 fn random_scripts_agree() {
+    let mut frame = SlotFrame::new();
     run_cases("random_scripts_agree", 192, |g| {
         let script = gen_script(g);
         let src = render_script(&script);
@@ -163,6 +189,7 @@ fn random_scripts_agree() {
         .filter(|_| g.u64_in(0, 10) > 0)
         .collect();
         assert_agree(&src, &bindings);
+        assert_iter_bind_agrees(&src, &bindings, &mut frame);
     });
 }
 

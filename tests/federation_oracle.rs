@@ -5,8 +5,9 @@
 //!
 //! * **the federation** — generated worlds (flat composites and trees of
 //!   two to four levels under `Strict`, `Quorum(n)` and `LastKnownGood`,
-//!   equivalence groups with one standby, breakers, retries, expressions)
-//!   are read again and again, with crashes, partitions, heals and lapsing
+//!   equivalence groups with one standby, breakers, retries, expressions;
+//!   and diamonds, where two parents share one child composite) are read
+//!   again and again, with crashes, partitions, heals and lapsing
 //!   leases between reads. A naive reference written from the policy rules
 //!   computes from ground truth — each probe's script, each host's up /
 //!   crashed / partitioned state, each lease's expiry, each child's last
@@ -383,6 +384,10 @@ struct Build<'g> {
     lus: LusHandle,
     breakers: Option<SharedBreakers>,
     model: Model,
+    /// In a diamond world, the level of the shared composite and, once
+    /// built, its position: the root composes at least two composites,
+    /// and every parent one level above the shared one composes it.
+    diamond: Option<(usize, Option<usize>)>,
 }
 
 impl Build<'_> {
@@ -453,10 +458,12 @@ impl Build<'_> {
             children: Vec::new(),
         });
         let width = self.g.usize_in(1, 5);
-        let mut children = Vec::new();
+        let forked = c == 0 && self.diamond.is_some();
+        let width = if forked { width.max(2) } else { width };
+        let mut children: Vec<Slot> = Vec::new();
         for i in 0..width {
-            let slot = if levels > 1 && (i == 0 || self.g.chance(0.25)) {
-                let inner = self.csp(levels - 1);
+            let slot = if levels > 1 && (i == 0 || (forked && i == 1) || self.g.chance(0.25)) {
+                let inner = self.inner(levels - 1, &children);
                 Slot {
                     name: self.model.csps[inner].name.clone(),
                     node: Node::Csp(inner),
@@ -521,6 +528,26 @@ impl Build<'_> {
         csp.children = children;
         c
     }
+
+    /// A composite of `levels` levels for a parent that composes
+    /// `siblings`: in a diamond world, the shared one at its level unless
+    /// the parent has it already; otherwise a fresh one.
+    fn inner(&mut self, levels: usize, siblings: &[Slot]) -> usize {
+        let composed = |c: usize| {
+            siblings
+                .iter()
+                .any(|s| matches!(s.node, Node::Csp(x) if x == c))
+        };
+        match self.diamond {
+            Some((at, Some(shared))) if at == levels && !composed(shared) => shared,
+            Some((at, None)) if at == levels => {
+                let shared = self.csp(levels);
+                self.diamond = Some((at, Some(shared)));
+                shared
+            }
+            _ => self.csp(levels),
+        }
+    }
 }
 
 /// The equivalence group of a grouped sensor's slot.
@@ -542,6 +569,18 @@ fn expression(g: &mut Gen, width: usize) -> String {
 }
 
 fn gen_world(g: &mut Gen) -> World {
+    build_world(g, false).0
+}
+
+/// A world of three or four levels whose root composes two or more
+/// composites, each composing one shared composite two levels below the
+/// root. Returns the world and the shared composite's position.
+fn gen_diamond(g: &mut Gen) -> (World, usize) {
+    let (w, shared) = build_world(g, true);
+    (w, shared.expect("a diamond world has a shared composite"))
+}
+
+fn build_world(g: &mut Gen, diamond: bool) -> (World, Option<usize>) {
     let mut env = Env::with_seed(g.u64());
     let server = env.add_host("lus", HostKind::Server);
     let client = env.add_host("client", HostKind::Workstation);
@@ -560,21 +599,27 @@ fn gen_world(g: &mut Gen) -> World {
     let breakers = g
         .chance(0.3)
         .then(|| shared_breakers(BreakerConfig::default()));
-    let levels = g.usize_in(1, 5);
+    let levels = if diamond {
+        g.usize_in(3, 5)
+    } else {
+        g.usize_in(1, 5)
+    };
     let mut build = Build {
         g,
         env,
         lus,
         breakers,
         model: Model::default(),
+        diamond: diamond.then(|| (levels - 2, None)),
     };
     build.csp(levels);
-    World {
+    let world = World {
         env: build.env,
         client,
         accessor: ServiceAccessor::new(vec![lus]),
         model: build.model,
-    }
+    };
+    (world, build.diamond.and_then(|(_, shared)| shared))
 }
 
 /// Faults between two reads: crash a sensor (for good), cut it off from
@@ -679,7 +724,11 @@ fn federation(name: &str) {
             "{done:?}"
         );
     });
-    // Every path the reference knows was taken, many times over.
+    covered(&seen);
+}
+
+/// Every path the reference knows was taken, many times over.
+fn covered(seen: &Seen) {
     assert!(seen.clean > 300 && seen.suspect > 300, "{seen:?}");
     assert!(seen.substituted > 100 && seen.missing > 20, "{seen:?}");
     for cause in [
@@ -704,6 +753,29 @@ fn federated_reads_match_the_reference() {
 #[test]
 fn federated_reads_match_the_reference_on_a_second_seed() {
     federation("federated_reads_match_the_reference_on_a_second_seed");
+}
+
+/// Diamond worlds: every read of the root reads the shared composite
+/// through each of its parents, and a direct read of it follows. Its
+/// cached breadcrumb changes with the path every time, and the nested
+/// reads share per-depth scratch with their siblings.
+#[test]
+fn diamond_reads_match_the_reference() {
+    let mut seen = Seen::default();
+    run_cases("diamond_reads_match_the_reference", 300, |g| {
+        let (mut w, shared) = gen_diamond(g);
+        let name = w.model.csps[shared].name.clone();
+        for read in 0..READS {
+            w.env.run_until(SimTime::ZERO + GAP * read as u64);
+            for (c, via) in [(0, "Root"), (shared, name.as_str())] {
+                let want = w.model.read(c, read);
+                let got = client::get_value_detailed(&mut w.env, w.client, &w.accessor, via);
+                check(want, got, &mut seen);
+            }
+            chaos(g, &mut w);
+        }
+    });
+    covered(&seen);
 }
 
 // ---------------------------------------------------------------------
