@@ -31,7 +31,7 @@ use crate::hb::HbViolation;
 use crate::metrics::{keys, Key, Metrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::timers::{TimerCallback, TimerKey, Timers};
+use crate::timers::{Repeat, TimerCallback, TimerKey, Timers};
 use crate::topology::{HostId, HostKind, NetError, Topology};
 use crate::wire::ProtocolStack;
 
@@ -49,7 +49,7 @@ impl std::fmt::Display for ServiceId {
 /// `Env` ever queues, one-shot or one firing of a repeating one, takes the
 /// next — and, for [`Env::cancel`], where its callback is stored.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TimerId(pub u64, u32);
+pub struct TimerId(pub u64, usize);
 
 /// Kept for `benchmark/`; the `[benchmark]` queue deletes it.
 #[doc(hidden)]
@@ -170,7 +170,8 @@ pub struct Env {
     net: NetKeys,
     clock: SimTime,
     rng: SimRng,
-    /// Pending timers, fired in `(deadline, seq)` order.
+    /// Pending timers, fired in `(deadline, seq)` order: one-shots in a
+    /// heap, repeating timers in one lane per interval.
     timers: Timers,
     next_timer_seq: u64,
     /// Indexed by `ServiceId`: ids count up from zero and are never
@@ -799,16 +800,24 @@ impl Env {
 
     /// Schedule `f` to run at absolute time `at` (clamped to now).
     pub fn schedule_at(&mut self, at: SimTime, f: impl FnOnce(&mut Env) + 'static) -> TimerId {
-        self.push_timer(at, TimerCallback::Once(Box::new(f)))
+        let seq = self.next_timer_seq();
+        let slot = self.timers.push(at.max(self.clock), seq, Box::new(f));
+        TimerId(seq, slot)
     }
 
-    /// Queue `callback` under the next sequence number.
-    fn push_timer(&mut self, at: SimTime, callback: TimerCallback) -> TimerId {
+    /// Take the next sequence number.
+    fn next_timer_seq(&mut self) -> u64 {
         let seq = self.next_timer_seq;
         self.next_timer_seq += 1;
-        let at = at.max(self.clock);
-        let slot = self.timers.push(at, seq, callback);
-        TimerId(seq, slot)
+        seq
+    }
+
+    /// Queue a repeating timer `after` from now, under the next sequence
+    /// number.
+    fn arm(&mut self, after: SimDuration, interval: SimDuration, repeat: Repeat) {
+        let seq = self.next_timer_seq();
+        let at = self.clock + after;
+        self.timers.push_every(at, seq, interval, repeat);
     }
 
     /// Schedule `f` to run `after` from now.
@@ -838,13 +847,11 @@ impl Env {
         );
         let alive = Rc::new(std::cell::Cell::new(true));
         let handle = RepeatHandle(Rc::clone(&alive));
-        let at = self.clock + first_after;
-        let every = TimerCallback::Every {
-            interval,
+        let repeat = Repeat {
             alive,
             f: Box::new(f),
         };
-        self.push_timer(at, every);
+        self.arm(first_after, interval, repeat);
         handle
     }
 
@@ -890,11 +897,17 @@ impl Env {
     }
 
     /// `step`, but only if the next pending timer is due by `t`.
+    ///
+    /// With a schedule oracle installed, every timer due at the minimal
+    /// deadline is gathered and the oracle picks one; the rest stay
+    /// queued. Only one timer fires per step, so timers the fired handler
+    /// co-schedules at the same instant join the next choice point.
     fn step_due(&mut self, t: SimTime) -> bool {
-        if self.tie_chooser.is_some() {
-            return self.step_chosen(t);
-        }
-        match self.timers.pop_due(t) {
+        let due = match self.tie_chooser.as_mut() {
+            Some(choose) => self.timers.pop_chosen(t, choose),
+            None => self.timers.pop_due(t),
+        };
+        match due {
             Some((key, callback)) => {
                 self.fire(key, callback);
                 true
@@ -913,54 +926,17 @@ impl Env {
         self.clock = self.clock.max(key.at);
         match callback {
             TimerCallback::Once(f) => f(self),
-            TimerCallback::Every {
-                interval,
-                alive,
-                mut f,
-            } => {
-                if !alive.get() {
+            TimerCallback::Every(interval, mut repeat) => {
+                if !repeat.alive.get() {
                     return;
                 }
-                if f(self) && alive.get() {
-                    let every = TimerCallback::Every { interval, alive, f };
-                    self.push_timer(self.clock + interval, every);
+                if (repeat.f)(self) && repeat.alive.get() {
+                    self.arm(interval, interval, repeat);
                 } else {
-                    alive.set(false);
+                    repeat.alive.set(false);
                 }
             }
         }
-    }
-
-    /// `step_due` with a schedule oracle installed: gather every timer due
-    /// at the minimal deadline, let the oracle pick one, and put the rest
-    /// back (their seq keys keep relative FIFO order among themselves).
-    /// Only one timer fires per step, so timers the fired handler
-    /// co-schedules at the same instant join the next choice point.
-    fn step_chosen(&mut self, t: SimTime) -> bool {
-        let Some(first) = self.timers.pop_key_due(t) else {
-            return false;
-        };
-        let mut due = vec![first];
-        while let Some(tied) = self.timers.pop_key_due(first.at) {
-            due.push(tied);
-        }
-        let k = due.len();
-        let pick = if k == 1 {
-            0
-        } else {
-            match self.tie_chooser.as_mut() {
-                Some(f) => f(k).min(k - 1),
-                None => 0,
-            }
-        };
-        let key = due.remove(pick);
-        for rest in due {
-            self.timers.push_key(rest);
-        }
-        if let Some(callback) = self.timers.remove(key.seq, key.slot) {
-            self.fire(key, callback);
-        }
-        true
     }
 
     /// Process every timer due up to `t`, then set the clock to at least
@@ -1171,7 +1147,7 @@ mod tests {
         env.cancel(live);
         assert_eq!(env.pending_timers(), 0);
         assert!(
-            env.timers.pop_key_due(SimTime::FAR_FUTURE).is_none(),
+            env.timers.pop_due(SimTime::FAR_FUTURE).is_none(),
             "no stale key outlives its deadline"
         );
     }

@@ -1,50 +1,64 @@
 //! The timer store.
 //!
-//! Pending timers are one `BinaryHeap` of *keys* (deadline + sequence
-//! number + slab slot), while the callbacks — boxed closures over
-//! `Rc`-shared service objects — stay in a slab (`Vec` + free list) the
-//! key's slot indexes. Firing a timer is a heap pop and one indexed move
-//! out of the slab: no hash table, and no allocation beyond the closure
-//! the caller boxed.
+//! One-shot and repeating timers are kept apart, and a pop takes the least
+//! `(deadline, seq)` of the two, so timers fire in exactly the order one
+//! queue of every timer would give.
 //!
+//! One-shots are one `BinaryHeap` of *keys* (deadline + sequence number +
+//! slab slot), while the callbacks — boxed closures over `Rc`-shared
+//! service objects — stay in a slab (`Vec` + free list) the key's slot
+//! indexes. Firing one is a heap pop and one indexed move out of the slab:
+//! no hash table, and no allocation beyond the closure the caller boxed.
 //! A slot remembers the seq of the timer it holds. Cancelling a one-shot
-//! timer empties its slot at once (the captured state drops there) and
-//! leaves the key in the heap; a key whose seq no longer matches its
-//! slot's is stale and is discarded when it surfaces. Seqs are never
-//! reused, so a slot handed to a newer timer cannot resurrect an old key.
+//! empties its slot at once (the captured state drops there) and leaves
+//! the key in the heap; a key whose seq no longer matches its slot's is
+//! stale and is discarded when it surfaces. Seqs are never reused, so a
+//! slot handed to a newer timer cannot resurrect an old key.
 //!
-//! A repeating timer is a single [`TimerCallback::Every`] entry that
-//! `Env` pushes back — closure moved, not re-boxed — after each firing.
+//! Repeating timers never enter the heap. Each distinct interval has a
+//! *lane*: a `VecDeque` of `(key, closure)` sorted by `(deadline, seq)`.
+//! A firing re-arms `interval` after the clock under the next seq, and the
+//! clock only moves forward between firings, so the re-armed entry goes
+//! at the back of its lane — no sift through a heap of every sampling and
+//! renewal timer in the world. An entry that would sort before the back (a
+//! first arm inside a branch of `Env::parallel_over`, which rewinds the
+//! clock, or a tie loser the chooser did not pick) is inserted at its
+//! sorted place instead. Lanes are found by a linear scan: a world has a
+//! handful of distinct intervals. A repeating timer is cancelled through
+//! its shared `alive` flag, so it leaves its lane only at its deadline.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 
 use crate::env::Env;
 use crate::time::{SimDuration, SimTime};
 
-/// What a pending timer runs.
-pub(crate) enum TimerCallback {
-    Once(Box<dyn FnOnce(&mut Env)>),
-    /// A repeating timer: after `f` returns `true` with `alive` still set,
-    /// `Env` re-queues this same entry `interval` later.
-    Every {
-        interval: SimDuration,
-        alive: Rc<Cell<bool>>,
-        f: Box<dyn FnMut(&mut Env) -> bool>,
-    },
+/// A repeating timer: after `f` returns `true` with `alive` still set,
+/// `Env` re-arms it one interval later.
+pub(crate) struct Repeat {
+    pub alive: Rc<Cell<bool>>,
+    pub f: Box<dyn FnMut(&mut Env) -> bool>,
 }
 
-/// The heap entry of a pending timer. Ordered by `(at, seq)` — deadline,
-/// then FIFO; `seq` is unique, so the order is total and the slab slot
-/// never influences it.
+/// What a popped timer runs.
+pub(crate) enum TimerCallback {
+    Once(Box<dyn FnOnce(&mut Env)>),
+    /// A repeating timer and its interval.
+    Every(SimDuration, Repeat),
+}
+
+/// The position of a pending timer. Ordered by `(at, seq)` — deadline,
+/// then FIFO; `seq` is unique, so the order is total and `slot` never
+/// influences it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TimerKey {
     pub at: SimTime,
     pub seq: u64,
-    /// Where the callback sits in the slab.
-    pub slot: u32,
+    /// Where the callback sits: the slab slot of a one-shot, the lane of
+    /// a repeating timer.
+    pub slot: usize,
 }
 
 impl PartialEq for TimerKey {
@@ -64,67 +78,118 @@ impl Ord for TimerKey {
     }
 }
 
-/// One slab entry: the callback of the pending timer `seq`, or vacant.
+/// One slab entry: the callback of the pending one-shot `seq`, or vacant.
 struct Slot {
     seq: u64,
-    callback: Option<TimerCallback>,
+    callback: Option<Box<dyn FnOnce(&mut Env)>>,
 }
 
 /// The seq of a vacant slot; no timer ever carries it.
 const VACANT: u64 = u64::MAX;
 
+/// The repeating timers of one interval, sorted by `(at, seq)`.
+struct Lane {
+    interval: SimDuration,
+    queue: VecDeque<(TimerKey, Repeat)>,
+}
+
+impl Lane {
+    /// Append, or insert at the sorted place if `key` sorts before the
+    /// back.
+    fn insert(&mut self, key: TimerKey, repeat: Repeat) {
+        match self.queue.back() {
+            Some((last, _)) if *last > key => {
+                let i = self.queue.partition_point(|(k, _)| *k < key);
+                self.queue.insert(i, (key, repeat));
+            }
+            _ => self.queue.push_back((key, repeat)),
+        }
+    }
+}
+
+/// A due timer off the queue that may yet be put back: a one-shot's key,
+/// its callback left in the slab, or a whole lane entry.
+enum Popped {
+    Once(TimerKey),
+    Every(TimerKey, Repeat),
+}
+
+impl Popped {
+    fn key(&self) -> TimerKey {
+        match self {
+            Popped::Once(k) | Popped::Every(k, _) => *k,
+        }
+    }
+}
+
 /// The timer store. One per [`Env`].
 #[derive(Default)]
 pub(crate) struct Timers {
     heap: BinaryHeap<Reverse<TimerKey>>,
-    /// The callback of every pending timer, at its key's `slot`.
+    /// The callback of every pending one-shot, at its key's `slot`.
     slots: Vec<Slot>,
     /// Vacant entries of `slots`, reused last-freed first.
-    free: Vec<u32>,
+    free: Vec<usize>,
+    /// One per distinct interval, in order of first use; never removed.
+    lanes: Vec<Lane>,
 }
 
 impl Timers {
-    /// Number of pending timers; cancelled ones left when they were
-    /// cancelled, whatever stale keys still sit in the heap.
+    /// Number of pending timers: one-shots left when they were cancelled,
+    /// whatever stale keys still sit in the heap; repeating timers at
+    /// their deadline.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        let repeating: usize = self.lanes.iter().map(|l| l.queue.len()).sum();
+        self.slots.len() - self.free.len() + repeating
     }
 
-    /// Put a key back that [`Timers::pop_key_due`] popped but that was
-    /// not run (the tie-chooser path gathers a due set and returns the
-    /// losers): its callback never left the slab.
-    pub fn push_key(&mut self, k: TimerKey) {
-        self.heap.push(Reverse(k));
-    }
-
-    /// Add a timer and return its slab slot. `seq` must be fresh
+    /// Add a one-shot timer and return its slab slot. `seq` must be fresh
     /// (monotone).
-    pub fn push(&mut self, at: SimTime, seq: u64, callback: TimerCallback) -> u32 {
+    pub fn push(&mut self, at: SimTime, seq: u64, callback: Box<dyn FnOnce(&mut Env)>) -> usize {
         let entry = Slot {
             seq,
             callback: Some(callback),
         };
         let slot = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = entry;
+                self.slots[slot] = entry;
                 slot
             }
             None => {
-                #[expect(clippy::expect_used, reason = "2³² pending timers is 160 GiB of slab")]
-                let slot = u32::try_from(self.slots.len()).expect("under 2^32 pending timers");
                 self.slots.push(entry);
-                slot
+                self.slots.len() - 1
             }
         };
-        self.push_key(TimerKey { at, seq, slot });
+        self.heap.push(Reverse(TimerKey { at, seq, slot }));
         slot
     }
 
-    /// Take timer `seq` out of `slot`, if that is still what the slot
+    /// Add a repeating timer to the lane of `interval`. `seq` must be
+    /// fresh (monotone).
+    pub fn push_every(&mut self, at: SimTime, seq: u64, interval: SimDuration, repeat: Repeat) {
+        let lane = match self.lanes.iter().position(|l| l.interval == interval) {
+            Some(lane) => lane,
+            None => {
+                self.lanes.push(Lane {
+                    interval,
+                    queue: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+        };
+        let key = TimerKey {
+            at,
+            seq,
+            slot: lane,
+        };
+        self.lanes[lane].insert(key, repeat);
+    }
+
+    /// Take one-shot `seq` out of `slot`, if that is still what the slot
     /// holds. A cancelled timer's key stays in the heap and is skipped
     /// as stale later.
-    pub fn remove(&mut self, seq: u64, slot: u32) -> Option<TimerCallback> {
-        let entry = self.slots.get_mut(slot as usize)?;
+    pub fn remove(&mut self, seq: u64, slot: usize) -> Option<Box<dyn FnOnce(&mut Env)>> {
+        let entry = self.slots.get_mut(slot)?;
         if entry.seq != seq {
             return None;
         }
@@ -133,31 +198,86 @@ impl Timers {
         entry.callback.take()
     }
 
-    /// Pop the minimal pending key if it is due by `t`, discarding the
-    /// stale keys above it and leaving its callback in the slab
-    /// ([`Timers::remove`] fetches it, [`Timers::push_key`] puts the key
-    /// back).
-    pub fn pop_key_due(&mut self, t: SimTime) -> Option<TimerKey> {
-        loop {
-            let Reverse(k) = *self.heap.peek()?;
-            if self.slots[k.slot as usize].seq != k.seq {
-                self.heap.pop();
-                continue;
-            }
-            if k.at > t {
-                return None;
-            }
-            self.heap.pop();
-            return Some(k);
-        }
-    }
-
     /// Pop the minimal pending timer if it is due by `t`.
     pub fn pop_due(&mut self, t: SimTime) -> Option<(TimerKey, TimerCallback)> {
         loop {
-            let k = self.pop_key_due(t)?;
-            if let Some(callback) = self.remove(k.seq, k.slot) {
-                return Some((k, callback));
+            let popped = self.pop_next(t)?;
+            if let Some(due) = self.take(popped) {
+                return Some(due);
+            }
+        }
+    }
+
+    /// Pop every pending timer at the minimal deadline, if it is due by
+    /// `t`, and let `choose(k)` pick which of the `k` fires (presented
+    /// FIFO by seq; out-of-range picks are clamped, and `choose` is asked
+    /// only when `k ≥ 2`). The others go back where they were.
+    pub fn pop_chosen(
+        &mut self,
+        t: SimTime,
+        choose: impl FnOnce(usize) -> usize,
+    ) -> Option<(TimerKey, TimerCallback)> {
+        let first = self.pop_next(t)?;
+        let at = first.key().at;
+        let mut due = vec![first];
+        while let Some(tied) = self.pop_next(at) {
+            due.push(tied);
+        }
+        let k = due.len();
+        let pick = if k == 1 { 0 } else { choose(k).min(k - 1) };
+        let chosen = due.remove(pick);
+        for rest in due {
+            match rest {
+                Popped::Once(key) => self.heap.push(Reverse(key)),
+                Popped::Every(key, repeat) => self.lanes[key.slot].insert(key, repeat),
+            }
+        }
+        self.take(chosen)
+    }
+
+    /// Pop the least of the live heap top and the lane fronts if it is
+    /// due by `t`, discarding the stale keys above the heap top.
+    fn pop_next(&mut self, t: SimTime) -> Option<Popped> {
+        let mut next = loop {
+            match self.heap.peek() {
+                Some(&Reverse(k)) if self.slots[k.slot].seq != k.seq => {
+                    self.heap.pop();
+                }
+                top => break top.map(|&Reverse(k)| k),
+            }
+        };
+        let mut lane = None;
+        for (i, l) in self.lanes.iter().enumerate() {
+            if let Some(&(k, _)) = l.queue.front() {
+                if next.is_none_or(|n| k < n) {
+                    next = Some(k);
+                    lane = Some(i);
+                }
+            }
+        }
+        if next?.at > t {
+            return None;
+        }
+        match lane {
+            None => self.heap.pop().map(|Reverse(k)| Popped::Once(k)),
+            Some(i) => self.lanes[i]
+                .queue
+                .pop_front()
+                .map(|(k, repeat)| Popped::Every(k, repeat)),
+        }
+    }
+
+    /// The callback of a popped timer; `None` if a one-shot's slot no
+    /// longer holds it.
+    fn take(&mut self, popped: Popped) -> Option<(TimerKey, TimerCallback)> {
+        match popped {
+            Popped::Once(k) => {
+                let f = self.remove(k.seq, k.slot)?;
+                Some((k, TimerCallback::Once(f)))
+            }
+            Popped::Every(k, repeat) => {
+                let interval = self.lanes[k.slot].interval;
+                Some((k, TimerCallback::Every(interval, repeat)))
             }
         }
     }
@@ -168,6 +288,7 @@ impl std::fmt::Debug for Timers {
         f.debug_struct("Timers")
             .field("pending", &self.len())
             .field("keys", &self.heap.len())
+            .field("lanes", &self.lanes.len())
             .finish()
     }
 }
@@ -180,8 +301,15 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn nop() -> TimerCallback {
-        TimerCallback::Once(Box::new(|_env| {}))
+    fn nop() -> Box<dyn FnOnce(&mut Env)> {
+        Box::new(|_env| {})
+    }
+
+    fn every() -> Repeat {
+        Repeat {
+            alive: Rc::new(Cell::new(true)),
+            f: Box::new(|_env| true),
+        }
     }
 
     fn drain(q: &mut Timers) -> Vec<u64> {
@@ -211,14 +339,89 @@ mod tests {
     }
 
     #[test]
-    fn requeued_key_keeps_its_slot() {
+    fn a_tie_loser_keeps_its_slot() {
         let mut q = Timers::default();
         let slot = q.push(t(5), 7, nop());
-        let k = q.pop_key_due(t(5)).expect("due");
-        assert_eq!((k.seq, k.slot), (7, slot));
-        assert_eq!(q.len(), 1, "the callback never left the slab");
-        q.push_key(k);
+        q.push(t(5), 8, nop());
+        let (k, _) = q.pop_chosen(t(5), |_| 1).expect("due");
+        assert_eq!(k.seq, 8);
+        assert_eq!(q.len(), 1, "the loser's callback never left the slab");
         assert!(q.remove(7, slot).is_some(), "still cancellable by its id");
         assert_eq!(drain(&mut q), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn an_out_of_order_arm_takes_its_sorted_place_in_the_lane() {
+        let mut q = Timers::default();
+        let d = SimDuration::from_millis(10);
+        q.push_every(t(30), 0, d, every());
+        q.push_every(t(40), 1, d, every());
+        // Armed later but due earlier, as after a rewound clock.
+        q.push_every(t(20), 2, d, every());
+        q.push_every(t(30), 3, d, every());
+        assert_eq!(drain(&mut q), vec![2, 0, 3, 1]);
+    }
+
+    #[test]
+    fn a_lane_front_and_the_heap_top_fire_in_deadline_then_seq_order() {
+        let mut q = Timers::default();
+        let d = SimDuration::from_millis(10);
+        q.push(t(20), 0, nop());
+        q.push_every(t(10), 1, d, every());
+        q.push(t(10), 2, nop());
+        q.push_every(t(20), 3, SimDuration::from_millis(20), every());
+        q.push_every(t(30), 4, d, every());
+        q.push(t(5), 5, nop());
+        assert_eq!(drain(&mut q), vec![5, 1, 2, 0, 3, 4]);
+    }
+
+    #[test]
+    fn an_earlier_heap_key_fires_before_every_lane_front() {
+        let mut q = Timers::default();
+        q.push_every(t(10), 0, SimDuration::from_millis(10), every());
+        q.push_every(t(10), 1, SimDuration::from_millis(20), every());
+        q.push(t(10), 2, nop());
+        q.push(t(5), 3, nop());
+        assert_eq!(q.pop_due(t(10)).map(|(k, _)| k.seq), Some(3));
+        assert_eq!(q.pop_due(t(9)).map(|(k, _)| k.seq), None);
+        assert_eq!(drain(&mut q), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn len_counts_lane_entries() {
+        let mut q = Timers::default();
+        let d = SimDuration::from_millis(10);
+        q.push_every(t(10), 0, d, every());
+        q.push_every(t(10), 1, SimDuration::from_millis(20), every());
+        let slot = q.push(t(10), 2, nop());
+        q.push_every(t(20), 3, d, every());
+        assert_eq!(q.len(), 4);
+        q.remove(2, slot);
+        assert_eq!(q.len(), 3, "a cancelled one-shot leaves at once");
+        q.pop_due(t(10));
+        assert_eq!(q.len(), 2);
+        let (k, cb) = q.pop_due(t(10)).expect("due");
+        assert!(matches!(cb, TimerCallback::Every(i, _) if i == SimDuration::from_millis(20)));
+        assert_eq!((k.seq, q.len()), (1, 1));
+    }
+
+    #[test]
+    fn a_tie_loser_comes_back_in_seq_order() {
+        let mut q = Timers::default();
+        let d = SimDuration::from_millis(10);
+        for seq in 0..4 {
+            q.push_every(t(10), seq, d, every());
+        }
+        q.push_every(t(20), 4, d, every());
+        q.push(t(10), 5, nop());
+        let (k, _) = q
+            .pop_chosen(t(10), |k| {
+                assert_eq!(k, 5, "every timer at the deadline is offered");
+                2
+            })
+            .expect("due");
+        assert_eq!(k.seq, 2);
+        assert_eq!(q.len(), 5);
+        assert_eq!(drain(&mut q), vec![0, 1, 3, 5, 4]);
     }
 }

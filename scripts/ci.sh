@@ -64,7 +64,7 @@
 #                           benchmark/expected.tsv whatever the run
 #                           length: a change that moves the modelled
 #                           protocol fails here. Also fails if
-#                           `allocs_per_op` @ `mote_scale` reaches 500
+#                           `allocs_per_op` @ `mote_scale` reaches 16
 #                           on either seed (a per-firing allocation is
 #                           back in the timer engine) or @
 #                           `registry_churn` reaches 400 (a lookup is
@@ -227,9 +227,10 @@ if [ "$yardstick" -eq 1 ]; then
     for seed in 42 7; do
         echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
         benchmark/run.sh --seed "$seed" --seconds 2
-        # Counts, exact whatever the run length. mote_scale: 17 while
-        # timer callbacks sit in the slab and a repeating timer is
-        # re-queued by move, 4 488 when every firing boxed a fresh closure.
+        # Counts, exact whatever the run length. mote_scale: 14 while a
+        # repeating timer sits in its interval's lane, whose capacity is
+        # reached at setup, and is re-armed by move; 4 488 when every
+        # firing boxed a fresh closure.
         # registry_churn: 299 while lookups share the stored items, sizes
         # are added up and results are sized once; 341 when results grew
         # by doubling and every hierarchical query by subnet, 5 013 when
@@ -242,7 +243,7 @@ if [ "$yardstick" -eq 1 ]; then
         # composites. A child hop that clones its request instead of
         # being lent the one in flight costs two more (the copy's context
         # buffer, its trace line): +128 / +1 168 / about +37.
-        for gate in mote_scale:500 registry_churn:400 flat_read:16 tree_read:24 tenant_storm:36; do
+        for gate in mote_scale:16 registry_churn:400 flat_read:16 tree_read:24 tenant_storm:36; do
             workload=${gate%:*}
             limit=${gate#*:}
             allocs=$(yardstick_metric "$workload" allocs_per_op)

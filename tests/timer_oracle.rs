@@ -1,13 +1,19 @@
 //! Differential oracle for the timer engine and the dense service table.
 //!
-//! `Env` keeps timer callbacks in a slab and a repeating timer as one
-//! queue entry that it pushes back after each firing. What callers can
-//! observe — which timer fires when, in what order, and which sequence
-//! number everything takes — must be what it was when `schedule_every`
-//! was a chain of one-shot `schedule` calls. [`reference_every`] is that
-//! chain; generated programmes run against both, on the plain engine and
-//! under a pick-0 tie chooser, and the `(now, tag, seq)` firing logs must
-//! agree.
+//! `Env` keeps one-shot timers in a heap of keys over a slab, and a
+//! repeating timer as one entry in the sorted lane of its interval, which
+//! it re-arms after each firing; a pop takes the least of the heap top
+//! and the lane fronts. What callers can observe — which timer fires when,
+//! in what order, and which sequence number everything takes — must be
+//! what it was when `schedule_every` was a chain of one-shot `schedule`
+//! calls, all in the one heap. [`reference_every`] is that chain;
+//! generated programmes run against both, and the `(now, tag, seq)`
+//! firing logs must agree: on the plain engine, under a pick-0 tie
+//! chooser, and under a seeded-random tie chooser (the same seed on both
+//! sides, so both must offer the same due sets in the same order). A
+//! programme's `Parallel` runs its branches through `Env::parallel_over`,
+//! which rewinds the clock per branch, so a timer armed in a later branch
+//! can sort before one an earlier branch put at a lane's tail.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -39,6 +45,8 @@ enum Instr {
     /// `run_for`, mostly from inside a callback: other timers fire, and
     /// move the clock and the sequence counter before the caller returns.
     RunNested(SimDuration),
+    /// `Env::parallel_over`: each branch starts from the same instant.
+    Parallel(Vec<Vec<Instr>>),
 }
 
 /// Delays from a small set, so equal deadlines are the common case.
@@ -49,8 +57,8 @@ fn delay(g: &mut Gen) -> SimDuration {
 fn programme(g: &mut Gen, depth: u32) -> Vec<Instr> {
     let (min_len, max_len) = if depth == 0 { (3, 10) } else { (0, 3) };
     g.vec_of(min_len, max_len, |g| {
-        let leaf = depth >= 2;
-        match g.u64_in(if leaf { 6 } else { 0 }, 13) {
+        let (lo, hi) = if depth >= 2 { (6, 13) } else { (0, 14) };
+        match g.u64_in(lo, hi) {
             0..=2 => Instr::Once {
                 after: delay(g),
                 body: programme(g, depth + 1),
@@ -64,7 +72,8 @@ fn programme(g: &mut Gen, depth: u32) -> Vec<Instr> {
             6..=7 => Instr::CancelRepeat(g.usize_in(0, 64)),
             8..=9 => Instr::CancelOnce(g.usize_in(0, 64)),
             10 => Instr::Consume(SimDuration::from_micros(g.u64_in(1, 400))),
-            _ => Instr::RunNested(delay(g)),
+            11..=12 => Instr::RunNested(delay(g)),
+            _ => Instr::Parallel(g.vec_of(2, 4, |g| programme(g, depth + 1))),
         }
     })
 }
@@ -197,6 +206,9 @@ fn exec(env: &mut Env, w: &Shared, instrs: &[Instr]) {
             }
             Instr::Consume(d) => env.consume(*d),
             Instr::RunNested(d) => env.run_for(*d),
+            Instr::Parallel(branches) => {
+                env.parallel_over(branches, |env, body| exec(env, w, body));
+            }
         }
     }
 }
@@ -255,6 +267,16 @@ fn repeating_timers_match_the_one_shot_chain_on_every_engine() {
             engine(|env| env.set_tie_chooser(|_| 0)),
             expected,
             "pick-0 tie chooser\n{instrs:#?}"
+        );
+        let seed = g.u64();
+        let random = move |env: &mut Env| {
+            let mut rng = SimRng::new(seed);
+            env.set_tie_chooser(move |k| rng.index(k));
+        };
+        assert_eq!(
+            run(&instrs, Repetition::Engine, random),
+            run(&instrs, Repetition::Reference, random),
+            "seeded-random tie chooser, seed {seed}\n{instrs:#?}"
         );
     });
     assert!(firings > 2_000, "programmes too tame: {firings} firings");
