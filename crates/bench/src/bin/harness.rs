@@ -56,12 +56,6 @@ const SEEDED: &[(&str, SeededRunner, &str, &str)] = &[
         perfetto::DEFAULT_OUT,
         "the tenant storm exported as a Perfetto trace (buffered, validated)",
     ),
-    (
-        "perfetto-scale",
-        perfetto_scale::run,
-        perfetto_scale::DEFAULT_OUT,
-        "10^5-mote world streamed to disk under the encoder-memory ceiling",
-    ),
 ];
 
 /// Every subcommand with its argument shape and a one-line description —
@@ -86,12 +80,9 @@ fn usage() -> ! {
     }
     let _ = write!(
         out,
-        "\nnotes:\n  seeds default to {DEFAULT_SEED}; SENSORCER_PERFETTO_MOTES bounds the \
-         perfetto-scale world\n  `harness perfetto` also writes {}, \
-         `harness perfetto-scale` also writes {}, `harness trace` also writes its span \
-         export beside [out] as *.spans.json\n",
-        perfetto::DEFAULT_SUMMARY,
-        perfetto_scale::DEFAULT_SUMMARY
+        "\nnotes:\n  seeds default to {DEFAULT_SEED}\n  `harness perfetto` also writes {}, \
+         `harness trace` also writes its span export beside [out] as *.spans.json\n",
+        perfetto::DEFAULT_SUMMARY
     );
     eprint!("{out}");
     std::process::exit(2);

@@ -38,7 +38,6 @@ pub mod helpers;
 pub mod microbench;
 pub mod obs;
 pub mod perfetto;
-pub mod perfetto_scale;
 pub mod storm;
 pub mod table;
 pub mod trace;

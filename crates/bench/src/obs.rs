@@ -27,8 +27,8 @@ use std::fmt::Write as _;
 use sensorcer_core::csp;
 use sensorcer_exertion::retry;
 use sensorcer_obs::{
-    group_by_op, AnomalyMonitor, BurnRateWindows, ReadOutcome, SloEngine, SloKind, SloReport,
-    SloSpec,
+    group_by_op, slowest_offenders, AnomalyMonitor, BurnRateWindows, ReadOutcome, SloEngine,
+    SloKind, SloReport, SloSpec,
 };
 use sensorcer_sim::chaos::ChaosConfig;
 use sensorcer_sim::prelude::*;
@@ -173,22 +173,6 @@ pub fn runtime_metric_names() -> Vec<String> {
     // soak never touches: admission.*, breaker.*, autoscale.* and the
     // burst gauges. Audit those under the same rule.
     kc.0.extend(crate::storm::runtime_metric_names());
-    // The Perfetto exporter's bookkeeping counters live outside any Env
-    // (the export runs after the sim ends), so audit them statically.
-    kc.0.extend(
-        sensorcer_trace::perfetto::keys::ALL
-            .iter()
-            .map(|k| (*k).to_string()),
-    );
-    // The sim-time profiler's family (including the per-lane counter
-    // tracks `harness perfetto-scale` emits) lives outside any Env as
-    // well; `stream.*` rides in via `perfetto::keys::ALL` above.
-    kc.0.extend(
-        sensorcer_trace::profile::keys::ALL
-            .iter()
-            .map(|k| (*k).to_string()),
-    );
-    kc.0.extend(crate::perfetto_scale::runtime_metric_names());
     kc.0.into_iter().collect()
 }
 
@@ -364,19 +348,17 @@ fn link_exemplars(slos: &mut SloEngine, recorder: &FlightRecorder, end: SimTime)
     for (idx, service, fired_at, resolved_at, slow) in alerts {
         let window_start = SimTime(fired_at.as_nanos().saturating_sub(slow.as_nanos()));
         let window_end = resolved_at.unwrap_or(end);
-        let mut offenders: Vec<(u64, u64, u64)> = recorder
-            .spans()
-            .filter(|s| {
+        let offenders = slowest_offenders(
+            recorder,
+            |s| {
                 s.name == "soak.read"
                     && s.outcome != Outcome::Ok
                     && &*s.label == service.as_str()
                     && s.end_ns >= window_start.as_nanos()
                     && s.start_ns <= window_end.as_nanos()
-            })
-            .map(|s| (s.trace.0, s.id.0, s.duration_ns()))
-            .collect();
-        offenders.sort_by(|a, b| b.2.cmp(&a.2).then(a.1.cmp(&b.1)));
-        offenders.truncate(3);
+            },
+            3,
+        );
         if offenders.is_empty() {
             problems.push(format!(
                 "alert #{idx} ({service}) has no degraded/failed span in its window — \

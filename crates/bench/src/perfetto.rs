@@ -113,8 +113,8 @@ impl PerfettoReport {
     }
 }
 
-/// What the in-repo decoder counted in an exported stream: the part of
-/// the summary `PERFETTO_1.json` and `PERFETTO_2.json` share.
+/// What the in-repo decoder counted in an exported stream: the shape
+/// half of the `PERFETTO_1.json` summary.
 pub struct StreamShape {
     pub packets: usize,
     pub process_tracks: usize,

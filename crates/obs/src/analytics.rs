@@ -4,8 +4,6 @@
 //! slow, where did that read spend its time, which traces should I look
 //! at first?* This module answers those without re-running anything:
 //!
-//! * [`SpanQuery`] — filter closed spans by op name, outcome, host or
-//!   label substring.
 //! * [`group_by_op`] — aggregate spans into per-op [`OpStats`] (counts
 //!   by outcome plus a duration histogram, so p50/p99 per op are one
 //!   call away).
@@ -13,86 +11,12 @@
 //!   descending into the last-finishing child, yielding the chain of
 //!   spans that actually determined end-to-end latency.
 //! * [`slowest_offenders`] — the exemplar selector: the N slowest spans
-//!   matching a query, as `(trace, span, duration_ns)` triples ready to
+//!   passing a filter, as `(trace, span, duration_ns)` triples ready to
 //!   attach to an SLO alert or anomaly.
 
 use std::collections::BTreeMap;
 
 use sensorcer_trace::{FlightRecorder, Histogram, Outcome, Span, SpanId};
-
-/// Declarative filter over closed spans. All set conditions must hold.
-#[derive(Clone, Debug, Default)]
-pub struct SpanQuery {
-    pub op: Option<&'static str>,
-    pub outcome: Option<Outcome>,
-    pub host: Option<u64>,
-    pub label_contains: Option<String>,
-    /// Shorthand: match spans whose outcome is Degraded *or* Error.
-    pub bad_only: bool,
-}
-
-impl SpanQuery {
-    pub fn new() -> SpanQuery {
-        SpanQuery::default()
-    }
-
-    pub fn op(mut self, op: &'static str) -> SpanQuery {
-        self.op = Some(op);
-        self
-    }
-
-    pub fn outcome(mut self, o: Outcome) -> SpanQuery {
-        self.outcome = Some(o);
-        self
-    }
-
-    pub fn host(mut self, h: u64) -> SpanQuery {
-        self.host = Some(h);
-        self
-    }
-
-    pub fn label_contains(mut self, s: impl Into<String>) -> SpanQuery {
-        self.label_contains = Some(s.into());
-        self
-    }
-
-    pub fn bad_only(mut self) -> SpanQuery {
-        self.bad_only = true;
-        self
-    }
-
-    pub fn matches(&self, s: &Span) -> bool {
-        if let Some(op) = self.op {
-            if s.name != op {
-                return false;
-            }
-        }
-        if let Some(o) = self.outcome {
-            if s.outcome != o {
-                return false;
-            }
-        }
-        if self.bad_only && s.outcome == Outcome::Ok {
-            return false;
-        }
-        if let Some(h) = self.host {
-            if s.host != h {
-                return false;
-            }
-        }
-        if let Some(ref needle) = self.label_contains {
-            if !s.label.contains(needle.as_str()) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// All closed spans matching this query, in recorder (end) order.
-    pub fn run<'a>(&self, rec: &'a FlightRecorder) -> Vec<&'a Span> {
-        rec.spans().filter(|s| self.matches(s)).collect()
-    }
-}
 
 /// Aggregate view of one operation name.
 #[derive(Debug)]
@@ -207,17 +131,17 @@ pub fn critical_path(rec: &FlightRecorder, root: SpanId) -> Option<CriticalPath>
     Some(CriticalPath { steps, total_ns })
 }
 
-/// The `n` slowest spans matching `query`, slowest first, as
+/// The `n` slowest spans passing `keep`, slowest first, as
 /// `(trace_id, span_id, duration_ns)` triples — the exemplar format the
 /// SLO engine attaches to alerts. Deterministic: ties break on span id.
 pub fn slowest_offenders(
     rec: &FlightRecorder,
-    query: &SpanQuery,
+    keep: impl Fn(&Span) -> bool,
     n: usize,
 ) -> Vec<(u64, u64, u64)> {
     let mut hits: Vec<(u64, u64, u64)> = rec
         .spans()
-        .filter(|s| query.matches(s))
+        .filter(|s| keep(s))
         .map(|s| (s.trace.0, s.id.0, s.duration_ns()))
         .collect();
     hits.sort_by(|a, b| b.2.cmp(&a.2).then(a.1.cmp(&b.1)));
@@ -249,23 +173,6 @@ mod tests {
         r.span_end(b1, 225, Outcome::Ok);
         r.span_end(rb, 230, Outcome::Ok);
         r
-    }
-
-    #[test]
-    fn query_filters_compose() {
-        let r = rig();
-        assert_eq!(SpanQuery::new().op("csp.read").run(&r).len(), 2);
-        assert_eq!(SpanQuery::new().op("csp.read").bad_only().run(&r).len(), 1);
-        assert_eq!(SpanQuery::new().host(2).run(&r).len(), 2);
-        assert_eq!(
-            SpanQuery::new()
-                .op("csp.child")
-                .outcome(Outcome::Error)
-                .run(&r)
-                .len(),
-            1
-        );
-        assert_eq!(SpanQuery::new().label_contains("m2").run(&r).len(), 1);
     }
 
     #[test]
@@ -311,8 +218,7 @@ mod tests {
     #[test]
     fn slowest_offenders_rank_and_truncate() {
         let r = rig();
-        let q = SpanQuery::new().op("csp.child");
-        let top = slowest_offenders(&r, &q, 2);
+        let top = slowest_offenders(&r, |s| s.name == "csp.child", 2);
         assert_eq!(top.len(), 2);
         // Slowest first: the 70 ns probe, then the 30 ns one.
         assert_eq!(top[0].2, 70);

@@ -4,7 +4,7 @@
 //! federation raw signals — spans in a flight recorder, a typed metrics
 //! registry — but nothing interpreted them: no notion of an objective
 //! being violated, no way to ask "why was this read slow". This crate
-//! closes the loop, in four pillars:
+//! closes the loop, in three pillars:
 //!
 //! * [`slo`] — declarative per-service objectives (availability, read
 //!   latency p99, data freshness, degraded-read ratio) evaluated over
@@ -14,13 +14,9 @@
 //!   metrics registry; deterministic, seed-stable flagging of latency
 //!   spikes, drop-rate surges and per-host excursions.
 //! * [`analytics`] — a query layer over exported [`FlightRecorder`]
-//!   trees: filter by op/outcome/host, group-by aggregation into per-op
-//!   duration histograms, critical-path extraction, and exemplar
-//!   selection so every alert carries the trace ids of its slowest
-//!   offending spans.
-//! * [`profile`] — hotspot ranking and flamegraph excerpts over the
-//!   sim-time profiler's collapsed-stack output, so scale runs report
-//!   *where* the virtual time went, not just how much there was.
+//!   trees: group-by aggregation into per-op duration histograms,
+//!   critical-path extraction, and exemplar selection so every alert
+//!   carries the trace ids of its slowest offending spans.
 //!
 //! Plus [`naming`], the runtime metric-name auditor enforcing the one
 //! `subsystem.object.action` convention across every key the registry
@@ -37,16 +33,14 @@
 pub mod analytics;
 pub mod anomaly;
 pub mod naming;
-pub mod profile;
 pub mod slo;
 pub mod timeline;
 
 pub use analytics::{
-    critical_path, group_by_op, slowest_offenders, CriticalPath, OpStats, PathStep, SpanQuery,
+    critical_path, group_by_op, slowest_offenders, CriticalPath, OpStats, PathStep,
 };
 pub use anomaly::{Anomaly, AnomalyMonitor, EwmaDetector, MadDetector};
 pub use naming::{check_name, check_names};
-pub use profile::{flame_excerpt, frame_totals, hotspots, Hotspot};
 pub use slo::{
     Alert, AlertTransition, BurnRateWindows, ReadOutcome, SloEngine, SloKind, SloReport, SloSpec,
     SloVerdict,

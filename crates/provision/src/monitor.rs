@@ -293,7 +293,7 @@ impl ProvisionMonitor {
                     format!("{}-{}", element.name, i + 1)
                 };
                 match self.place(env, &opstring.name, element, &instance) {
-                    Some(p) => {
+                    Some((p, node)) => {
                         env.lifecycle(
                             "provision",
                             provision_entity(&opstring.name, &instance),
@@ -303,10 +303,7 @@ impl ProvisionMonitor {
                         placed.push(InstanceRecord {
                             element: element.name.clone(),
                             instance: instance.clone(),
-                            node: CybernodeHandle {
-                                service: self.node_service_for(p.host),
-                                host: p.host,
-                            },
+                            node,
                             service: p.service,
                         });
                         results.push(p);
@@ -329,18 +326,6 @@ impl ProvisionMonitor {
         Ok(results)
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "placement picks hosts from the registered cybernodes, so one matches"
-    )]
-    fn node_service_for(&self, host: HostId) -> ServiceId {
-        self.cybernodes
-            .iter()
-            .find(|c| c.host == host)
-            .map(|c| c.service)
-            .expect("placement only happens on registered cybernodes")
-    }
-
     fn rollback(&mut self, env: &mut Env, opstring: &str, placed: &[InstanceRecord]) {
         for rec in placed {
             let _ = rec.node.terminate(env, self.host, &rec.instance);
@@ -353,14 +338,15 @@ impl ProvisionMonitor {
         }
     }
 
-    /// Place one instance; returns `None` if every candidate refuses.
+    /// Place one instance on the first candidate that accepts it and
+    /// return it with that node; `None` if every candidate refuses.
     fn place(
         &mut self,
         env: &mut Env,
         opstring: &str,
         element: &ServiceElement,
         instance: &str,
-    ) -> Option<ProvisionedService> {
+    ) -> Option<(ProvisionedService, CybernodeHandle)> {
         let factory = self.factories.get(&element.type_key)?;
         // Build the feasible candidate list by querying each node (paying
         // the network cost of the utilization calls).
@@ -403,7 +389,7 @@ impl ProvisionMonitor {
                             node: chosen.node.host,
                         },
                     });
-                    return Some(p);
+                    return Some((p, chosen.node));
                 }
                 // Refused or unreachable: try the next candidate.
                 Ok(Err(_)) | Err(_) => continue,
@@ -479,7 +465,7 @@ impl ProvisionMonitor {
                 };
                 let _ = rec.node.terminate(env, self.host, &rec.instance);
                 match self.place(env, &name, &element, &rec.instance) {
-                    Some(p) => {
+                    Some((p, node)) => {
                         self.failovers_total += 1;
                         if span.is_valid() {
                             env.span_field(span, "to_host", p.host.0 as u64);
@@ -504,10 +490,7 @@ impl ProvisionMonitor {
                         dep.instances.push(InstanceRecord {
                             element: rec.element,
                             instance: rec.instance,
-                            node: CybernodeHandle {
-                                service: self.node_service_for(p.host),
-                                host: p.host,
-                            },
+                            node,
                             service: p.service,
                         });
                     }
@@ -545,7 +528,7 @@ impl ProvisionMonitor {
                     let _ = node.terminate(env, self.host, &instance);
                 }
                 match self.place(env, &name, &element, &instance) {
-                    Some(p) => {
+                    Some((p, node)) => {
                         env.lifecycle(
                             "provision",
                             provision_entity(&name, &instance),
@@ -555,10 +538,7 @@ impl ProvisionMonitor {
                         dep.instances.push(InstanceRecord {
                             element: element.name.clone(),
                             instance,
-                            node: CybernodeHandle {
-                                service: self.node_service_for(p.host),
-                                host: p.host,
-                            },
+                            node,
                             service: p.service,
                         });
                     }
@@ -613,7 +593,7 @@ impl ProvisionMonitor {
             for i in old..planned {
                 let instance = format!("{}-{}", el.name, i + 1);
                 match self.place(env, opstring, &el, &instance) {
-                    Some(p) => {
+                    Some((p, node)) => {
                         env.lifecycle(
                             "provision",
                             provision_entity(opstring, &instance),
@@ -623,10 +603,7 @@ impl ProvisionMonitor {
                         dep.instances.push(InstanceRecord {
                             element: el.name.clone(),
                             instance,
-                            node: CybernodeHandle {
-                                service: self.node_service_for(p.host),
-                                host: p.host,
-                            },
+                            node,
                             service: p.service,
                         });
                     }

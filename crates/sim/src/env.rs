@@ -298,14 +298,6 @@ impl Env {
         self.recorder.as_ref()
     }
 
-    /// Mutable access to the installed recorder — the streaming drain
-    /// hook: callers pull retired spans and eviction markers with
-    /// [`FlightRecorder::drain_closed`] between runs while tracing stays
-    /// live.
-    pub fn recorder_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.recorder.as_mut()
-    }
-
     /// Open a span as a child of the innermost open span (or as a new
     /// trace root). Returns [`SpanId::INVALID`] — on which every other
     /// span operation is a no-op — when tracing is disabled.

@@ -521,35 +521,6 @@ impl TelemetrySampler {
         env.metrics.add(sampler_keys::POINTS, points);
     }
 
-    /// Drain the points recorded since the last drain as Perfetto
-    /// counter-track inputs — the streaming-export hook. Series names
-    /// repeat across calls with strictly advancing timestamps, so
-    /// feeding each batch to the streaming exporter appends to the same
-    /// counter tracks; a final [`into_series`](Self::into_series) picks
-    /// up any remainder. Counters drain as cumulative `Count` series,
-    /// gauges as free-moving `Value` series, sorted by name.
-    pub fn take_series_delta(&mut self) -> Vec<sensorcer_trace::perfetto::CounterSeries> {
-        use sensorcer_trace::perfetto::{CounterSeries, CounterUnit};
-        let mut out = Vec::new();
-        for (kind, unit) in [
-            (&mut self.counters, CounterUnit::Count),
-            (&mut self.gauges, CounterUnit::Value),
-        ] {
-            for (name, points) in kind.iter_mut() {
-                if points.is_empty() {
-                    continue;
-                }
-                out.push(CounterSeries {
-                    name: name.clone(),
-                    unit,
-                    points: std::mem::take(points),
-                });
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
-    }
-
     /// The recorded series as Perfetto counter-track inputs: counters as
     /// cumulative `Count` series, gauges as free-moving `Value` series,
     /// sorted by name.
@@ -763,60 +734,6 @@ mod tests {
         assert!(shed.points.windows(2).all(|w| w[0].1 <= w[1].1));
         // Timestamps ride the virtual clock.
         assert_eq!(shed.points[1].0 - shed.points[0].0, 2_000_000_000);
-    }
-
-    #[test]
-    fn sampler_delta_drains_match_one_shot_series() {
-        use crate::env::Env;
-        use crate::time::SimDuration;
-
-        let cfg = || SamplerConfig {
-            period: SimDuration::from_secs(1),
-            counters: vec!["admission.*".into()],
-            gauges: vec!["chaos.burst.level_t0".into()],
-            pending_timers: true,
-        };
-        let drive = |s: &mut TelemetrySampler, env: &mut Env, rounds: std::ops::Range<u64>| {
-            for round in rounds {
-                env.metrics.add("admission.requests.shed", 1);
-                env.metrics.set_gauge("chaos.burst.level_t0", round as f64);
-                s.sample(env);
-                env.run_for(SimDuration::from_secs(1));
-            }
-        };
-
-        let mut env = Env::with_seed(3);
-        let mut whole = TelemetrySampler::new(cfg());
-        drive(&mut whole, &mut env, 0..6);
-        let one_shot = whole.into_series();
-
-        let mut env = Env::with_seed(3);
-        let mut s = TelemetrySampler::new(cfg());
-        drive(&mut s, &mut env, 0..2);
-        let d1 = s.take_series_delta();
-        assert!(!d1.is_empty());
-        drive(&mut s, &mut env, 2..4);
-        let d2 = s.take_series_delta();
-        // A drain with nothing new yields nothing.
-        assert!(s.take_series_delta().is_empty());
-        drive(&mut s, &mut env, 4..6);
-        let rest = s.into_series();
-
-        // Merging the per-drain batches by name reproduces the one-shot
-        // series exactly — same points, same order, same units.
-        let mut merged: BTreeMap<String, Vec<(u64, f64)>> = BTreeMap::new();
-        for batch in [&d1, &d2, &rest] {
-            for series in batch {
-                merged
-                    .entry(series.name.clone())
-                    .or_default()
-                    .extend(series.points.iter().copied());
-            }
-        }
-        assert_eq!(merged.len(), one_shot.len());
-        for series in &one_shot {
-            assert_eq!(merged[&series.name], series.points, "{}", series.name);
-        }
     }
 
     #[test]

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 pub mod json;
 pub mod perfetto;
-pub mod profile;
 
 use json::Json;
 
@@ -268,21 +267,13 @@ const MAX_EVICTION_MARKERS: usize = 1024;
 
 /// One element of the recorder's retirement stream: closed spans in the
 /// order they retired into the ring, with eviction markers interleaved
-/// at the exact position the eviction happened. Streaming consumers see
-/// markers *before* the span whose retirement forced them, so marker
-/// timestamps are ordered relative to already-streamed slice ends.
+/// at the exact position the eviction happened. Consumers see markers
+/// *before* the span whose retirement forced them, so marker timestamps
+/// are ordered relative to the slice ends around them.
 #[derive(Debug, PartialEq)]
 pub enum StreamItem<'a> {
     Span(&'a Span),
     Eviction(&'a EvictionMarker),
-}
-
-/// Owned counterpart of [`StreamItem`], returned by
-/// [`FlightRecorder::drain_closed`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum DrainItem {
-    Span(Span),
-    Eviction(EvictionMarker),
 }
 
 /// Bounded ring buffer of spans with stack-discipline parenting.
@@ -316,9 +307,8 @@ pub struct FlightRecorder {
     /// in the stream). Kept out of the public `EvictionMarker` so the
     /// pinned JSON export shape is untouched.
     eviction_seqs: Vec<u64>,
-    /// Total spans ever retired into the ring (drains don't reset it),
-    /// numbering the retirement stream that `stream_items` /
-    /// `drain_closed` reconstruct.
+    /// Total spans ever retired into the ring, numbering the retirement
+    /// stream that `stream_items` reconstructs.
     retired: u64,
 }
 
@@ -502,8 +492,8 @@ impl FlightRecorder {
 
     /// The retirement stream still held by the ring: closed spans oldest
     /// first with eviction markers interleaved at the retirement position
-    /// where each eviction happened. This is the canonical feed order for
-    /// the streaming Perfetto exporter — markers come out in timestamp
+    /// where each eviction happened. This is the feed order of the
+    /// Perfetto export — markers come out in timestamp
     /// order relative to the slice-end packets around them instead of
     /// being appended after everything else.
     pub fn stream_items(&self) -> Vec<StreamItem<'_>> {
@@ -522,40 +512,6 @@ impl FlightRecorder {
             items.push(StreamItem::Eviction(m));
         }
         items
-    }
-
-    /// Drain mode: consume the retirement stream accumulated since the
-    /// last drain (same order as [`stream_items`](Self::stream_items))
-    /// and hand it to a subscriber, leaving the ring empty. A consumer
-    /// draining faster than the ring wraps turns the recorder into a
-    /// bounded pipe: nothing is ever evicted, so arbitrarily long runs
-    /// export completely in bounded memory. `dropped` /
-    /// `dropped_while_open` tallies and open spans are untouched.
-    pub fn drain_closed(&mut self) -> Vec<DrainItem> {
-        let first = self.retired - self.closed.len() as u64;
-        let seqs = std::mem::take(&mut self.eviction_seqs);
-        let markers = std::mem::take(&mut self.evictions);
-        let mut items = Vec::with_capacity(self.closed.len() + markers.len());
-        let mut mi = 0;
-        for (i, s) in std::mem::take(&mut self.closed).into_iter().enumerate() {
-            let seq = first + i as u64;
-            while mi < seqs.len() && seqs[mi] <= seq {
-                items.push(DrainItem::Eviction(markers[mi]));
-                mi += 1;
-            }
-            items.push(DrainItem::Span(s));
-        }
-        for &m in &markers[mi..] {
-            items.push(DrainItem::Eviction(m));
-        }
-        items
-    }
-
-    /// Earliest start among still-open spans — the safe watermark below
-    /// which no future retirement can begin. The streaming exporter uses
-    /// it to prune lane-assignment state without changing output bytes.
-    pub fn open_min_start_ns(&self) -> Option<u64> {
-        self.open.iter().map(|s| s.start_ns).min()
     }
 
     /// Map from parent span id to the (closed) children's indices in
@@ -1071,70 +1027,6 @@ mod tests {
             assert!(ts >= last, "stream goes back in time: {ts} < {last}");
             last = ts;
         }
-        // Draining consumes the same interleaving.
-        let drained: Vec<String> = r
-            .drain_closed()
-            .iter()
-            .map(|it| match it {
-                DrainItem::Span(s) => format!("span:{}", s.id.0),
-                DrainItem::Eviction(m) => format!("evict:{}", m.evicted.0),
-            })
-            .collect();
-        assert_eq!(drained, shape);
-        assert!(r.is_empty());
-        assert!(r.evictions().is_empty());
-        assert_eq!(r.dropped(), 3, "drain keeps the tallies");
-        assert_eq!(r.open_count(), 1, "drain leaves open spans alone");
-    }
-
-    #[test]
-    fn drain_closed_in_pieces_matches_one_shot_stream() {
-        let stage1 = |r: &mut FlightRecorder| {
-            let _root = r.span_start("root", "svc", 1, 0);
-            for i in 1..=3u64 {
-                let c = r.span_start("child", "svc", 1, i * 10);
-                r.span_end(c, i * 10 + 5, Outcome::Ok);
-            }
-        };
-        let stage2 = |r: &mut FlightRecorder| {
-            for i in 4..=5u64 {
-                let c = r.span_start("child", "svc", 1, i * 10);
-                r.span_end(c, i * 10 + 5, Outcome::Ok);
-            }
-            let root = r.open.first().map_or(SpanId::INVALID, |s| s.id);
-            r.span_end(root, 100, Outcome::Ok);
-        };
-        let mut whole = FlightRecorder::new(64);
-        stage1(&mut whole);
-        stage2(&mut whole);
-        let reference: Vec<u64> = whole
-            .stream_items()
-            .iter()
-            .map(|it| match it {
-                StreamItem::Span(s) => s.id.0,
-                StreamItem::Eviction(_) => unreachable!("capacity 64 never evicts"),
-            })
-            .collect();
-
-        let mut piecewise = FlightRecorder::new(64);
-        stage1(&mut piecewise);
-        assert_eq!(piecewise.open_min_start_ns(), Some(0), "root still open");
-        let mut ids: Vec<u64> = Vec::new();
-        for it in piecewise.drain_closed() {
-            if let DrainItem::Span(s) = it {
-                ids.push(s.id.0);
-            }
-        }
-        assert_eq!(ids.len(), 3, "first drain hands over the closed prefix");
-        stage2(&mut piecewise);
-        for it in piecewise.drain_closed() {
-            if let DrainItem::Span(s) = it {
-                ids.push(s.id.0);
-            }
-        }
-        assert_eq!(ids, reference);
-        assert_eq!(piecewise.dropped(), 0, "a drained ring never wraps");
-        assert_eq!(piecewise.open_min_start_ns(), None);
     }
 
     #[test]

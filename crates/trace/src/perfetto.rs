@@ -28,33 +28,23 @@
 //!   from caller-provided [`CounterSeries`] — the telemetry sampler's
 //!   registry snapshots.
 //!
-//! The encoder is **streaming-first**: [`StreamingExporter`] emits
-//! packets incrementally into a bounded scratch buffer as spans close
-//! (fed from the recorder's retirement stream — see
-//! [`FlightRecorder::drain_closed`]) and as counter samples arrive,
-//! carrying interning state and track descriptors across flushes to any
-//! [`PacketSink`] (an in-memory `Vec<u8>`, or [`FileSink`] with an
-//! incremental fnv64 fingerprint). Descriptors and interned names are
-//! emitted on first use; lane assignment keeps only a pruned list of
-//! covered intervals per lane, so encoder memory is bounded by the
-//! *open* span set and the flush threshold, not the trace length. The
-//! buffered [`export`] is a thin replay of the same exporter over the
-//! whole recorder — streaming output is byte-identical to buffered
-//! output by construction.
+//! [`export`] encodes the whole recorder into one buffer: track
+//! descriptors and interned names are emitted on first use, in the
+//! recorder's retirement order (see [`FlightRecorder::stream_items`]),
+//! then the caller's timeline and counter tracks.
 //!
-//! The output is deterministic byte-for-byte per feed sequence: all
-//! grouping uses ordered maps, uuids/iids are assigned in first-use
-//! order, and the packet order is the retirement order the recorder
-//! replays. Perfetto sorts packets by timestamp on import, so packets
-//! are *not* globally time-ordered in the file; the [`validate`] pass
-//! instead checks per-track nesting feasibility after a stable sort. A
-//! minimal [`decode`] / [`validate`] pair reads the wire format back
-//! for golden-byte and round-trip tests — and for CI, which refuses
-//! traces with unbalanced slices, dangling flows or non-monotonic
-//! counters.
+//! The output is deterministic byte-for-byte per input: all grouping
+//! uses ordered maps, uuids/iids are assigned in first-use order, and
+//! the packet order is the retirement order the recorder replays.
+//! Perfetto sorts packets by timestamp on import, so packets are *not*
+//! globally time-ordered in the file; the [`validate`] pass instead
+//! checks per-track nesting feasibility after a stable sort. A minimal
+//! [`decode`] / [`validate`] pair reads the wire format back for
+//! golden-byte and round-trip tests — and for CI, which refuses traces
+//! with unbalanced slices, dangling flows or non-monotonic counters.
 //!
 //! [`FlightRecorder`]: crate::FlightRecorder
-//! [`FlightRecorder::drain_closed`]: crate::FlightRecorder::drain_closed
+//! [`FlightRecorder::stream_items`]: crate::FlightRecorder::stream_items
 //! [`EvictionMarker`]: crate::EvictionMarker
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -384,34 +374,6 @@ pub const CHAIN_EVENTS: &[&str] = &[
 const UNIT_COUNT: &str = "count";
 const UNIT_VALUE: &str = "value";
 
-/// Metric keys the export pipeline itself is held to by the repo-wide
-/// `subsystem.object.action` naming audit.
-pub mod keys {
-    pub const BYTES_WRITTEN: &str = "perfetto.bytes.written";
-    pub const PACKETS_WRITTEN: &str = "perfetto.packets.written";
-    pub const TRACKS_CREATED: &str = "perfetto.tracks.created";
-    pub const EVENTS_EMITTED: &str = "perfetto.events.emitted";
-
-    // Streaming-pipeline counters (the `stream.*` family).
-    pub const STREAM_BYTES_FLUSHED: &str = "stream.bytes.flushed";
-    pub const STREAM_PACKETS_EMITTED: &str = "stream.packets.emitted";
-    pub const STREAM_FLUSHES_TOTAL: &str = "stream.flushes.total";
-    pub const STREAM_SCRATCH_PEAK: &str = "stream.scratch.peak_bytes";
-    pub const STREAM_NAMES_INTERNED: &str = "stream.names.interned";
-
-    pub const ALL: &[&str] = &[
-        BYTES_WRITTEN,
-        PACKETS_WRITTEN,
-        TRACKS_CREATED,
-        EVENTS_EMITTED,
-        STREAM_BYTES_FLUSHED,
-        STREAM_PACKETS_EMITTED,
-        STREAM_FLUSHES_TOTAL,
-        STREAM_SCRATCH_PEAK,
-        STREAM_NAMES_INTERNED,
-    ];
-}
-
 // ---------------------------------------------------------------------------
 // Export inputs
 // ---------------------------------------------------------------------------
@@ -506,126 +468,11 @@ fn outcome_str(o: Outcome) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Packet sinks
-// ---------------------------------------------------------------------------
-
-/// Where flushed packet bytes go. The exporter only ever hands a sink
-/// whole packets (never a split packet), so any prefix of sink writes is
-/// itself a decodable `.perfetto-trace` stream.
-pub trait PacketSink {
-    fn write(&mut self, bytes: &[u8]) -> Result<(), String>;
-}
-
-/// The in-memory sink: flushing appends to the `Vec`. Never fails.
-impl PacketSink for Vec<u8> {
-    fn write(&mut self, bytes: &[u8]) -> Result<(), String> {
-        self.extend_from_slice(bytes);
-        Ok(())
-    }
-}
-
-const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv64_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
-
-/// FNV-1a 64 of `bytes`: the fingerprint a [`FileSink`] keeps as it streams.
+/// FNV-1a 64 of `bytes`: the determinism fingerprint of an export.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    fnv64_update(FNV64_OFFSET, bytes)
-}
-
-/// A buffered file sink that fingerprints (FNV-1a 64) and counts every
-/// byte as it streams past, so scale runs get a determinism check
-/// without re-reading the file.
-pub struct FileSink {
-    file: std::io::BufWriter<std::fs::File>,
-    bytes: u64,
-    fnv: u64,
-}
-
-impl FileSink {
-    pub fn create(path: &str) -> Result<FileSink, String> {
-        let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
-        Ok(FileSink {
-            file: std::io::BufWriter::new(file),
-            bytes: 0,
-            fnv: FNV64_OFFSET,
-        })
-    }
-
-    /// Bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Running FNV-1a 64 fingerprint of everything written so far —
-    /// equal to hashing the final file in one pass.
-    pub fn fnv64(&self) -> u64 {
-        self.fnv
-    }
-
-    /// Flush to disk and return `(bytes_written, fnv64)`.
-    pub fn finish(mut self) -> Result<(u64, u64), String> {
-        use std::io::Write as _;
-        self.file.flush().map_err(|e| format!("flush: {e}"))?;
-        Ok((self.bytes, self.fnv))
-    }
-}
-
-impl PacketSink for FileSink {
-    fn write(&mut self, bytes: &[u8]) -> Result<(), String> {
-        use std::io::Write as _;
-        self.file
-            .write_all(bytes)
-            .map_err(|e| format!("write: {e}"))?;
-        self.bytes += bytes.len() as u64;
-        self.fnv = fnv64_update(self.fnv, bytes);
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming exporter
-// ---------------------------------------------------------------------------
-
-/// Scratch bytes the exporter accumulates before [`StreamingExporter::pump`]
-/// hands them to the sink.
-pub const DEFAULT_FLUSH_THRESHOLD: usize = 256 * 1024;
-
-/// Counters the exporter keeps while streaming; [`StreamingExporter::finish`]
-/// returns the final values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StreamStats {
-    /// Spans fed (each expands to begin + instants + end packets).
-    pub spans: u64,
-    /// Trace packets emitted (descriptors + events).
-    pub packets: u64,
-    /// Track events emitted (slice begins/ends, instants, counter points).
-    pub events: u64,
-    /// Track descriptors emitted.
-    pub tracks: u64,
-    /// Event names interned into the sequence.
-    pub interned_names: u64,
-    /// Total encoded bytes (flushed + still buffered).
-    pub bytes_encoded: u64,
-    /// Bytes handed to the sink so far.
-    pub bytes_flushed: u64,
-    /// Sink writes performed.
-    pub flushes: u64,
-    /// High-water mark of the scratch buffer — the encoder's working-set
-    /// bound that `harness perfetto-scale` holds under its ceiling.
-    pub peak_buffered_bytes: usize,
-    /// High-water mark of retained lane-assignment intervals across all
-    /// `(host, subsystem)` groups — the only other state that could grow
-    /// with trace length, bounded by watermark pruning.
-    pub lane_state_peak: usize,
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// Per-`(host, subsystem)` lane state: for every lane, the extents of
@@ -634,8 +481,7 @@ pub struct StreamStats {
 /// disjoint — so a new span conflicts with a lane iff it *partially*
 /// overlaps any recorded extent. Spans may arrive with non-monotone
 /// `end_ns` (simulated parallelism rewinds branch clocks), so the check
-/// scans the lane's live extents; watermark pruning keeps that set
-/// small on long streams.
+/// scans every extent on the lane.
 #[derive(Default)]
 struct LaneGroup {
     uuids: Vec<u64>,
@@ -655,29 +501,19 @@ struct EventPacket<'a> {
     annotations: &'a [(String, Annotation)],
 }
 
-/// Incremental Perfetto encoder. Feed it the recorder's retirement
-/// stream ([`FlightRecorder::drain_closed`] /
-/// [`FlightRecorder::stream_items`]), timeline instants and counter
-/// samples in any interleaving; call [`pump`](Self::pump) between feeds
-/// to bound the scratch buffer. Track descriptors and interned names
-/// are emitted on first use and the interning table persists across
-/// flushes, so the concatenation of all sink writes is one valid trace.
+/// The Perfetto encoder behind [`export`]. Feed it the recorder's
+/// retirement stream ([`FlightRecorder::stream_items`]), then timeline
+/// instants and counter series; [`finish`](Self::finish) hands back the
+/// bytes. Track descriptors and interned names are emitted on first
+/// use, so feeding the same sequence always yields the same bytes.
 ///
-/// Feeding the same sequence always yields the same bytes, and the
-/// buffered [`export`] *is* this exporter replayed — so streaming and
-/// buffered output are byte-identical for any world that fits in
-/// memory.
-///
-/// Feed spans in the recorder's retirement order. End timestamps need
-/// not be globally monotone — simulated parallelism (`Env::parallel`)
-/// rewinds branch clocks, so a later-retired span can end earlier —
-/// and lane assignment handles any laminar-per-host history. Other
-/// feed kinds are unconstrained.
-pub struct StreamingExporter {
+/// End timestamps need not be globally monotone — simulated
+/// parallelism rewinds branch clocks, so a later-retired span can end
+/// earlier — and lane assignment handles any laminar-per-host history.
+struct Encoder {
     cfg: ExportConfig,
     flow_names: BTreeSet<&'static str>,
-    flush_threshold: usize,
-    scratch: Vec<u8>,
+    out: Vec<u8>,
     first_packet: bool,
     iid_of: BTreeMap<String, u64>,
     /// Names interned since the last packet; attached to the next one.
@@ -691,21 +527,15 @@ pub struct StreamingExporter {
     recorder_track: bool,
     /// Traces that carry at least one chain event seen so far.
     flow_traces: BTreeSet<u64>,
-    stats: StreamStats,
 }
 
-impl StreamingExporter {
-    pub fn new(cfg: ExportConfig) -> StreamingExporter {
-        StreamingExporter::with_flush_threshold(cfg, DEFAULT_FLUSH_THRESHOLD)
-    }
-
-    pub fn with_flush_threshold(cfg: ExportConfig, flush_threshold: usize) -> StreamingExporter {
+impl Encoder {
+    fn new(cfg: ExportConfig) -> Encoder {
         let flow_names = cfg.flow_events.iter().copied().collect();
-        StreamingExporter {
+        Encoder {
             cfg,
             flow_names,
-            flush_threshold: flush_threshold.max(1),
-            scratch: Vec::with_capacity(4096),
+            out: Vec::with_capacity(4096),
             first_packet: true,
             iid_of: BTreeMap::new(),
             pending_names: Vec::new(),
@@ -716,17 +546,7 @@ impl StreamingExporter {
             timeline_uuid: BTreeMap::new(),
             recorder_track: false,
             flow_traces: BTreeSet::new(),
-            stats: StreamStats::default(),
         }
-    }
-
-    pub fn stats(&self) -> &StreamStats {
-        &self.stats
-    }
-
-    /// Bytes currently buffered in scratch (what the next flush writes).
-    pub fn buffered_bytes(&self) -> usize {
-        self.scratch.len()
     }
 
     fn intern(&mut self, name: &str) -> u64 {
@@ -736,11 +556,10 @@ impl StreamingExporter {
         let iid = self.iid_of.len() as u64 + 1;
         self.iid_of.insert(name.to_string(), iid);
         self.pending_names.push((iid, name.to_string()));
-        self.stats.interned_names += 1;
         iid
     }
 
-    /// Emit one trace packet into scratch: timestamp, sequence fields,
+    /// Emit one trace packet: timestamp, sequence fields,
     /// any pending interned names, then the payload (a track descriptor
     /// or a track event).
     fn packet(&mut self, ts: Option<u64>, payload: impl FnOnce(&mut Vec<u8>)) {
@@ -751,8 +570,7 @@ impl StreamingExporter {
             SEQ_NEEDS_INCREMENTAL_STATE
         };
         self.first_packet = false;
-        let before = self.scratch.len();
-        wire::put_msg(&mut self.scratch, fields::TRACE_PACKET, |p| {
+        wire::put_msg(&mut self.out, fields::TRACE_PACKET, |p| {
             if let Some(ts) = ts {
                 wire::put_uint(p, fields::packet::TIMESTAMP, ts);
             }
@@ -770,9 +588,6 @@ impl StreamingExporter {
             }
             payload(p);
         });
-        self.stats.packets += 1;
-        self.stats.bytes_encoded += (self.scratch.len() - before) as u64;
-        self.stats.peak_buffered_bytes = self.stats.peak_buffered_bytes.max(self.scratch.len());
     }
 
     fn event_packet(&mut self, ev: EventPacket<'_>) {
@@ -809,7 +624,6 @@ impl StreamingExporter {
                 }
             });
         });
-        self.stats.events += 1;
     }
 
     /// Emit the process track descriptor for a host on first use.
@@ -823,7 +637,6 @@ impl StreamingExporter {
             .get(&host)
             .cloned()
             .unwrap_or_else(|| format!("host-{host}"));
-        self.stats.tracks += 1;
         self.packet(None, |p| {
             wire::put_msg(p, fields::packet::TRACK_DESCRIPTOR, |d| {
                 wire::put_uint(d, fields::track::UUID, UUID_PROCESS_BASE + host);
@@ -842,7 +655,6 @@ impl StreamingExporter {
         let uuid = UUID_THREAD_BASE + self.thread_lanes;
         let tid = self.thread_lanes as i64 + 1;
         self.thread_lanes += 1;
-        self.stats.tracks += 1;
         let name = if lane_no == 0 {
             sub.to_string()
         } else {
@@ -908,21 +720,14 @@ impl StreamingExporter {
             let p = cov.partition_point(|iv| *iv < (start, end));
             cov.insert(p, (start, end));
         }
-        let total: usize = self
-            .groups
-            .values()
-            .map(|g| g.covered.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        self.stats.lane_state_peak = self.stats.lane_state_peak.max(total);
         uuid
     }
 
-    /// Stream one closed span: process/thread descriptors on first use,
+    /// Encode one closed span: process/thread descriptors on first use,
     /// slice begin (carrying the trace's flow when it chains or roots a
     /// flowing trace), one instant per span event, slice end with the
     /// label/outcome/ids/fields as debug annotations.
-    pub fn feed_span(&mut self, s: &Span) {
-        self.stats.spans += 1;
+    fn feed_span(&mut self, s: &Span) {
         self.process_track(s.host);
         let sub = subsystem(s.name);
         let track = self.lane_for(s.host, sub, s.start_ns, s.end_ns);
@@ -990,14 +795,13 @@ impl StreamingExporter {
         });
     }
 
-    /// Stream one ring-buffer eviction marker as an instant on the
+    /// Encode one ring-buffer eviction marker as an instant on the
     /// dedicated `flight-recorder` track. Fed in retirement-stream
     /// position, its packet lands in timestamp order relative to the
     /// slice packets around it.
-    pub fn feed_eviction(&mut self, m: &EvictionMarker) {
+    fn feed_eviction(&mut self, m: &EvictionMarker) {
         if !self.recorder_track {
             self.recorder_track = true;
-            self.stats.tracks += 1;
             self.packet(None, |p| {
                 wire::put_msg(p, fields::packet::TRACK_DESCRIPTOR, |d| {
                     wire::put_uint(d, fields::track::UUID, UUID_RECORDER);
@@ -1031,7 +835,6 @@ impl StreamingExporter {
         }
         let uuid = UUID_INSTANT_BASE + self.timeline_uuid.len() as u64;
         self.timeline_uuid.insert(name.to_string(), uuid);
-        self.stats.tracks += 1;
         let owned = name.to_string();
         self.packet(None, |p| {
             wire::put_msg(p, fields::packet::TRACK_DESCRIPTOR, |d| {
@@ -1042,11 +845,11 @@ impl StreamingExporter {
         uuid
     }
 
-    /// Stream one caller-timeline instant (e.g. an SLO alert exemplar).
+    /// Encode one caller-timeline instant (e.g. an SLO alert exemplar).
     /// Its flow reference only *joins* a trace already known to flow —
     /// an instant can never create a flow that would resolve to a single
     /// event.
-    pub fn feed_instant(&mut self, track: &str, ev: &InstantEvent) {
+    fn feed_instant(&mut self, track: &str, ev: &InstantEvent) {
         let uuid = self.instant_track_uuid(track);
         let iid = self.intern(&ev.name);
         let flow = ev.flow_trace.filter(|tr| self.flow_traces.contains(tr));
@@ -1067,8 +870,8 @@ impl StreamingExporter {
         });
     }
 
-    /// Stream a whole timeline track (descriptor even when empty).
-    pub fn feed_instant_track(&mut self, t: &InstantTrack) {
+    /// Encode a whole timeline track (descriptor even when empty).
+    fn feed_instant_track(&mut self, t: &InstantTrack) {
         self.instant_track_uuid(&t.name);
         for ev in &t.events {
             self.feed_instant(&t.name, ev);
@@ -1081,7 +884,6 @@ impl StreamingExporter {
         }
         let uuid = UUID_COUNTER_BASE + self.counter_uuid.len() as u64;
         self.counter_uuid.insert(name.to_string(), uuid);
-        self.stats.tracks += 1;
         let owned = name.to_string();
         let unit_name = match unit {
             CounterUnit::Count => UNIT_COUNT,
@@ -1099,10 +901,9 @@ impl StreamingExporter {
         uuid
     }
 
-    /// Stream one counter sample. The track (keyed by name, uuid by
-    /// first appearance) is described on first use, so a sampler can
-    /// feed the same series incrementally across many pump cycles.
-    pub fn feed_counter_point(&mut self, name: &str, unit: CounterUnit, ts: u64, v: f64) {
+    /// Encode one counter sample. The track (keyed by name, uuid by
+    /// first appearance) is described on first use.
+    fn feed_counter_point(&mut self, name: &str, unit: CounterUnit, ts: u64, v: f64) {
         let uuid = self.counter_track_uuid(name, unit);
         let (ci64, cf64) = match unit {
             CounterUnit::Count => (Some(v as i64), None),
@@ -1120,60 +921,21 @@ impl StreamingExporter {
         });
     }
 
-    /// Stream a whole counter series (descriptor even when empty).
-    pub fn feed_counter_series(&mut self, s: &CounterSeries) {
+    /// Encode a whole counter series (descriptor even when empty).
+    fn feed_counter_series(&mut self, s: &CounterSeries) {
         self.counter_track_uuid(&s.name, s.unit);
         for &(ts, v) in &s.points {
             self.feed_counter_point(&s.name, s.unit, ts, v);
         }
     }
 
-    /// Prune lane-assignment intervals that end at or before `wm`. Safe
-    /// — and byte-neutral — whenever every span fed from now on starts
-    /// at or after `wm`; [`FlightRecorder::open_min_start_ns`] (falling
-    /// back to the current virtual time when nothing is open) is exactly
-    /// that bound. This is what keeps encoder state from growing with
-    /// trace length on long runs.
-    pub fn advance_watermark(&mut self, wm: u64) {
-        for g in self.groups.values_mut() {
-            for cov in &mut g.covered {
-                cov.retain(|iv| iv.1 > wm);
-            }
-        }
-    }
-
-    /// Flush scratch to the sink if it crossed the flush threshold.
-    pub fn pump(&mut self, sink: &mut dyn PacketSink) -> Result<(), String> {
-        if self.scratch.len() >= self.flush_threshold {
-            self.flush(sink)?;
-        }
-        Ok(())
-    }
-
-    /// Unconditionally hand buffered bytes to the sink.
-    pub fn flush(&mut self, sink: &mut dyn PacketSink) -> Result<(), String> {
-        if self.scratch.is_empty() {
-            return Ok(());
-        }
-        sink.write(&self.scratch)?;
-        self.stats.bytes_flushed += self.scratch.len() as u64;
-        self.stats.flushes += 1;
-        self.scratch.clear();
-        Ok(())
-    }
-
-    /// Final flush; returns the stream's stats.
-    pub fn finish(mut self, sink: &mut dyn PacketSink) -> Result<StreamStats, String> {
-        self.flush(sink)?;
-        Ok(self.stats)
+    fn finish(self) -> Vec<u8> {
+        self.out
     }
 }
 
 /// Render the recorder (plus sampled counter series and caller timeline
-/// tracks) as one complete `.perfetto-trace` byte stream — a replay of
-/// [`StreamingExporter`] over the recorder's retirement stream, so
-/// buffered and streamed exports of the same content are byte-identical
-/// by construction.
+/// tracks) as one complete `.perfetto-trace` byte stream.
 ///
 /// Deterministic: identical inputs produce identical bytes.
 pub fn export(
@@ -1182,7 +944,7 @@ pub fn export(
     timelines: &[InstantTrack],
     cfg: &ExportConfig,
 ) -> Vec<u8> {
-    let mut ex = StreamingExporter::new(cfg.clone());
+    let mut ex = Encoder::new(cfg.clone());
     for item in rec.stream_items() {
         match item {
             StreamItem::Span(s) => ex.feed_span(s),
@@ -1195,10 +957,7 @@ pub fn export(
     for c in counters {
         ex.feed_counter_series(c);
     }
-    let mut out = Vec::new();
-    // The Vec sink never fails.
-    let _ = ex.finish(&mut out);
-    out
+    ex.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1803,172 +1562,6 @@ mod tests {
         assert_eq!(fast, slow, "nested backpatch");
     }
 
-    /// Replays the exact feed order [`export`] uses against a streaming
-    /// exporter flushed every `cadence` packets.
-    fn stream_with_cadence(
-        rec: &FlightRecorder,
-        counters: &[CounterSeries],
-        timelines: &[InstantTrack],
-        cadence: u64,
-    ) -> Vec<u8> {
-        let mut ex = StreamingExporter::new(ExportConfig::default());
-        let mut out = Vec::new();
-        let mut boundary = cadence;
-        let mut step = |ex: &mut StreamingExporter, out: &mut Vec<u8>| {
-            if ex.stats().packets >= boundary {
-                ex.flush(out).expect("vec flush");
-                boundary = ex.stats().packets + cadence;
-            }
-        };
-        for item in rec.stream_items() {
-            match item {
-                crate::StreamItem::Span(s) => ex.feed_span(s),
-                crate::StreamItem::Eviction(m) => ex.feed_eviction(m),
-            }
-            step(&mut ex, &mut out);
-        }
-        for t in timelines {
-            ex.feed_instant_track(t);
-            step(&mut ex, &mut out);
-        }
-        for c in counters {
-            ex.feed_counter_series(c);
-            step(&mut ex, &mut out);
-        }
-        ex.finish(&mut out).expect("finish");
-        out
-    }
-
-    #[test]
-    fn flush_cadence_never_changes_the_bytes() {
-        // Interning state must survive flushes: the concatenation of all
-        // sink writes equals the buffered export no matter where the
-        // packet stream is cut.
-        let mut rec = FlightRecorder::new(8);
-        let root = rec.span_start("storm.read", "svc", 1, 0);
-        for i in 0..6u64 {
-            let c = rec.span_start("csp.child", "svc", 1 + i % 3, i * 100);
-            rec.span_event(c, i * 100 + 10, "retry.attempt", vec![]);
-            rec.span_end(c, i * 100 + 50, Outcome::Ok);
-        }
-        rec.span_end(root, 1_000, Outcome::Ok);
-        let counters = vec![CounterSeries {
-            name: "admission.requests.shed".into(),
-            unit: CounterUnit::Count,
-            points: vec![(100, 1.0), (500, 4.0)],
-        }];
-        let timelines = vec![InstantTrack {
-            name: "slo-alerts".into(),
-            events: vec![InstantEvent {
-                at_ns: 700,
-                name: "slo.alert.fired".into(),
-                flow_trace: Some(1),
-                args: vec![],
-            }],
-        }];
-        let buffered = export(&rec, &counters, &timelines, &ExportConfig::default());
-        for cadence in [1u64, 7, 64] {
-            let streamed = stream_with_cadence(&rec, &counters, &timelines, cadence);
-            assert_eq!(streamed, buffered, "cadence {cadence}");
-        }
-        let dec = decode(&buffered).expect("decodes");
-        assert_eq!(validate(&dec), Vec::<String>::new());
-    }
-
-    #[test]
-    fn pumping_bounds_the_scratch_buffer() {
-        let threshold = 4_096usize;
-        let mut ex = StreamingExporter::with_flush_threshold(ExportConfig::default(), threshold);
-        let mut rec = FlightRecorder::new(4_096);
-        for i in 0..2_000u64 {
-            let s = rec.span_start("mote.sample", "m", i % 16, i * 10);
-            rec.span_end(s, i * 10 + 8, Outcome::Ok);
-        }
-        let mut out = Vec::new();
-        for s in rec.spans() {
-            ex.feed_span(s);
-            ex.pump(&mut out).expect("pump");
-        }
-        let stats = ex.finish(&mut out).expect("finish");
-        // One span never encodes to more than ~threshold bytes, so the
-        // scratch high-water mark stays within a packet of the limit.
-        assert!(
-            stats.peak_buffered_bytes < 2 * threshold,
-            "peak {} vs threshold {threshold}",
-            stats.peak_buffered_bytes
-        );
-        assert!(
-            stats.bytes_flushed > 8 * threshold as u64,
-            "stream actually exceeded the buffer many times over: {}",
-            stats.bytes_flushed
-        );
-        assert_eq!(stats.bytes_flushed, out.len() as u64);
-        let dec = decode(&out).expect("decodes");
-        assert_eq!(validate(&dec), Vec::<String>::new());
-    }
-
-    #[test]
-    fn watermark_pruning_is_byte_neutral_and_bounds_lane_state() {
-        let mut rec = FlightRecorder::new(4_096);
-        for i in 0..200u64 {
-            let s = rec.span_start("mote.sample", "m", 1, i * 100);
-            rec.span_end(s, i * 100 + 60, Outcome::Ok);
-        }
-        let feed = |prune: bool| {
-            let mut ex = StreamingExporter::new(ExportConfig::default());
-            for s in rec.spans() {
-                ex.feed_span(s);
-                if prune {
-                    // Everything up to this close is retired; no open
-                    // span can start earlier.
-                    ex.advance_watermark(s.end_ns);
-                }
-            }
-            let mut out = Vec::new();
-            let stats = ex.finish(&mut out).expect("finish");
-            (out, stats)
-        };
-        let (plain, plain_stats) = feed(false);
-        let (pruned, pruned_stats) = feed(true);
-        assert_eq!(plain, pruned, "pruning must not change emitted bytes");
-        assert_eq!(plain_stats.lane_state_peak, 200);
-        assert!(
-            pruned_stats.lane_state_peak <= 2,
-            "watermark keeps lane state O(open spans): {}",
-            pruned_stats.lane_state_peak
-        );
-    }
-
-    #[test]
-    fn file_sink_matches_vec_sink_and_fingerprints() {
-        let rec = two_span_recorder();
-        let bytes = export(&rec, &[], &[], &ExportConfig::default());
-        let mut expect_fnv = FNV64_OFFSET;
-        expect_fnv = fnv64_update(expect_fnv, &bytes);
-
-        let path = std::env::temp_dir().join(format!(
-            "sensorcer-filesink-{}.perfetto-trace",
-            std::process::id()
-        ));
-        let path_s = path.to_string_lossy().into_owned();
-        let mut sink = FileSink::create(&path_s).expect("create");
-        let mut ex = StreamingExporter::new(ExportConfig::default());
-        for item in rec.stream_items() {
-            match item {
-                crate::StreamItem::Span(s) => ex.feed_span(s),
-                crate::StreamItem::Eviction(m) => ex.feed_eviction(m),
-            }
-            ex.pump(&mut sink).expect("pump");
-        }
-        ex.finish(&mut sink).expect("finish stream");
-        let (written, fnv) = sink.finish().expect("finish sink");
-        assert_eq!(written, bytes.len() as u64);
-        assert_eq!(fnv, expect_fnv);
-        let on_disk = std::fs::read(&path).expect("read back");
-        assert_eq!(on_disk, bytes);
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn eviction_instants_interleave_in_stream_order() {
         // Ring capacity 2 under an open root: markers must land in the
@@ -1981,15 +1574,7 @@ mod tests {
             rec.span_end(c, i * 10, Outcome::Ok);
         }
         // Ring holds children 4 and 5; children 1-3 were evicted.
-        let mut ex = StreamingExporter::new(ExportConfig::default());
-        for item in rec.stream_items() {
-            match item {
-                crate::StreamItem::Span(s) => ex.feed_span(s),
-                crate::StreamItem::Eviction(m) => ex.feed_eviction(m),
-            }
-        }
-        let mut out = Vec::new();
-        ex.finish(&mut out).expect("finish");
+        let out = export(&rec, &[], &[], &ExportConfig::default());
         let dec = decode(&out).expect("decodes");
         let shape: Vec<(u64, u64)> = dec.events.iter().map(|e| (e.kind, e.ts)).collect();
         assert_eq!(

@@ -44,15 +44,6 @@
 #                           protobuf magic byte, and the summary, stream
 #                           fingerprint included, must equal
 #                           PERFETTO_1.json
-#   scripts/ci.sh --perfetto-scale  tier-1, then the streaming export
-#                           leg on a reduced world (10⁴ motes — the full
-#                           10⁵ federation is `harness perfetto-scale`
-#                           with no SENSORCER_PERFETTO_MOTES override):
-#                           the 16-subnet mote world is streamed to disk
-#                           incrementally, self-validated by the in-repo
-#                           decoder, held under the documented encoder
-#                           memory ceiling, and checked bit-identical
-#                           across two runs on the same seed
 #   scripts/ci.sh --yardstick  tier-1, then the federated-read yardstick
 #                           (`benchmark/`, a package of its own that the
 #                           workspace build never sees): build it, run
@@ -103,7 +94,6 @@ lint=0
 obs=0
 storm=0
 perfetto=0
-perfetto_scale=0
 yardstick=0
 # 0x5E2509, the harness default seed: a leg that names its output path
 # must spell the seed out, because the seed positional comes first.
@@ -116,9 +106,8 @@ for arg in "$@"; do
         --obs) obs=1 ;;
         --storm) storm=1 ;;
         --perfetto) perfetto=1 ;;
-        --perfetto-scale) perfetto_scale=1 ;;
         --yardstick) yardstick=1 ;;
-        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--storm] [--perfetto] [--perfetto-scale] [--yardstick]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--storm] [--perfetto] [--yardstick]" >&2; exit 2 ;;
     esac
 done
 
@@ -185,31 +174,6 @@ if [ "$perfetto" -eq 1 ]; then
         exit 1
     }
     rm -f PERFETTO_ci.perfetto-trace
-fi
-
-if [ "$perfetto_scale" -eq 1 ]; then
-    echo "== streaming perfetto export (reduced world, 10^4 motes) =="
-    # The run self-validates: decoder verdict, encoder-memory ceiling and the
-    # profiler's self-time/run-time identity are all folded into the
-    # summary's "passed" field.
-    SENSORCER_PERFETTO_MOTES=10000 \
-        cargo run --release -p sensorcer-bench --bin harness -- \
-        perfetto-scale "$default_seed" PERFETTO_scale_ci.perfetto-trace
-    [ "$(head -c 1 PERFETTO_scale_ci.perfetto-trace | od -An -tx1 | tr -d ' \n')" = "0a" ] || {
-        echo "PERFETTO_scale_ci.perfetto-trace: bad protobuf magic byte" >&2
-        exit 1
-    }
-
-    echo "== streaming determinism: same seed, bit-identical bytes =="
-    SENSORCER_PERFETTO_MOTES=10000 \
-        cargo run --release -p sensorcer-bench --bin harness -- \
-        perfetto-scale "$default_seed" PERFETTO_scale_ci2.perfetto-trace
-    cmp PERFETTO_scale_ci.perfetto-trace PERFETTO_scale_ci2.perfetto-trace || {
-        echo "streaming export is not bit-identical across runs on the same seed" >&2
-        exit 1
-    }
-    rm -f PERFETTO_scale_ci.perfetto-trace PERFETTO_scale_ci.perfetto-trace.summary.json \
-        PERFETTO_scale_ci2.perfetto-trace PERFETTO_scale_ci2.perfetto-trace.summary.json
 fi
 
 # One end-to-end metric of the last `benchmark/run.sh` pass of a workload.

@@ -1,6 +1,5 @@
-//! Runtime metric-name audit: every key a representative soak, the tenant
-//! storm, the Perfetto exporter, the sim-time profiler and the
-//! Perfetto-scale leg register must follow `subsystem.object.action`.
+//! Runtime metric-name audit: every key a representative soak and the
+//! tenant storm register must follow `subsystem.object.action`.
 //! Metric keys are strings, so a misspelt or free-form one compiles and
 //! silently starts a new series; this is the check that catches it.
 
@@ -26,11 +25,7 @@ fn runtime_metric_names_all_conform() {
     ] {
         assert!(names.iter().any(|n| n == key), "audit missing {key}");
     }
-    // The Perfetto exporter and telemetry sampler families are audited
-    // too — statically and via the sampled storm, respectively.
-    for key in sensorcer_trace::perfetto::keys::ALL {
-        assert!(names.iter().any(|n| n == key), "audit missing {key}");
-    }
+    // The telemetry sampler's family is audited via the sampled storm.
     for key in sampler_keys::ALL {
         assert!(names.iter().any(|n| n == key), "audit missing {key}");
     }
