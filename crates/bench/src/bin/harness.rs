@@ -1,121 +1,72 @@
-//! The experiment harness: regenerates every figure and claim table.
+//! The experiment harness: regenerates every figure, claim table and
+//! committed report.
 //!
 //! Run `harness` with no arguments (or any unknown verb) for the
-//! generated usage listing — the table below is the single source of
-//! truth for what exists, so the listing can never drift from the
-//! dispatcher.
+//! generated usage listing — it and the dispatcher both read
+//! [`paper::MODELLED`] and [`LEGS`], so the listing can never drift.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
-use sensorcer_bench::*;
-
-/// A seeded harness pass that writes a JSON report to its second arg.
-type SeededRunner = fn(u64, &str) -> Result<String, String>;
-
-/// Paper figures/claim tables dispatched through [`run_one`].
-const EXPERIMENTS: &[&str] = &[
-    "fig1", "fig2", "fig3", "b1", "b2", "b3", "b4", "b5", "b7", "b8", "a1", "a2",
-];
-
-/// Seeded report-writing verbs: `harness <verb> [seed] [out]`.
-/// One row per verb: name, runner, default output path, description.
-const SEEDED: &[(&str, SeededRunner, &str, &str)] = &[
-    (
-        "chaos",
-        chaos::run,
-        chaos::DEFAULT_OUT,
-        "seeded fault-injection soak over degraded-mode federated reads",
-    ),
-    (
-        "trace",
-        trace::run,
-        trace::DEFAULT_OUT,
-        "the chaos soak with the flight recorder on, trace validated",
-    ),
-    (
-        "verify",
-        verify::run,
-        verify::DEFAULT_OUT,
-        "DPOR-lite schedule exploration + buggy-reaper mutation check",
-    ),
-    (
-        "obs",
-        obs::run,
-        obs::DEFAULT_OUT,
-        "SLO burn-rate alerting and anomaly detection over the chaos soak",
-    ),
-    (
-        "storm",
-        storm::run,
-        storm::DEFAULT_OUT,
-        "tenant storm: admission control, breaker lifecycle, autoscaler",
-    ),
-    (
-        "perfetto",
-        perfetto::run,
-        perfetto::DEFAULT_OUT,
-        "the tenant storm exported as a Perfetto trace (buffered, validated)",
-    ),
-];
-
-/// Every subcommand with its argument shape and a one-line description —
-/// the usage listing is generated from this table.
-fn subcommands() -> Vec<(String, &'static str)> {
-    let mut rows = vec![(
-        "<experiment> [seed]".to_string(),
-        "regenerate one paper figure or claim table (fig1 fig2 fig3 b1-b5 b7 b8 a1 a2, or `all`)",
-    )];
-    for (name, _, default_out, desc) in SEEDED {
-        rows.push((format!("{name} [seed] [out={default_out}]"), *desc));
-    }
-    rows
-}
+use sensorcer_bench::legs::{parse_seed, Leg, LEGS};
+use sensorcer_bench::{paper, DEFAULT_SEED};
 
 fn usage() -> ! {
-    let rows = subcommands();
+    let mut rows = vec![(
+        "<experiment> [seed]".to_string(),
+        format!(
+            "print one paper figure or claim table ({} {}, or `all`)",
+            paper::MODELLED.join(" "),
+            paper::HOST_TIME
+        ),
+    )];
+    for leg in LEGS {
+        rows.push((format!("{} [seed] [out]", leg.verb), leg.about.to_string()));
+    }
     let width = rows.iter().map(|(h, _)| h.len()).max().unwrap_or(0);
     let mut out = String::from("usage: harness <subcommand> [args]\n\nsubcommands:\n");
     for (head, desc) in &rows {
         let _ = writeln!(out, "  {head:<width$}  {desc}");
     }
-    let _ = write!(
+    let _ = writeln!(
         out,
-        "\nnotes:\n  seeds default to {DEFAULT_SEED}\n  `harness perfetto` also writes {}, \
-         `harness trace` also writes its span export beside [out] as *.spans.json\n",
-        perfetto::DEFAULT_SUMMARY
+        "\nnotes:\n  seeds default to {DEFAULT_SEED}\n  [out] defaults to the verb's committed \
+         report, and only on the default seed"
     );
+    for leg in LEGS {
+        if let Some(ext) = leg.side_ext {
+            let _ = writeln!(
+                out,
+                "  `harness {}` also writes [out] with its extension replaced by .{ext}",
+                leg.verb
+            );
+        }
+    }
     eprint!("{out}");
     std::process::exit(2);
 }
 
-fn run_one(which: &str, seed: u64) {
-    match which {
-        "fig1" => print!("{}", figs::fig1_architecture()),
-        "fig2" => {
-            let (out, _) = figs::fig2_deployment();
-            print!("{out}");
-        }
-        "fig3" => {
-            let o = figs::fig3_experiment();
-            print!("{}", o.transcript);
-            println!(
-                "check: subnet={:.3}  network={:.3}  (expected network = (subnet + coral)/2)",
-                o.subnet_value, o.network_value
-            );
-        }
-        "b1" => print!("{}", b1_overhead::run(seed)),
-        "b2" => print!("{}", b2_scalability::run(seed)),
-        "b3" => print!("{}", b3_provisioning::run(seed)),
-        "b4" => print!("{}", b4_failover::run(seed)),
-        "b5" => print!("{}", b5_discovery::run(seed)),
-        "b7" => print!("{}", b7_baselines::run(seed)),
-        "b8" => print!("{}", b8_parallel::run()),
-        "a1" => print!("{}", a1_ablation::run(seed)),
-        "a2" => print!("{}", a2_energy::run(seed)),
-        other => {
-            eprintln!("unknown experiment '{other}'\n");
-            usage();
-        }
+/// Run `leg` on `seed`, write its report to `out` and its side output
+/// beside it; the transcript, `Err` when the run failed or a file could
+/// not be written.
+fn write(leg: &Leg, seed: u64, out: &str) -> Result<String, String> {
+    let run = (leg.run)(seed);
+    let mut transcript = run.transcript;
+    std::fs::write(out, run.report.render()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    let mut wrote = out.to_string();
+    if let (Some(ext), Some(side)) = (leg.side_ext, &run.side) {
+        let path = Path::new(out).with_extension(ext);
+        std::fs::write(&path, side).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let _ = write!(wrote, " and {}", path.display());
+    }
+    let _ = writeln!(transcript, "wrote {wrote}");
+    for f in &run.failures {
+        let _ = writeln!(transcript, "{f}");
+    }
+    if run.failures.is_empty() {
+        Ok(transcript)
+    } else {
+        Err(transcript)
     }
 }
 
@@ -123,18 +74,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or_else(|| usage());
 
-    // The seeded report-writers take an optional seed then an output
-    // path; defaults come from the SEEDED table.
-    if let Some((_, runner, default_out, _)) = SEEDED.iter().find(|(n, ..)| *n == which) {
-        let seed = match args.get(1) {
-            Some(s) => s.parse().unwrap_or_else(|_| {
-                eprintln!("seed must be an integer, got '{s}'");
-                usage();
-            }),
-            None => DEFAULT_SEED,
-        };
-        let out = args.get(2).map(String::as_str).unwrap_or(default_out);
-        match runner(seed, out) {
+    if let Some(leg) = LEGS.iter().find(|l| l.verb == which) {
+        let (seed, out) = leg.args(&args[1..]).unwrap_or_else(|e| {
+            eprintln!("{e}\n");
+            usage();
+        });
+        match write(leg, seed, &out) {
             Ok(transcript) => print!("{transcript}"),
             Err(e) => {
                 eprint!("{e}");
@@ -144,25 +89,26 @@ fn main() {
         return;
     }
 
-    if which != "all" && !EXPERIMENTS.contains(&which) {
-        eprintln!("unknown subcommand '{which}'\n");
+    let seed = parse_seed(args.get(1)).unwrap_or_else(|e| {
+        eprintln!("{e}\n");
         usage();
-    }
-
-    let seed = match args.get(1) {
-        Some(s) => s.parse().unwrap_or_else(|_| {
-            eprintln!("seed must be an integer, got '{s}'");
-            usage();
-        }),
-        None => DEFAULT_SEED,
+    });
+    let ids: Vec<&str> = match which {
+        "all" => paper::MODELLED
+            .iter()
+            .copied()
+            .chain([paper::HOST_TIME])
+            .collect(),
+        id => vec![id],
     };
-
-    if which == "all" {
-        for exp in EXPERIMENTS {
-            run_one(exp, seed);
+    for (i, id) in ids.iter().enumerate() {
+        let Some(text) = paper::render(id, seed) else {
+            eprintln!("unknown subcommand '{which}'\n");
+            usage();
+        };
+        if i > 0 {
             println!();
         }
-    } else {
-        run_one(which, seed);
+        print!("{text}");
     }
 }

@@ -21,9 +21,7 @@
 //!
 //! `harness chaos [seed] [out.json]` runs one soak and writes a JSON
 //! summary of injected faults vs. degraded/failed reads (default
-//! `CHAOS_1.json`); `scripts/ci.sh --soak` wires it into CI.
-
-use std::fmt::Write as _;
+//! `CHAOS_1.json`).
 
 use sensorcer_core::csp::{self, DegradationPolicy};
 use sensorcer_core::prelude::*;
@@ -36,10 +34,7 @@ use sensorcer_sim::chaos::{keys as chaos_keys, ChaosConfig, ChaosCounts, ChaosSc
 use sensorcer_sim::prelude::*;
 use sensorcer_trace::json::Json;
 
-/// Where `harness chaos` writes by default.
-pub const DEFAULT_OUT: &str = "CHAOS_1.json";
 /// Keys `tests/committed_artifacts.rs` requires of `CHAOS_1.json`.
-pub const REQUIRED_KEYS: &[&str] = &["reads", "injected", "violations", "reconverged"];
 /// The `Quorum(4)`-of-six composite under test.
 pub const QUORUM_COMPOSITE: &str = "Chaos-Quorum";
 /// The `LastKnownGood` composite under test.
@@ -512,25 +507,6 @@ pub fn run_soak_observed(
         reconverged,
     };
     (report, recorder)
-}
-
-/// `harness chaos` entry point: soak one seed, write the JSON summary to
-/// `out_path`, return the transcript (`Err` on violations or an
-/// unwritable output file so the harness exits nonzero).
-pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
-    let report = run_soak(&SoakConfig::new(seed));
-    std::fs::write(out_path, report.json().render())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut transcript = report.summary();
-    let _ = writeln!(transcript, "wrote {out_path}");
-    if report.passed() {
-        Ok(transcript)
-    } else {
-        for v in &report.violations {
-            let _ = writeln!(transcript, "violation: {v}");
-        }
-        Err(transcript)
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,174 @@
+//! The report legs: one row per committed `*_1.json` report. `harness`
+//! builds its usage listing and dispatch from [`LEGS`], and
+//! `tests/committed_artifacts.rs` regenerates every row on
+//! [`DEFAULT_SEED`] and holds it byte for byte to the committed file, so
+//! a new report is one row here and nothing else.
+
+use sensorcer_trace::json::Json;
+
+use crate::chaos::{run_soak, SoakConfig};
+use crate::obs::run_obs;
+use crate::perfetto::export_storm;
+use crate::storm::{run_storm, StormConfig};
+use crate::verify::run_verify;
+use crate::{paper, trace, DEFAULT_SEED};
+
+/// What one leg's run left behind. Nothing is written yet: the harness
+/// writes `report` (and `side`, beside it) and exits nonzero on any
+/// failure; the regeneration test compares the bytes instead.
+pub struct LegRun {
+    pub report: Json,
+    /// One line per problem the run found in itself; empty on a pass.
+    pub failures: Vec<String>,
+    /// What the harness prints.
+    pub transcript: String,
+    /// A second output too large or too binary to commit: `harness
+    /// trace`'s span export, `harness perfetto`'s protobuf stream.
+    pub side: Option<Vec<u8>>,
+}
+
+impl LegRun {
+    /// A run with no side output; each failure is `label: item`.
+    fn new<T: std::fmt::Display>(
+        report: Json,
+        transcript: String,
+        label: &str,
+        failures: &[T],
+    ) -> LegRun {
+        LegRun {
+            report,
+            failures: failures.iter().map(|f| format!("{label}: {f}")).collect(),
+            transcript,
+            side: None,
+        }
+    }
+}
+
+/// One committed report and the run that writes it.
+pub struct Leg {
+    /// `harness <verb> [seed] [out]`.
+    pub verb: &'static str,
+    /// The committed report, at the repo root.
+    pub file: &'static str,
+    /// Dotted paths the report must hold; through an array, every element.
+    pub required: &'static [&'static str],
+    pub about: &'static str,
+    /// The extension [`LegRun::side`] is written under, beside the report.
+    pub side_ext: Option<&'static str>,
+    pub run: fn(u64) -> LegRun,
+}
+
+pub const LEGS: &[Leg] = &[
+    Leg {
+        verb: "chaos",
+        file: "CHAOS_1.json",
+        required: &["reads", "injected", "violations", "reconverged"],
+        about: "seeded fault-injection soak over degraded-mode federated reads",
+        side_ext: None,
+        run: |seed| {
+            let r = run_soak(&SoakConfig::new(seed));
+            LegRun::new(r.json(), r.summary(), "violation", &r.violations)
+        },
+    },
+    Leg {
+        verb: "trace",
+        file: "TRACE_1.json",
+        required: &["reads", "roots", "fnv64", "problems"],
+        about: "the chaos soak with the flight recorder on, trace validated",
+        side_ext: Some("spans.json"),
+        run: trace::leg,
+    },
+    Leg {
+        verb: "verify",
+        file: "VERIFY_1.json",
+        required: &["scenarios", "distinct_schedules", "mutation"],
+        about: "DPOR-lite schedule exploration + buggy-reaper mutation check",
+        side_ext: None,
+        run: |seed| {
+            let r = run_verify(seed);
+            let mut failures: Vec<String> =
+                r.violations().map(|(s, v)| format!("{s}: {v}")).collect();
+            if !r.passed() {
+                failures.push("verify: FAIL (see the totals above)".into());
+            }
+            LegRun::new(r.json(), r.summary(), "violation", &failures)
+        },
+    },
+    Leg {
+        verb: "obs",
+        file: "OBS_1.json",
+        // Every storm alert carries its exemplars.
+        required: &[
+            "storm_slos.alerts.exemplars",
+            "clean_slos",
+            "anomalies",
+            "ops",
+        ],
+        about: "SLO burn-rate alerting and anomaly detection over the chaos soak",
+        side_ext: None,
+        run: |seed| {
+            let r = run_obs(seed);
+            LegRun::new(r.json(), r.summary(), "problem", &r.problems)
+        },
+    },
+    Leg {
+        verb: "storm",
+        file: "STORM_1.json",
+        required: &["critical", "bulk", "admission", "breaker", "scaling"],
+        about: "tenant storm: admission control, breaker lifecycle, autoscaler",
+        side_ext: None,
+        run: |seed| {
+            let r = run_storm(&StormConfig::new(seed));
+            LegRun::new(r.json(), r.summary(), "violation", &r.violations)
+        },
+    },
+    Leg {
+        verb: "perfetto",
+        file: "PERFETTO_1.json",
+        required: &["fnv64", "tracks", "flows", "sampler_ticks"],
+        about: "the tenant storm exported as a Perfetto trace (buffered, validated)",
+        side_ext: Some("perfetto-trace"),
+        run: |seed| {
+            let (bytes, r, _) = export_storm(&StormConfig::new(seed));
+            LegRun {
+                side: Some(bytes),
+                ..LegRun::new(r.json(), r.summary(), "problem", &r.problems)
+            }
+        },
+    },
+    Leg {
+        verb: "paper",
+        file: "PAPER_1.json",
+        required: paper::MODELLED,
+        about: "every modelled paper figure and claim table (all but the host-time b8)",
+        side_ext: None,
+        run: paper::leg,
+    },
+];
+
+/// An optional seed argument: [`DEFAULT_SEED`] when absent.
+pub fn parse_seed(arg: Option<&String>) -> Result<u64, String> {
+    arg.map_or(Ok(DEFAULT_SEED), |s| {
+        s.parse()
+            .map_err(|_| format!("seed must be an integer, got '{s}'"))
+    })
+}
+
+impl Leg {
+    /// The seed and report path of `harness <verb> [seed] [out]`, from
+    /// the arguments after the verb. Without `[out]` the report goes to
+    /// the committed file, and only on [`DEFAULT_SEED`]: any other seed
+    /// must name its own path, so it never overwrites a committed report.
+    pub fn args(&self, args: &[String]) -> Result<(u64, String), String> {
+        let seed = parse_seed(args.first())?;
+        match args.get(1) {
+            Some(out) => Ok((seed, out.clone())),
+            None if seed == DEFAULT_SEED => Ok((seed, self.file.to_string())),
+            None => Err(format!(
+                "seed {seed} is not the default {DEFAULT_SEED}: name an [out] path \
+                 ({} holds the default seed's report)",
+                self.file
+            )),
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! # sensorcer-bench
 //!
-//! The experiment library behind the `harness` binary and the Criterion
-//! benches. One module per experiment id from `DESIGN.md` §4 / the paper:
+//! The experiment library behind the `harness` binary. One module per
+//! experiment id from `DESIGN.md` §4 / the paper:
 //!
 //! | module            | id  | source in the paper                        |
 //! |-------------------|-----|--------------------------------------------|
@@ -16,12 +16,15 @@
 //! | [`a1_ablation`]   | A1  | design-choice ablations (binding cache)    |
 //! | [`a2_energy`]     | A2  | mote energy per delivered reading          |
 //!
-//! Every experiment renders a [`table::Table`] whose output is recorded in
-//! `EXPERIMENTS.md`; the unit tests in each module pin the *shape* of the
-//! result (who wins, what grows) so regressions fail loudly.
+//! Every experiment renders a [`table::Table`]; [`paper`] dispatches them
+//! by id and pins the modelled ones in `PAPER_1.json`, whose tables
+//! `EXPERIMENTS.md` records. The unit tests in each module pin the *shape*
+//! of the result (who wins, what grows) so regressions fail loudly. The
+//! committed reports, `PAPER_1.json` among them, are rows of
+//! [`legs::LEGS`].
 
-// Host-time measurement is this crate's job, so it may read the wall
-// clock that `clippy.toml` bans everywhere else.
+// B8 measures host time, so this crate may read the wall clock that
+// `clippy.toml` bans everywhere else.
 #![allow(clippy::disallowed_methods)]
 pub mod a1_ablation;
 pub mod a2_energy;
@@ -35,8 +38,9 @@ pub mod b8_parallel;
 pub mod chaos;
 pub mod figs;
 pub mod helpers;
-pub mod microbench;
+pub mod legs;
 pub mod obs;
+pub mod paper;
 pub mod perfetto;
 pub mod storm;
 pub mod table;

@@ -22,8 +22,6 @@
 //! * everything is derived from virtual time and seeded draws, so the
 //!   exported JSON is bit-for-bit identical per seed.
 
-use std::fmt::Write as _;
-
 use sensorcer_core::csp;
 use sensorcer_exertion::retry;
 use sensorcer_obs::{
@@ -38,17 +36,6 @@ use crate::chaos::{
     run_soak_observed, SoakConfig, SoakObserver, SoakReport, LKG_COMPOSITE, QUORUM_COMPOSITE,
 };
 use crate::trace::TRACE_CAPACITY;
-
-/// Where `harness obs` writes by default.
-pub const DEFAULT_OUT: &str = "OBS_1.json";
-/// Keys `tests/committed_artifacts.rs` requires of `OBS_1.json`; the dotted
-/// path holds every storm alert to carrying its exemplars.
-pub const REQUIRED_KEYS: &[&str] = &[
-    "storm_slos.alerts.exemplars",
-    "clean_slos",
-    "anomalies",
-    "ops",
-];
 
 /// The storm fault mix (same shape the trace tests use): dense faults,
 /// whole equivalence pairs dark at once, so degradation and failures
@@ -463,24 +450,6 @@ pub fn run_obs(seed: u64) -> ObsReport {
         anomalies,
         op_stats,
         problems,
-    }
-}
-
-/// `harness obs` entry point: run the health engine against one seed and
-/// write the JSON report; `Err` (nonzero exit) on any problem.
-pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
-    let report = run_obs(seed);
-    std::fs::write(out_path, report.json().render())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut transcript = report.summary();
-    let _ = writeln!(transcript, "wrote {out_path}");
-    if report.passed() {
-        Ok(transcript)
-    } else {
-        for p in &report.problems {
-            let _ = writeln!(transcript, "problem: {p}");
-        }
-        Err(transcript)
     }
 }
 

@@ -13,15 +13,12 @@
 //! cumulative counter tracks must never decrease. A run that fails its
 //! own trace is a harness failure, not a shipped artifact.
 //!
-//! Two files come out: the binary trace at `out_path`, and a JSON summary
-//! next to it (`PERFETTO_1.json` for the default path) that CI greps and
-//! diffs — including an FNV-1a hash of the bytes, which
-//! `scripts/ci.sh --perfetto` uses to assert the export is bit-identical
-//! across repeated runs on the same seed.
+//! Two files come out: the JSON summary (`PERFETTO_1.json`), which holds
+//! an FNV-1a hash of the stream and is regenerated byte for byte by
+//! `tests/committed_artifacts.rs`, and the binary trace beside it
+//! (`PERFETTO_1.perfetto-trace`, not committed).
 //!
 //! [`validate`]: sensorcer_trace::perfetto::validate
-
-use std::fmt::Write as _;
 
 use sensorcer_obs::alert_timeline;
 use sensorcer_sim::prelude::*;
@@ -29,13 +26,6 @@ use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::{self, ExportConfig, InstantTrack};
 
 use crate::storm::{run_storm_full, StormConfig, StormRun};
-
-/// Where `harness perfetto` writes the binary trace by default.
-pub const DEFAULT_OUT: &str = "federation.perfetto-trace";
-/// The committed summary artifact for the default output path.
-pub const DEFAULT_SUMMARY: &str = "PERFETTO_1.json";
-/// Keys `tests/committed_artifacts.rs` requires of `PERFETTO_1.json`.
-pub const REQUIRED_KEYS: &[&str] = &["fnv64", "tracks", "flows", "sampler_ticks"];
 
 /// The sampler the leg attaches to the storm: 1 s cadence (one snapshot
 /// per nominal round), watching the overload-protection counter families
@@ -228,38 +218,13 @@ pub fn export_storm(cfg: &StormConfig) -> (Vec<u8>, PerfettoReport, StormRun) {
     (bytes, report, run)
 }
 
-/// `harness perfetto` entry point: run one seed, write the binary trace
-/// to `out_path` and the JSON summary next to it, return the transcript
-/// (`Err` on validation problems so the harness exits nonzero).
-pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
-    let (bytes, report, _) = export_storm(&StormConfig::new(seed));
-    std::fs::write(out_path, &bytes).map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let summary_path = if out_path == DEFAULT_OUT {
-        DEFAULT_SUMMARY.to_string()
-    } else {
-        format!("{out_path}.summary.json")
-    };
-    std::fs::write(&summary_path, report.json().render())
-        .map_err(|e| format!("cannot write {summary_path}: {e}"))?;
-    let mut transcript = report.summary();
-    let _ = writeln!(transcript, "wrote {out_path} and {summary_path}");
-    if report.passed() {
-        Ok(transcript)
-    } else {
-        for p in &report.problems {
-            let _ = writeln!(transcript, "problem: {p}");
-        }
-        Err(transcript)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// A shortened storm — same shape, smaller windows — so the export
     /// tests stay fast in debug builds. The full-length run is exercised
-    /// by `scripts/ci.sh --perfetto`.
+    /// by `tests/committed_artifacts.rs`.
     fn mini_cfg(seed: u64) -> StormConfig {
         let mut cfg = StormConfig::new(seed);
         cfg.warmup = SimDuration::from_secs(5);

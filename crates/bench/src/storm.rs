@@ -23,12 +23,9 @@
 //!
 //! All of it runs on virtual time from seeded draws, so a storm is
 //! bit-identical per seed. `harness storm [seed] [out.json]` writes a
-//! JSON summary (default `STORM_1.json`); `scripts/ci.sh --storm` wires
-//! it into CI.
+//! JSON summary (default `STORM_1.json`).
 //!
 //! [`REJECTION_PREFIX`]: sensorcer_core::admission::REJECTION_PREFIX
-
-use std::fmt::Write as _;
 
 use sensorcer_core::admission;
 use sensorcer_core::csp::{deploy_csp, CompositeSensorProvider, CspConfig};
@@ -46,10 +43,6 @@ use sensorcer_trace::json::Json;
 
 use crate::trace::TRACE_CAPACITY;
 
-/// Where `harness storm` writes by default.
-pub const DEFAULT_OUT: &str = "STORM_1.json";
-/// Keys `tests/committed_artifacts.rs` requires of `STORM_1.json`.
-pub const REQUIRED_KEYS: &[&str] = &["critical", "bulk", "admission", "breaker", "scaling"];
 /// The critical tenant's composite (two grouped children; one is crashed
 /// mid-storm to exercise the breaker + failover path).
 pub const CRITICAL_SERVICE: &str = "Critical-Feed";
@@ -734,25 +727,6 @@ pub fn runtime_metric_names() -> Vec<String> {
     run_storm_full(&StormConfig::new(1), Some(&mut sampler))
         .report
         .metric_keys
-}
-
-/// `harness storm` entry point: run one seed, write the JSON summary to
-/// `out_path`, return the transcript (`Err` on violations so the harness
-/// exits nonzero).
-pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
-    let report = run_storm(&StormConfig::new(seed));
-    std::fs::write(out_path, report.json().render())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-    let mut transcript = report.summary();
-    let _ = writeln!(transcript, "wrote {out_path}");
-    if report.passed() {
-        Ok(transcript)
-    } else {
-        for v in &report.violations {
-            let _ = writeln!(transcript, "violation: {v}");
-        }
-        Err(transcript)
-    }
 }
 
 #[cfg(test)]

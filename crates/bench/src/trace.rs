@@ -18,16 +18,13 @@
 //!   (pinned by the tests here).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use sensorcer_sim::prelude::*;
 use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::fnv64;
 
-use crate::chaos::{run_soak_traced, SoakConfig, SoakReport};
-
-/// Where `harness trace` writes its summary by default.
-pub const DEFAULT_OUT: &str = "TRACE_1.json";
+use crate::chaos::{run_soak_traced, SoakConfig};
+use crate::legs::LegRun;
 
 /// Ring capacity for the harness run: a default 600 s soak records a few
 /// tens of thousands of spans, so this never wraps — and the checks fail
@@ -130,23 +127,6 @@ pub fn check(recorder: &FlightRecorder) -> TraceCheck {
     }
 }
 
-/// Soak one seed with the recorder on. Same world and schedule as
-/// `harness chaos` — the report is identical to the untraced run's.
-pub fn run_traced_soak(seed: u64) -> (SoakReport, FlightRecorder) {
-    let cfg = SoakConfig {
-        trace_capacity: Some(TRACE_CAPACITY),
-        ..SoakConfig::new(seed)
-    };
-    let (report, recorder) = run_soak_traced(&cfg);
-    (
-        report,
-        recorder.expect("trace_capacity was set, recorder must exist"),
-    )
-}
-
-/// Keys `tests/committed_artifacts.rs` requires of `TRACE_1.json`.
-pub const REQUIRED_KEYS: &[&str] = &["reads", "roots", "fnv64", "problems"];
-
 /// The committed artifact: the checks' verdict plus the length and
 /// FNV-1a fingerprint of the span export, which is too large to commit.
 fn summary_json(
@@ -178,12 +158,16 @@ fn summary_json(
     )
 }
 
-/// `harness trace` entry point: traced soak, health checks, the summary
-/// to `out_path` and the span export to `out_path` with its extension
-/// replaced by `spans.json`. `Err` (nonzero exit) on any check failure,
-/// soak violation, or an unwritable output file.
-pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
-    let (report, recorder) = run_traced_soak(seed);
+/// The `trace` leg: the `chaos` soak with the recorder on (its report is
+/// identical to the untraced run's) and the health checks; the span
+/// export is the side output.
+pub fn leg(seed: u64) -> LegRun {
+    let cfg = SoakConfig {
+        trace_capacity: Some(TRACE_CAPACITY),
+        ..SoakConfig::new(seed)
+    };
+    let (report, recorder) = run_soak_traced(&cfg);
+    let recorder = recorder.expect("trace_capacity was set, recorder must exist");
     let verdict = check(&recorder);
     let failures: Vec<String> = verdict
         .problems
@@ -198,14 +182,7 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
         .collect();
 
     let export = recorder.to_json();
-    let export_path = std::path::Path::new(out_path).with_extension("spans.json");
-    std::fs::write(&export_path, &export)
-        .map_err(|e| format!("cannot write {}: {e}", export_path.display()))?;
-    let summary = summary_json(seed, report.reads_total, &verdict, &export, &failures);
-    std::fs::write(out_path, summary.render())
-        .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-
-    let mut transcript = format!(
+    let transcript = format!(
         "trace harness seed={}: {} spans / {} events over {} reads; {} roots \
          ({} degraded, {} error) — {}\n",
         seed,
@@ -217,14 +194,11 @@ pub fn run(seed: u64, out_path: &str) -> Result<String, String> {
         verdict.error_roots,
         if failures.is_empty() { "PASS" } else { "FAIL" }
     );
-    let _ = writeln!(transcript, "wrote {out_path} and {}", export_path.display());
-    for f in &failures {
-        let _ = writeln!(transcript, "{f}");
-    }
-    if failures.is_empty() {
-        Ok(transcript)
-    } else {
-        Err(transcript)
+    LegRun {
+        report: summary_json(seed, report.reads_total, &verdict, &export, &failures),
+        failures,
+        transcript,
+        side: Some(export.into_bytes()),
     }
 }
 
@@ -316,68 +290,6 @@ mod tests {
                 "seed {seed}: every top-level read gets exactly one root span"
             );
         }
-    }
-
-    /// Not a pass/fail gate (wall-clock asserts flake in CI) — run with
-    /// `cargo test -p sensorcer-bench --release -- --ignored --nocapture
-    /// trace_overhead` to measure the recorder's cost. The numbers in
-    /// EXPERIMENTS.md come from this.
-    #[test]
-    #[ignore]
-    fn trace_overhead_measurement() {
-        let traced_cfg = SoakConfig {
-            trace_capacity: Some(TRACE_CAPACITY),
-            ..SoakConfig::new(7)
-        };
-        let untraced_cfg = SoakConfig {
-            trace_capacity: None,
-            ..traced_cfg
-        };
-        let reps = 50;
-        // Warm both paths once, then time.
-        run_soak_traced(&traced_cfg);
-        crate::chaos::run_soak(&untraced_cfg);
-        let t0 = std::time::Instant::now();
-        for _ in 0..reps {
-            crate::chaos::run_soak(&untraced_cfg);
-        }
-        let untraced = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        for _ in 0..reps {
-            run_soak_traced(&traced_cfg);
-        }
-        let traced = t1.elapsed();
-        println!(
-            "soak x{reps}: untraced {untraced:?}, traced {traced:?} ({:+.1}%)",
-            100.0 * (traced.as_secs_f64() / untraced.as_secs_f64() - 1.0)
-        );
-    }
-
-    /// Companion measurement on the B2 workload: repeated network-wide
-    /// flat-composite reads (n=256 sensors) with the recorder on vs off.
-    #[test]
-    #[ignore]
-    fn b2_trace_overhead_measurement() {
-        let reps = 100;
-        let time_reads = |tracing: bool| {
-            let mut w = crate::helpers::sensor_world(256, 7);
-            let name = w.flat_composite("All");
-            if tracing {
-                w.env.enable_tracing(TRACE_CAPACITY);
-            }
-            w.timed_read(&name).0.expect("warm read");
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                w.timed_read(&name).0.expect("read");
-            }
-            t0.elapsed()
-        };
-        let untraced = time_reads(false);
-        let traced = time_reads(true);
-        println!(
-            "b2 flat n=256 x{reps}: untraced {untraced:?}, traced {traced:?} ({:+.1}%)",
-            100.0 * (traced.as_secs_f64() / untraced.as_secs_f64() - 1.0)
-        );
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!
 //! `harness verify [seed] [out.json]` writes `VERIFY_1.json` and exits
 //! nonzero on any violation, a missed mutation, or coverage below the
-//! distinct-schedule floor; `scripts/ci.sh --lint` wires it next to the
-//! source lints.
+//! distinct-schedule floor.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -30,11 +29,6 @@ use sensorcer_verify::explore::{
     explore, run_one, ChoicePolicy, ExploreConfig, ExploreReport, Scenario,
 };
 use sensorcer_verify::scenarios::{BuggyReaper, DegradedRead, LeaseChurn, ProvisionFailover};
-
-/// Where `harness verify` writes by default.
-pub const DEFAULT_OUT: &str = "VERIFY_1.json";
-/// Keys `tests/committed_artifacts.rs` requires of `VERIFY_1.json`.
-pub const REQUIRED_KEYS: &[&str] = &["scenarios", "distinct_schedules", "mutation"];
 
 /// Distinct schedules the clean scenarios must reach in total.
 pub const DISTINCT_FLOOR: usize = 1000;
@@ -299,23 +293,6 @@ pub fn run_verify(seed: u64) -> VerifyReport {
             .map(|s| explore_scenario(*s, seed))
             .collect(),
         mutation: check_mutation(),
-    }
-}
-
-/// CLI entry: run, write `out`, return the transcript (`Err` = exit 1).
-pub fn run(seed: u64, out: &str) -> Result<String, String> {
-    let report = run_verify(seed);
-    std::fs::write(out, report.json().render())
-        .map_err(|e| format!("cannot write {out}: {e}\n{}", report.summary()))?;
-    let mut transcript = report.summary();
-    let _ = writeln!(transcript, "wrote {out}");
-    if report.passed() {
-        Ok(transcript)
-    } else {
-        for (name, v) in report.violations() {
-            let _ = writeln!(transcript, "  {name}: {v}");
-        }
-        Err(transcript)
     }
 }
 

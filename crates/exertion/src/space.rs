@@ -104,10 +104,6 @@ impl ExertionSpace {
         self.pending.len()
     }
 
-    pub fn done_count(&self) -> usize {
-        self.done.len()
-    }
-
     pub fn writes_total(&self) -> u64 {
         self.writes_total
     }

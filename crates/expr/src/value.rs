@@ -126,14 +126,6 @@ impl Value {
         }
     }
 
-    /// Integer view, if this value is an integer (floats do not coerce).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     pub fn is_number(&self) -> bool {
         matches!(self, Value::Int(_) | Value::Float(_))
     }

@@ -213,10 +213,6 @@ impl ProvisionMonitor {
         added
     }
 
-    pub fn cybernode_count(&self) -> usize {
-        self.cybernodes.len()
-    }
-
     /// The host this monitor runs on.
     pub fn host(&self) -> HostId {
         self.host
@@ -224,15 +220,6 @@ impl ProvisionMonitor {
 
     pub fn policy(&self) -> AllocationPolicy {
         self.policy
-    }
-
-    /// Register an additional factory after construction.
-    pub fn register_factory(
-        &mut self,
-        type_key: impl Into<String>,
-        factory: std::rc::Rc<dyn crate::factory::ServiceFactory>,
-    ) {
-        self.factories.register(type_key, factory);
     }
 
     /// Deploy an opstring: place every planned instance. On a placement

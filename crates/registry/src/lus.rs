@@ -502,11 +502,6 @@ impl LookupService {
         )
     }
 
-    /// Cancel an event registration.
-    pub fn cancel_notify(&mut self, lease: LeaseId) -> Result<(), LeaseError> {
-        self.event_regs.cancel(lease).map(|_| ())
-    }
-
     /// Expire overdue registrations and event interests, firing departure
     /// events. Called by the reaper timer. Expiries are counted (globally
     /// and against this LUS host) and, with tracing on, grouped under a

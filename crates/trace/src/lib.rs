@@ -123,13 +123,6 @@ impl FieldValue {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            FieldValue::Bool(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             FieldValue::Str(v) => Some(v),
@@ -468,10 +461,6 @@ impl FlightRecorder {
         self.closed.is_empty()
     }
 
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Closed spans evicted from the ring to honour `capacity`.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -720,34 +709,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Isolated recorder cost: run with `cargo test -p sensorcer-trace
-    /// --release -- --ignored --nocapture recorder_micro`.
-    #[test]
-    #[ignore]
-    fn recorder_micro_cost() {
-        let mut r = FlightRecorder::new(262_144);
-        let n = 65_000u64; // stays inside the ring: no eviction in the loop
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "measures host time; the result is printed, never simulated"
-        )]
-        let t0 = std::time::Instant::now();
-        for i in 0..n {
-            let a = r.span_start("csp.read", "Chaos-Quorum", 0, i);
-            let b = r.span_start("csp.child", "S3", 4, i + 1);
-            r.span_field(b, "from_host", FieldValue::U64(0));
-            r.span_field(b, "bytes.req", FieldValue::U64(110));
-            r.span_end(b, i + 2, Outcome::Ok);
-            r.span_end(a, i + 3, Outcome::Ok);
-        }
-        let dt = t0.elapsed();
-        println!(
-            "{n} iterations x 2 spans: {dt:?} ({:.1} ns/span), dropped={}",
-            dt.as_secs_f64() * 1e9 / (2.0 * n as f64),
-            r.dropped()
-        );
-    }
 
     #[test]
     fn stack_parenting_links_children() {

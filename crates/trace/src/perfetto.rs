@@ -106,11 +106,6 @@ pub mod wire {
         put_uint(out, field, v as u64);
     }
 
-    /// Tagged sint64 field (zigzag varint).
-    pub fn put_sint(out: &mut Vec<u8>, field: u32, v: i64) {
-        put_uint(out, field, zigzag(v));
-    }
-
     /// Tagged fixed64 field.
     pub fn put_fixed64(out: &mut Vec<u8>, field: u32, v: u64) {
         put_tag(out, field, WT_FIXED64);

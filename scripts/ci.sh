@@ -2,48 +2,20 @@
 # CI entry point.
 #
 #   scripts/ci.sh           tier-1: release build + full test suite
-#                           (tests/committed_artifacts.rs reads back
-#                           every committed report; tests/federation_oracle.rs
+#                           (tests/committed_artifacts.rs regenerates
+#                           every committed report on the default seed
+#                           and compares it byte for byte, protobuf
+#                           magic byte included; tests/federation_oracle.rs
 #                           holds every composite read to a reference model)
-#   scripts/ci.sh --soak    tier-1, then the seeded chaos soak
-#                           (bounded, deterministic; exits nonzero on any
-#                           degraded-read invariant violation), whose
-#                           report must equal CHAOS_1.json
-#   scripts/ci.sh --trace   tier-1, then the traced soak (exits nonzero
-#                           on orphan/unclosed/duplicate spans or any
-#                           unexplained degraded read), whose summary must
-#                           equal TRACE_1.json, span-export fingerprint
-#                           included
-#   scripts/ci.sh --lint    tier-1, then the static-analysis gate. The
-#                           source gate is cargo clippy -D warnings over
-#                           every target with the repo's clippy.toml; it
-#                           fails on an unwrap()/expect() in non-test code
-#                           of any crate but bench, a wall-clock read
+#   scripts/ci.sh --lint    tier-1, then the static-analysis gate: cargo
+#                           clippy -D warnings over every target with the
+#                           repo's clippy.toml; it fails on an
+#                           unwrap()/expect() in non-test code of any
+#                           crate but bench, a wall-clock read
 #                           (Instant::now, SystemTime::now) outside bench,
 #                           and an #[expect] escape that is stale or names
-#                           an unknown lint. Then `harness verify`
-#                           (schedule exploration + mutation check; its
-#                           report must equal VERIFY_1.json), and cargo
-#                           fmt --check when rustfmt is installed
-#   scripts/ci.sh --obs     tier-1, then the federation health engine:
-#                           `harness obs` (SLO burn-rate alerting over
-#                           the chaos soak; the storm must page with
-#                           trace exemplars, the clean run must not),
-#                           whose report must equal OBS_1.json
-#   scripts/ci.sh --storm   tier-1, then the tenant storm: a bulk-tenant
-#                           burst against the admission-controlled façade
-#                           (typed sheds only, critical SLO intact, full
-#                           circuit-breaker lifecycle, autoscaler up and
-#                           back down without flapping), whose report
-#                           must equal STORM_1.json
-#   scripts/ci.sh --perfetto  tier-1, then the Perfetto export leg:
-#                           `harness perfetto` runs the tenant storm with
-#                           the telemetry sampler attached and writes the
-#                           binary trace (the run fails unless the in-repo
-#                           decoder validates the stream); checks the
-#                           protobuf magic byte, and the summary, stream
-#                           fingerprint included, must equal
-#                           PERFETTO_1.json
+#                           an unknown lint. Then cargo fmt --check when
+#                           rustfmt is installed
 #   scripts/ci.sh --yardstick  tier-1, then the federated-read yardstick
 #                           (`benchmark/`, a package of its own that the
 #                           workspace build never sees): build it, run
@@ -75,56 +47,21 @@
 #                           from a 2 s pass are not comparable with
 #                           anything.
 #
-# Every harness leg exits nonzero when its own run fails, so the legs
-# check only what a run cannot see itself: that the committed report is
-# what the same seed writes today, and a Perfetto stream's first byte. A
-# leg writes its report to a *_ci path and compares it with the committed
-# file, so a stale artefact fails CI and CI never rewrites a tracked file
-# (regenerate one with `harness <verb>` and commit it).
-#
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-soak=0
-trace=0
 lint=0
-obs=0
-storm=0
-perfetto=0
 yardstick=0
-# 0x5E2509, the harness default seed: a leg that names its output path
-# must spell the seed out, because the seed positional comes first.
-default_seed=6169865
 for arg in "$@"; do
     case "$arg" in
-        --soak) soak=1 ;;
-        --trace) trace=1 ;;
         --lint) lint=1 ;;
-        --obs) obs=1 ;;
-        --storm) storm=1 ;;
-        --perfetto) perfetto=1 ;;
         --yardstick) yardstick=1 ;;
-        *) echo "usage: scripts/ci.sh [--soak] [--trace] [--lint] [--obs] [--storm] [--perfetto] [--yardstick]" >&2; exit 2 ;;
+        *) echo "usage: scripts/ci.sh [--lint] [--yardstick]" >&2; exit 2 ;;
     esac
 done
-
-# `regen <verb> <committed> <out> [report]`: run `harness <verb>` on the
-# default seed into <out>; the report it wrote (<out>, or the [report]
-# beside a Perfetto stream) must equal <committed> byte for byte. On a
-# mismatch the new report is kept for a diff.
-regen() {
-    echo "== harness $1 (against $2) =="
-    cargo run --release -p sensorcer-bench --bin harness -- "$1" "$default_seed" "$3"
-    report=${4:-$3}
-    cmp "$2" "$report" || {
-        echo "$2 is stale: seed $default_seed now writes $report" >&2
-        exit 1
-    }
-    rm -f "$report"
-}
 
 echo "== tier-1: release build =="
 cargo build --release
@@ -132,21 +69,10 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q --workspace
 
-if [ "$soak" -eq 1 ]; then
-    regen chaos CHAOS_1.json CHAOS_ci.json
-fi
-
-if [ "$trace" -eq 1 ]; then
-    regen trace TRACE_1.json TRACE_ci.json
-    rm -f TRACE_ci.spans.json
-fi
-
 if [ "$lint" -eq 1 ]; then
     echo "== clippy (deny warnings) =="
     cargo clippy --workspace --all-targets -q -- \
         -D warnings -D clippy::dbg_macro -D clippy::todo -D clippy::unimplemented
-
-    regen verify VERIFY_1.json VERIFY_ci.json
 
     if command -v rustfmt >/dev/null 2>&1; then
         echo "== rustfmt --check =="
@@ -154,26 +80,6 @@ if [ "$lint" -eq 1 ]; then
     else
         echo "== rustfmt not installed; skipping format check =="
     fi
-fi
-
-if [ "$obs" -eq 1 ]; then
-    regen obs OBS_1.json OBS_ci.json
-fi
-
-if [ "$storm" -eq 1 ]; then
-    regen storm STORM_1.json STORM_ci.json
-fi
-
-if [ "$perfetto" -eq 1 ]; then
-    regen perfetto PERFETTO_1.json PERFETTO_ci.perfetto-trace \
-        PERFETTO_ci.perfetto-trace.summary.json
-    # The stream must open with the Trace.packet tag (field 1,
-    # length-delimited = 0x0a) or ui.perfetto.dev will reject it.
-    [ "$(head -c 1 PERFETTO_ci.perfetto-trace | od -An -tx1 | tr -d ' \n')" = "0a" ] || {
-        echo "PERFETTO_ci.perfetto-trace: bad protobuf magic byte" >&2
-        exit 1
-    }
-    rm -f PERFETTO_ci.perfetto-trace
 fi
 
 # One end-to-end metric of the last `benchmark/run.sh` pass of a workload.

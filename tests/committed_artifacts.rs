@@ -1,27 +1,18 @@
-//! Every committed harness artefact, read back through the one JSON reader
-//! and held to its report's frame: `schema_version`, `passed == true`, the
-//! keys its module declares beside its writer. Each runner already exits
-//! non-zero when its run fails, so what can still go wrong is a stale or
-//! hand-edited file, or a report committed without a check; regenerate
-//! one with `harness <verb>`.
-
-use std::path::Path;
+//! Every committed harness report, one per row of [`LEGS`]: regenerated
+//! on the default seed and compared byte for byte with the committed
+//! file, and read back through the one JSON reader and held to its
+//! report's frame (`schema_version`, `passed == true`, the row's required
+//! keys). A stale or hand-edited file, or a report committed without a
+//! row, fails here; after a deliberate behaviour change regenerate one
+//! with `harness <verb>` and commit it.
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
-use sensorcer_bench::{chaos, obs, perfetto, storm, trace, verify};
+use sensorcer_bench::legs::LEGS;
+use sensorcer_bench::DEFAULT_SEED;
 use sensorcer_trace::json::Json;
 use sensorcer_trace::EXPORT_SCHEMA_VERSION;
-
-/// `(file at the repo root, the keys its report declares)`.
-const ARTIFACTS: &[(&str, &[&str])] = &[
-    ("CHAOS_1.json", chaos::REQUIRED_KEYS),
-    ("TRACE_1.json", trace::REQUIRED_KEYS),
-    ("VERIFY_1.json", verify::REQUIRED_KEYS),
-    ("OBS_1.json", obs::REQUIRED_KEYS),
-    ("STORM_1.json", storm::REQUIRED_KEYS),
-    ("PERFETTO_1.json", perfetto::REQUIRED_KEYS),
-];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -90,33 +81,69 @@ fn edited(doc: &Json, path: &[&str], value: Option<&Json>) -> Json {
     }
 }
 
+/// Each row's run on the default seed passes and writes exactly the
+/// committed bytes; the Perfetto stream opens with the `Trace.packet` tag
+/// (field 1, length-delimited = `0x0a`) that ui.perfetto.dev requires.
 #[test]
-fn every_committed_artifact_reads_back_passing_and_whole() {
-    for &(name, required) in ARTIFACTS {
-        let problems = check_report(&read(name), required);
-        assert!(problems.is_empty(), "{name}: {problems:?}");
+fn every_committed_report_is_what_its_leg_writes_today() {
+    let mut stale = Vec::new();
+    for leg in LEGS {
+        let run = (leg.run)(DEFAULT_SEED);
+        assert!(run.failures.is_empty(), "{}: {:?}", leg.file, run.failures);
+        assert_eq!(run.side.is_some(), leg.side_ext.is_some(), "{}", leg.file);
+        if leg.side_ext == Some("perfetto-trace") {
+            let first = run.side.as_deref().and_then(|s| s.first());
+            assert_eq!(first, Some(&0x0a), "{}: bad protobuf magic byte", leg.file);
+        }
+        let committed =
+            std::fs::read(root().join(leg.file)).unwrap_or_else(|e| panic!("{}: {e}", leg.file));
+        if run.report.render().as_bytes() != committed {
+            stale.push(format!(
+                "{} is stale: `harness {}` writes other bytes on seed {DEFAULT_SEED}",
+                leg.file, leg.verb
+            ));
+        }
+    }
+    assert!(stale.is_empty(), "{stale:#?}");
+}
+
+/// `[out]` defaults to the committed report on the default seed only:
+/// another seed without a path is refused, so it can never overwrite one.
+#[test]
+fn only_the_default_seed_writes_the_committed_report() {
+    let args = |xs: &[&str]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>();
+    let seed = DEFAULT_SEED.to_string();
+    for leg in LEGS {
+        let committed = (DEFAULT_SEED, leg.file.to_string());
+        assert_eq!(leg.args(&[]), Ok(committed.clone()));
+        assert_eq!(leg.args(&args(&[&seed])), Ok(committed));
+        assert!(leg.args(&args(&["7"])).is_err(), "{}", leg.verb);
+        assert_eq!(leg.args(&args(&["7", "x.json"])), Ok((7, "x.json".into())));
+        assert!(leg.args(&args(&["seven"])).is_err(), "{}", leg.verb);
     }
 }
 
-/// Every `*.json` report at the repo root has a row in [`ARTIFACTS`],
-/// and every row names a file that is there: a stale report left behind
-/// or a new one committed without a check fails here. `BENCHMARK.json`
-/// (the benchmark's contract) is not a report, and the files
-/// `.gitignore` keeps out of the tree (`harness trace`'s `*.spans.json`,
-/// `scripts/ci.sh`'s `*_ci*` copies) are never committed.
+#[test]
+fn every_committed_artifact_reads_back_passing_and_whole() {
+    for leg in LEGS {
+        let problems = check_report(&read(leg.file), leg.required);
+        assert!(problems.is_empty(), "{}: {problems:?}", leg.file);
+    }
+}
+
+/// Every `*.json` report at the repo root has a row in [`LEGS`], and
+/// every row names a file that is there: a stale report left behind or a
+/// new one committed without a check fails here. `BENCHMARK.json` (the
+/// benchmark's contract) is not a report, and `harness trace`'s
+/// `*.spans.json` is never committed.
 #[test]
 fn every_report_at_the_root_is_checked() {
     let on_disk: BTreeSet<String> = std::fs::read_dir(root())
         .expect("repo root lists")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-        .filter(|n| {
-            n.ends_with(".json")
-                && n != "BENCHMARK.json"
-                && !n.ends_with(".spans.json")
-                && !n.contains("_ci")
-        })
+        .filter(|n| n.ends_with(".json") && n != "BENCHMARK.json" && !n.ends_with(".spans.json"))
         .collect();
-    let checked: BTreeSet<String> = ARTIFACTS.iter().map(|(n, _)| n.to_string()).collect();
+    let checked: BTreeSet<String> = LEGS.iter().map(|l| l.file.to_string()).collect();
     assert_eq!(on_disk, checked);
 }
 
@@ -127,7 +154,8 @@ fn every_report_at_the_root_is_checked() {
 #[test]
 fn a_failing_or_incomplete_copy_is_refused() {
     let reread = |doc: &Json| Json::parse(doc.render().as_bytes()).expect("reads back");
-    for &(name, required) in ARTIFACTS {
+    for leg in LEGS {
+        let (name, required) = (leg.file, leg.required);
         let doc = read(name);
         let mut copies = vec![(
             "passed = false".to_string(),
