@@ -1444,7 +1444,7 @@ mod tests {
                 let esp = sb
                     .downcast_mut::<crate::esp::ElementarySensorProvider>()
                     .unwrap();
-                esp.probe = Box::new(
+                esp.swap_probe(Box::new(
                     SimulatedProbe::new(
                         Teds::sunspot_temperature("s"),
                         Signal::Constant(20.0),
@@ -1454,7 +1454,7 @@ mod tests {
                         dropout_prob: 1.0,
                         ..Default::default()
                     })),
-                );
+                ));
             })
             .unwrap();
 

@@ -7,7 +7,15 @@
 //! interface — reachable, like every operation in EOA, only through
 //! exertions. On startup it "registers itself with the Jini service
 //! registry" under a lease kept alive by the lease-renewal service.
+//!
+//! The probe and the ring are not held by the provider but by its world's
+//! one `MoteBank`, at the provider's slot, and a background sampling tick
+//! is a member of the bank's one timer group: a tick goes from the timer
+//! lane to the bank, and asks the service table only whether the provider
+//! is still deployed.
 
+use std::cell::{Ref, RefCell, RefMut};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
@@ -19,9 +27,9 @@ use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::RenewalHandle;
 use sensorcer_registry::txn::TxnId;
 use sensorcer_sensors::prelude::*;
-use sensorcer_sim::env::{Env, ServiceId};
+use sensorcer_sim::env::{Env, ServiceId, TimerGroup};
 use sensorcer_sim::metrics::Key;
-use sensorcer_sim::time::SimDuration;
+use sensorcer_sim::time::{SimDuration, SimTime};
 use sensorcer_sim::topology::HostId;
 
 use crate::accessor::{selectors, SensorInfo};
@@ -35,8 +43,9 @@ pub mod gauges {
     pub const BATTERY: &str = "sensor.battery.level";
 }
 
-/// Measurements an ESP keeps — the most `getHistory` can serve, and, as the
-/// ring is held in full from construction, 17 B each of what a mote costs.
+/// Measurements an ESP keeps: the most `getHistory` can serve. The ring
+/// is held in full from construction, 17 B a slot, so it is 4 352 B of
+/// what every mote costs whether it samples or not.
 const HISTORY_CAPACITY: usize = 256;
 
 /// Where a served read stamps the per-host [`gauges`].
@@ -46,37 +55,82 @@ struct HealthGauges {
     battery: Key,
 }
 
-/// The provider state.
+/// What one mote keeps: its probe, its local store, and the service that
+/// answers for it.
+struct Mote {
+    probe: Box<dyn SensorProbe>,
+    ring: RingStore,
+    service: ServiceId,
+}
+
+impl Mote {
+    fn sample(&mut self, now: SimTime) -> Result<Measurement, ProbeError> {
+        let m = self.probe.sample(now)?;
+        self.ring.push(m);
+        Ok(m)
+    }
+}
+
+/// Every ESP's mote in one world, by slot in deploy order — which is
+/// roughly the order their sampling ticks fire in, so a sampling pass
+/// streams through one `Vec` instead of reaching each provider through its
+/// service slot and boxes. Found through [`Env::shared`]; every sampling
+/// tick is a member of its one timer group.
+#[derive(Default)]
+struct MoteBank {
+    motes: Vec<Mote>,
+    /// The sampling callback, registered with the first ESP that samples
+    /// in the background.
+    sampling: Option<TimerGroup>,
+}
+
+impl MoteBank {
+    /// The sampling group of `bank`, registered on first use.
+    fn sampling(bank: &Rc<RefCell<MoteBank>>, env: &mut Env) -> TimerGroup {
+        let registered = bank.borrow().sampling;
+        registered.unwrap_or_else(|| {
+            let shared = Rc::clone(bank);
+            let group = env.timer_group(move |env, slot| shared.borrow_mut().tick(env, slot));
+            bank.borrow_mut().sampling = Some(group);
+            group
+        })
+    }
+
+    /// One sampling tick of `slot`: sample into its ring, and keep ticking
+    /// while its service is deployed.
+    fn tick(&mut self, env: &Env, slot: u32) -> bool {
+        let mote = &mut self.motes[slot as usize];
+        let deployed = env.service_host(mote.service).is_some();
+        if deployed {
+            let _ = mote.sample(env.now());
+        }
+        deployed
+    }
+}
+
+/// The provider state. Its probe and ring live in the world's mote bank,
+/// at `slot`.
 pub struct ElementarySensorProvider {
     name: String,
     exerted_by: Arc<str>,
-    uuid: String,
-    /// The host this provider was deployed on and its gauge keys, resolved
-    /// once by [`deploy_esp`]; a provider never deployed stamps nothing.
-    health: Option<HealthGauges>,
-    /// Crate-visible so tests and fault-injection benches can swap the
-    /// probe behind a live provider ("replace the sensor in the field").
-    pub(crate) probe: Box<dyn SensorProbe>,
-    store: RingStore,
+    /// Filled once the registration is granted; formatted only by
+    /// `getInfo`.
+    uuid: Option<SvcUuid>,
+    /// The host this provider was deployed on and its gauge keys.
+    health: HealthGauges,
+    bank: Rc<RefCell<MoteBank>>,
+    slot: usize,
     reads_total: u64,
 }
 
 impl ElementarySensorProvider {
-    pub fn new(name: impl Into<String>, probe: Box<dyn SensorProbe>) -> Self {
-        let name = name.into();
-        ElementarySensorProvider {
-            exerted_by: exerted_by(&name),
-            name,
-            uuid: String::new(),
-            health: None,
-            probe,
-            store: RingStore::new(HISTORY_CAPACITY),
-            reads_total: 0,
-        }
+    fn mote(&self) -> RefMut<'_, Mote> {
+        RefMut::map(self.bank.borrow_mut(), |bank| &mut bank.motes[self.slot])
     }
 
-    pub fn store(&self) -> &RingStore {
-        &self.store
+    /// The local store, borrowed from the world's mote bank.
+    pub fn store(&self) -> Ref<'_, RingStore> {
+        Ref::map(self.bank.borrow(), |bank| &bank.motes[self.slot].ring)
     }
 
     pub fn reads_total(&self) -> u64 {
@@ -89,30 +143,29 @@ impl ElementarySensorProvider {
     /// easily change the existing implementation and technologies of the
     /// sensors used".
     pub fn swap_probe(&mut self, probe: Box<dyn SensorProbe>) {
-        self.probe = probe;
+        self.mote().probe = probe;
     }
 
-    /// Take one sample now and record it (used by the sampling timer and
-    /// by `getValue`).
+    /// Take one sample now and record it (what a sampling tick and
+    /// `getValue` do).
     pub fn sample_now(&mut self, env: &mut Env) -> Result<Measurement, ProbeError> {
-        let m = self.probe.sample(env.now())?;
-        self.store.push(m);
-        Ok(m)
+        self.mote().sample(env.now())
     }
 
     fn handle_get_value(&mut self, env: &mut Env, task: &mut Task) {
         self.reads_total += 1;
-        match self.sample_now(env) {
+        let mut mote = self.mote();
+        match mote.sample(env.now()) {
             Ok(m) => {
                 write_measurement(&mut task.context, &m);
                 // Transmitting the reply costs the mote energy.
-                self.probe.charge_tx(task.context.wire_size());
+                mote.probe.charge_tx(task.context.wire_size());
                 task.status = ExertionStatus::Done;
             }
             Err(ProbeError::Dropout) | Err(ProbeError::TooFast) => {
                 // Serve the freshest stored measurement, flagged suspect —
                 // this is exactly why §III.B wants a local store.
-                match self.store.latest() {
+                match mote.ring.latest() {
                     Some(m) => {
                         let stale = Measurement {
                             quality: Quality::Suspect,
@@ -126,17 +179,19 @@ impl ElementarySensorProvider {
             }
             Err(ProbeError::BatteryDead) => task.fail("sensor battery exhausted"),
         }
-        if let (Some(h), true) = (&self.health, matches!(task.status, ExertionStatus::Done)) {
+        if matches!(task.status, ExertionStatus::Done) {
+            let h = &self.health;
             let now_ns = env.now().as_nanos() as f64;
             env.metrics.set_host_gauge_key(h.host, h.last_read, now_ns);
             env.metrics
-                .set_host_gauge_key(h.host, h.battery, self.probe.battery_level());
+                .set_host_gauge_key(h.host, h.battery, mote.probe.battery_level());
         }
     }
 
     fn handle_get_history(&mut self, task: &mut Task) {
         let count = task.context.get_f64("arg/count").unwrap_or(16.0).max(0.0) as usize;
-        let recent = || self.store.iter_recent(count);
+        let store = self.store();
+        let recent = || store.iter_recent(count);
         let values = recent().map(|m| Value::Float(m.value));
         let times = recent().map(|m| Value::Int(m.at.as_nanos() as i64));
         task.context
@@ -146,14 +201,15 @@ impl ElementarySensorProvider {
     }
 
     fn handle_get_info(&mut self, task: &mut Task) {
+        let mote = self.mote();
         let info = SensorInfo {
             name: self.name.clone(),
             service_type: "ELEMENTARY".into(),
-            uuid: self.uuid.clone(),
+            uuid: self.uuid.map(|u| u.to_string()).unwrap_or_default(),
             contained: Vec::new(),
             expression: None,
-            unit: self.probe.teds().unit.symbol().to_string(),
-            battery: self.probe.battery_level(),
+            unit: mote.probe.teds().unit.symbol().to_string(),
+            battery: mote.probe.battery_level(),
         };
         info.write_to(&mut task.context);
         task.status = ExertionStatus::Done;
@@ -210,7 +266,7 @@ impl std::fmt::Debug for ElementarySensorProvider {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ElementarySensorProvider")
             .field("name", &self.name)
-            .field("stored", &self.store.len())
+            .field("stored", &self.store().len())
             .field("reads_total", &self.reads_total)
             .finish()
     }
@@ -270,13 +326,27 @@ pub struct EspHandle {
 /// (interfaces `SensorDataAccessor` + `Servicer`, type `ELEMENTARY`),
 /// arrange lease renewal, and start background sampling if configured.
 pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
-    let mut esp = ElementarySensorProvider::new(config.name.clone(), config.probe);
-    esp.health = Some(HealthGauges {
-        host: config.host,
-        last_read: env.metrics.key(gauges::LAST_READ_NS),
-        battery: env.metrics.key(gauges::BATTERY),
-    });
+    let bank = env.shared(MoteBank::default);
+    let slot = bank.borrow().motes.len();
+    let esp = ElementarySensorProvider {
+        exerted_by: exerted_by(&config.name),
+        name: config.name.clone(),
+        uuid: None,
+        health: HealthGauges {
+            host: config.host,
+            last_read: env.metrics.key(gauges::LAST_READ_NS),
+            battery: env.metrics.key(gauges::BATTERY),
+        },
+        bank: Rc::clone(&bank),
+        slot,
+        reads_total: 0,
+    };
     let service = env.deploy(config.host, config.name.clone(), ServicerBox::new(esp));
+    bank.borrow_mut().motes.push(Mote {
+        probe: config.probe,
+        ring: RingStore::new(HISTORY_CAPACITY),
+        service,
+    });
 
     let mut attributes = vec![
         Entry::Name(config.name.clone()),
@@ -311,7 +381,7 @@ pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
     if let Ok(reg) = registration {
         let _ = env.with_service(service, |_env, sb: &mut ServicerBox| {
             if let Some(esp) = sb.downcast_mut::<ElementarySensorProvider>() {
-                esp.uuid = reg.uuid.to_string();
+                esp.uuid = Some(reg.uuid);
             }
         });
         if let Some(renewal) = config.renewal {
@@ -320,14 +390,8 @@ pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
     }
 
     if let Some(every) = config.sample_every {
-        env.schedule_every(every, every, move |env| {
-            env.with_service(service, |env, sb: &mut ServicerBox| {
-                if let Some(esp) = sb.downcast_mut::<ElementarySensorProvider>() {
-                    let _ = esp.sample_now(env);
-                }
-            })
-            .is_ok()
-        });
+        let group = MoteBank::sampling(&bank, env);
+        env.schedule_member(group, slot as u32, every, every);
     }
 
     EspHandle {
@@ -518,7 +582,7 @@ mod tests {
         w.env
             .with_service(svc, |_e, sb: &mut ServicerBox| {
                 let esp = sb.downcast_mut::<ElementarySensorProvider>().unwrap();
-                esp.probe = Box::new(
+                esp.swap_probe(Box::new(
                     SimulatedProbe::new(
                         Teds::sunspot_temperature("d"),
                         Signal::Constant(20.0),
@@ -528,7 +592,7 @@ mod tests {
                         dropout_prob: 1.0,
                         ..Default::default()
                     })),
-                );
+                ));
             })
             .unwrap();
         let r2 = client::get_value(&mut w.env, w.client, &w.accessor, "D").unwrap();

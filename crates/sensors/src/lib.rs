@@ -38,7 +38,7 @@ pub mod prelude {
     pub use crate::calib::Calibration;
     pub use crate::faults::{FaultInjector, FaultModel, FaultOutcome};
     pub use crate::probe::{ProbeError, ScriptedProbe, SensorProbe, SimulatedProbe};
-    pub use crate::signal::{Signal, SignalState};
+    pub use crate::signal::{Diurnal, RandomWalk, Signal, SignalState};
     pub use crate::spot::{humidity, light, pressure, soil_moisture, sunspot_temperature};
     pub use crate::store::RingStore;
     pub use crate::teds::Teds;

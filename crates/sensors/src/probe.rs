@@ -112,7 +112,7 @@ impl SimulatedProbe {
     pub fn with_calibration(mut self, calibration: Calibration) -> Self {
         #[expect(
             clippy::expect_used,
-            reason = "documented panic: a probe is never built mis-calibrated"
+            reason = "never built mis-calibrated: see invalid_calibration_panics_at_construction"
         )]
         calibration
             .validate()

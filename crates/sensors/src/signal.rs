@@ -14,51 +14,101 @@ use sensorcer_sim::time::SimTime;
 pub enum Signal {
     /// A constant value (reference probes, bench workloads).
     Constant(f64),
-    /// A diurnal sinusoid: `mean + amplitude · sin(2π·(t - phase)/period)`.
-    /// Default period is 24 h of virtual time — indoor temperature swings.
-    Diurnal {
-        mean: f64,
-        amplitude: f64,
-        period_s: f64,
-        phase_s: f64,
-    },
-    /// A bounded random walk: each sample moves by `N(0, step)`, reflected
-    /// at `[min, max]` (occupancy-driven micro-climate, soil moisture).
-    RandomWalk {
-        start: f64,
-        step: f64,
-        min: f64,
-        max: f64,
-    },
-    /// Sum of two signals (e.g. diurnal + random walk).
-    Sum(Box<Signal>, Box<Signal>),
+    Diurnal(Diurnal),
+    RandomWalk(RandomWalk),
+    /// A diurnal swing with a random walk about it (the lab's temperature
+    /// and humidity): the sum of the two, diurnal term first, both held
+    /// inline so a sample follows no pointer.
+    DiurnalWalk(Diurnal, RandomWalk),
 }
 
-/// Evolving state for a signal instance (random walks carry their current
-/// position).
+/// A diurnal sinusoid: `mean + amplitude · sin(2π·(t - phase)/period)`.
+/// Default period is 24 h of virtual time — indoor temperature swings.
+#[derive(Clone, Copy, Debug)]
+pub struct Diurnal {
+    pub mean: f64,
+    pub amplitude: f64,
+    pub period_s: f64,
+    pub phase_s: f64,
+}
+
+impl Diurnal {
+    fn value_at(&self, now: SimTime) -> f64 {
+        let t = now.as_secs_f64() - self.phase_s;
+        self.mean + self.amplitude * (std::f64::consts::TAU * t / self.period_s).sin()
+    }
+}
+
+/// A bounded random walk: each sample moves by `N(0, step)`, reflected at
+/// `[min, max]` (occupancy-driven micro-climate, soil moisture).
+#[derive(Clone, Copy, Debug)]
+pub struct RandomWalk {
+    pub start: f64,
+    pub step: f64,
+    pub min: f64,
+    pub max: f64,
+}
+
+impl RandomWalk {
+    /// Move the walk at `pos` (at `start` if it has not moved yet) one step
+    /// and return where it lands.
+    fn advance(&self, pos: &mut Option<f64>, rng: &mut SimRng) -> f64 {
+        let cur = pos.get_or_insert(self.start);
+        let mut next = *cur + rng.normal(0.0, self.step);
+        // Reflect at the bounds to keep the walk inside them.
+        if next > self.max {
+            next = self.max - (next - self.max);
+        }
+        if next < self.min {
+            next = self.min + (self.min - next);
+        }
+        *cur = next.clamp(self.min, self.max);
+        *cur
+    }
+}
+
+/// Evolving state for a signal instance: where its random walk stands.
 #[derive(Clone, Debug, Default)]
 pub struct SignalState {
     walk: Option<f64>,
-    child: Option<Box<(SignalState, SignalState)>>,
 }
 
 impl Signal {
     /// A typical indoor lab temperature like the paper's deployment:
     /// ~21.5 °C with a small afternoon swing and HVAC-driven wander.
     pub fn lab_temperature() -> Signal {
-        Signal::Sum(
-            Box::new(Signal::Diurnal {
+        Signal::DiurnalWalk(
+            Diurnal {
                 mean: 21.5,
                 amplitude: 1.5,
                 period_s: 86_400.0,
                 phase_s: 0.0,
-            }),
-            Box::new(Signal::RandomWalk {
+            },
+            RandomWalk {
                 start: 0.0,
                 step: 0.05,
                 min: -1.0,
                 max: 1.0,
-            }),
+            },
+        )
+    }
+
+    /// Indoor relative humidity (%): 45 % with a ±10 % daily swing and a
+    /// ±5 % wander.
+    pub fn lab_humidity() -> Signal {
+        Signal::DiurnalWalk(
+            Diurnal {
+                mean: 45.0,
+                amplitude: 10.0,
+                period_s: 86_400.0,
+                phase_s: 43_200.0,
+            },
+            RandomWalk {
+                start: 0.0,
+                step: 0.3,
+                min: -5.0,
+                max: 5.0,
+            },
         )
     }
 
@@ -66,39 +116,9 @@ impl Signal {
     pub fn value_at(&self, now: SimTime, state: &mut SignalState, rng: &mut SimRng) -> f64 {
         match self {
             Signal::Constant(v) => *v,
-            Signal::Diurnal {
-                mean,
-                amplitude,
-                period_s,
-                phase_s,
-            } => {
-                let t = now.as_secs_f64() - phase_s;
-                mean + amplitude * (std::f64::consts::TAU * t / period_s).sin()
-            }
-            Signal::RandomWalk {
-                start,
-                step,
-                min,
-                max,
-            } => {
-                let cur = state.walk.get_or_insert(*start);
-                let mut next = *cur + rng.normal(0.0, *step);
-                // Reflect at the bounds to keep the walk inside them.
-                if next > *max {
-                    next = *max - (next - *max);
-                }
-                if next < *min {
-                    next = *min + (*min - next);
-                }
-                *cur = next.clamp(*min, *max);
-                *cur
-            }
-            Signal::Sum(a, b) => {
-                let (sa, sb) = &mut **state.child.get_or_insert_with(|| {
-                    Box::new((SignalState::default(), SignalState::default()))
-                });
-                a.value_at(now, sa, rng) + b.value_at(now, sb, rng)
-            }
+            Signal::Diurnal(d) => d.value_at(now),
+            Signal::RandomWalk(w) => w.advance(&mut state.walk, rng),
+            Signal::DiurnalWalk(d, w) => d.value_at(now) + w.advance(&mut state.walk, rng),
         }
     }
 }
@@ -121,12 +141,12 @@ mod tests {
 
     #[test]
     fn diurnal_peaks_quarter_period_in() {
-        let s = Signal::Diurnal {
+        let s = Signal::Diurnal(Diurnal {
             mean: 20.0,
             amplitude: 4.0,
             period_s: 86_400.0,
             phase_s: 0.0,
-        };
+        });
         let mut st = SignalState::default();
         let mut rng = SimRng::new(1);
         let quarter = SimTime::ZERO + SimDuration::from_secs(21_600);
@@ -138,12 +158,12 @@ mod tests {
 
     #[test]
     fn random_walk_stays_bounded() {
-        let s = Signal::RandomWalk {
+        let s = Signal::RandomWalk(RandomWalk {
             start: 0.0,
             step: 0.5,
             min: -1.0,
             max: 1.0,
-        };
+        });
         let mut st = SignalState::default();
         let mut rng = SimRng::new(7);
         for i in 0..5_000 {
@@ -155,12 +175,12 @@ mod tests {
 
     #[test]
     fn random_walk_actually_moves() {
-        let s = Signal::RandomWalk {
+        let s = Signal::RandomWalk(RandomWalk {
             start: 0.0,
             step: 0.1,
             min: -10.0,
             max: 10.0,
-        };
+        });
         let mut st = SignalState::default();
         let mut rng = SimRng::new(3);
         let first = s.value_at(SimTime::ZERO, &mut st, &mut rng);
@@ -168,17 +188,6 @@ mod tests {
             .map(|i| s.value_at(SimTime(i), &mut st, &mut rng))
             .collect();
         assert!(later.iter().any(|v| (v - first).abs() > 1e-12));
-    }
-
-    #[test]
-    fn sum_composes() {
-        let s = Signal::Sum(
-            Box::new(Signal::Constant(10.0)),
-            Box::new(Signal::Constant(5.0)),
-        );
-        let mut st = SignalState::default();
-        let mut rng = SimRng::new(1);
-        assert_eq!(s.value_at(SimTime::ZERO, &mut st, &mut rng), 15.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::battery::Battery;
 use crate::calib::Calibration;
 use crate::faults::{FaultInjector, FaultModel};
 use crate::probe::SimulatedProbe;
-use crate::signal::Signal;
+use crate::signal::{Diurnal, RandomWalk, Signal};
 use crate::teds::Teds;
 use crate::units::Unit;
 
@@ -48,30 +48,13 @@ pub fn humidity(serial: &str, rng: SimRng) -> SimulatedProbe {
         min_sample_interval_ns: 50_000_000,
         technology: "sht-serial".into(),
     };
-    SimulatedProbe::new(
-        teds,
-        Signal::Sum(
-            Box::new(Signal::Diurnal {
-                mean: 45.0,
-                amplitude: 10.0,
-                period_s: 86_400.0,
-                phase_s: 43_200.0,
-            }),
-            Box::new(Signal::RandomWalk {
-                start: 0.0,
-                step: 0.3,
-                min: -5.0,
-                max: 5.0,
-            }),
-        ),
-        rng,
-    )
-    .with_noise(0.8)
-    .with_calibration(Calibration::PiecewiseLinear {
-        // Capacitive elements sag near saturation; the factory curve
-        // straightens them out.
-        points: vec![(0.0, 0.0), (50.0, 50.0), (90.0, 92.0), (100.0, 100.0)],
-    })
+    SimulatedProbe::new(teds, Signal::lab_humidity(), rng)
+        .with_noise(0.8)
+        .with_calibration(Calibration::PiecewiseLinear {
+            // Capacitive elements sag near saturation; the factory curve
+            // straightens them out.
+            points: vec![(0.0, 0.0), (50.0, 50.0), (90.0, 92.0), (100.0, 100.0)],
+        })
 }
 
 /// A barometric-pressure probe (mains-powered weather station head).
@@ -89,12 +72,12 @@ pub fn pressure(serial: &str, rng: SimRng) -> SimulatedProbe {
     };
     SimulatedProbe::new(
         teds,
-        Signal::RandomWalk {
+        Signal::RandomWalk(RandomWalk {
             start: 1013.0,
             step: 0.05,
             min: 980.0,
             max: 1040.0,
-        },
+        }),
         rng,
     )
     .with_noise(0.2)
@@ -116,12 +99,12 @@ pub fn soil_moisture(serial: &str, rng: SimRng) -> SimulatedProbe {
     };
     SimulatedProbe::new(
         teds,
-        Signal::RandomWalk {
+        Signal::RandomWalk(RandomWalk {
             start: 22.0,
             step: 0.02,
             min: 5.0,
             max: 45.0,
-        },
+        }),
         rng,
     )
     .with_noise(0.4)
@@ -149,12 +132,12 @@ pub fn light(serial: &str, rng: SimRng) -> SimulatedProbe {
     };
     SimulatedProbe::new(
         teds,
-        Signal::Diurnal {
+        Signal::Diurnal(Diurnal {
             mean: 5_000.0,
             amplitude: 5_000.0,
             period_s: 86_400.0,
             phase_s: 21_600.0,
-        },
+        }),
         rng,
     )
     .with_noise(50.0)

@@ -98,6 +98,11 @@ impl ServiceSlot {
     }
 }
 
+/// A callback registered with [`Env::timer_group`]: its members are
+/// repeating timers that each name it by index instead of owning a closure.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct TimerGroup(u32);
+
 /// Handle to a repeating timer; dropping it does *not* cancel the timer,
 /// call [`RepeatHandle::cancel`] explicitly.
 #[derive(Clone, Debug)]
@@ -177,6 +182,9 @@ pub struct Env {
     /// Indexed by `ServiceId`: ids count up from zero and are never
     /// reused, so an undeployed service leaves a hole.
     services: Vec<Option<ServiceSlot>>,
+    /// One value per type, shared by the services that ask for it with
+    /// [`Env::shared`].
+    shared: Vec<Rc<dyn Any>>,
     /// Optional flight recorder for structured spans. Absent by default
     /// so uninstrumented runs pay only a null check.
     recorder: Option<FlightRecorder>,
@@ -229,6 +237,7 @@ impl Env {
             timers: Timers::default(),
             next_timer_seq: 0,
             services: Vec::new(),
+            shared: Vec::new(),
             recorder: None,
             observer: None,
             tie_chooser: None,
@@ -574,6 +583,20 @@ impl Env {
             .is_some_and(|s| s.obj.borrow().downcast_ref::<T>().is_some())
     }
 
+    /// The world's one `T`, made by `make` on first use: state that many
+    /// services of a kind share (every ESP's probe and ring sit in one
+    /// bank), found by its type.
+    pub fn shared<T: Any>(&mut self, make: impl FnOnce() -> T) -> Rc<RefCell<T>> {
+        for value in &self.shared {
+            if let Ok(t) = Rc::clone(value).downcast::<RefCell<T>>() {
+                return t;
+            }
+        }
+        let t = Rc::new(RefCell::new(make()));
+        self.shared.push(Rc::clone(&t) as Rc<dyn Any>);
+        t
+    }
+
     /// Run a closure against a service object with **no** network
     /// accounting. This is the local (same-process) access path and the
     /// escape hatch for tests.
@@ -807,6 +830,10 @@ impl Env {
     /// Queue a repeating timer `after` from now, under the next sequence
     /// number.
     fn arm(&mut self, after: SimDuration, interval: SimDuration, repeat: Repeat) {
+        assert!(
+            !interval.is_zero(),
+            "repeating timer needs a nonzero interval"
+        );
         let seq = self.next_timer_seq();
         let at = self.clock + after;
         self.timers.push_every(at, seq, interval, repeat);
@@ -833,18 +860,42 @@ impl Env {
         interval: SimDuration,
         f: impl FnMut(&mut Env) -> bool + 'static,
     ) -> RepeatHandle {
-        assert!(
-            !interval.is_zero(),
-            "repeating timer needs a nonzero interval"
-        );
         let alive = Rc::new(std::cell::Cell::new(true));
         let handle = RepeatHandle(Rc::clone(&alive));
-        let repeat = Repeat {
+        let repeat = Repeat::Closure {
             alive,
             f: Box::new(f),
         };
         self.arm(first_after, interval, repeat);
         handle
+    }
+
+    /// Register `f` as the callback of a group of repeating timers, each
+    /// started with [`Env::schedule_member`]. `f(env, member)` runs when
+    /// `member` fires and keeps it firing while it returns `true`. `f` is
+    /// shared for the call, so a member's body may fire others of its group.
+    pub fn timer_group(&mut self, f: impl Fn(&mut Env, u32) -> bool + 'static) -> TimerGroup {
+        self.timers.groups.push(Rc::new(f));
+        TimerGroup(self.timers.groups.len() as u32 - 1)
+    }
+
+    /// [`Env::schedule_every`] for member `member` of `group`: it fires the
+    /// group's callback every `interval`, starting after `first_after`,
+    /// under the same keys a closure would take, and holds no allocation
+    /// of its own. There is no handle: the callback stops a member by
+    /// returning `false` for it.
+    pub fn schedule_member(
+        &mut self,
+        group: TimerGroup,
+        member: u32,
+        first_after: SimDuration,
+        interval: SimDuration,
+    ) {
+        let repeat = Repeat::Member {
+            group: group.0,
+            member,
+        };
+        self.arm(first_after, interval, repeat);
     }
 
     /// Number of pending (non-cancelled) timers. A repeating timer counts
@@ -919,13 +970,19 @@ impl Env {
         match callback {
             TimerCallback::Once(f) => f(self),
             TimerCallback::Every(interval, mut repeat) => {
-                if !repeat.alive.get() {
-                    return;
-                }
-                if (repeat.f)(self) && repeat.alive.get() {
+                let again = match &mut repeat {
+                    Repeat::Closure { alive, f } => {
+                        let again = alive.get() && f(self) && alive.get();
+                        alive.set(again);
+                        again
+                    }
+                    Repeat::Member { group, member } => {
+                        let f = Rc::clone(&self.timers.groups[*group as usize]);
+                        f(self, *member)
+                    }
+                };
+                if again {
                     self.arm(interval, interval, repeat);
-                } else {
-                    repeat.alive.set(false);
                 }
             }
         }

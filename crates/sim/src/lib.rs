@@ -63,7 +63,7 @@ pub mod prelude {
 
     pub use crate::chaos::{ChaosConfig, ChaosCounts, ChaosEvent, ChaosSchedule};
     pub use crate::env::{
-        Env, EnvConfig, LifecycleEvent, Observer, RepeatHandle, ServiceId, TimerId,
+        Env, EnvConfig, LifecycleEvent, Observer, RepeatHandle, ServiceId, TimerGroup, TimerId,
     };
     pub use crate::hb::{HbTracker, HbViolation, VectorClock};
     pub use crate::metrics::{

@@ -26,6 +26,13 @@
 //! sorted place instead. Lanes are found by a linear scan: a world has a
 //! handful of distinct intervals. A repeating timer is cancelled through
 //! its shared `alive` flag, so it leaves its lane only at its deadline.
+//!
+//! A lane entry is either such a closure or a *member*: an index into one
+//! callback registered for a whole group of timers (every ESP's sampling
+//! tick in a world is a member of one group). A member owns no allocation
+//! and no flag; it stops when the group's callback returns `false` for it.
+//! Both kinds take keys from the same sequence and sit in the same lanes,
+//! so whether a timer is a closure or a member never changes when it fires.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -35,12 +42,23 @@ use std::rc::Rc;
 use crate::env::Env;
 use crate::time::{SimDuration, SimTime};
 
-/// A repeating timer: after `f` returns `true` with `alive` still set,
-/// `Env` re-arms it one interval later.
-pub(crate) struct Repeat {
-    pub alive: Rc<Cell<bool>>,
-    pub f: Box<dyn FnMut(&mut Env) -> bool>,
+/// A repeating timer, re-armed one interval later while it asks to be.
+pub(crate) enum Repeat {
+    /// A closure of its own: re-armed after `f` returns `true` with
+    /// `alive` still set.
+    Closure {
+        alive: Rc<Cell<bool>>,
+        f: Box<dyn FnMut(&mut Env) -> bool>,
+    },
+    /// Member `member` of callback group `group`: re-armed after the
+    /// group's callback returns `true` for it.
+    Member { group: u32, member: u32 },
 }
+
+/// The callback of a timer group, called with the member that fired. It
+/// is shared, not moved out, for the call, so a member's body may fire
+/// other members of its own group.
+pub(crate) type GroupCallback = Rc<dyn Fn(&mut Env, u32) -> bool>;
 
 /// What a popped timer runs.
 pub(crate) enum TimerCallback {
@@ -132,6 +150,8 @@ pub(crate) struct Timers {
     free: Vec<usize>,
     /// One per distinct interval, in order of first use; never removed.
     lanes: Vec<Lane>,
+    /// The callbacks of timer groups, by group id; never removed.
+    pub groups: Vec<GroupCallback>,
 }
 
 impl Timers {
@@ -289,6 +309,7 @@ impl std::fmt::Debug for Timers {
             .field("pending", &self.len())
             .field("keys", &self.heap.len())
             .field("lanes", &self.lanes.len())
+            .field("groups", &self.groups.len())
             .finish()
     }
 }
@@ -306,7 +327,7 @@ mod tests {
     }
 
     fn every() -> Repeat {
-        Repeat {
+        Repeat::Closure {
             alive: Rc::new(Cell::new(true)),
             f: Box::new(|_env| true),
         }

@@ -36,12 +36,12 @@ fn airspeed_probe(env: &mut Env, serial: &str) -> Box<dyn SensorProbe> {
                 min_sample_interval_ns: 10_000_000,
                 technology: "pitot".into(),
             },
-            Signal::RandomWalk {
+            Signal::RandomWalk(RandomWalk {
                 start: 38.0,
                 step: 0.4,
                 min: 25.0,
                 max: 55.0,
-            },
+            }),
             env.fork_rng(),
         )
         .with_noise(0.3),
@@ -62,12 +62,12 @@ fn altitude_probe(env: &mut Env, serial: &str) -> Box<dyn SensorProbe> {
                 min_sample_interval_ns: 10_000_000,
                 technology: "baro".into(),
             },
-            Signal::RandomWalk {
+            Signal::RandomWalk(RandomWalk {
                 start: 1200.0,
                 step: 5.0,
                 min: 900.0,
                 max: 1500.0,
-            },
+            }),
             env.fork_rng(),
         )
         .with_noise(2.0),

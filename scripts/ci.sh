@@ -98,8 +98,9 @@ if [ "$yardstick" -eq 1 ]; then
         echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
         benchmark/run.sh --seed "$seed" --seconds 2
         # Counts, exact whatever the run length. mote_scale: 14 while a
-        # repeating timer sits in its interval's lane, whose capacity is
-        # reached at setup, and is re-armed by move; 4 488 when every
+        # mote's sampling tick is a (group, slot) entry in its interval's
+        # lane, whose capacity is reached at setup, re-armed by move, and
+        # samples into the mote bank's preallocated ring; 4 488 when every
         # firing boxed a fresh closure.
         # registry_churn: 299 while lookups share the stored items, sizes
         # are added up and results are sized once; 341 when results grew
@@ -122,14 +123,17 @@ if [ "$yardstick" -eq 1 ]; then
                 exit 1
             }
         done
-        # Byte counts, as exact. mote_scale: 127.3 while each of the 20 000
-        # rings keeps 256 slots of 16 bytes and a one-byte tag, 165.7 when
-        # it kept whole `Measurement`s (18 bytes of information padded to
-        # 24). registry_churn: 14.99 while attribute postings are keyed by
-        # a hash, each interface name is stored once and leases sit densely
-        # in chunks; 15.95 with a `String` key per posting again, 15.91
-        # with leases in a `BTreeMap`, 16.44 with a name copy per item, 18.00
-        # with all three.
+        # Byte counts, as exact. mote_scale: 123.4 while the 20 000 motes'
+        # probes and rings sit in one bank, each ring 256 slots of 16 bytes
+        # and a one-byte tag, and a sampling tick is an index into one
+        # callback; 125.8 when each provider held its probe, ring and uuid
+        # string and each tick a boxed closure and a liveness flag, 165.7
+        # when rings kept whole `Measurement`s (18 bytes of information
+        # padded to 24). registry_churn: 14.99 while attribute postings
+        # are keyed by a hash, each interface name is stored once and
+        # leases sit densely in chunks; 15.95 with a `String` key per
+        # posting again, 15.91 with leases in a `BTreeMap`, 16.44 with a
+        # name copy per item, 18.00 with all three.
         for gate in mote_scale:135 registry_churn:15.5; do
             workload=${gate%:*}
             limit=${gate#*:}

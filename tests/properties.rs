@@ -10,9 +10,10 @@ use sensorcer_suite::sim::check::{run_cases, Gen};
 use sensorcer_suite::core::local::{LocalFederation, LocalNode, LocalReadError};
 use sensorcer_suite::expr::{Program, Value};
 use sensorcer_suite::sensors::prelude::{
-    Battery, ScriptedProbe, Signal, SimulatedProbe, Teds, Unit,
+    Battery, Diurnal, RandomWalk, ScriptedProbe, Signal, SignalState, SimulatedProbe, Teds, Unit,
 };
 use sensorcer_suite::sim::rng::SimRng;
+use sensorcer_suite::sim::time::SimTime;
 use sensorcer_suite::sim::wire::{WireDecode, WireEncode};
 
 /// The paper's average expression equals arithmetic for any readings.
@@ -204,4 +205,65 @@ fn elvis_matches_ternary() {
             .unwrap();
         assert_eq!(elvis, ternary);
     });
+}
+
+/// The lab signals hold their two terms inline (`Signal::DiurnalWalk`).
+/// Each must equal its diurnal and its random walk evaluated as signals of
+/// their own and summed, diurnal first, as the boxed two-term sum they
+/// replaced did: bit for bit, with the same draws taken from the rng. The
+/// terms are spelled out here, so a changed parameter fails too.
+#[test]
+fn lab_signals_equal_their_terms_summed() {
+    let temperature = (
+        Diurnal {
+            mean: 21.5,
+            amplitude: 1.5,
+            period_s: 86_400.0,
+            phase_s: 0.0,
+        },
+        RandomWalk {
+            start: 0.0,
+            step: 0.05,
+            min: -1.0,
+            max: 1.0,
+        },
+    );
+    let humidity = (
+        Diurnal {
+            mean: 45.0,
+            amplitude: 10.0,
+            period_s: 86_400.0,
+            phase_s: 43_200.0,
+        },
+        RandomWalk {
+            start: 0.0,
+            step: 0.3,
+            min: -5.0,
+            max: 5.0,
+        },
+    );
+    for (signal, (diurnal, walk)) in [
+        (Signal::lab_temperature(), temperature),
+        (Signal::lab_humidity(), humidity),
+    ] {
+        let (diurnal, walk) = (Signal::Diurnal(diurnal), Signal::RandomWalk(walk));
+        for seed in [1, 7, 42] {
+            let (mut rng, mut reference_rng) = (SimRng::new(seed), SimRng::new(seed));
+            let mut state = SignalState::default();
+            let (mut diurnal_state, mut walk_state) = Default::default();
+            for i in 0..10_000u64 {
+                // 37 s apart: four and a bit days, off the diurnal's grid.
+                let now = SimTime(i * 37_000_000_000);
+                let got = signal.value_at(now, &mut state, &mut rng);
+                let want = diurnal.value_at(now, &mut diurnal_state, &mut reference_rng)
+                    + walk.value_at(now, &mut walk_state, &mut reference_rng);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{signal:?} seed {seed} @ {i}"
+                );
+            }
+            assert_eq!(rng.next_u64(), reference_rng.next_u64(), "draws taken");
+        }
+    }
 }

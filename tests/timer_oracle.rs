@@ -14,6 +14,13 @@
 //! programme's `Parallel` runs its branches through `Env::parallel_over`,
 //! which rewinds the clock per branch, so a timer armed in a later branch
 //! can sort before one an earlier branch put at a lane's tail.
+//!
+//! A programme also starts *members*: repeating timers that name one
+//! callback registered for the whole run (`Env::timer_group`) by index
+//! instead of owning a closure. They share the lanes with the closures,
+//! and the reference runs the same body through `reference_every`. A
+//! member's body may run the clock (`RunNested`) and so fire other members
+//! of its own group from inside the group's callback.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -37,7 +44,15 @@ enum Instr {
         stop_at: u32,
         body: Vec<Instr>,
     },
-    /// Cancel one of the repeating timers started so far.
+    /// `schedule_member` of the run's one group; the member stops from
+    /// firing `stop_at`, or once cancelled.
+    Member {
+        first: SimDuration,
+        interval: SimDuration,
+        stop_at: u32,
+        body: Vec<Instr>,
+    },
+    /// Cancel one of the repeating timers or members started so far.
     CancelRepeat(usize),
     /// `Env::cancel` one of the one-shot ids handed out so far.
     CancelOnce(usize),
@@ -57,7 +72,7 @@ fn delay(g: &mut Gen) -> SimDuration {
 fn programme(g: &mut Gen, depth: u32) -> Vec<Instr> {
     let (min_len, max_len) = if depth == 0 { (3, 10) } else { (0, 3) };
     g.vec_of(min_len, max_len, |g| {
-        let (lo, hi) = if depth >= 2 { (6, 13) } else { (0, 14) };
+        let (lo, hi) = if depth >= 2 { (9, 16) } else { (0, 17) };
         match g.u64_in(lo, hi) {
             0..=2 => Instr::Once {
                 after: delay(g),
@@ -69,10 +84,16 @@ fn programme(g: &mut Gen, depth: u32) -> Vec<Instr> {
                 stop_at: g.u64_in(1, 6) as u32,
                 body: programme(g, depth + 1),
             },
-            6..=7 => Instr::CancelRepeat(g.usize_in(0, 64)),
-            8..=9 => Instr::CancelOnce(g.usize_in(0, 64)),
-            10 => Instr::Consume(SimDuration::from_micros(g.u64_in(1, 400))),
-            11..=12 => Instr::RunNested(delay(g)),
+            6..=8 => Instr::Member {
+                first: delay(g),
+                interval: SimDuration::from_micros(*g.pick(&[100, 200, 500])),
+                stop_at: g.u64_in(1, 6) as u32,
+                body: programme(g, depth + 1),
+            },
+            9..=10 => Instr::CancelRepeat(g.usize_in(0, 64)),
+            11..=12 => Instr::CancelOnce(g.usize_in(0, 64)),
+            13 => Instr::Consume(SimDuration::from_micros(g.u64_in(1, 400))),
+            14..=15 => Instr::RunNested(delay(g)),
             _ => Instr::Parallel(g.vec_of(2, 4, |g| programme(g, depth + 1))),
         }
     })
@@ -124,14 +145,30 @@ fn reference_every(
     alive
 }
 
+/// A member started by the programme: what its firings run.
+struct Member {
+    tag: u32,
+    body: Vec<Instr>,
+    stop_at: u32,
+    firings: u32,
+    alive: Rc<Cell<bool>>,
+}
+
 struct World {
     repetition: Repetition,
+    /// The group members join on the engine; `None` on the reference.
+    group: Option<TimerGroup>,
     /// `(now, tag, seq)` per firing: tags number the timers in the order
     /// they were scheduled, seq is the next sequence number at the firing.
     log: Vec<(u64, u32, u64)>,
     next_tag: u32,
     onces: Vec<TimerId>,
     repeats: Vec<Box<dyn Fn()>>,
+    members: Vec<Member>,
+    /// Members whose bodies are running, innermost last.
+    member_depth: u32,
+    /// Firings of a member inside another member's body.
+    nested_members: usize,
 }
 
 type Shared = Rc<RefCell<World>>;
@@ -147,6 +184,32 @@ fn fired(env: &mut Env, w: &Shared, tag: u32) {
     env.cancel(probe);
     let now = env.now().as_nanos();
     w.borrow_mut().log.push((now, tag, probe.0));
+}
+
+/// One firing of `member`: what both the group callback and the reference
+/// closure run. A cancelled member stops without firing, as a cancelled
+/// closure does.
+fn member_fires(env: &mut Env, w: &Shared, member: u32) -> bool {
+    let (tag, body, alive) = {
+        let w = w.borrow();
+        let m = &w.members[member as usize];
+        (m.tag, m.body.clone(), Rc::clone(&m.alive))
+    };
+    if !alive.get() {
+        return false;
+    }
+    {
+        let mut w = w.borrow_mut();
+        w.nested_members += usize::from(w.member_depth > 0);
+        w.member_depth += 1;
+    }
+    fired(env, w, tag);
+    exec(env, w, &body);
+    let mut w = w.borrow_mut();
+    w.member_depth -= 1;
+    let m = &mut w.members[member as usize];
+    m.firings += 1;
+    m.firings < m.stop_at && alive.get()
 }
 
 fn exec(env: &mut Env, w: &Shared, instrs: &[Instr]) {
@@ -189,6 +252,38 @@ fn exec(env: &mut Env, w: &Shared, instrs: &[Instr]) {
                 };
                 w.borrow_mut().repeats.push(cancel);
             }
+            Instr::Member {
+                first,
+                interval,
+                stop_at,
+                body,
+            } => {
+                let tag = take_tag(w);
+                let alive = Rc::new(Cell::new(true));
+                let (member, group) = {
+                    let mut w = w.borrow_mut();
+                    w.members.push(Member {
+                        tag,
+                        body: body.clone(),
+                        stop_at: *stop_at,
+                        firings: 0,
+                        alive: Rc::clone(&alive),
+                    });
+                    (w.members.len() as u32 - 1, w.group)
+                };
+                match group {
+                    Some(group) => env.schedule_member(group, member, *first, *interval),
+                    None => {
+                        let w2 = Rc::clone(w);
+                        reference_every(env, *first, *interval, move |env| {
+                            member_fires(env, &w2, member)
+                        });
+                    }
+                }
+                w.borrow_mut()
+                    .repeats
+                    .push(Box::new(move || alive.set(false)));
+            }
             Instr::CancelRepeat(n) => {
                 let w = w.borrow();
                 if !w.repeats.is_empty() {
@@ -226,6 +321,7 @@ struct Outcome {
     end: SimTime,
     pending: usize,
     next_seq: u64,
+    nested_members: usize,
 }
 
 fn run(instrs: &[Instr], repetition: Repetition, configure: impl FnOnce(&mut Env)) -> Outcome {
@@ -233,11 +329,20 @@ fn run(instrs: &[Instr], repetition: Repetition, configure: impl FnOnce(&mut Env
     configure(&mut env);
     let w: Shared = Rc::new(RefCell::new(World {
         repetition,
+        group: None,
         log: Vec::new(),
         next_tag: 0,
         onces: Vec::new(),
         repeats: Vec::new(),
+        members: Vec::new(),
+        member_depth: 0,
+        nested_members: 0,
     }));
+    if let Repetition::Engine = repetition {
+        let w2 = Rc::clone(&w);
+        let group = env.timer_group(move |env, member| member_fires(env, &w2, member));
+        w.borrow_mut().group = Some(group);
+    }
     exec(&mut env, &w, instrs);
     // Uneven slices, so that deadlines fall on, before and after the edge
     // a `run_until` stops at.
@@ -245,22 +350,27 @@ fn run(instrs: &[Instr], repetition: Repetition, configure: impl FnOnce(&mut Env
     env.run_for(SimDuration::from_micros(1_250));
     let limit = env.now() + SimDuration::from_millis(20);
     env.run_until_idle(limit);
-    let log = std::mem::take(&mut w.borrow_mut().log);
+    let (log, nested_members) = {
+        let mut w = w.borrow_mut();
+        (std::mem::take(&mut w.log), w.nested_members)
+    };
     Outcome {
         log,
         end: env.now(),
         pending: env.pending_timers(),
         next_seq: env.schedule(SimDuration::ZERO, |_| {}).0,
+        nested_members,
     }
 }
 
 #[test]
 fn repeating_timers_match_the_one_shot_chain_on_every_engine() {
-    let mut firings = 0;
+    let (mut firings, mut nested_members) = (0, 0);
     run_cases("timer-oracle", 300, |g| {
         let instrs = programme(g, 0);
         let expected = run(&instrs, Repetition::Reference, |_| {});
         firings += expected.log.len();
+        nested_members += expected.nested_members;
         let engine = |configure: fn(&mut Env)| run(&instrs, Repetition::Engine, configure);
         assert_eq!(engine(|_| {}), expected, "plain\n{instrs:#?}");
         assert_eq!(
@@ -280,6 +390,36 @@ fn repeating_timers_match_the_one_shot_chain_on_every_engine() {
         );
     });
     assert!(firings > 2_000, "programmes too tame: {firings} firings");
+    assert!(
+        nested_members > 100,
+        "members too tame: {nested_members} fired inside a member's body"
+    );
+}
+
+#[test]
+fn a_member_body_may_fire_members_of_its_own_group() {
+    let mut env = Env::with_seed(6);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let l = Rc::clone(&log);
+    let group = env.timer_group(move |env, member| {
+        l.borrow_mut()
+            .push((env.now().as_nanos() / 1_000_000, member));
+        if member == 0 {
+            // Member 1 falls due, and fires, inside this call.
+            env.run_for(ms(10));
+        }
+        true
+    });
+    env.schedule_member(group, 0, ms(10), ms(30));
+    env.schedule_member(group, 1, ms(15), ms(20));
+    assert_eq!(env.pending_timers(), 2);
+    env.run_for(ms(60));
+    assert_eq!(
+        *log.borrow(),
+        [(10, 0), (15, 1), (35, 1), (50, 0), (55, 1)],
+        "member 0 re-armed from the clock its nested run left: 20 + 30"
+    );
+    assert_eq!(env.pending_timers(), 2);
 }
 
 fn ms(n: u64) -> SimDuration {
