@@ -182,7 +182,8 @@ pub fn sensorcer_scenario(n: usize, seed: u64) -> Scenario {
     cfg.children = (0..n).map(|i| format!("Sensor-{i:03}")).collect();
     #[expect(
         clippy::expect_used,
-        reason = "a static composite over the ESPs deployed above always validates"
+        reason = "a static composite over the ESPs deployed above always validates: see \
+                  tests/baseline_parity.rs, which builds it over 4, 16 and 48 ESPs"
     )]
     deploy_csp(&mut env, cfg).expect("valid composite");
     let accessor = sensorcer_exertion::ServiceAccessor::new(vec![lus]);

@@ -182,7 +182,11 @@ pub fn standard_deployment(env: &mut Env, config: &DeploymentConfig) -> Deployme
             QosCapabilities::lab_server(),
             Some(lus),
         );
-        #[expect(clippy::expect_used, reason = "the monitor is deployed a few lines up")]
+        #[expect(
+            clippy::expect_used,
+            reason = "the monitor is deployed a few lines up: every world of \
+                      tests/fig2_deployment.rs and tests/determinism.rs comes through here"
+        )]
         env.with_service(monitor.service, |_e, m: &mut ProvisionMonitor| {
             m.register_cybernode(node)
         })

@@ -10,11 +10,14 @@
 //!
 //! The probe and the ring are not held by the provider but by its world's
 //! one `MoteBank`, at the provider's slot, and a background sampling tick
-//! is a member of the bank's one timer group: a tick goes from the timer
-//! lane to the bank, and asks the service table only whether the provider
-//! is still deployed.
+//! is a member of the bank's one timer group. A tick goes from the timer
+//! lane to its mote's page and its ring and nowhere else: a simulated
+//! probe sits in the page by value, and whether the provider is still
+//! deployed is a flag beside it.
 
+use std::any::Any;
 use std::cell::{Ref, RefCell, RefMut};
+use std::ops::{Index, IndexMut};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -44,7 +47,7 @@ pub mod gauges {
 }
 
 /// Measurements an ESP keeps: the most `getHistory` can serve. The ring
-/// is held in full from construction, 17 B a slot, so it is 4 352 B of
+/// is held in full from construction, 17 B a record, so it is 4 352 B of
 /// what every mote costs whether it samples or not.
 const HISTORY_CAPACITY: usize = 256;
 
@@ -55,12 +58,51 @@ struct HealthGauges {
     battery: Key,
 }
 
-/// What one mote keeps: its probe, its local store, and the service that
-/// answers for it.
+/// A mote's probe: a [`SimulatedProbe`] by value, so that sampling it
+/// reads the mote's page; any other technology behind its box.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "inline on purpose: a tick reads the probe from its mote's page; the footprint \
+              is pinned by a_mote_and_its_page_keep_their_size"
+)]
+enum Probe {
+    Simulated(SimulatedProbe),
+    Boxed(Box<dyn SensorProbe>),
+}
+
+impl Probe {
+    /// Unbox `probe` if it is a [`SimulatedProbe`].
+    fn new(probe: Box<dyn SensorProbe>) -> Probe {
+        if !(&*probe as &dyn Any).is::<SimulatedProbe>() {
+            return Probe::Boxed(probe);
+        }
+        match (probe as Box<dyn Any>).downcast::<SimulatedProbe>() {
+            Ok(simulated) => Probe::Simulated(*simulated),
+            Err(_) => unreachable!("a SimulatedProbe, checked above"),
+        }
+    }
+
+    fn sample(&mut self, now: SimTime) -> Result<Measurement, ProbeError> {
+        match self {
+            Probe::Simulated(probe) => probe.sample(now),
+            Probe::Boxed(probe) => probe.sample(now),
+        }
+    }
+
+    fn as_dyn(&mut self) -> &mut dyn SensorProbe {
+        match self {
+            Probe::Simulated(probe) => probe,
+            Probe::Boxed(probe) => &mut **probe,
+        }
+    }
+}
+
+/// What one mote keeps: its probe, its local store, and whether the
+/// provider that answers for it is still deployed.
 struct Mote {
-    probe: Box<dyn SensorProbe>,
+    probe: Probe,
     ring: RingStore,
-    service: ServiceId,
+    deployed: bool,
 }
 
 impl Mote {
@@ -71,40 +113,68 @@ impl Mote {
     }
 }
 
+/// Motes per page of a [`MoteBank`].
+const PAGE: usize = 64;
+
 /// Every ESP's mote in one world, by slot in deploy order — which is
 /// roughly the order their sampling ticks fire in, so a sampling pass
-/// streams through one `Vec` instead of reaching each provider through its
-/// service slot and boxes. Found through [`Env::shared`]; every sampling
-/// tick is a member of its one timer group.
+/// streams through the bank instead of reaching each provider through its
+/// service slot and boxes. The motes sit in pages of [`PAGE`], each
+/// allocated whole when its first mote arrives: the bank never moves a
+/// mote and never holds more than one page's slack. Found through
+/// [`Env::shared`]; every sampling tick is a member of its one timer group.
 #[derive(Default)]
 struct MoteBank {
-    motes: Vec<Mote>,
+    pages: Vec<Vec<Mote>>,
     /// The sampling callback, registered with the first ESP that samples
     /// in the background.
     sampling: Option<TimerGroup>,
 }
 
+impl Index<usize> for MoteBank {
+    type Output = Mote;
+
+    fn index(&self, slot: usize) -> &Mote {
+        &self.pages[slot / PAGE][slot % PAGE]
+    }
+}
+
+impl IndexMut<usize> for MoteBank {
+    fn index_mut(&mut self, slot: usize) -> &mut Mote {
+        &mut self.pages[slot / PAGE][slot % PAGE]
+    }
+}
+
 impl MoteBank {
+    /// Add `mote` and return its slot.
+    fn push(&mut self, mote: Mote) -> usize {
+        if self.pages.last().is_none_or(|page| page.len() == PAGE) {
+            self.pages.push(Vec::with_capacity(PAGE));
+        }
+        let last = self.pages.len() - 1;
+        self.pages[last].push(mote);
+        last * PAGE + self.pages[last].len() - 1
+    }
+
     /// The sampling group of `bank`, registered on first use.
     fn sampling(bank: &Rc<RefCell<MoteBank>>, env: &mut Env) -> TimerGroup {
         let registered = bank.borrow().sampling;
         registered.unwrap_or_else(|| {
             let shared = Rc::clone(bank);
-            let group = env.timer_group(move |env, slot| shared.borrow_mut().tick(env, slot));
+            let group = env.timer_group(move |env, slot| shared.borrow_mut().tick(env.now(), slot));
             bank.borrow_mut().sampling = Some(group);
             group
         })
     }
 
     /// One sampling tick of `slot`: sample into its ring, and keep ticking
-    /// while its service is deployed.
-    fn tick(&mut self, env: &Env, slot: u32) -> bool {
-        let mote = &mut self.motes[slot as usize];
-        let deployed = env.service_host(mote.service).is_some();
-        if deployed {
-            let _ = mote.sample(env.now());
+    /// while its provider is deployed.
+    fn tick(&mut self, now: SimTime, slot: u32) -> bool {
+        let mote = &mut self[slot as usize];
+        if mote.deployed {
+            let _ = mote.sample(now);
         }
-        deployed
+        mote.deployed
     }
 }
 
@@ -125,12 +195,12 @@ pub struct ElementarySensorProvider {
 
 impl ElementarySensorProvider {
     fn mote(&self) -> RefMut<'_, Mote> {
-        RefMut::map(self.bank.borrow_mut(), |bank| &mut bank.motes[self.slot])
+        RefMut::map(self.bank.borrow_mut(), |bank| &mut bank[self.slot])
     }
 
     /// The local store, borrowed from the world's mote bank.
     pub fn store(&self) -> Ref<'_, RingStore> {
-        Ref::map(self.bank.borrow(), |bank| &bank.motes[self.slot].ring)
+        Ref::map(self.bank.borrow(), |bank| &bank[self.slot].ring)
     }
 
     pub fn reads_total(&self) -> u64 {
@@ -143,7 +213,7 @@ impl ElementarySensorProvider {
     /// easily change the existing implementation and technologies of the
     /// sensors used".
     pub fn swap_probe(&mut self, probe: Box<dyn SensorProbe>) {
-        self.mote().probe = probe;
+        self.mote().probe = Probe::new(probe);
     }
 
     /// Take one sample now and record it (what a sampling tick and
@@ -159,7 +229,7 @@ impl ElementarySensorProvider {
             Ok(m) => {
                 write_measurement(&mut task.context, &m);
                 // Transmitting the reply costs the mote energy.
-                mote.probe.charge_tx(task.context.wire_size());
+                mote.probe.as_dyn().charge_tx(task.context.wire_size());
                 task.status = ExertionStatus::Done;
             }
             Err(ProbeError::Dropout) | Err(ProbeError::TooFast) => {
@@ -184,7 +254,7 @@ impl ElementarySensorProvider {
             let now_ns = env.now().as_nanos() as f64;
             env.metrics.set_host_gauge_key(h.host, h.last_read, now_ns);
             env.metrics
-                .set_host_gauge_key(h.host, h.battery, mote.probe.battery_level());
+                .set_host_gauge_key(h.host, h.battery, mote.probe.as_dyn().battery_level());
         }
     }
 
@@ -201,15 +271,16 @@ impl ElementarySensorProvider {
     }
 
     fn handle_get_info(&mut self, task: &mut Task) {
-        let mote = self.mote();
+        let mut mote = self.mote();
+        let probe = mote.probe.as_dyn();
         let info = SensorInfo {
             name: self.name.clone(),
             service_type: "ELEMENTARY".into(),
             uuid: self.uuid.map(|u| u.to_string()).unwrap_or_default(),
             contained: Vec::new(),
             expression: None,
-            unit: mote.probe.teds().unit.symbol().to_string(),
-            battery: mote.probe.battery_level(),
+            unit: probe.teds().unit.symbol().to_string(),
+            battery: probe.battery_level(),
         };
         info.write_to(&mut task.context);
         task.status = ExertionStatus::Done;
@@ -258,6 +329,27 @@ impl Servicer for ElementarySensorProvider {
             selectors::GET_HISTORY => self.handle_get_history(task),
             selectors::GET_INFO => self.handle_get_info(task),
             other => task.fail(format!("'{}' has no operation '{other}'", self.name)),
+        }
+    }
+}
+
+/// Clears the mote's `deployed` flag, so its next tick samples nothing and
+/// ends its timer.
+///
+/// This runs at [`Env::undeploy`]: the service table holds the only `Rc`
+/// to a provider but for a call in progress on it, which holds a clone
+/// until it returns, and this provider's handlers never run the clock, so
+/// no tick falls between the undeploy and the drop.
+///
+/// It never runs while the bank is borrowed. The bank is borrowed by a
+/// tick, which only samples a probe into a ring; by `deploy_esp`'s push;
+/// and by this provider's handlers, while a call still holds the provider.
+/// None of them undeploys a service or drops a provider. (A drop must not
+/// panic all the same, so it tries the borrow rather than insisting.)
+impl Drop for ElementarySensorProvider {
+    fn drop(&mut self) {
+        if let Ok(mut bank) = self.bank.try_borrow_mut() {
+            bank[self.slot].deployed = false;
         }
     }
 }
@@ -327,7 +419,11 @@ pub struct EspHandle {
 /// arrange lease renewal, and start background sampling if configured.
 pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
     let bank = env.shared(MoteBank::default);
-    let slot = bank.borrow().motes.len();
+    let slot = bank.borrow_mut().push(Mote {
+        probe: Probe::new(config.probe),
+        ring: RingStore::new(HISTORY_CAPACITY),
+        deployed: true,
+    });
     let esp = ElementarySensorProvider {
         exerted_by: exerted_by(&config.name),
         name: config.name.clone(),
@@ -342,11 +438,6 @@ pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
         reads_total: 0,
     };
     let service = env.deploy(config.host, config.name.clone(), ServicerBox::new(esp));
-    bank.borrow_mut().motes.push(Mote {
-        probe: config.probe,
-        ring: RingStore::new(HISTORY_CAPACITY),
-        service,
-    });
 
     let mut attributes = vec![
         Entry::Name(config.name.clone()),
@@ -658,6 +749,14 @@ mod tests {
         );
         w.env.run_for(SimDuration::from_secs(60));
         assert!(client::get_value(&mut w.env, w.client, &w.accessor, "Durable").is_ok());
+    }
+
+    /// Every mote sits in the bank, 20 000 of them in `mote_scale`: a
+    /// byte added to a simulated probe is 20 000 bytes there.
+    #[test]
+    fn a_mote_and_its_page_keep_their_size() {
+        assert_eq!(std::mem::size_of::<Mote>(), 472);
+        assert_eq!(PAGE, 64);
     }
 
     #[test]

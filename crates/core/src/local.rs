@@ -337,10 +337,6 @@ pub fn synthetic_tree_with_work(
     leaf_value: f64,
     work_iters: u32,
 ) -> Arc<LocalNode> {
-    #[expect(
-        clippy::expect_used,
-        reason = "a composite without an expression never fails validation"
-    )]
     fn build(
         level: usize,
         fanout: usize,
@@ -367,7 +363,12 @@ pub fn synthetic_tree_with_work(
                 c
             })
             .collect();
-        LocalNode::composite(format!("node{path}"), children, None).expect("no expression")
+        // The average: there is no expression to validate.
+        Arc::new(LocalNode::Composite {
+            name: format!("node{path}"),
+            children,
+            expression: None,
+        })
     }
     let mut path = String::new();
     build(depth, fanout, leaf_value, work_iters, &mut path)

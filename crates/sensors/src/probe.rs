@@ -7,6 +7,8 @@
 //! never learns what technology sits behind them. [`SimulatedProbe`] is
 //! the reproduction's stand-in for real SunSPOT/1-Wire/Modbus driver code.
 
+use std::any::Any;
+
 use sensorcer_sim::rng::SimRng;
 use sensorcer_sim::time::SimTime;
 
@@ -43,7 +45,10 @@ impl std::error::Error for ProbeError {}
 
 /// Sensor-technology abstraction. Everything above this trait is
 /// technology independent.
-pub trait SensorProbe {
+///
+/// `Any` is a supertrait so that a holder of a `Box<dyn SensorProbe>` can
+/// find out that it is a [`SimulatedProbe`] and keep it by value.
+pub trait SensorProbe: Any {
     /// Take one sample at virtual time `now`.
     fn sample(&mut self, now: SimTime) -> Result<Measurement, ProbeError>;
 

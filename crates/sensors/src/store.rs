@@ -5,27 +5,39 @@
 //! data faster than consumers poll. The elementary sensor provider keeps a
 //! bounded ring of recent measurements so `getHistory`-style requests are
 //! served locally instead of re-sampling.
+//!
+//! Every ESP holds a full ring from construction, so a ring is laid out
+//! like a buffer opened once and then written in place: one allocation of
+//! packed 17-byte records — a measurement is 18 bytes of information
+//! padded to 24 — made in [`RingStore::new`] and never again. A push
+//! writes one record, which lies within one 64-byte cache line in three
+//! cases of four.
 
 use sensorcer_sim::time::SimTime;
 
 use crate::units::{Measurement, Quality, Unit};
 
-/// Set in a slot's tag when the measurement is [`Quality::Suspect`]; the
+/// Set in a record's tag when the measurement is [`Quality::Suspect`]; the
 /// low bits index [`Unit::ALL`].
 const SUSPECT: u8 = 0x80;
 
+/// One held measurement with no padding: the value, its instant, and a
+/// one-byte tag for unit and quality — per record, because a swapped
+/// probe may report another unit into the same ring. Packed fields are
+/// only ever copied in and out whole, never borrowed.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed)]
+struct Record {
+    value: f64,
+    at: SimTime,
+    tag: u8,
+}
+
 /// Bounded FIFO of recent measurements (oldest evicted first).
-///
-/// Every ESP holds a full ring from construction, and a `Measurement` is
-/// 18 bytes of information padded to 24, so a slot is 17 instead: `(value,
-/// at)` whole in one slice, and in a second a one-byte tag for unit and
-/// quality — per slot, because a swapped probe may report another unit.
-/// Both are allocated in [`RingStore::new`] and never again.
 #[derive(Debug, Clone)]
 pub struct RingStore {
-    slots: Box<[(f64, SimTime)]>,
-    tags: Box<[u8]>,
-    /// Slot of the oldest held measurement.
+    records: Box<[Record]>,
+    /// Record of the oldest held measurement.
     head: usize,
     len: usize,
     total_recorded: u64,
@@ -37,31 +49,41 @@ impl RingStore {
     pub fn new(capacity: usize) -> RingStore {
         assert!(capacity > 0, "ring store capacity must be positive");
         RingStore {
-            slots: vec![(0.0, SimTime::ZERO); capacity].into(),
-            tags: vec![0; capacity].into(),
+            records: vec![
+                Record {
+                    value: 0.0,
+                    at: SimTime::ZERO,
+                    tag: 0
+                };
+                capacity
+            ]
+            .into(),
             head: 0,
             len: 0,
             total_recorded: 0,
         }
     }
 
-    /// Slot `k` places after `head`, for `k` up to the capacity.
+    /// Record `k` places after `head`, for `k` up to the capacity.
     fn slot(&self, k: usize) -> usize {
         let i = self.head + k;
-        if i < self.slots.len() {
+        if i < self.records.len() {
             i
         } else {
-            i - self.slots.len()
+            i - self.records.len()
         }
     }
 
     /// Record a measurement, evicting the oldest if full.
     pub fn push(&mut self, m: Measurement) {
-        // When full this is `head`: the oldest slot is the one overwritten.
+        // When full this is `head`: the oldest record is the one overwritten.
         let i = self.slot(self.len);
-        self.slots[i] = (m.value, m.at);
-        self.tags[i] = m.unit as u8 | if m.is_good() { 0 } else { SUSPECT };
-        if self.len == self.slots.len() {
+        self.records[i] = Record {
+            value: m.value,
+            at: m.at,
+            tag: m.unit as u8 | if m.is_good() { 0 } else { SUSPECT },
+        };
+        if self.len == self.records.len() {
             self.head = self.slot(1);
         } else {
             self.len += 1;
@@ -73,9 +95,7 @@ impl RingStore {
     /// first, without collecting them.
     pub fn iter_recent(&self, n: usize) -> impl Iterator<Item = Measurement> + '_ {
         (self.len.saturating_sub(n)..self.len).map(move |k| {
-            let i = self.slot(k);
-            let (value, at) = self.slots[i];
-            let tag = self.tags[i];
+            let Record { value, at, tag } = self.records[self.slot(k)];
             Measurement {
                 value,
                 unit: Unit::ALL[usize::from(tag & !SUSPECT)],
@@ -104,7 +124,7 @@ impl RingStore {
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.records.len()
     }
 
     /// Total measurements ever recorded (including evicted).
@@ -204,14 +224,14 @@ mod tests {
         assert_eq!(empty.mean_good(), None);
     }
 
-    /// At 20 000 motes × 256 slots one byte per slot is 5 MB, and the six
-    /// bytes of padding in a `Measurement` are 30 MB.
+    /// At 20 000 motes × 256 records one byte per record is 5 MB, and the
+    /// six bytes of padding in a `Measurement` are 30 MB.
     #[test]
-    fn a_slot_and_its_tag_are_seventeen_bytes() {
+    fn a_ring_is_one_allocation_of_seventeen_byte_records() {
         use std::mem::{size_of, size_of_val};
-        assert!(size_of::<(f64, SimTime)>() + size_of::<u8>() <= 17);
+        assert_eq!(size_of::<Record>(), 17);
         let s = RingStore::new(256);
-        assert_eq!(size_of_val(&*s.slots) + size_of_val(&*s.tags), 4352);
+        assert_eq!(size_of_val(&*s.records), 4352);
         assert!(
             Unit::ALL.len() <= usize::from(SUSPECT),
             "units fit below the quality bit"

@@ -91,7 +91,9 @@ impl Metrics {
         }
         #[expect(
             clippy::expect_used,
-            reason = "keys are names written in the source, not data: far fewer than 2^32"
+            reason = "keys are names written in the source, not data (every key a soak and the \
+                      tenant storm register is a `subsystem.object.action` name: see \
+                      tests/metric_names.rs): far fewer than 2^32"
         )]
         let id = Key(u32::try_from(self.slots.len()).expect("fewer than 2^32 metric keys"));
         let name: Arc<str> = name.into();

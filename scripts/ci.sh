@@ -39,9 +39,11 @@
 #                           its breadcrumb again, or a child hop is
 #                           shipped a copy of its request instead of
 #                           being lent the one in flight), or if
-#                           `heap_peak_mb` @ `mote_scale` reaches 135
-#                           (a stored measurement costs more than 17
-#                           bytes again) or @ `registry_churn` 15.5 (a
+#                           `heap_peak_mb` @ `mote_scale` reaches 124
+#                           (the bank's motes sit in a doubling `Vec`
+#                           again, or a stored measurement costs more
+#                           than 17 bytes) or @
+#                           `registry_churn` 15.5 (a
 #                           registration's index copies its names again,
 #                           or its lease sits in a tree node). Timings
 #                           from a 2 s pass are not comparable with
@@ -123,18 +125,21 @@ if [ "$yardstick" -eq 1 ]; then
                 exit 1
             }
         done
-        # Byte counts, as exact. mote_scale: 123.4 while the 20 000 motes'
-        # probes and rings sit in one bank, each ring 256 slots of 16 bytes
-        # and a one-byte tag, and a sampling tick is an index into one
-        # callback; 125.8 when each provider held its probe, ring and uuid
-        # string and each tick a boxed closure and a liveness flag, 165.7
-        # when rings kept whole `Measurement`s (18 bytes of information
-        # padded to 24). registry_churn: 14.99 while attribute postings
+        # Byte counts, as exact. mote_scale: 121.8 while the 20 000 motes'
+        # simulated probes sit inline in the bank's 64-mote pages, each
+        # ring is one allocation of 256 packed 17-byte records, and a
+        # sampling tick is an index into one callback; 127.8 with the
+        # motes in one doubling `Vec` instead of pages; 123.4 when the
+        # bank was one `Vec` of 80-byte slots and boxed probes; 125.8 when
+        # each provider held its probe, ring and uuid string and each tick
+        # a boxed closure and a liveness flag; 165.7 when rings kept whole
+        # `Measurement`s (18 bytes of information padded to 24).
+        # registry_churn: 14.99 while attribute postings
         # are keyed by a hash, each interface name is stored once and
         # leases sit densely in chunks; 15.95 with a `String` key per
         # posting again, 15.91 with leases in a `BTreeMap`, 16.44 with a
         # name copy per item, 18.00 with all three.
-        for gate in mote_scale:135 registry_churn:15.5; do
+        for gate in mote_scale:124 registry_churn:15.5; do
             workload=${gate%:*}
             limit=${gate#*:}
             peak=$(yardstick_metric "$workload" heap_peak_mb)
