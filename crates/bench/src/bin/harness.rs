@@ -15,9 +15,8 @@ fn usage() -> ! {
     let mut rows = vec![(
         "<experiment> [seed]".to_string(),
         format!(
-            "print one paper figure or claim table ({} {}, or `all`)",
-            paper::MODELLED.join(" "),
-            paper::HOST_TIME
+            "print one paper figure or claim table ({}, or `all`)",
+            paper::MODELLED.join(" ")
         ),
     )];
     for leg in LEGS {
@@ -94,11 +93,7 @@ fn main() {
         usage();
     });
     let ids: Vec<&str> = match which {
-        "all" => paper::MODELLED
-            .iter()
-            .copied()
-            .chain([paper::HOST_TIME])
-            .collect(),
+        "all" => paper::MODELLED.to_vec(),
         id => vec![id],
     };
     for (i, id) in ids.iter().enumerate() {

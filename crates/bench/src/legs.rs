@@ -140,7 +140,7 @@ pub const LEGS: &[Leg] = &[
         verb: "paper",
         file: "PAPER_1.json",
         required: paper::MODELLED,
-        about: "every modelled paper figure and claim table (all but the host-time b8)",
+        about: "every modelled paper figure and claim table",
         side_ext: None,
         run: paper::leg,
     },

@@ -12,7 +12,6 @@
 //! | [`b4_failover`]   | B4  | §VII outage tolerance                      |
 //! | [`b5_discovery`]  | B5  | §IV.B/§VII plug-and-play                   |
 //! | [`b7_baselines`]  | B7  | §III related-work comparison               |
-//! | [`b8_parallel`]   | B8  | local-mode parallel collection             |
 //! | [`a1_ablation`]   | A1  | design-choice ablations (binding cache)    |
 //! | [`a2_energy`]     | A2  | mote energy per delivered reading          |
 //!
@@ -23,9 +22,6 @@
 //! committed reports, `PAPER_1.json` among them, are rows of
 //! [`legs::LEGS`].
 
-// B8 measures host time, so this crate may read the wall clock that
-// `clippy.toml` bans everywhere else.
-#![allow(clippy::disallowed_methods)]
 pub mod a1_ablation;
 pub mod a2_energy;
 pub mod b1_overhead;
@@ -34,7 +30,6 @@ pub mod b3_provisioning;
 pub mod b4_failover;
 pub mod b5_discovery;
 pub mod b7_baselines;
-pub mod b8_parallel;
 pub mod chaos;
 pub mod figs;
 pub mod helpers;

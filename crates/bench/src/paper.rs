@@ -1,18 +1,17 @@
 //! The paper's figures and claim tables, by experiment id, and the
 //! `paper` leg that pins the modelled ones in `PAPER_1.json`.
 //!
-//! Every experiment but B8 runs on virtual time from seeded draws, so its
+//! Every experiment runs on virtual time from seeded draws, so its
 //! rendered output is a pure function of the seed; `PAPER_1.json` holds
 //! each as its rendered lines, and a change to any reproduced number is a
-//! visible diff of a committed file. B8 times the host's threads and
-//! stays out.
+//! visible diff of a committed file.
 
 use sensorcer_trace::json::Json;
 
 use crate::legs::LegRun;
 use crate::{
     a1_ablation, a2_energy, b1_overhead, b2_scalability, b3_provisioning, b4_failover,
-    b5_discovery, b7_baselines, b8_parallel, figs,
+    b5_discovery, b7_baselines, figs,
 };
 
 /// The modelled experiments, in the order `harness all` and
@@ -20,9 +19,6 @@ use crate::{
 pub const MODELLED: &[&str] = &[
     "fig1", "fig2", "fig3", "b1", "b2", "b3", "b4", "b5", "b7", "a1", "a2",
 ];
-
-/// The host-time experiment: `harness b8`, never committed.
-pub const HOST_TIME: &str = "b8";
 
 /// One experiment's rendered output, or `None` for an unknown id.
 pub fn render(id: &str, seed: u64) -> Option<String> {
@@ -42,7 +38,6 @@ pub fn render(id: &str, seed: u64) -> Option<String> {
         "b4" => b4_failover::run(seed),
         "b5" => b5_discovery::run(seed),
         "b7" => b7_baselines::run(seed),
-        "b8" => b8_parallel::run(),
         "a1" => a1_ablation::run(seed),
         "a2" => a2_energy::run(seed),
         _ => return None,

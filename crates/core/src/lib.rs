@@ -21,7 +21,7 @@
 //!
 //! [`deploy::standard_deployment`] stands the whole Fig. 2 world up in one
 //! call; [`browser`] reproduces the paper's zero-install sensor browser as
-//! text; [`local`] is a real-thread embedded mode for in-process use.
+//! text. Everything runs on one thread in the simulator's virtual time.
 //!
 //! ```
 //! use sensorcer_core::prelude::*;
@@ -48,7 +48,6 @@ pub mod csp;
 pub mod deploy;
 pub mod esp;
 pub mod facade;
-pub mod local;
 pub mod provisioner;
 
 /// One-stop imports.
@@ -69,7 +68,6 @@ pub mod prelude {
     pub use crate::deploy::{standard_deployment, Deployment, DeploymentConfig};
     pub use crate::esp::{deploy_esp, ElementarySensorProvider, EspConfig, EspHandle};
     pub use crate::facade::{ops, FacadeHandle, SensorcerFacade, ServiceRow};
-    pub use crate::local::{synthetic_tree, LocalFederation, LocalNode, LocalReadError};
     pub use crate::provisioner::{
         composite_factory, provision_composite, CompositeSpec, COMPOSITE_TYPE_KEY,
     };

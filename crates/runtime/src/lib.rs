@@ -2,8 +2,8 @@
 //!
 //! A unit [`ThreadPool`], kept for `benchmark/`, whose sharding pass
 //! still builds one for `Env::set_worker_pool`; the `[benchmark]` queue
-//! deletes the crate. Local composite reads run on `std::thread::scope`
-//! workers instead (see `sensorcer_core::local`).
+//! deletes the crate. Nothing in the workspace starts a thread: the
+//! federation runs on one thread in virtual time.
 
 /// Kept for `benchmark/`; the `[benchmark]` queue deletes it.
 #[derive(Clone, Copy, Debug, Default)]

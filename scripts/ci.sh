@@ -12,7 +12,8 @@
 #                           repo's clippy.toml; it fails on an
 #                           unwrap()/expect() in non-test code of any
 #                           crate but bench, a wall-clock read
-#                           (Instant::now, SystemTime::now) outside bench,
+#                           (Instant::now, SystemTime::now) or a thread
+#                           (thread::spawn, thread::scope) in any crate,
 #                           and an #[expect] escape that is stale or names
 #                           an unknown lint. Then cargo fmt --check when
 #                           rustfmt is installed

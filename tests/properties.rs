@@ -1,17 +1,12 @@
 //! Cross-crate property tests: invariants that must hold for arbitrary
-//! inputs, spanning the expression language, the composite algebra, the
-//! wire codec and the simulated/local execution modes. Driven by the
+//! inputs, spanning the expression language, the composite's variable
+//! names, the wire codec and the simulated sensors' signals. Driven by the
 //! deterministic harness in `sensorcer_sim::check`.
 
-use std::sync::Arc;
+use sensorcer_suite::sim::check::run_cases;
 
-use sensorcer_suite::sim::check::{run_cases, Gen};
-
-use sensorcer_suite::core::local::{LocalFederation, LocalNode, LocalReadError};
 use sensorcer_suite::expr::{Program, Value};
-use sensorcer_suite::sensors::prelude::{
-    Battery, Diurnal, RandomWalk, ScriptedProbe, Signal, SignalState, SimulatedProbe, Teds, Unit,
-};
+use sensorcer_suite::sensors::prelude::{Diurnal, RandomWalk, Signal, SignalState};
 use sensorcer_suite::sim::rng::SimRng;
 use sensorcer_suite::sim::time::SimTime;
 use sensorcer_suite::sim::wire::{WireDecode, WireEncode};
@@ -54,101 +49,6 @@ fn division_total() {
         match p.eval_with([("a", a), ("b", b)]) {
             Ok(v) => assert!(v.as_f64().is_some()),
             Err(e) => assert!(b == 0 && e.to_string().contains("division")),
-        }
-    });
-}
-
-/// A generated local tree: composites average their children; a leaf
-/// reads a constant, or fails with a dead battery when `fails`.
-enum Shape {
-    Leaf { value: f64, fails: bool },
-    Node(Vec<Shape>),
-}
-
-/// A composite `depth` (1–3) levels deep with fan-out 1–8, each leaf
-/// failing with probability `fail_p`.
-fn shape(g: &mut Gen, depth: usize, fail_p: f64) -> Shape {
-    Shape::Node(g.vec_of(1, 8, |g| {
-        if depth > 1 && g.bool() {
-            shape(g, depth - 1, fail_p)
-        } else {
-            Shape::Leaf {
-                value: g.f64_in(-50.0, 100.0),
-                fails: g.chance(fail_p),
-            }
-        }
-    }))
-}
-
-fn build(s: &Shape, name: String) -> Arc<LocalNode> {
-    match s {
-        Shape::Leaf {
-            value,
-            fails: false,
-        } => LocalNode::sensor(
-            name,
-            Box::new(ScriptedProbe::new(vec![*value], Unit::Celsius)),
-        ),
-        Shape::Leaf { fails: true, .. } => {
-            let dead = SimulatedProbe::new(
-                Teds::sunspot_temperature("dead"),
-                Signal::Constant(0.0),
-                SimRng::new(1),
-            )
-            .with_battery(Battery::new(1.0, 100.0, 0.0));
-            LocalNode::sensor(name, Box::new(dead))
-        }
-        Shape::Node(children) => {
-            let children = children
-                .iter()
-                .enumerate()
-                .map(|(i, c)| build(c, format!("{name}.{i}")))
-                .collect();
-            LocalNode::composite(name, children, None).unwrap()
-        }
-    }
-}
-
-/// The expected read: the nested average, or the name of the first
-/// failing leaf in depth-first order.
-fn reference(s: &Shape, name: String) -> Result<f64, String> {
-    match s {
-        Shape::Leaf { value, fails } => {
-            if *fails {
-                Err(name)
-            } else {
-                Ok(*value)
-            }
-        }
-        Shape::Node(children) => {
-            let mut sum = 0.0;
-            for (i, c) in children.iter().enumerate() {
-                sum += reference(c, format!("{name}.{i}"))?;
-            }
-            Ok(sum / children.len() as f64)
-        }
-    }
-}
-
-/// A generated composite tree reads the nested mean, or fails naming its
-/// first failing leaf in depth-first order — sequentially, and in
-/// parallel on any thread count with exactly the sequential result.
-#[test]
-fn local_composite_average() {
-    run_cases("local_composite_average", 48, |g| {
-        let fail_p = *g.pick(&[0.0, 0.03, 0.3]);
-        let depth = g.usize_in(1, 4);
-        let tree = shape(g, depth, fail_p);
-        let want = reference(&tree, "root".into());
-        let seq = LocalFederation::new(build(&tree, "root".into())).read_sequential();
-        match (&seq, &want) {
-            (Ok(v), Ok(w)) => assert!((v - w).abs() < 1e-9, "{v} vs {w}"),
-            (Err(LocalReadError::Probe { sensor, .. }), Err(w)) => assert_eq!(sensor, w),
-            _ => panic!("sequential {seq:?}, reference {want:?}"),
-        }
-        for threads in [1, 2, 3, 8] {
-            let par = LocalFederation::new(build(&tree, "root".into())).read_parallel(threads);
-            assert_eq!(par, seq, "{threads} threads");
         }
     });
 }

@@ -1,6 +1,6 @@
 //! Differential oracle for the ESP's local store: `RingStore` keeps each
-//! measurement as a 16-byte `(value, at)` slot plus a one-byte tag in two
-//! slices it never reallocates, so everything a caller can observe is
+//! measurement as one packed 17-byte record (value, instant and a one-byte
+//! tag) in one slice it never reallocates, so everything a caller can observe is
 //! checked here, bit for bit, against the `VecDeque<Measurement>` it
 //! replaced — over generated programmes that wrap every ring at least three
 //! times and interleave every unit, both qualities, non-finite values and
