@@ -266,43 +266,51 @@ impl AdmissionController {
     }
 
     fn decide(&mut self, now: SimTime, tenant: &str) -> (QosClass, Decision) {
-        let default_policy = self.default_policy;
-        let (policy, state) = self.tenants.entry(tenant.to_string()).or_insert_with(|| {
-            (
-                default_policy,
-                TenantState {
-                    tokens: default_policy.burst,
-                    last_refill: now,
-                    in_flight: 0,
-                },
-            )
-        });
+        // The tenant's name is copied once, the first time it is seen.
+        if let Some((policy, state)) = self.tenants.get_mut(tenant) {
+            return (policy.class, gate(policy, state, now));
+        }
+        let policy = self.default_policy;
+        let mut state = TenantState {
+            tokens: policy.burst,
+            last_refill: now,
+            in_flight: 0,
+        };
+        let decision = gate(&policy, &mut state, now);
+        self.tenants.insert(tenant.to_string(), (policy, state));
+        (policy.class, decision)
+    }
+}
 
-        // Refill from elapsed virtual time, capped at the burst allowance.
-        let elapsed = (now - state.last_refill).as_secs_f64();
-        state.tokens = (state.tokens + elapsed * policy.rate_per_sec).min(policy.burst);
-        state.last_refill = now;
+/// One request against one tenant's bucket and concurrency cap.
+fn gate(policy: &TenantPolicy, state: &mut TenantState, now: SimTime) -> Decision {
+    // Refill from elapsed virtual time, capped at the burst allowance. A
+    // sibling branch of a parallel fan-out can reach the gate at an
+    // instant before the last refill: nothing has elapsed there, and the
+    // bucket's clock does not move back.
+    let elapsed = now.since(state.last_refill).as_secs_f64();
+    state.tokens = (state.tokens + elapsed * policy.rate_per_sec).min(policy.burst);
+    state.last_refill = state.last_refill.max(now);
 
-        if state.in_flight >= policy.max_in_flight {
-            return (policy.class, Decision::Shed(ShedReason::Concurrency));
-        }
-        if state.tokens >= 1.0 {
-            state.tokens -= 1.0;
-            state.in_flight += 1;
-            return (policy.class, Decision::Admit);
-        }
-        // Predicted wait until this request's token exists. The token
-        // deficit left by earlier queued requests is included, so the wait
-        // grows as the virtual queue deepens.
-        let wait = SimDuration::from_secs_f64((1.0 - state.tokens) / policy.rate_per_sec);
-        if wait > policy.class.queue_budget() {
-            return (policy.class, Decision::Shed(ShedReason::RateLimit { wait }));
-        }
-        // Reserve the token now (tokens go negative) and queue.
+    if state.in_flight >= policy.max_in_flight {
+        return Decision::Shed(ShedReason::Concurrency);
+    }
+    if state.tokens >= 1.0 {
         state.tokens -= 1.0;
         state.in_flight += 1;
-        (policy.class, Decision::Queue(wait))
+        return Decision::Admit;
     }
+    // Predicted wait until this request's token exists. The token
+    // deficit left by earlier queued requests is included, so the wait
+    // grows as the virtual queue deepens.
+    let wait = SimDuration::from_secs_f64((1.0 - state.tokens) / policy.rate_per_sec);
+    if wait > policy.class.queue_budget() {
+        return Decision::Shed(ShedReason::RateLimit { wait });
+    }
+    // Reserve the token now (tokens go negative) and queue.
+    state.tokens -= 1.0;
+    state.in_flight += 1;
+    Decision::Queue(wait)
 }
 
 /// Shared handle: the deployed façade keeps one clone, the operator (or
@@ -411,26 +419,36 @@ impl Breaker {
     }
 }
 
-/// All breakers of one composite/facade layer, keyed by servicer id.
+/// All breakers of one composite/facade layer, indexed by the dense
+/// servicer id. A servicer never touched has no breaker yet and reads
+/// `Closed`; touching one grows the table up to its id.
 #[derive(Debug)]
 pub struct BreakerRegistry {
     config: BreakerConfig,
-    breakers: BTreeMap<ServiceId, Breaker>,
+    breakers: Vec<Breaker>,
 }
 
 impl BreakerRegistry {
     pub fn new(config: BreakerConfig) -> BreakerRegistry {
         BreakerRegistry {
             config,
-            breakers: BTreeMap::new(),
+            breakers: Vec::new(),
         }
     }
 
     pub fn state(&self, svc: ServiceId) -> BreakerState {
         self.breakers
-            .get(&svc)
-            .map(|b| b.state)
-            .unwrap_or(BreakerState::Closed)
+            .get(svc.0 as usize)
+            .map_or(BreakerState::Closed, |b| b.state)
+    }
+
+    /// `svc`'s breaker, made (closed) on first touch.
+    fn breaker(&mut self, svc: ServiceId) -> &mut Breaker {
+        let i = svc.0 as usize;
+        if i >= self.breakers.len() {
+            self.breakers.resize(i + 1, Breaker::new());
+        }
+        &mut self.breakers[i]
     }
 
     /// Whether a dispatch to `svc` may proceed right now. An open breaker
@@ -440,7 +458,7 @@ impl BreakerRegistry {
     pub fn allow(&mut self, env: &mut Env, svc: ServiceId) -> bool {
         let now = env.now();
         let config = self.config;
-        let b = self.breakers.entry(svc).or_insert_with(Breaker::new);
+        let b = self.breaker(svc);
         let allowed = match b.state {
             BreakerState::Closed => true,
             BreakerState::Open => {
@@ -483,7 +501,7 @@ impl BreakerRegistry {
     pub fn record(&mut self, env: &mut Env, svc: ServiceId, err: Option<NetError>) {
         let now = env.now();
         let config = self.config;
-        let b = self.breakers.entry(svc).or_insert_with(Breaker::new);
+        let b = self.breaker(svc);
         let transient = matches!(
             err,
             Some(e) if RetryPolicy::retryable(e) || e == NetError::DeadlineExhausted
@@ -516,7 +534,7 @@ impl BreakerRegistry {
 
     /// Force a breaker open at `now` (operator action / tests).
     pub fn trip(&mut self, svc: ServiceId, now: SimTime) {
-        let b = self.breakers.entry(svc).or_insert_with(Breaker::new);
+        let b = self.breaker(svc);
         b.state = BreakerState::Open;
         b.opened_at = now;
         b.consecutive = 0;
@@ -710,6 +728,64 @@ mod tests {
             reg.borrow_mut().record(&mut env, svc, None);
         }
         assert_eq!(reg.borrow().state(svc), BreakerState::Closed);
+    }
+
+    #[test]
+    fn a_rewound_clock_neither_panics_nor_refills() {
+        let mut ctrl =
+            AdmissionController::new(TenantPolicy::new(QosClass::Standard, 1.0, 2.0, 64));
+        ctrl.register("t", TenantPolicy::new(QosClass::Critical, 1.0, 2.0, 64));
+        let later = SimTime(10_000_000_000);
+        for _ in 0..2 {
+            assert!(matches!(ctrl.decide(later, "t").1, Decision::Admit));
+        }
+        // A sibling branch of a fan-out standing at 4 s finds the drained
+        // bucket as it is: one second to its token, not a wrapped refill.
+        let (_, d) = ctrl.decide(SimTime(4_000_000_000), "t");
+        assert!(matches!(d, Decision::Queue(w) if w == SimDuration::from_secs(1)));
+        // Nor did the bucket's clock move back to 4 s: back at 10 s nothing
+        // has elapsed either, and the queue is two tokens deep.
+        let (_, d) = ctrl.decide(later, "t");
+        assert!(matches!(d, Decision::Queue(w) if w == SimDuration::from_secs(2)));
+    }
+
+    #[test]
+    fn breakers_touched_out_of_id_order_keep_their_own_state() {
+        let mut env = env();
+        let mut reg = BreakerRegistry::new(BreakerConfig {
+            failure_threshold: 2,
+            open_for: SimDuration::from_secs(5),
+            half_open_probes: 1,
+        });
+        let (a, b, c, d) = (ServiceId(40), ServiceId(3), ServiceId(17), ServiceId(0));
+        let timeout = Some(NetError::Timeout);
+        for (svc, err) in [
+            (a, timeout),
+            (b, None),
+            (c, Some(NetError::HostDown)),
+            (a, timeout),
+            (d, Some(NetError::Lost)),
+            (c, Some(NetError::HostDown)),
+            (d, None),
+            (b, Some(NetError::NoSuchService)),
+        ] {
+            reg.record(&mut env, svc, err);
+        }
+        let states = |reg: &BreakerRegistry| [a, b, c, d].map(|svc| reg.state(svc));
+        use BreakerState::{Closed, HalfOpen, Open};
+        assert_eq!(states(&reg), [Open, Closed, Open, Closed]);
+
+        // Past the cool-down the open ones half-open, probed in any order.
+        env.run_for(SimDuration::from_secs(5));
+        assert!(reg.allow(&mut env, c));
+        assert!(reg.allow(&mut env, a));
+        assert_eq!(states(&reg), [HalfOpen, Closed, HalfOpen, Closed]);
+
+        // A servicer never touched reads closed, and reading it makes none.
+        assert_eq!(reg.state(ServiceId(1 << 20)), Closed);
+        assert_eq!(reg.breakers.len(), 41);
+        assert!(reg.allow(&mut env, ServiceId(99)));
+        assert_eq!(reg.state(ServiceId(99)), Closed);
     }
 
     #[test]

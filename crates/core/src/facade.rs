@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
-use sensorcer_expr::Value;
+use sensorcer_expr::{Text, Value};
 use sensorcer_obs::{AlertTransition, ReadOutcome, SloEngine, SloSpec};
 use sensorcer_provision::monitor::MonitorHandle;
 use sensorcer_registry::attributes::{name_of, service_type_of, Entry};
@@ -285,11 +285,7 @@ impl SensorcerFacade {
             self.dispatch(env, task);
             return;
         };
-        let tenant = task
-            .context
-            .get_str("arg/tenant")
-            .unwrap_or("default")
-            .to_string();
+        let tenant = text_arg(&task.context, "arg/tenant").unwrap_or(Text::Static("default"));
         match admission::admit(env, &ctrl, &tenant) {
             Ok(()) => {
                 self.dispatch(env, task);
@@ -300,7 +296,7 @@ impl SensorcerFacade {
                 // budget: overload is an availability failure the health
                 // engine (and through it the autoscaler) must see.
                 if &*task.signature.selector == ops::GET_VALUE {
-                    if let Some(name) = task.context.get_str("arg/service").map(str::to_string) {
+                    if let Some(name) = text_arg(&task.context, "arg/service") {
                         if let Some(slos) = self.slos.as_mut() {
                             let now = env.now();
                             slos.record_read(now, &name, ReadOutcome::Error, 0);
@@ -366,7 +362,7 @@ impl SensorcerFacade {
                 task.context.put("health/hosts", Value::List(list));
                 Ok(())
             }
-            ops::GET_VALUE => match task.context.get_str("arg/service").map(str::to_string) {
+            ops::GET_VALUE => match text_arg(&task.context, "arg/service") {
                 Some(name) => {
                     let t0 = env.now();
                     let res = client::get_value_detailed(env, self.host, &self.accessor, &name);
@@ -426,12 +422,12 @@ impl SensorcerFacade {
                 }
                 None => Err("no SLOs installed on this facade".into()),
             },
-            ops::GET_INFO => match task.context.get_str("arg/service").map(str::to_string) {
+            ops::GET_INFO => match text_arg(&task.context, "arg/service") {
                 Some(name) => client::get_info(env, self.host, &self.accessor, &name)
                     .map(|info| info.write_to(&mut task.context)),
                 None => Err("getInfo needs arg/service".into()),
             },
-            ops::GET_HISTORY => match task.context.get_str("arg/service").map(str::to_string) {
+            ops::GET_HISTORY => match text_arg(&task.context, "arg/service") {
                 Some(name) => {
                     let count = task.context.get_f64("arg/count").unwrap_or(16.0) as usize;
                     client::get_history(env, self.host, &self.accessor, &name, count).map(
@@ -544,6 +540,15 @@ impl SensorcerFacade {
     }
 }
 
+/// The text argument at `path`, shared with the request's context rather
+/// than copied out of it.
+fn text_arg(context: &Context, path: &str) -> Option<Text> {
+    match context.get(path) {
+        Some(Value::Str(s)) => Some(s.clone()),
+        _ => None,
+    }
+}
+
 /// Surface SLO state changes as flight-recorder events on the innermost
 /// open span (a no-op when tracing is off).
 fn mirror_transitions(env: &mut Env, transitions: &[AlertTransition]) {
@@ -629,8 +634,8 @@ impl FacadeHandle {
         // Admission is applied by the façade servicer on arrival: this
         // exertion targets the gate itself (tests/facade_admission.rs).
         match exert_on(env, from, self.service, task.into(), None) {
-            Ok(done) => match done.status() {
-                ExertionStatus::Done => Ok(done.context().clone()),
+            Ok(mut done) => match done.status() {
+                ExertionStatus::Done => Ok(std::mem::take(done.context_mut())),
                 ExertionStatus::Failed(e) => Err(e.clone()),
                 other => Err(format!("unexpected status {other:?}")),
             },

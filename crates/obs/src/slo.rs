@@ -15,7 +15,7 @@
 //! All arithmetic is over virtual time and deterministic inputs, so a
 //! seeded run produces a bit-identical alert history.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use sensorcer_sim::time::{SimDuration, SimTime};
 use sensorcer_trace::json::Json;
@@ -210,6 +210,11 @@ struct SloInstance {
     /// Latency samples for the service (all kinds record them so the
     /// report can quote quantiles next to any verdict).
     latency: Histogram,
+    /// Set by an evaluation that changed nothing, cleared by every
+    /// observation: until this instant no counted observation can age out
+    /// of either window, so a later evaluation would find the same counts,
+    /// the same burns and the same state, and is skipped.
+    quiet_until: Option<SimTime>,
 }
 
 fn window_start(t: SimTime, window: SimDuration) -> SimTime {
@@ -218,6 +223,7 @@ fn window_start(t: SimTime, window: SimDuration) -> SimTime {
 
 impl SloInstance {
     fn push(&mut self, t: SimTime, is_bad: bool) {
+        self.quiet_until = None;
         self.events.push_back((t, is_bad));
         self.fast.add(is_bad);
         self.slow.add(is_bad);
@@ -252,6 +258,18 @@ impl SloInstance {
             self.fast.start += 1;
             self.fast.drop_one(is_bad);
         }
+    }
+
+    /// The last instant at which both windows still count every observation
+    /// they counted at the last [`advance`](Self::advance): an observation
+    /// at `at` leaves a window of length `w` once `t - w > at`, so the
+    /// oldest one each window counts stays until `at + w` inclusive.
+    fn horizon(&self) -> SimTime {
+        let w = self.spec.windows;
+        let until = |event: Option<&(SimTime, bool)>, window: SimDuration| {
+            event.map_or(SimTime::FAR_FUTURE, |&(at, _)| at.saturating_add(window))
+        };
+        until(self.events.front(), w.slow).min(until(self.events.get(self.fast.start), w.fast))
     }
 
     /// `(bad, total)` over `[t - window, t]` for a window whose `tail` was
@@ -386,12 +404,19 @@ impl SloReport {
 /// verdicts and alert history back.
 pub struct SloEngine {
     slos: Vec<SloInstance>,
+    /// Each service's objectives, as indices into `slos` in spec order.
+    by_service: BTreeMap<String, Vec<usize>>,
     alerts: Vec<Alert>,
 }
 
 impl SloEngine {
     pub fn new(specs: Vec<SloSpec>) -> SloEngine {
+        let mut by_service: BTreeMap<String, Vec<usize>> = BTreeMap::new();
+        for (i, spec) in specs.iter().enumerate() {
+            by_service.entry(spec.service.clone()).or_default().push(i);
+        }
         SloEngine {
+            by_service,
             slos: specs
                 .into_iter()
                 .map(|spec| SloInstance {
@@ -403,6 +428,7 @@ impl SloEngine {
                     total: 0,
                     bad: 0,
                     latency: Histogram::new(),
+                    quiet_until: None,
                 })
                 .collect(),
             alerts: Vec::new(),
@@ -424,7 +450,11 @@ impl SloEngine {
         outcome: ReadOutcome,
         latency_ns: u64,
     ) {
-        for slo in self.slos.iter_mut().filter(|s| s.spec.service == service) {
+        let Some(objectives) = self.by_service.get(service) else {
+            return;
+        };
+        for &i in objectives {
+            let slo = &mut self.slos[i];
             let is_bad = match slo.spec.kind {
                 SloKind::Availability { .. } => outcome == ReadOutcome::Error,
                 SloKind::LatencyP99 { max_ns } => latency_ns > max_ns,
@@ -439,7 +469,11 @@ impl SloEngine {
     /// Feed one freshness check: the age of `service`'s last successful
     /// reading at time `t`.
     pub fn record_freshness(&mut self, t: SimTime, service: &str, age_ns: u64) {
-        for slo in self.slos.iter_mut().filter(|s| s.spec.service == service) {
+        let Some(objectives) = self.by_service.get(service) else {
+            return;
+        };
+        for &i in objectives {
+            let slo = &mut self.slos[i];
             if let SloKind::Freshness { max_age_ns, .. } = slo.spec.kind {
                 slo.push(t, age_ns > max_age_ns);
             }
@@ -453,9 +487,18 @@ impl SloEngine {
     /// [`burn_rates`](Self::burn_rates) and to [`report`](Self::report)
     /// never go backwards: a window that has moved on keeps no count of
     /// what it left behind.
+    ///
+    /// An objective with no observation since an evaluation that changed
+    /// nothing is skipped until one of its counted observations can age out
+    /// of a window: its counts, and so its burns and state, are still what
+    /// that evaluation saw.
     pub fn evaluate(&mut self, t: SimTime) -> Vec<AlertTransition> {
         let mut transitions = Vec::new();
         for slo in &mut self.slos {
+            if slo.quiet_until.is_some_and(|until| t <= until) {
+                continue;
+            }
+            let before = transitions.len();
             slo.advance(t);
             let w = slo.spec.windows;
             let (burn_fast, burn_slow) = slo.burns(t);
@@ -501,6 +544,12 @@ impl SloEngine {
                         });
                     }
                 }
+            }
+            // A transition leaves the state machine where the same burns
+            // may move it again (a fast threshold under 1.0 flips between
+            // firing and resolved), so only an unchanged objective rests.
+            if transitions.len() == before {
+                slo.quiet_until = Some(slo.horizon());
             }
         }
         transitions

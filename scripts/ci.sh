@@ -35,11 +35,13 @@
 #                           copying its results, or serialising an item
 #                           to learn its size, again), @ `flat_read`
 #                           reaches 16, @ `tree_read` 24 or @
-#                           `tenant_storm` 36 (a composite read
+#                           `tenant_storm` 29 (a composite read
 #                           allocates its outcome list, its readings or
-#                           its breadcrumb again, or a child hop is
+#                           its breadcrumb again, a child hop is
 #                           shipped a copy of its request instead of
-#                           being lent the one in flight), or if
+#                           being lent the one in flight, or a façade
+#                           read copies its tenant, service or reply
+#                           context again), or if
 #                           `heap_peak_mb` @ `mote_scale` reaches 124
 #                           (the bank's motes sit in a doubling `Vec`
 #                           again, or a stored measurement costs more
@@ -109,15 +111,20 @@ if [ "$yardstick" -eq 1 ]; then
         # are added up and results are sized once; 341 when results grew
         # by doubling and every hierarchical query by subnet, 5 013 when
         # every matched item was deep-cloned and encoded into a scratch
-        # buffer to be measured. flat_read / tree_read / tenant_storm:
-        # 12 / 13 / about 30.5 while a composite read keeps its outcome
-        # list and slot frame in per-thread scratch, binds its readings
-        # straight into the frame and reuses its breadcrumb; rebuilding
-        # the three costs +3 per composite read, +219 on tree_read's 73
-        # composites. A child hop that clones its request instead of
-        # being lent the one in flight costs two more (the copy's context
-        # buffer, its trace line): +128 / +1 168 / about +37.
-        for gate in mote_scale:16 registry_churn:400 flat_read:16 tree_read:24 tenant_storm:36; do
+        # buffer to be measured. flat_read / tree_read: 12 / 13 while a
+        # composite read keeps its outcome list and slot frame in
+        # per-thread scratch, binds its readings straight into the frame
+        # and reuses its breadcrumb; rebuilding the three costs +3 per
+        # composite read, +219 on tree_read's 73 composites. A child hop
+        # that clones its request instead of being lent the one in
+        # flight costs two more (the copy's context buffer, its trace
+        # line): +128 / +1 168 / about +37 on tenant_storm.
+        # tenant_storm: 26.64 on seed 42 and 26.29 on seed 7 while the
+        # façade also holds its tenant and service as the request's
+        # shared text, the gate copies a tenant's name only when it
+        # first sees it and the reply context is moved out; 30.58 /
+        # 30.23 when the three were copied per read.
+        for gate in mote_scale:16 registry_churn:400 flat_read:16 tree_read:24 tenant_storm:29; do
             workload=${gate%:*}
             limit=${gate#*:}
             allocs=$(yardstick_metric "$workload" allocs_per_op)

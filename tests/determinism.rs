@@ -58,14 +58,14 @@ fn failure_schedules_replay_exactly() {
 
 #[test]
 fn experiment_tables_are_reproducible() {
-    let t1 = sensorcer_bench_table();
-    let t2 = sensorcer_bench_table();
-    assert_eq!(t1, t2);
-}
-
-fn sensorcer_bench_table() -> String {
-    // A virtual-time experiment (host-time ones legitimately vary).
-    sensorcer_bench::b2_scalability::run(4242)
+    // Every modelled table, rendered twice in one process: the byte test in
+    // `committed_artifacts` renders each once, so per-thread scratch that
+    // leaks from one run into the next shows only here.
+    for id in sensorcer_bench::paper::MODELLED {
+        let first = sensorcer_bench::paper::render(id, 4242);
+        assert!(first.is_some(), "{id} is a modelled experiment");
+        assert_eq!(first, sensorcer_bench::paper::render(id, 4242), "{id}");
+    }
 }
 
 #[test]
