@@ -113,17 +113,6 @@ impl Deployment {
     }
 }
 
-/// Lifecycle entity id for `opstring/instance` (FNV-1a, stable across
-/// runs so the verifier can correlate transitions).
-pub fn provision_entity(opstring: &str, instance: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in opstring.bytes().chain([b'/']).chain(instance.bytes()) {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
-}
-
 /// The monitor service.
 pub struct ProvisionMonitor {
     host: HostId,
@@ -270,7 +259,7 @@ impl ProvisionMonitor {
         let mut results = Vec::new();
         for element in &opstring.elements {
             if self.factories.get(&element.type_key).is_none() {
-                self.rollback(env, &opstring.name, &placed);
+                self.rollback(env, &placed);
                 return Err(ProvisionError::UnknownFactory(element.type_key.clone()));
             }
             for i in 0..element.planned {
@@ -281,12 +270,6 @@ impl ProvisionMonitor {
                 };
                 match self.place(env, &opstring.name, element, &instance) {
                     Some((p, node)) => {
-                        env.lifecycle(
-                            "provision",
-                            provision_entity(&opstring.name, &instance),
-                            "deploy",
-                            p.host.0 as u64,
-                        );
                         placed.push(InstanceRecord {
                             element: element.name.clone(),
                             instance: instance.clone(),
@@ -296,7 +279,7 @@ impl ProvisionMonitor {
                         results.push(p);
                     }
                     None => {
-                        self.rollback(env, &opstring.name, &placed);
+                        self.rollback(env, &placed);
                         return Err(ProvisionError::NoCandidate(element.name.clone()));
                     }
                 }
@@ -313,15 +296,9 @@ impl ProvisionMonitor {
         Ok(results)
     }
 
-    fn rollback(&mut self, env: &mut Env, opstring: &str, placed: &[InstanceRecord]) {
+    fn rollback(&mut self, env: &mut Env, placed: &[InstanceRecord]) {
         for rec in placed {
             let _ = rec.node.terminate(env, self.host, &rec.instance);
-            env.lifecycle(
-                "provision",
-                provision_entity(opstring, &rec.instance),
-                "undeploy",
-                0,
-            );
         }
     }
 
@@ -400,12 +377,6 @@ impl ProvisionMonitor {
                 instance: rec.instance.clone(),
                 kind: ProvisionEventKind::Undeployed,
             });
-            env.lifecycle(
-                "provision",
-                provision_entity(name, &rec.instance),
-                "undeploy",
-                0,
-            );
         }
         Ok(())
     }
@@ -468,12 +439,6 @@ impl ProvisionMonitor {
                                 to: p.host,
                             },
                         });
-                        env.lifecycle(
-                            "provision",
-                            provision_entity(&name, &rec.instance),
-                            "failover",
-                            p.host.0 as u64,
-                        );
                         dep.instances.push(InstanceRecord {
                             element: rec.element,
                             instance: rec.instance,
@@ -493,12 +458,6 @@ impl ProvisionMonitor {
                             instance: rec.instance.clone(),
                             kind: ProvisionEventKind::Pending,
                         });
-                        env.lifecycle(
-                            "provision",
-                            provision_entity(&name, &rec.instance),
-                            "pending",
-                            0,
-                        );
                         dep.pending.push((rec.instance, Some(rec.node)));
                     }
                 }
@@ -516,12 +475,6 @@ impl ProvisionMonitor {
                 }
                 match self.place(env, &name, &element, &instance) {
                     Some((p, node)) => {
-                        env.lifecycle(
-                            "provision",
-                            provision_entity(&name, &instance),
-                            "deploy",
-                            p.host.0 as u64,
-                        );
                         dep.instances.push(InstanceRecord {
                             element: element.name.clone(),
                             instance,
@@ -581,12 +534,6 @@ impl ProvisionMonitor {
                 let instance = format!("{}-{}", el.name, i + 1);
                 match self.place(env, opstring, &el, &instance) {
                     Some((p, node)) => {
-                        env.lifecycle(
-                            "provision",
-                            provision_entity(opstring, &instance),
-                            "deploy",
-                            p.host.0 as u64,
-                        );
                         dep.instances.push(InstanceRecord {
                             element: el.name.clone(),
                             instance,
@@ -602,12 +549,6 @@ impl ProvisionMonitor {
                             instance: instance.clone(),
                             kind: ProvisionEventKind::Pending,
                         });
-                        env.lifecycle(
-                            "provision",
-                            provision_entity(opstring, &instance),
-                            "pending",
-                            0,
-                        );
                         dep.pending.push((instance, None));
                     }
                 }
@@ -651,12 +592,6 @@ impl ProvisionMonitor {
                     instance: rec.instance.clone(),
                     kind: ProvisionEventKind::Undeployed,
                 });
-                env.lifecycle(
-                    "provision",
-                    provision_entity(opstring, &rec.instance),
-                    "undeploy",
-                    0,
-                );
             }
         }
         self.deployments.insert(dep.opstring.name.clone(), dep);

@@ -54,12 +54,6 @@ pub fn event_wire_size(ev: &ServiceEvent) -> usize {
     8 + 8 + 16 + 1 + ev.item.as_ref().map_or(0, |i| i.encoded_len())
 }
 
-/// Happens-before key for one mailbox's queue: writes at delivery into the
-/// box, reads at every remote pull.
-pub fn hb_mailbox_key(host: HostId) -> String {
-    format!("mailbox@{}", host.0)
-}
-
 /// Where events for one registration get delivered.
 ///
 /// The `deliver` closure plays the role of the remote listener proxy; the
@@ -171,15 +165,9 @@ impl MailboxHandle {
     /// An [`EventSink`] that stores into this mailbox.
     pub fn sink(&self) -> EventSink {
         let shared = std::rc::Rc::clone(&self.shared);
-        let host = self.host;
         EventSink {
-            host,
-            deliver: Box::new(move |env, ev| {
-                shared.borrow_mut().push(ev.clone());
-                if env.observing() {
-                    env.cell_write(host, &hb_mailbox_key(host));
-                }
-            }),
+            host: self.host,
+            deliver: Box::new(move |_env, ev| shared.borrow_mut().push(ev.clone())),
         }
     }
 
@@ -190,7 +178,7 @@ impl MailboxHandle {
         env: &mut Env,
         from: HostId,
     ) -> Result<Vec<ServiceEvent>, sensorcer_sim::topology::NetError> {
-        let out = env.call(
+        env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
@@ -200,11 +188,7 @@ impl MailboxHandle {
                 let bytes: usize = evs.iter().map(event_wire_size).sum();
                 (evs, bytes.max(8))
             },
-        );
-        if out.is_ok() && env.observing() {
-            env.cell_read(from, &hb_mailbox_key(self.host));
-        }
-        out
+        )
     }
 }
 

@@ -29,13 +29,6 @@ pub mod keys {
     pub const LEASES_REAPED: &str = "registry.leases.reaped";
 }
 
-/// Happens-before key for one LUS's registration state: every write to
-/// the item map (register / cancel / reap / attribute change) writes this
-/// key at the LUS host, every remote lookup reads it at the requestor.
-pub fn hb_items_key(host: HostId) -> String {
-    format!("lus@{}.items", host.0)
-}
-
 /// Result of registering a service.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceRegistration {
@@ -271,10 +264,6 @@ impl LookupService {
         self.index_item(env, &item);
         let lease = self.reg_leases.grant(now, duration, uuid);
         self.registrations_total += 1;
-        env.lifecycle("lease", lease.id.0, "grant", lease.expires.as_nanos());
-        if env.observing() {
-            env.cell_write(self.host, &hb_items_key(self.host));
-        }
         self.fire(env, now, uuid, old.as_deref(), Some(&item));
         if span.is_valid() {
             env.span_field(span, "uuid", uuid.to_string());
@@ -284,29 +273,20 @@ impl LookupService {
         ServiceRegistration { uuid, lease }
     }
 
-    /// Renew a registration lease. Takes the env so the successful
-    /// transition lands in the lifecycle stream (checked against the
-    /// lease state machine by `sensorcer-verify`).
+    /// Renew a registration lease at the current virtual time.
     pub fn renew(
         &mut self,
         env: &mut Env,
         lease: LeaseId,
         duration: Option<SimDuration>,
     ) -> Result<Lease, LeaseError> {
-        let now = env.now();
-        let renewed = self.reg_leases.renew(now, lease, duration)?;
-        env.lifecycle("lease", lease.0, "renew", renewed.expires.as_nanos());
-        Ok(renewed)
+        self.reg_leases.renew(env.now(), lease, duration)
     }
 
     /// Cancel a registration, removing the item immediately.
     pub fn cancel(&mut self, env: &mut Env, lease: LeaseId) -> Result<(), LeaseError> {
         let uuid = self.reg_leases.cancel(lease)?;
         let now = env.now();
-        env.lifecycle("lease", lease.0, "cancel", 0);
-        if env.observing() {
-            env.cell_write(self.host, &hb_items_key(self.host));
-        }
         if let Some(old) = self.items.remove(&uuid) {
             self.unindex_item(env, &old);
             self.fire(env, now, uuid, Some(&old), None);
@@ -520,12 +500,8 @@ impl LookupService {
         if !reaped.is_empty() {
             env.metrics
                 .add_host(self.host, keys::LEASES_REAPED, reaped.len() as u64);
-            if env.observing() {
-                env.cell_write(self.host, &hb_items_key(self.host));
-            }
         }
-        for (id, uuid) in reaped {
-            env.lifecycle("lease", id.0, "reap", now.as_nanos());
+        for (_, uuid) in reaped {
             if let Some(old) = self.items.remove(&uuid) {
                 self.unindex_item(env, &old);
                 self.fire(env, now, uuid, Some(&old), None);
@@ -678,7 +654,7 @@ impl LusHandle {
         max: usize,
     ) -> Result<Vec<Arc<ServiceItem>>, NetError> {
         let req = template.encoded_len() + 8;
-        let out = env.call(
+        env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
@@ -688,13 +664,7 @@ impl LusHandle {
                 let resp: usize = found.iter().map(|item| item.encoded_len()).sum();
                 (found, resp.max(8))
             },
-        );
-        if out.is_ok() && env.observing() {
-            // The response edge has merged the LUS clock into `from`, so a
-            // clean tree reads as ordered here.
-            env.cell_read(from, &hb_items_key(self.host));
-        }
-        out
+        )
     }
 
     /// Remote bulk uuid lookup by interface: the registry-side cost is a
@@ -707,7 +677,7 @@ impl LusHandle {
         iface: &InterfaceId,
     ) -> Result<Arc<[SvcUuid]>, NetError> {
         let req = iface.encoded_len() + 8;
-        let out = env.call(
+        env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
@@ -717,11 +687,7 @@ impl LusHandle {
                 let resp = (uuids.len() * 16).max(8);
                 (uuids, resp)
             },
-        );
-        if out.is_ok() && env.observing() {
-            env.cell_read(from, &hb_items_key(self.host));
-        }
-        out
+        )
     }
 
     /// Remote single lookup.
@@ -744,7 +710,7 @@ impl LusHandle {
         exclude: Option<&str>,
     ) -> Result<Option<Arc<ServiceItem>>, NetError> {
         let req = template.encoded_len() + 8;
-        let out = env.call(
+        env.call(
             from,
             self.service,
             ProtocolStack::Tcp,
@@ -761,11 +727,7 @@ impl LusHandle {
                 let resp = hit.as_ref().map_or(8, |i| i.encoded_len());
                 (hit, resp)
             },
-        );
-        if out.is_ok() && env.observing() {
-            env.cell_read(from, &hb_items_key(self.host));
-        }
-        out
+        )
     }
 
     /// Register an event listener.
@@ -920,6 +882,34 @@ mod tests {
             .unwrap()
             .len(),
             1
+        );
+    }
+
+    #[test]
+    fn renewal_at_or_after_expiry_is_refused_before_the_reaper_runs() {
+        let (mut env, lab, client, lus) = setup();
+        let reg = lus
+            .register(
+                &mut env,
+                client,
+                sensor_item("Neem", lab, 1),
+                Some(SimDuration::from_secs(5)),
+            )
+            .unwrap();
+        // The registration call took virtual time, so the expiry falls
+        // between two 500 ms reaper ticks and the lease is still held.
+        let mut renew_at = |at: SimTime| {
+            env.run_for(at.since(env.now()));
+            env.with_service(lus.service, |env, l: &mut LookupService| {
+                l.renew(env, reg.lease.id, None)
+            })
+            .unwrap()
+        };
+        let expires = reg.lease.expires;
+        assert_eq!(renew_at(expires), Err(LeaseError::Expired));
+        assert_eq!(
+            renew_at(expires + SimDuration::from_millis(1)),
+            Err(LeaseError::Expired)
         );
     }
 

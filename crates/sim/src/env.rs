@@ -27,7 +27,6 @@ use std::rc::Rc;
 
 use sensorcer_trace::{FieldValue, FlightRecorder, Outcome, SpanId};
 
-use crate::hb::HbViolation;
 use crate::metrics::{keys, Key, Metrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -119,24 +118,6 @@ impl RepeatHandle {
     }
 }
 
-/// A lifecycle transition reported by instrumented middleware: the lease,
-/// provisioning and span state machines declared in `sensorcer-verify`
-/// receive these and check each transition against their tables.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LifecycleEvent {
-    /// Which state machine the entity belongs to (`"lease"`,
-    /// `"provision"`, …).
-    pub kind: &'static str,
-    /// Entity identity within the machine (lease id, hashed instance
-    /// name, …).
-    pub entity: u64,
-    /// The transition taken.
-    pub transition: &'static str,
-    /// Transition-specific payload (e.g. the new expiry in nanos for
-    /// lease grants/renewals; zero when unused).
-    pub info: u64,
-}
-
 /// The kernel's own counters ([`keys`]), resolved when the registry is
 /// built: every call writes several of them.
 struct NetKeys {
@@ -188,9 +169,8 @@ pub struct Env {
     /// Optional flight recorder for structured spans. Absent by default
     /// so uninstrumented runs pay only a null check.
     recorder: Option<FlightRecorder>,
-    /// Optional [`Observer`] of deliveries, shared-state accesses and
-    /// lifecycle transitions. Absent by default, and then every hook site
-    /// is one null check.
+    /// Optional [`Observer`] of deliveries. Absent by default, and then
+    /// every delivery pays one null check.
     observer: Option<Box<dyn Observer>>,
     /// Optional schedule oracle: when ≥2 timers are co-scheduled at the
     /// same deadline, picks which fires next (index into the seq-ordered
@@ -200,28 +180,13 @@ pub struct Env {
     tie_chooser: Option<Box<dyn FnMut(usize) -> usize>>,
 }
 
-/// A passive watcher of one [`Env`], installed with [`Env::set_observer`]:
-/// the happens-before tracker ([`crate::hb::HbTracker`]) and the schedule
-/// explorer's checks are impls. Every method defaults to a no-op and none
-/// is given the `Env`, so an observer can neither re-enter the world nor
-/// change its schedule.
+/// A passive watcher of one [`Env`], installed with [`Env::set_observer`].
+/// Its hook defaults to a no-op and is not given the `Env`, so an
+/// observer can neither re-enter the world nor change its schedule.
 pub trait Observer: Any {
-    /// `host` wrote the shared federation state named `key` (a registry's
-    /// items, a mailbox queue).
-    fn cell_write(&mut self, _host: HostId, _key: &str) {}
-
-    /// `host` read the shared federation state named `key`; returns the
-    /// violation when the latest write is not ordered before the read.
-    fn cell_read(&mut self, _host: HostId, _key: &str) -> Option<HbViolation> {
-        None
-    }
-
     /// A message went `from → to`: each leg of a call, a one-way send,
     /// each receiver of a multicast.
     fn deliver(&mut self, _from: HostId, _to: HostId) {}
-
-    /// A lifecycle transition reported through [`Env::lifecycle`] at `at`.
-    fn lifecycle(&mut self, _at: SimTime, _ev: LifecycleEvent) {}
 }
 
 impl Env {
@@ -394,86 +359,11 @@ impl Env {
         observer.downcast().ok()
     }
 
-    /// Whether an observer is installed. Gate building an annotation's
-    /// key behind this; the hooks are already no-ops without one.
-    #[inline]
-    pub fn observing(&self) -> bool {
-        self.observer.is_some()
-    }
-
     /// Record a message edge `from → to` (called by the delivery paths).
     #[inline]
     fn observe_delivery(&mut self, from: HostId, to: HostId) {
         if let Some(o) = self.observer.as_mut() {
             o.deliver(from, to);
-        }
-    }
-
-    /// Annotate a write of shared federation state `key` by `host`.
-    #[inline]
-    pub fn cell_write(&mut self, host: HostId, key: &str) {
-        if let Some(o) = self.observer.as_mut() {
-            o.cell_write(host, key);
-        }
-    }
-
-    /// Annotate a read of shared federation state `key` by `host`. A
-    /// violation the observer reports is, with tracing on, surfaced as an
-    /// `hb.violation` event on the current span.
-    pub fn cell_read(&mut self, host: HostId, key: &str) {
-        let Some(v) = self.observer.as_mut().and_then(|o| o.cell_read(host, key)) else {
-            return;
-        };
-        let span = self.current_span();
-        if span.is_valid() {
-            self.span_event(
-                span,
-                "hb.violation",
-                vec![
-                    ("key", v.key.into()),
-                    ("reader", (v.reader.0 as u64).into()),
-                    ("writer", (v.writer.0 as u64).into()),
-                ],
-            );
-        }
-    }
-
-    /// Report a lifecycle transition. Goes to the observer when one is
-    /// installed and, with tracing on, mirrors onto the current span as a
-    /// `lifecycle` event — which is how the state-machine checkers in
-    /// `sensorcer-verify` see runtime transitions through the flight
-    /// recorder.
-    pub fn lifecycle(
-        &mut self,
-        kind: &'static str,
-        entity: u64,
-        transition: &'static str,
-        info: u64,
-    ) {
-        if self.observer.is_none() && self.recorder.is_none() {
-            return;
-        }
-        let ev = LifecycleEvent {
-            kind,
-            entity,
-            transition,
-            info,
-        };
-        if let Some(o) = self.observer.as_mut() {
-            o.lifecycle(self.clock, ev);
-        }
-        let span = self.current_span();
-        if span.is_valid() {
-            self.span_event(
-                span,
-                "lifecycle",
-                vec![
-                    ("kind", FieldValue::from(kind)),
-                    ("entity", entity.into()),
-                    ("transition", FieldValue::from(transition)),
-                    ("info", info.into()),
-                ],
-            );
         }
     }
 
@@ -1489,69 +1379,6 @@ mod tests {
             vec![3, 2, 0],
             "cancelled timer 1 never fires"
         );
-    }
-
-    #[test]
-    fn hb_tracks_call_edges_and_flags_unordered_reads() {
-        let (mut env, a, b) = two_host_env();
-        let svc = env.deploy(b, "echo", Echo { hits: 0 });
-        env.set_observer(crate::hb::HbTracker::new());
-        assert!(env.observing());
-        // A write at b that a learns about through a call's response edge.
-        env.cell_write(b, "state");
-        env.call(a, svc, ProtocolStack::Tcp, 8, |_e, x: &mut Echo| {
-            x.hits += 1;
-            ((), 8)
-        })
-        .unwrap();
-        env.cell_read(a, "state");
-        // A write at a third host nobody heard from races every reader.
-        let c = env.add_host("c", HostKind::Server);
-        env.cell_write(c, "state");
-        env.cell_read(a, "state");
-        assert!(env.take_observer::<Lifecycles>().is_none(), "wrong type");
-        let hb = env
-            .take_observer::<crate::hb::HbTracker>()
-            .expect("tracker installed");
-        assert!(!env.observing());
-        assert_eq!(hb.violations().len(), 1);
-        assert_eq!(hb.violations()[0].writer, c);
-        assert_eq!(hb.violations()[0].reader, a);
-    }
-
-    /// Keeps every lifecycle transition it is shown.
-    #[derive(Default)]
-    struct Lifecycles(Vec<(SimTime, LifecycleEvent)>);
-
-    impl Observer for Lifecycles {
-        fn lifecycle(&mut self, at: SimTime, ev: LifecycleEvent) {
-            self.0.push((at, ev));
-        }
-    }
-
-    #[test]
-    fn lifecycle_events_reach_sink_and_open_span() {
-        let mut env = Env::with_seed(3);
-        let h = env.add_host("h", HostKind::Server);
-        env.set_observer(Lifecycles::default());
-        env.enable_tracing(16);
-        let span = env.span_start("op", "x", h);
-        env.lifecycle("lease", 7, "grant", 123);
-        env.span_end(span, Outcome::Ok);
-        let rec = env.disable_tracing().expect("recorder");
-        let got = env.take_observer::<Lifecycles>().expect("installed").0;
-        assert_eq!(got.len(), 1);
-        assert_eq!(
-            got[0].1,
-            LifecycleEvent {
-                kind: "lease",
-                entity: 7,
-                transition: "grant",
-                info: 123
-            }
-        );
-        let spans: Vec<_> = rec.spans().collect();
-        assert!(spans[0].has_event("lifecycle"));
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod bytebuf;
 pub mod chaos;
 pub mod check;
 pub mod env;
-pub mod hb;
 pub mod metrics;
 pub mod rng;
 pub mod time;
@@ -62,10 +61,7 @@ pub mod prelude {
     };
 
     pub use crate::chaos::{ChaosConfig, ChaosCounts, ChaosEvent, ChaosSchedule};
-    pub use crate::env::{
-        Env, EnvConfig, LifecycleEvent, Observer, RepeatHandle, ServiceId, TimerGroup, TimerId,
-    };
-    pub use crate::hb::{HbTracker, HbViolation, VectorClock};
+    pub use crate::env::{Env, EnvConfig, Observer, RepeatHandle, ServiceId, TimerGroup, TimerId};
     pub use crate::metrics::{
         keys as metric_keys, sampler_keys, Metrics, SamplerConfig, Summary, TelemetrySampler,
     };

@@ -13,30 +13,23 @@
 //! * [`ChoicePolicy::Random`] draws every choice from a seeded
 //!   [`SimRng`] — sampling for scenarios whose trees are too big.
 //!
-//! Every run executes one [`Scenario`] in a fresh [`Env`] whose one
-//! [`Observer`] is [`Checks`]: a happens-before tracker fed every delivery
-//! and shared-state access, and a [`LifecycleChecker`] fed every
-//! lifecycle transition as it happens. After the run the scenario's own
-//! invariants and both checkers' verdicts are collected. A schedule is *distinct*
-//! when its full choice vector differs; [`ExploreReport`] counts both
-//! runs and distinct schedules so a vacuous explorer (no choice points)
-//! is visible.
+//! Every run executes one [`Scenario`] in a fresh [`Env`] and collects
+//! the scenario's own invariants; a traced run also has its flight
+//! recorder checked. A schedule is *distinct* when its full choice vector
+//! differs; [`ExploreReport`] counts both runs and distinct schedules so a
+//! vacuous explorer (no choice points) is visible.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use sensorcer_sim::env::{Env, LifecycleEvent, Observer};
-use sensorcer_sim::hb::{HbTracker, HbViolation};
+use sensorcer_sim::env::Env;
 use sensorcer_sim::rng::SimRng;
-use sensorcer_sim::time::{SimDuration, SimTime};
-use sensorcer_sim::topology::HostId;
-
-use crate::lifecycle::LifecycleChecker;
+use sensorcer_trace::FlightRecorder;
 
 /// One schedule-exploration subject: builds a fresh world inside the
-/// prepared `env` (the [`Checks`] observer and the tie chooser already
-/// installed), runs it to its horizon, and reports its own invariants.
+/// prepared `env` (the tie chooser already installed), runs it to its
+/// horizon, and reports its own invariants.
 pub trait Scenario {
     fn name(&self) -> &'static str;
 
@@ -44,13 +37,6 @@ pub trait Scenario {
     /// scenario so the only varying input across runs is the schedule.
     fn seed(&self) -> u64 {
         1
-    }
-
-    /// Grace window passed to [`LifecycleChecker::finish`] — how far past
-    /// expiry a lease may linger before "never reaped" fires. Scenarios
-    /// with a reaper tick should return at least one tick.
-    fn reap_grace(&self) -> SimDuration {
-        SimDuration::from_secs(2)
     }
 
     /// Build, run, and self-check one world under the installed schedule.
@@ -82,39 +68,9 @@ pub struct ScheduleOutcome {
     /// `(k, picked)` per choice point (k ≥ 2 co-scheduled timers).
     pub choices: Vec<(usize, usize)>,
     pub digest: u64,
-    /// Scenario + lifecycle + happens-before violations, prefixed by
-    /// their origin.
+    /// Scenario violations and, for a traced run, flight-recorder
+    /// problems, prefixed by their origin.
     pub violations: Vec<String>,
-    /// `(deliveries, writes, reads)` the hb tracker processed.
-    pub hb_activity: (u64, u64, u64),
-    /// Lifecycle transitions checked.
-    pub lifecycle_events: u64,
-}
-
-/// The explorer's observer: the happens-before tracker and the lifecycle
-/// state machines, both fed live during a run.
-#[derive(Default)]
-pub struct Checks {
-    pub hb: HbTracker,
-    pub lifecycle: LifecycleChecker,
-}
-
-impl Observer for Checks {
-    fn cell_write(&mut self, host: HostId, key: &str) {
-        self.hb.cell_write(host, key);
-    }
-
-    fn cell_read(&mut self, host: HostId, key: &str) -> Option<HbViolation> {
-        self.hb.cell_read(host, key)
-    }
-
-    fn deliver(&mut self, from: HostId, to: HostId) {
-        self.hb.deliver(from, to);
-    }
-
-    fn lifecycle(&mut self, at: SimTime, ev: LifecycleEvent) {
-        self.lifecycle.feed(at, ev);
-    }
 }
 
 /// FNV-1a over the choice vector: the identity of a schedule.
@@ -135,7 +91,6 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
     let choices: Rc<RefCell<Vec<(usize, usize)>>> = Rc::default();
 
     let mut env = Env::with_seed(scenario.seed());
-    env.set_observer(Checks::default());
     if traced {
         env.enable_tracing(4096);
     }
@@ -163,35 +118,8 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
         .iter()
         .map(|v| format!("scenario: {v}"))
         .collect();
-
-    // A scenario that replaced the observer leaves nothing to check.
-    let mut checks = env.take_observer::<Checks>().unwrap_or_else(|| {
-        violations.push("observer: the run replaced the explorer's checks".to_string());
-        Box::default()
-    });
-    checks.lifecycle.finish(env.now(), scenario.reap_grace());
-    violations.extend(
-        checks
-            .lifecycle
-            .violations()
-            .iter()
-            .map(|v| format!("lifecycle: {v}")),
-    );
-    violations.extend(
-        checks
-            .hb
-            .violations()
-            .iter()
-            .map(|v| format!("happens-before: {v}")),
-    );
-    if traced {
-        if let Some(rec) = env.disable_tracing() {
-            violations.extend(
-                crate::lifecycle::check_recorder(&rec)
-                    .iter()
-                    .map(|v| format!("span: {v}")),
-            );
-        }
+    if let Some(rec) = env.disable_tracing() {
+        violations.extend(check_recorder(&rec).iter().map(|v| format!("span: {v}")));
     }
 
     let choices = choices.borrow().clone();
@@ -199,14 +127,31 @@ pub fn run_one(scenario: &dyn Scenario, policy: ChoicePolicy, traced: bool) -> S
         choices,
         digest: result.digest,
         violations,
-        hb_activity: checks.hb.activity(),
-        lifecycle_events: checks.lifecycle.events(),
     }
 }
 
-/// Re-run the FIFO schedule with tracing on and compare digests: the
-/// trace plane must be an observer, never an actor. Returns a violation
-/// string when the digests diverge.
+/// Structural check of a traced run's flight recorder: the recorder's own
+/// invariants ([`FlightRecorder::validate`], every span closed), and every
+/// event inside its span's lifetime.
+fn check_recorder(rec: &FlightRecorder) -> Vec<String> {
+    let mut problems = rec.validate(true);
+    for span in rec.spans() {
+        for ev in &span.events {
+            if ev.at_ns < span.start_ns || ev.at_ns > span.end_ns {
+                problems.push(format!(
+                    "span '{}': event '{}' outside the span's lifetime",
+                    span.name, ev.name
+                ));
+            }
+        }
+    }
+    problems
+}
+
+/// Re-run the FIFO schedule with tracing on: the trace plane must be an
+/// observer, never an actor, so the traced run must reach the plain run's
+/// digest and choices, and report nothing the plain run did not (its
+/// flight recorder is checked). Returns the first difference.
 pub fn trace_transparency(scenario: &dyn Scenario) -> Option<String> {
     let plain = run_one(scenario, ChoicePolicy::Prefix(Vec::new()), false);
     let traced = run_one(scenario, ChoicePolicy::Prefix(Vec::new()), true);
@@ -220,7 +165,14 @@ pub fn trace_transparency(scenario: &dyn Scenario) -> Option<String> {
             traced.choices.len(),
         ));
     }
-    None
+    let extra = traced
+        .violations
+        .iter()
+        .find(|v| !plain.violations.contains(v))?;
+    Some(format!(
+        "scenario '{}' under tracing: {extra}",
+        scenario.name()
+    ))
 }
 
 /// Exploration strategy and budget.
@@ -267,10 +219,6 @@ pub struct ExploreReport {
     pub choice_points: u64,
     /// Widest choice point seen (max co-scheduled timers).
     pub max_width: usize,
-    pub hb_deliveries: u64,
-    pub hb_reads: u64,
-    pub hb_writes: u64,
-    pub lifecycle_events: u64,
     /// Deduplicated violations with the choice vector that produced the
     /// first occurrence of each.
     pub violations: Vec<String>,
@@ -308,11 +256,6 @@ pub fn explore(scenario: &dyn Scenario, cfg: &ExploreConfig) -> ExploreReport {
         report.max_width = report
             .max_width
             .max(out.choices.iter().map(|&(k, _)| k).max().unwrap_or(0));
-        let (d, w, r) = out.hb_activity;
-        report.hb_deliveries += d;
-        report.hb_writes += w;
-        report.hb_reads += r;
-        report.lifecycle_events += out.lifecycle_events;
         for v in &out.violations {
             if seen_violations.insert(v.clone()) {
                 report.violations.push(format!(
@@ -481,5 +424,56 @@ mod tests {
     #[test]
     fn trace_transparency_holds_for_simple_scenarios() {
         assert_eq!(trace_transparency(&Permutable), None);
+    }
+
+    /// A world that acts on whether it is traced. Its own invariants hold
+    /// either way, so only the trace-transparency check sees it.
+    struct TraceSensitive;
+
+    impl Scenario for TraceSensitive {
+        fn name(&self) -> &'static str {
+            "trace-sensitive"
+        }
+
+        fn run(&self, env: &mut Env) -> ScenarioResult {
+            ScenarioResult {
+                digest: env.tracing_enabled() as u64,
+                violations: Vec::new(),
+            }
+        }
+    }
+
+    #[test]
+    fn trace_transparency_flags_a_world_that_acts_on_its_tracing() {
+        let traced = run_one(&TraceSensitive, ChoicePolicy::Prefix(Vec::new()), true);
+        assert!(traced.violations.is_empty(), "{:?}", traced.violations);
+        let v = trace_transparency(&TraceSensitive).expect("the digests differ");
+        assert!(v.contains("diverges under tracing"), "{v}");
+    }
+
+    /// A world that opens a span and never ends it: the same digest traced
+    /// or not, and no invariant of its own broken.
+    struct LeakySpan;
+
+    impl Scenario for LeakySpan {
+        fn name(&self) -> &'static str {
+            "leaky-span"
+        }
+
+        fn run(&self, env: &mut Env) -> ScenarioResult {
+            let h = env.add_host("h", sensorcer_sim::topology::HostKind::Server);
+            env.span_start("leak", "never ended", h);
+            ScenarioResult::default()
+        }
+    }
+
+    #[test]
+    fn trace_transparency_flags_a_span_left_open() {
+        let plain = run_one(&LeakySpan, ChoicePolicy::Prefix(Vec::new()), false);
+        assert!(plain.violations.is_empty(), "{:?}", plain.violations);
+        assert_eq!(
+            trace_transparency(&LeakySpan).as_deref(),
+            Some("scenario 'leaky-span' under tracing: span: 1 spans still open")
+        );
     }
 }

@@ -1,23 +1,18 @@
 //! # sensorcer-verify
 //!
-//! Mechanical correctness checking for the SenSORCER reproduction. The
-//! federation is a web of concurrent lifecycle state machines — Jini
-//! leases, Rio provisioning, SORCER exertions — layered with retries,
-//! failover, degraded reads and tracing. This crate makes their ordering
-//! discipline checkable by tooling instead of review:
+//! Schedule exploration for the SenSORCER reproduction. The federation's
+//! timers — Jini lease renewals and reapers, Rio heartbeats, composite
+//! reads — often fall due at the same virtual instant, and the scheduler
+//! breaks such ties FIFO. This crate permutes those ties and holds small
+//! federated worlds to their invariants under every order it tries:
 //!
 //! * [`explore`] — a DPOR-lite **schedule explorer** over the discrete
 //!   event scheduler in `sensorcer-sim`: at every virtual instant with
 //!   ≥2 co-scheduled timers it permutes delivery order (bounded
 //!   exhaustive for small scenarios, seeded random sampling for large
-//!   ones) and asserts federation invariants after every schedule.
-//! * happens-before checking — vector clocks on wire deliveries
-//!   (`sensorcer_sim::hb`, inside the observer the explorer installs) flag any
-//!   read of shared federation state not ordered after its write.
-//! * [`lifecycle`] — the lease / provisioning / span state machines
-//!   declared as transition tables, with a checker that holds every
-//!   runtime transition (delivered through `Env::lifecycle` and mirrored
-//!   onto flight-recorder spans) against them.
+//!   ones) and collects each scenario's invariant violations, plus a
+//!   flight-recorder check and a traced-vs-untraced digest comparison
+//!   (trace transparency).
 //! * [`scenarios`] — small federated worlds the explorer drives,
 //!   including an intentionally buggy one ([`scenarios::BuggyReaper`])
 //!   that the mutation test uses to prove the explorer detects a real
@@ -26,16 +21,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod explore;
-pub mod lifecycle;
 pub mod scenarios;
 
 pub mod prelude {
     pub use crate::explore::{
-        explore, run_one, trace_transparency, Checks, ChoicePolicy, ExploreConfig, ExploreReport,
-        Scenario, ScenarioResult, ScheduleOutcome,
-    };
-    pub use crate::lifecycle::{
-        LifecycleChecker, StateMachine, LEASE_MACHINE, PROVISION_MACHINE, SPAN_MACHINE,
+        explore, run_one, trace_transparency, ChoicePolicy, ExploreConfig, ExploreReport, Scenario,
+        ScenarioResult, ScheduleOutcome,
     };
     pub use crate::scenarios::{BuggyReaper, DegradedRead, LeaseChurn, ProvisionFailover};
 }

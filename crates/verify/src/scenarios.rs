@@ -8,7 +8,7 @@
 //! hold under *every* delivery order:
 //!
 //! * [`LeaseChurn`] — a renewing provider stays registered, a lapsed one
-//!   is reaped, a cancelled one disappears; no lease is used past expiry.
+//!   is reaped, a cancelled one disappears.
 //! * [`ProvisionFailover`] — a crashed node's instance moves exactly
 //!   once (never double-deploys) and the planned count is restored.
 //! * [`DegradedRead`] — composite reads that substitute or drop children
@@ -80,10 +80,6 @@ pub struct LeaseChurn;
 impl Scenario for LeaseChurn {
     fn name(&self) -> &'static str {
         "lease-churn"
-    }
-
-    fn reap_grace(&self) -> SimDuration {
-        SimDuration::from_millis(1500)
     }
 
     fn run(&self, env: &mut Env) -> ScenarioResult {
@@ -217,8 +213,7 @@ struct Bean;
 /// cybernodes registered with a LUS (reaper 500 ms, renewals 500 ms). The
 /// node hosting the first instance crashes at t=1.25 s and reboots at
 /// t=2.75 s. Under every delivery order the opstring must return to its
-/// planned count with each instance deployed exactly once — the
-/// `provision` state machine flags any double-deploy.
+/// planned count with each instance deployed exactly once.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProvisionFailover;
 
@@ -535,10 +530,6 @@ impl Scenario for BuggyReaper {
         "buggy-reaper"
     }
 
-    fn reap_grace(&self) -> SimDuration {
-        SimDuration::from_secs(100)
-    }
-
     fn run(&self, env: &mut Env) -> ScenarioResult {
         let lab = env.add_host("lab", HostKind::Server);
         let client = env.add_host("client", HostKind::Workstation);
@@ -628,16 +619,6 @@ mod tests {
             !out.choices.is_empty(),
             "no choice points — the scenario is vacuous"
         );
-        assert!(
-            out.lifecycle_events > 0,
-            "no lifecycle transitions observed"
-        );
-        let (d, w, r) = out.hb_activity;
-        assert!(
-            d > 0 && w > 0 && r > 0,
-            "hb tracker saw nothing: {:?}",
-            (d, w, r)
-        );
     }
 
     #[test]
@@ -645,7 +626,6 @@ mod tests {
         let out = run_one(&ProvisionFailover, ChoicePolicy::Prefix(Vec::new()), false);
         assert!(out.violations.is_empty(), "{:#?}", out.violations);
         assert!(!out.choices.is_empty());
-        assert!(out.lifecycle_events > 0);
     }
 
     #[test]

@@ -42,8 +42,17 @@ fn world(gate: TenantPolicy) -> (Env, Deployment) {
     (env, d)
 }
 
+/// An observer of another type than the one [`world`] installs.
+struct Silent;
+
+impl Observer for Silent {}
+
 /// The ESP hosts that received a message since [`world`] returned.
 fn esps_reached(env: &mut Env, d: &Deployment) -> Vec<HostId> {
+    assert!(
+        env.take_observer::<Silent>().is_none(),
+        "taking the wrong type must leave the observer installed"
+    );
     let seen = env
         .take_observer::<Receivers>()
         .expect("observer installed");
