@@ -7,8 +7,10 @@
 //! metadata and UI descriptors. [`Entry`] reproduces those; [`AttrMatch`]
 //! is the template form with per-field wildcards (Jini's `null` fields).
 
-use sensorcer_sim::wire::{Bytes, BytesMut};
-use sensorcer_sim::wire::{WireDecode, WireEncode, WireError};
+use crate::ids::text_wire_size;
+
+/// The tag byte that says which kind of [`Entry`] follows on the wire.
+const ENTRY_TAG_BYTES: usize = 1;
 
 /// A concrete attribute on a service item.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -31,75 +33,19 @@ pub enum Entry {
 }
 
 impl Entry {
-    /// Variant tag for wire encoding and grouping.
-    fn tag(&self) -> u8 {
-        match self {
-            Entry::Name(_) => 0,
-            Entry::Comment(_) => 1,
-            Entry::Location { .. } => 2,
-            Entry::ServiceType(_) => 3,
-            Entry::Custom { .. } => 4,
-        }
-    }
-}
-
-impl WireEncode for Entry {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.extend_from_slice(&[self.tag()]);
-        match self {
-            Entry::Name(s) | Entry::Comment(s) | Entry::ServiceType(s) => s.encode(buf),
-            Entry::Location {
-                building,
-                floor,
-                room,
-            } => {
-                building.encode(buf);
-                floor.encode(buf);
-                room.encode(buf);
+    /// Bytes on the simulated wire: the tag byte, then each field as
+    /// length-prefixed text.
+    pub fn wire_size(&self) -> usize {
+        ENTRY_TAG_BYTES
+            + match self {
+                Entry::Name(s) | Entry::Comment(s) | Entry::ServiceType(s) => text_wire_size(s),
+                Entry::Location {
+                    building,
+                    floor,
+                    room,
+                } => text_wire_size(building) + text_wire_size(floor) + text_wire_size(room),
+                Entry::Custom { key, value } => text_wire_size(key) + text_wire_size(value),
             }
-            Entry::Custom { key, value } => {
-                key.encode(buf);
-                value.encode(buf);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            Entry::Name(s) | Entry::Comment(s) | Entry::ServiceType(s) => s.encoded_len(),
-            Entry::Location {
-                building,
-                floor,
-                room,
-            } => building.encoded_len() + floor.encoded_len() + room.encoded_len(),
-            Entry::Custom { key, value } => key.encoded_len() + value.encoded_len(),
-        }
-    }
-}
-
-impl WireDecode for Entry {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let tag = u8::decode(buf)?;
-        Ok(match tag {
-            0 => Entry::Name(String::decode(buf)?),
-            1 => Entry::Comment(String::decode(buf)?),
-            2 => Entry::Location {
-                building: String::decode(buf)?,
-                floor: String::decode(buf)?,
-                room: String::decode(buf)?,
-            },
-            3 => Entry::ServiceType(String::decode(buf)?),
-            4 => Entry::Custom {
-                key: String::decode(buf)?,
-                value: String::decode(buf)?,
-            },
-            tag => {
-                return Err(WireError::BadTag {
-                    context: "Entry",
-                    tag,
-                })
-            }
-        })
     }
 }
 
@@ -303,31 +249,5 @@ mod tests {
         assert_eq!(name_of(&entries), Some("N"));
         assert_eq!(service_type_of(&entries), Some("ELEMENTARY"));
         assert_eq!(name_of(&[]), None);
-    }
-
-    #[test]
-    fn wire_round_trips() {
-        for entry in [
-            Entry::Name("Neem-Sensor".into()),
-            Entry::Comment("SenSORCER Facade".into()),
-            loc(),
-            Entry::ServiceType("COMPOSITE".into()),
-            Entry::Custom {
-                key: "k".into(),
-                value: "v".into(),
-            },
-        ] {
-            let mut wire = entry.to_wire();
-            assert_eq!(Entry::decode(&mut wire).unwrap(), entry);
-        }
-    }
-
-    #[test]
-    fn bad_tag_rejected() {
-        let mut wire = Bytes::from_static(&[9, 0, 0, 0, 0]);
-        assert!(matches!(
-            Entry::decode(&mut wire),
-            Err(WireError::BadTag { .. })
-        ));
     }
 }

@@ -12,7 +12,7 @@ use sensorcer_sim::time::SimTime;
 use sensorcer_sim::topology::HostId;
 use sensorcer_sim::wire::ProtocolStack;
 
-use crate::ids::SvcUuid;
+use crate::ids::{SvcUuid, UUID_WIRE_BYTES};
 use crate::item::ServiceItem;
 
 /// Metric keys bumped by event delivery.
@@ -48,10 +48,10 @@ pub struct ServiceEvent {
     pub item: Option<ServiceItem>,
 }
 
-/// Approximate wire size of one event notification.
+/// Wire size of one event notification: sequence number, instant, uuid,
+/// transition tag and the item if there is one.
 pub fn event_wire_size(ev: &ServiceEvent) -> usize {
-    use sensorcer_sim::wire::WireEncode;
-    8 + 8 + 16 + 1 + ev.item.as_ref().map_or(0, |i| i.encoded_len())
+    8 + 8 + UUID_WIRE_BYTES + 1 + ev.item.as_ref().map_or(0, ServiceItem::wire_size)
 }
 
 /// Where events for one registration get delivered.

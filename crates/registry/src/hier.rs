@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::topology::{HostId, NetError, SubnetId};
-use sensorcer_sim::wire::{ProtocolStack, WireEncode};
+use sensorcer_sim::wire::ProtocolStack;
 
 use crate::ids::{InterfaceId, SvcUuid};
 use crate::lus::{LookupService, LusHandle};
@@ -218,10 +218,7 @@ impl HierHandle {
             l.set_summary_sink(move |env, iface, delta| {
                 pending.borrow_mut().push((iface.clone(), delta));
                 let batch: Vec<(InterfaceId, i64)> = pending.borrow().clone();
-                let bytes = 8 + batch
-                    .iter()
-                    .map(|(i, _)| i.encoded_len() + 8)
-                    .sum::<usize>();
+                let bytes = 8 + batch.iter().map(|(i, _)| i.wire_size() + 8).sum::<usize>();
                 let sent = env.call(
                     from,
                     root_service,
@@ -249,7 +246,7 @@ impl HierHandle {
         from: HostId,
         iface: &InterfaceId,
     ) -> Result<Vec<(SubnetId, LusHandle)>, NetError> {
-        let req = iface.encoded_len() + 8;
+        let req = iface.wire_size() + 8;
         env.call(
             from,
             self.service,

@@ -3,8 +3,24 @@
 use std::sync::Arc;
 
 use sensorcer_sim::rng::SimRng;
-use sensorcer_sim::wire::{Bytes, BytesMut};
-use sensorcer_sim::wire::{WireDecode, WireEncode, WireError};
+
+/// Bytes a [`SvcUuid`] takes on the simulated wire.
+pub(crate) const UUID_WIRE_BYTES: usize = 16;
+
+/// The length prefix ahead of every string and list on the simulated wire.
+pub(crate) const LEN_PREFIX_BYTES: usize = 4;
+
+/// What `text` weighs on the simulated wire: its length prefix and its
+/// UTF-8 bytes.
+pub(crate) fn text_wire_size(text: &str) -> usize {
+    LEN_PREFIX_BYTES + text.len()
+}
+
+/// What a list weighs on the simulated wire: its length prefix and each
+/// element's `size`.
+pub(crate) fn list_wire_size<T>(items: &[T], size: impl Fn(&T) -> usize) -> usize {
+    LEN_PREFIX_BYTES + items.iter().map(size).sum::<usize>()
+}
 
 /// A 128-bit universally unique service identifier, like Jini's
 /// `ServiceID` (the paper's browser shows one in Fig. 3:
@@ -43,27 +59,6 @@ impl std::fmt::Display for SvcUuid {
     }
 }
 
-impl WireEncode for SvcUuid {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u128(self.0);
-    }
-    fn encoded_len(&self) -> usize {
-        16
-    }
-}
-
-impl WireDecode for SvcUuid {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        if buf.remaining() < 16 {
-            return Err(WireError::Truncated {
-                needed: 16,
-                available: buf.remaining(),
-            });
-        }
-        Ok(SvcUuid(buf.get_u128()))
-    }
-}
-
 /// The name of a remote interface a service implements — the unit of
 /// type-based lookup (Jini looks services up "by object types
 /// (interfaces)", §IV.B).
@@ -82,6 +77,11 @@ impl InterfaceId {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// Bytes on the simulated wire: the name as length-prefixed text.
+    pub fn wire_size(&self) -> usize {
+        text_wire_size(self.as_str())
+    }
 }
 
 impl std::fmt::Display for InterfaceId {
@@ -93,21 +93,6 @@ impl std::fmt::Display for InterfaceId {
 impl From<&str> for InterfaceId {
     fn from(s: &str) -> Self {
         InterfaceId(s.into())
-    }
-}
-
-impl WireEncode for InterfaceId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.as_str().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.as_str().encoded_len()
-    }
-}
-
-impl WireDecode for InterfaceId {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(InterfaceId::new(String::decode(buf)?))
     }
 }
 
@@ -160,18 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn uuid_wire_round_trip() {
-        let id = SvcUuid(0xDEAD_BEEF_0123_4567_89AB_CDEF_0000_FFFF);
-        let mut b = id.to_wire();
-        assert_eq!(b.len(), 16);
-        assert_eq!(SvcUuid::decode(&mut b).unwrap(), id);
-    }
-
-    #[test]
-    fn interface_id_round_trip() {
+    fn interface_id_displays_its_name() {
         let i: InterfaceId = interfaces::SENSOR_DATA_ACCESSOR.into();
-        let mut b = i.to_wire();
-        assert_eq!(InterfaceId::decode(&mut b).unwrap(), i);
         assert_eq!(i.to_string(), "SensorDataAccessor");
+        assert_eq!(i.wire_size(), 4 + "SensorDataAccessor".len());
     }
 }

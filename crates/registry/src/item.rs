@@ -2,11 +2,9 @@
 
 use sensorcer_sim::env::ServiceId;
 use sensorcer_sim::topology::HostId;
-use sensorcer_sim::wire::{Bytes, BytesMut};
-use sensorcer_sim::wire::{WireDecode, WireEncode, WireError};
 
 use crate::attributes::{name_of, AttrMatch, Entry};
-use crate::ids::{InterfaceId, SvcUuid};
+use crate::ids::{list_wire_size, InterfaceId, SvcUuid, LEN_PREFIX_BYTES, UUID_WIRE_BYTES};
 
 /// A registered service: identity, where it runs, the sim-level handle to
 /// reach it, the remote interfaces it implements, and its attributes.
@@ -47,35 +45,16 @@ impl ServiceItem {
     pub fn implements(&self, iface: &str) -> bool {
         self.interfaces.iter().any(|i| i.as_str() == iface)
     }
-}
 
-impl WireEncode for ServiceItem {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.uuid.encode(buf);
-        self.host.0.encode(buf);
-        self.service.0.encode(buf);
-        self.interfaces.encode(buf);
-        self.attributes.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.uuid.encoded_len()
-            + self.host.0.encoded_len()
-            + self.service.0.encoded_len()
-            + self.interfaces.encoded_len()
-            + self.attributes.encoded_len()
-    }
-}
-
-impl WireDecode for ServiceItem {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ServiceItem {
-            uuid: SvcUuid::decode(buf)?,
-            host: HostId(u32::decode(buf)?),
-            service: ServiceId(u64::decode(buf)?),
-            interfaces: Vec::decode(buf)?,
-            attributes: Vec::decode(buf)?,
-        })
+    /// Bytes on the simulated wire: the uuid, the host (4 bytes) and
+    /// service (8 bytes) handles, then the interfaces and the attributes
+    /// as length-prefixed lists.
+    pub fn wire_size(&self) -> usize {
+        UUID_WIRE_BYTES
+            + size_of_val(&self.host.0)
+            + size_of_val(&self.service.0)
+            + list_wire_size(&self.interfaces, InterfaceId::wire_size)
+            + list_wire_size(&self.attributes, Entry::wire_size)
     }
 }
 
@@ -134,6 +113,16 @@ impl ServiceTemplate {
         self
     }
 
+    /// Bytes on the simulated wire: the ids and the interfaces as
+    /// length-prefixed lists, then each attribute matcher as
+    /// length-prefixed `Debug` text. Only its size matters: matching is
+    /// always done where the template arrives.
+    pub fn wire_size(&self) -> usize {
+        list_wire_size(&self.ids, |_| UUID_WIRE_BYTES)
+            + list_wire_size(&self.interfaces, InterfaceId::wire_size)
+            + list_wire_size(&self.attributes, |a| LEN_PREFIX_BYTES + a.debug_len())
+    }
+
     /// Jini matching semantics.
     pub fn matches(&self, item: &ServiceItem) -> bool {
         if !self.ids.is_empty() && !self.ids.contains(&item.uuid) {
@@ -150,28 +139,6 @@ impl ServiceTemplate {
             }
         }
         true
-    }
-}
-
-impl WireEncode for ServiceTemplate {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.ids.encode(buf);
-        self.interfaces.encode(buf);
-        // Attribute templates are encoded coarsely (debug text) — only
-        // their size matters on the wire, matching is always local.
-        let rendered: Vec<String> = self.attributes.iter().map(|a| format!("{a:?}")).collect();
-        rendered.encode(buf);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.ids.encoded_len()
-            + self.interfaces.encoded_len()
-            + 4
-            + self
-                .attributes
-                .iter()
-                .map(|a| 4 + a.debug_len())
-                .sum::<usize>()
     }
 }
 
@@ -250,19 +217,5 @@ mod tests {
         assert_eq!(it.name(), Some("Neem-Sensor"));
         assert!(it.implements(interfaces::SERVICER));
         assert!(!it.implements("Nope"));
-    }
-
-    #[test]
-    fn item_wire_round_trip() {
-        let it = item();
-        let mut wire = it.to_wire();
-        let back = ServiceItem::decode(&mut wire).unwrap();
-        assert_eq!(back, it);
-    }
-
-    #[test]
-    fn template_encodes_nonzero_bytes() {
-        let t = ServiceTemplate::by_name("Neem-Sensor");
-        assert!(t.encoded_len() > 10);
     }
 }

@@ -15,7 +15,7 @@ use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::{SimDuration, SimTime};
 use sensorcer_sim::topology::{HostId, NetError};
 use sensorcer_sim::trace::{Outcome, SpanId};
-use sensorcer_sim::wire::{ProtocolStack, WireEncode};
+use sensorcer_sim::wire::ProtocolStack;
 
 use crate::events::{EventSink, ServiceEvent, Transition};
 use crate::ids::{InterfaceId, SvcUuid};
@@ -598,7 +598,7 @@ impl LusHandle {
         item: ServiceItem,
         duration: Option<SimDuration>,
     ) -> Result<ServiceRegistration, NetError> {
-        let req = item.encoded_len() + 16;
+        let req = item.wire_size() + 16;
         env.call(
             from,
             self.service,
@@ -653,7 +653,7 @@ impl LusHandle {
         template: &ServiceTemplate,
         max: usize,
     ) -> Result<Vec<Arc<ServiceItem>>, NetError> {
-        let req = template.encoded_len() + 8;
+        let req = template.wire_size() + 8;
         env.call(
             from,
             self.service,
@@ -661,7 +661,7 @@ impl LusHandle {
             req,
             |_env, lus: &mut LookupService| {
                 let found = lus.lookup(template, max);
-                let resp: usize = found.iter().map(|item| item.encoded_len()).sum();
+                let resp: usize = found.iter().map(|item| item.wire_size()).sum();
                 (found, resp.max(8))
             },
         )
@@ -676,7 +676,7 @@ impl LusHandle {
         from: HostId,
         iface: &InterfaceId,
     ) -> Result<Arc<[SvcUuid]>, NetError> {
-        let req = iface.encoded_len() + 8;
+        let req = iface.wire_size() + 8;
         env.call(
             from,
             self.service,
@@ -709,7 +709,7 @@ impl LusHandle {
         template: &ServiceTemplate,
         exclude: Option<&str>,
     ) -> Result<Option<Arc<ServiceItem>>, NetError> {
-        let req = template.encoded_len() + 8;
+        let req = template.wire_size() + 8;
         env.call(
             from,
             self.service,
@@ -724,7 +724,7 @@ impl LusHandle {
                     hit = Some(Arc::clone(item));
                     false
                 });
-                let resp = hit.as_ref().map_or(8, |i| i.encoded_len());
+                let resp = hit.as_ref().map_or(8, |i| i.wire_size());
                 (hit, resp)
             },
         )
@@ -740,7 +740,7 @@ impl LusHandle {
         sink: EventSink,
         duration: Option<SimDuration>,
     ) -> Result<Lease, NetError> {
-        let req = template.encoded_len() + 24;
+        let req = template.wire_size() + 24;
         env.call(
             from,
             self.service,

@@ -39,7 +39,6 @@
 // simulated parallel branches) trip this lint; the types are the API.
 #![allow(clippy::type_complexity)]
 
-pub mod bytebuf;
 pub mod chaos;
 pub mod check;
 pub mod env;
@@ -68,7 +67,7 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{Host, HostId, HostKind, LinkModel, NetError, SubnetId, Topology};
-    pub use crate::wire::{ProtocolStack, WireDecode, WireEncode, WireError};
+    pub use crate::wire::ProtocolStack;
 }
 
 pub use prelude::*;

@@ -1,4 +1,4 @@
-//! Wire-level accounting and a small self-describing codec.
+//! Wire-level accounting.
 //!
 //! The paper's first motivation is that "header overhead of the current IP
 //! protocol is relatively high" for tiny sensor readings (§II.1). To make
@@ -7,12 +7,8 @@
 //! the stack's full header chain, and the bytes-on-wire are accounted in
 //! [`crate::metrics::Metrics`].
 //!
-//! The [`WireEncode`]/[`WireDecode`] traits are a hand-rolled, deterministic
-//! binary codec (big-endian fixed-width integers, length-prefixed strings)
-//! used by the middleware crates to size their messages honestly instead of
-//! guessing.
-
-pub use crate::bytebuf::{Bytes, BytesMut};
+//! A payload's size is counted by whoever sends it (a registry item, an
+//! exertion, a reading); nothing is encoded to learn it.
 
 /// Maximum transmission unit of the simulated links, in payload bytes per
 /// packet (Ethernet-class default).
@@ -105,226 +101,6 @@ impl ProtocolStack {
     }
 }
 
-/// Types that can be serialized to the simulation's wire format.
-///
-/// Implementations must be deterministic: the same value always encodes to
-/// the same bytes, because encoded length feeds latency and byte accounting.
-pub trait WireEncode {
-    /// Append this value's encoding to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
-
-    /// Encoded size in bytes. The default implementation encodes into a
-    /// scratch buffer; override for hot types where the size is cheap to
-    /// compute directly.
-    fn encoded_len(&self) -> usize {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
-
-    /// Convenience: encode into a fresh buffer.
-    fn to_wire(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        self.encode(&mut buf);
-        buf.freeze()
-    }
-}
-
-/// Types that can be decoded from the simulation's wire format.
-pub trait WireDecode: Sized {
-    /// Decode a value, consuming bytes from the front of `buf`.
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
-}
-
-/// Errors produced when decoding wire data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before the value was complete.
-    Truncated { needed: usize, available: usize },
-    /// A tag or discriminant byte had no defined meaning.
-    BadTag { context: &'static str, tag: u8 },
-    /// A string field held invalid UTF-8.
-    BadUtf8,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated { needed, available } => {
-                write!(
-                    f,
-                    "truncated wire data: needed {needed} bytes, had {available}"
-                )
-            }
-            WireError::BadTag { context, tag } => write!(f, "bad tag {tag:#x} in {context}"),
-            WireError::BadUtf8 => write!(f, "invalid UTF-8 in wire string"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated {
-            needed: n,
-            available: buf.remaining(),
-        })
-    } else {
-        Ok(())
-    }
-}
-
-macro_rules! impl_wire_int {
-    ($ty:ty, $put:ident, $get:ident, $len:expr) => {
-        impl WireEncode for $ty {
-            #[inline]
-            fn encode(&self, buf: &mut BytesMut) {
-                buf.$put(*self);
-            }
-            #[inline]
-            fn encoded_len(&self) -> usize {
-                $len
-            }
-        }
-        impl WireDecode for $ty {
-            #[inline]
-            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-                need(buf, $len)?;
-                Ok(buf.$get())
-            }
-        }
-    };
-}
-
-impl_wire_int!(u8, put_u8, get_u8, 1);
-impl_wire_int!(u16, put_u16, get_u16, 2);
-impl_wire_int!(u32, put_u32, get_u32, 4);
-impl_wire_int!(u64, put_u64, get_u64, 8);
-impl_wire_int!(i64, put_i64, get_i64, 8);
-impl_wire_int!(f64, put_f64, get_f64, 8);
-
-impl WireEncode for bool {
-    #[inline]
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self as u8);
-    }
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        1
-    }
-}
-
-impl WireDecode for bool {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        need(buf, 1)?;
-        match buf.get_u8() {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(WireError::BadTag {
-                context: "bool",
-                tag,
-            }),
-        }
-    }
-}
-
-impl WireEncode for str {
-    fn encode(&self, buf: &mut BytesMut) {
-        debug_assert!(self.len() <= u32::MAX as usize);
-        buf.put_u32(self.len() as u32);
-        buf.put_slice(self.as_bytes());
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
-}
-
-impl WireEncode for String {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.as_str().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
-    }
-}
-
-impl WireDecode for String {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as usize;
-        need(buf, len)?;
-        let bytes = buf.split_to(len);
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
-    }
-}
-
-impl<T: WireEncode> WireEncode for Vec<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u32(self.len() as u32);
-        for item in self {
-            item.encode(buf);
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(WireEncode::encoded_len).sum::<usize>()
-    }
-}
-
-impl<T: WireDecode> WireDecode for Vec<T> {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as usize;
-        let mut out = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: WireEncode> WireEncode for Option<T> {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            None => buf.put_u8(0),
-            Some(v) => {
-                buf.put_u8(1);
-                v.encode(buf);
-            }
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, WireEncode::encoded_len)
-    }
-}
-
-impl<T: WireDecode> WireDecode for Option<T> {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(buf)?)),
-            tag => Err(WireError::BadTag {
-                context: "Option",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<A: WireEncode, B: WireEncode> WireEncode for (A, B) {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
-}
-
-impl<A: WireDecode, B: WireDecode> WireDecode for (A, B) {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok((A::decode(buf)?, B::decode(buf)?))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,48 +153,5 @@ mod tests {
     #[test]
     fn zero_payload_still_costs_a_packet() {
         assert_eq!(ProtocolStack::Udp.bytes_on_wire(0), 46);
-    }
-
-    fn round_trip<T: WireEncode + WireDecode + PartialEq + std::fmt::Debug>(v: T) {
-        let wire = v.to_wire();
-        assert_eq!(wire.len(), v.encoded_len(), "encoded_len must match actual");
-        let mut buf = wire;
-        let back = T::decode(&mut buf).expect("decode");
-        assert_eq!(back, v);
-        assert_eq!(buf.remaining(), 0, "decode must consume exactly");
-    }
-
-    #[test]
-    fn primitive_round_trips() {
-        round_trip(0u8);
-        round_trip(57005u16);
-        round_trip(0xDEAD_BEEFu32);
-        round_trip(u64::MAX);
-        round_trip(-42i64);
-        round_trip(3.5f64);
-        round_trip(true);
-        round_trip(false);
-        round_trip(String::from("Neem-Sensor"));
-        round_trip(String::new());
-        round_trip(vec![1u64, 2, 3]);
-        round_trip(Option::<u32>::None);
-        round_trip(Some(9u32));
-        round_trip((String::from("a"), 1.5f64));
-    }
-
-    #[test]
-    fn truncated_decode_errors() {
-        let mut buf = Bytes::from_static(&[0, 0, 0, 10, b'h', b'i']);
-        let err = String::decode(&mut buf).unwrap_err();
-        assert!(matches!(err, WireError::Truncated { .. }));
-    }
-
-    #[test]
-    fn bad_bool_tag_errors() {
-        let mut buf = Bytes::from_static(&[7]);
-        assert!(matches!(
-            bool::decode(&mut buf),
-            Err(WireError::BadTag { .. })
-        ));
     }
 }

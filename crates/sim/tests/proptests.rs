@@ -1,59 +1,10 @@
-//! Property tests for the simulation substrate: wire-codec round trips,
-//! protocol-stack arithmetic, timer ordering, and metric summaries.
-//! Driven by the in-repo deterministic harness in `sensorcer_sim::check`.
+//! Property tests for the simulation substrate: protocol-stack
+//! arithmetic, timer ordering, and metric summaries. Driven by the in-repo
+//! deterministic harness in `sensorcer_sim::check`.
 
 use sensorcer_sim::check::run_cases;
 use sensorcer_sim::metrics::Summary;
 use sensorcer_sim::prelude::*;
-use sensorcer_sim::wire::{WireDecode, WireEncode};
-
-#[test]
-fn codec_round_trips_nested_values() {
-    run_cases("codec_round_trips_nested_values", 128, |g| {
-        let xs = g.vec_of(0, 64, |g| g.u64());
-        let opt = if g.bool() { Some(g.i64()) } else { None };
-        let s = g.ascii_string(48);
-        let pair = (g.u64() as u32, g.bool());
-
-        let mut wire = xs.to_wire();
-        assert_eq!(Vec::<u64>::decode(&mut wire).unwrap(), xs);
-        let mut wire = opt.to_wire();
-        assert_eq!(Option::<i64>::decode(&mut wire).unwrap(), opt);
-        let mut wire = s.to_wire();
-        assert_eq!(String::decode(&mut wire).unwrap(), s);
-        let mut wire = pair.to_wire();
-        assert_eq!(<(u32, bool)>::decode(&mut wire).unwrap(), pair);
-    });
-}
-
-#[test]
-fn encoded_len_always_matches_encoding() {
-    run_cases("encoded_len_always_matches_encoding", 128, |g| {
-        let owned: Vec<String> = g.vec_of(0, 16, |g| g.ascii_string(16));
-        assert_eq!(owned.to_wire().len(), owned.encoded_len());
-    });
-}
-
-/// Truncating any valid encoding must produce an error, never a panic
-/// or a bogus value that consumes the wrong amount.
-#[test]
-fn truncated_decode_errors_not_panics() {
-    run_cases("truncated_decode_errors_not_panics", 128, |g| {
-        let xs = g.vec_of(1, 16, |g| g.u64());
-        let cut_frac = g.f64_in(0.0, 1.0);
-        let wire = xs.to_wire();
-        let cut = ((wire.len() as f64) * cut_frac) as usize;
-        if cut < wire.len() {
-            let mut short = wire.slice(0..cut);
-            // Either a clean error, or (if the cut landed on a prefix of
-            // fewer whole elements) a shorter, valid prefix decode.
-            match Vec::<u64>::decode(&mut short) {
-                Err(_) => {}
-                Ok(prefix) => assert!(prefix.len() <= xs.len()),
-            }
-        }
-    });
-}
 
 #[test]
 fn bytes_on_wire_exceeds_payload() {

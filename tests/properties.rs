@@ -1,6 +1,6 @@
 //! Cross-crate property tests: invariants that must hold for arbitrary
 //! inputs, spanning the expression language, the composite's variable
-//! names, the wire codec and the simulated sensors' signals. Driven by the
+//! names and the simulated sensors' signals. Driven by the
 //! deterministic harness in `sensorcer_sim::check`.
 
 use sensorcer_suite::sim::check::run_cases;
@@ -9,7 +9,6 @@ use sensorcer_suite::expr::{Program, Value};
 use sensorcer_suite::sensors::prelude::{Diurnal, RandomWalk, Signal, SignalState};
 use sensorcer_suite::sim::rng::SimRng;
 use sensorcer_suite::sim::time::SimTime;
-use sensorcer_suite::sim::wire::{WireDecode, WireEncode};
 
 /// The paper's average expression equals arithmetic for any readings.
 #[test]
@@ -50,26 +49,6 @@ fn division_total() {
             Ok(v) => assert!(v.as_f64().is_some()),
             Err(e) => assert!(b == 0 && e.to_string().contains("division")),
         }
-    });
-}
-
-/// Wire codec round-trips arbitrary strings and numeric vectors.
-#[test]
-fn wire_round_trip_strings() {
-    run_cases("wire_round_trip_strings", 256, |g| {
-        let s = g.ascii_string(64);
-        let mut wire = s.to_wire();
-        assert_eq!(String::decode(&mut wire).unwrap(), s);
-    });
-}
-
-#[test]
-fn wire_round_trip_f64_vec() {
-    run_cases("wire_round_trip_f64_vec", 256, |g| {
-        let xs = g.vec_of(0, 32, |g| g.f64_in(-1e12, 1e12));
-        let mut wire = xs.to_wire();
-        let back = Vec::<f64>::decode(&mut wire).unwrap();
-        assert_eq!(back, xs);
     });
 }
 

@@ -1,17 +1,20 @@
 //! Property tests for the registry: lease-table invariants under random
-//! operation sequences, template-matching laws, the wire codec of every
-//! registry type, and `encoded_len` against the bytes it stands for. Driven
-//! by the deterministic harness in `sensorcer_sim::check`.
+//! operation sequences, template-matching laws, and every message's
+//! `wire_size()` against the byte layout it stands for
+//! (`tests/support/wire_reference.rs`). Driven by the deterministic
+//! harness in `sensorcer_sim::check`.
+
+#[path = "support/wire_reference.rs"]
+mod wire_reference;
 
 use sensorcer_suite::registry::attributes::{AttrMatch, Entry};
-use sensorcer_suite::registry::ids::{InterfaceId, SvcUuid};
+use sensorcer_suite::registry::ids::SvcUuid;
 use sensorcer_suite::registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_suite::registry::lease::{LeaseError, LeaseId, LeasePolicy, LeaseTable};
 use sensorcer_suite::sim::check::{run_cases, Gen};
 use sensorcer_suite::sim::env::ServiceId;
 use sensorcer_suite::sim::time::{SimDuration, SimTime};
 use sensorcer_suite::sim::topology::HostId;
-use sensorcer_suite::sim::wire::{Bytes, BytesMut, WireDecode, WireEncode};
 
 /// A randomized lease-table operation.
 #[derive(Debug, Clone)]
@@ -229,105 +232,55 @@ fn gen_item(g: &mut Gen) -> ServiceItem {
     )
 }
 
-/// Wire round trip for arbitrary service items and entries.
-#[test]
-fn service_item_codec() {
-    run_cases("service_item_codec", 128, |g| {
-        let item = gen_item(g);
-        let mut wire = item.to_wire();
-        assert_eq!(ServiceItem::decode(&mut wire).unwrap(), item);
-        assert_eq!(wire.remaining(), 0);
-        let entry = gen_entry(g);
-        assert_eq!(Entry::decode(&mut entry.to_wire()).unwrap(), entry);
-    });
-}
-
-fn bytes(raw: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(raw.len());
-    buf.put_slice(raw);
-    buf.freeze()
-}
-
-/// Whether `raw` decodes as a `T`; a panic fails the test.
-fn decodes<T: WireDecode>(raw: &[u8]) -> bool {
-    T::decode(&mut bytes(raw)).is_ok()
-}
-
-/// Every registry type a peer can send decodes any byte string to a value
-/// or an error: every prefix of an encoding, one with a bit flipped, and
-/// noise. A proper prefix of an encoding is refused.
-#[test]
-fn registry_decoders_never_panic() {
-    let mut attempts = 0usize;
-    run_cases("registry_decoders_never_panic", 256, |g| {
-        let item = gen_item(g).to_wire().to_vec();
-        let entry = gen_entry(g).to_wire().to_vec();
-        let iface = InterfaceId::new(text(g)).to_wire().to_vec();
-        let uuid = SvcUuid(g.u128()).to_wire().to_vec();
-        let noise: Vec<u8> = (0..g.usize_in(0, 64)).map(|_| g.u64() as u8).collect();
-        let mut flipped = item.clone();
-        let at = g.usize_in(0, flipped.len());
-        flipped[at] ^= 1 << g.u64_in(0, 8);
-
-        for raw in [&item, &entry, &iface, &uuid, &noise, &flipped] {
-            for len in 0..=raw.len() {
-                let prefix = &raw[..len];
-                decodes::<ServiceItem>(prefix);
-                decodes::<Entry>(prefix);
-                decodes::<InterfaceId>(prefix);
-                decodes::<SvcUuid>(prefix);
-                attempts += 4;
-            }
-        }
-        for (raw, decoded) in [
-            (&item, decodes::<ServiceItem> as fn(&[u8]) -> bool),
-            (&entry, decodes::<Entry>),
-            (&iface, decodes::<InterfaceId>),
-            (&uuid, decodes::<SvcUuid>),
-        ] {
-            assert!(decoded(raw));
-            let len = g.usize_in(0, raw.len());
-            assert!(!decoded(&raw[..len]), "a {len}-byte prefix decoded");
-        }
-    });
-    assert!(attempts > 100_000, "{attempts} decodes tried");
-}
-
-/// The wire is charged `encoded_len()` without encoding anything: for
+/// The wire is charged `wire_size()` without encoding anything: for
 /// items, entries, templates (whose matchers go out as `Debug` text, quotes
-/// and escapes included) and events it must be the size of the encoding.
+/// and escapes included) and events it must be the length of the layout
+/// the reference writes.
 #[test]
-fn encoded_len_is_the_length_of_the_encoding() {
+fn wire_size_is_the_length_of_the_reference_layout() {
     use sensorcer_suite::registry::events::{event_wire_size, ServiceEvent, Transition};
 
-    run_cases("encoded_len_is_the_length_of_the_encoding", 256, |g| {
-        let entry = gen_entry(g);
-        assert_eq!(entry.encoded_len(), entry.to_wire().len(), "{entry:?}");
+    run_cases(
+        "wire_size_is_the_length_of_the_reference_layout",
+        256,
+        |g| {
+            let entry = gen_entry(g);
+            assert_eq!(
+                entry.wire_size(),
+                wire_reference::entry(&entry).len(),
+                "{entry:?}"
+            );
 
-        let item = gen_item(g);
-        assert_eq!(item.encoded_len(), item.to_wire().len(), "{item:?}");
+            let item = gen_item(g);
+            assert_eq!(
+                item.wire_size(),
+                wire_reference::item(&item).len(),
+                "{item:?}"
+            );
 
-        let template = ServiceTemplate {
-            ids: g.vec_of(0, 3, |g| SvcUuid(g.u128())),
-            interfaces: g.vec_of(0, 3, |g| text(g).as_str().into()),
-            attributes: g.vec_of(0, 4, gen_match),
-        };
-        assert_eq!(
-            template.encoded_len(),
-            template.to_wire().len(),
-            "{template:?}"
-        );
+            let template = ServiceTemplate {
+                ids: g.vec_of(0, 3, |g| SvcUuid(g.u128())),
+                interfaces: g.vec_of(0, 3, |g| text(g).as_str().into()),
+                attributes: g.vec_of(0, 4, gen_match),
+            };
+            assert_eq!(
+                template.wire_size(),
+                wire_reference::template(&template).len(),
+                "{template:?}"
+            );
 
-        // An event goes out as seq, instant, uuid, transition and the item
-        // if there is one.
-        let event = ServiceEvent {
-            seq: g.u64(),
-            at: SimTime(g.u64()),
-            uuid: item.uuid,
-            transition: Transition::MatchToMatch,
-            item: g.bool().then(|| item.clone()),
-        };
-        let payload = event.item.as_ref().map_or(0, |i| i.to_wire().len());
-        assert_eq!(event_wire_size(&event), 8 + 8 + 16 + 1 + payload);
-    });
+            let event = ServiceEvent {
+                seq: g.u64(),
+                at: SimTime(g.u64()),
+                uuid: item.uuid,
+                transition: *g.pick(&[
+                    Transition::NoMatchToMatch,
+                    Transition::MatchToNoMatch,
+                    Transition::MatchToMatch,
+                ]),
+                item: g.bool().then(|| item.clone()),
+            };
+            assert_eq!(event_wire_size(&event), wire_reference::event(&event).len());
+        },
+    );
 }

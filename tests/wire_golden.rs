@@ -1,10 +1,18 @@
-//! Golden `wire_size()` values, taken before task headers became shared
-//! and context keys borrowed: how the text is held must not change what it
-//! weighs on the simulated wire (`wire_bytes_per_op` is a function of
-//! these sums).
+//! Golden `wire_size()` values. The exertion rows were taken before task
+//! headers became shared and context keys borrowed, the registry rows
+//! while registry messages were still sized by encoding them: how a
+//! message is held or counted must not change what it weighs on the
+//! simulated wire (`wire_bytes_per_op` is a function of these sums).
 
 use sensorcer_exertion::prelude::*;
 use sensorcer_expr::Value;
+use sensorcer_registry::attributes::{AttrMatch, Entry};
+use sensorcer_registry::events::{event_wire_size, ServiceEvent, Transition};
+use sensorcer_registry::ids::{InterfaceId, SvcUuid};
+use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
+use sensorcer_sim::env::ServiceId;
+use sensorcer_sim::time::SimTime;
+use sensorcer_sim::topology::HostId;
 
 fn get_value_request() -> Task {
     Task::new(
@@ -80,4 +88,65 @@ fn two_level_job_weighs_what_it_did() {
     assert_eq!(outer.context.wire_size(), 46);
     assert_eq!(outer.wire_size(), 568);
     assert_eq!(Exertion::from(outer).wire_size(), 568);
+}
+
+fn fig2_location() -> Entry {
+    Entry::Location {
+        building: "CP TTU".into(),
+        floor: "3".into(),
+        room: "310".into(),
+    }
+}
+
+#[test]
+fn every_registry_entry_weighs_what_it_did() {
+    assert_eq!(Entry::Name("Neem-Sensor".into()).wire_size(), 16);
+    assert_eq!(Entry::Comment("SenSORCER Facade".into()).wire_size(), 21);
+    assert_eq!(fig2_location().wire_size(), 23);
+    assert_eq!(Entry::ServiceType("ELEMENTARY".into()).wire_size(), 15);
+    let custom = Entry::Custom {
+        key: "region".into(),
+        value: "west".into(),
+    };
+    assert_eq!(custom.wire_size(), 19);
+    assert_eq!(InterfaceId::new("SensorDataAccessor").wire_size(), 22);
+}
+
+#[test]
+fn a_located_item_and_its_event_weigh_what_they_did() {
+    let item = ServiceItem::new(
+        SvcUuid(0x267c67a0_dd67_4b95_beb0_e6763e117b03),
+        HostId(3),
+        ServiceId(11),
+        vec!["SensorDataAccessor".into(), "Servicer".into()],
+        vec![
+            Entry::Name("Neem-Sensor".into()),
+            Entry::ServiceType("ELEMENTARY".into()),
+            fig2_location(),
+        ],
+    );
+    assert_eq!(item.wire_size(), 124);
+    let event = ServiceEvent {
+        seq: 9,
+        at: SimTime(1_500_000_000),
+        uuid: item.uuid,
+        transition: Transition::NoMatchToMatch,
+        item: Some(item),
+    };
+    assert_eq!(event_wire_size(&event), 157);
+}
+
+/// Matchers go out as their `Debug` text: quotes, a backslash, a newline,
+/// a tab and a combining accent are escaped, `'` and `温` are not.
+#[test]
+fn a_template_with_escaped_matchers_weighs_what_it_did() {
+    let template = ServiceTemplate::by_interface("SensorDataAccessor")
+        .and_attr(AttrMatch::name("say \"hi\"\\ \n"))
+        .and_attr(AttrMatch::Location {
+            building: Some("it's\t温".into()),
+            floor: None,
+            room: Some("\u{301}".into()),
+        });
+    assert_eq!(template.wire_size(), 147);
+    assert_eq!(ServiceTemplate::by_id(SvcUuid(7)).wire_size(), 28);
 }
