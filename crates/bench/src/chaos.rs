@@ -266,17 +266,12 @@ fn traced_read(
 
 /// Run one soak to completion.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
-    run_soak_traced(cfg).0
+    run_soak_observed(cfg, None).0
 }
 
 /// Like [`run_soak`], returning the flight recorder too when
-/// `cfg.trace_capacity` is set — the substrate of `harness trace`.
-pub fn run_soak_traced(cfg: &SoakConfig) -> (SoakReport, Option<FlightRecorder>) {
-    run_soak_observed(cfg, None)
-}
-
-/// Like [`run_soak_traced`], with an optional [`SoakObserver`] riding
-/// along — the substrate of `harness obs`.
+/// `cfg.trace_capacity` is set (the substrate of `harness chaos`), with
+/// an optional [`SoakObserver`] riding along (that of `harness obs`).
 pub fn run_soak_observed(
     cfg: &SoakConfig,
     mut obs: Option<&mut dyn SoakObserver>,

@@ -6,12 +6,13 @@
 
 use sensorcer_trace::json::Json;
 
-use crate::chaos::{run_soak, SoakConfig};
+use crate::chaos::{run_soak_observed, SoakConfig};
 use crate::obs::run_obs;
 use crate::perfetto::export_storm;
-use crate::storm::{run_storm, StormConfig};
+use crate::storm::StormConfig;
+use crate::trace::{self, TRACE_CAPACITY};
 use crate::verify::run_verify;
-use crate::{paper, trace, DEFAULT_SEED};
+use crate::{paper, DEFAULT_SEED};
 
 /// What one leg's run left behind. Nothing is written yet: the harness
 /// writes `report` (and `side`, beside it) and exits nonzero on any
@@ -23,7 +24,7 @@ pub struct LegRun {
     /// What the harness prints.
     pub transcript: String,
     /// A second output too large or too binary to commit: `harness
-    /// trace`'s span export, `harness perfetto`'s protobuf stream.
+    /// chaos`'s span export, `harness storm`'s protobuf stream.
     pub side: Option<Vec<u8>>,
 }
 
@@ -62,21 +63,19 @@ pub const LEGS: &[Leg] = &[
     Leg {
         verb: "chaos",
         file: "CHAOS_1.json",
-        required: &["reads", "injected", "violations", "reconverged"],
-        about: "seeded fault-injection soak over degraded-mode federated reads",
-        side_ext: None,
-        run: |seed| {
-            let r = run_soak(&SoakConfig::new(seed));
-            LegRun::new(r.json(), r.summary(), "violation", &r.violations)
-        },
-    },
-    Leg {
-        verb: "trace",
-        file: "TRACE_1.json",
-        required: &["reads", "roots", "fnv64", "problems"],
-        about: "the chaos soak with the flight recorder on, trace validated",
+        required: &[
+            "reads",
+            "injected",
+            "violations",
+            "reconverged",
+            "trace.roots",
+            "trace.fnv64",
+            "trace.problems",
+        ],
+        about: "seeded fault-injection soak over degraded-mode federated reads, \
+                traced and its trace validated",
         side_ext: Some("spans.json"),
-        run: trace::leg,
+        run: chaos,
     },
     Leg {
         verb: "verify",
@@ -114,27 +113,21 @@ pub const LEGS: &[Leg] = &[
     Leg {
         verb: "storm",
         file: "STORM_1.json",
-        required: &["critical", "bulk", "admission", "breaker", "scaling"],
-        about: "tenant storm: admission control, breaker lifecycle, autoscaler",
-        side_ext: None,
-        run: |seed| {
-            let r = run_storm(&StormConfig::new(seed));
-            LegRun::new(r.json(), r.summary(), "violation", &r.violations)
-        },
-    },
-    Leg {
-        verb: "perfetto",
-        file: "PERFETTO_1.json",
-        required: &["fnv64", "tracks", "flows", "sampler_ticks"],
-        about: "the tenant storm exported as a Perfetto trace (buffered, validated)",
+        required: &[
+            "critical",
+            "bulk",
+            "admission",
+            "breaker",
+            "scaling",
+            "perfetto.fnv64",
+            "perfetto.tracks",
+            "perfetto.flows",
+            "perfetto.sampler_ticks",
+        ],
+        about: "tenant storm: admission control, breaker lifecycle, autoscaler; \
+                exported as a Perfetto trace and validated",
         side_ext: Some("perfetto-trace"),
-        run: |seed| {
-            let (bytes, r, _) = export_storm(&StormConfig::new(seed));
-            LegRun {
-                side: Some(bytes),
-                ..LegRun::new(r.json(), r.summary(), "problem", &r.problems)
-            }
-        },
+        run: storm,
     },
     Leg {
         verb: "paper",
@@ -145,6 +138,65 @@ pub const LEGS: &[Leg] = &[
         run: paper::leg,
     },
 ];
+
+/// The chaos soak with the flight recorder on (tracing changes nothing in
+/// the soak's report) and the trace's health checks as its `trace`
+/// member; the span export is the side output.
+fn chaos(seed: u64) -> LegRun {
+    let cfg = SoakConfig {
+        trace_capacity: Some(TRACE_CAPACITY),
+        ..SoakConfig::new(seed)
+    };
+    let (r, recorder) = run_soak_observed(&cfg, None);
+    let recorder = recorder.expect("trace_capacity was set, recorder must exist");
+    let verdict = trace::check(&recorder);
+    let export = recorder.to_json();
+    let mut run = LegRun::new(
+        with_member(r.json(), "trace", verdict.json(&export), verdict.passed()),
+        r.summary() + &verdict.summary(),
+        "violation",
+        &r.violations,
+    );
+    run.failures.extend(
+        verdict
+            .problems
+            .iter()
+            .map(|p| format!("trace problem: {p}")),
+    );
+    run.side = Some(export.into_bytes());
+    run
+}
+
+/// The tenant storm with a telemetry sampler attached (it only reads the
+/// registry, so the storm's report is unchanged), exported to Perfetto;
+/// the export's summary is the `perfetto` member and the protobuf stream
+/// the side output.
+fn storm(seed: u64) -> LegRun {
+    let (bytes, p, run) = export_storm(&StormConfig::new(seed));
+    let r = run.report;
+    let mut run = LegRun::new(
+        with_member(r.json(), "perfetto", p.json(), p.passed()),
+        r.summary() + &p.summary(),
+        "violation",
+        &r.violations,
+    );
+    run.failures
+        .extend(p.problems.iter().map(|e| format!("perfetto problem: {e}")));
+    run.side = Some(bytes);
+    run
+}
+
+/// A [`Json::report`] with `key: member` added before its closing
+/// `passed`, which then also requires `member_passed`.
+fn with_member(report: Json, key: &str, member: Json, member_passed: bool) -> Json {
+    let Json::Obj(mut members) = report else {
+        unreachable!("a report is an object")
+    };
+    let passed = members.pop().is_some_and(|(_, v)| v == Json::Bool(true));
+    members.push((key.into(), member));
+    members.push(("passed".into(), (passed && member_passed).into()));
+    Json::Obj(members)
+}
 
 /// An optional seed argument: [`DEFAULT_SEED`] when absent.
 pub fn parse_seed(arg: Option<&String>) -> Result<u64, String> {

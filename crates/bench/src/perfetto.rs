@@ -1,6 +1,6 @@
-//! `harness perfetto`: the tenant storm rendered as a Perfetto trace.
+//! The tenant storm rendered as a Perfetto trace.
 //!
-//! Runs the full [`storm`](crate::storm) scenario with a
+//! `harness storm` runs the full [`storm`](crate::storm) scenario with a
 //! [`TelemetrySampler`] pumped once per round, then feeds everything the
 //! run left behind — the flight recorder, the sampled counter/gauge
 //! series, the façade's SLO alert history — through
@@ -13,10 +13,11 @@
 //! cumulative counter tracks must never decrease. A run that fails its
 //! own trace is a harness failure, not a shipped artifact.
 //!
-//! Two files come out: the JSON summary (`PERFETTO_1.json`), which holds
-//! an FNV-1a hash of the stream and is regenerated byte for byte by
+//! Two files come out: the storm report (`STORM_1.json`), whose
+//! `perfetto` member holds an FNV-1a hash and the decoded shape of the
+//! stream and is regenerated byte for byte by
 //! `tests/committed_artifacts.rs`, and the binary trace beside it
-//! (`PERFETTO_1.perfetto-trace`, not committed).
+//! (`STORM_1.perfetto-trace`, not committed).
 //!
 //! [`validate`]: sensorcer_trace::perfetto::validate
 
@@ -25,7 +26,7 @@ use sensorcer_sim::prelude::*;
 use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::{self, ExportConfig, InstantTrack};
 
-use crate::storm::{run_storm_full, StormConfig, StormRun};
+use crate::storm::{run_storm, StormConfig, StormRun};
 
 /// The sampler the leg attaches to the storm: 1 s cadence (one snapshot
 /// per nominal round), watching the overload-protection counter families
@@ -44,9 +45,8 @@ pub fn sampler_config() -> SamplerConfig {
     }
 }
 
-/// What one export did, summarised for the JSON artifact.
+/// What one export did, summarised for the storm report.
 pub struct PerfettoReport {
-    pub seed: u64,
     pub bytes: usize,
     /// FNV-1a 64-bit hash of the trace bytes (the determinism fingerprint).
     pub hash: u64,
@@ -54,7 +54,7 @@ pub struct PerfettoReport {
     pub eviction_markers: usize,
     pub sampler_ticks: u64,
     pub alerts: usize,
-    /// Decoder validation failures plus storm violations; empty on a pass.
+    /// Decoder validation failures; empty on a pass.
     pub problems: Vec<String>,
 }
 
@@ -63,11 +63,10 @@ impl PerfettoReport {
         self.problems.is_empty()
     }
 
-    /// The `PERFETTO_1.json` summary.
+    /// The storm report's `perfetto` member.
     pub fn json(&self) -> Json {
-        Json::report(
+        Json::obj(
             [
-                ("seed", self.seed.into()),
                 ("bytes", self.bytes.into()),
                 ("fnv64", format!("{:016x}", self.hash).into()),
             ]
@@ -79,15 +78,13 @@ impl PerfettoReport {
                 ("alerts", self.alerts.into()),
                 ("problems", Json::arr(&self.problems)),
             ]),
-            self.passed(),
         )
     }
 
     pub fn summary(&self) -> String {
         format!(
-            "perfetto export seed={}: {} bytes (fnv64 {:016x}), {}, {} eviction markers, \
+            "perfetto export: {} bytes (fnv64 {:016x}), {}, {} eviction markers, \
              {} sampler ticks, {} alerts — {}\n",
-            self.seed,
             self.bytes,
             self.hash,
             self.shape,
@@ -104,7 +101,7 @@ impl PerfettoReport {
 }
 
 /// What the in-repo decoder counted in an exported stream: the shape
-/// half of the `PERFETTO_1.json` summary.
+/// half of the storm report's `perfetto` member.
 pub struct StreamShape {
     pub packets: usize,
     pub process_tracks: usize,
@@ -180,7 +177,7 @@ impl std::fmt::Display for StreamShape {
 /// identical configs produce identical bytes.
 pub fn export_storm(cfg: &StormConfig) -> (Vec<u8>, PerfettoReport, StormRun) {
     let mut sampler = TelemetrySampler::new(sampler_config());
-    let run = run_storm_full(cfg, Some(&mut sampler));
+    let run = run_storm(cfg, Some(&mut sampler));
     let ticks = sampler.ticks();
 
     let mut export_cfg = ExportConfig::default();
@@ -203,10 +200,8 @@ pub fn export_storm(cfg: &StormConfig) -> (Vec<u8>, PerfettoReport, StormRun) {
         }
     };
     problems.extend(perfetto::validate(&decoded));
-    problems.extend(run.report.violations.iter().cloned());
 
     let report = PerfettoReport {
-        seed: cfg.seed,
         bytes: bytes.len(),
         hash: perfetto::fnv64(&bytes),
         shape: StreamShape::of(&decoded),

@@ -258,9 +258,8 @@ impl StormReport {
     }
 }
 
-/// Everything a storm leaves behind beyond the scored report: the raw
-/// telemetry the Perfetto exporter feeds on. [`run_storm`] discards this;
-/// `harness perfetto` keeps it.
+/// Everything a storm leaves behind: the scored report and the raw
+/// telemetry the Perfetto exporter feeds on.
 pub struct StormRun {
     pub report: StormReport,
     /// The flight recorder, if the run was traced.
@@ -301,17 +300,12 @@ fn traced_read(
 
 struct Bean;
 
-/// Run one storm to completion, keeping only the scored report.
-pub fn run_storm(cfg: &StormConfig) -> StormReport {
-    run_storm_full(cfg, None).report
-}
-
 /// Run one storm to completion, optionally pumping a [`TelemetrySampler`]
 /// once per round, and return the report plus the raw telemetry
 /// ([`StormRun`]). The sampler only *reads* the registry (its own
 /// bookkeeping counters aside), so a sampled storm's report is identical
 /// to an unsampled one on the same seed, modulo `metric_keys`.
-pub fn run_storm_full(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampler>) -> StormRun {
+pub fn run_storm(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampler>) -> StormRun {
     let mut env = Env::with_seed(cfg.seed);
     if let Some(capacity) = cfg.trace_capacity {
         env.enable_tracing(capacity);
@@ -720,11 +714,11 @@ pub fn run_storm_full(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampl
 /// into the metric-name audit (`tests/metric_names.rs`) so the admission, breaker,
 /// autoscale, burst and sampler keys are all held to
 /// `subsystem.object.action`. Runs with a default sampler attached so the
-/// `sampler.*` bookkeeping keys register the way `harness perfetto` sees
+/// `sampler.*` bookkeeping keys register the way `harness storm` sees
 /// them.
 pub fn runtime_metric_names() -> Vec<String> {
     let mut sampler = TelemetrySampler::new(SamplerConfig::default());
-    run_storm_full(&StormConfig::new(1), Some(&mut sampler))
+    run_storm(&StormConfig::new(1), Some(&mut sampler))
         .report
         .metric_keys
 }
@@ -737,15 +731,15 @@ mod tests {
     #[test]
     fn storm_is_deterministic_per_seed() {
         let cfg = StormConfig::new(0xD00D);
-        let a = run_storm(&cfg);
-        let b = run_storm(&cfg);
+        let a = run_storm(&cfg, None).report;
+        let b = run_storm(&cfg, None).report;
         assert_eq!(a, b, "same seed must reproduce the identical report");
     }
 
     #[test]
     fn storm_passes_on_pinned_seeds() {
         for seed in [1u64, 2, 3] {
-            let r = run_storm(&StormConfig::new(seed));
+            let r = run_storm(&StormConfig::new(seed), None).report;
             assert!(r.passed(), "seed {seed} violations: {:#?}", r.violations);
             // The storm genuinely overloaded the gate, every excess
             // request was a typed rejection, and the critical tenant

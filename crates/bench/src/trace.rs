@@ -1,11 +1,10 @@
-//! Trace harness: a fully-instrumented chaos soak plus flight-recorder
-//! export and health checks.
+//! Trace health checks for the chaos soak's flight recorder.
 //!
-//! `harness trace [seed] [out.json]` re-runs the [`crate::chaos`] soak
-//! with the flight recorder on, then holds the trace to three standards
-//! before writing its summary and fingerprint (default `TRACE_1.json`)
-//! and the full span export beside it (`TRACE_1.spans.json`, not
-//! committed):
+//! `harness chaos [seed] [out.json]` runs the [`crate::chaos`] soak with
+//! the flight recorder on, then holds the trace to three standards; the
+//! verdict and the span export's fingerprint are the report's `trace`
+//! member (default `CHAOS_1.json`), and the full span export is written
+//! beside it (`CHAOS_1.spans.json`, not committed):
 //!
 //! * **structure** — every span id unique, every parent present, every
 //!   span closed, nothing dropped from the ring ([`FlightRecorder::validate`]);
@@ -22,9 +21,6 @@ use std::collections::BTreeMap;
 use sensorcer_sim::prelude::*;
 use sensorcer_trace::json::Json;
 use sensorcer_trace::perfetto::fnv64;
-
-use crate::chaos::{run_soak_traced, SoakConfig};
-use crate::legs::LegRun;
 
 /// Ring capacity for the harness run: a default 600 s soak records a few
 /// tens of thousands of spans, so this never wraps — and the checks fail
@@ -56,6 +52,40 @@ pub struct TraceCheck {
 impl TraceCheck {
     pub fn passed(&self) -> bool {
         self.problems.is_empty()
+    }
+
+    /// The report's `trace` member: the verdict plus the length and
+    /// FNV-1a fingerprint of the span `export`, which is too large to
+    /// commit.
+    pub fn json(&self, export: &str) -> Json {
+        Json::obj([
+            ("spans", self.spans.into()),
+            ("events", self.events.into()),
+            (
+                "roots",
+                Json::obj([
+                    ("total", self.roots.into()),
+                    ("degraded", self.degraded_roots.into()),
+                    ("error", self.error_roots.into()),
+                ]),
+            ),
+            ("bytes", export.len().into()),
+            ("fnv64", format!("{:016x}", fnv64(export.as_bytes())).into()),
+            ("problems", Json::arr(&self.problems)),
+        ])
+    }
+
+    /// One transcript line.
+    pub fn summary(&self) -> String {
+        format!(
+            "trace: {} spans / {} events; {} roots ({} degraded, {} error) — {}\n",
+            self.spans,
+            self.events,
+            self.roots,
+            self.degraded_roots,
+            self.error_roots,
+            if self.passed() { "PASS" } else { "FAIL" }
+        )
     }
 }
 
@@ -127,84 +157,10 @@ pub fn check(recorder: &FlightRecorder) -> TraceCheck {
     }
 }
 
-/// The committed artifact: the checks' verdict plus the length and
-/// FNV-1a fingerprint of the span export, which is too large to commit.
-fn summary_json(
-    seed: u64,
-    reads: u64,
-    verdict: &TraceCheck,
-    export: &str,
-    failures: &[String],
-) -> Json {
-    Json::report(
-        [
-            ("seed", seed.into()),
-            ("reads", reads.into()),
-            ("spans", verdict.spans.into()),
-            ("events", verdict.events.into()),
-            (
-                "roots",
-                Json::obj([
-                    ("total", verdict.roots.into()),
-                    ("degraded", verdict.degraded_roots.into()),
-                    ("error", verdict.error_roots.into()),
-                ]),
-            ),
-            ("bytes", export.len().into()),
-            ("fnv64", format!("{:016x}", fnv64(export.as_bytes())).into()),
-            ("problems", Json::arr(failures)),
-        ],
-        failures.is_empty(),
-    )
-}
-
-/// The `trace` leg: the `chaos` soak with the recorder on (its report is
-/// identical to the untraced run's) and the health checks; the span
-/// export is the side output.
-pub fn leg(seed: u64) -> LegRun {
-    let cfg = SoakConfig {
-        trace_capacity: Some(TRACE_CAPACITY),
-        ..SoakConfig::new(seed)
-    };
-    let (report, recorder) = run_soak_traced(&cfg);
-    let recorder = recorder.expect("trace_capacity was set, recorder must exist");
-    let verdict = check(&recorder);
-    let failures: Vec<String> = verdict
-        .problems
-        .iter()
-        .map(|p| format!("trace problem: {p}"))
-        .chain(
-            report
-                .violations
-                .iter()
-                .map(|v| format!("soak violation: {v}")),
-        )
-        .collect();
-
-    let export = recorder.to_json();
-    let transcript = format!(
-        "trace harness seed={}: {} spans / {} events over {} reads; {} roots \
-         ({} degraded, {} error) — {}\n",
-        seed,
-        verdict.spans,
-        verdict.events,
-        report.reads_total,
-        verdict.roots,
-        verdict.degraded_roots,
-        verdict.error_roots,
-        if failures.is_empty() { "PASS" } else { "FAIL" }
-    );
-    LegRun {
-        report: summary_json(seed, report.reads_total, &verdict, &export, &failures),
-        failures,
-        transcript,
-        side: Some(export.into_bytes()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{run_soak_observed, SoakConfig};
     use sensorcer_sim::chaos::ChaosConfig;
 
     fn quick_cfg(seed: u64) -> SoakConfig {
@@ -250,7 +206,7 @@ mod tests {
             trace_capacity: None,
             ..traced
         };
-        let (with_trace, rec) = run_soak_traced(&traced);
+        let (with_trace, rec) = run_soak_observed(&traced, None);
         let without = crate::chaos::run_soak(&untraced);
         assert_eq!(with_trace, without, "tracing perturbed the simulation");
         assert!(!rec.unwrap().is_empty());
@@ -259,8 +215,8 @@ mod tests {
     #[test]
     fn trace_export_is_deterministic_per_seed() {
         let cfg = quick_cfg(0xD00D);
-        let (_, a) = run_soak_traced(&cfg);
-        let (_, b) = run_soak_traced(&cfg);
+        let (_, a) = run_soak_observed(&cfg, None);
+        let (_, b) = run_soak_observed(&cfg, None);
         assert_eq!(
             a.unwrap().to_json(),
             b.unwrap().to_json(),
@@ -274,7 +230,7 @@ mod tests {
         // fault mixes, not one lucky schedule.
         for seed in [3u64, 7, 0xD00D] {
             let cfg = quick_cfg(seed);
-            let (report, rec) = run_soak_traced(&cfg);
+            let (report, rec) = run_soak_observed(&cfg, None);
             let rec = rec.unwrap();
             let verdict = check(&rec);
             assert!(verdict.passed(), "seed {seed}: {:#?}", verdict.problems);
@@ -300,7 +256,7 @@ mod tests {
         // pass every check.
         let mut non_ok_roots = 0;
         for seed in [3u64, 7, 0xD00D] {
-            let (_, rec) = run_soak_traced(&storm_cfg(seed));
+            let (_, rec) = run_soak_observed(&storm_cfg(seed), None);
             let v = check(&rec.unwrap());
             assert!(v.passed(), "storm seed {seed}: {:#?}", v.problems);
             non_ok_roots += v.degraded_roots + v.error_roots;

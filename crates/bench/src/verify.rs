@@ -10,7 +10,7 @@
 //! pass revisits.
 //!
 //! The same pass runs the *mutation* check: the intentionally buggy
-//! [`BuggyReaper`](sensorcer_verify::scenarios::BuggyReaper) scenario —
+//! [`BuggyReaper`] scenario —
 //! a lease renewal and an over-eager reaper co-scheduled at the same
 //! instant — must look clean under FIFO and be caught by exploration,
 //! both exhaustively and under each of three pinned sampling seeds. A

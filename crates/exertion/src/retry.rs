@@ -8,7 +8,7 @@
 //! heals run during the wait), all within a `deadline` of virtual time.
 //!
 //! [`exert_in_place_rearmed`] wraps
-//! [`exert_in_place`](crate::servicer::exert_in_place) without changing
+//! [`exert_in_place`] without changing
 //! it: the raw hop stays a single network hop, so callers that want
 //! fail-fast semantics (and every existing test) keep them bit-for-bit.
 

@@ -145,7 +145,8 @@ impl CompiledScript {
 }
 
 /// Reusable evaluation frame: one flat buffer a caller keeps across reads
-/// so repeated [`Program::bind_in`] calls allocate nothing.
+/// so repeated [`Program::bind_in`](crate::Program::bind_in) calls
+/// allocate nothing.
 #[derive(Debug, Default, Clone)]
 pub struct SlotFrame {
     slots: Vec<Option<Value>>,

@@ -93,10 +93,8 @@ pub struct InstanceRecord {
 pub struct Deployment {
     opstring: OperationalString,
     instances: Vec<InstanceRecord>,
-    /// Instances planned but currently unplaced (retried each check),
-    /// with the node that last hosted them so a rebooted node's stale
-    /// copy can be cleaned up before re-placement.
-    pending: Vec<(String, Option<CybernodeHandle>)>,
+    /// Instances planned but currently unplaced (retried each check).
+    pending: Vec<String>,
 }
 
 impl Deployment {
@@ -123,6 +121,10 @@ pub struct ProvisionMonitor {
     deployments: BTreeMap<String, Deployment>,
     events: Vec<ProvisionEvent>,
     failovers_total: u64,
+    /// Copies a terminate could not reach (their node was down), retried
+    /// on the first heartbeat that finds the node up again: a node that
+    /// reboots must not keep serving an instance placed elsewhere meanwhile.
+    stale: Vec<(String, CybernodeHandle)>,
 }
 
 impl ProvisionMonitor {
@@ -136,6 +138,7 @@ impl ProvisionMonitor {
             deployments: BTreeMap::new(),
             events: Vec::new(),
             failovers_total: 0,
+            stale: Vec::new(),
         }
     }
 
@@ -259,7 +262,7 @@ impl ProvisionMonitor {
         let mut results = Vec::new();
         for element in &opstring.elements {
             if self.factories.get(&element.type_key).is_none() {
-                self.rollback(env, &placed);
+                self.rollback(env, placed);
                 return Err(ProvisionError::UnknownFactory(element.type_key.clone()));
             }
             for i in 0..element.planned {
@@ -279,7 +282,7 @@ impl ProvisionMonitor {
                         results.push(p);
                     }
                     None => {
-                        self.rollback(env, &placed);
+                        self.rollback(env, placed);
                         return Err(ProvisionError::NoCandidate(element.name.clone()));
                     }
                 }
@@ -296,9 +299,17 @@ impl ProvisionMonitor {
         Ok(results)
     }
 
-    fn rollback(&mut self, env: &mut Env, placed: &[InstanceRecord]) {
+    fn rollback(&mut self, env: &mut Env, placed: Vec<InstanceRecord>) {
         for rec in placed {
-            let _ = rec.node.terminate(env, self.host, &rec.instance);
+            self.terminate(env, rec.node, rec.instance);
+        }
+    }
+
+    /// Tell `node` to drop `instance`. A node that cannot be reached keeps
+    /// its copy, so the terminate is queued and retried by [`Self::check`].
+    fn terminate(&mut self, env: &mut Env, node: CybernodeHandle, instance: String) {
+        if node.terminate(env, self.host, &instance).is_err() {
+            self.stale.push((instance, node));
         }
     }
 
@@ -368,13 +379,13 @@ impl ProvisionMonitor {
             .deployments
             .remove(name)
             .ok_or_else(|| ProvisionError::UnknownOpstring(name.to_string()))?;
-        for rec in &dep.instances {
-            let _ = rec.node.terminate(env, self.host, &rec.instance);
+        for rec in dep.instances {
+            self.terminate(env, rec.node, rec.instance.clone());
             self.events.push(ProvisionEvent {
                 at: env.now(),
                 opstring: name.to_string(),
-                element: rec.element.clone(),
-                instance: rec.instance.clone(),
+                element: rec.element,
+                instance: rec.instance,
                 kind: ProvisionEventKind::Undeployed,
             });
         }
@@ -384,6 +395,16 @@ impl ProvisionMonitor {
     /// Heartbeat pass: verify every instance is up; re-provision dead ones
     /// onto other nodes; retry pending placements.
     pub fn check(&mut self, env: &mut Env) {
+        // 0. A node that is back up drops the copies a terminate could not
+        // reach while it was down, before anything is placed.
+        for (instance, node) in std::mem::take(&mut self.stale) {
+            if env.is_service_up(node.service) {
+                self.terminate(env, node, instance);
+            } else {
+                self.stale.push((instance, node));
+            }
+        }
+
         let names: Vec<String> = self.deployments.keys().cloned().collect();
         for name in names {
             // Take the deployment out to sidestep aliasing with `self`.
@@ -403,10 +424,9 @@ impl ProvisionMonitor {
             }
             dep.instances = survivors;
 
-            // 2. Re-place dead instances. If the old node has come back up
-            // (reboot), its stale copy still occupies the instance slot —
-            // terminate it first so placement isn't refused by the
-            // per-node cap.
+            // 2. Re-place dead instances. The old node is told to drop its
+            // copy first (queued for step 0 while the node is down), so a
+            // reboot cannot leave it serving the instance a second time.
             for rec in dead {
                 let Some(element) = dep.element(&rec.element).cloned() else {
                     continue;
@@ -421,7 +441,7 @@ impl ProvisionMonitor {
                 } else {
                     SpanId::INVALID
                 };
-                let _ = rec.node.terminate(env, self.host, &rec.instance);
+                self.terminate(env, rec.node, rec.instance.clone());
                 match self.place(env, &name, &element, &rec.instance) {
                     Some((p, node)) => {
                         self.failovers_total += 1;
@@ -458,21 +478,17 @@ impl ProvisionMonitor {
                             instance: rec.instance.clone(),
                             kind: ProvisionEventKind::Pending,
                         });
-                        dep.pending.push((rec.instance, Some(rec.node)));
+                        dep.pending.push(rec.instance);
                     }
                 }
             }
 
-            // 3. Retry pending placements, cleaning up any stale copy on a
-            // node that has since rebooted.
+            // 3. Retry pending placements.
             let pending = std::mem::take(&mut dep.pending);
-            for (instance, last_node) in pending {
+            for instance in pending {
                 let Some(element) = dep.element_of_instance(&instance).cloned() else {
                     continue;
                 };
-                if let Some(node) = last_node {
-                    let _ = node.terminate(env, self.host, &instance);
-                }
                 match self.place(env, &name, &element, &instance) {
                     Some((p, node)) => {
                         dep.instances.push(InstanceRecord {
@@ -482,7 +498,7 @@ impl ProvisionMonitor {
                             service: p.service,
                         });
                     }
-                    None => dep.pending.push((instance, last_node)),
+                    None => dep.pending.push(instance),
                 }
             }
 
@@ -549,7 +565,7 @@ impl ProvisionMonitor {
                             instance: instance.clone(),
                             kind: ProvisionEventKind::Pending,
                         });
-                        dep.pending.push((instance, None));
+                        dep.pending.push(instance);
                     }
                 }
             }
@@ -558,7 +574,7 @@ impl ProvisionMonitor {
             let mut surplus = (old - planned) as usize;
             let belongs = |n: &str| n == el.name || n.starts_with(&format!("{}-", el.name));
             while surplus > 0 {
-                let Some(idx) = dep.pending.iter().rposition(|(n, _)| belongs(n)) else {
+                let Some(idx) = dep.pending.iter().rposition(|n| belongs(n)) else {
                     break;
                 };
                 dep.pending.remove(idx);
@@ -584,12 +600,12 @@ impl ProvisionMonitor {
                     break;
                 };
                 let rec = dep.instances.remove(idx);
-                let _ = rec.node.terminate(env, self.host, &rec.instance);
+                self.terminate(env, rec.node, rec.instance.clone());
                 self.events.push(ProvisionEvent {
                     at: env.now(),
                     opstring: opstring.to_string(),
-                    element: rec.element.clone(),
-                    instance: rec.instance.clone(),
+                    element: rec.element,
+                    instance: rec.instance,
                     kind: ProvisionEventKind::Undeployed,
                 });
             }
@@ -866,6 +882,52 @@ mod tests {
                     .any(|e| matches!(e.kind, ProvisionEventKind::Failover { .. })));
             })
             .unwrap();
+    }
+
+    /// Every copy of `net` the cybernodes host, and the memory they
+    /// reserve for them.
+    fn hosted_and_reserved(w: &mut World) -> (usize, u32) {
+        let (mut hosted, mut reserved) = (0, 0);
+        for node in &w.nodes {
+            w.env
+                .with_service(node.service, |_e, n: &mut Cybernode| {
+                    hosted += n.hosted().count();
+                    reserved += n.reserved_mb();
+                })
+                .unwrap();
+        }
+        (hosted, reserved)
+    }
+
+    #[test]
+    fn a_node_that_reboots_after_failover_drops_its_stale_copy() {
+        let mut w = setup(2, AllocationPolicy::LeastUtilized);
+        let placed = w
+            .monitor
+            .deploy_opstring(&mut w.env, w.client, opstring(1))
+            .unwrap()
+            .unwrap();
+        let original_host = placed[0].host;
+        w.env.crash_host(original_host);
+        w.env.run_for(SimDuration::from_secs(3));
+        // The terminate sent while the node was down could not reach it;
+        // the node comes back still hosting the copy that failed over.
+        w.env.restart_host(original_host);
+        w.env.run_for(SimDuration::from_secs(10));
+        assert_eq!(
+            hosted_and_reserved(&mut w),
+            (1, 64),
+            "one hosted copy and 64 MB reserved in total"
+        );
+        let instances = w
+            .env
+            .with_service(w.monitor.service, |_e, m: &mut ProvisionMonitor| {
+                m.instances("net")
+            })
+            .unwrap();
+        assert_eq!(instances.len(), 1);
+        assert_ne!(instances[0].node.host, original_host);
+        assert!(w.env.is_service_up(instances[0].service));
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl Default for LeasePolicy {
 /// key identifying the leased thing).
 ///
 /// Ids are granted in order, so the table is a run of chunks, each holding
-/// the leases of [`CHUNK`] consecutive ids densely and in id order: a
+/// the leases of `CHUNK` consecutive ids densely and in id order: a
 /// lease costs its id's offset in the chunk, its expiry and its resource.
 /// A chunk goes once it holds no lease, so what a table keeps, and what a
 /// reap walks, is bounded by the leases alive, not by every id ever
@@ -278,7 +278,7 @@ impl<T> LeaseTable<T> {
         self.chunks.is_empty()
     }
 
-    /// Chunks of [`CHUNK`] consecutive ids the table keeps: never more
+    /// Chunks of `CHUNK` consecutive ids the table keeps: never more
     /// than the chunks that hold a lease.
     pub fn chunks_held(&self) -> usize {
         self.chunks.len()

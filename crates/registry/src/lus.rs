@@ -59,7 +59,7 @@ enum Candidates<'a> {
 ///
 /// Items are held behind [`Arc`] and posted under each interface they
 /// implement and each indexed attribute they carry (see
-/// [`crate::postings`]), so a lookup narrows to the smallest posting among
+/// `postings`), so a lookup narrows to the smallest posting among
 /// its template's constraints instead of scanning every registration, and
 /// hands out the stored handles instead of deep clones. Postings iterate
 /// in uuid order, which keeps result sets byte-identical to a linear scan

@@ -25,7 +25,7 @@ use sensorcer_trace::Histogram;
 
 use crate::topology::HostId;
 
-/// A metric name resolved by [`Metrics::key`]: the index of its [`Slot`].
+/// A metric name resolved by [`Metrics::key`]: the index of its `Slot`.
 /// Belongs to the registry that issued it and outlives [`Metrics::clear`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Key(u32);

@@ -1,5 +1,5 @@
 //! Perfetto trace export: the [`FlightRecorder`] rendered as a
-//! `.perfetto-trace` file that https://ui.perfetto.dev opens natively.
+//! `.perfetto-trace` file that <https://ui.perfetto.dev> opens natively.
 //!
 //! Everything is hand-rolled — there is no protobuf dependency anywhere
 //! in the workspace, so this module carries its own [`wire`] layer

@@ -6,7 +6,7 @@
 //! breaks such ties FIFO. This crate permutes those ties and holds small
 //! federated worlds to their invariants under every order it tries:
 //!
-//! * [`explore`] — a DPOR-lite **schedule explorer** over the discrete
+//! * [`explore`](mod@explore) — a DPOR-lite **schedule explorer** over the discrete
 //!   event scheduler in `sensorcer-sim`: at every virtual instant with
 //!   ≥2 co-scheduled timers it permutes delivery order (bounded
 //!   exhaustive for small scenarios, seeded random sampling for large

@@ -213,7 +213,9 @@ struct Bean;
 /// cybernodes registered with a LUS (reaper 500 ms, renewals 500 ms). The
 /// node hosting the first instance crashes at t=1.25 s and reboots at
 /// t=2.75 s. Under every delivery order the opstring must return to its
-/// planned count with each instance deployed exactly once.
+/// planned count with each instance deployed exactly once, both in the
+/// monitor's list and on the cybernodes themselves: the rebooted node
+/// must not keep a copy of the instance that failed over.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProvisionFailover;
 
@@ -336,6 +338,19 @@ impl Scenario for ProvisionFailover {
         names.dedup();
         if names.len() != instances.len() {
             violations.push("an instance is deployed more than once".to_string());
+        }
+        let mut hosted: Vec<String> = Vec::new();
+        for node in &nodes {
+            env.with_service(node.service, |_e, n: &mut Cybernode| {
+                hosted.extend(n.hosted().map(|h| h.instance.clone()));
+            })
+            .ok();
+        }
+        hosted.sort_unstable();
+        for pair in hosted.windows(2) {
+            if pair[0] == pair[1] {
+                violations.push(format!("instance {} is hosted by two cybernodes", pair[0]));
+            }
         }
         for rec in &instances {
             if !env.is_service_up(rec.service) {

@@ -15,8 +15,10 @@
 #                           (Instant::now, SystemTime::now) or a thread
 #                           (thread::spawn, thread::scope) in any crate,
 #                           and an #[expect] escape that is stale or names
-#                           an unknown lint. Then cargo fmt --check when
-#                           rustfmt is installed
+#                           an unknown lint. Then rustdoc with warnings
+#                           denied (a broken, private or ambiguous
+#                           intra-doc link, a bare URL), and cargo fmt
+#                           --check when rustfmt is installed
 #   scripts/ci.sh --yardstick  tier-1, then the federated-read yardstick
 #                           (`benchmark/`, a package of its own that the
 #                           workspace build never sees): build it, run
@@ -32,8 +34,7 @@
 #                           on either seed (a per-firing allocation is
 #                           back in the timer engine) or @
 #                           `registry_churn` reaches 400 (a lookup is
-#                           copying its results, or serialising an item
-#                           to learn its size, again), @ `flat_read`
+#                           copying its results again), @ `flat_read`
 #                           reaches 16, @ `tree_read` 24 or @
 #                           `tenant_storm` 29 (a composite read
 #                           allocates its outcome list, its readings or
@@ -78,6 +79,9 @@ if [ "$lint" -eq 1 ]; then
     echo "== clippy (deny warnings) =="
     cargo clippy --workspace --all-targets -q -- \
         -D warnings -D clippy::dbg_macro -D clippy::todo -D clippy::unimplemented
+
+    echo "== rustdoc (deny warnings) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
     if command -v rustfmt >/dev/null 2>&1; then
         echo "== rustfmt --check =="

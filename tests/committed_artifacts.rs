@@ -134,7 +134,7 @@ fn every_committed_artifact_reads_back_passing_and_whole() {
 /// Every `*.json` report at the repo root has a row in [`LEGS`], and
 /// every row names a file that is there: a stale report left behind or a
 /// new one committed without a check fails here. `BENCHMARK.json` (the
-/// benchmark's contract) is not a report, and `harness trace`'s
+/// benchmark's contract) is not a report, and `harness chaos`'s
 /// `*.spans.json` is never committed.
 #[test]
 fn every_report_at_the_root_is_checked() {
