@@ -9,7 +9,7 @@ use sensorcer_trace::json::Json;
 use crate::chaos::{run_soak_observed, SoakConfig};
 use crate::obs::run_obs;
 use crate::perfetto::export_storm;
-use crate::storm::StormConfig;
+use crate::storm::{StormConfig, StormRun};
 use crate::trace::{self, TRACE_CAPACITY};
 use crate::verify::run_verify;
 use crate::{paper, DEFAULT_SEED};
@@ -42,6 +42,28 @@ impl LegRun {
             transcript,
             side: None,
         }
+    }
+
+    /// This run with `member` added to its report before the closing
+    /// `passed`, which then also requires `problems` to be empty; each
+    /// problem becomes a failure `label: problem`, and `side` the side
+    /// output.
+    fn with_member(
+        mut self,
+        (key, member): (&str, Json),
+        (label, problems): (&str, &[String]),
+        side: Vec<u8>,
+    ) -> LegRun {
+        let Json::Obj(members) = &mut self.report else {
+            unreachable!("a report is an object")
+        };
+        let passed = members.pop().is_some_and(|(_, v)| v == Json::Bool(true));
+        members.push((key.into(), member));
+        members.push(("passed".into(), (passed && problems.is_empty()).into()));
+        self.failures
+            .extend(problems.iter().map(|p| format!("{label}: {p}")));
+        self.side = Some(side);
+        self
     }
 }
 
@@ -151,20 +173,12 @@ fn chaos(seed: u64) -> LegRun {
     let recorder = recorder.expect("trace_capacity was set, recorder must exist");
     let verdict = trace::check(&recorder);
     let export = recorder.to_json();
-    let mut run = LegRun::new(
-        with_member(r.json(), "trace", verdict.json(&export), verdict.passed()),
-        r.summary() + &verdict.summary(),
-        "violation",
-        &r.violations,
-    );
-    run.failures.extend(
-        verdict
-            .problems
-            .iter()
-            .map(|p| format!("trace problem: {p}")),
-    );
-    run.side = Some(export.into_bytes());
-    run
+    let transcript = r.summary() + &verdict.summary();
+    LegRun::new(r.json(), transcript, "violation", &r.violations).with_member(
+        ("trace", verdict.json(&export)),
+        ("trace problem", &verdict.problems),
+        export.into_bytes(),
+    )
 }
 
 /// The tenant storm with a telemetry sampler attached (it only reads the
@@ -172,30 +186,13 @@ fn chaos(seed: u64) -> LegRun {
 /// the export's summary is the `perfetto` member and the protobuf stream
 /// the side output.
 fn storm(seed: u64) -> LegRun {
-    let (bytes, p, run) = export_storm(&StormConfig::new(seed));
-    let r = run.report;
-    let mut run = LegRun::new(
-        with_member(r.json(), "perfetto", p.json(), p.passed()),
-        r.summary() + &p.summary(),
-        "violation",
-        &r.violations,
-    );
-    run.failures
-        .extend(p.problems.iter().map(|e| format!("perfetto problem: {e}")));
-    run.side = Some(bytes);
-    run
-}
-
-/// A [`Json::report`] with `key: member` added before its closing
-/// `passed`, which then also requires `member_passed`.
-fn with_member(report: Json, key: &str, member: Json, member_passed: bool) -> Json {
-    let Json::Obj(mut members) = report else {
-        unreachable!("a report is an object")
-    };
-    let passed = members.pop().is_some_and(|(_, v)| v == Json::Bool(true));
-    members.push((key.into(), member));
-    members.push(("passed".into(), (passed && member_passed).into()));
-    Json::Obj(members)
+    let (bytes, p, StormRun { report: r, .. }) = export_storm(&StormConfig::new(seed));
+    let transcript = r.summary() + &p.summary();
+    LegRun::new(r.json(), transcript, "violation", &r.violations).with_member(
+        ("perfetto", p.json()),
+        ("perfetto problem", &p.problems),
+        bytes,
+    )
 }
 
 /// An optional seed argument: [`DEFAULT_SEED`] when absent.

@@ -884,9 +884,20 @@ mod tests {
             .unwrap();
     }
 
-    /// Every copy of `net` the cybernodes host, and the memory they
-    /// reserve for them.
-    fn hosted_and_reserved(w: &mut World) -> (usize, u32) {
+    #[test]
+    fn a_node_that_reboots_after_failover_drops_its_stale_copy() {
+        let mut w = setup(2, AllocationPolicy::LeastUtilized);
+        let placed = w
+            .monitor
+            .deploy_opstring(&mut w.env, w.client, opstring(1))
+            .unwrap()
+            .unwrap();
+        // The terminate sent while the node is down cannot reach it; the
+        // node comes back still hosting the copy that failed over.
+        w.env.crash_host(placed[0].host);
+        w.env.run_for(SimDuration::from_secs(3));
+        w.env.restart_host(placed[0].host);
+        w.env.run_for(SimDuration::from_secs(10));
         let (mut hosted, mut reserved) = (0, 0);
         for node in &w.nodes {
             w.env
@@ -896,38 +907,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        (hosted, reserved)
-    }
-
-    #[test]
-    fn a_node_that_reboots_after_failover_drops_its_stale_copy() {
-        let mut w = setup(2, AllocationPolicy::LeastUtilized);
-        let placed = w
-            .monitor
-            .deploy_opstring(&mut w.env, w.client, opstring(1))
-            .unwrap()
-            .unwrap();
-        let original_host = placed[0].host;
-        w.env.crash_host(original_host);
-        w.env.run_for(SimDuration::from_secs(3));
-        // The terminate sent while the node was down could not reach it;
-        // the node comes back still hosting the copy that failed over.
-        w.env.restart_host(original_host);
-        w.env.run_for(SimDuration::from_secs(10));
-        assert_eq!(
-            hosted_and_reserved(&mut w),
-            (1, 64),
-            "one hosted copy and 64 MB reserved in total"
-        );
-        let instances = w
-            .env
-            .with_service(w.monitor.service, |_e, m: &mut ProvisionMonitor| {
-                m.instances("net")
-            })
-            .unwrap();
-        assert_eq!(instances.len(), 1);
-        assert_ne!(instances[0].node.host, original_host);
-        assert!(w.env.is_service_up(instances[0].service));
+        assert_eq!((hosted, reserved), (1, 64), "copies hosted, MB reserved");
     }
 
     #[test]
