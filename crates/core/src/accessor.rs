@@ -199,7 +199,7 @@ pub mod client {
             Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE).on(provider),
             Context::new(),
         );
-        let done = exert(env, from, task.into(), accessor, None);
+        let done = exert(env, from, task.into(), accessor);
         match done.status() {
             ExertionStatus::Done => SensorReading::from_context(done.context())
                 .map(|r| (r, DegradedInfo::from_context(done.context())))
@@ -221,7 +221,7 @@ pub mod client {
             Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_INFO).on(provider),
             Context::new(),
         );
-        let done = exert(env, from, task.into(), accessor, None);
+        let done = exert(env, from, task.into(), accessor);
         match done.status() {
             ExertionStatus::Done => SensorInfo::from_context(done.context())
                 .ok_or_else(|| "provider returned no info".to_string()),
@@ -243,7 +243,7 @@ pub mod client {
             Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_HISTORY).on(provider),
             Context::new().with("arg/count", count as i64),
         );
-        let done = exert(env, from, task.into(), accessor, None);
+        let done = exert(env, from, task.into(), accessor);
         match done.status() {
             ExertionStatus::Done => match done.context().get("history/values") {
                 Some(sensorcer_expr::Value::List(xs)) => Ok(xs
@@ -271,7 +271,7 @@ pub mod client {
             Signature::new(interfaces::COMPOSITE_MANAGEMENT, selector).on(provider),
             args,
         );
-        let done = exert(env, from, task.into(), accessor, None);
+        let done = exert(env, from, task.into(), accessor);
         match done.status() {
             ExertionStatus::Done => Ok(done.context().clone()),
             ExertionStatus::Failed(e) => Err(e.clone()),

@@ -23,7 +23,6 @@ use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::RenewalHandle;
-use sensorcer_registry::txn::TxnId;
 use sensorcer_sensors::calib::Calibration;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::{SimDuration, SimTime};
@@ -460,7 +459,7 @@ impl FanOut<'_> {
     ) -> Result<ChildOutcome, NetError> {
         let (to, visited) = (&self.requests[idx], self.visited);
         arm(self.request, to, visited);
-        let sent = exert_in_place_rearmed(env, self.host, svc, self.request, None, &budget, |r| {
+        let sent = exert_in_place_rearmed(env, self.host, svc, self.request, &budget, |r| {
             arm(r, to, visited)
         });
         if let Some(b) = self.breakers {
@@ -914,7 +913,7 @@ impl Servicer for CompositeSensorProvider {
         &self.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, _txn: Option<TxnId>) {
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
         let Exertion::Task(task) = exertion else {
             if let Exertion::Job(job) = exertion {
                 job.status = ExertionStatus::Failed(format!(
@@ -1270,7 +1269,7 @@ mod tests {
             &self.name
         }
 
-        fn service(&mut self, _env: &mut Env, exertion: &mut Exertion, _txn: Option<TxnId>) {
+        fn service(&mut self, _env: &mut Env, exertion: &mut Exertion) {
             let Exertion::Task(task) = exertion else {
                 return;
             };
@@ -1357,10 +1356,10 @@ mod tests {
             Task::new("read X", sig, ctx).into()
         };
         let mut warm = read(Vec::new());
-        x.service(&mut w.env, &mut warm, None);
+        x.service(&mut w.env, &mut warm);
         assert_eq!(*warm.status(), ExertionStatus::Done);
         let mut looped = read(vec!["P".into(), "X".into()]);
-        x.service(&mut w.env, &mut looped, None);
+        x.service(&mut w.env, &mut looped);
         let expected = ExertionStatus::Failed("composition cycle detected at 'X'".into());
         assert_eq!(*looped.status(), expected);
     }

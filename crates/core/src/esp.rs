@@ -28,7 +28,6 @@ use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::RenewalHandle;
-use sensorcer_registry::txn::TxnId;
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::env::{Env, ServiceId, TimerGroup};
 use sensorcer_sim::metrics::Key;
@@ -304,7 +303,7 @@ impl Servicer for ElementarySensorProvider {
         &self.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, _txn: Option<TxnId>) {
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
         let Exertion::Task(task) = exertion else {
             if let Exertion::Job(job) = exertion {
                 job.status = ExertionStatus::Failed(format!(
@@ -645,7 +644,7 @@ mod tests {
             Signature::new(interfaces::SENSOR_DATA_ACCESSOR, "selfDestruct").on("N"),
             Context::new(),
         );
-        let done = exert(&mut w.env, w.client, task.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, task.into(), &w.accessor);
         assert!(done.status().is_failed());
     }
 

@@ -20,7 +20,6 @@ use sensorcer_registry::attributes::{name_of, service_type_of, Entry};
 use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
-use sensorcer_registry::txn::TxnId;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::topology::HostId;
 
@@ -582,7 +581,7 @@ impl Servicer for SensorcerFacade {
         &self.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, _txn: Option<TxnId>) {
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
         let Exertion::Task(task) = exertion else {
             if let Exertion::Job(job) = exertion {
                 job.status = ExertionStatus::Failed("the facade executes tasks, not jobs".into());

@@ -6,24 +6,24 @@
 //! [`ServiceAccessor`] (which wraps LUS lookups), forms the federation,
 //! and drives the collaboration — directly for a bare task, through a
 //! [`Jobber`] for push jobs, through a [`Spacer`] and the exertion space
-//! for pull jobs.
+//! for pull jobs. The paper's `exert(Transaction)` takes no transaction
+//! here (no exertion carries one), and every hop on this path is
+//! fail-fast: the one retry loop ([`crate::retry`]) serves the composite's
+//! child hop.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
-use sensorcer_registry::attributes::AttrMatch;
-use sensorcer_registry::ids::interfaces;
+use sensorcer_registry::attributes::{AttrMatch, Entry};
+use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
-use sensorcer_registry::txn::TxnId;
-use sensorcer_sim::env::Env;
+use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::HostId;
 
 use crate::exertion::{Access, Exertion, ExertionStatus, Flow, Job, Task};
-use crate::retry::{exert_in_place_retry, exert_on_retry, RetryPolicy};
-use crate::servicer::{Servicer, ServicerBox};
-use crate::space::SpaceHandle;
+use crate::servicer::{exert_in_place, Servicer, ServicerBox};
+use crate::space::{EntryId, SpaceHandle};
 
 /// Finds service providers for signatures: "A Service Accessor finds
 /// service providers using the Jini Lookup Services" (§V.B).
@@ -74,20 +74,10 @@ impl ServiceAccessor {
     }
 
     /// Find one provider of `interface` that also carries an attribute
-    /// satisfying `attr` (e.g. an equivalence-group tag). Used for §V.A's
-    /// "passed on to the equivalent available service provider".
-    pub fn bind_by_attr(
-        &self,
-        env: &mut Env,
-        from: HostId,
-        interface: &str,
-        attr: AttrMatch,
-    ) -> Option<Arc<ServiceItem>> {
-        self.bind_by_attr_excluding(env, from, interface, attr, None)
-    }
-
-    /// Like [`ServiceAccessor::bind_by_attr`], skipping the provider named
-    /// `exclude` — the one that just failed and must not be chosen again.
+    /// satisfying `attr` (e.g. an equivalence-group tag), skipping the
+    /// provider named `exclude` — the one that just failed and must not be
+    /// chosen again. Used for §V.A's "passed on to the equivalent available
+    /// service provider".
     pub fn bind_by_attr_excluding(
         &self,
         env: &mut Env,
@@ -123,23 +113,26 @@ impl ServiceAccessor {
     }
 }
 
-/// Shared coordination logic between jobbers and spacers.
+/// How often a coordinator polls the exertion space for a result.
+const POLL: SimDuration = SimDuration::from_millis(50);
+/// How long a coordinator waits before failing a task no provider took.
+const MAX_WAIT: SimDuration = SimDuration::from_secs(30);
+
+/// The coordination a jobber, a spacer and a requestor's own bare-task
+/// submission share. With a `space` it pulls a job's direct tasks through
+/// it; without one it binds and invokes their providers directly.
 struct Coordinator<'a> {
     host: HostId,
     accessor: &'a ServiceAccessor,
     space: Option<SpaceHandle>,
-    poll: SimDuration,
-    max_wait: SimDuration,
-    retry: RetryPolicy,
-    tasks_dispatched: &'a Cell<u64>,
 }
 
 impl Coordinator<'_> {
     /// Coordinate a job, or bind a bare task and lend it to its provider:
     /// the requestor's own exertion goes down and comes back exerted.
-    fn run_exertion(&self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>) {
+    fn run_exertion(&self, env: &mut Env, exertion: &mut Exertion) {
         let task = match exertion {
-            Exertion::Job(job) => return self.run_job(env, job, txn),
+            Exertion::Job(job) => return self.run_job(env, job),
             Exertion::Task(task) => task,
         };
         let bound = self.accessor.bind(
@@ -152,8 +145,7 @@ impl Coordinator<'_> {
             task.fail(format!("no provider found for {}", task.signature));
             return;
         };
-        self.tasks_dispatched.set(self.tasks_dispatched.get() + 1);
-        let sent = exert_in_place_retry(env, self.host, item.service, exertion, txn, &self.retry);
+        let sent = exert_in_place(env, self.host, item.service, exertion);
         if let (Err(e), Exertion::Task(task)) = (sent, exertion) {
             // No reply arrived: whatever the provider wrote before its
             // response was lost is not the requestor's to see.
@@ -163,10 +155,21 @@ impl Coordinator<'_> {
         }
     }
 
-    fn run_job(&self, env: &mut Env, job: &mut Job, txn: Option<TxnId>) {
+    fn run_job(&self, env: &mut Env, job: &mut Job) {
+        // A pulled task goes through the space; anything else runs here.
+        let pull_through = match (job.strategy.access, self.space) {
+            (Access::Push, _) => None,
+            (Access::Pull, Some(space)) => Some(space),
+            (Access::Pull, None) => {
+                job.status = ExertionStatus::Failed(
+                    "pull-mode job reached a coordinator without an exertion space".into(),
+                );
+                return;
+            }
+        };
         job.status = ExertionStatus::Running;
-        match (job.strategy.flow, job.strategy.access) {
-            (Flow::Sequence, Access::Push) => {
+        match (job.strategy.flow, pull_through) {
+            (Flow::Sequence, _) => {
                 let mut prev_result: Option<sensorcer_expr::Value> = None;
                 for child in &mut job.exertions {
                     // Dataflow pipe: a sequence stage may consume the
@@ -176,188 +179,128 @@ impl Coordinator<'_> {
                             t.context.put("pipe/in", v.clone());
                         }
                     }
-                    self.run_exertion(env, child, txn);
+                    match (pull_through, &mut *child) {
+                        (Some(space), Exertion::Task(t)) => {
+                            let offered = self.offer(env, space, t);
+                            self.await_results(env, space, offered.into_iter().collect());
+                        }
+                        _ => self.run_exertion(env, child),
+                    }
                     prev_result = child.context().get(crate::context::paths::RESULT).cloned();
                     if child.status().is_failed() {
                         break;
                     }
                 }
             }
-            (Flow::Parallel, Access::Push) => {
+            (Flow::Parallel, None) => {
                 env.parallel_over(&mut job.exertions, |env, child| {
-                    self.run_exertion(env, child, txn)
+                    self.run_exertion(env, child)
                 });
             }
-            (_, Access::Pull) => self.run_job_pull(env, job, txn),
+            (Flow::Parallel, Some(space)) => {
+                // Every direct task goes into the space up front, so free
+                // providers take them concurrently; child jobs run here.
+                let mut waiting = Vec::new();
+                for child in &mut job.exertions {
+                    match child {
+                        Exertion::Job(j) => self.run_job(env, j),
+                        Exertion::Task(t) => waiting.extend(self.offer(env, space, t)),
+                    }
+                }
+                self.await_results(env, space, waiting);
+            }
         }
 
         // Fold child results into the job context and settle status.
-        let mut all_done = true;
         for child in &job.exertions {
             job.context.merge_under(child.name(), child.context());
-            if !child.status().is_done() {
-                all_done = false;
-            }
         }
-        job.status = if all_done {
+        let failed: Vec<&str> = job
+            .exertions
+            .iter()
+            .filter(|e| !e.status().is_done())
+            .map(|e| e.name())
+            .collect();
+        job.status = if failed.is_empty() {
             ExertionStatus::Done
         } else {
-            let failed: Vec<&str> = job
-                .exertions
-                .iter()
-                .filter(|e| !e.status().is_done())
-                .map(|e| e.name())
-                .collect();
             ExertionStatus::Failed(format!("children failed: {}", failed.join(", ")))
         };
     }
 
-    /// Pull mode: direct child tasks go through the exertion space; child
-    /// jobs recurse.
-    fn run_job_pull(&self, env: &mut Env, job: &mut Job, txn: Option<TxnId>) {
-        let Some(space) = self.space else {
-            job.status = ExertionStatus::Failed(
-                "pull-mode job reached a coordinator without an exertion space".into(),
-            );
-            return;
-        };
-        match job.strategy.flow {
-            // Sequential pull: one task at a time through the space, with
-            // the dataflow pipe between stages, like the push sequence.
-            Flow::Sequence => {
-                let mut prev_result: Option<sensorcer_expr::Value> = None;
-                for child in job.exertions.iter_mut() {
-                    match child {
-                        Exertion::Job(j) => self.run_job(env, j, txn),
-                        Exertion::Task(t) => {
-                            if let Some(v) = &prev_result {
-                                if !t.context.contains("pipe/in") {
-                                    t.context.put("pipe/in", v.clone());
-                                }
-                            }
-                            self.tasks_dispatched.set(self.tasks_dispatched.get() + 1);
-                            match space.write(env, self.host, t.clone()) {
-                                Ok(id) => match self.await_result(env, space, id) {
-                                    Some(done) => *t = done,
-                                    None => {
-                                        t.fail("no provider took the task from the space in time")
-                                    }
-                                },
-                                Err(e) => t.fail(format!("space write failed: {e}")),
-                            }
-                        }
-                    }
-                    prev_result = child.context().get(crate::context::paths::RESULT).cloned();
-                    if child.status().is_failed() {
-                        break;
-                    }
-                }
-            }
-            // Parallel pull: write every direct task up front; free
-            // providers take them concurrently.
-            Flow::Parallel => {
-                let mut waiting: Vec<(usize, crate::space::EntryId)> = Vec::new();
-                for (i, child) in job.exertions.iter_mut().enumerate() {
-                    match child {
-                        Exertion::Job(j) => self.run_job(env, j, txn),
-                        Exertion::Task(t) => {
-                            self.tasks_dispatched.set(self.tasks_dispatched.get() + 1);
-                            match space.write(env, self.host, t.clone()) {
-                                Ok(id) => waiting.push((i, id)),
-                                Err(e) => t.fail(format!("space write failed: {e}")),
-                            }
-                        }
-                    }
-                }
-                let deadline = env.now() + self.max_wait;
-                while !waiting.is_empty() && env.now() < deadline {
-                    env.run_for(self.poll);
-                    let mut still = Vec::new();
-                    for (i, id) in waiting {
-                        match space.take_result(env, self.host, id) {
-                            Ok(Some(done)) => job.exertions[i] = Exertion::Task(done),
-                            Ok(None) => still.push((i, id)),
-                            Err(_) => still.push((i, id)),
-                        }
-                    }
-                    waiting = still;
-                }
-                for (i, _) in waiting {
-                    if let Exertion::Task(t) = &mut job.exertions[i] {
-                        t.fail("no provider took the task from the space in time");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Poll the space for one result until it arrives or the coordinator's
-    /// patience runs out.
-    fn await_result(
+    /// Write `t` to the space for a provider to take, or fail it if the
+    /// write does not land.
+    fn offer<'t>(
         &self,
         env: &mut Env,
         space: SpaceHandle,
-        id: crate::space::EntryId,
-    ) -> Option<Task> {
-        let deadline = env.now() + self.max_wait;
-        while env.now() < deadline {
-            env.run_for(self.poll);
-            if let Ok(Some(done)) = space.take_result(env, self.host, id) {
-                return Some(done);
+        t: &'t mut Task,
+    ) -> Option<(&'t mut Task, EntryId)> {
+        match space.write(env, self.host, t.clone()) {
+            Ok(id) => Some((t, id)),
+            Err(e) => {
+                t.fail(format!("space write failed: {e}"));
+                None
             }
         }
-        None
+    }
+
+    /// Poll the space until every offered task comes back exerted or the
+    /// coordinator's patience runs out; a task no provider took fails.
+    fn await_results(
+        &self,
+        env: &mut Env,
+        space: SpaceHandle,
+        mut waiting: Vec<(&mut Task, EntryId)>,
+    ) {
+        let deadline = env.now() + MAX_WAIT;
+        while !waiting.is_empty() && env.now() < deadline {
+            env.run_for(POLL);
+            waiting.retain_mut(|(t, id)| match space.take_result(env, self.host, *id) {
+                Ok(Some(done)) => {
+                    **t = done;
+                    false
+                }
+                _ => true,
+            });
+        }
+        for (t, _) in waiting {
+            t.fail("no provider took the task from the space in time");
+        }
     }
 }
 
-/// Push-mode rendezvous peer: receives jobs and coordinates their
-/// execution by binding and invoking providers directly.
-pub struct Jobber {
+/// What a jobber and a spacer are made of: a named rendezvous peer that
+/// coordinates the jobs sent to it, through `space` if it has one.
+struct Peer {
     name: String,
     host: HostId,
     accessor: ServiceAccessor,
-    /// Retry budget applied to each provider dispatch. Defaults to
-    /// [`RetryPolicy::none`] (fail-fast, the historical behaviour).
-    pub retry: RetryPolicy,
-    jobs_coordinated: u64,
-    tasks_dispatched: Cell<u64>,
+    space: Option<SpaceHandle>,
 }
 
-impl Jobber {
-    pub fn new(name: impl Into<String>, host: HostId, accessor: ServiceAccessor) -> Jobber {
-        Jobber {
-            name: name.into(),
-            host,
-            accessor,
-            retry: RetryPolicy::none(),
-            jobs_coordinated: 0,
-            tasks_dispatched: Cell::new(0),
-        }
-    }
-
-    /// Deploy a jobber and register it (interface `Jobber`) with the LUSes
-    /// known to its accessor.
-    pub fn deploy(
+impl Peer {
+    /// Deploy the peer as `wrap` makes it and register it under
+    /// `interface` and `service_type` with the LUSes its accessor knows.
+    fn deploy<S: Servicer>(
+        self,
         env: &mut Env,
-        host: HostId,
-        name: &str,
-        accessor: ServiceAccessor,
-    ) -> sensorcer_sim::env::ServiceId {
-        let lus_list = accessor.lus_handles().to_vec();
-        let service = env.deploy(
-            host,
-            name,
-            ServicerBox::new(Jobber::new(name, host, accessor)),
-        );
+        interface: &str,
+        service_type: &str,
+        wrap: fn(Peer) -> S,
+    ) -> ServiceId {
+        let (host, name) = (self.host, self.name.clone());
+        let lus_list = self.accessor.lus_handles().to_vec();
+        let service = env.deploy(host, &name, ServicerBox::new(wrap(self)));
         for lus in lus_list {
             let item = ServiceItem::new(
-                sensorcer_registry::ids::SvcUuid::NIL,
+                SvcUuid::NIL,
                 host,
                 service,
-                vec![interfaces::JOBBER.into(), interfaces::SERVICER.into()],
+                vec![interface.into(), interfaces::SERVICER.into()],
                 vec![
-                    sensorcer_registry::attributes::Entry::Name(name.to_string()),
-                    sensorcer_registry::attributes::Entry::ServiceType("JOBBER".into()),
+                    Entry::Name(name.clone()),
+                    Entry::ServiceType(service_type.into()),
                 ],
             );
             let _ = lus.register(env, host, item, None);
@@ -365,77 +308,48 @@ impl Jobber {
         service
     }
 
-    pub fn jobs_coordinated(&self) -> u64 {
-        self.jobs_coordinated
-    }
-
-    pub fn tasks_dispatched(&self) -> u64 {
-        self.tasks_dispatched.get()
-    }
-
-    fn coordinator(&self) -> Coordinator<'_> {
-        Coordinator {
+    fn service(&self, env: &mut Env, exertion: &mut Exertion) {
+        let coordinator = Coordinator {
             host: self.host,
             accessor: &self.accessor,
+            space: self.space,
+        };
+        coordinator.run_exertion(env, exertion);
+    }
+}
+
+/// Push-mode rendezvous peer: receives jobs and coordinates their
+/// execution by binding and invoking providers directly.
+pub struct Jobber(Peer);
+
+impl Jobber {
+    /// Deploy a jobber and register it (interface `Jobber`) with the LUSes
+    /// known to its accessor.
+    pub fn deploy(env: &mut Env, host: HostId, name: &str, accessor: ServiceAccessor) -> ServiceId {
+        let peer = Peer {
+            name: name.into(),
+            host,
+            accessor,
             space: None,
-            poll: SimDuration::from_millis(50),
-            max_wait: SimDuration::from_secs(30),
-            retry: self.retry,
-            tasks_dispatched: &self.tasks_dispatched,
-        }
+        };
+        peer.deploy(env, interfaces::JOBBER, "JOBBER", Jobber)
     }
 }
 
 impl Servicer for Jobber {
     fn provider_name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>) {
-        if let Exertion::Job(_) = exertion {
-            self.jobs_coordinated += 1;
-        }
-        self.coordinator().run_exertion(env, exertion, txn);
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
+        self.0.service(env, exertion);
     }
 }
 
 /// Pull-mode rendezvous peer: coordinates jobs through the exertion space.
-pub struct Spacer {
-    name: String,
-    host: HostId,
-    accessor: ServiceAccessor,
-    space: SpaceHandle,
-    /// How often the spacer polls the space for results.
-    pub poll: SimDuration,
-    /// How long the spacer waits before failing un-taken tasks.
-    pub max_wait: SimDuration,
-    /// Retry budget applied to direct provider dispatches (child jobs
-    /// coordinated inline). Defaults to fail-fast.
-    pub retry: RetryPolicy,
-    jobs_coordinated: u64,
-    tasks_dispatched: Cell<u64>,
-}
+pub struct Spacer(Peer);
 
 impl Spacer {
-    pub fn new(
-        name: impl Into<String>,
-        host: HostId,
-        accessor: ServiceAccessor,
-        space: SpaceHandle,
-    ) -> Spacer {
-        Spacer {
-            name: name.into(),
-            host,
-            accessor,
-            space,
-            poll: SimDuration::from_millis(50),
-            max_wait: SimDuration::from_secs(30),
-            retry: RetryPolicy::none(),
-            jobs_coordinated: 0,
-            tasks_dispatched: Cell::new(0),
-        }
-    }
-
     /// Deploy a spacer and register it (interface `Spacer`).
     pub fn deploy(
         env: &mut Env,
@@ -443,87 +357,40 @@ impl Spacer {
         name: &str,
         accessor: ServiceAccessor,
         space: SpaceHandle,
-    ) -> sensorcer_sim::env::ServiceId {
-        let lus_list = accessor.lus_handles().to_vec();
-        let service = env.deploy(
+    ) -> ServiceId {
+        let peer = Peer {
+            name: name.into(),
             host,
-            name,
-            ServicerBox::new(Spacer::new(name, host, accessor, space)),
-        );
-        for lus in lus_list {
-            let item = ServiceItem::new(
-                sensorcer_registry::ids::SvcUuid::NIL,
-                host,
-                service,
-                vec![interfaces::SPACER.into(), interfaces::SERVICER.into()],
-                vec![
-                    sensorcer_registry::attributes::Entry::Name(name.to_string()),
-                    sensorcer_registry::attributes::Entry::ServiceType("SPACER".into()),
-                ],
-            );
-            let _ = lus.register(env, host, item, None);
-        }
-        service
-    }
-
-    pub fn jobs_coordinated(&self) -> u64 {
-        self.jobs_coordinated
-    }
-
-    pub fn tasks_dispatched(&self) -> u64 {
-        self.tasks_dispatched.get()
+            accessor,
+            space: Some(space),
+        };
+        peer.deploy(env, interfaces::SPACER, "SPACER", Spacer)
     }
 }
 
 impl Servicer for Spacer {
     fn provider_name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>) {
-        if let Exertion::Job(_) = exertion {
-            self.jobs_coordinated += 1;
-        }
-        let coordinator = Coordinator {
-            host: self.host,
-            accessor: &self.accessor,
-            space: Some(self.space),
-            poll: self.poll,
-            max_wait: self.max_wait,
-            retry: self.retry,
-            tasks_dispatched: &self.tasks_dispatched,
-        };
-        coordinator.run_exertion(env, exertion, txn);
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
+        self.0.service(env, exertion);
     }
 }
 
 /// Submit an exertion onto the network: the `Exertion.exert(Transaction)`
-/// operation of §IV.D. The federation forms dynamically: bare tasks bind
-/// directly; push jobs go to a discovered jobber; pull jobs to a spacer.
+/// operation of §IV.D, with no transaction (none is ever carried). The
+/// federation forms dynamically: bare tasks bind directly; push jobs go to
+/// a discovered jobber; pull jobs to a spacer.
+///
+/// When the flight recorder is on, each submission opens an `exert` root
+/// span (unless a span is already open, in which case it nests), so the
+/// whole federation formed for this exertion shares one trace.
 pub fn exert(
     env: &mut Env,
     from: HostId,
     exertion: Exertion,
     accessor: &ServiceAccessor,
-    txn: Option<TxnId>,
-) -> Exertion {
-    exert_with_retry(env, from, exertion, accessor, txn, &RetryPolicy::none())
-}
-
-/// [`exert`] under a retry budget: every network dispatch — the hop to the
-/// rendezvous peer and each bare-task provider invocation — retries
-/// transient errors within `retry`'s bounds.
-///
-/// When the flight recorder is on, each submission opens an `exert` root
-/// span (unless a span is already open, in which case it nests), so the
-/// whole federation formed for this exertion shares one trace.
-pub fn exert_with_retry(
-    env: &mut Env,
-    from: HostId,
-    exertion: Exertion,
-    accessor: &ServiceAccessor,
-    txn: Option<TxnId>,
-    retry: &RetryPolicy,
 ) -> Exertion {
     let span = if env.tracing_enabled() {
         let s = env.span_start("exert", exertion.name(), from);
@@ -539,7 +406,7 @@ pub fn exert_with_retry(
     } else {
         sensorcer_sim::trace::SpanId::INVALID
     };
-    let done = exert_inner(env, from, exertion, accessor, txn, retry);
+    let done = exert_inner(env, from, exertion, accessor);
     if span.is_valid() {
         let outcome = match done.status() {
             ExertionStatus::Failed(msg) => {
@@ -557,53 +424,45 @@ pub fn exert_with_retry(
 fn exert_inner(
     env: &mut Env,
     from: HostId,
-    exertion: Exertion,
+    mut exertion: Exertion,
     accessor: &ServiceAccessor,
-    txn: Option<TxnId>,
-    retry: &RetryPolicy,
 ) -> Exertion {
-    match &exertion {
+    let rendezvous_iface = match &exertion {
         Exertion::Task(_) => {
             // Elementary request: bind and invoke directly.
-            let counter = Cell::new(0);
             let coordinator = Coordinator {
                 host: from,
                 accessor,
                 space: None,
-                poll: SimDuration::from_millis(50),
-                max_wait: SimDuration::from_secs(30),
-                retry: *retry,
-                tasks_dispatched: &counter,
             };
-            let mut ex = exertion;
-            coordinator.run_exertion(env, &mut ex, txn);
-            ex
+            coordinator.run_exertion(env, &mut exertion);
+            return exertion;
         }
-        Exertion::Job(job) => {
-            let rendezvous_iface = match job.strategy.access {
-                Access::Push => interfaces::JOBBER,
-                Access::Pull => interfaces::SPACER,
-            };
-            let Some(peer) = accessor.bind(env, from, rendezvous_iface, None) else {
-                let mut ex = exertion;
-                if let Exertion::Job(j) = &mut ex {
-                    j.status = ExertionStatus::Failed(format!(
-                        "no rendezvous peer ({rendezvous_iface}) available"
-                    ));
-                }
-                return ex;
-            };
-            match exert_on_retry(env, from, peer.service, exertion, txn, retry) {
-                Ok(done) => done,
+        Exertion::Job(job) => match job.strategy.access {
+            Access::Push => interfaces::JOBBER,
+            Access::Pull => interfaces::SPACER,
+        },
+    };
+    let failure = match accessor.bind(env, from, rendezvous_iface, None) {
+        None => format!("no rendezvous peer ({rendezvous_iface}) available"),
+        Some(peer) => {
+            let sent = exertion.clone();
+            match exert_in_place(env, from, peer.service, &mut exertion) {
+                Ok(()) => return exertion,
                 Err(e) => {
-                    // The rendezvous peer vanished mid-exertion.
-                    let mut job = Job::new("lost", Default::default());
-                    job.status = ExertionStatus::Failed(format!("rendezvous unreachable: {e}"));
-                    Exertion::Job(job)
+                    // The rendezvous peer vanished mid-exertion: the job
+                    // comes back as it was sent, whatever the peer did to
+                    // it before its reply was lost.
+                    exertion = sent;
+                    format!("rendezvous unreachable: {e}")
                 }
             }
         }
+    };
+    if let Exertion::Job(job) = &mut exertion {
+        job.status = ExertionStatus::Failed(failure);
     }
+    exertion
 }
 
 #[cfg(test)]
@@ -684,7 +543,6 @@ mod tests {
             w.client,
             scale_task("t", None, 21.0).into(),
             &w.accessor,
-            None,
         );
         assert!(done.status().is_done(), "{:?}", done.status());
         assert_eq!(done.context().get_f64(paths::RESULT), Some(42.0));
@@ -700,7 +558,6 @@ mod tests {
             w.client,
             scale_task("t", Some("Tripler"), 10.0).into(),
             &w.accessor,
-            None,
         );
         assert_eq!(done.context().get_f64(paths::RESULT), Some(30.0));
         // Unknown provider name fails the bind.
@@ -709,7 +566,6 @@ mod tests {
             w.client,
             scale_task("t", Some("Quadrupler"), 10.0).into(),
             &w.accessor,
-            None,
         );
         assert!(done.status().is_failed());
     }
@@ -725,7 +581,7 @@ mod tests {
         let job = Job::new("both", ControlStrategy::parallel())
             .with(scale_task("double", Some("Doubler"), 10.0))
             .with(scale_task("triple", Some("Tripler"), 10.0));
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         assert!(done.status().is_done(), "{:?}", done.status());
         assert_eq!(done.context().get_f64("double/result/value"), Some(20.0));
         assert_eq!(done.context().get_f64("triple/result/value"), Some(30.0));
@@ -743,7 +599,7 @@ mod tests {
         let job = Job::new("chain", ControlStrategy::sequence())
             .with(scale_task("first", None, 5.0))
             .with(stage2);
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         assert!(done.status().is_done(), "{:?}", done.status());
         assert_eq!(
             done.context().get_f64("again/result/value"),
@@ -765,7 +621,7 @@ mod tests {
         let outer = Job::new("outer", ControlStrategy::sequence())
             .with(inner)
             .with(scale_task("c", None, 3.0));
-        let done = exert(&mut w.env, w.client, outer.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, outer.into(), &w.accessor);
         assert!(done.status().is_done(), "{:?}", done.status());
         assert_eq!(done.context().get_f64("inner/a/result/value"), Some(2.0));
         assert_eq!(done.context().get_f64("inner/b/result/value"), Some(4.0));
@@ -795,22 +651,10 @@ mod tests {
             Exertion::Job(job)
         };
         let t0 = w.env.now();
-        let seq = exert(
-            &mut w.env,
-            w.client,
-            make_job(Flow::Sequence),
-            &w.accessor,
-            None,
-        );
+        let seq = exert(&mut w.env, w.client, make_job(Flow::Sequence), &w.accessor);
         let seq_time = w.env.now() - t0;
         let t1 = w.env.now();
-        let par = exert(
-            &mut w.env,
-            w.client,
-            make_job(Flow::Parallel),
-            &w.accessor,
-            None,
-        );
+        let par = exert(&mut w.env, w.client, make_job(Flow::Parallel), &w.accessor);
         let par_time = w.env.now() - t1;
         assert!(seq.status().is_done() && par.status().is_done());
         assert!(
@@ -833,7 +677,7 @@ mod tests {
         let job = Job::new("pulled", ControlStrategy::parallel().pull())
             .with(scale_task("a", None, 4.0))
             .with(scale_task("b", None, 5.0));
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         assert!(done.status().is_done(), "{:?}", done.status());
         assert_eq!(done.context().get_f64("a/result/value"), Some(8.0));
         assert_eq!(done.context().get_f64("b/result/value"), Some(10.0));
@@ -855,7 +699,7 @@ mod tests {
         let job = Job::new("chain", ControlStrategy::sequence().pull())
             .with(scale_task("first", None, 5.0))
             .with(stage2);
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         assert!(done.status().is_done(), "{:?}", done.status());
         assert_eq!(
             done.context().get_f64("again/result/value"),
@@ -869,17 +713,97 @@ mod tests {
         let mut w = setup();
         let sh = w.env.add_host("space-host", HostKind::Server);
         let space = ExertionSpace::deploy(&mut w.env, sh, "space");
-        let spacer_svc = Spacer::deploy(&mut w.env, sh, "Spacer", w.accessor.clone(), space);
-        // Shorten the wait so the test is snappy.
-        w.env
-            .with_service(spacer_svc, |_e, sb: &mut ServicerBox| {
-                sb.downcast_mut::<Spacer>().unwrap().max_wait = SimDuration::from_secs(1);
-            })
-            .unwrap();
+        Spacer::deploy(&mut w.env, sh, "Spacer", w.accessor.clone(), space);
         let job = Job::new("stranded", ControlStrategy::parallel().pull())
             .with(scale_task("a", None, 1.0));
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         assert!(done.status().is_failed());
+    }
+
+    #[test]
+    fn an_unreachable_rendezvous_returns_the_job_that_was_sent() {
+        let mut w = setup();
+        deploy_math(&mut w, "Doubler", 2.0);
+        let jh = w.env.add_host("jobber", HostKind::Server);
+        Jobber::deploy(&mut w.env, jh, "Jobber", w.accessor.clone());
+        w.env.crash_host(jh);
+        let job = Job::new("survey", ControlStrategy::parallel()).with(scale_task("a", None, 1.0));
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
+        assert_eq!(done.name(), "survey");
+        assert_eq!(done.task_count(), 1);
+        match done.status() {
+            ExertionStatus::Failed(msg) => {
+                assert!(msg.starts_with("rendezvous unreachable: "), "{msg}")
+            }
+            other => panic!("expected failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_pull_job_at_a_jobber_keeps_its_reason() {
+        let mut w = setup();
+        deploy_math(&mut w, "Doubler", 2.0);
+        let jh = w.env.add_host("jobber", HostKind::Server);
+        Jobber::deploy(&mut w.env, jh, "Jobber", w.accessor.clone());
+        let pulled =
+            Job::new("pulled", ControlStrategy::parallel().pull()).with(scale_task("a", None, 1.0));
+        let outer = Job::new("outer", ControlStrategy::sequence()).with(pulled);
+        let Exertion::Job(done) = exert(&mut w.env, w.client, outer.into(), &w.accessor) else {
+            panic!("a job comes back as a job");
+        };
+        assert_eq!(
+            done.status,
+            ExertionStatus::Failed("children failed: pulled".into())
+        );
+        assert_eq!(
+            *done.exertions[0].status(),
+            ExertionStatus::Failed(
+                "pull-mode job reached a coordinator without an exertion space".into()
+            )
+        );
+    }
+
+    #[test]
+    fn a_failed_stage_stops_the_sequence_pushed_and_pulled() {
+        let mut w = setup();
+        deploy_math(&mut w, "Doubler", 2.0);
+        let jh = w.env.add_host("jobber", HostKind::Server);
+        Jobber::deploy(&mut w.env, jh, "Jobber", w.accessor.clone());
+        let sh = w.env.add_host("space-host", HostKind::Server);
+        let space = ExertionSpace::deploy(&mut w.env, sh, "space");
+        Spacer::deploy(&mut w.env, sh, "Spacer", w.accessor.clone(), space);
+        let provider = w.env.find_service("Doubler").unwrap();
+        attach_worker(&mut w.env, provider, space, SimDuration::from_millis(20));
+
+        let mut stages = Vec::new();
+        for strategy in [
+            ControlStrategy::sequence(),
+            ControlStrategy::sequence().pull(),
+        ] {
+            let broken = Task::new("broken", Signature::new("Math", "explode"), Context::new());
+            let job = Job::new("chain", strategy)
+                .with(scale_task("first", None, 5.0))
+                .with(broken)
+                .with(scale_task("last", None, 1.0));
+            let Exertion::Job(done) = exert(&mut w.env, w.client, job.into(), &w.accessor) else {
+                panic!("a job comes back as a job");
+            };
+            let seen: Vec<_> = done
+                .exertions
+                .iter()
+                .map(|e| (e.status().clone(), e.context().get_f64(paths::RESULT)))
+                .collect();
+            stages.push((done.status, seen));
+        }
+        let (status, seen) = &stages[0];
+        assert_eq!(
+            *status,
+            ExertionStatus::Failed("children failed: broken, last".into())
+        );
+        assert_eq!(seen[0], (ExertionStatus::Done, Some(10.0)));
+        assert!(seen[1].0.is_failed(), "{:?}", seen[1]);
+        assert_eq!(seen[2], (ExertionStatus::Initial, None), "never ran");
+        assert_eq!(stages[0], stages[1], "push and pull agree stage by stage");
     }
 
     #[test]
@@ -888,7 +812,7 @@ mod tests {
         deploy_math(&mut w, "Doubler", 2.0);
         let job =
             Job::new("nojobber", ControlStrategy::parallel()).with(scale_task("a", None, 1.0));
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         match done.status() {
             ExertionStatus::Failed(msg) => assert!(msg.contains("rendezvous"), "{msg}"),
             other => panic!("expected failure, got {other:?}"),
@@ -905,7 +829,7 @@ mod tests {
         let job = Job::new("mixed", ControlStrategy::parallel())
             .with(scale_task("ok", None, 1.0))
             .with(scale_task("bad", Some("NoSuchProvider"), 1.0));
-        let done = exert(&mut w.env, w.client, job.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, job.into(), &w.accessor);
         assert!(done.status().is_failed());
         assert_eq!(done.context().get_f64("ok/result/value"), Some(2.0));
         match done.status() {

@@ -4,8 +4,10 @@
 //! programming. Service requests are *exertions* — tasks (elementary) and
 //! jobs (hierarchical composites) carrying their data ([`Context`]),
 //! operations ([`Signature`]) and [`ControlStrategy`]. Every provider
-//! implements the `Servicer` peer interface (`service(Exertion, Txn)`),
-//! operations are only reachable indirectly through exertions, and
+//! implements the `Servicer` peer interface (the paper's
+//! `service(Exertion, Transaction)`, here without the transaction: no
+//! exertion carries one, and the Jini transaction manager is driven
+//! directly), operations are only reachable indirectly through exertions, and
 //! [`exert`] submits a request "onto the network" — binding providers via
 //! lookup, coordinating push jobs through a [`Jobber`] and pull jobs
 //! through a [`Spacer`] over the tuple-space [`ExertionSpace`].
@@ -36,7 +38,7 @@
 //! let accessor = ServiceAccessor::new(vec![lus]);
 //! let task = Task::new("t", Signature::new("Math", "double"),
 //!     Context::new().with("arg/x", 21.0));
-//! let done = exert(&mut env, lab, task.into(), &accessor, None);
+//! let done = exert(&mut env, lab, task.into(), &accessor);
 //! assert!(done.status().is_done());
 //! assert_eq!(done.context().get_f64("result/value"), Some(42.0));
 //! ```
@@ -59,10 +61,8 @@ pub mod prelude {
     pub use crate::exertion::{
         Access, ControlStrategy, Exertion, ExertionStatus, Flow, Job, Signature, Task,
     };
-    pub use crate::fmi::{exert, exert_with_retry, Jobber, ServiceAccessor, Spacer};
-    pub use crate::retry::{
-        exert_in_place_rearmed, exert_in_place_retry, exert_on_retry, RetryPolicy,
-    };
+    pub use crate::fmi::{exert, Jobber, ServiceAccessor, Spacer};
+    pub use crate::retry::{exert_in_place_rearmed, RetryPolicy};
     pub use crate::servicer::{
         exert_in_place, exert_on, exerted_by, Servicer, ServicerBox, Tasker,
     };

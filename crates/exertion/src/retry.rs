@@ -7,12 +7,11 @@
 //! (waited against *sim* time, so lease renewals, monitors and scheduled
 //! heals run during the wait), all within a `deadline` of virtual time.
 //!
-//! [`exert_in_place_rearmed`] wraps
-//! [`exert_in_place`] without changing
-//! it: the raw hop stays a single network hop, so callers that want
-//! fail-fast semantics (and every existing test) keep them bit-for-bit.
+//! [`exert_in_place_rearmed`] is the one retry loop; it wraps
+//! [`exert_in_place`] without changing it, so the raw hop stays a single
+//! network hop. Its one production caller is the composite's child hop:
+//! jobs, bare tasks and the rendezvous hop are fail-fast.
 
-use sensorcer_registry::txn::TxnId;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::{HostId, NetError};
@@ -92,20 +91,17 @@ impl Default for RetryPolicy {
 ///
 /// A failed attempt may have reached the provider (a lost response comes
 /// after it ran), so before every repeated attempt `rearm` must put the
-/// lent exertion back to the request the first attempt sent. A caller that
-/// can rebuild its request in place passes that; one that cannot uses
-/// [`exert_in_place_retry`].
+/// lent exertion back to the request the first attempt sent.
 pub fn exert_in_place_rearmed(
     env: &mut Env,
     from: HostId,
     provider: ServiceId,
     exertion: &mut Exertion,
-    txn: Option<TxnId>,
     policy: &RetryPolicy,
     mut rearm: impl FnMut(&mut Exertion),
 ) -> Result<(), NetError> {
     if policy.is_none() {
-        return exert_in_place(env, from, provider, exertion, txn);
+        return exert_in_place(env, from, provider, exertion);
     }
     let start = env.now();
     // Retry traffic is attributed to the provider under pressure: its host
@@ -116,7 +112,7 @@ pub fn exert_in_place_rearmed(
     let mut target: Option<(HostId, String)> = None;
     let mut attempt: u32 = 0;
     loop {
-        match exert_in_place(env, from, provider, exertion, txn) {
+        match exert_in_place(env, from, provider, exertion) {
             Ok(()) => {
                 if let Some((provider_host, label)) = &target {
                     env.metrics.add_host(*provider_host, keys::RETRY_SUCCESS, 1);
@@ -206,39 +202,6 @@ pub fn exert_in_place_rearmed(
     }
 }
 
-/// [`exert_in_place_rearmed`] for a request the caller cannot rebuild: a
-/// copy made before the first attempt (none under a single-try budget) is
-/// what a repeated attempt sends again.
-pub fn exert_in_place_retry(
-    env: &mut Env,
-    from: HostId,
-    provider: ServiceId,
-    exertion: &mut Exertion,
-    txn: Option<TxnId>,
-    policy: &RetryPolicy,
-) -> Result<(), NetError> {
-    let pristine = (!policy.is_none()).then(|| exertion.clone());
-    exert_in_place_rearmed(env, from, provider, exertion, txn, policy, |sent| {
-        if let Some(request) = &pristine {
-            sent.clone_from(request);
-        }
-    })
-}
-
-/// [`exert_in_place_retry`] for a caller that owns the request and wants
-/// the reply by value.
-pub fn exert_on_retry(
-    env: &mut Env,
-    from: HostId,
-    provider: ServiceId,
-    mut exertion: Exertion,
-    txn: Option<TxnId>,
-    policy: &RetryPolicy,
-) -> Result<Exertion, NetError> {
-    exert_in_place_retry(env, from, provider, &mut exertion, txn, policy)?;
-    Ok(exertion)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,6 +233,18 @@ mod tests {
         .into()
     }
 
+    /// Lend a fresh `add` task under `policy`, re-armed by rebuilding it.
+    fn add_under(
+        env: &mut Env,
+        client: HostId,
+        svc: ServiceId,
+        policy: &RetryPolicy,
+    ) -> Result<Exertion, NetError> {
+        let mut sent = add_task();
+        exert_in_place_rearmed(env, client, svc, &mut sent, policy, |r| *r = add_task())?;
+        Ok(sent)
+    }
+
     #[test]
     fn retry_rides_out_a_scheduled_heal() {
         let (mut env, host, client, svc) = adder_world();
@@ -277,15 +252,8 @@ mod tests {
         env.schedule(SimDuration::from_millis(150), move |env| {
             env.topo.heal(client, host);
         });
-        let done = exert_on_retry(
-            &mut env,
-            client,
-            svc,
-            add_task(),
-            None,
-            &RetryPolicy::transient(),
-        )
-        .expect("read survives the partition window");
+        let done = add_under(&mut env, client, svc, &RetryPolicy::transient())
+            .expect("read survives the partition window");
         assert!(done.status().is_done());
         assert_eq!(done.context().get_f64(paths::RESULT), Some(5.0));
         assert!(env.metrics.get(keys::RETRY_ATTEMPTS) >= 1);
@@ -296,15 +264,8 @@ mod tests {
     #[test]
     fn permanent_errors_fail_immediately_without_retries() {
         let (mut env, _host, client, _svc) = adder_world();
-        let err = exert_on_retry(
-            &mut env,
-            client,
-            ServiceId(999),
-            add_task(),
-            None,
-            &RetryPolicy::transient(),
-        )
-        .unwrap_err();
+        let err =
+            add_under(&mut env, client, ServiceId(999), &RetryPolicy::transient()).unwrap_err();
         assert_eq!(err, NetError::NoSuchService);
         assert_eq!(env.metrics.get(keys::RETRY_ATTEMPTS), 0);
         assert_eq!(env.metrics.get(keys::RETRY_EXHAUSTED), 0);
@@ -314,15 +275,7 @@ mod tests {
     fn budget_exhausts_against_a_permanent_partition() {
         let (mut env, host, client, svc) = adder_world();
         env.topo.partition(client, host);
-        let err = exert_on_retry(
-            &mut env,
-            client,
-            svc,
-            add_task(),
-            None,
-            &RetryPolicy::transient(),
-        )
-        .unwrap_err();
+        let err = add_under(&mut env, client, svc, &RetryPolicy::transient()).unwrap_err();
         assert_eq!(err, NetError::Partitioned);
         assert_eq!(
             env.metrics.get(keys::RETRY_ATTEMPTS),
@@ -339,15 +292,7 @@ mod tests {
         env.topo.partition(client, host);
         env.enable_tracing(64);
         let root = env.span_start("read", "test", client);
-        let err = exert_on_retry(
-            &mut env,
-            client,
-            svc,
-            add_task(),
-            None,
-            &RetryPolicy::transient(),
-        )
-        .unwrap_err();
+        let err = add_under(&mut env, client, svc, &RetryPolicy::transient()).unwrap_err();
         env.span_end(root, Outcome::Error);
         assert_eq!(err, NetError::Partitioned);
         // Global totals unchanged from the unattributed counters...
@@ -384,7 +329,7 @@ mod tests {
             backoff: SimDuration::from_millis(10),
             deadline: SimDuration::from_secs(1),
         };
-        let err = exert_on_retry(&mut env, client, svc, add_task(), None, &policy).unwrap_err();
+        let err = add_under(&mut env, client, svc, &policy).unwrap_err();
         assert_eq!(err, NetError::Partitioned);
         assert_eq!(
             env.metrics.get(keys::RETRY_ATTEMPTS),
@@ -410,7 +355,7 @@ mod tests {
             deadline: SimDuration::from_secs(3),
         };
         let t0 = env.now();
-        let err = exert_on_retry(&mut env, client, svc, add_task(), None, &policy).unwrap_err();
+        let err = add_under(&mut env, client, svc, &policy).unwrap_err();
         env.span_end(root, Outcome::Error);
         assert_eq!(err, NetError::DeadlineExhausted);
         assert_eq!(
@@ -433,15 +378,7 @@ mod tests {
         let (mut env, host, client, svc) = adder_world();
         env.topo.partition(client, host);
         let t0 = env.now();
-        let err = exert_on_retry(
-            &mut env,
-            client,
-            svc,
-            add_task(),
-            None,
-            &RetryPolicy::none(),
-        )
-        .unwrap_err();
+        let err = add_under(&mut env, client, svc, &RetryPolicy::none()).unwrap_err();
         assert_eq!(err, NetError::Partitioned);
         assert_eq!(
             env.now() - t0,

@@ -7,6 +7,10 @@
 //! signature names the operation. [`ServicerBox`] is the uniform deployed
 //! form every exertion-capable provider takes in the simulation;
 //! [`exert_in_place`] is the single network dispatch point.
+//!
+//! No exertion here carries a transaction, so `service` takes none: the
+//! Jini transaction manager (`sensorcer_registry::txn`) is driven directly
+//! through its `TmHandle`, never through an exertion.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -39,7 +43,7 @@ pub trait Servicer: AsAny + 'static {
     fn provider_name(&self) -> &str;
 
     /// Execute the exertion in place.
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>);
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion);
 }
 
 /// The uniform deployed wrapper for exertion-capable providers.
@@ -59,8 +63,8 @@ impl ServicerBox {
     }
 
     /// Invoke the peer's `service` operation.
-    pub fn service(&mut self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>) {
-        self.inner.service(env, exertion, txn);
+    pub fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
+        self.inner.service(env, exertion);
     }
 
     /// Recover the concrete provider type.
@@ -95,7 +99,6 @@ pub fn exert_in_place(
     from: HostId,
     provider: ServiceId,
     exertion: &mut Exertion,
-    txn: Option<TxnId>,
 ) -> Result<(), NetError> {
     let req = exertion.wire_size();
     let span = env.span_start_for("fmi.dispatch", provider, from);
@@ -109,7 +112,7 @@ pub fn exert_in_place(
         ProtocolStack::Tcp,
         req,
         |env, sb: &mut ServicerBox| {
-            sb.service(env, exertion, txn);
+            sb.service(env, exertion);
             ((), exertion.wire_size())
         },
     );
@@ -135,16 +138,18 @@ pub fn exert_in_place(
 }
 
 /// [`exert_in_place`] for a caller that owns the request and wants the
-/// reply by value.
+/// reply by value. `_txn` is unused (no exertion carries a transaction);
+/// it stays only because the benchmark's `exertion.fmi.exert_ns` probe
+/// passes `None`.
 #[inline]
 pub fn exert_on(
     env: &mut Env,
     from: HostId,
     provider: ServiceId,
     mut exertion: Exertion,
-    txn: Option<TxnId>,
+    _txn: Option<TxnId>,
 ) -> Result<Exertion, NetError> {
-    exert_in_place(env, from, provider, &mut exertion, txn)?;
+    exert_in_place(env, from, provider, &mut exertion)?;
     Ok(exertion)
 }
 
@@ -199,7 +204,7 @@ impl Tasker {
         self.tasks_served
     }
 
-    fn run_task(&mut self, env: &mut Env, task: &mut Task, _txn: Option<TxnId>) {
+    fn run_task(&mut self, env: &mut Env, task: &mut Task) {
         if *task.signature.interface != *self.interface {
             task.fail(format!(
                 "provider '{}' implements {}, not {}",
@@ -230,9 +235,9 @@ impl Servicer for Tasker {
         &self.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, txn: Option<TxnId>) {
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
         match exertion {
-            Exertion::Task(task) => self.run_task(env, task, txn),
+            Exertion::Task(task) => self.run_task(env, task),
             Exertion::Job(job) => {
                 // Taskers execute elementary requests only; jobs belong to
                 // rendezvous peers.
@@ -364,7 +369,7 @@ mod tests {
             fn provider_name(&self) -> &str {
                 "o"
             }
-            fn service(&mut self, _e: &mut Env, _x: &mut Exertion, _t: Option<TxnId>) {}
+            fn service(&mut self, _e: &mut Env, _x: &mut Exertion) {}
         }
         assert!(sb.downcast_mut::<Other>().is_none());
     }

@@ -101,7 +101,8 @@ impl From<&str> for InterfaceId {
 pub mod interfaces {
     /// The common sensor-value interface implemented by every ESP and CSP.
     pub const SENSOR_DATA_ACCESSOR: &str = "SensorDataAccessor";
-    /// The top-level SORCER peer interface (`service(Exertion, Txn)`).
+    /// The top-level SORCER peer interface (the paper's
+    /// `service(Exertion, Transaction)`; here no exertion carries one).
     pub const SERVICER: &str = "Servicer";
     /// Composite-management operations (add/remove child, set expression).
     pub const COMPOSITE_MANAGEMENT: &str = "CompositeManagement";

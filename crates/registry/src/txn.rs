@@ -5,6 +5,8 @@
 //! passes a transaction through `service(Exertion, Transaction)` (§IV.D).
 //! The reproduction implements the classic 2PC protocol over the
 //! simulated network: prepare-vote, then commit or roll back everywhere.
+//! No exertion carries a transaction here: participants and callers drive
+//! the manager directly through its [`TmHandle`].
 
 use std::collections::BTreeMap;
 

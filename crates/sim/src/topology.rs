@@ -132,8 +132,9 @@ pub enum NetError {
     Busy,
     /// A retry budget refused to launch another attempt: the remaining
     /// deadline was smaller than the backoff the next attempt would have
-    /// to wait, so sleeping would only overshoot. Returned eagerly by
-    /// `exert_on_retry`-style wrappers instead of a late `Timeout`.
+    /// to wait, so sleeping would only overshoot. Returned eagerly by the
+    /// exertion retry loop (`exert_in_place_rearmed`) instead of a late
+    /// `Timeout`.
     DeadlineExhausted,
 }
 

@@ -93,12 +93,6 @@ impl ProtocolStack {
             _ => 0,
         }
     }
-
-    /// Header overhead ratio for a one-way payload: wasted bytes over total.
-    pub fn overhead_ratio(self, payload: usize) -> f64 {
-        let total = self.bytes_on_wire(payload) + self.setup_bytes();
-        (total - payload) as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -136,18 +130,6 @@ mod tests {
         assert_eq!(stack.mtu(), 127 - 18);
         assert_eq!(stack.packets_for(stack.mtu()), 1);
         assert_eq!(stack.packets_for(stack.mtu() + 1), 2);
-    }
-
-    #[test]
-    fn small_payload_overhead_ordering() {
-        // For an 8-byte reading the paper's complaint holds: TCP worst,
-        // then UDP, and the compact stack best.
-        let tcp = ProtocolStack::Tcp.overhead_ratio(8);
-        let udp = ProtocolStack::Udp.overhead_ratio(8);
-        let compact = ProtocolStack::Compact.overhead_ratio(8);
-        assert!(tcp > udp, "tcp {tcp} udp {udp}");
-        assert!(udp > compact, "udp {udp} compact {compact}");
-        assert!(tcp > 0.9, "tiny readings over TCP are >90% overhead: {tcp}");
     }
 
     #[test]

@@ -28,25 +28,6 @@ fn bytes_on_wire_exceeds_payload() {
     });
 }
 
-#[test]
-fn overhead_ratio_decreases_with_payload() {
-    run_cases("overhead_ratio_decreases_with_payload", 256, |g| {
-        let a = g.usize_in(1, 1000);
-        let b = g.usize_in(1, 1000);
-        let (small, large) = if a <= b { (a, b) } else { (b, a) };
-        if small == large {
-            return;
-        }
-        // Within a single packet, more payload means proportionally less
-        // header overhead.
-        let stack = ProtocolStack::Udp;
-        if large > stack.mtu() {
-            return;
-        }
-        assert!(stack.overhead_ratio(large) <= stack.overhead_ratio(small));
-    });
-}
-
 /// Timers always fire in deadline order regardless of insertion order.
 #[test]
 fn timers_fire_sorted() {

@@ -77,7 +77,7 @@ fn main() {
         .with(survey);
 
     println!("submitting exertion '{}' onto the network...", program.name);
-    let done = exert(&mut env, d.workstation, program.into(), &d.accessor, None);
+    let done = exert(&mut env, d.workstation, program.into(), &d.accessor);
     println!("status: {:?}\n", done.status());
 
     // All results live in the returned exertion's service contexts.
@@ -114,7 +114,7 @@ fn main() {
             Signature::new("UnitConversion", "toFahrenheit"),
             Context::new().with("arg/celsius", 100.0),
         ));
-    let done = exert(&mut env, d.workstation, pulled.into(), &d.accessor, None);
+    let done = exert(&mut env, d.workstation, pulled.into(), &d.accessor);
     println!(
         "\npull-mode via the exertion space: 0°C = {}°F, 100°C = {}°F ({:?})",
         done.context().get_f64("t0/result/value").unwrap(),

@@ -31,7 +31,7 @@ fn parallel_job_reads_all_sensors_through_the_jobber() {
         .with(read_task("jade", "Jade-Sensor"))
         .with(read_task("coral", "Coral-Sensor"))
         .with(read_task("diamond", "Diamond-Sensor"));
-    let done = exert(&mut env, d.workstation, job.into(), &d.accessor, None);
+    let done = exert(&mut env, d.workstation, job.into(), &d.accessor);
     assert!(done.status().is_done(), "{:?}", done.status());
     // "All results of the execution can be found in the returned
     // exertion's service contexts."
@@ -53,7 +53,7 @@ fn hierarchical_job_mirrors_composite_structure() {
     let outer = Job::new("network", ControlStrategy::sequence())
         .with(subnet)
         .with(read_task("coral", "Coral-Sensor"));
-    let done = exert(&mut env, d.workstation, outer.into(), &d.accessor, None);
+    let done = exert(&mut env, d.workstation, outer.into(), &d.accessor);
     assert!(done.status().is_done(), "{:?}", done.status());
     assert!(done.context().get_f64("subnet/neem/sensor/value").is_some());
     assert!(done.context().get_f64("coral/sensor/value").is_some());
@@ -80,7 +80,7 @@ fn pull_mode_federation_over_the_exertion_space() {
         Signature::new("UnitConversion", "toFahrenheit"),
         Context::new().with("arg/celsius", 21.5),
     ));
-    let done = exert(&mut env, d.workstation, job.into(), &d.accessor, None);
+    let done = exert(&mut env, d.workstation, job.into(), &d.accessor);
     assert!(done.status().is_done(), "{:?}", done.status());
     let f = done.context().get_f64("f/result/value").unwrap();
     assert!((f - 70.7).abs() < 1e-9);
@@ -179,7 +179,6 @@ fn exertion_trace_records_the_federation() {
         d.workstation,
         read_task("t", "Neem-Sensor").into(),
         &d.accessor,
-        None,
     );
     match done {
         Exertion::Task(t) => {

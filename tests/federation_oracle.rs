@@ -717,7 +717,7 @@ fn federation(name: &str) {
             Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE).on("Root"),
             Context::new(),
         );
-        let done = exert(&mut w.env, w.client, task.into(), &w.accessor, None);
+        let done = exert(&mut w.env, w.client, task.into(), &w.accessor);
         assert_eq!(done.name(), "read Root");
         assert!(
             matches!(done.status(), ExertionStatus::Failed(_)),

@@ -39,7 +39,6 @@ use sensorcer_suite::registry::ids::{interfaces, SvcUuid};
 use sensorcer_suite::registry::item::ServiceItem;
 use sensorcer_suite::registry::lease::LeasePolicy;
 use sensorcer_suite::registry::lus::{LookupService, LusHandle};
-use sensorcer_suite::registry::txn::TxnId;
 use sensorcer_suite::sim::check::{run_cases, Gen};
 use sensorcer_suite::sim::prelude::*;
 use sensorcer_suite::sim::topology::LinkModel;
@@ -268,9 +267,11 @@ fn observe(w: HopWorld, reply: Result<Exertion, NetError>) -> Observed {
     }
 }
 
-/// One generated dispatch, three ways in three worlds of one seed. `Ok`
-/// says whether the dispatch got its reply only by sending again after
-/// the provider had run — the case the re-arm exists for.
+/// One generated dispatch against the reference in twin worlds of one
+/// seed: lent through the one retry loop (re-armed from a copy of the
+/// request) and, under a single-try budget, by value. `Ok` says whether the
+/// dispatch got its reply only by sending again after the provider had run
+/// — the case the re-arm exists for.
 fn hop_case(g: &mut Gen, mutation: Mutation) -> Result<bool, String> {
     let (seed, weather, policy, request) = (g.u64(), gen_weather(g), gen_policy(g), gen_request(g));
 
@@ -280,28 +281,19 @@ fn hop_case(g: &mut Gen, mutation: Mutation) -> Result<bool, String> {
 
     let mut w = hop_world(seed, weather);
     let mut lent = request.clone();
-    let sent = match mutation {
-        Mutation::SkipRearm => exert_in_place_rearmed(
-            &mut w.env,
-            w.client,
-            w.svc,
-            &mut lent,
-            None,
-            &policy,
-            |_| {},
-        ),
-        _ => exert_in_place_retry(&mut w.env, w.client, w.svc, &mut lent, None, &policy),
-    };
-    let in_place = observe(w, sent.map(|()| lent));
+    let sent = exert_in_place_rearmed(&mut w.env, w.client, w.svc, &mut lent, &policy, |r| {
+        if mutation != Mutation::SkipRearm {
+            r.clone_from(&request);
+        }
+    });
+    let mut ways = vec![("lent", observe(w, sent.map(|()| lent)))];
+    if policy.is_none() {
+        let mut w = hop_world(seed, weather);
+        let reply = exert_on(&mut w.env, w.client, w.svc, request.clone(), None);
+        ways.push(("by value", observe(w, reply)));
+    }
 
-    let mut w = hop_world(seed, weather);
-    let reply = match policy.is_none() {
-        true => exert_on(&mut w.env, w.client, w.svc, request.clone(), None),
-        false => exert_on_retry(&mut w.env, w.client, w.svc, request.clone(), None, &policy),
-    };
-    let by_value = observe(w, reply);
-
-    for (what, got) in [("lent", in_place), ("by value", by_value)] {
+    for (what, got) in ways {
         if got != reference {
             return Err(format!(
                 "{what} differs under {weather:?} / {policy:?}:\n got {got:?}\nwant {reference:?}"
@@ -372,7 +364,7 @@ impl Servicer for Spy {
         &self.name
     }
 
-    fn service(&mut self, env: &mut Env, exertion: &mut Exertion, _txn: Option<TxnId>) {
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
         self.log
             .borrow_mut()
             .push((self.name.clone(), exertion.clone()));
@@ -539,7 +531,7 @@ impl Mirror {
         let mutation = self.mutation;
         let request = &mut self.in_flight;
         mirror_arm(request, child, mutation);
-        exert_in_place_rearmed(&mut f.env, f.hub, svc, request, None, &retry, |r| {
+        exert_in_place_rearmed(&mut f.env, f.hub, svc, request, &retry, |r| {
             if mutation != Mutation::SkipRearm {
                 mirror_arm(r, child, mutation)
             }
