@@ -10,6 +10,7 @@
 use std::borrow::Borrow;
 
 use sensorcer_exertion::prelude::*;
+use sensorcer_expr::{Text, Value};
 use sensorcer_registry::ids::interfaces;
 use sensorcer_sim::env::Env;
 use sensorcer_sim::topology::HostId;
@@ -63,7 +64,7 @@ impl SensorInfo {
             service_type: ctx.get_str("info/type")?.to_string(),
             uuid: ctx.get_str("info/uuid").unwrap_or_default().to_string(),
             contained: match ctx.get("info/contained") {
-                Some(sensorcer_expr::Value::List(xs)) => xs.iter().map(|v| v.to_string()).collect(),
+                Some(Value::List(xs)) => xs.iter().map(|v| v.to_string()).collect(),
                 _ => Vec::new(),
             },
             expression: ctx.get_str("info/expression").map(str::to_string),
@@ -79,7 +80,7 @@ impl SensorInfo {
         ctx.put("info/uuid", self.uuid.as_str());
         ctx.put(
             "info/contained",
-            sensorcer_expr::Value::List(self.contained.iter().map(|s| s.as_str().into()).collect()),
+            Value::List(self.contained.iter().map(|s| s.as_str().into()).collect()),
         );
         if let Some(e) = &self.expression {
             ctx.put("info/expression", e.as_str());
@@ -93,7 +94,9 @@ impl SensorInfo {
 #[derive(Clone, Debug, PartialEq)]
 pub struct SensorReading {
     pub value: f64,
-    pub unit: String,
+    /// Shared with the reply: a provider's unit symbol is a literal, and a
+    /// composite passes its children's on.
+    pub unit: Text,
     /// Virtual time of the reading, nanoseconds.
     pub at_ns: u64,
     pub good: bool,
@@ -103,10 +106,10 @@ impl SensorReading {
     pub fn from_context(ctx: &Context) -> Option<SensorReading> {
         Some(SensorReading {
             value: ctx.get_f64(paths::SENSOR_VALUE)?,
-            unit: ctx
-                .get_str(paths::SENSOR_UNIT)
-                .unwrap_or_default()
-                .to_string(),
+            unit: match ctx.get(paths::SENSOR_UNIT) {
+                Some(Value::Str(unit)) => unit.clone(),
+                _ => Text::Static(""),
+            },
             at_ns: ctx.get_f64(paths::SENSOR_AT).unwrap_or(0.0) as u64,
             good: ctx.get_str(paths::SENSOR_QUALITY) != Some("suspect"),
         })
@@ -194,19 +197,19 @@ pub mod client {
         accessor: &ServiceAccessor,
         provider: &str,
     ) -> Result<(SensorReading, DegradedInfo), String> {
-        let task = Task::new(
-            format!("read {provider}"),
-            Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE).on(provider),
-            Context::new(),
-        );
-        let done = exert(env, from, task.into(), accessor);
-        match done.status() {
+        // The accessor lends its request: re-armed per read, handed back
+        // after, so a read nested inside this one builds its own.
+        let mut lent = accessor.take_lent(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE);
+        let done = lent.exert(env, from, accessor, provider, || format!("read {provider}"));
+        let read = match done.status() {
             ExertionStatus::Done => SensorReading::from_context(done.context())
                 .map(|r| (r, DegradedInfo::from_context(done.context())))
                 .ok_or_else(|| "provider returned no reading".to_string()),
             ExertionStatus::Failed(e) => Err(e.clone()),
             other => Err(format!("unexpected exertion status {other:?}")),
-        }
+        };
+        accessor.put_lent(lent);
+        read
     }
 
     /// Fetch the info panel of the named sensor service.
@@ -246,10 +249,7 @@ pub mod client {
         let done = exert(env, from, task.into(), accessor);
         match done.status() {
             ExertionStatus::Done => match done.context().get("history/values") {
-                Some(sensorcer_expr::Value::List(xs)) => Ok(xs
-                    .iter()
-                    .filter_map(sensorcer_expr::Value::as_f64)
-                    .collect()),
+                Some(Value::List(xs)) => Ok(xs.iter().filter_map(Value::as_f64).collect()),
                 _ => Ok(Vec::new()),
             },
             ExertionStatus::Failed(e) => Err(e.clone()),

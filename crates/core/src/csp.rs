@@ -241,27 +241,13 @@ pub fn variable_for(i: usize) -> String {
 /// Breadcrumb context path used to detect composition cycles at read time.
 const VISITED_PATH: &str = "composite/visited";
 
-/// The header of the request to one child.
-struct ChildRequest {
-    /// Task name, `read <child>`.
-    label: Arc<str>,
-    /// Provider pin of the signature, `<child>`.
-    pin: Arc<str>,
-}
-
 /// Make the composite's in-flight request the one `to` gets, exactly as a
-/// freshly built task would read: whatever the last hop left behind (a
-/// reply, a failure, another child's pin) is gone, and the buffers stay.
-fn arm(request: &mut Exertion, to: &ChildRequest, visited: &Arc<[Value]>) {
-    let Exertion::Task(task) = request else {
-        unreachable!("providers exert a lent task in place; none replaces it")
-    };
-    task.name.clone_from(&to.label);
-    task.signature.provider_name = Some(Arc::clone(&to.pin));
-    task.status = ExertionStatus::Initial;
-    task.trace.clear();
-    task.context.clear();
-    task.context
+/// freshly built task would read: `to` re-arms it, and the breadcrumb is
+/// its whole context.
+fn arm(request: &mut Exertion, to: &RequestHeader, visited: &Arc<[Value]>) {
+    to.arm(request);
+    request
+        .context_mut()
         .put(VISITED_PATH, Value::List(Arc::clone(visited)));
 }
 
@@ -304,7 +290,7 @@ struct FanOut<'r> {
     breakers: Option<&'r crate::admission::SharedBreakers>,
     cache_enabled: bool,
     children: &'r [Child],
-    requests: &'r [ChildRequest],
+    requests: &'r [RequestHeader],
     bindings: &'r mut [Option<ServiceId>],
     request: &'r mut Exertion,
     /// The breadcrumb every child request carries.
@@ -508,7 +494,7 @@ pub struct CompositeSensorProvider {
     /// What differs between the requests to two children: the label
     /// (`read <name>`) and the provider pin (`<name>`), rebuilt whenever
     /// `children` changes so the per-read fan-out formats nothing.
-    requests: Vec<ChildRequest>,
+    requests: Vec<RequestHeader>,
     /// The one request this composite has in flight, signed
     /// `SensorDataAccessor#getValue`. The fan-out is sequential on the
     /// host, so every primary, re-bind and failover hop [`arm`]s this same
@@ -625,9 +611,8 @@ impl CompositeSensorProvider {
         self.requests = self
             .children
             .iter()
-            .map(|child| ChildRequest {
-                label: format!("read {}", child.service_name).into(),
-                pin: child.service_name.as_str().into(),
+            .map(|child| {
+                RequestHeader::new(format!("read {}", child.service_name), &child.service_name)
             })
             .collect();
     }

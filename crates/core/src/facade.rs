@@ -92,7 +92,7 @@ pub struct SensorcerFacade {
 }
 
 impl SensorcerFacade {
-    pub fn new(
+    fn new(
         name: impl Into<String>,
         host: HostId,
         accessor: ServiceAccessor,
@@ -109,12 +109,6 @@ impl SensorcerFacade {
             slos: None,
             admission: None,
         }
-    }
-
-    /// Install SLO objectives; subsequent `getValue` traffic is recorded
-    /// against them and `sloReport` serves the verdicts.
-    pub fn install_slos(&mut self, specs: Vec<SloSpec>) {
-        self.slos = Some(SloEngine::new(specs));
     }
 
     /// Install the overload gate. The caller keeps a clone of the shared
@@ -156,7 +150,9 @@ impl SensorcerFacade {
         Self::deploy_built(env, facade)
     }
 
-    /// Deploy a façade with SLO objectives pre-installed.
+    /// Deploy a façade with SLO objectives pre-installed: its `getValue`
+    /// traffic is recorded against them and `sloReport` serves the
+    /// verdicts.
     pub fn deploy_with_slos(
         env: &mut Env,
         host: HostId,
@@ -166,7 +162,7 @@ impl SensorcerFacade {
         specs: Vec<SloSpec>,
     ) -> FacadeHandle {
         let mut facade = SensorcerFacade::new(name, host, accessor, monitor);
-        facade.install_slos(specs);
+        facade.slos = Some(SloEngine::new(specs));
         Self::deploy_built(env, facade)
     }
 
@@ -196,13 +192,9 @@ impl SensorcerFacade {
         FacadeHandle { service, host }
     }
 
-    pub fn requests_total(&self) -> u64 {
-        self.requests_total
-    }
-
     /// The network manager's service listing: everything registered, as
     /// the browser's left panel shows it.
-    pub fn list_services(&self, env: &mut Env) -> Vec<ServiceRow> {
+    fn list_services(&self, env: &mut Env) -> Vec<ServiceRow> {
         let mut rows = Vec::new();
         for lus in self.accessor.lus_handles() {
             if let Ok(items) = lus.lookup(env, self.host, &ServiceTemplate::any(), usize::MAX) {
@@ -229,7 +221,7 @@ impl SensorcerFacade {
     /// registered services, last-read age, battery, and how much retry /
     /// substitution traffic each host has caused. One row per host, in
     /// host-id order.
-    pub fn network_health(&self, env: &mut Env) -> Vec<HostHealth> {
+    fn network_health(&self, env: &mut Env) -> Vec<HostHealth> {
         // Registration state first (needs &mut Env for the LUS calls).
         let mut services_by_host: std::collections::BTreeMap<HostId, Vec<String>> =
             std::collections::BTreeMap::new();
@@ -393,7 +385,8 @@ impl SensorcerFacade {
                     res.map(|(reading, degraded)| {
                         task.context.put(paths::SENSOR_VALUE, reading.value);
                         task.context.put(paths::RESULT, reading.value);
-                        task.context.put(paths::SENSOR_UNIT, reading.unit.as_str());
+                        task.context
+                            .put(paths::SENSOR_UNIT, Value::Str(reading.unit));
                         task.context.put(paths::SENSOR_AT, reading.at_ns as f64);
                         task.context.put(
                             paths::SENSOR_QUALITY,
@@ -664,8 +657,8 @@ impl FacadeHandle {
         }
     }
 
-    /// Federation health snapshot, one row per host (the browser-side view
-    /// of [`SensorcerFacade::network_health`]).
+    /// Federation health snapshot, one row per host, as the façade's
+    /// `networkHealth` operation serves it.
     pub fn network_health(&self, env: &mut Env, from: HostId) -> Result<Vec<HostHealth>, String> {
         let ctx = self.run(env, from, ops::NETWORK_HEALTH, Context::new())?;
         let Some(Value::List(xs)) = ctx.get("health/hosts") else {

@@ -168,6 +168,43 @@ impl Task {
     }
 }
 
+/// What differs between the requests one lender sends to two providers:
+/// the task label and the provider pin. A lender builds one header per
+/// provider it reads and re-arms its one in-flight request from it, so a
+/// read formats nothing.
+#[derive(Clone, Debug)]
+pub struct RequestHeader {
+    /// Task name, e.g. `read <provider>`.
+    pub label: Arc<str>,
+    /// Provider pin of the signature, `<provider>`.
+    pub pin: Arc<str>,
+}
+
+impl RequestHeader {
+    pub fn new(label: impl AsRef<str>, pin: &str) -> RequestHeader {
+        RequestHeader {
+            label: label.as_ref().into(),
+            pin: pin.into(),
+        }
+    }
+
+    /// Make a lent request the one this header names, exactly as a freshly
+    /// built task with an empty context would read: whatever the last hop
+    /// left behind (a reply, a failure, another provider's pin) is gone,
+    /// and the buffers stay. The signature's interface and selector are
+    /// the lender's and stay as they are.
+    pub fn arm(&self, request: &mut Exertion) {
+        let Exertion::Task(task) = request else {
+            unreachable!("providers exert a lent task in place; none replaces it")
+        };
+        task.name.clone_from(&self.label);
+        task.signature.provider_name = Some(Arc::clone(&self.pin));
+        task.status = ExertionStatus::Initial;
+        task.trace.clear();
+        task.context.clear();
+    }
+}
+
 /// A hierarchical composite request.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Job {

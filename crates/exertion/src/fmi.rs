@@ -10,50 +10,69 @@
 //! here (no exertion carries one), and every hop on this path is
 //! fail-fast: the one retry loop ([`crate::retry`]) serves the composite's
 //! child hop.
+//!
+//! [`exert`] takes the request by value and hands the reply back; it wraps
+//! [`exert_lent`], the one submission path, which exerts a lent request in
+//! place. A requestor that reads over and over lends its accessor's one
+//! [`LentRequest`]: re-armed per read, bound through one template, so a
+//! read builds nothing.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sensorcer_registry::attributes::{AttrMatch, Entry};
-use sensorcer_registry::ids::{interfaces, SvcUuid};
+use sensorcer_registry::ids::{interfaces, InterfaceId, SvcUuid};
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::HostId;
 
-use crate::exertion::{Access, Exertion, ExertionStatus, Flow, Job, Task};
+use crate::context::Context;
+use crate::exertion::{
+    Access, Exertion, ExertionStatus, Flow, Job, RequestHeader, Signature, Task,
+};
 use crate::servicer::{exert_in_place, Servicer, ServicerBox};
 use crate::space::{EntryId, SpaceHandle};
 
 /// Finds service providers for signatures: "A Service Accessor finds
 /// service providers using the Jini Lookup Services" (§V.B).
-#[derive(Clone, Debug, Default)]
+///
+/// An accessor is also its requestor's lender: it keeps the one
+/// [`LentRequest`] its reads re-arm, made by the first read. A clone
+/// starts without one, so the state lives and dies with its requestor.
+#[derive(Default)]
 pub struct ServiceAccessor {
     lus: Vec<LusHandle>,
+    /// Out while a read has it ([`ServiceAccessor::take_lent`]).
+    lent: RefCell<Option<Box<LentRequest>>>,
+}
+
+impl Clone for ServiceAccessor {
+    fn clone(&self) -> ServiceAccessor {
+        ServiceAccessor::new(self.lus.clone())
+    }
+}
+
+impl std::fmt::Debug for ServiceAccessor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServiceAccessor")
+            .field("lus", &self.lus)
+            .finish()
+    }
 }
 
 impl ServiceAccessor {
     pub fn new(lus: Vec<LusHandle>) -> ServiceAccessor {
-        ServiceAccessor { lus }
-    }
-
-    /// Build from multicast discovery of `group`.
-    pub fn from_discovery(env: &mut Env, from: HostId, group: &str) -> ServiceAccessor {
         ServiceAccessor {
-            lus: sensorcer_registry::discovery::discover(env, from, group),
+            lus,
+            lent: RefCell::default(),
         }
     }
 
     pub fn lus_handles(&self) -> &[LusHandle] {
         &self.lus
-    }
-
-    fn template_for(interface: &str, provider_name: Option<&str>) -> ServiceTemplate {
-        let mut tpl = ServiceTemplate::by_interface(interface);
-        if let Some(name) = provider_name {
-            tpl = tpl.and_attr(AttrMatch::name(name));
-        }
-        tpl
     }
 
     /// Find one provider matching a signature's interface (and name pin).
@@ -64,13 +83,11 @@ impl ServiceAccessor {
         interface: &str,
         provider_name: Option<&str>,
     ) -> Option<Arc<ServiceItem>> {
-        let tpl = Self::template_for(interface, provider_name);
-        for lus in &self.lus {
-            if let Ok(Some(item)) = lus.lookup_first_excluding(env, from, &tpl, None) {
-                return Some(item);
-            }
+        let mut tpl = ServiceTemplate::by_interface(interface);
+        if let Some(name) = provider_name {
+            tpl = tpl.and_attr(AttrMatch::name(name));
         }
-        None
+        self.bind_by(env, from, &tpl, None)
     }
 
     /// Find one provider of `interface` that also carries an attribute
@@ -87,18 +104,28 @@ impl ServiceAccessor {
         exclude: Option<&str>,
     ) -> Option<Arc<ServiceItem>> {
         let tpl = ServiceTemplate::by_interface(interface).and_attr(attr);
-        for lus in &self.lus {
-            if let Ok(Some(item)) = lus.lookup_first_excluding(env, from, &tpl, exclude) {
-                return Some(item);
-            }
-        }
-        None
+        self.bind_by(env, from, &tpl, exclude)
+    }
+
+    /// The first provider any known LUS matches `template` with, skipping
+    /// the one named `exclude`.
+    fn bind_by(
+        &self,
+        env: &mut Env,
+        from: HostId,
+        template: &ServiceTemplate,
+        exclude: Option<&str>,
+    ) -> Option<Arc<ServiceItem>> {
+        self.lus.iter().find_map(|lus| {
+            lus.lookup_first_excluding(env, from, template, exclude)
+                .ok()?
+        })
     }
 
     /// Find all providers of an interface across the known LUSes
     /// (de-duplicated by uuid).
     pub fn list(&self, env: &mut Env, from: HostId, interface: &str) -> Vec<ServiceItem> {
-        let tpl = Self::template_for(interface, None);
+        let tpl = ServiceTemplate::by_interface(interface);
         let mut out: Vec<ServiceItem> = Vec::new();
         for lus in &self.lus {
             if let Ok(items) = lus.lookup(env, from, &tpl, usize::MAX) {
@@ -110,6 +137,82 @@ impl ServiceAccessor {
             }
         }
         out
+    }
+
+    /// Take this accessor's lent request for `interface#selector` out for
+    /// one read, or make one if it has none for that operation (the first
+    /// read, or a read nested inside another through the same accessor).
+    /// Hand it back with [`ServiceAccessor::put_lent`].
+    pub fn take_lent(&self, interface: &str, selector: &str) -> Box<LentRequest> {
+        match self.lent.take() {
+            Some(lent) if lent.signs(interface, selector) => lent,
+            _ => Box::new(LentRequest::new(Signature::new(interface, selector))),
+        }
+    }
+
+    /// Keep `lent` for the next read.
+    pub fn put_lent(&self, lent: Box<LentRequest>) {
+        self.lent.replace(Some(lent));
+    }
+}
+
+/// A requestor's one request in flight, for one operation: re-armed from a
+/// per-provider [`RequestHeader`] and bound through one template whose
+/// `Name` string is rewritten in place, so a read through it builds no
+/// task, no label and no template. What each read sends, binds and
+/// records is byte for byte what a freshly built task would.
+#[derive(Debug)]
+pub struct LentRequest {
+    request: Exertion,
+    /// One header per provider read, keyed by its pin.
+    headers: HashMap<Arc<str>, RequestHeader>,
+    /// The signature's interface, and a `Name` match for the pin.
+    template: ServiceTemplate,
+}
+
+impl LentRequest {
+    fn new(signature: Signature) -> LentRequest {
+        let interface = InterfaceId(Arc::clone(&signature.interface));
+        LentRequest {
+            template: ServiceTemplate::by_interface(interface).and_attr(AttrMatch::name("")),
+            request: Task::new("", signature, Context::new()).into(),
+            headers: HashMap::new(),
+        }
+    }
+
+    fn signs(&self, interface: &str, selector: &str) -> bool {
+        let Exertion::Task(task) = &self.request else {
+            return false;
+        };
+        *task.signature.interface == *interface && *task.signature.selector == *selector
+    }
+
+    /// Re-arm the request for `provider` (its header labelled by `label`
+    /// the first time) and submit it in place, as [`exert`] submits a
+    /// fresh one. The reply lies in the returned request until the next
+    /// read re-arms it.
+    pub fn exert(
+        &mut self,
+        env: &mut Env,
+        from: HostId,
+        accessor: &ServiceAccessor,
+        provider: &str,
+        label: impl FnOnce() -> String,
+    ) -> &mut Exertion {
+        match self.headers.get(provider) {
+            Some(header) => header.arm(&mut self.request),
+            None => {
+                let header = RequestHeader::new(label(), provider);
+                header.arm(&mut self.request);
+                self.headers.insert(Arc::clone(&header.pin), header);
+            }
+        }
+        if let Some(AttrMatch::Name(Some(name))) = self.template.attributes.first_mut() {
+            name.clear();
+            name.push_str(provider);
+        }
+        exert_lent(env, from, &mut self.request, accessor, Some(&self.template));
+        &mut self.request
     }
 }
 
@@ -129,18 +232,28 @@ struct Coordinator<'a> {
 
 impl Coordinator<'_> {
     /// Coordinate a job, or bind a bare task and lend it to its provider:
-    /// the requestor's own exertion goes down and comes back exerted.
-    fn run_exertion(&self, env: &mut Env, exertion: &mut Exertion) {
+    /// the requestor's own exertion goes down and comes back exerted. A
+    /// task binds by `template` when its lender gives one (its interface
+    /// and pin already written), else by its signature.
+    fn run_exertion(
+        &self,
+        env: &mut Env,
+        exertion: &mut Exertion,
+        template: Option<&ServiceTemplate>,
+    ) {
         let task = match exertion {
             Exertion::Job(job) => return self.run_job(env, job),
             Exertion::Task(task) => task,
         };
-        let bound = self.accessor.bind(
-            env,
-            self.host,
-            &task.signature.interface,
-            task.signature.provider_name.as_deref(),
-        );
+        let bound = match template {
+            Some(template) => self.accessor.bind_by(env, self.host, template, None),
+            None => self.accessor.bind(
+                env,
+                self.host,
+                &task.signature.interface,
+                task.signature.provider_name.as_deref(),
+            ),
+        };
         let Some(item) = bound else {
             task.fail(format!("no provider found for {}", task.signature));
             return;
@@ -184,7 +297,7 @@ impl Coordinator<'_> {
                             let offered = self.offer(env, space, t);
                             self.await_results(env, space, offered.into_iter().collect());
                         }
-                        _ => self.run_exertion(env, child),
+                        _ => self.run_exertion(env, child, None),
                     }
                     prev_result = child.context().get(crate::context::paths::RESULT).cloned();
                     if child.status().is_failed() {
@@ -194,7 +307,7 @@ impl Coordinator<'_> {
             }
             (Flow::Parallel, None) => {
                 env.parallel_over(&mut job.exertions, |env, child| {
-                    self.run_exertion(env, child)
+                    self.run_exertion(env, child, None)
                 });
             }
             (Flow::Parallel, Some(space)) => {
@@ -314,7 +427,7 @@ impl Peer {
             accessor: &self.accessor,
             space: self.space,
         };
-        coordinator.run_exertion(env, exertion);
+        coordinator.run_exertion(env, exertion, None);
     }
 }
 
@@ -379,19 +492,34 @@ impl Servicer for Spacer {
 }
 
 /// Submit an exertion onto the network: the `Exertion.exert(Transaction)`
-/// operation of §IV.D, with no transaction (none is ever carried). The
-/// federation forms dynamically: bare tasks bind directly; push jobs go to
-/// a discovered jobber; pull jobs to a spacer.
+/// operation of §IV.D, with no transaction (none is ever carried), for a
+/// requestor that hands the request over and wants the reply by value.
+/// [`exert_lent`] does the work.
+pub fn exert(
+    env: &mut Env,
+    from: HostId,
+    mut exertion: Exertion,
+    accessor: &ServiceAccessor,
+) -> Exertion {
+    exert_lent(env, from, &mut exertion, accessor, None);
+    exertion
+}
+
+/// Submit a lent exertion onto the network; it comes back exerted in
+/// place. The federation forms dynamically: a bare task binds directly (by
+/// `template` when its lender gives one, else by its signature); push
+/// jobs go to a discovered jobber; pull jobs to a spacer.
 ///
 /// When the flight recorder is on, each submission opens an `exert` root
 /// span (unless a span is already open, in which case it nests), so the
 /// whole federation formed for this exertion shares one trace.
-pub fn exert(
+pub fn exert_lent(
     env: &mut Env,
     from: HostId,
-    exertion: Exertion,
+    exertion: &mut Exertion,
     accessor: &ServiceAccessor,
-) -> Exertion {
+    template: Option<&ServiceTemplate>,
+) {
     let span = if env.tracing_enabled() {
         let s = env.span_start("exert", exertion.name(), from);
         env.span_field(
@@ -406,9 +534,9 @@ pub fn exert(
     } else {
         sensorcer_sim::trace::SpanId::INVALID
     };
-    let done = exert_inner(env, from, exertion, accessor);
+    exert_inner(env, from, exertion, accessor, template);
     if span.is_valid() {
-        let outcome = match done.status() {
+        let outcome = match exertion.status() {
             ExertionStatus::Failed(msg) => {
                 let msg = msg.clone();
                 env.span_field(span, "error", msg);
@@ -418,16 +546,16 @@ pub fn exert(
         };
         env.span_end(span, outcome);
     }
-    done
 }
 
 fn exert_inner(
     env: &mut Env,
     from: HostId,
-    mut exertion: Exertion,
+    exertion: &mut Exertion,
     accessor: &ServiceAccessor,
-) -> Exertion {
-    let rendezvous_iface = match &exertion {
+    template: Option<&ServiceTemplate>,
+) {
+    let rendezvous_iface = match &*exertion {
         Exertion::Task(_) => {
             // Elementary request: bind and invoke directly.
             let coordinator = Coordinator {
@@ -435,8 +563,8 @@ fn exert_inner(
                 accessor,
                 space: None,
             };
-            coordinator.run_exertion(env, &mut exertion);
-            return exertion;
+            coordinator.run_exertion(env, exertion, template);
+            return;
         }
         Exertion::Job(job) => match job.strategy.access {
             Access::Push => interfaces::JOBBER,
@@ -447,22 +575,21 @@ fn exert_inner(
         None => format!("no rendezvous peer ({rendezvous_iface}) available"),
         Some(peer) => {
             let sent = exertion.clone();
-            match exert_in_place(env, from, peer.service, &mut exertion) {
-                Ok(()) => return exertion,
+            match exert_in_place(env, from, peer.service, exertion) {
+                Ok(()) => return,
                 Err(e) => {
                     // The rendezvous peer vanished mid-exertion: the job
                     // comes back as it was sent, whatever the peer did to
                     // it before its reply was lost.
-                    exertion = sent;
+                    *exertion = sent;
                     format!("rendezvous unreachable: {e}")
                 }
             }
         }
     };
-    if let Exertion::Job(job) = &mut exertion {
+    if let Exertion::Job(job) = exertion {
         job.status = ExertionStatus::Failed(failure);
     }
-    exertion
 }
 
 #[cfg(test)]
@@ -843,7 +970,8 @@ mod tests {
         let mut w = setup();
         deploy_math(&mut w, "Doubler", 2.0);
         deploy_math(&mut w, "Tripler", 3.0);
-        let accessor = ServiceAccessor::from_discovery(&mut w.env, w.client, "public");
+        let found = sensorcer_registry::discovery::discover(&mut w.env, w.client, "public");
+        let accessor = ServiceAccessor::new(found);
         assert_eq!(accessor.lus_handles().len(), 1);
         let items = accessor.list(&mut w.env, w.client, "Math");
         assert_eq!(items.len(), 2);

@@ -59,9 +59,10 @@ pub mod space;
 pub mod prelude {
     pub use crate::context::{paths, value_wire_size, Context};
     pub use crate::exertion::{
-        Access, ControlStrategy, Exertion, ExertionStatus, Flow, Job, Signature, Task,
+        Access, ControlStrategy, Exertion, ExertionStatus, Flow, Job, RequestHeader, Signature,
+        Task,
     };
-    pub use crate::fmi::{exert, Jobber, ServiceAccessor, Spacer};
+    pub use crate::fmi::{exert, exert_lent, Jobber, LentRequest, ServiceAccessor, Spacer};
     pub use crate::retry::{exert_in_place_rearmed, RetryPolicy};
     pub use crate::servicer::{
         exert_in_place, exert_on, exerted_by, Servicer, ServicerBox, Tasker,

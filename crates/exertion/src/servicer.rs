@@ -58,10 +58,6 @@ impl ServicerBox {
         }
     }
 
-    pub fn provider_name(&self) -> &str {
-        self.inner.provider_name()
-    }
-
     /// Invoke the peer's `service` operation.
     pub fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
         self.inner.service(env, exertion);
@@ -79,7 +75,7 @@ impl ServicerBox {
 impl std::fmt::Debug for ServicerBox {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServicerBox")
-            .field("provider", &self.provider_name())
+            .field("provider", &self.inner.provider_name())
             .finish()
     }
 }
@@ -359,8 +355,8 @@ mod tests {
     #[test]
     fn downcast_recovers_concrete_type() {
         let mut sb = ServicerBox::new(adder());
-        assert_eq!(sb.provider_name(), "Adder");
         let t: &mut Tasker = sb.downcast_mut().unwrap();
+        assert_eq!(t.provider_name(), "Adder");
         assert_eq!(t.interface(), "Arithmetic");
         assert_eq!(t.tasks_served(), 0);
 

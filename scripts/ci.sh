@@ -30,19 +30,21 @@
 #                           benchmark/expected.tsv whatever the run
 #                           length: a change that moves the modelled
 #                           protocol fails here. Also fails if
-#                           `allocs_per_op` @ `mote_scale` reaches 16
+#                           `allocs_per_op` @ `mote_scale` reaches 2
 #                           on either seed (a per-firing allocation is
-#                           back in the timer engine) or @
-#                           `registry_churn` reaches 400 (a lookup is
-#                           copying its results again), @ `flat_read`
-#                           reaches 16, @ `tree_read` 24 or @
-#                           `tenant_storm` 29 (a composite read
-#                           allocates its outcome list, its readings or
-#                           its breadcrumb again, a child hop is
-#                           shipped a copy of its request instead of
-#                           being lent the one in flight, or a façade
-#                           read copies its tenant, service or reply
-#                           context again), or if
+#                           back in the timer engine, or a read
+#                           allocates at all) or @ `registry_churn`
+#                           reaches 400 (a lookup is copying its
+#                           results again), @ `flat_read` or
+#                           `tree_read` reaches 1 or @ `tenant_storm`
+#                           13.62 (a read rebuilds its request or its
+#                           bind template instead of re-arming the one
+#                           its requestor lends, copies a unit out of
+#                           its reply, or a composite read allocates
+#                           its outcome list, readings or breadcrumb, a
+#                           child hop is shipped a copy of its request,
+#                           or a façade read copies its tenant, service
+#                           or reply context again), or if
 #                           `heap_peak_mb` @ `mote_scale` reaches 124
 #                           (the bank's motes sit in a doubling `Vec`
 #                           again, or a stored measurement costs more
@@ -106,29 +108,33 @@ if [ "$yardstick" -eq 1 ]; then
     for seed in 42 7; do
         echo "== yardstick: seed $seed, result_fnv64 against benchmark/expected.tsv =="
         benchmark/run.sh --seed "$seed" --seconds 2
-        # Counts, exact whatever the run length. mote_scale: 14 while a
-        # mote's sampling tick is a (group, slot) entry in its interval's
-        # lane, whose capacity is reached at setup, re-armed by move, and
-        # samples into the mote bank's preallocated ring; 4 488 when every
-        # firing boxed a fresh closure.
+        # Counts, exact whatever the run length; each ceiling is the
+        # count plus one. flat_read / tree_read: 0, mote_scale: 1 (the
+        # yardstick's own `format!` of the composite name) and
+        # tenant_storm: 12.62 on seed 42, 12.30 on seed 7 (the outer
+        # request `FacadeHandle::run` builds, its arguments and the
+        # admission gate) while every read re-arms its requestor's one
+        # lent request and template and shares its unit with the reply.
+        # A requestor that builds its task and bind template per read
+        # again costs +11 per read (12 / 13 on flat_read / tree_read,
+        # +11.2 on tenant_storm, where the façade's inner read is the
+        # requestor); a unit copied out of its reply +1 per copy, about
+        # +2.8 on tenant_storm (the façade's and the tenant's copy).
+        # mote_scale was 14 before the read was lent, 4 488 when every
+        # timer firing boxed a fresh closure. Below the requestor, a
+        # composite read that rebuilds its outcome list, slot frame or
+        # breadcrumb costs +3 per composite, +219 on tree_read's 73; a
+        # child hop that clones its request instead of being lent the
+        # one in flight costs two more (the copy's context buffer, its
+        # trace line): +128 / +1 168 / about +37 on tenant_storm; a
+        # façade that copies its tenant, service and reply context per
+        # read +3.9 on tenant_storm.
         # registry_churn: 299 while lookups share the stored items, sizes
         # are added up and results are sized once; 341 when results grew
         # by doubling and every hierarchical query by subnet, 5 013 when
         # every matched item was deep-cloned and encoded into a scratch
-        # buffer to be measured. flat_read / tree_read: 12 / 13 while a
-        # composite read keeps its outcome list and slot frame in
-        # per-thread scratch, binds its readings straight into the frame
-        # and reuses its breadcrumb; rebuilding the three costs +3 per
-        # composite read, +219 on tree_read's 73 composites. A child hop
-        # that clones its request instead of being lent the one in
-        # flight costs two more (the copy's context buffer, its trace
-        # line): +128 / +1 168 / about +37 on tenant_storm.
-        # tenant_storm: 26.64 on seed 42 and 26.29 on seed 7 while the
-        # façade also holds its tenant and service as the request's
-        # shared text, the gate copies a tenant's name only when it
-        # first sees it and the reply context is moved out; 30.58 /
-        # 30.23 when the three were copied per read.
-        for gate in mote_scale:16 registry_churn:400 flat_read:16 tree_read:24 tenant_storm:29; do
+        # buffer to be measured.
+        for gate in mote_scale:2 registry_churn:400 flat_read:1 tree_read:1 tenant_storm:13.62; do
             workload=${gate%:*}
             limit=${gate#*:}
             allocs=$(yardstick_metric "$workload" allocs_per_op)

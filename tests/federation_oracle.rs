@@ -669,7 +669,7 @@ fn check(
                     || (want.value.is_nan() && r.value.is_nan()),
                 "value: want {want:?}, got {r:?}"
             );
-            assert_eq!(want.unit, r.unit, "unit: want {want:?}, got {r:?}");
+            assert_eq!(want.unit, r.unit.as_str(), "unit: want {want:?}, got {r:?}");
             assert_eq!(want.good, r.good, "quality: want {want:?}, got {r:?}");
             assert_eq!(
                 want.substituted, d.substituted,

@@ -1,0 +1,522 @@
+//! Differential oracle for the lent requestor read.
+//!
+//! `client::get_value_detailed` reads through its accessor's one lent
+//! request: re-armed from a per-provider header, bound through one
+//! template whose `Name` is rewritten in place. What that must never
+//! change is what the old form did by construction: every read built a
+//! fresh task and a fresh template (`tests/support/fresh_read.rs` keeps
+//! that form as the reference).
+//!
+//! Generated scripts of interleaved reads run in twin worlds of one seed,
+//! one driven by the reference and one by the lent read. Every world has
+//! several providers read through one accessor, an unknown name, a
+//! composite that degrades because its first child crashes a sibling's
+//! host mid-read, an ESP with a dead battery, a provider that lapses and
+//! is registered again under the same name at a new service id, and the
+//! flight recorder on. Every result must print the same, and the metric
+//! counters and the span export must be equal.
+//!
+//! `Trip`, the composite's first child, answers with a fingerprint of the
+//! request as it arrived (context size, trace length, status, label), so a
+//! request that was not re-armed shows in the value read.
+//!
+//! The lent state is private to the accessor, so the five slips the lent
+//! form makes possible are seeded in a mirror of `LentRequest::exert`
+//! built from the same public pieces (`RequestHeader::arm`, a template,
+//! `exert_lent`). Unmutated, the mirror matches the reference on every
+//! case; each mutant must fail.
+
+use std::sync::Arc;
+
+use sensorcer_suite::core::prelude::*;
+use sensorcer_suite::exertion::prelude::*;
+use sensorcer_suite::expr::Value;
+use sensorcer_suite::registry::attributes::{AttrMatch, Entry};
+use sensorcer_suite::registry::ids::{interfaces, SvcUuid};
+use sensorcer_suite::registry::item::{ServiceItem, ServiceTemplate};
+use sensorcer_suite::registry::lease::LeasePolicy;
+use sensorcer_suite::registry::lus::{LookupService, LusHandle};
+use sensorcer_suite::sensors::prelude::*;
+use sensorcer_suite::sim::check::{run_cases, Gen};
+use sensorcer_suite::sim::prelude::*;
+
+#[path = "support/fresh_read.rs"]
+mod fresh_read;
+
+const CASES: u64 = 40;
+const LONG: SimDuration = SimDuration::from_secs(36_000);
+/// The first `Jade-Sensor` registers for this long, unrenewed.
+const SHORT: SimDuration = SimDuration::from_secs(3);
+const NAMES: [&str; 6] = ["Neem", "Jade-Sensor", "Dead", "Trip", "Hub", "Ghost"];
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Slip {
+    None,
+    /// The re-arm keeps the last reply's context.
+    KeepContext,
+    /// It keeps the trace.
+    KeepTrace,
+    /// It keeps a `Failed` status.
+    KeepFailed,
+    /// The template's name is not rewritten after the first read.
+    StaleTemplate,
+    /// The header's label is the one of the provider read before.
+    ForeignLabel,
+}
+
+/// The composite's first child: answers with a fingerprint of the request
+/// as it arrived and, on every `crash_every`-th read from the composite,
+/// crashes `Neem`'s mote for `down_for`, so the composite's next child
+/// hop finds it down.
+struct Trip {
+    line: Arc<str>,
+    served: u64,
+    crash_every: u64,
+    down_for: SimDuration,
+    neem_mote: HostId,
+}
+
+impl Servicer for Trip {
+    fn provider_name(&self) -> &str {
+        "Trip"
+    }
+
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
+        let Exertion::Task(task) = exertion else {
+            return;
+        };
+        let status = match &task.status {
+            ExertionStatus::Initial => 0.0,
+            ExertionStatus::Running => 1.0,
+            ExertionStatus::Done => 2.0,
+            ExertionStatus::Failed(_) => 3.0,
+        };
+        let fingerprint = 1000.0 * task.context.len() as f64
+            + 100.0 * task.trace.len() as f64
+            + 10.0 * status
+            + f64::from(&*task.name != "read Trip");
+        let from_composite = task.context.contains("composite/visited");
+        task.trace.push(Arc::clone(&self.line));
+        task.context
+            .put(paths::SENSOR_VALUE, fingerprint)
+            .put(paths::SENSOR_UNIT, Value::literal("°C"))
+            .put(paths::SENSOR_QUALITY, Value::literal("good"));
+        task.status = ExertionStatus::Done;
+        self.served += 1;
+        if from_composite && self.served.is_multiple_of(self.crash_every) {
+            let mote = self.neem_mote;
+            env.crash_host(mote);
+            env.schedule(self.down_for, move |env| env.restart_host(mote));
+        }
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Read(&'static str),
+    Wait(SimDuration),
+    /// Retire the lapsed `Jade-Sensor` and deploy one under its name.
+    Reregister,
+}
+
+struct World {
+    env: Env,
+    client: HostId,
+    lus: LusHandle,
+    accessor: ServiceAccessor,
+    jade: EspHandle,
+    jade_mote: HostId,
+}
+
+fn scripted_esp(
+    env: &mut Env,
+    lus: LusHandle,
+    mote: HostId,
+    name: &str,
+    values: Vec<f64>,
+    lease: SimDuration,
+) -> EspHandle {
+    deploy_esp(
+        env,
+        EspConfig {
+            lease,
+            ..EspConfig::new(
+                mote,
+                name,
+                Box::new(ScriptedProbe::new(values, Unit::Celsius)),
+                lus,
+            )
+        },
+    )
+}
+
+fn world(seed: u64, crash_every: u64, down_for: SimDuration) -> World {
+    let mut env = Env::with_seed(seed);
+    env.enable_tracing(1 << 16);
+    let lab = env.add_host("lab", HostKind::Server);
+    let client = env.add_host("client", HostKind::Workstation);
+    let motes: Vec<HostId> = (0..4)
+        .map(|i| env.add_host(format!("m{i}"), HostKind::SensorMote))
+        .collect();
+    let lus = LookupService::deploy(
+        &mut env,
+        lab,
+        "LUS",
+        "public",
+        LeasePolicy {
+            max_duration: SimDuration::from_secs(360_000),
+            default_duration: LONG,
+        },
+        SimDuration::from_millis(500),
+    );
+    scripted_esp(
+        &mut env,
+        lus,
+        motes[0],
+        "Neem",
+        vec![21.0, 22.5, 19.0],
+        LONG,
+    );
+    let jade = scripted_esp(
+        &mut env,
+        lus,
+        motes[1],
+        "Jade-Sensor",
+        vec![30.0, 31.0],
+        SHORT,
+    );
+    let dead = SimulatedProbe::new(
+        Teds::sunspot_temperature("dead"),
+        Signal::Constant(20.0),
+        SimRng::new(3),
+    )
+    .with_battery(Battery::new(10.0, 50.0, 1.0));
+    deploy_esp(
+        &mut env,
+        EspConfig {
+            lease: LONG,
+            ..EspConfig::new(motes[2], "Dead", Box::new(dead), lus)
+        },
+    );
+    let trip = Trip {
+        line: exerted_by("Trip"),
+        served: 0,
+        crash_every,
+        down_for,
+        neem_mote: motes[0],
+    };
+    let svc = env.deploy(motes[3], "Trip", ServicerBox::new(trip));
+    let item = ServiceItem::new(
+        SvcUuid::NIL,
+        motes[3],
+        svc,
+        vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
+        vec![Entry::Name("Trip".into())],
+    );
+    lus.register(&mut env, motes[3], item, None)
+        .expect("Trip registers");
+    let mut hub = CspConfig::new(lab, "Hub", lus);
+    hub.lease = LONG;
+    hub.children = vec!["Trip".into(), "Neem".into(), "Jade-Sensor".into()];
+    hub.degradation = DegradationPolicy::Quorum(1);
+    deploy_csp(&mut env, hub).expect("Hub deploys");
+    World {
+        env,
+        client,
+        lus,
+        accessor: ServiceAccessor::new(vec![lus]),
+        jade,
+        jade_mote: motes[1],
+    }
+}
+
+/// A generated world: its seed, Trip's crash rhythm and a script.
+#[derive(Clone, Debug)]
+struct Case {
+    seed: u64,
+    crash_every: u64,
+    down_for: SimDuration,
+    steps: Vec<Step>,
+}
+
+fn gen_case(g: &mut Gen) -> Case {
+    let mut steps: Vec<Step> = (0..g.usize_in(12, 28))
+        .map(|_| match g.u64_in(0, 10) {
+            0 => Step::Wait(SimDuration::from_millis(g.u64_in(10, 4_000))),
+            _ => {
+                let &name = g.pick(&NAMES);
+                Step::Read(name)
+            }
+        })
+        .collect();
+    let at = g.usize_in(1, steps.len());
+    steps.insert(at, Step::Reregister);
+    Case {
+        seed: g.u64(),
+        crash_every: g.u64_in(1, 3),
+        down_for: SimDuration::from_millis(g.u64_in(100, 5_000)),
+        steps,
+    }
+}
+
+/// How a world's requestor reads.
+enum Reader {
+    /// Fresh task and template per read.
+    Reference,
+    /// `client::get_value_detailed`.
+    Lent,
+    /// The mirror under a slip.
+    Mirror(Box<Mirror>),
+}
+
+type Read = Result<(SensorReading, DegradedInfo), String>;
+
+impl Reader {
+    fn read(&mut self, w: &mut World, name: &str) -> Read {
+        let (env, from, accessor) = (&mut w.env, w.client, &w.accessor);
+        match self {
+            Reader::Reference => fresh_read::get_value_detailed(env, from, accessor, name),
+            Reader::Lent => client::get_value_detailed(env, from, accessor, name),
+            Reader::Mirror(m) => m.read(env, from, accessor, name),
+        }
+    }
+}
+
+/// Everything a requestor or an operator can observe of a script's run.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    results: Vec<String>,
+    counters: Vec<(String, u64)>,
+    spans: String,
+}
+
+fn run(case: &Case, mut reader: Reader) -> Observed {
+    let mut w = world(case.seed, case.crash_every, case.down_for);
+    let mut results = Vec::new();
+    for step in &case.steps {
+        match *step {
+            Step::Read(name) => {
+                let read = reader.read(&mut w, name);
+                results.push(format!("{name}: {read:?}"));
+            }
+            Step::Wait(d) => w.env.run_for(d),
+            Step::Reregister => {
+                // Past the first registration's lease and the reaper.
+                w.env.run_for(SHORT + SimDuration::from_secs(1));
+                w.env.undeploy(w.jade.service);
+                w.jade = scripted_esp(
+                    &mut w.env,
+                    w.lus,
+                    w.jade_mote,
+                    "Jade-Sensor",
+                    vec![40.0, 41.5],
+                    LONG,
+                );
+                results.push(format!("re-registered at {:?}", w.jade.service));
+            }
+        }
+    }
+    let recorder = w.env.disable_tracing().expect("the recorder is on");
+    Observed {
+        results,
+        counters: w
+            .env
+            .metrics
+            .counters()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+        spans: recorder.to_json(),
+    }
+}
+
+/// `LentRequest::exert` and the parse of `client::get_value_detailed`,
+/// over public pieces, with the slip a mutation seeds.
+struct Mirror {
+    slip: Slip,
+    request: Exertion,
+    headers: Vec<RequestHeader>,
+    template: ServiceTemplate,
+    /// The label the last read was sent under.
+    last_label: Option<Arc<str>>,
+}
+
+impl Mirror {
+    fn new(slip: Slip) -> Mirror {
+        Mirror {
+            slip,
+            request: Task::new(
+                "",
+                Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE),
+                Context::new(),
+            )
+            .into(),
+            headers: Vec::new(),
+            template: ServiceTemplate::by_interface(interfaces::SENSOR_DATA_ACCESSOR)
+                .and_attr(AttrMatch::name("")),
+            last_label: None,
+        }
+    }
+
+    fn arm(&mut self, provider: &str) {
+        let at = match self.headers.iter().position(|h| &*h.pin == provider) {
+            Some(at) => at,
+            None => {
+                self.headers
+                    .push(RequestHeader::new(format!("read {provider}"), provider));
+                self.headers.len() - 1
+            }
+        };
+        let mut header = self.headers[at].clone();
+        if let (Slip::ForeignLabel, Some(last)) = (self.slip, &self.last_label) {
+            header.label = Arc::clone(last);
+        }
+        self.last_label = Some(Arc::clone(&self.headers[at].label));
+        let Exertion::Task(task) = &mut self.request else {
+            unreachable!("the mirror lends a task")
+        };
+        let (context, trace, status) = (
+            std::mem::take(&mut task.context),
+            std::mem::take(&mut task.trace),
+            task.status.clone(),
+        );
+        header.arm(&mut self.request);
+        let Exertion::Task(task) = &mut self.request else {
+            unreachable!("the mirror lends a task")
+        };
+        match self.slip {
+            Slip::KeepContext => task.context = context,
+            Slip::KeepTrace => task.trace = trace,
+            Slip::KeepFailed if status.is_failed() => task.status = status,
+            _ => {}
+        }
+        if let Some(AttrMatch::Name(Some(name))) = self.template.attributes.first_mut() {
+            if self.slip != Slip::StaleTemplate || name.is_empty() {
+                name.clear();
+                name.push_str(provider);
+            }
+        }
+    }
+
+    fn read(
+        &mut self,
+        env: &mut Env,
+        from: HostId,
+        accessor: &ServiceAccessor,
+        name: &str,
+    ) -> Read {
+        self.arm(name);
+        exert_lent(env, from, &mut self.request, accessor, Some(&self.template));
+        let done = &self.request;
+        match done.status() {
+            ExertionStatus::Done => SensorReading::from_context(done.context())
+                .map(|r| (r, DegradedInfo::from_context(done.context())))
+                .ok_or_else(|| "provider returned no reading".to_string()),
+            ExertionStatus::Failed(e) => Err(e.clone()),
+            other => Err(format!("unexpected exertion status {other:?}")),
+        }
+    }
+}
+
+fn differs(want: &Observed, got: &Observed) -> Option<String> {
+    if got.results != want.results {
+        let at = want
+            .results
+            .iter()
+            .zip(&got.results)
+            .position(|(a, b)| a != b)
+            .unwrap_or(want.results.len().min(got.results.len()));
+        return Some(format!(
+            "result {at} differs:\n got {:?}\nwant {:?}",
+            got.results.get(at),
+            want.results.get(at)
+        ));
+    }
+    if got.counters != want.counters {
+        return Some(format!(
+            "counters differ:\n got {:?}\nwant {:?}",
+            got.counters, want.counters
+        ));
+    }
+    (got.spans != want.spans).then(|| "the span exports differ".to_string())
+}
+
+/// Every scenario the worlds promise shows up across the generated cases.
+fn coverage(runs: &[Observed]) {
+    let all: Vec<&String> = runs.iter().flat_map(|o| &o.results).collect();
+    let seen = |needle: &str| all.iter().filter(|r| r.contains(needle)).count();
+    for needle in [
+        "Ghost: Err(\"no provider found",
+        "Dead: Err(\"sensor battery exhausted",
+        "provider unreachable",
+        "missing: [\"Neem\"]",
+        "re-registered",
+        "Jade-Sensor: Ok((SensorReading { value: 40.0",
+    ] {
+        assert!(
+            seen(needle) >= 3,
+            "only {} results show {needle}",
+            seen(needle)
+        );
+    }
+}
+
+#[test]
+fn a_lent_read_equals_a_freshly_built_one() {
+    let mut runs = Vec::new();
+    run_cases("lent_read_oracle", CASES, |g| {
+        let case = gen_case(g);
+        let want = run(&case, Reader::Reference);
+        for (what, reader) in [
+            ("lent", Reader::Lent),
+            ("mirror", Reader::Mirror(Box::new(Mirror::new(Slip::None)))),
+        ] {
+            if let Some(why) = differs(&want, &run(&case, reader)) {
+                panic!("{what} read differs from the reference on {case:?}: {why}");
+            }
+        }
+        runs.push(want);
+    });
+    coverage(&runs);
+}
+
+/// How many generated cases notice `slip`.
+fn caught(slip: Slip) -> u32 {
+    let mut caught = 0;
+    run_cases("lent_read_oracle", CASES, |g| {
+        let case = gen_case(g);
+        let want = run(&case, Reader::Reference);
+        let got = run(&case, Reader::Mirror(Box::new(Mirror::new(slip))));
+        caught += u32::from(differs(&want, &got).is_some());
+    });
+    caught
+}
+
+#[test]
+fn a_rearm_that_keeps_the_reply_context_is_caught() {
+    let n = caught(Slip::KeepContext);
+    assert!(n >= 20, "only {n} cases noticed the kept context");
+}
+
+#[test]
+fn a_rearm_that_keeps_the_trace_is_caught() {
+    let n = caught(Slip::KeepTrace);
+    assert!(n >= 20, "only {n} cases noticed the kept trace");
+}
+
+#[test]
+fn a_rearm_that_keeps_a_failed_status_is_caught() {
+    let n = caught(Slip::KeepFailed);
+    assert!(n >= 20, "only {n} cases noticed the kept failure");
+}
+
+#[test]
+fn a_template_whose_name_is_not_rewritten_is_caught() {
+    let n = caught(Slip::StaleTemplate);
+    assert!(n >= 20, "only {n} cases noticed the stale template");
+}
+
+#[test]
+fn a_header_labelled_for_another_provider_is_caught() {
+    let n = caught(Slip::ForeignLabel);
+    assert!(n >= 20, "only {n} cases noticed the foreign label");
+}
