@@ -307,8 +307,10 @@ impl ProvisionMonitor {
 
     /// Tell `node` to drop `instance`. A node that cannot be reached keeps
     /// its copy, so the terminate is queued and retried by [`Self::check`].
+    /// A node known to be down is not called at all: the call could only
+    /// wait out its timeout.
     fn terminate(&mut self, env: &mut Env, node: CybernodeHandle, instance: String) {
-        if node.terminate(env, self.host, &instance).is_err() {
+        if !env.is_service_up(node.service) || node.terminate(env, self.host, &instance).is_err() {
             self.stale.push((instance, node));
         }
     }
@@ -324,9 +326,13 @@ impl ProvisionMonitor {
     ) -> Option<(ProvisionedService, CybernodeHandle)> {
         let factory = self.factories.get(&element.type_key)?;
         // Build the feasible candidate list by querying each node (paying
-        // the network cost of the utilization calls).
+        // the network cost of the utilization calls). A node known to be
+        // down is skipped: asking it could only wait out the call timeout.
         let mut candidates: Vec<Candidate<CybernodeHandle>> = Vec::new();
         for node in self.cybernodes.clone() {
+            if !env.is_service_up(node.service) {
+                continue;
+            }
             let Ok((caps, reserved)) = node.utilization(env, self.host) else {
                 continue;
             };
@@ -882,6 +888,39 @@ mod tests {
                     .any(|e| matches!(e.kind, ProvisionEventKind::Failover { .. })));
             })
             .unwrap();
+    }
+
+    #[test]
+    fn a_failover_does_not_wait_on_the_node_that_died() {
+        let mut w = setup(2, AllocationPolicy::LeastUtilized);
+        let placed = w
+            .monitor
+            .deploy_opstring(&mut w.env, w.client, opstring(1))
+            .unwrap()
+            .unwrap();
+        w.env.crash_host(placed[0].host);
+        let detected = w.env.now();
+        w.env
+            .with_service(w.monitor.service, |env, m: &mut ProvisionMonitor| {
+                m.check(env)
+            })
+            .unwrap();
+        let replaced = w
+            .env
+            .with_service(w.monitor.service, |_e, m: &mut ProvisionMonitor| {
+                m.events()
+                    .iter()
+                    .find(|e| matches!(e.kind, ProvisionEventKind::Failover { .. }))
+                    .map(|e| e.at)
+            })
+            .unwrap()
+            .expect("the instance is re-placed");
+        let timeout = w.env.config.call_timeout;
+        assert!(
+            replaced - detected < timeout,
+            "re-placed {:?} after detection, call timeout {timeout:?}",
+            replaced - detected
+        );
     }
 
     #[test]
