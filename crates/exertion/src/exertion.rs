@@ -193,6 +193,10 @@ impl RequestHeader {
     /// left behind (a reply, a failure, another provider's pin) is gone,
     /// and the buffers stay. The signature's interface and selector are
     /// the lender's and stay as they are.
+    ///
+    /// A composite re-arms once per child hop, from another crate: inline
+    /// it there as its own `arm` was.
+    #[inline]
     pub fn arm(&self, request: &mut Exertion) {
         let Exertion::Task(task) = request else {
             unreachable!("providers exert a lent task in place; none replaces it")
