@@ -15,6 +15,8 @@
 //!   [`DegradationPolicy`] × retry-budget combination still answers
 //!   (B4c). Strict forfeits every read that touches the outage;
 //!   `Quorum`/`LastKnownGood` substitute and flag instead.
+//! * **Rejoin** — crash an ESP's mote for k × its lease and restart it;
+//!   measure how long until it reads again (B4e).
 
 use sensorcer_core::prelude::*;
 use sensorcer_provision::cybernode::Cybernode;
@@ -24,7 +26,7 @@ use sensorcer_provision::policy::AllocationPolicy;
 use sensorcer_provision::qos::QosCapabilities;
 use sensorcer_registry::item::ServiceTemplate;
 use sensorcer_registry::lease::LeasePolicy;
-use sensorcer_registry::lus::LookupService;
+use sensorcer_registry::lus::{LookupService, LusHandle};
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::prelude::*;
 
@@ -123,8 +125,9 @@ pub fn failover_window(heartbeat: SimDuration, seed: u64) -> SimDuration {
     env.now() - crash_at
 }
 
-/// Crash an ESP's mote; measure how long its registration lingers.
-pub fn stale_registration_window(lease: SimDuration, seed: u64) -> SimDuration {
+/// A LUS and a renewal service on a lab server, and one ESP on its own
+/// mote, joined with `lease`: `(env, lab, mote, lus)`.
+fn renewed_mote(lease: SimDuration, seed: u64) -> (Env, HostId, HostId, LusHandle) {
     let mut env = Env::with_seed(seed);
     let lab = env.add_host("lab", HostKind::Server);
     let lus = LookupService::deploy(
@@ -154,6 +157,12 @@ pub fn stale_registration_window(lease: SimDuration, seed: u64) -> SimDuration {
             )
         },
     );
+    (env, lab, mote, lus)
+}
+
+/// Crash an ESP's mote; measure how long its registration lingers.
+pub fn stale_registration_window(lease: SimDuration, seed: u64) -> SimDuration {
+    let (mut env, lab, mote, lus) = renewed_mote(lease, seed);
     env.run_for(lease * 2); // steady state with renewals
     let crash_at = env.now();
     env.crash_host(mote);
@@ -172,6 +181,33 @@ pub fn stale_registration_window(lease: SimDuration, seed: u64) -> SimDuration {
         );
     }
     env.now() - crash_at
+}
+
+/// Crash an ESP's mote `phase` after two lease periods, for `outage`, and
+/// restart it; measure how long after the restart its first read
+/// succeeds. Once the outage has outlasted the lease, the ESP rejoins
+/// under its uuid at its next renewal tick.
+fn rejoin_window(
+    lease: SimDuration,
+    outage: SimDuration,
+    phase: SimDuration,
+    seed: u64,
+) -> SimDuration {
+    let (mut env, lab, mote, lus) = renewed_mote(lease, seed);
+    let accessor = sensorcer_exertion::ServiceAccessor::new(vec![lus]);
+    env.run_for(lease * 2 + phase);
+    env.crash_host(mote);
+    env.run_for(outage);
+    env.restart_host(mote);
+    let restarted = env.now();
+    while client::get_value(&mut env, lab, &accessor, "Doomed").is_err() {
+        assert!(
+            env.now() - restarted < lease,
+            "a restarted mote should rejoin within one renewal interval"
+        );
+        env.run_for(SimDuration::from_millis(200));
+    }
+    env.now() - restarted
 }
 
 /// Failover-window distribution across independent seeds.
@@ -397,16 +433,49 @@ pub fn run_table(seed: u64) -> (Table, Table) {
     (a, b)
 }
 
+/// B4e table: time to readable after a mote outage of k × lease, over
+/// crash instants spread across one renewal interval.
+fn rejoin_table(seed: u64) -> Table {
+    let lease = SimDuration::from_secs(30);
+    let mut e = Table::new(
+        "B4e: ESP readable again after a mote outage of k x lease \
+         (lease 30s, renewed every 10s; 5 crash phases 2s apart)",
+        &["k", "outage", "p50 readable after restart", "max"],
+    );
+    for (k, outage) in [("0.5", lease / 2), ("2", lease * 2), ("10", lease * 10)] {
+        let samples: Vec<f64> = (0..5)
+            .map(|j| {
+                rejoin_window(lease, outage, SimDuration::from_secs(2 * j), seed).as_micros_f64()
+            })
+            .collect();
+        let s = sensorcer_sim::metrics::Summary::of(&samples).expect("non-empty");
+        e.row(&[
+            k.to_string(),
+            fmt_us(outage.as_micros_f64()),
+            fmt_us(s.p50),
+            fmt_us(s.max),
+        ]);
+    }
+    e.note("shorter than the lease, the registration is still held: readable at once");
+    e.note(
+        "longer, the item lapsed; the mote rejoins under its uuid at its next renewal tick \
+         (<= lease/3 after the restart)",
+    );
+    e
+}
+
 pub fn run(seed: u64) -> String {
     let (a, b) = run_table(seed);
     let c = degraded_read_table(seed);
     let d = retry_attribution_table(seed);
+    let e = rejoin_table(seed);
     format!(
-        "{}\n{}\n{}\n{}",
+        "{}\n{}\n{}\n{}\n{}",
         a.render(),
         b.render(),
         c.render(),
-        d.render()
+        d.render(),
+        e.render()
     )
 }
 
@@ -499,6 +568,19 @@ mod tests {
             );
             assert_eq!(healthy.retry_exhausted, 0, "{healthy:?}");
             assert_eq!(healthy.substituted, 0, "{healthy:?}");
+        }
+    }
+
+    #[test]
+    fn a_restarted_mote_is_readable_within_one_renewal_interval() {
+        let lease = SimDuration::from_secs(30);
+        for phase in [0, 3, 7].map(SimDuration::from_secs) {
+            let w = rejoin_window(lease, lease / 2, phase, 3);
+            assert!(w < SimDuration::from_secs(1), "k=0.5: {w}");
+            for k in [2, 10] {
+                let w = rejoin_window(lease, lease * k, phase, 3);
+                assert!(w <= lease / 3 + SimDuration::from_secs(1), "k={k}: {w}");
+            }
         }
     }
 

@@ -29,6 +29,7 @@ use sensorcer_exertion::retry::{self, RetryPolicy};
 use sensorcer_obs::ReadOutcome;
 use sensorcer_registry::lease::LeasePolicy;
 use sensorcer_registry::lus::LookupService;
+use sensorcer_registry::renewal::LeaseRenewalService;
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::chaos::{keys as chaos_keys, ChaosConfig, ChaosCounts, ChaosSchedule};
 use sensorcer_sim::prelude::*;
@@ -288,14 +289,15 @@ pub fn run_soak_observed(
         lab,
         "Lookup Service",
         "public",
-        // Leases far longer than the soak: registration churn is the
-        // churn benches' subject, not this one's.
-        LeasePolicy {
-            max_duration: SimDuration::from_secs(360_000),
-            default_duration: SimDuration::from_secs(36_000),
-        },
+        LeasePolicy::default(),
         SimDuration::from_secs(1),
     );
+
+    // Every provider joins with the paper deployment's lease and the
+    // renewal service, so a crash longer than the lease takes its mote out
+    // of the registry until it rejoins.
+    let lease = DeploymentConfig::fig2().lease;
+    let renewal = LeaseRenewalService::deploy(&mut env, lab, "Lease Renewal Service");
 
     // Six motes in three equivalence pairs: failover has somewhere to go.
     let groups = ["g-a", "g-a", "g-b", "g-b", "g-c", "g-c"];
@@ -306,7 +308,8 @@ pub fn run_soak_observed(
         deploy_esp(
             &mut env,
             EspConfig {
-                lease: SimDuration::from_secs(36_000),
+                lease,
+                renewal: Some(renewal),
                 equivalence_group: Some((*group).into()),
                 ..EspConfig::new(
                     mote,
@@ -324,13 +327,15 @@ pub fn run_soak_observed(
 
     let retry_policy = RetryPolicy::transient();
     let mut q = CspConfig::new(lab, QUORUM_COMPOSITE, lus);
-    q.lease = SimDuration::from_secs(36_000);
+    q.lease = lease;
+    q.renewal = Some(renewal);
     q.degradation = DegradationPolicy::Quorum(4);
     q.retry = retry_policy;
     let q = deploy_csp(&mut env, q).expect("quorum composite");
 
     let mut k = CspConfig::new(lab, LKG_COMPOSITE, lus);
-    k.lease = SimDuration::from_secs(36_000);
+    k.lease = lease;
+    k.renewal = Some(renewal);
     k.degradation = DegradationPolicy::LastKnownGood {
         max_age: SimDuration::from_secs(3600),
     };

@@ -18,11 +18,10 @@ use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
 use sensorcer_expr::{Program, SlotFrame, Text, Value};
-use sensorcer_registry::attributes::Entry;
-use sensorcer_registry::ids::{interfaces, SvcUuid};
+use sensorcer_registry::ids::interfaces;
 use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
-use sensorcer_registry::renewal::RenewalHandle;
+use sensorcer_registry::renewal::{join, RenewalHandle};
 use sensorcer_sensors::calib::Calibration;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::{SimDuration, SimTime};
@@ -993,32 +992,18 @@ pub fn deploy_csp(env: &mut Env, config: CspConfig) -> Result<CspHandle, String>
         csp.set_expression(expr)?;
     }
     let service = env.deploy(config.host, config.name.clone(), ServicerBox::new(csp));
-    let item = ServiceItem::new(
-        SvcUuid::NIL,
-        config.host,
-        service,
-        vec![
-            interfaces::SENSOR_DATA_ACCESSOR.into(),
-            interfaces::COMPOSITE_MANAGEMENT.into(),
-            interfaces::SERVICER.into(),
-        ],
-        vec![
-            Entry::Name(config.name.clone()),
-            Entry::ServiceType("COMPOSITE".into()),
-        ],
-    );
-    let registration = config
-        .lus
-        .register(env, config.host, item, Some(config.lease));
-    if let Ok(reg) = registration {
+    let interfaces = [
+        interfaces::SENSOR_DATA_ACCESSOR,
+        interfaces::COMPOSITE_MANAGEMENT,
+        interfaces::SERVICER,
+    ];
+    let item = ServiceItem::provider(config.host, service, &interfaces, &config.name, "COMPOSITE");
+    if let Ok(reg) = join(env, config.lus, item, Some(config.lease), config.renewal) {
         let _ = env.with_service(service, |_env, sb: &mut ServicerBox| {
             if let Some(csp) = sb.downcast_mut::<CompositeSensorProvider>() {
                 csp.uuid = reg.uuid.to_string();
             }
         });
-        if let Some(renewal) = config.renewal {
-            renewal.manage(env, config.host, config.lus, reg.lease, config.lease);
-        }
     }
     Ok(CspHandle {
         service,
@@ -1275,13 +1260,8 @@ mod tests {
             seen: seen.clone(),
         };
         let service = w.env.deploy(w.server, name, ServicerBox::new(recorder));
-        let item = ServiceItem::new(
-            SvcUuid::NIL,
-            w.server,
-            service,
-            vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
-            vec![Entry::Name(name.into())],
-        );
+        let iface = [interfaces::SENSOR_DATA_ACCESSOR];
+        let item = ServiceItem::provider(w.server, service, &iface, name, "ELEMENTARY");
         w.lus.register(&mut w.env, w.server, item, None).unwrap();
         seen
     }
@@ -1483,13 +1463,21 @@ mod tests {
         // available service provider."
         let mut w = setup();
         // Two interchangeable greenhouse sensors, short leases.
+        // Only the backup is kept alive, so only the primary lapses.
+        let renewal = sensorcer_registry::renewal::LeaseRenewalService::deploy(
+            &mut w.env, w.server, "Renewal",
+        );
         let mut motes = Vec::new();
-        for (name, value) in [("GH-Primary", 20.0), ("GH-Backup", 24.0)] {
+        for (name, value, renewal) in [
+            ("GH-Primary", 20.0, None),
+            ("GH-Backup", 24.0, Some(renewal)),
+        ] {
             let mote = w.env.add_host(format!("{name}-mote"), HostKind::SensorMote);
             deploy_esp(
                 &mut w.env,
                 EspConfig {
                     lease: SimDuration::from_secs(5),
+                    renewal,
                     equivalence_group: Some("greenhouse".into()),
                     ..EspConfig::new(
                         mote,
@@ -1501,36 +1489,6 @@ mod tests {
             );
             motes.push(mote);
         }
-        // Keep the backup alive with its own renewal.
-        let renewal = sensorcer_registry::renewal::LeaseRenewalService::deploy(
-            &mut w.env, w.server, "Renewal",
-        );
-        // Re-register the backup with renewal so only the primary lapses.
-        let backup_svc = w.env.find_service("GH-Backup").unwrap();
-        let item = ServiceItem::new(
-            SvcUuid::NIL,
-            motes[1],
-            backup_svc,
-            vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
-            vec![
-                Entry::Name("GH-Backup".into()),
-                Entry::Custom {
-                    key: EQUIVALENCE_GROUP_KEY.into(),
-                    value: "greenhouse".into(),
-                },
-            ],
-        );
-        let reg = w
-            .lus
-            .register(&mut w.env, motes[1], item, Some(SimDuration::from_secs(5)))
-            .unwrap();
-        renewal.manage(
-            &mut w.env,
-            motes[1],
-            w.lus,
-            reg.lease,
-            SimDuration::from_secs(5),
-        );
 
         // Composite pinned to the primary, with the group as fallback.
         let handle = deploy_csp(&mut w.env, CspConfig::new(w.server, "GH", w.lus)).unwrap();

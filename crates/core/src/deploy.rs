@@ -14,9 +14,10 @@ use sensorcer_provision::monitor::{MonitorHandle, ProvisionMonitor};
 use sensorcer_provision::policy::AllocationPolicy;
 use sensorcer_provision::qos::QosCapabilities;
 use sensorcer_registry::events::{EventMailbox, MailboxHandle};
+use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lease::LeasePolicy;
 use sensorcer_registry::lus::{LookupService, LusHandle};
-use sensorcer_registry::renewal::{LeaseRenewalService, RenewalHandle};
+use sensorcer_registry::renewal::{join, LeaseRenewalService, RenewalHandle};
 use sensorcer_registry::txn::{TmHandle, TransactionManager};
 use sensorcer_sensors::spot;
 use sensorcer_sim::env::Env;
@@ -113,10 +114,10 @@ pub fn standard_deployment(env: &mut Env, config: &DeploymentConfig) -> Deployme
         lab,
         "Lookup Service",
         &config.group,
-        // Infrastructure services register with the default duration and
-        // nothing renews for them, so the default is effectively "for the
-        // life of the deployment"; sensor services pass explicit short
-        // leases and live by renewal.
+        // Infrastructure services join with the default duration and no
+        // renewer, so the default is effectively "for the life of the
+        // deployment"; sensor services join with explicit short leases and
+        // the renewal service.
         LeasePolicy {
             max_duration: SimDuration::from_secs(1_000_000),
             default_duration: SimDuration::from_secs(1_000_000),
@@ -146,17 +147,8 @@ pub fn standard_deployment(env: &mut Env, config: &DeploymentConfig) -> Deployme
             mailbox.service,
         ),
     ] {
-        let item = sensorcer_registry::item::ServiceItem::new(
-            sensorcer_registry::ids::SvcUuid::NIL,
-            lab,
-            service,
-            vec![iface.into()],
-            vec![
-                sensorcer_registry::attributes::Entry::Name(name.into()),
-                sensorcer_registry::attributes::Entry::ServiceType("INFRASTRUCTURE".into()),
-            ],
-        );
-        let _ = lus.register(env, lab, item, None);
+        let item = ServiceItem::provider(lab, service, &[iface], name, "INFRASTRUCTURE");
+        let _ = join(env, lus, item, None, None);
     }
 
     // --- Rio provisioning ------------------------------------------------

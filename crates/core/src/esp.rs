@@ -27,7 +27,7 @@ use sensorcer_registry::attributes::Entry;
 use sensorcer_registry::ids::{interfaces, SvcUuid};
 use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
-use sensorcer_registry::renewal::RenewalHandle;
+use sensorcer_registry::renewal::{join, RenewalHandle};
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::env::{Env, ServiceId, TimerGroup};
 use sensorcer_sim::metrics::Key;
@@ -438,45 +438,32 @@ pub fn deploy_esp(env: &mut Env, config: EspConfig) -> EspHandle {
     };
     let service = env.deploy(config.host, config.name.clone(), ServicerBox::new(esp));
 
-    let mut attributes = vec![
-        Entry::Name(config.name.clone()),
-        Entry::ServiceType("ELEMENTARY".into()),
-    ];
+    let mut item = ServiceItem::provider(
+        config.host,
+        service,
+        &[interfaces::SENSOR_DATA_ACCESSOR, interfaces::SERVICER],
+        &config.name,
+        "ELEMENTARY",
+    );
     if let Some((building, floor, room)) = config.location {
-        attributes.push(Entry::Location {
+        item.attributes.push(Entry::Location {
             building,
             floor,
             room,
         });
     }
     if let Some(group) = config.equivalence_group {
-        attributes.push(Entry::Custom {
+        item.attributes.push(Entry::Custom {
             key: crate::csp::EQUIVALENCE_GROUP_KEY.to_string(),
             value: group,
         });
     }
-    let item = ServiceItem::new(
-        SvcUuid::NIL,
-        config.host,
-        service,
-        vec![
-            interfaces::SENSOR_DATA_ACCESSOR.into(),
-            interfaces::SERVICER.into(),
-        ],
-        attributes,
-    );
-    let registration = config
-        .lus
-        .register(env, config.host, item, Some(config.lease));
-    if let Ok(reg) = registration {
+    if let Ok(reg) = join(env, config.lus, item, Some(config.lease), config.renewal) {
         let _ = env.with_service(service, |_env, sb: &mut ServicerBox| {
             if let Some(esp) = sb.downcast_mut::<ElementarySensorProvider>() {
                 esp.uuid = Some(reg.uuid);
             }
         });
-        if let Some(renewal) = config.renewal {
-            renewal.manage(env, config.host, config.lus, reg.lease, config.lease);
-        }
     }
 
     if let Some(every) = config.sample_every {

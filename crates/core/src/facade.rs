@@ -17,9 +17,10 @@ use sensorcer_expr::{Text, Value};
 use sensorcer_obs::{AlertTransition, ReadOutcome, SloEngine, SloSpec};
 use sensorcer_provision::monitor::MonitorHandle;
 use sensorcer_registry::attributes::{name_of, service_type_of, Entry};
-use sensorcer_registry::ids::{interfaces, SvcUuid};
+use sensorcer_registry::ids::interfaces;
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
+use sensorcer_registry::renewal::join;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::topology::HostId;
 
@@ -173,21 +174,11 @@ impl SensorcerFacade {
         let lus_list: Vec<LusHandle> = facade.accessor.lus_handles().to_vec();
         let service = env.deploy(host, name, ServicerBox::new(facade));
         for lus in lus_list {
-            let item = ServiceItem::new(
-                SvcUuid::NIL,
-                host,
-                service,
-                vec![
-                    interfaces::SENSORCER_FACADE.into(),
-                    interfaces::SERVICER.into(),
-                ],
-                vec![
-                    Entry::Name(name.to_string()),
-                    Entry::ServiceType("FACADE".into()),
-                    Entry::Comment("SenSORCER Facade".into()),
-                ],
-            );
-            let _ = lus.register(env, host, item, None);
+            let interfaces = [interfaces::SENSORCER_FACADE, interfaces::SERVICER];
+            let mut item = ServiceItem::provider(host, service, &interfaces, name, "FACADE");
+            item.attributes
+                .push(Entry::Comment("SenSORCER Facade".into()));
+            let _ = join(env, lus, item, None, None);
         }
         FacadeHandle { service, host }
     }

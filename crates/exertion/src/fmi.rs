@@ -21,10 +21,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sensorcer_registry::attributes::{AttrMatch, Entry};
-use sensorcer_registry::ids::{interfaces, InterfaceId, SvcUuid};
+use sensorcer_registry::attributes::AttrMatch;
+use sensorcer_registry::ids::{interfaces, InterfaceId};
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
+use sensorcer_registry::renewal::join;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::HostId;
@@ -406,17 +407,14 @@ impl Peer {
         let lus_list = self.accessor.lus_handles().to_vec();
         let service = env.deploy(host, &name, ServicerBox::new(wrap(self)));
         for lus in lus_list {
-            let item = ServiceItem::new(
-                SvcUuid::NIL,
+            let item = ServiceItem::provider(
                 host,
                 service,
-                vec![interface.into(), interfaces::SERVICER.into()],
-                vec![
-                    Entry::Name(name.clone()),
-                    Entry::ServiceType(service_type.into()),
-                ],
+                &[interface, interfaces::SERVICER],
+                &name,
+                service_type,
             );
-            let _ = lus.register(env, host, item, None);
+            let _ = join(env, lus, item, None, None);
         }
         service
     }
@@ -643,13 +641,8 @@ mod tests {
             Ok(())
         });
         let svc = w.env.deploy(host, name, ServicerBox::new(tasker));
-        let item = ServiceItem::new(
-            sensorcer_registry::ids::SvcUuid::NIL,
-            host,
-            svc,
-            vec!["Math".into(), interfaces::SERVICER.into()],
-            vec![sensorcer_registry::attributes::Entry::Name(name.into())],
-        );
+        let item =
+            ServiceItem::provider(host, svc, &["Math", interfaces::SERVICER], name, "TASKER");
         w.lus.register(&mut w.env, host, item, None).unwrap();
     }
 

@@ -14,10 +14,10 @@ use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::topology::{HostId, NetError};
 use sensorcer_sim::wire::ProtocolStack;
 
-use sensorcer_registry::attributes::Entry;
-use sensorcer_registry::ids::{interfaces, SvcUuid};
+use sensorcer_registry::ids::interfaces;
 use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
+use sensorcer_registry::renewal::join;
 
 use crate::factory::{ProvisionedService, ServiceFactory};
 use crate::opstring::ServiceElement;
@@ -90,18 +90,10 @@ impl Cybernode {
     ) -> CybernodeHandle {
         let service = env.deploy(host, name, Cybernode::new(host, caps));
         if let Some(lus) = lus {
-            let item = ServiceItem::new(
-                SvcUuid::NIL,
-                host,
-                service,
-                vec![interfaces::CYBERNODE.into()],
-                vec![
-                    Entry::Name(name.to_string()),
-                    Entry::ServiceType("CYBERNODE".into()),
-                ],
-            );
-            // Cybernodes are infrastructure: register with a long lease.
-            let _ = lus.register(env, host, item, None);
+            let item =
+                ServiceItem::provider(host, service, &[interfaces::CYBERNODE], name, "CYBERNODE");
+            // Cybernodes are infrastructure: join with a long lease.
+            let _ = join(env, lus, item, None, None);
         }
         CybernodeHandle { service, host }
     }

@@ -16,10 +16,10 @@ use sensorcer_sim::topology::{HostId, NetError};
 use sensorcer_sim::trace::{Outcome, SpanId};
 use sensorcer_sim::wire::ProtocolStack;
 
-use sensorcer_registry::attributes::Entry;
-use sensorcer_registry::ids::{interfaces, SvcUuid};
+use sensorcer_registry::ids::interfaces;
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
+use sensorcer_registry::renewal::join;
 
 use crate::cybernode::CybernodeHandle;
 use crate::factory::{FactoryRegistry, ProvisionedService};
@@ -155,17 +155,9 @@ impl ProvisionMonitor {
     ) -> MonitorHandle {
         let service = env.deploy(host, name, ProvisionMonitor::new(host, policy, factories));
         if let Some(lus) = lus {
-            let item = ServiceItem::new(
-                SvcUuid::NIL,
-                host,
-                service,
-                vec![interfaces::PROVISION_MONITOR.into()],
-                vec![
-                    Entry::Name(name.to_string()),
-                    Entry::ServiceType("MONITOR".into()),
-                ],
-            );
-            let _ = lus.register(env, host, item, None);
+            let iface = [interfaces::PROVISION_MONITOR];
+            let item = ServiceItem::provider(host, service, &iface, name, "MONITOR");
+            let _ = join(env, lus, item, None, None);
         }
         env.schedule_every(heartbeat, heartbeat, move |env| {
             env.with_service(service, |env, m: &mut ProvisionMonitor| m.check(env))
@@ -926,16 +918,66 @@ mod tests {
     #[test]
     fn a_node_that_reboots_after_failover_drops_its_stale_copy() {
         let mut w = setup(2, AllocationPolicy::LeastUtilized);
+        // Beans join a lookup service, renewed every 300 ms: more often
+        // than the monitor's 1 s heartbeat.
+        let lab = w.monitor.host;
+        let policy = sensorcer_registry::lease::LeasePolicy::default();
+        let reap = SimDuration::from_millis(500);
+        let lus = sensorcer_registry::lus::LookupService::deploy(
+            &mut w.env, lab, "LUS", "public", policy, reap,
+        );
+        let renewal =
+            sensorcer_registry::renewal::LeaseRenewalService::deploy(&mut w.env, lab, "Renewal");
+        let interval = SimDuration::from_millis(300);
+        let bean = move |env: &mut Env, host, _: &ServiceElement, instance: &str| {
+            let service = env.deploy(host, instance, Bean);
+            let item = ServiceItem::provider(host, service, &[], instance, "BEAN");
+            join(env, lus, item, Some(interval * 3), Some(renewal)).map_err(|e| e.to_string())?;
+            Ok(service)
+        };
+        w.env
+            .with_service(w.monitor.service, |_e, m: &mut ProvisionMonitor| {
+                m.factories.register_fn("bean", bean)
+            })
+            .unwrap();
         let placed = w
             .monitor
             .deploy_opstring(&mut w.env, w.client, opstring(1))
             .unwrap()
             .unwrap();
         // The terminate sent while the node is down cannot reach it; the
-        // node comes back still hosting the copy that failed over.
-        w.env.crash_host(placed[0].host);
+        // node comes back still hosting the copy that failed over, whose
+        // lease lapsed meanwhile, so it rejoins until it is terminated.
+        let stale = *w.nodes.iter().find(|n| n.host == placed[0].host).unwrap();
+        w.env.crash_host(stale.host);
         w.env.run_for(SimDuration::from_secs(3));
-        w.env.restart_host(placed[0].host);
+        w.env.restart_host(stale.host);
+        let listed = |env: &mut Env| {
+            let found = lus.lookup(env, w.client, &ServiceTemplate::by_name("svc"), 10);
+            found.unwrap().iter().map(|i| i.service).collect::<Vec<_>>()
+        };
+        let (until, mut both) = (w.env.now() + SimDuration::from_secs(10), 0);
+        let hosts = |env: &mut Env| {
+            env.with_service(stale.service, |_e, n: &mut Cybernode| n.hosted().count())
+        };
+        while hosts(&mut w.env) == Ok(1) && w.env.now() < until {
+            w.env.run_for(SimDuration::from_millis(100));
+            both += usize::from(listed(&mut w.env).len() == 2);
+        }
+        assert!(both > 0, "the stale copy rejoined before it was terminated");
+        // Terminated: its join ends and cancels its lease at the next tick.
+        w.env.run_for(interval);
+        let survivor = w
+            .env
+            .with_service(w.monitor.service, |_e, m: &mut ProvisionMonitor| {
+                m.instances("net")[0].service
+            })
+            .unwrap();
+        assert_eq!(
+            listed(&mut w.env),
+            vec![survivor],
+            "one svc: the copy that failed over"
+        );
         w.env.run_for(SimDuration::from_secs(10));
         let (mut hosted, mut reserved) = (0, 0);
         for node in &w.nodes {

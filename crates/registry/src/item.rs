@@ -37,6 +37,23 @@ impl ServiceItem {
         }
     }
 
+    /// A provider's item as it first joins: no uuid yet, the interfaces it
+    /// implements, then its `Name` and `ServiceType`.
+    pub fn provider(
+        host: HostId,
+        service: ServiceId,
+        interfaces: &[&str],
+        name: &str,
+        service_type: &str,
+    ) -> ServiceItem {
+        let attributes = vec![
+            Entry::Name(name.to_string()),
+            Entry::ServiceType(service_type.to_string()),
+        ];
+        let interfaces = interfaces.iter().map(|&iface| iface.into()).collect();
+        ServiceItem::new(SvcUuid::NIL, host, service, interfaces, attributes)
+    }
+
     /// The `Name` attribute, if present (how the browser labels services).
     pub fn name(&self) -> Option<&str> {
         name_of(&self.attributes)

@@ -146,15 +146,25 @@ impl<T> LeaseTable<T> {
         Some((&mut chunk.none_due_before, &mut chunk.entries[i]))
     }
 
+    /// The term a grant or renewal gets: `requested` clamped to the policy
+    /// maximum, `None` meaning the policy default.
+    pub(crate) fn term(&self, requested: Option<SimDuration>) -> SimDuration {
+        requested
+            .unwrap_or(self.policy.default_duration)
+            .min(self.policy.max_duration)
+    }
+
     /// Grant a lease over `resource`. `requested` is clamped to the policy
     /// maximum; `None` means the policy default.
     pub fn grant(&mut self, now: SimTime, requested: Option<SimDuration>, resource: T) -> Lease {
-        let dur = requested
-            .unwrap_or(self.policy.default_duration)
-            .min(self.policy.max_duration);
+        self.grant_until(now + self.term(requested), resource)
+    }
+
+    /// Grant a lease over `resource` that expires at `expires`, whatever
+    /// the policy says.
+    pub(crate) fn grant_until(&mut self, expires: SimTime, resource: T) -> Lease {
         let id = LeaseId(self.next);
         self.next += 1;
-        let expires = now + dur;
         let (index, offset) = split(id);
         // Ids are consecutive, so the lease belongs to the last chunk or
         // to a new one after it.
@@ -179,9 +189,7 @@ impl<T> LeaseTable<T> {
         id: LeaseId,
         requested: Option<SimDuration>,
     ) -> Result<Lease, LeaseError> {
-        let dur = requested
-            .unwrap_or(self.policy.default_duration)
-            .min(self.policy.max_duration);
+        let dur = self.term(requested);
         let (bound, entry) = self.entry_mut(id).ok_or(LeaseError::Unknown)?;
         if now >= entry.1 {
             return Err(LeaseError::Expired);
@@ -206,6 +214,19 @@ impl<T> LeaseTable<T> {
             self.chunks.remove(pos);
         }
         Ok(resource)
+    }
+
+    /// Cancel the first lease, in id order, whose resource `held` picks,
+    /// expired or not. A walk of every lease: for the rare caller that
+    /// knows the resource and not the lease.
+    pub(crate) fn retire(&mut self, mut held: impl FnMut(&T) -> bool) {
+        let id = self.chunks.iter().find_map(|chunk| {
+            let (offset, ..) = chunk.entries.iter().find(|(_, _, r)| held(r))?;
+            Some(chunk.id(*offset))
+        });
+        if let Some(id) = id {
+            let _ = self.cancel(id);
+        }
     }
 
     /// Remove every lease expired at `now`, returning the reaped resources

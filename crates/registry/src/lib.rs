@@ -1,8 +1,9 @@
 //! # sensorcer-registry
 //!
 //! The Jini substitute (§IV.B of the paper): multicast discovery, a
-//! lookup service with template matching and leased registrations, a
-//! lease-renewal service, distributed events with an event mailbox, and a
+//! lookup service with template matching and leased registrations, one
+//! `join` that keeps a provider registered through a lease-renewal
+//! service, distributed events with an event mailbox, and a
 //! two-phase-commit transaction manager.
 //!
 //! This is the plug-and-play backbone of SenSORCER: "new services entering
@@ -63,7 +64,7 @@ pub mod prelude {
     pub use crate::item::{ServiceItem, ServiceTemplate};
     pub use crate::lease::{Lease, LeaseError, LeaseId, LeasePolicy, LeaseTable};
     pub use crate::lus::{LookupService, LusHandle, ServiceRegistration};
-    pub use crate::renewal::{LeaseRenewalService, RenewalHandle};
+    pub use crate::renewal::{join, LeaseRenewalService, RenewalHandle};
     pub use crate::txn::{
         Participant, TmHandle, TransactionManager, TxnError, TxnId, TxnState, Vote,
     };

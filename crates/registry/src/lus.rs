@@ -192,30 +192,11 @@ impl LookupService {
                 .is_ok()
         });
         // A Jini LUS registers itself in its own registry, so browsers see
-        // it in the service listing. Its lease is renewed by the reaper's
-        // host being itself — registered without expiry pressure (policy
-        // max) and re-registered by the reaper if it ever lapses.
-        let self_item = ServiceItem::new(
-            SvcUuid::NIL,
-            host,
-            service,
-            vec![crate::ids::interfaces::LOOKUP_SERVICE.into()],
-            vec![
-                crate::attributes::Entry::Name(name.to_string()),
-                crate::attributes::Entry::ServiceType("INFRASTRUCTURE".into()),
-            ],
-        );
+        // it in the service listing. Its entry lives as long as the LUS.
+        let iface = [crate::ids::interfaces::LOOKUP_SERVICE];
+        let self_item = ServiceItem::provider(host, service, &iface, name, "INFRASTRUCTURE");
         let _ = env.with_service(service, |env, lus: &mut LookupService| {
-            let max = lus.reg_leases.policy().max_duration;
-            let reg = lus.register(env, self_item, Some(max));
-            // Keep the self-registration alive forever.
-            let lease = reg.lease.id;
-            env.schedule_every(max / 2, max / 2, move |env| {
-                env.with_service(service, |env, lus: &mut LookupService| {
-                    lus.renew(env, lease, None).is_ok()
-                })
-                .unwrap_or(false)
-            });
+            lus.admit(env, Arc::new(self_item), SimTime::FAR_FUTURE)
         });
         LusHandle { service, host }
     }
@@ -231,13 +212,29 @@ impl LookupService {
     }
 
     /// Register (or re-register) a service item. A nil uuid is assigned a
-    /// fresh one — the Jini "assign me an id" flow.
+    /// fresh one — the Jini "assign me an id" flow. Re-registering a live
+    /// uuid replaces its item and cancels the lease that kept it, so each
+    /// registration has one lease.
     pub fn register(
         &mut self,
         env: &mut Env,
-        mut item: ServiceItem,
+        item: ServiceItem,
         duration: Option<SimDuration>,
     ) -> ServiceRegistration {
+        let expires = env.now() + self.reg_leases.term(duration);
+        self.admit(env, Arc::new(item), expires).0
+    }
+
+    /// Register `item` until `expires`, handing back the handle the
+    /// registry keeps. An item shared elsewhere (a rejoin passes back the
+    /// handle it was given) is registered as it stands; only one held
+    /// nowhere else gets a uuid and the posting keys' interface names.
+    fn admit(
+        &mut self,
+        env: &mut Env,
+        mut item: Arc<ServiceItem>,
+        expires: SimTime,
+    ) -> (ServiceRegistration, Arc<ServiceItem>) {
         let span = if env.tracing_enabled() {
             let label = item.name().unwrap_or("(unnamed)").to_string();
             env.span_start("lus.register", &label, self.host)
@@ -245,24 +242,26 @@ impl LookupService {
             SpanId::INVALID
         };
         let now = env.now();
-        if item.uuid.is_nil() {
-            item.uuid = SvcUuid::generate(env.rng());
-        }
-        let uuid = item.uuid;
-        // Share the names the interface postings hold; a name new to the
-        // registry becomes its posting's key as it is.
-        for iface in &mut item.interfaces {
-            if let Some((held, _)) = self.by_interface.get_key_value(iface) {
-                *iface = held.clone();
+        if let Some(fresh) = Arc::get_mut(&mut item) {
+            if fresh.uuid.is_nil() {
+                fresh.uuid = SvcUuid::generate(env.rng());
+            }
+            // Share the names the interface postings hold; a name new to
+            // the registry becomes its posting's key as it is.
+            for iface in &mut fresh.interfaces {
+                if let Some((held, _)) = self.by_interface.get_key_value(iface) {
+                    *iface = held.clone();
+                }
             }
         }
-        let item = Arc::new(item);
+        let uuid = item.uuid;
         let old = self.items.insert(uuid, Arc::clone(&item));
         if let Some(old) = &old {
             self.unindex_item(env, old);
+            self.reg_leases.retire(|held| *held == uuid);
         }
         self.index_item(env, &item);
-        let lease = self.reg_leases.grant(now, duration, uuid);
+        let lease = self.reg_leases.grant_until(expires, uuid);
         self.registrations_total += 1;
         self.fire(env, now, uuid, old.as_deref(), Some(&item));
         if span.is_valid() {
@@ -270,7 +269,7 @@ impl LookupService {
             env.span_field(span, "replaced", old.is_some());
         }
         env.span_end(span, Outcome::Ok);
-        ServiceRegistration { uuid, lease }
+        (ServiceRegistration { uuid, lease }, item)
     }
 
     /// Renew a registration lease at the current virtual time.
@@ -598,6 +597,19 @@ impl LusHandle {
         item: ServiceItem,
         duration: Option<SimDuration>,
     ) -> Result<ServiceRegistration, NetError> {
+        self.register_shared(env, from, Arc::new(item), duration)
+            .map(|(reg, _)| reg)
+    }
+
+    /// [`register`](Self::register), handing back the handle the registry
+    /// keeps on the item: what a join registers again, not a copy.
+    pub(crate) fn register_shared(
+        &self,
+        env: &mut Env,
+        from: HostId,
+        item: Arc<ServiceItem>,
+        duration: Option<SimDuration>,
+    ) -> Result<(ServiceRegistration, Arc<ServiceItem>), NetError> {
         let req = item.wire_size() + 16;
         env.call(
             from,
@@ -605,8 +617,8 @@ impl LusHandle {
             ProtocolStack::Tcp,
             req,
             |env, lus: &mut LookupService| {
-                let reg = lus.register(env, item, duration);
-                (reg, 40)
+                let expires = env.now() + lus.reg_leases.term(duration);
+                (lus.admit(env, item, expires), 40)
             },
         )
     }
@@ -777,16 +789,8 @@ mod tests {
     }
 
     fn sensor_item(name: &str, host: HostId, svc: u64) -> ServiceItem {
-        ServiceItem::new(
-            SvcUuid::NIL,
-            host,
-            ServiceId(svc),
-            vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
-            vec![
-                Entry::Name(name.into()),
-                Entry::ServiceType("ELEMENTARY".into()),
-            ],
-        )
+        let iface = [interfaces::SENSOR_DATA_ACCESSOR];
+        ServiceItem::provider(host, ServiceId(svc), &iface, name, "ELEMENTARY")
     }
 
     #[test]
@@ -911,6 +915,35 @@ mod tests {
             renew_at(expires + SimDuration::from_millis(1)),
             Err(LeaseError::Expired)
         );
+    }
+
+    #[test]
+    fn re_registering_a_live_uuid_retires_its_old_lease() {
+        let (mut env, lab, _, lus) = setup();
+        let mut item = sensor_item("Neem", lab, 1);
+        let secs = |s| Some(SimDuration::from_secs(s));
+        let first = lus.register(&mut env, lab, item.clone(), secs(4)).unwrap();
+        env.run_for(SimDuration::from_secs(2));
+        item.uuid = first.uuid;
+        let second = lus.register(&mut env, lab, item, secs(30)).unwrap();
+        // Past the first lease's expiry and a reap, the item is held by the
+        // second lease alone: the first can neither renew nor cancel it.
+        env.run_for(SimDuration::from_secs(5));
+        let old = first.lease.id;
+        assert_eq!(
+            lus.renew(&mut env, lab, old, None).unwrap(),
+            Err(LeaseError::Unknown)
+        );
+        assert_eq!(
+            lus.cancel(&mut env, lab, old).unwrap(),
+            Err(LeaseError::Unknown)
+        );
+        assert!(lus
+            .renew(&mut env, lab, second.lease.id, None)
+            .unwrap()
+            .is_ok());
+        let tpl = ServiceTemplate::by_name("Neem");
+        assert_eq!(lus.lookup(&mut env, lab, &tpl, 10).unwrap().len(), 1);
     }
 
     #[test]

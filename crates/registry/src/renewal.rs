@@ -1,26 +1,32 @@
-//! Lease renewal service (Jini infrastructure visible in the paper's
-//! Fig. 2 service listing).
+//! Joining the federation: [`join`] registers a provider's item and, with
+//! a lease renewal service (Jini infrastructure visible in the paper's
+//! Fig. 2 service listing), keeps it registered for as long as the
+//! provider is deployed, after Jini's `JoinManager`.
 //!
-//! Constrained providers hand their leases to this service, which renews
-//! them on a timer "periodically by their service provider" (§IV.B) —
-//! here, by the renewal service acting for the provider. If the provider's
-//! host dies, the renewal stops (the service checks liveness before each
-//! renewal), the lease lapses, and the registration evaporates: exactly
-//! the self-cleaning behaviour the paper relies on for robustness.
+//! Leases are renewed "periodically by their service provider" (§IV.B) —
+//! here, by the renewal service acting for the provider. While the
+//! provider's host is down the renewal is skipped, so a dead provider's
+//! lease lapses and its registration evaporates: the self-cleaning the
+//! paper relies on. Once the host is back the item is registered again
+//! under its old uuid ("when it is up the node is immediately
+//! available"), and once the provider is undeployed its lease is
+//! cancelled and the join ends.
 
-use sensorcer_sim::env::{Env, RepeatHandle, ServiceId};
+use std::sync::Arc;
+
+use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
-use sensorcer_sim::topology::HostId;
+use sensorcer_sim::topology::{HostId, NetError};
 
-use crate::lease::{Lease, LeaseId};
-use crate::lus::LusHandle;
+use crate::item::ServiceItem;
+use crate::lease::Lease;
+use crate::lus::{LusHandle, ServiceRegistration};
 
 /// Statistics of a deployed renewal service.
 #[derive(Debug, Default)]
 pub struct LeaseRenewalService {
     renewals_ok: u64,
     renewals_failed: u64,
-    managed: u64,
 }
 
 impl LeaseRenewalService {
@@ -30,16 +36,15 @@ impl LeaseRenewalService {
         RenewalHandle { service, host }
     }
 
+    /// Ticks that left the lease held: renewed, or registered again.
     pub fn renewals_ok(&self) -> u64 {
         self.renewals_ok
     }
 
+    /// Ticks that did not: the owner's host was down, or the lookup
+    /// service could not be reached.
     pub fn renewals_failed(&self) -> u64 {
         self.renewals_failed
-    }
-
-    pub fn managed(&self) -> u64 {
-        self.managed
     }
 }
 
@@ -50,82 +55,94 @@ pub struct RenewalHandle {
     pub host: HostId,
 }
 
-impl RenewalHandle {
-    /// Keep `lease` (granted by `lus`) alive with renewals of `duration`,
-    /// on behalf of the provider running on `owner`. Renewals happen at
-    /// half the lease duration. While the owner host is down the renewal
-    /// is *skipped* (not abandoned): a brief outage shorter than the lease
-    /// leaves the registration intact and renewals resume on restart — the
-    /// paper's "when it is up the node is immediately available" — while a
-    /// longer outage lets the lease lapse naturally. Management ends when
-    /// the lease is gone (expired or cancelled at the LUS) or the returned
-    /// handle is cancelled.
-    pub fn manage(
-        &self,
-        env: &mut Env,
-        owner: HostId,
-        lus: LusHandle,
-        lease: Lease,
-        duration: SimDuration,
-    ) -> RepeatHandle {
-        let me = *self;
-        let lease_id: LeaseId = lease.id;
-        // Renew at a third of the lease so one missed tick (provider briefly
-        // down, LUS briefly unreachable) still leaves a covering renewal
-        // before expiry.
-        let interval = SimDuration::from_nanos((duration.as_nanos() / 3).max(1));
-        env.with_service(me.service, |_env, s: &mut LeaseRenewalService| {
-            s.managed += 1
-        })
-        .ok();
-        let mut expires = lease.expires;
-        env.schedule_every(interval, interval, move |env| {
-            if !env.topo.is_alive(owner) {
-                let _ = env.with_service(me.service, |_env, s: &mut LeaseRenewalService| {
-                    s.renewals_failed += 1;
-                });
-                // Nothing left to manage once the lease has lapsed.
-                return env.now() < expires;
+/// Register `item` with `lus` from its own host for `lease` (`None`: the
+/// registry's default), and with a `renewer`, keep it registered while
+/// `item.service` is deployed.
+///
+/// The renewer renews every third of the lease, so one missed tick still
+/// leaves a covering renewal before expiry. A tick while the owner's host
+/// is down is skipped. When the lookup service reports the lease gone, or
+/// the host is back after the lease lapsed, the item is registered again
+/// under its uuid. Once the service is undeployed the lease is cancelled
+/// and the join ends. The item kept for that is the one the registry
+/// holds, shared, not a copy: attributes edited at the registry since
+/// are not what a rejoin restores.
+///
+/// Without a renewer the registration lives out its lease. Nothing is
+/// joined if the first registration fails.
+pub fn join(
+    env: &mut Env,
+    lus: LusHandle,
+    item: ServiceItem,
+    lease: Option<SimDuration>,
+    renewer: Option<RenewalHandle>,
+) -> Result<ServiceRegistration, NetError> {
+    let (reg, item) = lus.register_shared(env, item.host, Arc::new(item), lease)?;
+    let Some(renewer) = renewer else {
+        return Ok(reg);
+    };
+    let term = lease.unwrap_or_else(|| reg.lease.remaining(env.now()));
+    let interval = SimDuration::from_nanos((term.as_nanos() / 3).max(1));
+    let mut lease = reg.lease;
+    env.schedule_every(interval, interval, move |env| {
+        let Some(owner) = env.service_host(item.service) else {
+            // Undeployed: the registration goes with the service.
+            let _ = lus.cancel(env, renewer.host, lease.id);
+            return false;
+        };
+        let held = if !env.topo.is_alive(owner) {
+            None
+        } else if env.now() >= lease.expires {
+            rejoin(env, lus, owner, &item, term)
+        } else {
+            match lus.renew(env, renewer.host, lease.id, Some(term)) {
+                Ok(Ok(renewed)) => Some(renewed),
+                Ok(Err(_)) => rejoin(env, lus, owner, &item, term),
+                // The lookup service was unreachable: try again next tick.
+                Err(_) => None,
             }
-            match lus.renew(env, me.host, lease_id, Some(duration)) {
-                Ok(Ok(renewed)) => {
-                    expires = renewed.expires;
-                    let _ = env.with_service(me.service, |_env, s: &mut LeaseRenewalService| {
-                        s.renewals_ok += 1;
-                    });
-                    true
-                }
-                // The LUS says the lease is gone: stop managing it.
-                Ok(Err(_)) => {
-                    let _ = env.with_service(me.service, |_env, s: &mut LeaseRenewalService| {
-                        s.renewals_failed += 1;
-                    });
-                    false
-                }
-                // The LUS was unreachable this tick: keep trying until the
-                // lease would have lapsed anyway.
-                Err(_) => {
-                    let _ = env.with_service(me.service, |_env, s: &mut LeaseRenewalService| {
-                        s.renewals_failed += 1;
-                    });
-                    env.now() < expires
-                }
+        };
+        if let Some(held) = held {
+            lease = held;
+        }
+        let _ = env.with_service(renewer.service, |_env, s: &mut LeaseRenewalService| {
+            if held.is_some() {
+                s.renewals_ok += 1;
+            } else {
+                s.renewals_failed += 1;
             }
-        })
-    }
+        });
+        true
+    });
+    Ok(reg)
+}
+
+/// Register `item` again from its host `owner`, under its uuid.
+fn rejoin(
+    env: &mut Env,
+    lus: LusHandle,
+    owner: HostId,
+    item: &Arc<ServiceItem>,
+    term: SimDuration,
+) -> Option<Lease> {
+    lus.register_shared(env, owner, Arc::clone(item), Some(term))
+        .ok()
+        .map(|(reg, _)| reg.lease)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attributes::Entry;
     use crate::ids::SvcUuid;
-    use crate::item::{ServiceItem, ServiceTemplate};
+    use crate::item::ServiceTemplate;
     use crate::lease::LeasePolicy;
     use crate::lus::LookupService;
     use sensorcer_sim::prelude::*;
 
-    fn setup() -> (Env, HostId, HostId, LusHandle, RenewalHandle) {
+    const LEASE: SimDuration = SimDuration::from_secs(4);
+
+    /// A provider on `mote` joined with a renewer, and what it registered.
+    fn setup() -> (Env, HostId, LusHandle, RenewalHandle, ServiceRegistration) {
         let mut env = Env::with_seed(1);
         let lab = env.add_host("lab", HostKind::Server);
         let mote = env.add_host("mote", HostKind::SensorMote);
@@ -138,88 +155,88 @@ mod tests {
             SimDuration::from_millis(500),
         );
         let renewal = LeaseRenewalService::deploy(&mut env, lab, "Lease Renewal Service");
-        (env, lab, mote, lus, renewal)
+        let service = env.deploy(mote, "N", ());
+        let item = ServiceItem::provider(mote, service, &[], "N", "ELEMENTARY");
+        let reg = join(&mut env, lus, item, Some(LEASE), Some(renewal)).unwrap();
+        (env, mote, lus, renewal, reg)
     }
 
-    fn item(host: HostId) -> ServiceItem {
-        ServiceItem::new(
-            SvcUuid::NIL,
-            host,
-            ServiceId(5),
-            vec![],
-            vec![Entry::Name("N".into())],
-        )
+    /// The uuids listed under the name `N`.
+    fn listed(env: &mut Env, lus: LusHandle) -> Vec<SvcUuid> {
+        let found = lus.lookup(env, lus.host, &ServiceTemplate::by_name("N"), 10);
+        found.unwrap().iter().map(|item| item.uuid).collect()
+    }
+
+    fn stats(env: &mut Env, renewal: RenewalHandle) -> (u64, u64) {
+        env.with_service(renewal.service, |_e, s: &mut LeaseRenewalService| {
+            (s.renewals_ok(), s.renewals_failed())
+        })
+        .unwrap()
     }
 
     #[test]
     fn managed_lease_outlives_its_duration() {
-        let (mut env, _lab, mote, lus, renewal) = setup();
-        let dur = SimDuration::from_secs(4);
-        let reg = lus.register(&mut env, mote, item(mote), Some(dur)).unwrap();
-        renewal.manage(&mut env, mote, lus, reg.lease, dur);
+        let (mut env, _, lus, renewal, reg) = setup();
         env.run_for(SimDuration::from_secs(60));
-        let found = lus
-            .lookup(&mut env, mote, &ServiceTemplate::by_name("N"), 10)
-            .unwrap();
-        assert_eq!(found.len(), 1, "renewals must keep the item registered");
-        env.with_service(renewal.service, |_e, s: &mut LeaseRenewalService| {
-            assert!(s.renewals_ok() >= 10);
-            assert_eq!(s.managed(), 1);
-        })
-        .unwrap();
+        assert_eq!(listed(&mut env, lus), vec![reg.uuid]);
+        assert_eq!(
+            stats(&mut env, renewal),
+            (44, 0),
+            "renewed every third of the lease"
+        );
     }
 
     #[test]
     fn dead_owner_lapses_out_of_the_registry() {
-        let (mut env, _lab, mote, lus, renewal) = setup();
-        let dur = SimDuration::from_secs(4);
-        let reg = lus.register(&mut env, mote, item(mote), Some(dur)).unwrap();
-        renewal.manage(&mut env, mote, lus, reg.lease, dur);
-        env.run_for(SimDuration::from_secs(10));
+        let (mut env, mote, lus, renewal, reg) = setup();
         env.crash_host(mote);
-        env.run_for(SimDuration::from_secs(10));
-        let found = lus
-            .lookup(&mut env, _lab, &ServiceTemplate::by_name("N"), 10)
+        env.run_for(LEASE * 3);
+        assert_eq!(
+            listed(&mut env, lus),
+            vec![],
+            "the dead provider's item evaporates"
+        );
+        assert_eq!(
+            stats(&mut env, renewal).1,
+            9,
+            "the ticks while down are skipped"
+        );
+        // Back up: it rejoins under its uuid at its next tick.
+        env.restart_host(mote);
+        env.run_for(LEASE / 3);
+        assert_eq!(listed(&mut env, lus), vec![reg.uuid]);
+    }
+
+    #[test]
+    fn a_lease_the_lus_forgot_is_taken_again() {
+        let (mut env, _, lus, renewal, reg) = setup();
+        lus.cancel(&mut env, lus.host, reg.lease.id)
+            .unwrap()
             .unwrap();
-        assert_eq!(
-            found.len(),
-            0,
-            "dead provider's registration must evaporate"
-        );
+        assert_eq!(listed(&mut env, lus), vec![]);
+        env.run_for(LEASE / 3);
+        assert_eq!(listed(&mut env, lus), vec![reg.uuid]);
+        assert_eq!(stats(&mut env, renewal).1, 0);
     }
 
     #[test]
-    fn cancelled_management_lets_lease_lapse() {
-        let (mut env, lab, mote, lus, renewal) = setup();
-        let dur = SimDuration::from_secs(4);
-        let reg = lus.register(&mut env, mote, item(mote), Some(dur)).unwrap();
-        let handle = renewal.manage(&mut env, mote, lus, reg.lease, dur);
+    fn undeploying_the_provider_ends_its_join() {
+        let (mut env, _, lus, renewal, _) = setup();
         env.run_for(SimDuration::from_secs(10));
-        handle.cancel();
-        env.run_for(SimDuration::from_secs(10));
+        let provider = env.find_service("N").unwrap();
+        assert!(env.undeploy(provider));
+        env.run_for(LEASE / 3);
         assert_eq!(
-            lus.lookup(&mut env, lab, &ServiceTemplate::by_name("N"), 10)
-                .unwrap()
-                .len(),
-            0
+            listed(&mut env, lus),
+            vec![],
+            "cancelled, not left to lapse"
         );
-    }
-
-    #[test]
-    fn renewal_stops_after_lus_rejects() {
-        let (mut env, lab, mote, lus, renewal) = setup();
-        let dur = SimDuration::from_secs(4);
-        let reg = lus.register(&mut env, mote, item(mote), Some(dur)).unwrap();
-        renewal.manage(&mut env, mote, lus, reg.lease, dur);
-        // Cancel the registration out from under the renewal manager.
-        lus.cancel(&mut env, lab, reg.lease.id).unwrap().unwrap();
+        let ended = stats(&mut env, renewal);
         env.run_for(SimDuration::from_secs(20));
-        env.with_service(renewal.service, |_e, s: &mut LeaseRenewalService| {
-            assert!(s.renewals_failed() >= 1);
-            // After the first failure the repeat stops; failures don't grow
-            // without bound.
-            assert!(s.renewals_failed() <= 2, "failed {}", s.renewals_failed());
-        })
-        .unwrap();
+        assert_eq!(
+            stats(&mut env, renewal),
+            ended,
+            "no tick after the join ended"
+        );
     }
 }

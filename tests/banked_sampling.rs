@@ -6,7 +6,9 @@
 //! into one FNV-1a fingerprint, pinned to what the per-service layout
 //! computed before the probes and rings moved into one bank per world:
 //! a change to where a mote keeps its state must not change one bit of
-//! what it answers, nor when its timers fire.
+//! what it answers, nor when its timers fire. (Re-pinned once since, for
+//! one timer fewer: the lookup service's own entry no longer has a renew
+//! timer.)
 
 use sensorcer_suite::core::prelude::*;
 use sensorcer_suite::exertion::prelude::*;
@@ -174,6 +176,6 @@ fn fingerprint(seed: u64) -> u64 {
 
 #[test]
 fn banked_sampling_answers_match_the_golden() {
-    assert_eq!(format!("{:016x}", fingerprint(42)), "137996bd7a1d2195");
-    assert_eq!(format!("{:016x}", fingerprint(7)), "f381be311a05e0cd");
+    assert_eq!(format!("{:016x}", fingerprint(42)), "f47ecfb46f2dd774");
+    assert_eq!(format!("{:016x}", fingerprint(7)), "d486f7280f1696ac");
 }

@@ -3,6 +3,7 @@
 
 use sensorcer_suite::core::prelude::*;
 use sensorcer_suite::provision::monitor::ProvisionMonitor;
+use sensorcer_suite::registry::item::ServiceTemplate;
 use sensorcer_suite::sim::prelude::*;
 
 fn world() -> (Env, Deployment) {
@@ -104,12 +105,23 @@ fn partitioned_mote_degrades_loudly_and_heals() {
         .is_ok());
 }
 
+/// The services registered under `name`.
+fn listed(env: &mut Env, d: &Deployment, name: &str) -> Vec<ServiceId> {
+    d.lus
+        .lookup(env, d.workstation, &ServiceTemplate::by_name(name), 10)
+        .unwrap()
+        .iter()
+        .map(|item| item.service)
+        .collect()
+}
+
 #[test]
 fn dead_sensor_disappears_from_listing_and_restarts_rejoin() {
     let (mut env, d) = world();
+    let lease = DeploymentConfig::fig2().lease;
     let coral_mote = d.mote_hosts[2];
     env.crash_host(coral_mote);
-    env.run_for(SimDuration::from_secs(90)); // > 2 lease periods
+    env.run_for(lease * 2);
 
     let mut model = BrowserModel::new();
     model
@@ -121,33 +133,45 @@ fn dead_sensor_disappears_from_listing_and_restarts_rejoin() {
     );
 
     // The paper: "when it is up the node is immediately available in the
-    // network" — our ESP's renewal stopped permanently, so rejoin means
-    // re-registering (the deploy path does that); simulate a fresh deploy.
+    // network". The original ESP rejoins at its next renewal tick.
     env.restart_host(coral_mote);
-    deploy_esp(
-        &mut env,
-        EspConfig {
-            renewal: Some(d.renewal),
-            lease: SimDuration::from_secs(30),
-            ..EspConfig::new(
-                coral_mote,
-                "Coral-Sensor",
-                Box::new(sensorcer_suite::sensors::probe::ScriptedProbe::new(
-                    vec![21.0],
-                    sensorcer_suite::sensors::units::Unit::Celsius,
-                )),
-                d.lus,
-            )
-        },
+    env.run_for(lease / 3);
+    assert_eq!(
+        listed(&mut env, &d, "Coral-Sensor"),
+        vec![d.esps[2].service]
     );
-    model
-        .refresh_services(&mut env, d.workstation, d.facade)
-        .unwrap();
-    assert!(model.services.iter().any(|(n, _)| n == "Coral-Sensor"));
     assert!(d
         .facade
         .get_value(&mut env, d.workstation, "Coral-Sensor")
         .is_ok());
+}
+
+#[test]
+fn an_undeployed_sensor_leaves_the_registry_within_a_renewal_interval() {
+    let (mut env, d) = world();
+    let lease = DeploymentConfig::fig2().lease;
+    env.run_for(lease);
+    assert_eq!(listed(&mut env, &d, "Neem-Sensor"), vec![d.esps[0].service]);
+    assert!(env.undeploy(d.esps[0].service));
+    env.run_for(lease / 3);
+    assert_eq!(listed(&mut env, &d, "Neem-Sensor"), vec![]);
+}
+
+#[test]
+fn an_undeployed_composite_leaves_the_registry_within_a_renewal_interval() {
+    let (mut env, d) = world();
+    d.facade
+        .create_service(&mut env, d.workstation, "HA", &["Neem-Sensor"], None)
+        .unwrap();
+    let ha = env.find_service("HA").expect("placed");
+    assert_eq!(listed(&mut env, &d, "HA"), vec![ha]);
+    d.monitor
+        .undeploy_opstring(&mut env, d.workstation, "sensor-HA")
+        .unwrap()
+        .unwrap();
+    // The composite's lease is the provisioner's default, 30 s.
+    env.run_for(SimDuration::from_secs(30) / 3);
+    assert_eq!(listed(&mut env, &d, "HA"), vec![]);
 }
 
 #[test]

@@ -220,7 +220,8 @@ fn churn(g: &mut Gen, make: fn(HostId) -> LookupService, sparse: bool, seen: &mu
         let live: Vec<SvcUuid> = model.keys().copied().collect();
         match g.u64_in(0, 10) {
             // Register: a fresh uuid, or over a live registration (the
-            // old postings go, the old lease still points at the uuid).
+            // old postings go, and so does the old lease: one lease per
+            // registration).
             0..=3 => {
                 let uuid = if !live.is_empty() && g.chance(0.25) {
                     *g.pick(&live)
@@ -230,6 +231,7 @@ fn churn(g: &mut Gen, make: fn(HostId) -> LookupService, sparse: bool, seen: &mu
                 let item = gen_item(g, uuid, sparse);
                 let dur = g.bool().then(|| SimDuration::from_secs(g.u64_in(1, 30)));
                 let reg = lus.register(&mut env, item.clone(), dur);
+                leases.retain(|(_, held)| *held != reg.uuid);
                 model.insert(
                     reg.uuid,
                     ServiceItem {
@@ -414,7 +416,8 @@ fn repeated_keys_of_one_item_are_posted_once_and_unposted_once() {
             let mut shuffled = repeated.clone();
             g.rng().shuffle(&mut shuffled);
             shuffled.remove(g.usize_in(0, shuffled.len()));
-            register(&mut env, &mut lus, &mut model, a.uuid, shuffled, 1_000);
+            // It holds by the new lease alone: the old one is retired.
+            let a = register(&mut env, &mut lus, &mut model, a.uuid, shuffled, 1_000);
             assert_scan_parity(g, &lus, &model);
 
             // Drop the entries one at a time: the item stays posted under a
