@@ -12,6 +12,7 @@
 //! aggregation.
 
 use sensorcer_sensors::probe::SensorProbe;
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::{HostId, NetError};
@@ -68,10 +69,35 @@ pub fn deploy_tci(
     )
 }
 
+/// One RMI stub: the service it calls and the connection it keeps open to
+/// it, as RMI reuses connections (closed after a failed call or 15 s idle).
+type Stub = (ServiceId, Connection);
+
+fn stubs(services: Vec<ServiceId>) -> Vec<Stub> {
+    services
+        .into_iter()
+        .map(|svc| (svc, Connection::closed()))
+        .collect()
+}
+
+/// Call the service behind `stub` from `from` with a request of
+/// [`REQUEST_BYTES`], over the stub's connection.
+fn call_stub<T: 'static, R>(
+    env: &mut Env,
+    from: HostId,
+    (to, link): &mut Stub,
+    f: impl FnOnce(&mut Env, &mut T) -> (R, usize),
+) -> Result<R, NetError> {
+    let via = link.open(*to, ProtocolStack::Tcp, env.now());
+    let result = env.call(from, *to, via, REQUEST_BYTES, f);
+    link.settle(&result, env.now());
+    result
+}
+
 /// Level 2: an SSP collects from its TCIs and structures the data.
 pub struct Ssp {
     pub host: HostId,
-    tcis: Vec<ServiceId>,
+    tcis: Vec<Stub>,
 }
 
 impl Ssp {
@@ -79,19 +105,12 @@ impl Ssp {
     /// is a straightforward RMI client).
     fn collect(&mut self, env: &mut Env) -> Result<Vec<(String, f64)>, NetError> {
         let mut out = Vec::new();
-        for &tci in &self.tcis {
-            let host = self.host;
-            let readings = env.call(
-                host,
-                tci,
-                ProtocolStack::Tcp,
-                REQUEST_BYTES,
-                |env, t: &mut Tci| {
-                    let rs = t.collect(env);
-                    let bytes = rs.len() * RECORD_BYTES;
-                    (rs, bytes.max(8))
-                },
-            )?;
+        for tci in &mut self.tcis {
+            let readings = call_stub(env, self.host, tci, |env, t: &mut Tci| {
+                let rs = t.collect(env);
+                let bytes = rs.len() * RECORD_BYTES;
+                (rs, bytes.max(8))
+            })?;
             out.extend(readings);
         }
         Ok(out)
@@ -100,13 +119,14 @@ impl Ssp {
 
 /// Deploy an SSP over the given TCIs.
 pub fn deploy_ssp(env: &mut Env, host: HostId, name: &str, tcis: Vec<ServiceId>) -> ServiceId {
+    let tcis = stubs(tcis);
     env.deploy(host, name, Ssp { host, tcis })
 }
 
 /// Level 3: the ASP, sole access point for applications.
 pub struct Asp {
     pub host: HostId,
-    ssps: Vec<ServiceId>,
+    ssps: Vec<Stub>,
     queries: u64,
 }
 
@@ -118,19 +138,12 @@ impl Asp {
     fn collect(&mut self, env: &mut Env) -> Result<Vec<(String, f64)>, NetError> {
         self.queries += 1;
         let mut out = Vec::new();
-        for &ssp in &self.ssps {
-            let host = self.host;
-            let readings = env.call(
-                host,
-                ssp,
-                ProtocolStack::Tcp,
-                REQUEST_BYTES,
-                |env, s: &mut Ssp| {
-                    let rs = s.collect(env);
-                    let bytes = rs.as_ref().map_or(8, |r| r.len() * RECORD_BYTES);
-                    (rs, bytes.max(8))
-                },
-            )??;
+        for ssp in &mut self.ssps {
+            let readings = call_stub(env, self.host, ssp, |env, s: &mut Ssp| {
+                let rs = s.collect(env);
+                let bytes = rs.as_ref().map_or(8, |r| r.len() * RECORD_BYTES);
+                (rs, bytes.max(8))
+            })??;
             out.extend(readings);
         }
         Ok(out)
@@ -144,7 +157,7 @@ pub fn deploy_asp(env: &mut Env, host: HostId, name: &str, ssps: Vec<ServiceId>)
         name,
         Asp {
             host,
-            ssps,
+            ssps: stubs(ssps),
             queries: 0,
         },
     )
@@ -152,7 +165,8 @@ pub fn deploy_asp(env: &mut Env, host: HostId, name: &str, ssps: Vec<ServiceId>)
 
 /// Client-side: fetch all readings through the ASP (the only access
 /// point), then post-process *in the application* — the framework itself
-/// offers no compute facility (the paper's critique).
+/// offers no compute facility (the paper's critique). The client holds no
+/// stub, so each query is a one-shot exchange.
 pub fn query_all(
     env: &mut Env,
     from: HostId,

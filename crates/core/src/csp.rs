@@ -23,6 +23,7 @@ use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::{join, RenewalHandle};
 use sensorcer_sensors::calib::Calibration;
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::{SimDuration, SimTime};
 use sensorcer_sim::topology::{HostId, NetError};
@@ -290,7 +291,7 @@ struct FanOut<'r> {
     cache_enabled: bool,
     children: &'r [Child],
     requests: &'r [RequestHeader],
-    bindings: &'r mut [Option<ServiceId>],
+    bindings: &'r mut [Connection],
     request: &'r mut Exertion,
     /// The breadcrumb every child request carries.
     visited: &'r Arc<[Value]>,
@@ -327,24 +328,28 @@ impl FanOut<'_> {
     }
 
     /// Resolve the named provider: cached proxy first; a stale proxy is
-    /// dropped and the name re-bound within this same read.
+    /// dropped and the name re-bound within this same read. A cached
+    /// binding keeps its connection to the provider open across reads;
+    /// without the cache every hop is one-shot.
     fn read_named(&mut self, env: &mut Env, idx: usize) -> ChildOutcome {
         let name = self.children[idx].service_name.as_str();
-        if let Some(svc) = self.bindings[idx].filter(|_| self.cache_enabled) {
+        let mut link = self.bindings[idx];
+        if let Some(svc) = link.peer().filter(|_| self.cache_enabled) {
             if self.breaker_open(env, svc) {
                 // Breaker open: a fresh bind would reach the same tripped
                 // provider, so skip straight to the group fallback without
                 // retrying.
                 return Err(format!("'{name}': breaker open"));
             }
-            match self.hop(env, idx, svc, self.retry, name) {
-                // Answered, well or with a failure (dead transducer,
-                // expression error in a nested CSP, ...) — a fresh bind
-                // would reach the same provider, so a failure goes
-                // straight to the group fallback.
-                Ok(outcome) => return outcome,
-                // Stale proxy: drop and re-bind below.
-                Err(_) => self.bindings[idx] = None,
+            let sent = self.hop(env, idx, svc, &mut link, self.retry, name);
+            self.bindings[idx] = link;
+            // Answered, well or with a failure (dead transducer, expression
+            // error in a nested CSP, ...) — a fresh bind would reach the
+            // same provider, so a failure goes straight to the group
+            // fallback. No reply means a stale proxy: the failed hop closed
+            // the binding's connection, which drops it; re-bind below.
+            if let Ok(outcome) = sent {
+                return outcome;
             }
         }
         let iface = interfaces::SENSOR_DATA_ACCESSOR;
@@ -353,14 +358,12 @@ impl FanOut<'_> {
                 Err(format!("'{name}': breaker open"))
             }
             Some(item) => {
+                let mut link = Connection::closed();
+                let sent = self.hop(env, idx, item.service, &mut link, self.retry, name);
                 if self.cache_enabled {
-                    self.bindings[idx] = Some(item.service);
+                    self.bindings[idx] = link;
                 }
-                self.hop(env, idx, item.service, self.retry, name)
-                    .unwrap_or_else(|e| {
-                        self.bindings[idx] = None;
-                        Err(format!("'{name}': provider unreachable: {e}"))
-                    })
+                sent.unwrap_or_else(|e| Err(format!("'{name}': provider unreachable: {e}")))
             }
             None => Err(format!("'{name}': no provider found")),
         }
@@ -403,9 +406,10 @@ impl FanOut<'_> {
             return Err(format!("{primary}; equivalent breaker open"));
         }
         let eq = item.name().unwrap_or("equivalent").to_string();
-        // The failover hop stays single-shot: the retry budget was already
-        // spent on the primary.
-        match self.hop(env, idx, item.service, RetryPolicy::none(), &eq) {
+        // The failover hop stays single-shot and one-shot: the retry budget
+        // was already spent on the primary, and no binding holds it.
+        let once = RetryPolicy::none();
+        match self.hop(env, idx, item.service, &mut Connection::closed(), once, &eq) {
             Ok(Ok(v)) => {
                 env.metrics.add(keys::FAILOVER_SUCCESS, 1);
                 if span.is_valid() {
@@ -430,21 +434,22 @@ impl FanOut<'_> {
             .is_some_and(|b| !b.borrow_mut().allow(env, svc))
     }
 
-    /// One hop: arm the request for child `idx`, lend it to `svc` under
-    /// `budget`, tell the breaker how the wire behaved, and read the reply
-    /// where it lies (the unit is moved out of its context, not copied).
-    /// The outer error means no reply came back at all.
+    /// One hop: arm the request for child `idx`, lend it to `svc` over
+    /// `link` under `budget`, tell the breaker how the wire behaved, and
+    /// read the reply where it lies (the unit is moved out of its context,
+    /// not copied). The outer error means no reply came back at all.
     fn hop(
         &mut self,
         env: &mut Env,
         idx: usize,
         svc: ServiceId,
+        link: &mut Connection,
         budget: RetryPolicy,
         who: &str,
     ) -> Result<ChildOutcome, NetError> {
         let (to, visited) = (&self.requests[idx], self.visited);
         arm(self.request, to, visited);
-        let sent = exert_in_place_rearmed(env, self.host, svc, self.request, &budget, |r| {
+        let sent = exert_in_place_rearmed(env, self.host, svc, self.request, link, &budget, |r| {
             arm(r, to, visited)
         });
         if let Some(b) = self.breakers {
@@ -523,9 +528,11 @@ pub struct CompositeSensorProvider {
     last_good: Vec<Option<LastGood>>,
     reads_total: u64,
     /// Cached proxy per child position (the Jini model: a downloaded proxy
-    /// is reused until it fails). Invalidated per child on network
-    /// failure, so a re-provisioned child is re-bound on the next read.
-    bindings: Vec<Option<ServiceId>>,
+    /// is reused until it fails), as the connection to the bound provider
+    /// that the child's hops ride. A network failure closes it and so
+    /// drops the binding, and a re-provisioned child is re-bound on the
+    /// next read.
+    bindings: Vec<Connection>,
 }
 
 impl CompositeSensorProvider {
@@ -599,7 +606,7 @@ impl CompositeSensorProvider {
             group,
         });
         self.last_good.push(None);
-        self.bindings.push(None);
+        self.bindings.push(Connection::closed());
         self.rebuild_requests();
         Ok(var)
     }

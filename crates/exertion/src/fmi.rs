@@ -17,7 +17,7 @@
 //! [`LentRequest`]: re-armed per read, bound through one template, so a
 //! read builds nothing.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -26,9 +26,10 @@ use sensorcer_registry::ids::{interfaces, InterfaceId};
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::join;
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
-use sensorcer_sim::topology::HostId;
+use sensorcer_sim::topology::{HostId, NetError};
 
 use crate::context::Context;
 use crate::exertion::{
@@ -41,11 +42,14 @@ use crate::space::{EntryId, SpaceHandle};
 /// service providers using the Jini Lookup Services" (§V.B).
 ///
 /// An accessor is also its requestor's lender: it keeps the one
-/// [`LentRequest`] its reads re-arm, made by the first read. A clone
-/// starts without one, so the state lives and dies with its requestor.
+/// [`LentRequest`] its reads re-arm, made by the first read, and the
+/// connection its binding lookups ride to each lookup service. A clone
+/// starts without either, so the state lives and dies with its requestor.
 #[derive(Default)]
 pub struct ServiceAccessor {
     lus: Vec<LusHandle>,
+    /// The connection to each of `lus`, in order.
+    links: Vec<Cell<Connection>>,
     /// Out while a read has it ([`ServiceAccessor::take_lent`]).
     lent: RefCell<Option<Box<LentRequest>>>,
 }
@@ -67,6 +71,7 @@ impl std::fmt::Debug for ServiceAccessor {
 impl ServiceAccessor {
     pub fn new(lus: Vec<LusHandle>) -> ServiceAccessor {
         ServiceAccessor {
+            links: vec![Cell::default(); lus.len()],
             lus,
             lent: RefCell::default(),
         }
@@ -88,7 +93,7 @@ impl ServiceAccessor {
         if let Some(name) = provider_name {
             tpl = tpl.and_attr(AttrMatch::name(name));
         }
-        self.bind_by(env, from, &tpl, None)
+        self.bind_by(env, from, &tpl, |_| false)
     }
 
     /// Find one provider of `interface` that also carries an attribute
@@ -105,21 +110,25 @@ impl ServiceAccessor {
         exclude: Option<&str>,
     ) -> Option<Arc<ServiceItem>> {
         let tpl = ServiceTemplate::by_interface(interface).and_attr(attr);
-        self.bind_by(env, from, &tpl, exclude)
+        self.bind_by(env, from, &tpl, |item| {
+            exclude.is_some_and(|x| item.name() == Some(x))
+        })
     }
 
-    /// The first provider any known LUS matches `template` with, skipping
-    /// the one named `exclude`.
+    /// The first provider any known LUS matches `template` with that `skip`
+    /// does not refuse, looked up over this accessor's connection to it.
     fn bind_by(
         &self,
         env: &mut Env,
         from: HostId,
         template: &ServiceTemplate,
-        exclude: Option<&str>,
+        skip: impl Fn(&ServiceItem) -> bool,
     ) -> Option<Arc<ServiceItem>> {
-        self.lus.iter().find_map(|lus| {
-            lus.lookup_first_excluding(env, from, template, exclude)
-                .ok()?
+        self.lus.iter().zip(&self.links).find_map(|(lus, link)| {
+            let mut held = link.get();
+            let found = lus.lookup_first_where(env, from, &mut held, template, &skip);
+            link.set(held);
+            found.ok()?
         })
     }
 
@@ -162,11 +171,15 @@ impl ServiceAccessor {
 /// `Name` string is rewritten in place, so a read through it builds no
 /// task, no label and no template. What each read sends, binds and
 /// records is byte for byte what a freshly built task would.
+///
+/// Beside each header lies the connection the reads of that provider
+/// ride, so a requestor that reads one provider over and over opens one
+/// connection, not one per read.
 #[derive(Debug)]
 pub struct LentRequest {
     request: Exertion,
-    /// One header per provider read, keyed by its pin.
-    headers: HashMap<Arc<str>, RequestHeader>,
+    /// One header and connection per provider read, keyed by its pin.
+    headers: HashMap<Arc<str>, (RequestHeader, Connection)>,
     /// The signature's interface, and a `Name` match for the pin.
     template: ServiceTemplate,
 }
@@ -190,8 +203,8 @@ impl LentRequest {
 
     /// Re-arm the request for `provider` (its header labelled by `label`
     /// the first time) and submit it in place, as [`exert`] submits a
-    /// fresh one. The reply lies in the returned request until the next
-    /// read re-arms it.
+    /// fresh one, over the provider's connection. The reply lies in the
+    /// returned request until the next read re-arms it.
     pub fn exert(
         &mut self,
         env: &mut Env,
@@ -200,21 +213,38 @@ impl LentRequest {
         provider: &str,
         label: impl FnOnce() -> String,
     ) -> &mut Exertion {
-        match self.headers.get(provider) {
-            Some(header) => header.arm(&mut self.request),
+        let (header, link) = match self.headers.get_mut(provider) {
+            Some(held) => held,
             None => {
                 let header = RequestHeader::new(label(), provider);
-                header.arm(&mut self.request);
-                self.headers.insert(Arc::clone(&header.pin), header);
+                self.headers
+                    .entry(Arc::clone(&header.pin))
+                    .or_insert((header, Connection::closed()))
             }
-        }
+        };
+        header.arm(&mut self.request);
         if let Some(AttrMatch::Name(Some(name))) = self.template.attributes.first_mut() {
             name.clear();
             name.push_str(provider);
         }
-        exert_lent(env, from, &mut self.request, accessor, Some(&self.template));
+        let lender = Lender {
+            template: &self.template,
+            header,
+            link,
+        };
+        exert_lent(env, from, &mut self.request, accessor, Some(lender));
         &mut self.request
     }
+}
+
+/// What a requestor that lends its request gives [`exert_lent`] for a
+/// bare task: the template it binds by (its interface and pin already
+/// written), the header that re-arms the request, and the connection its
+/// hops to that provider ride.
+pub struct Lender<'a> {
+    pub template: &'a ServiceTemplate,
+    pub header: &'a RequestHeader,
+    pub link: &'a mut Connection,
 }
 
 /// How often a coordinator polls the exertion space for a result.
@@ -234,20 +264,17 @@ struct Coordinator<'a> {
 impl Coordinator<'_> {
     /// Coordinate a job, or bind a bare task and lend it to its provider:
     /// the requestor's own exertion goes down and comes back exerted. A
-    /// task binds by `template` when its lender gives one (its interface
-    /// and pin already written), else by its signature.
-    fn run_exertion(
-        &self,
-        env: &mut Env,
-        exertion: &mut Exertion,
-        template: Option<&ServiceTemplate>,
-    ) {
+    /// task binds by its lender's template when it has a lender, else by
+    /// its signature, and then goes out on a one-shot connection.
+    fn run_exertion(&self, env: &mut Env, exertion: &mut Exertion, lender: Option<Lender>) {
         let task = match exertion {
             Exertion::Job(job) => return self.run_job(env, job),
             Exertion::Task(task) => task,
         };
-        let bound = match template {
-            Some(template) => self.accessor.bind_by(env, self.host, template, None),
+        let bound = match &lender {
+            Some(lender) => self
+                .accessor
+                .bind_by(env, self.host, lender.template, |_| false),
             None => self.accessor.bind(
                 env,
                 self.host,
@@ -259,13 +286,54 @@ impl Coordinator<'_> {
             task.fail(format!("no provider found for {}", task.signature));
             return;
         };
-        let sent = exert_in_place(env, self.host, item.service, exertion);
+        let sent = match lender {
+            Some(lender) => self.lend(env, exertion, item.service, lender),
+            None => exert_in_place(
+                env,
+                self.host,
+                item.service,
+                exertion,
+                &mut Connection::closed(),
+            ),
+        };
         if let (Err(e), Exertion::Task(task)) = (sent, exertion) {
             // No reply arrived: whatever the provider wrote before its
             // response was lost is not the requestor's to see.
             task.context.clear();
             task.trace.clear();
             task.fail(format!("provider unreachable: {e}"));
+        }
+    }
+
+    /// Lend the request to `bound` over the lender's connection. If no
+    /// reply comes back, bind once more, skipping that service by id (the
+    /// dead instance's lingering registration and its replacement share a
+    /// name), and send the re-armed request to whatever else matches.
+    fn lend(
+        &self,
+        env: &mut Env,
+        exertion: &mut Exertion,
+        bound: ServiceId,
+        lender: Lender,
+    ) -> Result<(), NetError> {
+        let Lender {
+            template,
+            header,
+            link,
+        } = lender;
+        let sent = exert_in_place(env, self.host, bound, exertion, link);
+        if sent.is_ok() {
+            return sent;
+        }
+        match self
+            .accessor
+            .bind_by(env, self.host, template, |i| i.service == bound)
+        {
+            Some(other) => {
+                header.arm(exertion);
+                exert_in_place(env, self.host, other.service, exertion, link)
+            }
+            None => sent,
         }
     }
 
@@ -505,8 +573,9 @@ pub fn exert(
 
 /// Submit a lent exertion onto the network; it comes back exerted in
 /// place. The federation forms dynamically: a bare task binds directly (by
-/// `template` when its lender gives one, else by its signature); push
-/// jobs go to a discovered jobber; pull jobs to a spacer.
+/// its [`Lender`]'s template and over its connection when it has one, else
+/// by its signature and one-shot); push jobs go to a discovered jobber;
+/// pull jobs to a spacer.
 ///
 /// When the flight recorder is on, each submission opens an `exert` root
 /// span (unless a span is already open, in which case it nests), so the
@@ -516,7 +585,7 @@ pub fn exert_lent(
     from: HostId,
     exertion: &mut Exertion,
     accessor: &ServiceAccessor,
-    template: Option<&ServiceTemplate>,
+    lender: Option<Lender>,
 ) {
     let span = if env.tracing_enabled() {
         let s = env.span_start("exert", exertion.name(), from);
@@ -532,7 +601,7 @@ pub fn exert_lent(
     } else {
         sensorcer_sim::trace::SpanId::INVALID
     };
-    exert_inner(env, from, exertion, accessor, template);
+    exert_inner(env, from, exertion, accessor, lender);
     if span.is_valid() {
         let outcome = match exertion.status() {
             ExertionStatus::Failed(msg) => {
@@ -551,7 +620,7 @@ fn exert_inner(
     from: HostId,
     exertion: &mut Exertion,
     accessor: &ServiceAccessor,
-    template: Option<&ServiceTemplate>,
+    lender: Option<Lender>,
 ) {
     let rendezvous_iface = match &*exertion {
         Exertion::Task(_) => {
@@ -561,7 +630,7 @@ fn exert_inner(
                 accessor,
                 space: None,
             };
-            coordinator.run_exertion(env, exertion, template);
+            coordinator.run_exertion(env, exertion, lender);
             return;
         }
         Exertion::Job(job) => match job.strategy.access {
@@ -573,7 +642,7 @@ fn exert_inner(
         None => format!("no rendezvous peer ({rendezvous_iface}) available"),
         Some(peer) => {
             let sent = exertion.clone();
-            match exert_in_place(env, from, peer.service, exertion) {
+            match exert_in_place(env, from, peer.service, exertion, &mut Connection::closed()) {
                 Ok(()) => return,
                 Err(e) => {
                     // The rendezvous peer vanished mid-exertion: the job

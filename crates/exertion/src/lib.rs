@@ -62,7 +62,7 @@ pub mod prelude {
         Access, ControlStrategy, Exertion, ExertionStatus, Flow, Job, RequestHeader, Signature,
         Task,
     };
-    pub use crate::fmi::{exert, exert_lent, Jobber, LentRequest, ServiceAccessor, Spacer};
+    pub use crate::fmi::{exert, exert_lent, Jobber, Lender, LentRequest, ServiceAccessor, Spacer};
     pub use crate::retry::{exert_in_place_rearmed, RetryPolicy};
     pub use crate::servicer::{
         exert_in_place, exert_on, exerted_by, Servicer, ServicerBox, Tasker,

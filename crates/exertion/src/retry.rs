@@ -12,6 +12,7 @@
 //! network hop. Its one production caller is the composite's child hop:
 //! jobs, bare tasks and the rendezvous hop are fail-fast.
 
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::{HostId, NetError};
@@ -91,17 +92,19 @@ impl Default for RetryPolicy {
 ///
 /// A failed attempt may have reached the provider (a lost response comes
 /// after it ran), so before every repeated attempt `rearm` must put the
-/// lent exertion back to the request the first attempt sent.
+/// lent exertion back to the request the first attempt sent. Every attempt
+/// rides `link`; a failed one closes it, so the next opens it again.
 pub fn exert_in_place_rearmed(
     env: &mut Env,
     from: HostId,
     provider: ServiceId,
     exertion: &mut Exertion,
+    link: &mut Connection,
     policy: &RetryPolicy,
     mut rearm: impl FnMut(&mut Exertion),
 ) -> Result<(), NetError> {
     if policy.is_none() {
-        return exert_in_place(env, from, provider, exertion);
+        return exert_in_place(env, from, provider, exertion, link);
     }
     let start = env.now();
     // Retry traffic is attributed to the provider under pressure: its host
@@ -112,7 +115,7 @@ pub fn exert_in_place_rearmed(
     let mut target: Option<(HostId, String)> = None;
     let mut attempt: u32 = 0;
     loop {
-        match exert_in_place(env, from, provider, exertion) {
+        match exert_in_place(env, from, provider, exertion, link) {
             Ok(()) => {
                 if let Some((provider_host, label)) = &target {
                     env.metrics.add_host(*provider_host, keys::RETRY_SUCCESS, 1);
@@ -241,7 +244,15 @@ mod tests {
         policy: &RetryPolicy,
     ) -> Result<Exertion, NetError> {
         let mut sent = add_task();
-        exert_in_place_rearmed(env, client, svc, &mut sent, policy, |r| *r = add_task())?;
+        exert_in_place_rearmed(
+            env,
+            client,
+            svc,
+            &mut sent,
+            &mut Connection::closed(),
+            policy,
+            |r| *r = add_task(),
+        )?;
         Ok(sent)
     }
 

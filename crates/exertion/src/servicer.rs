@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use sensorcer_registry::txn::TxnId;
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::topology::{HostId, NetError};
 use sensorcer_sim::wire::ProtocolStack;
@@ -87,6 +88,10 @@ impl std::fmt::Debug for ServicerBox {
 /// run (a lost response comes after it did); re-arm the request before
 /// sending it again.
 ///
+/// The hop rides `link`: the connection the caller's binding holds to
+/// `provider`, or a [`Connection::closed`] one for a one-shot hop. It pays
+/// TCP setup only when it opens the connection; a failed hop closes it.
+///
 /// When the flight recorder is on, each hop is an `fmi.dispatch` span
 /// labelled with the provider's registered name and carrying the request
 /// and response wire sizes.
@@ -95,6 +100,7 @@ pub fn exert_in_place(
     from: HostId,
     provider: ServiceId,
     exertion: &mut Exertion,
+    link: &mut Connection,
 ) -> Result<(), NetError> {
     let req = exertion.wire_size();
     let span = env.span_start_for("fmi.dispatch", provider, from);
@@ -102,16 +108,12 @@ pub fn exert_in_place(
         env.span_field(span, "from_host", from.0);
         env.span_field(span, "bytes.req", req as u64);
     }
-    let result = env.call(
-        from,
-        provider,
-        ProtocolStack::Tcp,
-        req,
-        |env, sb: &mut ServicerBox| {
-            sb.service(env, exertion);
-            ((), exertion.wire_size())
-        },
-    );
+    let via = link.open(provider, ProtocolStack::Tcp, env.now());
+    let result = env.call(from, provider, via, req, |env, sb: &mut ServicerBox| {
+        sb.service(env, exertion);
+        ((), exertion.wire_size())
+    });
+    link.settle(&result, env.now());
     if span.is_valid() {
         match &result {
             Ok(()) => {
@@ -134,7 +136,7 @@ pub fn exert_in_place(
 }
 
 /// [`exert_in_place`] for a caller that owns the request and wants the
-/// reply by value. `_txn` is unused (no exertion carries a transaction);
+/// reply by value, over a one-shot connection. `_txn` is unused (no exertion carries a transaction);
 /// it stays only because the benchmark's `exertion.fmi.exert_ns` probe
 /// passes `None`.
 #[inline]
@@ -145,7 +147,13 @@ pub fn exert_on(
     mut exertion: Exertion,
     _txn: Option<TxnId>,
 ) -> Result<Exertion, NetError> {
-    exert_in_place(env, from, provider, &mut exertion)?;
+    exert_in_place(
+        env,
+        from,
+        provider,
+        &mut exertion,
+        &mut Connection::closed(),
+    )?;
     Ok(exertion)
 }
 

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::{SimDuration, SimTime};
 use sensorcer_sim::topology::{HostId, NetError};
@@ -631,13 +632,21 @@ impl LusHandle {
         lease: LeaseId,
         duration: Option<SimDuration>,
     ) -> Result<Result<Lease, LeaseError>, NetError> {
-        env.call(
-            from,
-            self.service,
-            ProtocolStack::Tcp,
-            24,
-            |env, lus: &mut LookupService| (lus.renew(env, lease, duration), 24),
-        )
+        self.renew_over(env, from, &mut Connection::closed(), lease, duration)
+    }
+
+    /// [`renew`](Self::renew) over `link`, a connection the caller keeps.
+    pub(crate) fn renew_over(
+        &self,
+        env: &mut Env,
+        from: HostId,
+        link: &mut Connection,
+        lease: LeaseId,
+        duration: Option<SimDuration>,
+    ) -> Result<Result<Lease, LeaseError>, NetError> {
+        self.call_over(env, from, link, 24, |env, lus| {
+            (lus.renew(env, lease, duration), 24)
+        })
     }
 
     /// Cancel a registration from `from`.
@@ -647,13 +656,34 @@ impl LusHandle {
         from: HostId,
         lease: LeaseId,
     ) -> Result<Result<(), LeaseError>, NetError> {
-        env.call(
-            from,
-            self.service,
-            ProtocolStack::Tcp,
-            16,
-            |env, lus: &mut LookupService| (lus.cancel(env, lease), 8),
-        )
+        self.cancel_over(env, from, &mut Connection::closed(), lease)
+    }
+
+    /// [`cancel`](Self::cancel) over `link`, a connection the caller keeps.
+    pub(crate) fn cancel_over(
+        &self,
+        env: &mut Env,
+        from: HostId,
+        link: &mut Connection,
+        lease: LeaseId,
+    ) -> Result<Result<(), LeaseError>, NetError> {
+        self.call_over(env, from, link, 16, |env, lus| (lus.cancel(env, lease), 8))
+    }
+
+    /// One exchange with the registry over `link`: it pays TCP setup only
+    /// when it opens the connection.
+    fn call_over<R>(
+        &self,
+        env: &mut Env,
+        from: HostId,
+        link: &mut Connection,
+        req: usize,
+        f: impl FnOnce(&mut Env, &mut LookupService) -> (R, usize),
+    ) -> Result<R, NetError> {
+        let via = link.open(self.service, ProtocolStack::Tcp, env.now());
+        let result = env.call(from, self.service, via, req, f);
+        link.settle(&result, env.now());
+        result
     }
 
     /// Remote lookup. The result shares the items the registry holds; the
@@ -709,37 +739,33 @@ impl LusHandle {
         from: HostId,
         template: &ServiceTemplate,
     ) -> Result<Option<Arc<ServiceItem>>, NetError> {
-        self.lookup_first_excluding(env, from, template, None)
+        self.lookup_first_where(env, from, &mut Connection::closed(), template, |_| false)
     }
 
-    /// Remote lookup of the first match whose name is not `exclude`. The
-    /// registry visits candidates in place and hands out the one it holds.
-    pub fn lookup_first_excluding(
+    /// Remote lookup, over `link`, of the first match that `skip` does not
+    /// refuse. The registry visits candidates in place and hands out the
+    /// one it holds.
+    pub fn lookup_first_where(
         &self,
         env: &mut Env,
         from: HostId,
+        link: &mut Connection,
         template: &ServiceTemplate,
-        exclude: Option<&str>,
+        skip: impl Fn(&ServiceItem) -> bool,
     ) -> Result<Option<Arc<ServiceItem>>, NetError> {
         let req = template.wire_size() + 8;
-        env.call(
-            from,
-            self.service,
-            ProtocolStack::Tcp,
-            req,
-            |_env, lus: &mut LookupService| {
-                let mut hit = None;
-                lus.lookup_visit(template, usize::MAX, |item| {
-                    if exclude.is_some_and(|x| item.name() == Some(x)) {
-                        return true;
-                    }
-                    hit = Some(Arc::clone(item));
-                    false
-                });
-                let resp = hit.as_ref().map_or(8, |i| i.wire_size());
-                (hit, resp)
-            },
-        )
+        self.call_over(env, from, link, req, |_env, lus| {
+            let mut hit = None;
+            lus.lookup_visit(template, usize::MAX, |item| {
+                if skip(item) {
+                    return true;
+                }
+                hit = Some(Arc::clone(item));
+                false
+            });
+            let resp = hit.as_ref().map_or(8, |i| i.wire_size());
+            (hit, resp)
+        })
     }
 
     /// Register an event listener.

@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::time::SimDuration;
 use sensorcer_sim::topology::{HostId, NetError};
@@ -22,11 +23,14 @@ use crate::item::ServiceItem;
 use crate::lease::Lease;
 use crate::lus::{LusHandle, ServiceRegistration};
 
-/// Statistics of a deployed renewal service.
+/// A deployed renewal service: its statistics, and the one connection its
+/// renewals and cancels ride to the lookup service, shared by every join
+/// it serves.
 #[derive(Debug, Default)]
 pub struct LeaseRenewalService {
     renewals_ok: u64,
     renewals_failed: u64,
+    link: Connection,
 }
 
 impl LeaseRenewalService {
@@ -68,6 +72,10 @@ pub struct RenewalHandle {
 /// holds, shared, not a copy: attributes edited at the registry since
 /// are not what a rejoin restores.
 ///
+/// Renewals and the cancel ride the renewer's one connection to the
+/// lookup service, whichever join they serve; a rejoin registers from the
+/// owner's host, one-shot. An undeployed renewer renews nothing.
+///
 /// Without a renewer the registration lives out its lease. Nothing is
 /// joined if the first registration fails.
 pub fn join(
@@ -87,29 +95,30 @@ pub fn join(
     env.schedule_every(interval, interval, move |env| {
         let Some(owner) = env.service_host(item.service) else {
             // Undeployed: the registration goes with the service.
-            let _ = lus.cancel(env, renewer.host, lease.id);
+            let _ = env.with_service(renewer.service, |env, s: &mut LeaseRenewalService| {
+                lus.cancel_over(env, renewer.host, &mut s.link, lease.id)
+            });
             return false;
         };
-        let held = if !env.topo.is_alive(owner) {
-            None
-        } else if env.now() >= lease.expires {
-            rejoin(env, lus, owner, &item, term)
-        } else {
-            match lus.renew(env, renewer.host, lease.id, Some(term)) {
-                Ok(Ok(renewed)) => Some(renewed),
-                Ok(Err(_)) => rejoin(env, lus, owner, &item, term),
-                // The lookup service was unreachable: try again next tick.
-                Err(_) => None,
-            }
-        };
-        if let Some(held) = held {
-            lease = held;
-        }
-        let _ = env.with_service(renewer.service, |_env, s: &mut LeaseRenewalService| {
-            if held.is_some() {
-                s.renewals_ok += 1;
+        let _ = env.with_service(renewer.service, |env, s: &mut LeaseRenewalService| {
+            let held = if !env.topo.is_alive(owner) {
+                None
+            } else if env.now() >= lease.expires {
+                rejoin(env, lus, owner, &item, term)
             } else {
-                s.renewals_failed += 1;
+                match lus.renew_over(env, renewer.host, &mut s.link, lease.id, Some(term)) {
+                    Ok(Ok(renewed)) => Some(renewed),
+                    Ok(Err(_)) => rejoin(env, lus, owner, &item, term),
+                    // The lookup service was unreachable: try again next tick.
+                    Err(_) => None,
+                }
+            };
+            match held {
+                Some(held) => {
+                    lease = held;
+                    s.renewals_ok += 1;
+                }
+                None => s.renewals_failed += 1,
             }
         });
         true

@@ -27,6 +27,7 @@ use std::rc::Rc;
 
 use sensorcer_trace::{FieldValue, FlightRecorder, Outcome, SpanId};
 
+use crate::conn::Exchange;
 use crate::metrics::{keys, Key, Metrics};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -573,11 +574,18 @@ impl Env {
     /// On unreachability the caller's clock advances by the configured
     /// call timeout before the error returns — exactly the cost a real
     /// requestor pays to find out.
+    ///
+    /// `via` says whether the exchange opens a connection, and so pays the
+    /// stack's setup bytes: a bare [`ProtocolStack`] is a one-shot exchange
+    /// that does; a caller holding a [`Connection`] asks it (see
+    /// [`crate::conn`]).
+    ///
+    /// [`Connection`]: crate::conn::Connection
     pub fn call<T: Any, R>(
         &mut self,
         from: HostId,
         to: ServiceId,
-        stack: ProtocolStack,
+        via: impl Into<Exchange>,
         req_bytes: usize,
         f: impl FnOnce(&mut Env, &mut T) -> (R, usize),
     ) -> Result<R, NetError> {
@@ -599,8 +607,10 @@ impl Env {
             return Err(e);
         }
 
-        // Connection management overhead (charged once per exchange).
-        let setup = stack.setup_bytes();
+        // Connection management overhead, charged when the exchange opens
+        // a connection. It costs bytes, never time.
+        let Exchange { stack, opens } = via.into();
+        let setup = if opens { stack.setup_bytes() } else { 0 };
         if setup > 0 {
             self.metrics
                 .add_host_key(from, self.net.bytes_wire, setup as u64);

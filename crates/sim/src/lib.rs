@@ -41,6 +41,7 @@
 
 pub mod chaos;
 pub mod check;
+pub mod conn;
 pub mod env;
 pub mod metrics;
 pub mod rng;
@@ -60,6 +61,7 @@ pub mod prelude {
     };
 
     pub use crate::chaos::{ChaosConfig, ChaosCounts, ChaosEvent, ChaosSchedule};
+    pub use crate::conn::{Connection, Exchange};
     pub use crate::env::{Env, EnvConfig, Observer, RepeatHandle, ServiceId, TimerGroup, TimerId};
     pub use crate::metrics::{
         keys as metric_keys, sampler_keys, Metrics, SamplerConfig, Summary, TelemetrySampler,

@@ -21,7 +21,7 @@ pub enum ProtocolStack {
     /// Ethernet + IPv4 + UDP: fire-and-forget datagrams.
     Udp,
     /// Ethernet + IPv4 + TCP: per-packet TCP header plus connection
-    /// handshake/teardown segments amortized per logical message exchange.
+    /// handshake/teardown segments once per connection opened.
     Tcp,
     /// A 6LoWPAN-style compressed stack for constrained links: an IEEE
     /// 802.15.4 MAC header with compressed IPv6/UDP (LOWPAN_NHC) headers.
@@ -40,8 +40,8 @@ const MAC_154: usize = 11;
 /// Compressed IPv6+UDP header (LOWPAN_IPHC + NHC), typical best case.
 const LOWPAN: usize = 7;
 
-/// TCP control segments exchanged per logical message when a fresh
-/// connection is made: SYN, SYN-ACK, ACK, FIN, FIN-ACK (header-only frames).
+/// TCP control segments of one connection, from open to close: SYN,
+/// SYN-ACK, ACK, FIN, FIN-ACK (header-only frames).
 const TCP_CONTROL_SEGMENTS: usize = 5;
 
 impl ProtocolStack {
@@ -85,8 +85,8 @@ impl ProtocolStack {
         payload + self.packets_for(payload) * self.header_bytes()
     }
 
-    /// Extra bytes for connection management, charged once per logical
-    /// request/response exchange.
+    /// Extra bytes for connection management, charged once per connection
+    /// opened (see [`crate::conn`]).
     pub fn setup_bytes(self) -> usize {
         match self {
             ProtocolStack::Tcp => TCP_CONTROL_SEGMENTS * (ETHERNET + IPV4 + TCP),

@@ -51,9 +51,13 @@
 #                           than 17 bytes) or @
 #                           `registry_churn` 15.5 (a
 #                           registration's index copies its names again,
-#                           or its lease sits in a tree node). Timings
-#                           from a 2 s pass are not comparable with
-#                           anything.
+#                           or its lease sits in a tree node), or if
+#                           `wire_bytes_per_op` @ `flat_read`,
+#                           `tree_read`, `tenant_storm` or `mote_scale`
+#                           exceeds its count + 1 % on either seed (a
+#                           binding that opens a new connection on every
+#                           call again). Timings from a 2 s pass are not
+#                           comparable with anything.
 #
 # Everything runs offline against the vendored workspace; no network,
 # no external tools beyond cargo.
@@ -163,6 +167,32 @@ if [ "$yardstick" -eq 1 ]; then
             peak=$(yardstick_metric "$workload" heap_peak_mb)
             awk -v p="$peak" -v l="$limit" 'BEGIN { exit !(p != "" && p < l) }' || {
                 echo "$workload heap_peak_mb = ${peak:-missing} on seed $seed, limit $limit" >&2
+                exit 1
+            }
+        done
+        # Wire bytes, exact too; each ceiling is the count plus 1 % (seed
+        # 42 / 7). flat_read: 31 035 / 31 037 while every binding keeps
+        # its connection, 50 175 when each of a read's 66 exchanges opened
+        # one (290 B of SYN..FIN-ACK each); a composite whose child
+        # bindings reopen costs +64 x 290 B (+60 %). tree_read: 307 538 /
+        # 307 544, 477 478 with every one of its 586 exchanges opening. A
+        # lone requestor hop or lookup that reopens (+290 B, 0.9 % and
+        # 0.1 %) stays under both. tenant_storm: 5 101 / 5 058, 7 840 /
+        # 7 786 before; a façade that reopens its connection to the
+        # composite on every read costs +290 B (+5.7 %). mote_scale:
+        # 47 006 / 46 995, 106 197 / 106 186 before; renewal services
+        # that open a connection per renewal (about 200 an op) cost
+        # +59 000 B.
+        case $seed in
+            42) wire="flat_read:31346 tree_read:310614 tenant_storm:5152 mote_scale:47477" ;;
+            *) wire="flat_read:31348 tree_read:310619 tenant_storm:5109 mote_scale:47466" ;;
+        esac
+        for gate in $wire; do
+            workload=${gate%:*}
+            limit=${gate#*:}
+            bytes=$(yardstick_metric "$workload" wire_bytes_per_op)
+            awk -v b="$bytes" -v l="$limit" 'BEGIN { exit !(b != "" && b <= l) }' || {
+                echo "$workload wire_bytes_per_op = ${bytes:-missing} on seed $seed, limit $limit" >&2
                 exit 1
             }
         done

@@ -281,7 +281,10 @@ fn hop_case(g: &mut Gen, mutation: Mutation) -> Result<bool, String> {
 
     let mut w = hop_world(seed, weather);
     let mut lent = request.clone();
-    let sent = exert_in_place_rearmed(&mut w.env, w.client, w.svc, &mut lent, &policy, |r| {
+    // One-shot, as the reference's every attempt is: a failed attempt
+    // closes the connection, so each retry opens it again.
+    let link = &mut Connection::closed();
+    let sent = exert_in_place_rearmed(&mut w.env, w.client, w.svc, &mut lent, link, &policy, |r| {
         if mutation != Mutation::SkipRearm {
             r.clone_from(&request);
         }
@@ -531,11 +534,19 @@ impl Mirror {
         let mutation = self.mutation;
         let request = &mut self.in_flight;
         mirror_arm(request, child, mutation);
-        exert_in_place_rearmed(&mut f.env, f.hub, svc, request, &retry, |r| {
-            if mutation != Mutation::SkipRearm {
-                mirror_arm(r, child, mutation)
-            }
-        })
+        exert_in_place_rearmed(
+            &mut f.env,
+            f.hub,
+            svc,
+            request,
+            &mut Connection::closed(),
+            &retry,
+            |r| {
+                if mutation != Mutation::SkipRearm {
+                    mirror_arm(r, child, mutation)
+                }
+            },
+        )
         .ok()?;
         match request.status() {
             ExertionStatus::Done => request.context().get_f64(paths::SENSOR_VALUE),

@@ -14,18 +14,20 @@
 //! host mid-read, an ESP with a dead battery, a provider that lapses and
 //! is registered again under the same name at a new service id, and the
 //! flight recorder on. Every result must print the same, and the metric
-//! counters and the span export must be equal.
+//! counters (wire bytes included, so each provider's reads must ride its
+//! own connection) and the span export must be equal.
 //!
 //! `Trip`, the composite's first child, answers with a fingerprint of the
 //! request as it arrived (context size, trace length, status, label), so a
 //! request that was not re-armed shows in the value read.
 //!
-//! The lent state is private to the accessor, so the five slips the lent
+//! The lent state is private to the accessor, so the six slips the lent
 //! form makes possible are seeded in a mirror of `LentRequest::exert`
-//! built from the same public pieces (`RequestHeader::arm`, a template,
-//! `exert_lent`). Unmutated, the mirror matches the reference on every
-//! case; each mutant must fail.
+//! built from the same public pieces (`RequestHeader::arm`, a template, a
+//! connection per header, `exert_lent`). Unmutated, the mirror matches the
+//! reference on every case; each mutant must fail.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sensorcer_suite::core::prelude::*;
@@ -62,6 +64,8 @@ enum Slip {
     StaleTemplate,
     /// The header's label is the one of the provider read before.
     ForeignLabel,
+    /// Every provider's reads ride one connection.
+    OneLink,
 }
 
 /// The composite's first child: answers with a fingerprint of the request
@@ -261,8 +265,8 @@ fn gen_case(g: &mut Gen) -> Case {
 
 /// How a world's requestor reads.
 enum Reader {
-    /// Fresh task and template per read.
-    Reference,
+    /// Fresh task and template per read; a connection per provider name.
+    Reference(HashMap<String, Connection>),
     /// `client::get_value_detailed`.
     Lent,
     /// The mirror under a slip.
@@ -275,7 +279,9 @@ impl Reader {
     fn read(&mut self, w: &mut World, name: &str) -> Read {
         let (env, from, accessor) = (&mut w.env, w.client, &w.accessor);
         match self {
-            Reader::Reference => fresh_read::get_value_detailed(env, from, accessor, name),
+            Reader::Reference(links) => {
+                fresh_read::get_value_detailed(env, from, accessor, links, name)
+            }
             Reader::Lent => client::get_value_detailed(env, from, accessor, name),
             Reader::Mirror(m) => m.read(env, from, accessor, name),
         }
@@ -334,7 +340,7 @@ fn run(case: &Case, mut reader: Reader) -> Observed {
 struct Mirror {
     slip: Slip,
     request: Exertion,
-    headers: Vec<RequestHeader>,
+    headers: Vec<(RequestHeader, Connection)>,
     template: ServiceTemplate,
     /// The label the last read was sent under.
     last_label: Option<Arc<str>>,
@@ -357,20 +363,22 @@ impl Mirror {
         }
     }
 
-    fn arm(&mut self, provider: &str) {
-        let at = match self.headers.iter().position(|h| &*h.pin == provider) {
+    /// Arm the request for `provider`; the header it was armed from and
+    /// where that header's connection lies.
+    fn arm(&mut self, provider: &str) -> (RequestHeader, usize) {
+        let at = match self.headers.iter().position(|(h, _)| &*h.pin == provider) {
             Some(at) => at,
             None => {
-                self.headers
-                    .push(RequestHeader::new(format!("read {provider}"), provider));
+                let header = RequestHeader::new(format!("read {provider}"), provider);
+                self.headers.push((header, Connection::closed()));
                 self.headers.len() - 1
             }
         };
-        let mut header = self.headers[at].clone();
+        let mut header = self.headers[at].0.clone();
         if let (Slip::ForeignLabel, Some(last)) = (self.slip, &self.last_label) {
             header.label = Arc::clone(last);
         }
-        self.last_label = Some(Arc::clone(&self.headers[at].label));
+        self.last_label = Some(Arc::clone(&self.headers[at].0.label));
         let Exertion::Task(task) = &mut self.request else {
             unreachable!("the mirror lends a task")
         };
@@ -395,6 +403,8 @@ impl Mirror {
                 name.push_str(provider);
             }
         }
+        let link = if self.slip == Slip::OneLink { 0 } else { at };
+        (header, link)
     }
 
     fn read(
@@ -404,8 +414,13 @@ impl Mirror {
         accessor: &ServiceAccessor,
         name: &str,
     ) -> Read {
-        self.arm(name);
-        exert_lent(env, from, &mut self.request, accessor, Some(&self.template));
+        let (header, at) = self.arm(name);
+        let lender = Lender {
+            template: &self.template,
+            header: &header,
+            link: &mut self.headers[at].1,
+        };
+        exert_lent(env, from, &mut self.request, accessor, Some(lender));
         let done = &self.request;
         match done.status() {
             ExertionStatus::Done => SensorReading::from_context(done.context())
@@ -465,7 +480,7 @@ fn a_lent_read_equals_a_freshly_built_one() {
     let mut runs = Vec::new();
     run_cases("lent_read_oracle", CASES, |g| {
         let case = gen_case(g);
-        let want = run(&case, Reader::Reference);
+        let want = run(&case, Reader::Reference(HashMap::new()));
         for (what, reader) in [
             ("lent", Reader::Lent),
             ("mirror", Reader::Mirror(Box::new(Mirror::new(Slip::None)))),
@@ -484,7 +499,7 @@ fn caught(slip: Slip) -> u32 {
     let mut caught = 0;
     run_cases("lent_read_oracle", CASES, |g| {
         let case = gen_case(g);
-        let want = run(&case, Reader::Reference);
+        let want = run(&case, Reader::Reference(HashMap::new()));
         let got = run(&case, Reader::Mirror(Box::new(Mirror::new(slip))));
         caught += u32::from(differs(&want, &got).is_some());
     });
@@ -519,4 +534,10 @@ fn a_template_whose_name_is_not_rewritten_is_caught() {
 fn a_header_labelled_for_another_provider_is_caught() {
     let n = caught(Slip::ForeignLabel);
     assert!(n >= 20, "only {n} cases noticed the foreign label");
+}
+
+#[test]
+fn one_connection_for_every_provider_is_caught() {
+    let n = caught(Slip::OneLink);
+    assert!(n >= 20, "only {n} cases noticed the shared connection");
 }

@@ -1,27 +1,41 @@
 //! The requestor's `getValue` as it was before an accessor lent its
 //! request: every read builds a fresh task (label, signature, pin, empty
-//! context) and `exert` builds a fresh bind template from it.
+//! context), a fresh header and a fresh bind template. Only the connection
+//! each provider's reads ride is kept, one per provider name.
 //! `tests/lent_read_oracle.rs` holds `client::get_value_detailed` to it.
+
+use std::collections::HashMap;
 
 use sensorcer_suite::core::prelude::*;
 use sensorcer_suite::exertion::prelude::*;
+use sensorcer_suite::registry::attributes::AttrMatch;
 use sensorcer_suite::registry::ids::interfaces;
+use sensorcer_suite::registry::item::ServiceTemplate;
 use sensorcer_suite::sim::prelude::*;
 
 /// Read the named sensor service with a request built for this read
-/// alone.
+/// alone, over the connection `links` keeps for that name.
 pub fn get_value_detailed(
     env: &mut Env,
     from: HostId,
     accessor: &ServiceAccessor,
+    links: &mut HashMap<String, Connection>,
     provider: &str,
 ) -> Result<(SensorReading, DegradedInfo), String> {
-    let task = Task::new(
-        format!("read {provider}"),
+    let label = format!("read {provider}");
+    let mut done: Exertion = Task::new(
+        label.as_str(),
         Signature::new(interfaces::SENSOR_DATA_ACCESSOR, selectors::GET_VALUE).on(provider),
         Context::new(),
-    );
-    let done = exert(env, from, task.into(), accessor);
+    )
+    .into();
+    let lender = Lender {
+        template: &ServiceTemplate::by_interface(interfaces::SENSOR_DATA_ACCESSOR)
+            .and_attr(AttrMatch::name(provider)),
+        header: &RequestHeader::new(label, provider),
+        link: links.entry(provider.to_string()).or_default(),
+    };
+    exert_lent(env, from, &mut done, accessor, Some(lender));
     match done.status() {
         ExertionStatus::Done => SensorReading::from_context(done.context())
             .map(|r| (r, DegradedInfo::from_context(done.context())))
