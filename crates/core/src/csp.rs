@@ -18,8 +18,9 @@ use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
 use sensorcer_expr::{Program, SlotFrame, Text, Value};
+use sensorcer_registry::attributes::AttrMatch;
 use sensorcer_registry::ids::interfaces;
-use sensorcer_registry::item::ServiceItem;
+use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::{join, RenewalHandle};
 use sensorcer_sensors::calib::Calibration;
@@ -76,7 +77,83 @@ pub struct LastGood {
 
 /// What one child read came back with after retry and failover: its
 /// value, its unit and whether it was clean — or why it failed.
-pub type ChildOutcome = Result<(f64, Text, bool), String>;
+pub type ChildOutcome = Result<(f64, Text, bool), ChildError>;
+
+/// Why one provider gave a child no value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Miss {
+    /// Its breaker is open, so no hop was made.
+    BreakerOpen,
+    /// No provider matched the bind.
+    NotFound,
+    /// No reply came back.
+    Unreachable(NetError),
+    /// It answered without a value.
+    NoValue,
+    /// It answered with this failure.
+    Failed(String),
+    /// It answered with another status.
+    Unexpected(ExertionStatus),
+}
+
+/// Why a child read failed: what the named provider did and, after a
+/// failover, what its equivalent did (`None` inside when the group had
+/// none to offer). Kept as parts: a read that degrades past the child
+/// never renders it, and [`ChildError::text`] renders it where it is read.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ChildError {
+    pub named: Miss,
+    pub equivalent: Option<(Option<Arc<ServiceItem>>, Miss)>,
+}
+
+impl From<Miss> for ChildError {
+    fn from(named: Miss) -> ChildError {
+        ChildError {
+            named,
+            equivalent: None,
+        }
+    }
+}
+
+impl ChildError {
+    /// The failure in words, as `child`'s read reports it.
+    pub fn text(&self, child: &Child) -> String {
+        use std::fmt::Write;
+        let name = child.service_name.as_str();
+        let mut text = match &self.named {
+            Miss::BreakerOpen => format!("'{name}': breaker open"),
+            Miss::NotFound => format!("'{name}': no provider found"),
+            Miss::Unreachable(e) => format!("'{name}': provider unreachable: {e}"),
+            answered => answer_text(name, answered),
+        };
+        let _ = match &self.equivalent {
+            None => Ok(()),
+            Some((None, _)) => write!(
+                text,
+                "; no equivalent provider in group '{}' available",
+                child.group.as_deref().unwrap_or_default()
+            ),
+            Some((Some(_), Miss::BreakerOpen)) => write!(text, "; equivalent breaker open"),
+            Some((Some(item), miss)) => {
+                let eq = item.name().unwrap_or("equivalent");
+                match miss {
+                    Miss::Unreachable(e) => write!(text, "; equivalent '{eq}' unreachable: {e}"),
+                    answered => write!(text, "; equivalent {}", answer_text(eq, answered)),
+                }
+            }
+        };
+        text
+    }
+}
+
+/// What `who` answered instead of a value, in words.
+fn answer_text(who: &str, miss: &Miss) -> String {
+    match miss {
+        Miss::Failed(e) => format!("'{who}': {e}"),
+        Miss::Unexpected(status) => format!("'{who}': unexpected status {status:?}"),
+        _ => format!("'{who}' returned no value"),
+    }
+}
 
 /// What becomes of a child whose read failed.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -128,10 +205,9 @@ fn fate_names<'c>(children: &'c [Child], fates: &[(usize, Fate)], missing: bool)
 }
 
 /// Every failure among `outcomes`, in child order, as one message.
-fn failures(outcomes: &[ChildOutcome]) -> String {
-    let errors: Vec<&str> = outcomes
-        .iter()
-        .filter_map(|o| o.as_ref().err().map(String::as_str))
+fn failures(children: &[Child], outcomes: &[ChildOutcome]) -> String {
+    let errors: Vec<String> = (children.iter().zip(outcomes))
+        .filter_map(|(child, o)| Some(o.as_ref().err()?.text(child)))
         .collect();
     errors.join("; ")
 }
@@ -160,13 +236,14 @@ pub fn settle(
     let mut fates = Vec::new();
     let mut verdict = match policy {
         _ if fresh == outcomes.len() => Ok(all_good),
-        DegradationPolicy::Strict => {
-            Err(format!("component read failures: {}", failures(outcomes)))
-        }
+        DegradationPolicy::Strict => Err(format!(
+            "component read failures: {}",
+            failures(children, outcomes)
+        )),
         DegradationPolicy::Quorum(n) if fresh < n => Err(format!(
             "quorum not met: {fresh} of {} children answered (need {n}); {}",
             outcomes.len(),
-            failures(outcomes)
+            failures(children, outcomes)
         )),
         _ => Ok(false),
     };
@@ -189,7 +266,8 @@ pub fn settle(
                 _ if max_age.is_none() => fates.push((idx, Fate::Missing)),
                 _ => {
                     verdict = Err(format!(
-                        "failed child has no recent last-known-good value: {e}"
+                        "failed child has no recent last-known-good value: {}",
+                        e.text(&children[idx])
                     ));
                     break;
                 }
@@ -205,7 +283,7 @@ pub fn settle(
     } else if verdict.is_ok() && fresh + lent == 0 {
         verdict = Err(format!(
             "no child left a reading to aggregate: {}",
-            failures(outcomes)
+            failures(children, outcomes)
         ));
     }
     Settled {
@@ -258,6 +336,8 @@ struct ReadScratch {
     outcomes: Vec<ChildOutcome>,
     /// The expression's slot frame.
     frame: SlotFrame,
+    /// What a re-bind or a failover binds by, repinned per bind.
+    templates: BindTemplates,
 }
 
 thread_local! {
@@ -293,6 +373,8 @@ struct FanOut<'r> {
     requests: &'r [RequestHeader],
     bindings: &'r mut [Connection],
     request: &'r mut Exertion,
+    /// The templates a re-bind and a failover bind by, repinned per bind.
+    templates: &'r mut BindTemplates,
     /// The breadcrumb every child request carries.
     visited: &'r Arc<[Value]>,
 }
@@ -307,8 +389,8 @@ impl FanOut<'_> {
         let span = env.span_start("csp.child", &child.service_name, self.host);
         let started = env.now();
         let outcome = match (self.read_named(env, idx), &child.group) {
-            (Err(primary), Some(group)) => self.fail_over(env, idx, group, primary, span, started),
-            (outcome, _) => outcome,
+            (Err(named), Some(group)) => self.fail_over(env, idx, group, named, span, started),
+            (outcome, _) => outcome.map_err(ChildError::from),
         };
         match &outcome {
             Ok((_, _, good)) => {
@@ -319,7 +401,7 @@ impl FanOut<'_> {
             }
             Err(e) => {
                 if span.is_valid() {
-                    env.span_field(span, "error", e.as_str());
+                    env.span_field(span, "error", e.text(child));
                 }
                 env.span_end(span, Outcome::Error);
             }
@@ -331,17 +413,16 @@ impl FanOut<'_> {
     /// dropped and the name re-bound within this same read. A cached
     /// binding keeps its connection to the provider open across reads;
     /// without the cache every hop is one-shot.
-    fn read_named(&mut self, env: &mut Env, idx: usize) -> ChildOutcome {
-        let name = self.children[idx].service_name.as_str();
+    fn read_named(&mut self, env: &mut Env, idx: usize) -> Result<(f64, Text, bool), Miss> {
         let mut link = self.bindings[idx];
         if let Some(svc) = link.peer().filter(|_| self.cache_enabled) {
             if self.breaker_open(env, svc) {
                 // Breaker open: a fresh bind would reach the same tripped
                 // provider, so skip straight to the group fallback without
                 // retrying.
-                return Err(format!("'{name}': breaker open"));
+                return Err(Miss::BreakerOpen);
             }
-            let sent = self.hop(env, idx, svc, &mut link, self.retry, name);
+            let sent = self.hop(env, idx, svc, &mut link, self.retry);
             self.bindings[idx] = link;
             // Answered, well or with a failure (dead transducer, expression
             // error in a nested CSP, ...) — a fresh bind would reach the
@@ -352,31 +433,30 @@ impl FanOut<'_> {
                 return outcome;
             }
         }
-        let iface = interfaces::SENSOR_DATA_ACCESSOR;
-        match self.accessor.bind(env, self.host, iface, Some(name)) {
-            Some(item) if self.breaker_open(env, item.service) => {
-                Err(format!("'{name}': breaker open"))
-            }
+        let by_name = &mut self.templates.by_name;
+        by_name.repin(&self.children[idx].service_name);
+        match self.accessor.bind_by(env, self.host, by_name, |_| false) {
+            Some(item) if self.breaker_open(env, item.service) => Err(Miss::BreakerOpen),
             Some(item) => {
                 let mut link = Connection::closed();
-                let sent = self.hop(env, idx, item.service, &mut link, self.retry, name);
+                let sent = self.hop(env, idx, item.service, &mut link, self.retry);
                 if self.cache_enabled {
                     self.bindings[idx] = link;
                 }
-                sent.unwrap_or_else(|e| Err(format!("'{name}': provider unreachable: {e}")))
+                sent.unwrap_or_else(|e| Err(Miss::Unreachable(e)))
             }
-            None => Err(format!("'{name}': no provider found")),
+            None => Err(Miss::NotFound),
         }
     }
 
     /// Pass child `idx`'s request on to a provider of its equivalence
-    /// `group` after the named one failed with `primary`.
+    /// `group` after the named one failed with `named`.
     fn fail_over(
         &mut self,
         env: &mut Env,
         idx: usize,
         group: &str,
-        primary: String,
+        named: Miss,
         span: SpanId,
         started: SimTime,
     ) -> ChildOutcome {
@@ -388,43 +468,39 @@ impl FanOut<'_> {
             let fields = vec![("group", group.into()), ("elapsed_ns", elapsed.into())];
             env.span_event(span, "failover.attempt", fields);
         }
-        let Some(item) = self.accessor.bind_by_attr_excluding(
-            env,
-            self.host,
-            interfaces::SENSOR_DATA_ACCESSOR,
-            sensorcer_registry::attributes::AttrMatch::Custom {
-                key: Some(EQUIVALENCE_GROUP_KEY.into()),
-                value: Some(group.into()),
-            },
-            Some(self.children[idx].service_name.as_str()),
-        ) else {
-            return Err(format!(
-                "{primary}; no equivalent provider in group '{group}' available"
-            ));
+        let failed = move |item, miss| ChildError {
+            named,
+            equivalent: Some((item, miss)),
+        };
+        let by_group = &mut self.templates.by_group;
+        by_group.repin(group);
+        let name = self.children[idx].service_name.as_str();
+        let Some(item) = self
+            .accessor
+            .bind_by(env, self.host, by_group, |item| item.name() == Some(name))
+        else {
+            return Err(failed(None, Miss::NotFound));
         };
         if self.breaker_open(env, item.service) {
-            return Err(format!("{primary}; equivalent breaker open"));
+            return Err(failed(Some(item), Miss::BreakerOpen));
         }
-        let eq = item.name().unwrap_or("equivalent").to_string();
         // The failover hop stays single-shot and one-shot: the retry budget
         // was already spent on the primary, and no binding holds it.
         let once = RetryPolicy::none();
-        match self.hop(env, idx, item.service, &mut Connection::closed(), once, &eq) {
+        match self.hop(env, idx, item.service, &mut Connection::closed(), once) {
             Ok(Ok(v)) => {
                 env.metrics.add(keys::FAILOVER_SUCCESS, 1);
                 if span.is_valid() {
                     let elapsed = (env.now() - started).as_nanos();
-                    let fields = vec![
-                        ("equivalent", eq.as_str().into()),
-                        ("elapsed_ns", elapsed.into()),
-                    ];
+                    let eq = item.name().unwrap_or("equivalent");
+                    let fields = vec![("equivalent", eq.into()), ("elapsed_ns", elapsed.into())];
                     env.span_event(span, "failover.success", fields);
                 }
                 // Deliberately not cached: the primary is retried next read.
                 Ok(v)
             }
-            Ok(Err(e)) => Err(format!("{primary}; equivalent {e}")),
-            Err(e) => Err(format!("{primary}; equivalent '{eq}' unreachable: {e}")),
+            Ok(Err(miss)) => Err(failed(Some(item), miss)),
+            Err(e) => Err(failed(Some(item), Miss::Unreachable(e))),
         }
     }
 
@@ -436,8 +512,9 @@ impl FanOut<'_> {
 
     /// One hop: arm the request for child `idx`, lend it to `svc` over
     /// `link` under `budget`, tell the breaker how the wire behaved, and
-    /// read the reply where it lies (the unit is moved out of its context,
-    /// not copied). The outer error means no reply came back at all.
+    /// read the reply where it lies (the unit and a failure's message are
+    /// moved out of it, not copied). The outer error means no reply came
+    /// back at all.
     fn hop(
         &mut self,
         env: &mut Env,
@@ -445,8 +522,7 @@ impl FanOut<'_> {
         svc: ServiceId,
         link: &mut Connection,
         budget: RetryPolicy,
-        who: &str,
-    ) -> Result<ChildOutcome, NetError> {
+    ) -> Result<Result<(f64, Text, bool), Miss>, NetError> {
         let (to, visited) = (&self.requests[idx], self.visited);
         arm(self.request, to, visited);
         let sent = exert_in_place_rearmed(env, self.host, svc, self.request, link, &budget, |r| {
@@ -456,9 +532,12 @@ impl FanOut<'_> {
             b.borrow_mut().record(env, svc, sent.err());
         }
         sent?;
-        Ok(match self.request.status() {
+        let Exertion::Task(task) = &mut *self.request else {
+            unreachable!("a provider exerts the lent task in place")
+        };
+        Ok(match &mut task.status {
             ExertionStatus::Done => {
-                let ctx = self.request.context_mut();
+                let ctx = &mut task.context;
                 match ctx.get_f64(paths::SENSOR_VALUE) {
                     Some(v) => {
                         let good = ctx.get_str(paths::SENSOR_QUALITY) != Some("suspect");
@@ -468,12 +547,32 @@ impl FanOut<'_> {
                         };
                         Ok((v, unit, good))
                     }
-                    None => Err(format!("'{who}' returned no value")),
+                    None => Err(Miss::NoValue),
                 }
             }
-            ExertionStatus::Failed(e) => Err(format!("'{who}': {e}")),
-            other => Err(format!("'{who}': unexpected status {other:?}")),
+            ExertionStatus::Failed(e) => Err(Miss::Failed(std::mem::take(e))),
+            other => Err(Miss::Unexpected(other.clone())),
         })
+    }
+}
+
+/// The templates a composite's re-binds and failovers bind by: its
+/// children's interface with a `Name`, and with an equivalence group.
+struct BindTemplates {
+    by_name: ServiceTemplate,
+    by_group: ServiceTemplate,
+}
+
+impl Default for BindTemplates {
+    fn default() -> BindTemplates {
+        let iface = || ServiceTemplate::by_interface(interfaces::SENSOR_DATA_ACCESSOR);
+        BindTemplates {
+            by_name: iface().and_attr(AttrMatch::name("")),
+            by_group: iface().and_attr(AttrMatch::Custom {
+                key: Some(EQUIVALENCE_GROUP_KEY.into()),
+                value: Some(String::new()),
+            }),
+        }
     }
 }
 
@@ -737,7 +836,11 @@ impl CompositeSensorProvider {
         // on a clean read nothing is formatted or allocated here. Bindings
         // are cached (the Jini proxy model): only an unknown or failed
         // child costs a LUS lookup.
-        let ReadScratch { outcomes, frame } = scratch;
+        let ReadScratch {
+            outcomes,
+            frame,
+            templates,
+        } = scratch;
         let children = &self.children;
         let mut fan = FanOut {
             accessor: &self.accessor,
@@ -749,6 +852,7 @@ impl CompositeSensorProvider {
             requests: &self.requests,
             bindings: &mut self.bindings,
             request: &mut self.in_flight,
+            templates,
             visited: &self.visited,
         };
         env.parallel_over(0..children.len(), |env: &mut Env, idx: usize| {

@@ -10,6 +10,7 @@
 //! "Get Value", "Compose Service", "Add Expression", "Create Service")
 //! map one-to-one onto its selectors.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use sensorcer_exertion::prelude::*;
@@ -21,6 +22,7 @@ use sensorcer_registry::ids::interfaces;
 use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::join;
+use sensorcer_sim::conn::Connection;
 use sensorcer_sim::env::{Env, ServiceId};
 use sensorcer_sim::topology::HostId;
 
@@ -379,10 +381,9 @@ impl SensorcerFacade {
                         task.context
                             .put(paths::SENSOR_UNIT, Value::Str(reading.unit));
                         task.context.put(paths::SENSOR_AT, reading.at_ns as f64);
-                        task.context.put(
-                            paths::SENSOR_QUALITY,
-                            if reading.good { "good" } else { "suspect" },
-                        );
+                        let quality = if reading.good { "good" } else { "suspect" };
+                        task.context
+                            .put(paths::SENSOR_QUALITY, Value::literal(quality));
                         // Degraded-read detail rides along so browser
                         // clients can see *which* children substituted.
                         degraded.write_to(&mut task.context);
@@ -594,36 +595,129 @@ impl std::fmt::Debug for SensorcerFacade {
     }
 }
 
-/// Handle to a deployed façade.
+/// Handle to a deployed façade: a value proxy, copied freely. What it
+/// holds open lives where JERI's connection manager keeps a value proxy's
+/// connections: in one session per requesting host, found through the
+/// world it calls in.
 #[derive(Clone, Copy, Debug)]
 pub struct FacadeHandle {
     pub service: ServiceId,
     pub host: HostId,
 }
 
+/// One argument of a façade request.
+enum Arg<'a> {
+    /// Shared from the session's copy of the text.
+    Text(&'a str),
+    Value(Value),
+}
+
+/// What one requesting host keeps open to one façade: the one task its
+/// calls re-arm (buffers kept), the connection they ride, and every
+/// argument text sent so far, so a call builds no label, signature,
+/// context or text. Each call sends byte for byte the task a fresh build
+/// would.
+struct FacadeSession {
+    request: Exertion,
+    link: Connection,
+    texts: HashSet<Arc<str>>,
+}
+
+/// Every [`FacadeSession`] of a world, by requesting host and façade,
+/// found through [`Env::shared`]. A session is out while a call has it.
+#[derive(Default)]
+struct FacadeSessions(HashMap<(HostId, ServiceId), FacadeSession>);
+
+impl FacadeSession {
+    fn new() -> FacadeSession {
+        FacadeSession {
+            request: Task::new(
+                "",
+                Signature::new(interfaces::SENSORCER_FACADE, ""),
+                Context::new(),
+            )
+            .into(),
+            link: Connection::closed(),
+            texts: HashSet::new(),
+        }
+    }
+
+    /// Make the request the one a freshly built `selector` task with
+    /// `args` would be: labelled `facade <selector>`, with nothing the
+    /// last call left behind (reply, failure, trace, arguments).
+    fn arm<'a>(
+        &mut self,
+        selector: &'static str,
+        args: impl IntoIterator<Item = (&'static str, Arg<'a>)>,
+    ) {
+        let Exertion::Task(task) = &mut self.request else {
+            unreachable!("the façade exerts the lent task in place")
+        };
+        if *task.signature.selector != *selector {
+            task.name = format!("facade {selector}").into();
+            task.signature.selector = selector.into();
+        }
+        task.status = ExertionStatus::Initial;
+        task.trace.clear();
+        task.context.clear();
+        for (path, arg) in args {
+            let value = match arg {
+                Arg::Text(text) => {
+                    let shared = match self.texts.get(text) {
+                        Some(shared) => Arc::clone(shared),
+                        None => {
+                            let shared: Arc<str> = text.into();
+                            self.texts.insert(Arc::clone(&shared));
+                            shared
+                        }
+                    };
+                    Value::Str(Text::Shared(shared))
+                }
+                Arg::Value(value) => value,
+            };
+            task.context.put(path, value);
+        }
+    }
+}
+
 impl FacadeHandle {
-    fn run(
+    /// Call `selector` with `args` from `from` and read the reply where it
+    /// lies. The call re-arms `from`'s session with this façade and rides
+    /// its connection; a call made while the session is out (nested in
+    /// another) builds a fresh one.
+    fn run<'a, R>(
         &self,
         env: &mut Env,
         from: HostId,
-        selector: &str,
-        args: Context,
-    ) -> Result<Context, String> {
-        let task = Task::new(
-            format!("facade {selector}"),
-            Signature::new(interfaces::SENSORCER_FACADE, selector),
-            args,
-        );
+        selector: &'static str,
+        args: impl IntoIterator<Item = (&'static str, Arg<'a>)>,
+        read: impl FnOnce(&Context) -> R,
+    ) -> Result<R, String> {
+        let sessions = env.shared(FacadeSessions::default);
+        let key = (from, self.service);
+        let taken = sessions.borrow_mut().0.remove(&key);
+        let mut session = taken.unwrap_or_else(FacadeSession::new);
+        session.arm(selector, args);
         // Admission is applied by the façade servicer on arrival: this
         // exertion targets the gate itself (tests/facade_admission.rs).
-        match exert_on(env, from, self.service, task.into(), None) {
-            Ok(mut done) => match done.status() {
-                ExertionStatus::Done => Ok(std::mem::take(done.context_mut())),
-                ExertionStatus::Failed(e) => Err(e.clone()),
+        let sent = exert_in_place(
+            env,
+            from,
+            self.service,
+            &mut session.request,
+            &mut session.link,
+        );
+        let reply = match (sent, &mut session.request) {
+            (Err(e), _) => Err(format!("facade unreachable: {e}")),
+            (Ok(()), Exertion::Task(task)) => match &mut task.status {
+                ExertionStatus::Done => Ok(read(&task.context)),
+                ExertionStatus::Failed(e) => Err(std::mem::take(e)),
                 other => Err(format!("unexpected status {other:?}")),
             },
-            Err(e) => Err(format!("facade unreachable: {e}")),
-        }
+            (Ok(()), Exertion::Job(_)) => unreachable!("the façade exerts the lent task in place"),
+        };
+        sessions.borrow_mut().0.insert(key, session);
+        reply
     }
 
     /// "Get Sensor List".
@@ -632,80 +726,82 @@ impl FacadeHandle {
         env: &mut Env,
         from: HostId,
     ) -> Result<Vec<(String, String)>, String> {
-        let ctx = self.run(env, from, ops::LIST_SERVICES, Context::new())?;
-        match ctx.get("services/list") {
-            Some(Value::List(xs)) => Ok(xs
-                .iter()
-                .filter_map(|v| match v {
-                    Value::Map(m) => Some((
-                        m.get("name").map(ToString::to_string).unwrap_or_default(),
-                        m.get("type").map(ToString::to_string).unwrap_or_default(),
-                    )),
-                    _ => None,
-                })
-                .collect()),
-            _ => Ok(Vec::new()),
-        }
+        self.run(env, from, ops::LIST_SERVICES, [], |ctx| {
+            match ctx.get("services/list") {
+                Some(Value::List(xs)) => xs
+                    .iter()
+                    .filter_map(|v| match v {
+                        Value::Map(m) => Some((
+                            m.get("name").map(ToString::to_string).unwrap_or_default(),
+                            m.get("type").map(ToString::to_string).unwrap_or_default(),
+                        )),
+                        _ => None,
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            }
+        })
     }
 
     /// Federation health snapshot, one row per host, as the façade's
     /// `networkHealth` operation serves it.
     pub fn network_health(&self, env: &mut Env, from: HostId) -> Result<Vec<HostHealth>, String> {
-        let ctx = self.run(env, from, ops::NETWORK_HEALTH, Context::new())?;
-        let Some(Value::List(xs)) = ctx.get("health/hosts") else {
-            return Ok(Vec::new());
-        };
-        Ok(xs
-            .iter()
-            .filter_map(|v| {
-                let Value::Map(m) = v else { return None };
-                let int = |key: &str| match m.get(key) {
-                    Some(Value::Int(i)) => Some(*i),
-                    _ => None,
-                };
-                let s = |key: &str| match m.get(key) {
-                    Some(Value::Str(s)) => s.to_string(),
-                    _ => String::new(),
-                };
-                Some(HostHealth {
-                    host: HostId(int("host")? as u32),
-                    name: s("name"),
-                    kind: s("kind"),
-                    alive: matches!(m.get("alive"), Some(Value::Bool(true))),
-                    services: match m.get("services") {
-                        Some(Value::List(svcs)) => svcs
-                            .iter()
-                            .filter_map(|v| match v {
-                                Value::Str(s) => Some(s.to_string()),
-                                _ => None,
-                            })
-                            .collect(),
-                        _ => Vec::new(),
-                    },
-                    last_read_age_ns: int("last_read_age_ns").map(|i| i as u64),
-                    battery: match m.get("battery") {
-                        Some(Value::Float(b)) => Some(*b),
+        self.run(env, from, ops::NETWORK_HEALTH, [], |ctx| {
+            let Some(Value::List(xs)) = ctx.get("health/hosts") else {
+                return Vec::new();
+            };
+            xs.iter()
+                .filter_map(|v| {
+                    let Value::Map(m) = v else { return None };
+                    let int = |key: &str| match m.get(key) {
+                        Some(Value::Int(i)) => Some(*i),
                         _ => None,
-                    },
-                    retry_attempts: int("retry_attempts").unwrap_or(0) as u64,
-                    retry_exhausted: int("retry_exhausted").unwrap_or(0) as u64,
-                    substituted: int("substituted").unwrap_or(0) as u64,
+                    };
+                    let s = |key: &str| match m.get(key) {
+                        Some(Value::Str(s)) => s.to_string(),
+                        _ => String::new(),
+                    };
+                    Some(HostHealth {
+                        host: HostId(int("host")? as u32),
+                        name: s("name"),
+                        kind: s("kind"),
+                        alive: matches!(m.get("alive"), Some(Value::Bool(true))),
+                        services: match m.get("services") {
+                            Some(Value::List(svcs)) => svcs
+                                .iter()
+                                .filter_map(|v| match v {
+                                    Value::Str(s) => Some(s.to_string()),
+                                    _ => None,
+                                })
+                                .collect(),
+                            _ => Vec::new(),
+                        },
+                        last_read_age_ns: int("last_read_age_ns").map(|i| i as u64),
+                        battery: match m.get("battery") {
+                            Some(Value::Float(b)) => Some(*b),
+                            _ => None,
+                        },
+                        retry_attempts: int("retry_attempts").unwrap_or(0) as u64,
+                        retry_exhausted: int("retry_exhausted").unwrap_or(0) as u64,
+                        substituted: int("substituted").unwrap_or(0) as u64,
+                    })
                 })
-            })
-            .collect())
+                .collect()
+        })
     }
 
     /// SLO verdict sheet from the façade's health engine: `(healthy,
     /// alert count, report JSON)`. Errs when no SLOs are installed.
     pub fn slo_report(&self, env: &mut Env, from: HostId) -> Result<(bool, u64, String), String> {
-        let ctx = self.run(env, from, ops::SLO_REPORT, Context::new())?;
-        let healthy = matches!(ctx.get("slo/healthy"), Some(Value::Bool(true)));
-        let alerts = match ctx.get("slo/alerts") {
-            Some(Value::Int(n)) => *n as u64,
-            _ => 0,
-        };
-        let json = ctx.get_str("slo/report").unwrap_or("{}").to_string();
-        Ok((healthy, alerts, json))
+        self.run(env, from, ops::SLO_REPORT, [], |ctx| {
+            let healthy = matches!(ctx.get("slo/healthy"), Some(Value::Bool(true)));
+            let alerts = match ctx.get("slo/alerts") {
+                Some(Value::Int(n)) => *n as u64,
+                _ => 0,
+            };
+            let json = ctx.get_str("slo/report").unwrap_or("{}").to_string();
+            (healthy, alerts, json)
+        })
     }
 
     /// "Get Value".
@@ -728,15 +824,12 @@ impl FacadeHandle {
         tenant: &str,
         service: &str,
     ) -> Result<SensorReading, String> {
-        let ctx = self.run(
-            env,
-            from,
-            ops::GET_VALUE,
-            Context::new()
-                .with("arg/service", service)
-                .with("arg/tenant", tenant),
-        )?;
-        SensorReading::from_context(&ctx).ok_or_else(|| "no reading returned".to_string())
+        let args = [
+            ("arg/service", Arg::Text(service)),
+            ("arg/tenant", Arg::Text(tenant)),
+        ];
+        self.run(env, from, ops::GET_VALUE, args, SensorReading::from_context)?
+            .ok_or_else(|| "no reading returned".to_string())
     }
 
     /// "Get Value", plus which composite children (if any) degraded.
@@ -746,15 +839,12 @@ impl FacadeHandle {
         from: HostId,
         service: &str,
     ) -> Result<(SensorReading, crate::accessor::DegradedInfo), String> {
-        let ctx = self.run(
-            env,
-            from,
-            ops::GET_VALUE,
-            Context::new().with("arg/service", service),
-        )?;
-        SensorReading::from_context(&ctx)
-            .map(|r| (r, crate::accessor::DegradedInfo::from_context(&ctx)))
-            .ok_or_else(|| "no reading returned".to_string())
+        let args = [("arg/service", Arg::Text(service))];
+        self.run(env, from, ops::GET_VALUE, args, |ctx| {
+            SensorReading::from_context(ctx)
+                .map(|r| (r, crate::accessor::DegradedInfo::from_context(ctx)))
+        })?
+        .ok_or_else(|| "no reading returned".to_string())
     }
 
     /// Recent stored measurements of a sensor service.
@@ -765,18 +855,16 @@ impl FacadeHandle {
         service: &str,
         count: usize,
     ) -> Result<Vec<f64>, String> {
-        let ctx = self.run(
-            env,
-            from,
-            ops::GET_HISTORY,
-            Context::new()
-                .with("arg/service", service)
-                .with("arg/count", count as i64),
-        )?;
-        match ctx.get("history/values") {
-            Some(Value::List(xs)) => Ok(xs.iter().filter_map(Value::as_f64).collect()),
-            _ => Ok(Vec::new()),
-        }
+        let args = [
+            ("arg/service", Arg::Text(service)),
+            ("arg/count", Arg::Value(Value::Int(count as i64))),
+        ];
+        self.run(env, from, ops::GET_HISTORY, args, |ctx| {
+            match ctx.get("history/values") {
+                Some(Value::List(xs)) => xs.iter().filter_map(Value::as_f64).collect(),
+                _ => Vec::new(),
+            }
+        })
     }
 
     /// Sensor Service Information panel.
@@ -786,13 +874,9 @@ impl FacadeHandle {
         from: HostId,
         service: &str,
     ) -> Result<SensorInfo, String> {
-        let ctx = self.run(
-            env,
-            from,
-            ops::GET_INFO,
-            Context::new().with("arg/service", service),
-        )?;
-        SensorInfo::from_context(&ctx).ok_or_else(|| "no info returned".to_string())
+        let args = [("arg/service", Arg::Text(service))];
+        self.run(env, from, ops::GET_INFO, args, SensorInfo::from_context)?
+            .ok_or_else(|| "no info returned".to_string())
     }
 
     /// "Compose Service": add children into a composite. Returns the
@@ -805,18 +889,16 @@ impl FacadeHandle {
         children: &[&str],
     ) -> Result<Vec<String>, String> {
         let list = Value::List(children.iter().map(|&c| c.into()).collect());
-        let ctx = self.run(
-            env,
-            from,
-            ops::COMPOSE_SERVICE,
-            Context::new()
-                .with("arg/composite", composite)
-                .with("arg/children", list),
-        )?;
-        match ctx.get("mgmt/variables") {
-            Some(Value::List(xs)) => Ok(xs.iter().map(ToString::to_string).collect()),
-            _ => Ok(Vec::new()),
-        }
+        let args = [
+            ("arg/composite", Arg::Text(composite)),
+            ("arg/children", Arg::Value(list)),
+        ];
+        self.run(env, from, ops::COMPOSE_SERVICE, args, |ctx| {
+            match ctx.get("mgmt/variables") {
+                Some(Value::List(xs)) => xs.iter().map(ToString::to_string).collect(),
+                _ => Vec::new(),
+            }
+        })
     }
 
     /// "Add Expression".
@@ -827,15 +909,11 @@ impl FacadeHandle {
         service: &str,
         expression: &str,
     ) -> Result<(), String> {
-        self.run(
-            env,
-            from,
-            ops::ADD_EXPRESSION,
-            Context::new()
-                .with("arg/service", service)
-                .with("arg/expression", expression),
-        )
-        .map(|_| ())
+        let args = [
+            ("arg/service", Arg::Text(service)),
+            ("arg/expression", Arg::Value(expression.into())),
+        ];
+        self.run(env, from, ops::ADD_EXPRESSION, args, |_| ())
     }
 
     /// "Create Service": provision a fresh composite onto a cybernode.
@@ -847,17 +925,12 @@ impl FacadeHandle {
         children: &[&str],
         expression: Option<&str>,
     ) -> Result<(), String> {
-        let mut args = Context::new().with("arg/name", name);
-        if !children.is_empty() {
-            args.put(
-                "arg/children",
-                Value::List(children.iter().map(|&c| c.into()).collect()),
-            );
-        }
-        if let Some(e) = expression {
-            args.put("arg/expression", e);
-        }
-        self.run(env, from, ops::CREATE_SERVICE, args).map(|_| ())
+        let list = || Value::List(children.iter().map(|&c| c.into()).collect());
+        let args = [("arg/name", Arg::Text(name))]
+            .into_iter()
+            .chain((!children.is_empty()).then(|| ("arg/children", Arg::Value(list()))))
+            .chain(expression.map(|e| ("arg/expression", Arg::Value(e.into()))));
+        self.run(env, from, ops::CREATE_SERVICE, args, |_| ())
     }
 
     /// Remove a child from a composite.
@@ -868,15 +941,11 @@ impl FacadeHandle {
         composite: &str,
         service: &str,
     ) -> Result<(), String> {
-        self.run(
-            env,
-            from,
-            ops::REMOVE_SERVICE,
-            Context::new()
-                .with("arg/composite", composite)
-                .with("arg/service", service),
-        )
-        .map(|_| ())
+        let args = [
+            ("arg/composite", Arg::Text(composite)),
+            ("arg/service", Arg::Text(service)),
+        ];
+        self.run(env, from, ops::REMOVE_SERVICE, args, |_| ())
     }
 }
 
@@ -1150,12 +1219,12 @@ mod tests {
         let mut w = setup();
         let err = w
             .facade
-            .run(&mut w.env, w.client, "selfDestruct", Context::new())
+            .run(&mut w.env, w.client, "selfDestruct", [], |_| ())
             .unwrap_err();
         assert!(err.contains("no operation"));
         let err = w
             .facade
-            .run(&mut w.env, w.client, ops::GET_VALUE, Context::new())
+            .run(&mut w.env, w.client, ops::GET_VALUE, [], |_| ())
             .unwrap_err();
         assert!(err.contains("arg/service"));
         let err = w
@@ -1164,7 +1233,8 @@ mod tests {
                 &mut w.env,
                 w.client,
                 ops::COMPOSE_SERVICE,
-                Context::new().with("arg/composite", "X"),
+                [("arg/composite", Arg::Text("X"))],
+                |_| (),
             )
             .unwrap_err();
         assert!(err.contains("children"));

@@ -116,8 +116,10 @@ impl ServiceAccessor {
     }
 
     /// The first provider any known LUS matches `template` with that `skip`
-    /// does not refuse, looked up over this accessor's connection to it.
-    fn bind_by(
+    /// does not refuse, looked up over this accessor's connection to it. A
+    /// caller that binds over and over keeps one template and
+    /// [`ServiceTemplate::repin`]s it per bind.
+    pub fn bind_by(
         &self,
         env: &mut Env,
         from: HostId,
@@ -223,10 +225,7 @@ impl LentRequest {
             }
         };
         header.arm(&mut self.request);
-        if let Some(AttrMatch::Name(Some(name))) = self.template.attributes.first_mut() {
-            name.clear();
-            name.push_str(provider);
-        }
+        self.template.repin(provider);
         let lender = Lender {
             template: &self.template,
             header,

@@ -130,6 +130,23 @@ impl ServiceTemplate {
         self
     }
 
+    /// Rewrite in place the text the first attribute requirement pins (a
+    /// `Name`, or a `Custom` entry's value), keeping its buffer: a lender
+    /// that binds many providers through one template builds none per bind.
+    pub fn repin(&mut self, text: &str) {
+        if let Some(
+            AttrMatch::Name(Some(pinned))
+            | AttrMatch::Custom {
+                value: Some(pinned),
+                ..
+            },
+        ) = self.attributes.first_mut()
+        {
+            pinned.clear();
+            pinned.push_str(text);
+        }
+    }
+
     /// Bytes on the simulated wire: the ids and the interfaces as
     /// length-prefixed lists, then each attribute matcher as
     /// length-prefixed `Debug` text. Only its size matters: matching is

@@ -29,7 +29,7 @@
 mod interp;
 
 use interp::{eval_script_with_budget, Scope};
-use sensorcer_suite::core::csp::{settle, ChildOutcome, Fate, LastGood};
+use sensorcer_suite::core::csp::{settle, ChildOutcome, Fate, LastGood, Miss};
 use sensorcer_suite::core::prelude::*;
 use sensorcer_suite::exertion::prelude::*;
 use sensorcer_suite::expr::{parse, Script, Text, Value, DEFAULT_STEP_BUDGET};
@@ -817,7 +817,7 @@ fn table_row(policy: DegradationPolicy, expression: bool, cells: &[(Read, Kept)]
         .map(|(i, (read, _))| match read {
             Read::Clean => Ok((i as f64 + 1.0, unit(i + 1, "u"), true)),
             Read::Suspect => Ok((i as f64 + 0.5, unit(i + 1, "u"), false)),
-            Read::Failed => Err(format!("'C{i}': down")),
+            Read::Failed => Err(Miss::NotFound.into()),
         })
         .collect();
     let last_good: Vec<Option<LastGood>> = (cells.iter().enumerate())
@@ -948,13 +948,14 @@ fn settle_pins_the_policy_rules() {
         })
         .collect();
     let clean: ChildOutcome = Ok((1.0, Text::Static("°C"), true));
-    let down = |name: &str| -> ChildOutcome { Err(format!("'{name}': down")) };
+    // Rendered for its child, the failure names it: `'B': no provider found`.
+    let down: ChildOutcome = Err(Miss::NotFound.into());
     let kept = |age: SimDuration| LastGood {
         value: 7.0,
         unit: Text::Static("°C"),
         at: now - age,
     };
-    let outcomes = [clean.clone(), down("B")];
+    let outcomes = [clean.clone(), down.clone()];
 
     // `max_age` is inclusive: a value exactly that old still stands in.
     let lkg = LastKnownGood { max_age: MAX_AGE };
@@ -998,7 +999,7 @@ fn settle_pins_the_policy_rules() {
 
     // `Quorum(0)` with nothing left fails instead of averaging nothing
     // into NaN.
-    let outcomes = [down("A"), down("B")];
+    let outcomes = [down.clone(), down];
     let settled = settle(Quorum(0), false, &children, &outcomes, &[None, None], now);
     let msg = settled.verdict.expect_err("no reading, no value");
     assert!(

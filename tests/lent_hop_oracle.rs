@@ -19,9 +19,10 @@
 //!   before it left behind: a reply, a failure, another child's pin, a
 //!   lost response, a re-composition, a failover.
 //!
-//! The composite's `arm` is private, so the three slips the lent form
-//! makes possible (no re-arm between attempts, no `Context::clear()`
-//! between children, the previous child's pin kept) are seeded in a mirror
+//! The composite's `arm` and bind templates are private, so the four slips
+//! the lent form makes possible (no re-arm between attempts, no
+//! `Context::clear()` between children, the previous child's pin kept, a
+//! failover template whose group is not repinned) are seeded in a mirror
 //! of its fan-out built from the same public pieces. Unmutated, the mirror
 //! passes every check the real composite passes; each mutant must fail.
 
@@ -36,7 +37,7 @@ use sensorcer_suite::exertion::retry::keys;
 use sensorcer_suite::expr::Value;
 use sensorcer_suite::registry::attributes::{AttrMatch, Entry};
 use sensorcer_suite::registry::ids::{interfaces, SvcUuid};
-use sensorcer_suite::registry::item::ServiceItem;
+use sensorcer_suite::registry::item::{ServiceItem, ServiceTemplate};
 use sensorcer_suite::registry::lease::LeasePolicy;
 use sensorcer_suite::registry::lus::{LookupService, LusHandle};
 use sensorcer_suite::sim::check::{run_cases, Gen};
@@ -52,6 +53,8 @@ enum Mutation {
     SkipClear,
     /// `arm` keeps the pin of the child it served before.
     KeepPin,
+    /// The failover template keeps the group of the first failover.
+    StaleGroup,
 }
 
 /// Every packet on the link is lost until a timer a millisecond later
@@ -520,12 +523,15 @@ fn mirror_arm(request: &mut Exertion, child: &str, mutation: Mutation) {
 }
 
 /// The composite's fan-out over public pieces only: one in-flight request,
-/// armed per hop, lent with `exert_in_place_rearmed`, read where it lies;
+/// armed per hop, lent with `exert_in_place_rearmed`, read where it lies,
+/// bound by name and by group through two templates repinned per bind;
 /// `Quorum(1)` with the default average.
 struct Mirror {
     children: Vec<(String, Option<String>)>,
     retry: RetryPolicy,
     in_flight: Exertion,
+    by_name: ServiceTemplate,
+    by_group: ServiceTemplate,
     mutation: Mutation,
 }
 
@@ -555,21 +561,29 @@ impl Mirror {
     }
 
     fn read(&mut self, f: &mut Fed) -> Answer {
-        let iface = interfaces::SENSOR_DATA_ACCESSOR;
         let (mut values, mut missing) = (Vec::new(), Vec::new());
         for (child, group) in self.children.clone() {
-            let mut got = match f.accessor.bind(&mut f.env, f.hub, iface, Some(&child)) {
+            self.by_name.repin(&child);
+            let mut got = match f
+                .accessor
+                .bind_by(&mut f.env, f.hub, &self.by_name, |_| false)
+            {
                 Some(item) => self.hop(f, item.service, &child, self.retry),
                 None => None,
             };
             if let (None, Some(group)) = (got, &group) {
-                let attr = AttrMatch::Custom {
-                    key: Some(EQUIVALENCE_GROUP_KEY.into()),
-                    value: Some(group.clone()),
+                let pinned = match self.by_group.attributes.first() {
+                    Some(AttrMatch::Custom { value: Some(v), .. }) => !v.is_empty(),
+                    _ => false,
                 };
-                let equivalent =
-                    f.accessor
-                        .bind_by_attr_excluding(&mut f.env, f.hub, iface, attr, Some(&child));
+                if self.mutation != Mutation::StaleGroup || !pinned {
+                    self.by_group.repin(group);
+                }
+                let equivalent = f
+                    .accessor
+                    .bind_by(&mut f.env, f.hub, &self.by_group, |item| {
+                        item.name() == Some(&child)
+                    });
                 if let Some(item) = equivalent {
                     got = self.hop(f, item.service, &child, RetryPolicy::none());
                 }
@@ -589,7 +603,7 @@ impl Mirror {
 /// The real composite, or its mirror under a mutation.
 enum Subject {
     Composite(CspHandle),
-    Mirror(Mirror),
+    Mirror(Box<Mirror>),
 }
 
 impl Subject {
@@ -604,7 +618,8 @@ impl Subject {
             .map(|(c, g)| (c.to_string(), g.map(str::to_string)))
             .collect();
         if let Some(mutation) = mirror {
-            return Subject::Mirror(Mirror {
+            let iface = || ServiceTemplate::by_interface(interfaces::SENSOR_DATA_ACCESSOR);
+            return Subject::Mirror(Box::new(Mirror {
                 children,
                 retry,
                 in_flight: Task::new(
@@ -613,8 +628,13 @@ impl Subject {
                     Context::new(),
                 )
                 .into(),
+                by_name: iface().and_attr(AttrMatch::name("")),
+                by_group: iface().and_attr(AttrMatch::Custom {
+                    key: Some(EQUIVALENCE_GROUP_KEY.into()),
+                    value: Some(String::new()),
+                }),
                 mutation,
-            });
+            }));
         }
         let mut cfg = CspConfig::new(f.hub, HUB, f.lus);
         cfg.degradation = DegradationPolicy::Quorum(1);
@@ -727,6 +747,23 @@ fn a_failover_hop_sends_a_fresh_request(mirror: Option<Mutation>) -> Result<(), 
     Ok(())
 }
 
+/// Two children fail over, each within its own group: the second failover
+/// binds by the second group, not by what the first one bound.
+fn each_failover_binds_by_its_own_group(mirror: Option<Mutation>) -> Result<(), String> {
+    let mut f = fed();
+    deploy_spy(&mut f, "B", Some("g"), &[Reply::Dead]);
+    deploy_spy(&mut f, "C", Some("h"), &[Reply::Dead]);
+    deploy_spy(&mut f, "E", Some("g"), &[Reply::Value(5.0)]);
+    deploy_spy(&mut f, "F", Some("h"), &[Reply::Value(7.0)]);
+    let children = [("B", Some("g")), ("C", Some("h"))];
+    let mut subject = Subject::new(&mut f, mirror, &children, RetryPolicy::none());
+    for _ in 0..2 {
+        expect_answer(subject.read(&mut f), answer(6.0, &[]))?;
+        check_log(&f, &[("B", "B"), ("E", "B"), ("C", "C"), ("F", "C")])?;
+    }
+    Ok(())
+}
+
 /// The child ran and its reply was lost: the retry sends the request
 /// again, not the reply the composite never received.
 fn a_retry_after_a_lost_reply_sends_the_request_again(
@@ -746,10 +783,11 @@ fn a_retry_after_a_lost_reply_sends_the_request_again(
 /// A scenario run against the real composite (`None`) or the mirror.
 type Scenario = fn(Option<Mutation>) -> Result<(), String>;
 
-const SCENARIOS: [(&str, Scenario); 4] = [
+const SCENARIOS: [(&str, Scenario); 5] = [
     ("between children", nothing_travels_between_children),
     ("recomposition", recomposition_relabels_the_request),
     ("failover", a_failover_hop_sends_a_fresh_request),
+    ("two groups", each_failover_binds_by_its_own_group),
     (
         "lost reply",
         a_retry_after_a_lost_reply_sends_the_request_again,
@@ -780,6 +818,8 @@ fn each_seeded_slip_in_the_arm_is_caught() {
     // Needs a second child to show; a failover keeps its primary's pin.
     assert_eq!(
         failed(Mutation::KeepPin),
-        ["between children", "recomposition"]
+        ["between children", "recomposition", "two groups"]
     );
+    // Needs a second group to show.
+    assert_eq!(failed(Mutation::StaleGroup), ["two groups"]);
 }

@@ -26,10 +26,26 @@
 //! built from the same public pieces (`RequestHeader::arm`, a template, a
 //! connection per header, `exert_lent`). Unmutated, the mirror matches the
 //! reference on every case; each mutant must fail.
+//!
+//! The façade hop is held the same way. `FacadeHandle` re-arms one
+//! session per requesting host and façade; `tests/support/fresh_facade.rs`
+//! builds a fresh task per call, as the handle did before. Generated
+//! scripts interleave `get_value_as`, `get_value_detailed` and
+//! `list_services` from two hosts across tenants and services, with shed
+//! reads, degraded reads, the façade's host crashed mid-read and the
+//! recorder on. A spy at the façade's address keeps every request as it
+//! arrived. Results, counters (wire bytes included: each host's calls
+//! ride their own connection in the reference too) and spans must be
+//! equal, and so must every arrival. Four slips are seeded in a mirror of
+//! the session: the last tenant kept, the reply context kept, the trace
+//! kept, and one session for both hosts.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
+use sensorcer_obs::{SloKind, SloSpec};
 use sensorcer_suite::core::prelude::*;
 use sensorcer_suite::exertion::prelude::*;
 use sensorcer_suite::expr::Value;
@@ -42,6 +58,8 @@ use sensorcer_suite::sensors::prelude::*;
 use sensorcer_suite::sim::check::{run_cases, Gen};
 use sensorcer_suite::sim::prelude::*;
 
+#[path = "support/fresh_facade.rs"]
+mod fresh_facade;
 #[path = "support/fresh_read.rs"]
 mod fresh_read;
 
@@ -68,21 +86,39 @@ enum Slip {
     OneLink,
 }
 
-/// The composite's first child: answers with a fingerprint of the request
-/// as it arrived and, on every `crash_every`-th read from the composite,
-/// crashes `Neem`'s mote for `down_for`, so the composite's next child
-/// hop finds it down.
+/// A composite's child that answers with a fingerprint of the request as
+/// it arrived and, on every `crash_every`-th read from the composite,
+/// crashes the `victim` host for `down_for`: `Neem`'s mote, so the
+/// composite's next child hop finds it down, or the façade's host, so the
+/// reply of the read under way is lost.
 struct Trip {
+    name: &'static str,
     line: Arc<str>,
     served: u64,
     crash_every: u64,
     down_for: SimDuration,
-    neem_mote: HostId,
+    victim: HostId,
+}
+
+impl Trip {
+    fn deploy(self, env: &mut Env, lus: LusHandle, host: HostId) {
+        let name = self.name;
+        let svc = env.deploy(host, name, ServicerBox::new(self));
+        let item = ServiceItem::new(
+            SvcUuid::NIL,
+            host,
+            svc,
+            vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
+            vec![Entry::Name(name.into())],
+        );
+        lus.register(env, host, item, None)
+            .expect("a trip registers");
+    }
 }
 
 impl Servicer for Trip {
     fn provider_name(&self) -> &str {
-        "Trip"
+        self.name
     }
 
     fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
@@ -98,7 +134,7 @@ impl Servicer for Trip {
         let fingerprint = 1000.0 * task.context.len() as f64
             + 100.0 * task.trace.len() as f64
             + 10.0 * status
-            + f64::from(&*task.name != "read Trip");
+            + f64::from(task.name.strip_prefix("read ") != Some(self.name));
         let from_composite = task.context.contains("composite/visited");
         task.trace.push(Arc::clone(&self.line));
         task.context
@@ -108,9 +144,9 @@ impl Servicer for Trip {
         task.status = ExertionStatus::Done;
         self.served += 1;
         if from_composite && self.served.is_multiple_of(self.crash_every) {
-            let mote = self.neem_mote;
-            env.crash_host(mote);
-            env.schedule(self.down_for, move |env| env.restart_host(mote));
+            let victim = self.victim;
+            env.crash_host(victim);
+            env.schedule(self.down_for, move |env| env.restart_host(victim));
         }
     }
 }
@@ -202,23 +238,15 @@ fn world(seed: u64, crash_every: u64, down_for: SimDuration) -> World {
             ..EspConfig::new(motes[2], "Dead", Box::new(dead), lus)
         },
     );
-    let trip = Trip {
+    Trip {
+        name: "Trip",
         line: exerted_by("Trip"),
         served: 0,
         crash_every,
         down_for,
-        neem_mote: motes[0],
-    };
-    let svc = env.deploy(motes[3], "Trip", ServicerBox::new(trip));
-    let item = ServiceItem::new(
-        SvcUuid::NIL,
-        motes[3],
-        svc,
-        vec![interfaces::SENSOR_DATA_ACCESSOR.into()],
-        vec![Entry::Name("Trip".into())],
-    );
-    lus.register(&mut env, motes[3], item, None)
-        .expect("Trip registers");
+        victim: motes[0],
+    }
+    .deploy(&mut env, lus, motes[3]);
     let mut hub = CspConfig::new(lab, "Hub", lus);
     hub.lease = LONG;
     hub.children = vec!["Trip".into(), "Neem".into(), "Jade-Sensor".into()];
@@ -540,4 +568,426 @@ fn a_header_labelled_for_another_provider_is_caught() {
 fn one_connection_for_every_provider_is_caught() {
     let n = caught(Slip::OneLink);
     assert!(n >= 20, "only {n} cases noticed the shared connection");
+}
+
+// The façade hop: `FacadeHandle` re-arms one session per requesting host
+// and façade, against the fresh task per call of `support/fresh_facade.rs`.
+
+/// A roomy tenant, and one whose bucket holds a single token refilled
+/// every four seconds, so its clumped reads are shed.
+const TENANTS: [&str; 2] = ["gold", "bulk"];
+const SERVICES: [&str; 3] = ["Hub", "Neem", "Ghost"];
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum FacadeSlip {
+    None,
+    /// A read that names no tenant still carries the last read's.
+    KeepTenant,
+    /// The re-arm keeps the last reply's context under the arguments.
+    KeepReply,
+    /// It keeps the trace.
+    KeepTrace,
+    /// Both requesting hosts share one session.
+    SharedSession,
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Call {
+    /// `get_value_as` from client `.0`.
+    As(usize, &'static str, &'static str),
+    /// `get_value_detailed` from client `.0`.
+    Detailed(usize, &'static str),
+    /// `list_services` from client `.0`.
+    List(usize),
+    Wait(SimDuration),
+}
+
+/// Keeps every request as it arrives at the façade, then has the façade
+/// serve it in place: a stand-in for the façade's own address, so what a
+/// session sends is seen whole, trace included.
+struct Spy {
+    facade: ServiceId,
+    arrivals: Rc<RefCell<Vec<String>>>,
+}
+
+impl Servicer for Spy {
+    fn provider_name(&self) -> &str {
+        "Front"
+    }
+
+    fn service(&mut self, env: &mut Env, exertion: &mut Exertion) {
+        self.arrivals.borrow_mut().push(format!("{exertion:?}"));
+        env.with_service(self.facade, |env, sb: &mut ServicerBox| {
+            sb.service(env, exertion)
+        })
+        .expect("the façade sits beside its spy");
+    }
+}
+
+struct FacadeWorld {
+    env: Env,
+    clients: [HostId; 2],
+    front: FacadeHandle,
+    arrivals: Rc<RefCell<Vec<String>>>,
+}
+
+/// A façade with admission and SLOs before `Hub` (quorum 1 of `Trip`,
+/// `Fell`, `Neem`): `Trip` downs `Neem`'s mote, so reads degrade, and
+/// `Fell` downs the façade's host mid-read.
+fn facade_world(case: &FacadeCase) -> FacadeWorld {
+    let mut env = Env::with_seed(case.seed);
+    env.enable_tracing(1 << 16);
+    let lab = env.add_host("lab", HostKind::Server);
+    let front = env.add_host("front", HostKind::Server);
+    let clients = [
+        env.add_host("desk-0", HostKind::Workstation),
+        env.add_host("desk-1", HostKind::Workstation),
+    ];
+    let motes: Vec<HostId> = (0..3)
+        .map(|i| env.add_host(format!("m{i}"), HostKind::SensorMote))
+        .collect();
+    let lus = LookupService::deploy(
+        &mut env,
+        lab,
+        "LUS",
+        "public",
+        LeasePolicy {
+            max_duration: SimDuration::from_secs(360_000),
+            default_duration: LONG,
+        },
+        SimDuration::from_millis(500),
+    );
+    scripted_esp(&mut env, lus, motes[0], "Neem", vec![21.0, 22.5], LONG);
+    for (name, at, victim, crash_every) in [
+        ("Trip", motes[1], motes[0], case.trip_every),
+        ("Fell", motes[2], front, case.fell_every),
+    ] {
+        Trip {
+            name,
+            line: exerted_by(name),
+            served: 0,
+            crash_every,
+            down_for: case.down_for,
+            victim,
+        }
+        .deploy(&mut env, lus, at);
+    }
+    let mut hub = CspConfig::new(lab, "Hub", lus);
+    hub.lease = LONG;
+    hub.children = vec!["Trip".into(), "Fell".into(), "Neem".into()];
+    hub.degradation = DegradationPolicy::Quorum(1);
+    deploy_csp(&mut env, hub).expect("Hub deploys");
+
+    let facade = SensorcerFacade::deploy_with_slos(
+        &mut env,
+        front,
+        "Facade",
+        ServiceAccessor::new(vec![lus]),
+        None,
+        vec![SloSpec::new(
+            "hub-availability",
+            "Hub",
+            SloKind::Availability { min_ratio: 0.9 },
+        )],
+    );
+    let mut gate = AdmissionController::new(TenantPolicy::new(QosClass::Standard, 50.0, 50.0, 64));
+    gate.register("bulk", TenantPolicy::new(QosClass::Bulk, 0.25, 1.0, 64));
+    let gate = shared_admission(gate);
+    env.with_service(facade.service, |_env, sb: &mut ServicerBox| {
+        sb.downcast_mut::<SensorcerFacade>()
+            .expect("a façade was deployed here")
+            .install_admission(gate);
+    })
+    .expect("the façade is up");
+    let arrivals = Rc::default();
+    let spy = Spy {
+        facade: facade.service,
+        arrivals: Rc::clone(&arrivals),
+    };
+    let spy = env.deploy(front, "Front", ServicerBox::new(spy));
+    FacadeWorld {
+        env,
+        clients,
+        front: FacadeHandle {
+            service: spy,
+            host: front,
+        },
+        arrivals,
+    }
+}
+
+#[derive(Clone, Debug)]
+struct FacadeCase {
+    seed: u64,
+    trip_every: u64,
+    fell_every: u64,
+    down_for: SimDuration,
+    calls: Vec<Call>,
+}
+
+fn gen_facade_case(g: &mut Gen) -> FacadeCase {
+    let calls = (0..g.usize_in(16, 36))
+        .map(|_| {
+            let host = g.usize_in(0, 2);
+            let (&tenant, &service) = (g.pick(&TENANTS), g.pick(&SERVICES));
+            match g.u64_in(0, 12) {
+                0 => Call::Wait(SimDuration::from_millis(g.u64_in(10, 6_000))),
+                1 => Call::List(host),
+                2..=5 => Call::Detailed(host, service),
+                _ => Call::As(host, tenant, service),
+            }
+        })
+        .collect();
+    FacadeCase {
+        seed: g.u64(),
+        trip_every: g.u64_in(1, 3),
+        fell_every: g.u64_in(3, 7),
+        down_for: SimDuration::from_millis(g.u64_in(100, 5_000)),
+        calls,
+    }
+}
+
+/// How a façade world's requestors call.
+enum Caller {
+    /// A fresh task per call; a connection per requesting host.
+    Reference(HashMap<HostId, Connection>),
+    /// `FacadeHandle`.
+    Lent,
+    /// The mirror under a slip.
+    Mirror(FacadeMirror),
+}
+
+impl Caller {
+    /// Make `call` and print what it returned.
+    fn call(&mut self, w: &mut FacadeWorld, call: Call) -> String {
+        let (env, front) = (&mut w.env, w.front);
+        let (from, selector, args) = match call {
+            Call::As(at, tenant, service) => (
+                at,
+                ops::GET_VALUE,
+                fresh_facade::get_value_args(Some(tenant), service),
+            ),
+            Call::Detailed(at, service) => (
+                at,
+                ops::GET_VALUE,
+                fresh_facade::get_value_args(None, service),
+            ),
+            Call::List(at) => (at, ops::LIST_SERVICES, Context::new()),
+            Call::Wait(d) => {
+                env.run_for(d);
+                return format!("waited {d}");
+            }
+        };
+        let from = w.clients[from];
+        let reply = match self {
+            Caller::Lent => {
+                return match call {
+                    Call::As(_, tenant, service) => {
+                        format!("{:?}", front.get_value_as(env, from, tenant, service))
+                    }
+                    Call::Detailed(_, service) => {
+                        format!("{:?}", front.get_value_detailed(env, from, service))
+                    }
+                    _ => format!("{:?}", front.list_services(env, from)),
+                };
+            }
+            Caller::Reference(links) => {
+                fresh_facade::run(env, from, front.service, links, selector, args)
+            }
+            Caller::Mirror(m) => m.run(env, from, front.service, selector, args),
+        };
+        match call {
+            Call::As(..) => format!("{:?}", reply.and_then(|ctx| fresh_facade::reading(&ctx))),
+            Call::Detailed(..) => {
+                format!("{:?}", reply.and_then(|ctx| fresh_facade::detailed(&ctx)))
+            }
+            _ => format!("{:?}", reply.map(|ctx| fresh_facade::listed(&ctx))),
+        }
+    }
+}
+
+/// Everything a requestor, an operator or the façade can observe of a
+/// script's run: what the façade received, and how.
+#[derive(Debug, PartialEq)]
+struct FacadeObserved {
+    seen: Observed,
+    arrivals: Vec<String>,
+}
+
+fn run_facade(case: &FacadeCase, mut caller: Caller) -> FacadeObserved {
+    let mut w = facade_world(case);
+    let results = case
+        .calls
+        .iter()
+        .map(|&call| caller.call(&mut w, call))
+        .collect();
+    let recorder = w.env.disable_tracing().expect("the recorder is on");
+    let arrivals = w.arrivals.borrow().clone();
+    FacadeObserved {
+        seen: Observed {
+            results,
+            counters: w
+                .env
+                .metrics
+                .counters()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            spans: recorder.to_json(),
+        },
+        arrivals,
+    }
+}
+
+/// One session of the mirror: its task and connection.
+struct MirrorSession {
+    request: Exertion,
+    link: Connection,
+}
+
+/// `FacadeHandle::run` over public pieces, with the slip a mutation seeds.
+struct FacadeMirror {
+    slip: FacadeSlip,
+    sessions: HashMap<Option<HostId>, MirrorSession>,
+}
+
+impl FacadeMirror {
+    fn new(slip: FacadeSlip) -> FacadeMirror {
+        FacadeMirror {
+            slip,
+            sessions: HashMap::new(),
+        }
+    }
+
+    fn run(
+        &mut self,
+        env: &mut Env,
+        from: HostId,
+        facade: ServiceId,
+        selector: &'static str,
+        args: Context,
+    ) -> Result<Context, String> {
+        let slip = self.slip;
+        let key = (slip != FacadeSlip::SharedSession).then_some(from);
+        let session = self.sessions.entry(key).or_insert_with(|| MirrorSession {
+            request: Task::new(
+                "",
+                Signature::new(interfaces::SENSORCER_FACADE, ""),
+                Context::new(),
+            )
+            .into(),
+            link: Connection::closed(),
+        });
+        let Exertion::Task(task) = &mut session.request else {
+            unreachable!("the mirror lends a task")
+        };
+        if *task.signature.selector != *selector {
+            task.name = format!("facade {selector}").into();
+            task.signature.selector = selector.into();
+        }
+        task.status = ExertionStatus::Initial;
+        if slip != FacadeSlip::KeepTrace {
+            task.trace.clear();
+        }
+        let tenant = task.context.get("arg/tenant").cloned();
+        if slip != FacadeSlip::KeepReply {
+            task.context.clear();
+        }
+        if let (FacadeSlip::KeepTenant, Some(tenant)) = (slip, tenant) {
+            task.context.put("arg/tenant", tenant);
+        }
+        for (path, value) in args.iter() {
+            task.context.put(path.to_string(), value.clone());
+        }
+        let sent = exert_in_place(env, from, facade, &mut session.request, &mut session.link);
+        match sent {
+            Ok(()) => match session.request.status() {
+                ExertionStatus::Done => Ok(session.request.context().clone()),
+                ExertionStatus::Failed(e) => Err(e.clone()),
+                other => Err(format!("unexpected status {other:?}")),
+            },
+            Err(e) => Err(format!("facade unreachable: {e}")),
+        }
+    }
+}
+
+fn facade_differs(want: &FacadeObserved, got: &FacadeObserved) -> Option<String> {
+    if got.arrivals != want.arrivals {
+        let at = (want.arrivals.iter().zip(&got.arrivals))
+            .position(|(a, b)| a != b)
+            .unwrap_or(want.arrivals.len().min(got.arrivals.len()));
+        return Some(format!(
+            "arrival {at} differs:\n got {:?}\nwant {:?}",
+            got.arrivals.get(at),
+            want.arrivals.get(at)
+        ));
+    }
+    differs(&want.seen, &got.seen)
+}
+
+#[test]
+fn a_lent_facade_call_equals_a_freshly_built_one() {
+    let mut runs = Vec::new();
+    run_cases("lent_facade_oracle", CASES, |g| {
+        let case = gen_facade_case(g);
+        let want = run_facade(&case, Caller::Reference(HashMap::new()));
+        for (what, caller) in [
+            ("lent", Caller::Lent),
+            (
+                "mirror",
+                Caller::Mirror(FacadeMirror::new(FacadeSlip::None)),
+            ),
+        ] {
+            if let Some(why) = facade_differs(&want, &run_facade(&case, caller)) {
+                panic!("{what} call differs from the reference on {case:?}: {why}");
+            }
+        }
+        runs.push(want.seen);
+    });
+    let all: Vec<&String> = runs.iter().flat_map(|o| &o.results).collect();
+    for needle in [
+        "reason=rate_limit",
+        "facade unreachable",
+        "missing: [\"Neem\"]",
+        "no provider found for SensorDataAccessor#getValue@Ghost",
+        "Ok([(\"Facade\", \"FACADE\")",
+    ] {
+        let seen = all.iter().filter(|r| r.contains(needle)).count();
+        assert!(seen >= 3, "only {seen} results show {needle}");
+    }
+}
+
+/// How many generated façade cases notice `slip`.
+fn facade_caught(slip: FacadeSlip) -> u32 {
+    let mut caught = 0;
+    run_cases("lent_facade_oracle", CASES, |g| {
+        let case = gen_facade_case(g);
+        let want = run_facade(&case, Caller::Reference(HashMap::new()));
+        let got = run_facade(&case, Caller::Mirror(FacadeMirror::new(slip)));
+        caught += u32::from(facade_differs(&want, &got).is_some());
+    });
+    caught
+}
+
+#[test]
+fn a_facade_call_that_keeps_the_last_tenant_is_caught() {
+    let n = facade_caught(FacadeSlip::KeepTenant);
+    assert!(n >= 20, "only {n} cases noticed the kept tenant");
+}
+
+#[test]
+fn a_facade_call_that_keeps_the_reply_context_is_caught() {
+    let n = facade_caught(FacadeSlip::KeepReply);
+    assert!(n >= 20, "only {n} cases noticed the kept reply");
+}
+
+#[test]
+fn a_facade_call_that_keeps_the_trace_is_caught() {
+    let n = facade_caught(FacadeSlip::KeepTrace);
+    assert!(n >= 20, "only {n} cases noticed the kept trace");
+}
+
+#[test]
+fn one_session_for_two_hosts_is_caught() {
+    let n = facade_caught(FacadeSlip::SharedSession);
+    assert!(n >= 20, "only {n} cases noticed the shared session");
 }
