@@ -174,14 +174,15 @@ impl ServiceAccessor {
 /// task, no label and no template. What each read sends, binds and
 /// records is byte for byte what a freshly built task would.
 ///
-/// Beside each header lies the connection the reads of that provider
+/// Beside each header lie the connection the reads of that provider
 /// ride, so a requestor that reads one provider over and over opens one
-/// connection, not one per read.
+/// connection, not one per read, and the instance of it last found dead.
 #[derive(Debug)]
 pub struct LentRequest {
     request: Exertion,
-    /// One header and connection per provider read, keyed by its pin.
-    headers: HashMap<Arc<str>, (RequestHeader, Connection)>,
+    /// One header, connection and dead instance per provider read, keyed
+    /// by its pin.
+    headers: HashMap<Arc<str>, (RequestHeader, Connection, Option<ServiceId>)>,
     /// The signature's interface, and a `Name` match for the pin.
     template: ServiceTemplate,
 }
@@ -215,13 +216,15 @@ impl LentRequest {
         provider: &str,
         label: impl FnOnce() -> String,
     ) -> &mut Exertion {
-        let (header, link) = match self.headers.get_mut(provider) {
+        let (header, link, dead) = match self.headers.get_mut(provider) {
             Some(held) => held,
             None => {
                 let header = RequestHeader::new(label(), provider);
-                self.headers
-                    .entry(Arc::clone(&header.pin))
-                    .or_insert((header, Connection::closed()))
+                self.headers.entry(Arc::clone(&header.pin)).or_insert((
+                    header,
+                    Connection::closed(),
+                    None,
+                ))
             }
         };
         header.arm(&mut self.request);
@@ -230,6 +233,7 @@ impl LentRequest {
             template: &self.template,
             header,
             link,
+            dead,
         };
         exert_lent(env, from, &mut self.request, accessor, Some(lender));
         &mut self.request
@@ -238,12 +242,13 @@ impl LentRequest {
 
 /// What a requestor that lends its request gives [`exert_lent`] for a
 /// bare task: the template it binds by (its interface and pin already
-/// written), the header that re-arms the request, and the connection its
-/// hops to that provider ride.
+/// written), the header that re-arms the request, the connection its hops
+/// to that provider ride, and the instance of it that last gave no reply.
 pub struct Lender<'a> {
     pub template: &'a ServiceTemplate,
     pub header: &'a RequestHeader,
     pub link: &'a mut Connection,
+    pub dead: &'a mut Option<ServiceId>,
 }
 
 /// How often a coordinator polls the exertion space for a result.
@@ -271,29 +276,24 @@ impl Coordinator<'_> {
             Exertion::Task(task) => task,
         };
         let bound = match &lender {
-            Some(lender) => self
+            Some(lender) => self.bind_lent(env, lender),
+            None => self
                 .accessor
-                .bind_by(env, self.host, lender.template, |_| false),
-            None => self.accessor.bind(
-                env,
-                self.host,
-                &task.signature.interface,
-                task.signature.provider_name.as_deref(),
-            ),
+                .bind(
+                    env,
+                    self.host,
+                    &task.signature.interface,
+                    task.signature.provider_name.as_deref(),
+                )
+                .map(|item| item.service),
         };
-        let Some(item) = bound else {
+        let Some(bound) = bound else {
             task.fail(format!("no provider found for {}", task.signature));
             return;
         };
         let sent = match lender {
-            Some(lender) => self.lend(env, exertion, item.service, lender),
-            None => exert_in_place(
-                env,
-                self.host,
-                item.service,
-                exertion,
-                &mut Connection::closed(),
-            ),
+            Some(lender) => self.lend(env, exertion, bound, lender),
+            None => exert_in_place(env, self.host, bound, exertion, &mut Connection::closed()),
         };
         if let (Err(e), Exertion::Task(task)) = (sent, exertion) {
             // No reply arrived: whatever the provider wrote before its
@@ -304,10 +304,29 @@ impl Coordinator<'_> {
         }
     }
 
+    /// Bind by the lender's template, passing over the instance it last
+    /// found dead while anything else matches (its registration lingers
+    /// beside its replacement's). When it is the only match it may have
+    /// come back, so it is bound again.
+    fn bind_lent(&self, env: &mut Env, lender: &Lender) -> Option<ServiceId> {
+        let dead = *lender.dead;
+        let passed = Cell::new(false);
+        let found = self.accessor.bind_by(env, self.host, lender.template, |i| {
+            let is_dead = Some(i.service) == dead;
+            passed.set(passed.get() || is_dead);
+            is_dead
+        });
+        found
+            .map(|item| item.service)
+            .or(dead.filter(|_| passed.get()))
+    }
+
     /// Lend the request to `bound` over the lender's connection. If no
     /// reply comes back, bind once more, skipping that service by id (the
     /// dead instance's lingering registration and its replacement share a
-    /// name), and send the re-armed request to whatever else matches.
+    /// name), and send the re-armed request to whatever else matches. The
+    /// lender remembers the last instance that gave no reply, and forgets
+    /// it once it answers.
     fn lend(
         &self,
         env: &mut Env,
@@ -319,8 +338,18 @@ impl Coordinator<'_> {
             template,
             header,
             link,
+            dead,
         } = lender;
-        let sent = exert_in_place(env, self.host, bound, exertion, link);
+        let mut send = |env: &mut Env, exertion: &mut Exertion, to: ServiceId| {
+            let sent = exert_in_place(env, self.host, to, exertion, link);
+            match sent {
+                Ok(()) if *dead == Some(to) => *dead = None,
+                Ok(()) => {}
+                Err(_) => *dead = Some(to),
+            }
+            sent
+        };
+        let sent = send(env, exertion, bound);
         if sent.is_ok() {
             return sent;
         }
@@ -330,7 +359,7 @@ impl Coordinator<'_> {
         {
             Some(other) => {
                 header.arm(exertion);
-                exert_in_place(env, self.host, other.service, exertion, link)
+                send(env, exertion, other.service)
             }
             None => sent,
         }

@@ -278,3 +278,47 @@ fn a_read_that_binds_a_dead_instance_reads_its_replacement() {
         "one call timeout, then the replacement: {got:?}"
     );
 }
+
+#[test]
+fn a_requestor_passes_over_the_instance_it_found_dead() {
+    let mut w = world(1);
+    let (first, second) = (
+        w.env.add_host("m0", HostKind::SensorMote),
+        w.env.add_host("m1", HostKind::SensorMote),
+    );
+    let dead = esp(&mut w, first, "X", 11.0);
+    assert_eq!(read(&mut w, "X").value, Ok(11.0));
+    w.env.crash_host(first);
+    let failed = read(&mut w, "X");
+    assert!(failed.value.is_err(), "{failed:?}");
+    esp(&mut w, second, "X", 22.0);
+    let iface = interfaces::SENSOR_DATA_ACCESSOR;
+    let listed = w.accessor.bind(&mut w.env, w.client, iface, Some("X"));
+    assert_eq!(
+        listed.map(|item| item.service),
+        Some(dead.service),
+        "the dead instance's lingering registration is matched first"
+    );
+    let timeout = w.env.config.call_timeout;
+    for poll in 0..3 {
+        let got = read(&mut w, "X");
+        assert_eq!(got.value, Ok(22.0), "poll {poll}");
+        assert!(
+            got.took < timeout,
+            "poll {poll} waited on the dead instance: {got:?}"
+        );
+    }
+}
+
+#[test]
+fn a_dead_instance_that_is_the_only_match_is_read_again() {
+    let mut w = world(17);
+    let mote = w.env.add_host("m0", HostKind::SensorMote);
+    esp(&mut w, mote, "X", 11.0);
+    w.env.crash_host(mote);
+    assert!(read(&mut w, "X").value.is_err());
+    w.env.restart_host(mote);
+    let got = read(&mut w, "X");
+    assert_eq!(got.value, Ok(11.0), "{got:?}");
+    assert_eq!(got.calls, 2, "one lookup, one hop: {got:?}");
+}

@@ -293,8 +293,9 @@ fn gen_case(g: &mut Gen) -> Case {
 
 /// How a world's requestor reads.
 enum Reader {
-    /// Fresh task and template per read; a connection per provider name.
-    Reference(HashMap<String, Connection>),
+    /// Fresh task and template per read; a connection and a dead
+    /// instance per provider name.
+    Reference(HashMap<String, (Connection, Option<ServiceId>)>),
     /// `client::get_value_detailed`.
     Lent,
     /// The mirror under a slip.
@@ -368,7 +369,7 @@ fn run(case: &Case, mut reader: Reader) -> Observed {
 struct Mirror {
     slip: Slip,
     request: Exertion,
-    headers: Vec<(RequestHeader, Connection)>,
+    headers: Vec<(RequestHeader, Connection, Option<ServiceId>)>,
     template: ServiceTemplate,
     /// The label the last read was sent under.
     last_label: Option<Arc<str>>,
@@ -391,14 +392,14 @@ impl Mirror {
         }
     }
 
-    /// Arm the request for `provider`; the header it was armed from and
-    /// where that header's connection lies.
-    fn arm(&mut self, provider: &str) -> (RequestHeader, usize) {
-        let at = match self.headers.iter().position(|(h, _)| &*h.pin == provider) {
+    /// Arm the request for `provider`; the header it was armed from, where
+    /// it lies and where the connection its read rides lies.
+    fn arm(&mut self, provider: &str) -> (RequestHeader, usize, usize) {
+        let at = match self.headers.iter().position(|(h, ..)| &*h.pin == provider) {
             Some(at) => at,
             None => {
                 let header = RequestHeader::new(format!("read {provider}"), provider);
-                self.headers.push((header, Connection::closed()));
+                self.headers.push((header, Connection::closed(), None));
                 self.headers.len() - 1
             }
         };
@@ -432,7 +433,7 @@ impl Mirror {
             }
         }
         let link = if self.slip == Slip::OneLink { 0 } else { at };
-        (header, link)
+        (header, at, link)
     }
 
     fn read(
@@ -442,13 +443,17 @@ impl Mirror {
         accessor: &ServiceAccessor,
         name: &str,
     ) -> Read {
-        let (header, at) = self.arm(name);
+        let (header, at, link) = self.arm(name);
+        let mut dead = self.headers[at].2;
+        let link = &mut self.headers[link].1;
         let lender = Lender {
             template: &self.template,
             header: &header,
-            link: &mut self.headers[at].1,
+            link,
+            dead: &mut dead,
         };
         exert_lent(env, from, &mut self.request, accessor, Some(lender));
+        self.headers[at].2 = dead;
         let done = &self.request;
         match done.status() {
             ExertionStatus::Done => SensorReading::from_context(done.context())

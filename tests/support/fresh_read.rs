@@ -1,7 +1,8 @@
 //! The requestor's `getValue` as it was before an accessor lent its
 //! request: every read builds a fresh task (label, signature, pin, empty
-//! context), a fresh header and a fresh bind template. Only the connection
-//! each provider's reads ride is kept, one per provider name.
+//! context), a fresh header and a fresh bind template. Only what a
+//! requestor holds per provider is kept, by provider name: the connection
+//! its reads ride and the instance of it last found dead.
 //! `tests/lent_read_oracle.rs` holds `client::get_value_detailed` to it.
 
 use std::collections::HashMap;
@@ -14,12 +15,12 @@ use sensorcer_suite::registry::item::ServiceTemplate;
 use sensorcer_suite::sim::prelude::*;
 
 /// Read the named sensor service with a request built for this read
-/// alone, over the connection `links` keeps for that name.
+/// alone, over the connection `held` keeps for that name.
 pub fn get_value_detailed(
     env: &mut Env,
     from: HostId,
     accessor: &ServiceAccessor,
-    links: &mut HashMap<String, Connection>,
+    held: &mut HashMap<String, (Connection, Option<ServiceId>)>,
     provider: &str,
 ) -> Result<(SensorReading, DegradedInfo), String> {
     let label = format!("read {provider}");
@@ -29,11 +30,13 @@ pub fn get_value_detailed(
         Context::new(),
     )
     .into();
+    let (link, dead) = held.entry(provider.to_string()).or_default();
     let lender = Lender {
         template: &ServiceTemplate::by_interface(interfaces::SENSOR_DATA_ACCESSOR)
             .and_attr(AttrMatch::name(provider)),
         header: &RequestHeader::new(label, provider),
-        link: links.entry(provider.to_string()).or_default(),
+        link,
+        dead,
     };
     exert_lent(env, from, &mut done, accessor, Some(lender));
     match done.status() {
