@@ -36,6 +36,7 @@ use sensorcer_obs::{BurnRateWindows, SloKind, SloSpec};
 use sensorcer_provision::prelude::*;
 use sensorcer_registry::lease::LeasePolicy;
 use sensorcer_registry::lus::LookupService;
+use sensorcer_registry::renewal::LeaseRenewalService;
 use sensorcer_sensors::prelude::*;
 use sensorcer_sim::chaos::{burst_gauge_key, BurstConfig, ChaosEvent, ChaosSchedule};
 use sensorcer_sim::prelude::*;
@@ -318,12 +319,14 @@ pub fn run_storm(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampler>) 
         lab,
         "Lookup Service",
         "public",
-        LeasePolicy {
-            max_duration: SimDuration::from_secs(360_000),
-            default_duration: SimDuration::from_secs(36_000),
-        },
+        LeasePolicy::default(),
         SimDuration::from_secs(1),
     );
+
+    // Every provider joins with the paper deployment's lease and the
+    // renewal service, as in the chaos soak.
+    let lease = DeploymentConfig::fig2().lease;
+    let renewal = LeaseRenewalService::deploy(&mut env, lab, "Lease Renewal Service");
 
     // Critical feed: two equivalent children so a breaker-open child can
     // fail over instead of failing the tenant.
@@ -333,7 +336,8 @@ pub fn run_storm(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampler>) 
         deploy_esp(
             &mut env,
             EspConfig {
-                lease: SimDuration::from_secs(36_000),
+                lease,
+                renewal: Some(renewal),
                 equivalence_group: Some("g-crit".into()),
                 ..EspConfig::new(
                     mote,
@@ -349,7 +353,8 @@ pub fn run_storm(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampler>) 
     deploy_esp(
         &mut env,
         EspConfig {
-            lease: SimDuration::from_secs(36_000),
+            lease,
+            renewal: Some(renewal),
             ..EspConfig::new(
                 bulk_mote,
                 BULK_SERVICE,
@@ -361,7 +366,8 @@ pub fn run_storm(cfg: &StormConfig, mut sampler: Option<&mut TelemetrySampler>) 
 
     let breakers = sensorcer_core::admission::shared_breakers(cfg.breaker);
     let mut csp_cfg = CspConfig::new(lab, CRITICAL_SERVICE, lus);
-    csp_cfg.lease = SimDuration::from_secs(36_000);
+    csp_cfg.lease = lease;
+    csp_cfg.renewal = Some(renewal);
     csp_cfg.retry = RetryPolicy::transient();
     csp_cfg.breakers = Some(breakers.clone());
     let crit = deploy_csp(&mut env, csp_cfg).expect("critical composite");
