@@ -99,11 +99,12 @@ pub enum Miss {
 /// Why a child read failed: what the named provider did and, after a
 /// failover, what its equivalent did (`None` inside when the group had
 /// none to offer). Kept as parts: a read that degrades past the child
-/// never renders it, and [`ChildError::text`] renders it where it is read.
+/// never renders it; it is rendered where it is read, for a span field
+/// or a failed read's message.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChildError {
-    pub named: Miss,
-    pub equivalent: Option<(Option<Arc<ServiceItem>>, Miss)>,
+    named: Miss,
+    equivalent: Option<(Option<Arc<ServiceItem>>, Miss)>,
 }
 
 impl From<Miss> for ChildError {
@@ -117,7 +118,7 @@ impl From<Miss> for ChildError {
 
 impl ChildError {
     /// The failure in words, as `child`'s read reports it.
-    pub fn text(&self, child: &Child) -> String {
+    fn text(&self, child: &Child) -> String {
         use std::fmt::Write;
         let name = child.service_name.as_str();
         let mut text = match &self.named {

@@ -96,25 +96,6 @@ impl ServiceAccessor {
         self.bind_by(env, from, &tpl, |_| false)
     }
 
-    /// Find one provider of `interface` that also carries an attribute
-    /// satisfying `attr` (e.g. an equivalence-group tag), skipping the
-    /// provider named `exclude` — the one that just failed and must not be
-    /// chosen again. Used for §V.A's "passed on to the equivalent available
-    /// service provider".
-    pub fn bind_by_attr_excluding(
-        &self,
-        env: &mut Env,
-        from: HostId,
-        interface: &str,
-        attr: AttrMatch,
-        exclude: Option<&str>,
-    ) -> Option<Arc<ServiceItem>> {
-        let tpl = ServiceTemplate::by_interface(interface).and_attr(attr);
-        self.bind_by(env, from, &tpl, |item| {
-            exclude.is_some_and(|x| item.name() == Some(x))
-        })
-    }
-
     /// The first provider any known LUS matches `template` with that `skip`
     /// does not refuse, looked up over this accessor's connection to it. A
     /// caller that binds over and over keeps one template and

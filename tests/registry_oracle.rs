@@ -614,12 +614,13 @@ fn equivalence_group_bind_is_the_linear_scan() {
                 value: group,
             };
             let exclude = g.bool().then(|| s(g, &NAMES));
-            let tpl = ServiceTemplate::by_interface(IFACES[0]).and_attr(attr.clone());
+            let tpl = ServiceTemplate::by_interface(IFACES[0]).and_attr(attr);
             let expected = model
                 .values()
                 .find(|i| tpl.matches(i) && (exclude.is_none() || i.name() != exclude.as_deref()));
-            let got =
-                accessor.bind_by_attr_excluding(&mut env, lab, IFACES[0], attr, exclude.as_deref());
+            let got = accessor.bind_by(&mut env, lab, &tpl, |i| {
+                exclude.is_some() && i.name() == exclude.as_deref()
+            });
             assert_eq!(got.as_deref(), expected);
             bound += usize::from(got.is_some());
         }
