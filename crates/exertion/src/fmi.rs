@@ -155,9 +155,9 @@ impl ServiceAccessor {
 /// task, no label and no template. What each read sends, binds and
 /// records is byte for byte what a freshly built task would.
 ///
-/// Beside each header lie the connection the reads of that provider
-/// ride, so a requestor that reads one provider over and over opens one
-/// connection, not one per read, and the instance of it last found dead.
+/// Beside each header lie the connection that provider's reads ride (so
+/// a requestor that reads it over and over opens one connection, not one
+/// per read) and the instance of it last found dead.
 #[derive(Debug)]
 pub struct LentRequest {
     request: Exertion,
