@@ -766,36 +766,24 @@ impl Caller {
     /// Make `call` and print what it returned.
     fn call(&mut self, w: &mut FacadeWorld, call: Call) -> String {
         let (env, front) = (&mut w.env, w.front);
-        let (from, selector, args) = match call {
-            Call::As(at, tenant, service) => (
-                at,
-                ops::GET_VALUE,
-                fresh_facade::get_value_args(Some(tenant), service),
-            ),
-            Call::Detailed(at, service) => (
-                at,
-                ops::GET_VALUE,
-                fresh_facade::get_value_args(None, service),
-            ),
+        let (at, selector, args) = match call {
+            Call::As(at, tenant, service) => {
+                let args = fresh_facade::get_value_args(Some(tenant), service);
+                (at, ops::GET_VALUE, args)
+            }
+            Call::Detailed(at, service) => {
+                let args = fresh_facade::get_value_args(None, service);
+                (at, ops::GET_VALUE, args)
+            }
             Call::List(at) => (at, ops::LIST_SERVICES, Context::new()),
             Call::Wait(d) => {
                 env.run_for(d);
                 return format!("waited {d}");
             }
         };
-        let from = w.clients[from];
+        let from = w.clients[at];
         let reply = match self {
-            Caller::Lent => {
-                return match call {
-                    Call::As(_, tenant, service) => {
-                        format!("{:?}", front.get_value_as(env, from, tenant, service))
-                    }
-                    Call::Detailed(_, service) => {
-                        format!("{:?}", front.get_value_detailed(env, from, service))
-                    }
-                    _ => format!("{:?}", front.list_services(env, from)),
-                };
-            }
+            Caller::Lent => return lent_call(env, front, from, call),
             Caller::Reference(links) => {
                 fresh_facade::run(env, from, front.service, links, selector, args)
             }
@@ -808,6 +796,17 @@ impl Caller {
             }
             _ => format!("{:?}", reply.map(|ctx| fresh_facade::listed(&ctx))),
         }
+    }
+}
+
+/// `call` through `FacadeHandle`, printed.
+fn lent_call(env: &mut Env, front: FacadeHandle, from: HostId, call: Call) -> String {
+    match call {
+        Call::As(_, tenant, service) => {
+            format!("{:?}", front.get_value_as(env, from, tenant, service))
+        }
+        Call::Detailed(_, service) => format!("{:?}", front.get_value_detailed(env, from, service)),
+        _ => format!("{:?}", front.list_services(env, from)),
     }
 }
 
