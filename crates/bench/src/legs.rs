@@ -119,13 +119,8 @@ pub const LEGS: &[Leg] = &[
         verb: "obs",
         file: "OBS_1.json",
         // Every storm alert carries its exemplars.
-        required: &[
-            "storm_slos.alerts.exemplars",
-            "clean_slos",
-            "anomalies",
-            "ops",
-        ],
-        about: "SLO burn-rate alerting and anomaly detection over the chaos soak",
+        required: &["storm_slos.alerts.exemplars", "clean_slos", "ops"],
+        about: "SLO burn-rate alerting over the chaos soak",
         side_ext: None,
         run: |seed| {
             let r = run_obs(seed);

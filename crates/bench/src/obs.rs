@@ -1,32 +1,26 @@
 //! Observability harness: the federation health engine exercised end to
 //! end against the chaos soak.
 //!
-//! `harness obs [seed] [out.json]` runs the [`crate::chaos`] soak three
-//! times — under the storm fault mix, with every fault probability at
-//! zero, and with rare fault bursts on a quiet baseline — with a
-//! [`HealthObserver`] riding along: an SLO engine with four objectives
-//! on the two composites plus an anomaly monitor sampling the metrics
-//! registry every round. After the storm run it links exemplars into
-//! every fired alert from the flight recorder (the slowest degraded or
-//! failed `soak.read` spans inside the alert window) and holds the whole
-//! thing to four standards before writing `OBS_1.json`:
+//! `harness obs [seed] [out.json]` runs the [`crate::chaos`] soak twice
+//! — under the storm fault mix and with every fault probability at zero
+//! — with an SLO engine riding along as its [`SoakObserver`], holding
+//! four objectives on the two composites ([`soak_slos`]). After the
+//! storm run it links exemplars into every fired alert from the flight
+//! recorder (the slowest degraded or failed `soak.read` spans inside the
+//! alert window) and holds the whole thing to three standards before
+//! writing `OBS_1.json`:
 //!
 //! * the storm **must** fire at least one burn-rate alert, and every
 //!   alert's exemplars must resolve to real degraded/failed spans in the
 //!   exported trace — an alert that cannot point at evidence is a bug;
 //! * the clean run **must not** fire anything — an alert without a fault
 //!   is a false page;
-//! * the burst run **must** flag at least one counter anomaly — a retry
-//!   surge against a quiet baseline is exactly what the detectors exist
-//!   to catch;
 //! * everything is derived from virtual time and seeded draws, so the
 //!   exported JSON is bit-for-bit identical per seed.
 
-use sensorcer_core::csp;
-use sensorcer_exertion::retry;
 use sensorcer_obs::{
-    group_by_op, slowest_offenders, AnomalyMonitor, BurnRateWindows, ReadOutcome, SloEngine,
-    SloKind, SloReport, SloSpec,
+    group_by_op, slowest_offenders, BurnRateWindows, ReadOutcome, SloEngine, SloKind, SloReport,
+    SloSpec,
 };
 use sensorcer_sim::chaos::ChaosConfig;
 use sensorcer_sim::prelude::*;
@@ -65,20 +59,6 @@ pub fn clean_soak(seed: u64) -> SoakConfig {
     cfg.chaos.isolate_prob = 0.0;
     cfg.chaos.crash_prob = 0.0;
     cfg.chaos.slow_prob = 0.0;
-    cfg
-}
-
-/// The anomaly-detector showcase: rare faults against a long quiet
-/// baseline. Under the full storm the run is its own baseline — constant
-/// fault-driven retry traffic is *normal* there, so nothing deviates.
-/// Here an occasional outage produces a genuine excursion: a retry burst
-/// the per-round counter deltas flag at many sigmas.
-pub fn burst_soak(seed: u64) -> SoakConfig {
-    let mut cfg = clean_soak(seed);
-    cfg.chaos.crash_prob = 0.05;
-    cfg.chaos.isolate_prob = 0.05;
-    cfg.chaos.min_outage = SimDuration::from_secs(20);
-    cfg.chaos.max_outage = SimDuration::from_secs(30);
     cfg
 }
 
@@ -163,44 +143,8 @@ pub fn runtime_metric_names() -> Vec<String> {
     kc.0.into_iter().collect()
 }
 
-/// SLO engine + anomaly monitor fed purely through the observer hooks.
-pub struct HealthObserver {
-    pub slos: SloEngine,
-    pub anomalies: AnomalyMonitor,
-}
-
-impl HealthObserver {
-    pub fn new() -> HealthObserver {
-        // 4-sigma instead of the library's 6-sigma default: the soak's
-        // watched counters are near-silent outside faults (clean-run
-        // deltas of 1-2 events), so 4 sigma is still a wide margin over
-        // noise while catching the smaller retry surges a brief outage
-        // produces. The MAD window shrinks to match the soak's cadence
-        // (one sample per ~3s round, ~60-90 rounds total): with the
-        // 64-sample default the detector would not start judging until
-        // half the run was over.
-        let mut anomalies = AnomalyMonitor::new()
-            .with_threshold(4.0)
-            .with_mad_window(16);
-        // Fault symptoms show up here first: retry traffic and degraded
-        // reads surge, per-round, when a pair goes dark.
-        anomalies.watch_counter(retry::keys::RETRY_ATTEMPTS);
-        anomalies.watch_counter(csp::keys::DEGRADED_READS);
-        anomalies.watch_counter("net.packets.retransmitted");
-        HealthObserver {
-            slos: SloEngine::new(soak_slos()),
-            anomalies,
-        }
-    }
-}
-
-impl Default for HealthObserver {
-    fn default() -> Self {
-        HealthObserver::new()
-    }
-}
-
-impl SoakObserver for HealthObserver {
+/// The SLO engine, fed purely through the observer hooks.
+impl SoakObserver for SloEngine {
     fn on_read(
         &mut self,
         env: &Env,
@@ -211,15 +155,11 @@ impl SoakObserver for HealthObserver {
     ) {
         let now = env.now();
         let latency_ns = (now - started).as_nanos();
-        self.slos.record_read(now, service, outcome, latency_ns);
+        self.record_read(now, service, outcome, latency_ns);
         if let Some(age) = data_age_ns {
-            self.slos.record_freshness(now, service, age);
+            self.record_freshness(now, service, age);
         }
-        self.slos.evaluate(now);
-    }
-
-    fn on_round(&mut self, env: &Env) {
-        self.anomalies.sample(env.now(), &env.metrics);
+        self.evaluate(now);
     }
 }
 
@@ -229,8 +169,6 @@ pub struct ObsReport {
     pub storm_soak: SoakReport,
     pub storm_slos: SloReport,
     pub clean_slos: SloReport,
-    /// Excursions flagged on the burst leg ([`burst_soak`]).
-    pub anomalies: Vec<sensorcer_obs::Anomaly>,
     /// `(op, count, degraded, errors, p50_ns, p99_ns)` per operation.
     pub op_stats: Vec<(String, u64, u64, u64, f64, f64)>,
     /// Harness-level failures; empty on a passing run.
@@ -242,18 +180,8 @@ impl ObsReport {
         self.problems.is_empty()
     }
 
-    /// The `OBS_1.json` report: anomaly scores to one decimal, operation
-    /// quantiles in whole nanoseconds.
+    /// The `OBS_1.json` report: operation quantiles in whole nanoseconds.
     pub fn json(&self) -> Json {
-        let anomalies = self.anomalies.iter().map(|a| {
-            Json::obj([
-                ("at_ns", a.at.as_nanos().into()),
-                ("metric", a.metric.as_str().into()),
-                ("value", Json::rounded(a.value, 1)),
-                ("ewma_score", Json::rounded(a.ewma_score, 1)),
-                ("mad_score", Json::rounded(a.mad_score, 1)),
-            ])
-        });
         let ops = self
             .op_stats
             .iter()
@@ -283,7 +211,6 @@ impl ObsReport {
                 ),
                 ("storm_slos", self.storm_slos.json()),
                 ("clean_slos", self.clean_slos.json()),
-                ("anomalies", Json::arr(anomalies)),
                 ("ops", Json::arr(ops)),
                 ("problems", Json::arr(&self.problems)),
             ],
@@ -296,13 +223,12 @@ impl ObsReport {
         let firing_or_fired = self.storm_slos.alerts.len();
         format!(
             "obs harness seed={}: storm {} reads ({} failed / {} degraded), {} alert(s) fired; \
-             burst leg {} anomalies; clean run {} alert(s) — {}\n",
+             clean run {} alert(s) — {}\n",
             self.seed,
             self.storm_soak.reads_total,
             self.storm_soak.reads_failed,
             self.storm_soak.reads_degraded,
             firing_or_fired,
-            self.anomalies.len(),
             self.clean_slos.alerts.len(),
             if self.passed() {
                 "PASS".to_string()
@@ -362,17 +288,13 @@ pub fn run_obs(seed: u64) -> ObsReport {
     let mut problems = Vec::new();
 
     // Storm leg: faults on, recorder on, observer riding along.
-    let mut storm_observer = HealthObserver::new();
-    let (storm_soak, recorder) = run_soak_observed(&storm_soak(seed), Some(&mut storm_observer));
+    let mut storm_engine = SloEngine::new(soak_slos());
+    let (storm_soak, recorder) = run_soak_observed(&storm_soak(seed), Some(&mut storm_engine));
     let recorder = recorder.expect("storm soak runs traced");
     let storm_end = SimTime(recorder.spans().map(|s| s.end_ns).max().unwrap_or_default());
-    storm_observer.slos.evaluate(storm_end);
-    problems.extend(link_exemplars(
-        &mut storm_observer.slos,
-        &recorder,
-        storm_end,
-    ));
-    let storm_slos = storm_observer.slos.report(storm_end);
+    storm_engine.evaluate(storm_end);
+    problems.extend(link_exemplars(&mut storm_engine, &recorder, storm_end));
+    let storm_slos = storm_engine.report(storm_end);
     if storm_slos.alerts.is_empty() {
         problems.push(
             "storm fired no burn-rate alert — the objectives are too loose to detect a storm"
@@ -397,9 +319,9 @@ pub fn run_obs(seed: u64) -> ObsReport {
     }
 
     // Clean leg: identical world, zero faults — must stay silent.
-    let mut clean_observer = HealthObserver::new();
-    let (_, _) = run_soak_observed(&clean_soak(seed), Some(&mut clean_observer));
-    let clean_slos = clean_observer.slos.report(storm_end);
+    let mut clean_engine = SloEngine::new(soak_slos());
+    let (_, _) = run_soak_observed(&clean_soak(seed), Some(&mut clean_engine));
+    let clean_slos = clean_engine.report(storm_end);
     if !clean_slos.alerts.is_empty() {
         problems.push(format!(
             "clean run fired {} alert(s) — false pages",
@@ -408,23 +330,6 @@ pub fn run_obs(seed: u64) -> ObsReport {
     }
     if !clean_slos.healthy() {
         problems.push("clean run failed an objective".into());
-    }
-    if !clean_observer.anomalies.anomalies().is_empty() {
-        problems.push(format!(
-            "clean run flagged {} anomalies — detector thresholds too tight",
-            clean_observer.anomalies.anomalies().len()
-        ));
-    }
-
-    // Burst leg: rare outages on a quiet baseline — the anomaly
-    // detectors must flag the retry surges the SLOs are too slow to see.
-    let mut burst_observer = HealthObserver::new();
-    let (_, _) = run_soak_observed(&burst_soak(seed), Some(&mut burst_observer));
-    let anomalies = burst_observer.anomalies.anomalies().to_vec();
-    if anomalies.is_empty() {
-        problems.push(
-            "burst run flagged no anomaly — a retry surge on a quiet baseline must page".into(),
-        );
     }
 
     // Trace analytics: per-op aggregates for the report.
@@ -447,7 +352,6 @@ pub fn run_obs(seed: u64) -> ObsReport {
         storm_soak,
         storm_slos,
         clean_slos,
-        anomalies,
         op_stats,
         problems,
     }
@@ -486,7 +390,7 @@ mod tests {
         // one does — the observer is read-only by construction, but this
         // pins it against regression.
         let cfg = storm_soak(3);
-        let mut obs = HealthObserver::new();
+        let mut obs = SloEngine::new(soak_slos());
         let (observed, _) = run_soak_observed(&cfg, Some(&mut obs));
         let (unobserved, _) = run_soak_observed(&cfg, None);
         assert_eq!(observed, unobserved);

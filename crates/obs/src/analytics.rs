@@ -1,22 +1,19 @@
 //! Query layer over exported [`FlightRecorder`] trees.
 //!
 //! The recorder gives raw spans; operators need answers: *which op got
-//! slow, where did that read spend its time, which traces should I look
-//! at first?* This module answers those without re-running anything:
+//! slow, which traces should I look at first?* This module answers those
+//! without re-running anything:
 //!
 //! * [`group_by_op`] — aggregate spans into per-op [`OpStats`] (counts
 //!   by outcome plus a duration histogram, so p50/p99 per op are one
 //!   call away).
-//! * [`critical_path`] — walk a trace tree from its root, at each level
-//!   descending into the last-finishing child, yielding the chain of
-//!   spans that actually determined end-to-end latency.
 //! * [`slowest_offenders`] — the exemplar selector: the N slowest spans
 //!   passing a filter, as `(trace, span, duration_ns)` triples ready to
-//!   attach to an SLO alert or anomaly.
+//!   attach to an SLO alert.
 
 use std::collections::BTreeMap;
 
-use sensorcer_trace::{FlightRecorder, Histogram, Outcome, Span, SpanId};
+use sensorcer_trace::{FlightRecorder, Histogram, Outcome, Span};
 
 /// Aggregate view of one operation name.
 #[derive(Debug)]
@@ -39,15 +36,6 @@ impl OpStats {
             durations: Histogram::new(),
         }
     }
-
-    /// Fraction of spans that did not end Ok.
-    pub fn bad_ratio(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.degraded + self.errors) as f64 / self.count as f64
-        }
-    }
 }
 
 /// Group every closed span by its operation name.
@@ -64,71 +52,6 @@ pub fn group_by_op(rec: &FlightRecorder) -> BTreeMap<&'static str, OpStats> {
         st.durations.record(s.duration_ns() as f64);
     }
     by_op
-}
-
-/// One hop on a critical path.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PathStep {
-    pub span: SpanId,
-    pub op: &'static str,
-    pub label: String,
-    /// Total duration of this span.
-    pub duration_ns: u64,
-    /// Time this span spent *not* covered by the next step (self time
-    /// for interior steps; full duration for the leaf).
-    pub self_ns: u64,
-}
-
-/// The chain of spans that determined a trace's end-to-end latency.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CriticalPath {
-    pub steps: Vec<PathStep>,
-    pub total_ns: u64,
-}
-
-impl CriticalPath {
-    /// The step with the largest self time — "where the time went".
-    pub fn dominant(&self) -> Option<&PathStep> {
-        self.steps.iter().max_by_key(|s| s.self_ns)
-    }
-}
-
-/// Extract the critical path of the trace rooted at `root`: starting at
-/// the root, repeatedly descend into the child that *finishes last* (ties
-/// broken toward the longer child, then lower span id, so the walk is
-/// deterministic). Returns `None` if `root` is not a closed span.
-pub fn critical_path(rec: &FlightRecorder, root: SpanId) -> Option<CriticalPath> {
-    let spans: Vec<&Span> = rec.spans().collect();
-    let children = rec.children_index();
-    let mut cur = *spans.iter().find(|s| s.id == root)?;
-    let total_ns = cur.duration_ns();
-    let mut steps = Vec::new();
-    loop {
-        let next = children
-            .get(&cur.id.0)
-            .into_iter()
-            .flatten()
-            .map(|&i| spans[i])
-            .max_by(|a, b| {
-                a.end_ns
-                    .cmp(&b.end_ns)
-                    .then(a.duration_ns().cmp(&b.duration_ns()))
-                    .then(b.id.0.cmp(&a.id.0))
-            });
-        let covered = next.map_or(0, |n| n.duration_ns());
-        steps.push(PathStep {
-            span: cur.id,
-            op: cur.name,
-            label: cur.label.to_string(),
-            duration_ns: cur.duration_ns(),
-            self_ns: cur.duration_ns().saturating_sub(covered),
-        });
-        match next {
-            Some(n) => cur = n,
-            None => break,
-        }
-    }
-    Some(CriticalPath { steps, total_ns })
 }
 
 /// The `n` slowest spans passing `keep`, slowest first, as
@@ -152,7 +75,7 @@ pub fn slowest_offenders(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorcer_trace::FieldValue;
+    use sensorcer_trace::{FieldValue, SpanId};
 
     /// A little two-trace world:
     ///
@@ -186,33 +109,9 @@ mod tests {
         );
         assert_eq!(reads.durations.max(), 100.0);
         assert_eq!(reads.durations.min(), 30.0);
-        assert!((reads.bad_ratio() - 0.5).abs() < 1e-12);
         let children = &by_op["csp.child"];
         assert_eq!(children.count, 3);
         assert_eq!(children.errors, 1);
-    }
-
-    #[test]
-    fn critical_path_follows_last_finishing_child() {
-        let r = rig();
-        let root = r.spans().find(|s| s.duration_ns() == 100).unwrap().id;
-        let cp = critical_path(&r, root).unwrap();
-        assert_eq!(cp.total_ns, 100);
-        assert_eq!(cp.steps.len(), 2);
-        // The path goes through the child ending at 90, not the one at 40.
-        assert_eq!(cp.steps[1].label, "m2");
-        assert_eq!(cp.steps[1].duration_ns, 70);
-        assert_eq!(cp.steps[1].self_ns, 70);
-        // Root self time: 100 total minus the 70 covered by the child.
-        assert_eq!(cp.steps[0].self_ns, 30);
-        // The dominant step is the slow probe.
-        assert_eq!(cp.dominant().unwrap().label, "m2");
-    }
-
-    #[test]
-    fn critical_path_of_unknown_span_is_none() {
-        let r = rig();
-        assert!(critical_path(&r, SpanId(99_999)).is_none());
     }
 
     #[test]
