@@ -41,7 +41,6 @@ pub fn sampler_config() -> SamplerConfig {
             "breaker.state.*".into(),
         ],
         gauges: vec!["chaos.burst.*".into(), "slo.burn.*".into()],
-        pending_timers: true,
     }
 }
 

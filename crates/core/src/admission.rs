@@ -236,25 +236,11 @@ impl AdmissionController {
         }
     }
 
-    pub fn class_of(&self, tenant: &str) -> QosClass {
-        self.tenants
-            .get(tenant)
-            .map(|(p, _)| p.class)
-            .unwrap_or(self.default_policy.class)
-    }
-
     pub fn rate_of(&self, tenant: &str) -> f64 {
         self.tenants
             .get(tenant)
             .map(|(p, _)| p.rate_per_sec)
             .unwrap_or(self.default_policy.rate_per_sec)
-    }
-
-    pub fn in_flight_of(&self, tenant: &str) -> u32 {
-        self.tenants
-            .get(tenant)
-            .map(|(_, s)| s.in_flight)
-            .unwrap_or(0)
     }
 
     /// A request finished (success or failure): release its concurrency
@@ -642,7 +628,8 @@ mod tests {
         assert!(shed.rejection().contains("reason=concurrency"));
         ctrl.borrow_mut().complete("t");
         admit(&mut env, &ctrl, "t").unwrap();
-        assert_eq!(ctrl.borrow().in_flight_of("t"), 2);
+        let shed = admit(&mut env, &ctrl, "t").unwrap_err();
+        assert_eq!(shed.reason, ShedReason::Concurrency, "two in flight again");
     }
 
     #[test]
@@ -650,7 +637,6 @@ mod tests {
         let mut env = env();
         let ctrl = controller();
         admit(&mut env, &ctrl, "stranger").unwrap();
-        assert_eq!(ctrl.borrow().class_of("stranger"), QosClass::Standard);
         assert_eq!(env.metrics.get_labeled(keys::ADMITTED, "standard"), 1);
     }
 

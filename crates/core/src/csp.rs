@@ -596,8 +596,9 @@ pub struct CompositeSensorProvider {
     accessor: ServiceAccessor,
     children: Vec<Child>,
     /// What differs between the requests to two children: the label
-    /// (`read <name>`) and the provider pin (`<name>`), rebuilt whenever
-    /// `children` changes so the per-read fan-out formats nothing.
+    /// (`read <name>`) and the provider pin (`<name>`), one per child,
+    /// built when the child is added so the per-read fan-out formats
+    /// nothing.
     requests: Vec<RequestHeader>,
     /// The one request this composite has in flight, signed
     /// `SensorDataAccessor#getValue`. The fan-out is sequential on the
@@ -705,22 +706,13 @@ impl CompositeSensorProvider {
             service_name: service_name.to_string(),
             group,
         });
+        self.requests.push(RequestHeader::new(
+            format!("read {service_name}"),
+            service_name,
+        ));
         self.last_good.push(None);
         self.bindings.push(Connection::closed());
-        self.rebuild_requests();
         Ok(var)
-    }
-
-    /// Recompute the per-child request headers from `children`. Called on
-    /// every composition change so reads find everything precomputed.
-    fn rebuild_requests(&mut self) {
-        self.requests = self
-            .children
-            .iter()
-            .map(|child| {
-                RequestHeader::new(format!("read {}", child.service_name), &child.service_name)
-            })
-            .collect();
     }
 
     /// Remove a child. Remaining children are re-lettered by position so
@@ -733,12 +725,12 @@ impl CompositeSensorProvider {
             .position(|c| c.service_name == service_name)
             .ok_or_else(|| format!("'{service_name}' is not composed here"))?;
         self.children.remove(pos);
+        self.requests.remove(pos);
         self.last_good.remove(pos);
         self.bindings.remove(pos);
         for (i, child) in self.children.iter_mut().enumerate() {
             child.var = variable_for(i);
         }
-        self.rebuild_requests();
         if let Some(expr) = &self.expression {
             let vars: Vec<&str> = self.children.iter().map(|c| c.var.as_str()).collect();
             if !expr.missing_inputs(&vars).is_empty() {
@@ -1376,6 +1368,68 @@ mod tests {
         let item = ServiceItem::provider(w.server, service, &iface, name, "ELEMENTARY");
         w.lus.register(&mut w.env, w.server, item, None).unwrap();
         seen
+    }
+
+    /// `(provider, request label, provider pin)` for every request a
+    /// [`Labelled`] sensor served.
+    type Asked = std::rc::Rc<std::cell::RefCell<Vec<(String, String, String)>>>;
+
+    /// A sensor that answers 1.0 and logs each request's label and pin.
+    struct Labelled {
+        name: String,
+        asked: Asked,
+    }
+
+    impl Servicer for Labelled {
+        fn provider_name(&self) -> &str {
+            &self.name
+        }
+
+        fn service(&mut self, _env: &mut Env, exertion: &mut Exertion) {
+            let Exertion::Task(task) = exertion else {
+                return;
+            };
+            let pin = task.signature.provider_name.as_deref().unwrap_or("");
+            let asked = (self.name.clone(), task.name.to_string(), pin.to_string());
+            self.asked.borrow_mut().push(asked);
+            task.context.put(paths::SENSOR_VALUE, 1.0);
+            task.status = ExertionStatus::Done;
+        }
+    }
+
+    #[test]
+    fn a_removed_child_takes_its_request_label_with_it() {
+        let mut w = setup();
+        let asked = Asked::default();
+        for name in ["a", "b", "c"] {
+            let sensor = Labelled {
+                name: name.into(),
+                asked: asked.clone(),
+            };
+            let service = w.env.deploy(w.server, name, ServicerBox::new(sensor));
+            let iface = [interfaces::SENSOR_DATA_ACCESSOR];
+            let item = ServiceItem::provider(w.server, service, &iface, name, "ELEMENTARY");
+            w.lus.register(&mut w.env, w.server, item, None).unwrap();
+        }
+        let mut cfg = CspConfig::new(w.server, "C", w.lus);
+        cfg.children = vec!["a".into(), "b".into(), "c".into()];
+        deploy_csp(&mut w.env, cfg).unwrap();
+        let ctx = Context::new().with("arg/service", "b");
+        let (env, client, accessor) = (&mut w.env, w.client, &w.accessor);
+        client::manage(env, client, accessor, "C", mgmt::REMOVE_SERVICE, ctx).unwrap();
+
+        w.env.enable_tracing(64);
+        client::get_value(&mut w.env, w.client, &w.accessor, "C").unwrap();
+        let hop = |p: &str| (p.to_string(), format!("read {p}"), p.to_string());
+        assert_eq!(*asked.borrow(), [hop("a"), hop("c")]);
+        let recorder = w.env.recorder().unwrap();
+        let mut hops: Vec<&str> = recorder
+            .spans()
+            .filter(|s| s.name == "fmi.dispatch" && &*s.label != "C")
+            .map(|s| &*s.label)
+            .collect();
+        hops.sort_unstable();
+        assert_eq!(hops, ["a", "c"]);
     }
 
     /// X under P: X read directly, through P, then directly again.

@@ -70,15 +70,6 @@ impl DeploymentConfig {
             heartbeat: SimDuration::from_secs(1),
         }
     }
-
-    /// A scalable variant with `n` generated sensors (Sensor-000…).
-    pub fn with_n_sensors(n: usize) -> DeploymentConfig {
-        DeploymentConfig {
-            sensor_names: (0..n).map(|i| format!("Sensor-{i:03}")).collect(),
-            sample_every: None,
-            ..DeploymentConfig::fig2()
-        }
-    }
 }
 
 /// Handles to everything the standard deployment stood up.
@@ -295,7 +286,11 @@ mod tests {
 
     #[test]
     fn scalable_config_generates_sensors() {
-        let config = DeploymentConfig::with_n_sensors(10);
+        let config = DeploymentConfig {
+            sensor_names: (0..10).map(|i| format!("Sensor-{i:03}")).collect(),
+            sample_every: None,
+            ..DeploymentConfig::fig2()
+        };
         let mut env = Env::with_seed(config.seed);
         let d = standard_deployment(&mut env, &config);
         assert_eq!(d.esps.len(), 10);

@@ -86,11 +86,6 @@ impl CompositeSpec {
         self
     }
 
-    pub fn with_expression(mut self, e: impl Into<String>) -> Self {
-        self.expression = Some(e.into());
-        self
-    }
-
     /// The operational string realizing this spec.
     pub fn to_opstring(&self) -> OperationalString {
         let mut element = ServiceElement::singleton(self.name.clone(), COMPOSITE_TYPE_KEY)
@@ -220,9 +215,9 @@ mod tests {
         let mut w = setup(2);
         add_esp(&mut w, "Composite-A", 23.0); // stands in for the subnet
         add_esp(&mut w, "Coral-Sensor", 25.0);
-        let spec = CompositeSpec::named("New-Composite")
-            .with_children(["Composite-A", "Coral-Sensor"])
-            .with_expression("(a + b)/2");
+        let mut spec =
+            CompositeSpec::named("New-Composite").with_children(["Composite-A", "Coral-Sensor"]);
+        spec.expression = Some("(a + b)/2".into());
         let placed_on = provision_composite(&mut w.env, w.client, w.monitor, &spec).unwrap();
         assert!(
             w.node_hosts.contains(&placed_on),
@@ -259,9 +254,8 @@ mod tests {
 
     #[test]
     fn spec_builds_valid_opstring() {
-        let spec = CompositeSpec::named("X")
-            .with_children(["A", "B"])
-            .with_expression("(a+b)/2");
+        let mut spec = CompositeSpec::named("X").with_children(["A", "B"]);
+        spec.expression = Some("(a+b)/2".into());
         let os = spec.to_opstring();
         assert!(os.validate().is_ok());
         assert_eq!(os.elements[0].config[config_keys::CHILDREN], "A,B");
@@ -273,9 +267,8 @@ mod tests {
     fn factory_rejects_invalid_expression() {
         let mut w = setup(1);
         add_esp(&mut w, "A", 1.0);
-        let spec = CompositeSpec::named("Bad")
-            .with_children(["A"])
-            .with_expression("(a + b)/2"); // b unbound
+        let mut spec = CompositeSpec::named("Bad").with_children(["A"]);
+        spec.expression = Some("(a + b)/2".into()); // b unbound
         let err = provision_composite(&mut w.env, w.client, w.monitor, &spec).unwrap_err();
         assert!(matches!(err, ProvisionError::NoCandidate(_)));
     }

@@ -98,10 +98,6 @@ impl Cybernode {
         CybernodeHandle { service, host }
     }
 
-    pub fn capabilities(&self) -> &QosCapabilities {
-        &self.caps
-    }
-
     pub fn reserved_mb(&self) -> u32 {
         self.reserved_mb
     }
@@ -237,17 +233,6 @@ impl CybernodeHandle {
             ProtocolStack::Tcp,
             16,
             |_env, node: &mut Cybernode| ((node.caps.clone(), node.reserved_mb), 96),
-        )
-    }
-
-    /// Heartbeat: is the node reachable and responding?
-    pub fn ping(&self, env: &mut Env, from: HostId) -> Result<(), NetError> {
-        env.call(
-            from,
-            self.service,
-            ProtocolStack::Tcp,
-            8,
-            |_env, _node: &mut Cybernode| ((), 8),
         )
     }
 
@@ -393,12 +378,11 @@ mod tests {
     #[test]
     fn ping_and_utilization() {
         let (mut env, monitor, _nh, node, _reg) = setup();
-        assert!(node.ping(&mut env, monitor).is_ok());
         let (caps, reserved) = node.utilization(&mut env, monitor).unwrap();
         assert_eq!(caps, QosCapabilities::lab_server());
         assert_eq!(reserved, 0);
         env.crash_host(node.host);
-        assert!(node.ping(&mut env, monitor).is_err());
+        assert!(node.utilization(&mut env, monitor).is_err());
     }
 
     #[test]

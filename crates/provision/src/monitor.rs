@@ -17,7 +17,7 @@ use sensorcer_sim::trace::{Outcome, SpanId};
 use sensorcer_sim::wire::ProtocolStack;
 
 use sensorcer_registry::ids::interfaces;
-use sensorcer_registry::item::{ServiceItem, ServiceTemplate};
+use sensorcer_registry::item::ServiceItem;
 use sensorcer_registry::lus::LusHandle;
 use sensorcer_registry::renewal::join;
 
@@ -171,30 +171,6 @@ impl ProvisionMonitor {
         if !self.cybernodes.contains(&node) {
             self.cybernodes.push(node);
         }
-    }
-
-    /// Discover cybernodes from a lookup service and register them.
-    pub fn discover_cybernodes(&mut self, env: &mut Env, lus: LusHandle) -> usize {
-        let found = lus
-            .lookup(
-                env,
-                self.host,
-                &ServiceTemplate::by_interface(interfaces::CYBERNODE),
-                usize::MAX,
-            )
-            .unwrap_or_default();
-        let mut added = 0;
-        for item in found {
-            let handle = CybernodeHandle {
-                service: item.service,
-                host: item.host,
-            };
-            if !self.cybernodes.contains(&handle) {
-                self.cybernodes.push(handle);
-                added += 1;
-            }
-        }
-        added
     }
 
     /// The host this monitor runs on.
@@ -693,6 +669,7 @@ mod tests {
     use super::*;
     use crate::cybernode::Cybernode;
     use crate::qos::{QosCapabilities, QosRequirements};
+    use sensorcer_registry::item::ServiceTemplate;
     use sensorcer_sim::prelude::*;
 
     struct Bean;
@@ -1130,51 +1107,5 @@ mod tests {
                 assert_eq!(m.instances("net").len(), 1);
             })
             .unwrap();
-    }
-
-    #[test]
-    fn discovery_registers_cybernodes_from_lus() {
-        let mut env = Env::with_seed(5);
-        let lab = env.add_host("lab", HostKind::Server);
-        let lus = sensorcer_registry::lus::LookupService::deploy(
-            &mut env,
-            lab,
-            "LUS",
-            "public",
-            sensorcer_registry::lease::LeasePolicy::default(),
-            SimDuration::from_millis(500),
-        );
-        for i in 0..3 {
-            let h = env.add_host(format!("n{i}"), HostKind::Server);
-            Cybernode::deploy(
-                &mut env,
-                h,
-                &format!("Cyb-{i}"),
-                QosCapabilities::lab_server(),
-                Some(lus),
-            );
-        }
-        let monitor = ProvisionMonitor::deploy(
-            &mut env,
-            lab,
-            "Monitor",
-            AllocationPolicy::LeastUtilized,
-            FactoryRegistry::new(),
-            Some(lus),
-            SimDuration::from_secs(1),
-        );
-        let added = env
-            .with_service(monitor.service, |env, m: &mut ProvisionMonitor| {
-                m.discover_cybernodes(env, lus)
-            })
-            .unwrap();
-        assert_eq!(added, 3);
-        // Idempotent.
-        let again = env
-            .with_service(monitor.service, |env, m: &mut ProvisionMonitor| {
-                m.discover_cybernodes(env, lus)
-            })
-            .unwrap();
-        assert_eq!(again, 0);
     }
 }

@@ -103,11 +103,6 @@ impl OperationalString {
         self
     }
 
-    /// Total planned instances across all elements.
-    pub fn total_planned(&self) -> u32 {
-        self.elements.iter().map(|e| e.planned).sum()
-    }
-
     /// Validate the whole opstring (non-empty, unique element names, valid
     /// elements).
     pub fn validate(&self) -> Result<(), String> {
@@ -140,7 +135,7 @@ mod tests {
                 .with_max_per_node(1)
                 .with_config("expression", "(a + b)/2"),
         );
-        assert_eq!(os.total_planned(), 2);
+        assert_eq!(os.elements[0].planned, 2);
         assert!(os.validate().is_ok());
         assert_eq!(os.elements[0].config["expression"], "(a + b)/2");
     }

@@ -78,10 +78,6 @@ impl CountingBloom {
             self.counters[i] = self.counters[i].saturating_sub(1);
         }
     }
-
-    pub fn may_contain(&self, name: &str) -> bool {
-        self.holds(Self::slots(name))
-    }
 }
 
 /// What the root knows about one subnet: where its LUS is, and which
@@ -159,20 +155,6 @@ impl RootRegistry {
         let mut out = Vec::with_capacity(matching().count());
         out.extend(matching().map(|(&s, e)| (s, e.lus)));
         out
-    }
-
-    /// The root's current belief about a subnet's posting count for
-    /// `iface` (0 when unknown) — exposed for the churn tests.
-    pub fn summary_count(&self, subnet: SubnetId, iface: &InterfaceId) -> i64 {
-        self.subnets
-            .get(&subnet)
-            .and_then(|e| e.counts.get(iface).copied())
-            .unwrap_or(0)
-    }
-
-    /// Number of attached subnets.
-    pub fn subnet_count(&self) -> usize {
-        self.subnets.len()
     }
 }
 
@@ -293,6 +275,15 @@ mod tests {
     use crate::item::{ServiceItem, ServiceTemplate};
     use crate::lease::LeasePolicy;
     use sensorcer_sim::prelude::*;
+
+    /// The root's current belief about a subnet's posting count for
+    /// `iface` (0 when unknown).
+    fn summary_count(r: &RootRegistry, subnet: SubnetId, iface: &InterfaceId) -> i64 {
+        r.subnets
+            .get(&subnet)
+            .and_then(|e| e.counts.get(iface).copied())
+            .unwrap_or(0)
+    }
 
     fn sensor_item(name: &str, host: HostId, svc: u64, iface: &str) -> ServiceItem {
         ServiceItem::new(
@@ -417,14 +408,14 @@ mod tests {
             )
             .unwrap();
         env.with_service(root.service, |_e, r: &mut RootRegistry| {
-            assert_eq!(r.summary_count(SubnetId(0), &iface), 1);
+            assert_eq!(summary_count(r, SubnetId(0), &iface), 1);
         })
         .unwrap();
 
         // Cancel: the -1 delta lands and the subnet stops matching.
         lus0.cancel(&mut env, h0, reg.lease.id).unwrap().unwrap();
         env.with_service(root.service, |_e, r: &mut RootRegistry| {
-            assert_eq!(r.summary_count(SubnetId(0), &iface), 0);
+            assert_eq!(summary_count(r, SubnetId(0), &iface), 0);
             assert!(r.matching_subnets(&iface).is_empty());
         })
         .unwrap();
@@ -438,12 +429,12 @@ mod tests {
         )
         .unwrap();
         env.with_service(root.service, |_e, r: &mut RootRegistry| {
-            assert_eq!(r.summary_count(SubnetId(0), &iface), 1);
+            assert_eq!(summary_count(r, SubnetId(0), &iface), 1);
         })
         .unwrap();
         env.run_for(SimDuration::from_secs(4));
         env.with_service(root.service, |_e, r: &mut RootRegistry| {
-            assert_eq!(r.summary_count(SubnetId(0), &iface), 0);
+            assert_eq!(summary_count(r, SubnetId(0), &iface), 0);
         })
         .unwrap();
         assert!(hier_result(&mut env, client, &root, &iface).is_empty());
@@ -529,7 +520,7 @@ mod tests {
         )
         .unwrap();
         env.with_service(root.service, |_e, r: &mut RootRegistry| {
-            assert_eq!(r.summary_count(SubnetId(0), &iface), 2);
+            assert_eq!(summary_count(r, SubnetId(0), &iface), 2);
         })
         .unwrap();
         let hier = hier_result(&mut env, client, &root, &iface);
@@ -539,18 +530,19 @@ mod tests {
 
     #[test]
     fn counting_bloom_membership_with_deletion() {
+        let may_contain = |b: &CountingBloom, name: &str| b.holds(CountingBloom::slots(name));
         let mut b = CountingBloom::default();
-        assert!(!b.may_contain("SensorDataAccessor"));
+        assert!(!may_contain(&b, "SensorDataAccessor"));
         b.add("SensorDataAccessor");
         b.add("SensorDataAccessor");
         b.add("Cybernode");
-        assert!(b.may_contain("SensorDataAccessor"));
-        assert!(b.may_contain("Cybernode"));
+        assert!(may_contain(&b, "SensorDataAccessor"));
+        assert!(may_contain(&b, "Cybernode"));
         b.remove("SensorDataAccessor");
-        assert!(b.may_contain("SensorDataAccessor"), "one copy left");
+        assert!(may_contain(&b, "SensorDataAccessor"), "one copy left");
         b.remove("SensorDataAccessor");
-        assert!(!b.may_contain("SensorDataAccessor"));
-        assert!(b.may_contain("Cybernode"), "unrelated entry untouched");
+        assert!(!may_contain(&b, "SensorDataAccessor"));
+        assert!(may_contain(&b, "Cybernode"), "unrelated entry untouched");
     }
 
     #[test]

@@ -106,12 +106,6 @@ impl SimulatedProbe {
         self
     }
 
-    /// Builder: linear drift (sensor ageing).
-    pub fn with_drift(mut self, per_s: f64) -> Self {
-        self.drift_per_s = per_s;
-        self
-    }
-
     /// Builder: calibration curve. Panics on an invalid curve — a probe
     /// must never be constructed mis-calibrated.
     pub fn with_calibration(mut self, calibration: Calibration) -> Self {
@@ -376,7 +370,8 @@ mod tests {
 
     #[test]
     fn drift_accumulates_over_time() {
-        let mut p = basic_probe(10).with_drift(0.001);
+        let mut p = basic_probe(10);
+        p.drift_per_s = 0.001;
         let early = p.sample(t(10)).unwrap().value;
         let late = p.sample(t(100_000)).unwrap().value;
         assert!(

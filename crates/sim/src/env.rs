@@ -58,6 +58,13 @@ pub struct ShardStats {
     pub windows: u64,
 }
 
+/// Retransmission budget for reliable stacks before giving up.
+const MAX_RETRANSMITS: u32 = 8;
+
+/// Simulated per-call processing cost on the callee (scheduling,
+/// dispatch, marshalling) added on top of wire time.
+const DISPATCH_COST: SimDuration = SimDuration::from_micros(50);
+
 /// Tunables of the simulation kernel.
 #[derive(Clone, Copy, Debug)]
 pub struct EnvConfig {
@@ -66,11 +73,6 @@ pub struct EnvConfig {
     /// How long a requestor waits before declaring a call dead when the
     /// destination is unreachable or an unreliable packet is lost.
     pub call_timeout: SimDuration,
-    /// Retransmission budget for reliable stacks before giving up.
-    pub max_retransmits: u32,
-    /// Simulated per-call processing cost on the callee (scheduling,
-    /// dispatch, marshalling) added on top of wire time.
-    pub dispatch_cost: SimDuration,
 }
 
 impl Default for EnvConfig {
@@ -78,8 +80,6 @@ impl Default for EnvConfig {
         EnvConfig {
             seed: 0xC0FFEE,
             call_timeout: SimDuration::from_secs(2),
-            max_retransmits: 8,
-            dispatch_cost: SimDuration::from_micros(50),
         }
     }
 }
@@ -112,10 +112,6 @@ impl RepeatHandle {
     /// Stop future firings (the current firing, if in progress, completes).
     pub fn cancel(&self) {
         self.0.set(false);
-    }
-
-    pub fn is_active(&self) -> bool {
-        self.0.get()
     }
 }
 
@@ -542,7 +538,7 @@ impl Env {
                     return Err(NetError::Lost);
                 }
                 attempts += 1;
-                if attempts > self.config.max_retransmits {
+                if attempts > MAX_RETRANSMITS {
                     self.clock += self.config.call_timeout;
                     return Err(NetError::Timeout);
                 }
@@ -622,7 +618,7 @@ impl Env {
         }
         self.observe_delivery(from, dest);
 
-        self.clock += self.config.dispatch_cost;
+        self.clock += DISPATCH_COST;
 
         let (value, resp_bytes) = {
             let mut borrow = match obj.try_borrow_mut() {
@@ -1119,7 +1115,6 @@ mod tests {
         handle.cancel();
         env.run_for(SimDuration::from_millis(100));
         assert_eq!(count.get(), 5, "no firings after cancel");
-        assert!(!handle.is_active());
     }
 
     #[test]
@@ -1127,7 +1122,7 @@ mod tests {
         let mut env = Env::with_seed(5);
         let count = Rc::new(std::cell::Cell::new(0u32));
         let c2 = Rc::clone(&count);
-        let handle = env.schedule_every(
+        env.schedule_every(
             SimDuration::from_millis(1),
             SimDuration::from_millis(1),
             move |_env| {
@@ -1137,7 +1132,6 @@ mod tests {
         );
         env.run_for(SimDuration::from_millis(100));
         assert_eq!(count.get(), 3);
-        assert!(!handle.is_active());
     }
 
     #[test]

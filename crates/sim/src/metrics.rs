@@ -410,7 +410,8 @@ fn spec_matches(spec: &str, key: &str) -> bool {
     }
 }
 
-/// What a [`TelemetrySampler`] watches and how often.
+/// What a [`TelemetrySampler`] watches and how often. It always samples
+/// the engine's pending-timer backlog too, as [`PENDING_TIMERS_SERIES`].
 #[derive(Clone, Debug)]
 pub struct SamplerConfig {
     /// Sim-time cadence between snapshots.
@@ -420,9 +421,6 @@ pub struct SamplerConfig {
     pub counters: Vec<String>,
     /// Gauge keys (exact or `prefix.*`) snapshotted as value series.
     pub gauges: Vec<String>,
-    /// Also sample the engine's pending-timer backlog as
-    /// [`PENDING_TIMERS_SERIES`].
-    pub pending_timers: bool,
 }
 
 impl Default for SamplerConfig {
@@ -431,7 +429,6 @@ impl Default for SamplerConfig {
             period: crate::time::SimDuration::from_secs(1),
             counters: Vec::new(),
             gauges: Vec::new(),
-            pending_timers: true,
         }
     }
 }
@@ -512,13 +509,11 @@ impl TelemetrySampler {
                 points += 1;
             }
         }
-        if self.cfg.pending_timers {
-            self.gauges
-                .entry(PENDING_TIMERS_SERIES.to_string())
-                .or_default()
-                .push((t, env.pending_timers() as f64));
-            points += 1;
-        }
+        self.gauges
+            .entry(PENDING_TIMERS_SERIES.to_string())
+            .or_default()
+            .push((t, env.pending_timers() as f64));
+        points += 1;
         env.metrics.add(sampler_keys::TICKS, 1);
         env.metrics.add(sampler_keys::POINTS, points);
     }
@@ -699,7 +694,6 @@ mod tests {
             period: SimDuration::from_secs(2),
             counters: vec!["admission.*".into()],
             gauges: vec!["chaos.burst.level_t0".into()],
-            pending_timers: true,
         });
         for round in 0..10u64 {
             env.metrics.add("admission.requests.shed", 1);

@@ -197,21 +197,6 @@ impl Topology {
         }
     }
 
-    /// The subnet a host belongs to (subnet 0 for unknown hosts, so
-    /// callers on the hot path never have to branch on `Option`).
-    pub fn subnet_of(&self, id: HostId) -> SubnetId {
-        self.host(id).map(|h| h.subnet).unwrap_or_default()
-    }
-
-    /// Number of distinct subnets currently assigned.
-    pub fn subnet_count(&self) -> usize {
-        self.hosts
-            .iter()
-            .map(|h| h.subnet)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
     pub fn host(&self, id: HostId) -> Option<&Host> {
         self.hosts.get(id.0 as usize)
     }
@@ -236,12 +221,6 @@ impl Topology {
     pub fn join_group(&mut self, id: HostId, group: impl Into<String>) {
         if let Some(h) = self.host_mut(id) {
             h.groups.insert(group.into());
-        }
-    }
-
-    pub fn leave_group(&mut self, id: HostId, group: &str) {
-        if let Some(h) = self.host_mut(id) {
-            h.groups.remove(group);
         }
     }
 
@@ -507,8 +486,6 @@ mod tests {
         t.join_group(a, "public");
         t.join_group(c, "edge");
         assert_eq!(t.group_members("public"), vec![a, b]);
-        t.leave_group(a, "public");
-        assert_eq!(t.group_members("public"), vec![b]);
         assert_eq!(t.group_members("nope"), Vec::<HostId>::new());
     }
 
@@ -526,14 +503,12 @@ mod tests {
     #[test]
     fn subnet_assignment_defaults_to_zero_and_sticks() {
         let (mut t, a, b, c) = topo3();
-        assert_eq!(t.subnet_of(a), SubnetId(0));
-        assert_eq!(t.subnet_count(), 1);
+        let subnet_of = |t: &Topology, h: HostId| t.host(h).unwrap().subnet;
+        assert_eq!(subnet_of(&t, a), SubnetId(0));
         t.set_subnet(b, SubnetId(2));
         t.set_subnet(c, SubnetId(1));
-        assert_eq!(t.subnet_of(b), SubnetId(2));
-        assert_eq!(t.subnet_count(), 3);
-        // Unknown hosts fall back to subnet 0 instead of panicking.
-        assert_eq!(t.subnet_of(HostId(99)), SubnetId(0));
+        assert_eq!(subnet_of(&t, b), SubnetId(2));
+        assert_eq!(subnet_of(&t, c), SubnetId(1));
     }
 
     #[test]
